@@ -1,10 +1,9 @@
-"""Shared helpers: hashing, seed derivation, float formatting, thread map."""
+"""Shared helpers: hashing, seed derivation, float formatting, JSON output."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 
@@ -41,11 +40,3 @@ def dump_json(obj, path) -> str:
     Path(path).write_text(text)
     return text
 
-
-def thread_map(fn, items, threads: int = 1) -> list:
-    """Map preserving input order; thread pool only when threads > 1."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

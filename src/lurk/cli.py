@@ -16,6 +16,7 @@ from .exposure import PredictionSurface, window_variance
 from .monitors import annualize, read_daily_csv, read_sites_csv
 from .pipeline import (
     PipelineConfig,
+    _load_geo_inputs,
     compare_models,
     comparison_to_csv,
     format_comparison,
@@ -42,8 +43,6 @@ def _load_config(ctx) -> PipelineConfig:
         cfg.seed = ctx.obj["seed"]
     if ctx.obj.get("out") is not None:
         cfg.out_dir = Path(ctx.obj["out"])
-    if ctx.obj.get("threads") is not None:
-        cfg.threads = ctx.obj["threads"]
     return cfg
 
 
@@ -51,13 +50,12 @@ def _load_config(ctx) -> PipelineConfig:
 @click.option("--config", type=click.Path(exists=True), help="Pipeline config JSON.")
 @click.option("--seed", type=int, default=None, help="Master seed override.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory override.")
-@click.option("--threads", type=int, default=None, help="Worker thread cap.")
 @click.option("-v", "--verbose", is_flag=True, help="Chatty logging.")
 @click.pass_context
-def main(ctx, config, seed, out, threads, verbose):
+def main(ctx, config, seed, out, verbose):
     """National land-use-regression + universal-kriging exposure modeling."""
     _setup_logging(verbose)
-    ctx.obj = {"config": config, "seed": seed, "out": out, "threads": threads}
+    ctx.obj = {"config": config, "seed": seed, "out": out}
 
 
 @main.command("run")
@@ -89,12 +87,9 @@ def _sites_and_matrix(cfg: PipelineConfig):
                        cfg.year)
     sites = result.table
     specs = cov.read_specs(cfg.covariates_json)
-    layers = {n: geodata.read_features(p) for n, p in cfg.layers.items()}
-    grids = {n: geodata.read_raster(p) for n, p in cfg.grids.items()}
-    categorical = {n: geodata.read_categorical(s["path"], s["categories"])
-                   for n, s in cfg.categorical.items()}
+    layers, grids, categorical = _load_geo_inputs(cfg)
     matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
-                              categorical=categorical, threads=cfg.threads)
+                              categorical=categorical)
     return sites, matrix, specs, layers, grids, categorical
 
 

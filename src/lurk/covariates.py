@@ -1,4 +1,11 @@
-"""Per-site covariate extraction from feature layers and grids.
+"""Covariate extraction from feature layers and grids.
+
+One batched engine, `extract`, evaluates covariate specs at any set of
+points, and each covariate kind has exactly one implementation in it.
+`build_matrix` runs it at monitor sites and raises on cells it cannot
+evaluate; `rasterize_covariates` runs it at lattice cell centers and
+writes nodata there. The single-point functions are one-point calls into
+the same engine.
 
 Buffer covariates use circular buffers with an inclusive boundary
 (distance <= r counts); land-cover fractions use axis-aligned square
@@ -10,6 +17,7 @@ monitor responses.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +28,7 @@ from .errors import (
     CovariateExtractionError,
     InvalidArgumentError,
     NodataError,
+    NoFeaturesError,
 )
 from ._util import fmt_float
 
@@ -161,98 +170,191 @@ class CovariateMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Individual covariate operations
+# The covariate engine
 # ---------------------------------------------------------------------------
+
+# Points per block when (point, segment) pairs are materialised, so the
+# pair arrays stay small however many points one call evaluates.
+_BLOCK = 1024
+
+_LAYER_KIND = {"point_count": geodata.POINTS, "line_length": geodata.POLYLINES}
+
+
+def extract(specs, xs, ys, layers: dict | None = None, grids: dict | None = None,
+            categorical: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate every spec at every point (xs[i], ys[i]).
+
+    Returns ``(values, valid)``, both of shape (n_points, n_specs).
+    ``valid`` is False where a grid sample leaves the grid's cell-center
+    hull or touches nodata, or where a land-cover window holds no valid
+    cell; ``values`` is 0 there. The caller decides what such a cell
+    means. Specs are evaluated in (kind, source) groups, and a layer's
+    kind must suit the covariate kind.
+    """
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise InvalidArgumentError(f"duplicate covariate names: {dupes}")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    values = np.zeros((xs.size, len(specs)))
+    valid = np.ones((xs.size, len(specs)), dtype=bool)
+    groups: dict[tuple[str, str], list[int]] = {}
+    for j, spec in enumerate(specs):
+        groups.setdefault((spec.kind, spec.source), []).append(j)
+    for (kind, source), cols in groups.items():
+        group = [specs[j] for j in cols]
+        if kind == "coordinate_x":
+            values[:, cols] = xs[:, None]
+        elif kind == "coordinate_y":
+            values[:, cols] = ys[:, None]
+        elif kind == "grid_sample":
+            grid = _lookup(grids or {}, source, "grid")
+            sampled, inside, touched = geodata.bilinear_sample_many(grid, xs, ys)
+            ok = inside & ~touched
+            values[:, cols] = np.where(ok, sampled, 0.0)[:, None]
+            valid[:, cols] = ok[:, None]
+        elif kind == "landcover_fraction":
+            grid = _lookup(categorical or {}, source, "categorical grid")
+            values[:, cols], valid[:, cols] = _window_fractions_many(grid, xs, ys, group)
+        else:
+            layer = _lookup(layers or {}, source, "layer")
+            if kind in _LAYER_KIND and layer.kind != _LAYER_KIND[kind]:
+                raise InvalidArgumentError(f"{kind} requires a {_LAYER_KIND[kind]} layer; "
+                                           f"{source!r} holds {layer.kind}")
+            if kind == "point_count":
+                centers = np.column_stack([xs, ys])
+                for j, spec in zip(cols, group):
+                    values[:, j] = layer.tree.query_ball_point(
+                        centers, spec.buffer_m, return_length=True)
+            elif kind == "line_length":
+                values[:, cols] = _line_lengths(layer, xs, ys, [s.buffer_m for s in group])
+            else:
+                values[:, cols] = _nearest_distances(layer, xs, ys)[:, None]
+    return values, valid
+
+
+def _segment_pairs(layer: geodata.FeatureLayer, centers: np.ndarray, reach):
+    """(point, segment) index pairs whose segment midpoint lies within
+    `reach` (a scalar or one per point) of the point, grouped by point."""
+    hits = layer.tree.query_ball_point(centers, reach)
+    n_hits = np.fromiter(map(len, hits), dtype=np.int64, count=len(hits))
+    seg = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64,
+                      count=int(n_hits.sum()))
+    return np.repeat(np.arange(len(hits)), n_hits), seg
+
+
+def _line_lengths(layer: geodata.FeatureLayer, xs, ys, radii) -> np.ndarray:
+    """Polyline length inside each closed disk, one column per radius."""
+    out = np.zeros((xs.size, len(radii)))
+    # A segment that meets a disk of radius r has its midpoint within
+    # r + max_half of the center.
+    reach = max(radii) + layer.max_half
+    for lo in range(0, xs.size, _BLOCK):
+        x, y = xs[lo:lo + _BLOCK], ys[lo:lo + _BLOCK]
+        pt, seg = _segment_pairs(layer, np.column_stack([x, y]), reach)
+        a, b, px, py = layer.seg_a[seg], layer.seg_b[seg], x[pt], y[pt]
+        for k, r in enumerate(radii):
+            lengths = geodata.segment_disk_length(a, b, px, py, r)
+            out[lo:lo + x.size, k] = np.bincount(pt, lengths, minlength=x.size)
+    return out
+
+
+def _nearest_distances(layer: geodata.FeatureLayer, xs, ys) -> np.ndarray:
+    """Exact distance from each point to the nearest feature of the layer."""
+    if not len(layer):
+        raise NoFeaturesError("layer has no features")
+    centers = np.column_stack([xs, ys])
+    d, k = layer.tree.query(centers)
+    if layer.kind == geodata.POINTS:
+        return d
+    # The segment with the nearest midpoint bounds the answer from above,
+    # and no segment is nearer to p than |p - mid| - max_half.
+    out = geodata.point_segment_distance(xs, ys, layer.seg_a[k], layer.seg_b[k])
+    for lo in range(0, xs.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        pt, seg = _segment_pairs(layer, centers[block], out[block] + layer.max_half)
+        d = geodata.point_segment_distance(xs[block][pt], ys[block][pt],
+                                           layer.seg_a[seg], layer.seg_b[seg])
+        np.minimum.at(out[block], pt, d)
+    return out
+
+
+def _window_fractions_many(grid: geodata.CategoricalGrid, xs, ys, specs):
+    """Each spec's land-cover fraction in its square window at every
+    point, via summed-area tables, with membership decided by cell center.
+
+    Returns (fractions, valid), both (n_points, len(specs)); valid is
+    False where the window holds no valid cell.
+    """
+    nr, nc = grid.n_rows, grid.n_cols
+
+    def summed_area(mask):
+        s = np.zeros((nr + 1, nc + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(mask, axis=0, dtype=np.int64), axis=1, out=s[1:, 1:])
+        return s
+
+    def window_sum(sat, window_m: float):
+        # Half-open row and column ranges of the cell centers inside each
+        # window; a window holding no center gets an empty range.
+        half = window_m / 2.0
+        c0 = np.ceil((xs - half - grid.origin_x) / grid.cell_size - 0.5)
+        c1 = np.floor((xs + half - grid.origin_x) / grid.cell_size - 0.5) + 1
+        r0 = np.ceil((ys - half - grid.origin_y) / grid.cell_size - 0.5)
+        r1 = np.floor((ys + half - grid.origin_y) / grid.cell_size - 0.5) + 1
+        c0, c1 = (np.clip(c, 0, nc).astype(np.int64) for c in (c0, c1))
+        r0, r1 = (np.clip(r, 0, nr).astype(np.int64) for r in (r0, r1))
+        return sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
+
+    fracs = np.zeros((xs.size, len(specs)))
+    valid = np.zeros((xs.size, len(specs)), dtype=bool)
+    sat_valid = summed_area(grid.values != grid.nodata)
+    for cat in sorted({s.category for s in specs}):
+        sat = summed_area(grid.values == cat)
+        for k, spec in enumerate(specs):
+            if spec.category == cat:
+                n_valid = window_sum(sat_valid, spec.buffer_m)
+                ok = valid[:, k] = n_valid > 0
+                fracs[ok, k] = window_sum(sat, spec.buffer_m)[ok] / n_valid[ok]
+    return fracs, valid
+
+
+# ---------------------------------------------------------------------------
+# Single-point covariate operations
+# ---------------------------------------------------------------------------
+
+def _at(spec: CovariateSpec, x: float, y: float, **sources) -> tuple[float, bool]:
+    values, valid = extract([spec], [x], [y], **sources)
+    return float(values[0, 0]), bool(valid[0, 0])
+
 
 def count_points_in_buffer(layer: geodata.FeatureLayer, x: float, y: float, r: float) -> int:
     """Points within distance r of (x, y), boundary inclusive."""
-    if layer.kind != geodata.POINTS:
-        raise InvalidArgumentError("count_points_in_buffer requires a point layer")
-    if r <= 0:
-        raise InvalidArgumentError("buffer radius must be > 0")
-    return int(count_points_ladder(layer, x, y, np.array([r]))[0])
-
-
-def count_points_ladder(layer: geodata.FeatureLayer, x: float, y: float,
-                        radii: np.ndarray) -> np.ndarray:
-    """Counts for a whole ascending buffer ladder in one index query."""
-    if layer.kind != geodata.POINTS:
-        raise InvalidArgumentError("count_points_ladder requires a point layer")
-    r_max = float(np.max(radii))
-    cand = layer.candidate_indices(x - r_max, y - r_max, x + r_max, y + r_max)
-    if cand.size == 0:
-        return np.zeros(len(radii), dtype=np.int64)
-    pts = layer.points_xy[cand]
-    d = np.sort(np.hypot(pts[:, 0] - x, pts[:, 1] - y))
-    return np.searchsorted(d, np.asarray(radii, dtype=np.float64), side="right")
+    spec = CovariateSpec("count", "point_count", "layer", buffer_m=r)
+    return int(_at(spec, x, y, layers={"layer": layer})[0])
 
 
 def line_length_in_buffer(layer: geodata.FeatureLayer, x: float, y: float, r: float) -> float:
     """Total polyline length inside the closed disk of radius r."""
-    if layer.kind != geodata.POLYLINES:
-        raise InvalidArgumentError("line_length_in_buffer requires a polyline layer")
-    if r <= 0:
-        raise InvalidArgumentError("buffer radius must be > 0")
-    return float(line_length_ladder(layer, x, y, np.array([r]))[0])
-
-
-def line_length_ladder(layer: geodata.FeatureLayer, x: float, y: float,
-                       radii: np.ndarray) -> np.ndarray:
-    if layer.kind != geodata.POLYLINES:
-        raise InvalidArgumentError("line_length_ladder requires a polyline layer")
-    radii = np.asarray(radii, dtype=np.float64)
-    r_max = float(np.max(radii))
-    cand = layer.candidate_indices(x - r_max, y - r_max, x + r_max, y + r_max)
-    out = np.zeros(len(radii))
-    if cand.size == 0:
-        return out
-    mask = np.isin(layer.seg_feature, cand)
-    a = layer.seg_a[mask]
-    b = layer.seg_b[mask]
-    for i, r in enumerate(radii):
-        out[i] = geodata.segment_disk_length(a, b, x, y, float(r)).sum()
-    return out
-
-
-def _window_cell_range(origin: float, cell: float, n: int, lo: float, hi: float):
-    """Index range [i0, i1] of cells whose center lies in [lo, hi] (inclusive)."""
-    i0 = int(np.ceil((lo - origin) / cell - 0.5))
-    i1 = int(np.floor((hi - origin) / cell - 0.5))
-    return max(i0, 0), min(i1, n - 1)
+    spec = CovariateSpec("length", "line_length", "layer", buffer_m=r)
+    return _at(spec, x, y, layers={"layer": layer})[0]
 
 
 def landcover_fraction(grid: geodata.CategoricalGrid, category: int, x: float, y: float,
                        window_m: float) -> float:
     """Fraction of non-nodata cells of `category` in the square window."""
-    if window_m <= 0:
-        raise InvalidArgumentError("window_m must be > 0")
-    counts, valid = landcover_counts(grid, x, y, window_m)
-    if valid == 0:
-        raise NodataError(
-            f"no valid land-cover cell in {window_m} m window at ({x}, {y})"
-        )
-    return counts.get(int(category), 0) / valid
-
-
-def landcover_counts(grid: geodata.CategoricalGrid, x: float, y: float,
-                     window_m: float) -> tuple[dict[int, int], int]:
-    """Per-category cell counts and valid-cell total in the square window."""
-    half = window_m / 2.0
-    c0, c1 = _window_cell_range(grid.origin_x, grid.cell_size, grid.n_cols, x - half, x + half)
-    r0, r1 = _window_cell_range(grid.origin_y, grid.cell_size, grid.n_rows, y - half, y + half)
-    if c0 > c1 or r0 > r1:
-        return {}, 0
-    block = grid.values[r0 : r1 + 1, c0 : c1 + 1]
-    codes, counts = np.unique(block, return_counts=True)
-    table = {int(c): int(n) for c, n in zip(codes, counts)}
-    valid = int(sum(n for c, n in table.items() if c != grid.nodata))
-    table.pop(int(grid.nodata), None)
-    return table, valid
+    spec = CovariateSpec("fraction", "landcover_fraction", "grid", category=category,
+                         buffer_m=window_m)
+    value, ok = _at(spec, x, y, categorical={"grid": grid})
+    if not ok:
+        raise NodataError(f"no valid land-cover cell in {window_m} m window at ({x}, {y})")
+    return value
 
 
 def distance_to_nearest(layer: geodata.FeatureLayer, x: float, y: float) -> float:
     """Exact minimum distance from (x, y) to any feature in the layer."""
-    return layer.nearest_distance(x, y)
+    spec = CovariateSpec("distance", "distance_to_nearest", "layer")
+    return _at(spec, x, y, layers={"layer": layer})[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,92 +362,18 @@ def distance_to_nearest(layer: geodata.FeatureLayer, x: float, y: float) -> floa
 # ---------------------------------------------------------------------------
 
 def build_matrix(sites, specs, layers: dict | None = None, grids: dict | None = None,
-                 categorical: dict | None = None, threads: int = 1) -> CovariateMatrix:
+                 categorical: dict | None = None) -> CovariateMatrix:
     """Evaluate every spec at every site and assemble the covariate matrix.
 
     `sites` is a MonitorTable (or anything exposing site_ids, x, y).
     Extraction failures (nodata, out of domain) are collected and raised
     together listing every (site, spec) pair.
     """
-    layers = layers or {}
-    grids = grids or {}
-    categorical = categorical or {}
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise InvalidArgumentError(f"duplicate covariate names: {dupes}")
     site_ids = list(sites.site_ids)
-    xs = np.asarray(sites.x, dtype=np.float64)
-    ys = np.asarray(sites.y, dtype=np.float64)
-    n = len(site_ids)
-    values = np.empty((n, len(specs)))
-    failures: list[tuple[str, str]] = []
-
-    # Group buffer ladders by (kind, source) so each site queries each
-    # layer once per group rather than once per buffer length.
-    groups: dict[tuple[str, str], list[int]] = {}
-    for j, spec in enumerate(specs):
-        groups.setdefault((spec.kind, spec.source), []).append(j)
-
-    def fill_group(item):
-        (kind, source), cols = item
-        block = np.empty((n, len(cols)))
-        fails: list[tuple[str, str]] = []
-        if kind == "coordinate_x":
-            block[:, :] = xs[:, None]
-        elif kind == "coordinate_y":
-            block[:, :] = ys[:, None]
-        elif kind == "grid_sample":
-            grid = _lookup(grids, source, "grid")
-            out, inside, touched = geodata.bilinear_sample_many(grid, xs, ys)
-            bad = ~inside | touched
-            for k, j in enumerate(cols):
-                if np.any(bad):
-                    fails.extend((site_ids[i], specs[j].name) for i in np.flatnonzero(bad))
-                block[:, k] = np.where(bad, 0.0, out)
-        elif kind == "point_count":
-            layer = _lookup(layers, source, "layer")
-            radii = np.array([specs[j].buffer_m for j in cols])
-            for i in range(n):
-                block[i] = count_points_ladder(layer, xs[i], ys[i], radii)
-        elif kind == "line_length":
-            layer = _lookup(layers, source, "layer")
-            radii = np.array([specs[j].buffer_m for j in cols])
-            for i in range(n):
-                block[i] = line_length_ladder(layer, xs[i], ys[i], radii)
-        elif kind == "distance_to_nearest":
-            layer = _lookup(layers, source, "layer")
-            for i in range(n):
-                d = layer.nearest_distance(xs[i], ys[i])
-                block[i, :] = d
-        elif kind == "landcover_fraction":
-            grid = _lookup(categorical, source, "categorical grid")
-            by_window: dict[float, list[int]] = {}
-            for k, j in enumerate(cols):
-                by_window.setdefault(specs[j].buffer_m, []).append(k)
-            for i in range(n):
-                for window, ks in by_window.items():
-                    counts, valid = landcover_counts(grid, xs[i], ys[i], window)
-                    for k in ks:
-                        spec = specs[cols[k]]
-                        if valid == 0:
-                            fails.append((site_ids[i], spec.name))
-                            block[i, k] = 0.0
-                        else:
-                            block[i, k] = counts.get(int(spec.category), 0) / valid
-        else:  # pragma: no cover - guarded by CovariateSpec validation
-            raise InvalidArgumentError(f"unknown kind {kind!r}")
-        return cols, block, fails
-
-    from ._util import thread_map
-
-    for cols, block, fails in thread_map(fill_group, groups.items(), threads):
-        failures.extend(fails)
-        for k, j in enumerate(cols):
-            values[:, j] = block[:, k]
-
+    values, valid = extract(specs, sites.x, sites.y, layers, grids, categorical)
+    names = [s.name for s in specs]
+    failures = sorted((site_ids[i], names[j]) for i, j in zip(*np.nonzero(~valid)))
     if failures:
-        failures.sort()
         shown = ", ".join(f"({s}, {c})" for s, c in failures[:8])
         more = "" if len(failures) <= 8 else f" and {len(failures) - 8} more"
         raise CovariateExtractionError(
@@ -394,142 +422,17 @@ def read_specs(path) -> list[CovariateSpec]:
 # ---------------------------------------------------------------------------
 
 def rasterize_covariates(specs, lattice: geodata.RasterGrid, layers: dict | None = None,
-                         grids: dict | None = None, categorical: dict | None = None,
-                         threads: int = 1) -> dict[str, geodata.RasterGrid]:
+                         grids: dict | None = None,
+                         categorical: dict | None = None) -> dict[str, geodata.RasterGrid]:
     """Evaluate each spec at every cell center of `lattice`.
 
-    Same semantics as build_matrix cell-by-cell, but cells that cannot be
-    evaluated become nodata instead of raising, since national lattices
-    routinely extend past individual source grids.
+    The same engine as build_matrix, but cells that cannot be evaluated
+    become nodata instead of raising, since national lattices routinely
+    extend past individual source grids.
     """
-    layers = layers or {}
-    grids = grids or {}
-    categorical = categorical or {}
     xs, ys = lattice.center_meshgrid()
-    n = xs.size
-    out: dict[str, geodata.RasterGrid] = {}
-
-    groups: dict[tuple[str, str], list[CovariateSpec]] = {}
-    for spec in specs:
-        groups.setdefault((spec.kind, spec.source), []).append(spec)
-
-    def make(vals: np.ndarray) -> geodata.RasterGrid:
-        return lattice.with_values(vals.reshape(lattice.n_rows, lattice.n_cols))
-
-    for (kind, source), group in groups.items():
-        if kind == "coordinate_x":
-            for spec in group:
-                out[spec.name] = make(xs.copy())
-        elif kind == "coordinate_y":
-            for spec in group:
-                out[spec.name] = make(ys.copy())
-        elif kind == "grid_sample":
-            grid = _lookup(grids, source, "grid")
-            sampled, inside, touched = geodata.bilinear_sample_many(grid, xs, ys)
-            vals = np.where(inside & ~touched, sampled, lattice.nodata)
-            for spec in group:
-                out[spec.name] = make(vals.copy())
-        elif kind == "point_count":
-            layer = _lookup(layers, source, "layer")
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(layer.points_xy) if len(layer.points_xy) else None
-            centers = np.column_stack([xs, ys])
-            for spec in group:
-                if tree is None:
-                    counts = np.zeros(n)
-                else:
-                    counts = tree.query_ball_point(
-                        centers, spec.buffer_m, return_length=True
-                    ).astype(np.float64)
-                out[spec.name] = make(counts)
-        elif kind == "line_length":
-            layer = _lookup(layers, source, "layer")
-            radii = np.array([spec.buffer_m for spec in group])
-            vals = np.empty((n, len(group)))
-
-            def row(i):
-                return line_length_ladder(layer, xs[i], ys[i], radii)
-
-            rows = thread_map_rows(row, n, threads)
-            vals[:, :] = rows
-            for k, spec in enumerate(group):
-                out[spec.name] = make(vals[:, k].copy())
-        elif kind == "distance_to_nearest":
-            layer = _lookup(layers, source, "layer")
-            if layer.kind == geodata.POINTS and len(layer.points_xy):
-                from scipy.spatial import cKDTree
-
-                tree = cKDTree(layer.points_xy)
-                d, _ = tree.query(np.column_stack([xs, ys]))
-                vals = d.astype(np.float64)
-            else:
-                def dist(i):
-                    return layer.nearest_distance(xs[i], ys[i])
-
-                vals = np.array(thread_map_rows(dist, n, threads))
-            for spec in group:
-                out[spec.name] = make(vals.copy())
-        elif kind == "landcover_fraction":
-            grid = _lookup(categorical, source, "categorical grid")
-            by_window: dict[float, list[CovariateSpec]] = {}
-            for spec in group:
-                by_window.setdefault(spec.buffer_m, []).append(spec)
-            for window, specs_w in by_window.items():
-                cats = sorted({int(s.category) for s in specs_w})
-                fracs, valid = _window_fractions_many(grid, xs, ys, window, cats)
-                for spec in specs_w:
-                    col = cats.index(int(spec.category))
-                    vals = np.where(valid > 0, fracs[:, col], lattice.nodata)
-                    out[spec.name] = make(vals)
-    return out
-
-
-def thread_map_rows(fn, n: int, threads: int) -> list:
-    from ._util import thread_map
-
-    return thread_map(fn, range(n), threads)
-
-
-def _window_fractions_many(grid: geodata.CategoricalGrid, xs, ys, window_m: float,
-                           categories: list[int]):
-    """Window fractions for many centers via summed-area tables.
-
-    Exactly reproduces the per-site center-in-window counting rule.
-    """
-    half = window_m / 2.0
-    nr, nc = grid.n_rows, grid.n_cols
-    valid_cells = (grid.values != grid.nodata).astype(np.int64)
-    sat_valid = np.zeros((nr + 1, nc + 1), dtype=np.int64)
-    sat_valid[1:, 1:] = valid_cells.cumsum(axis=0).cumsum(axis=1)
-    sats = []
-    for cat in categories:
-        ind = (grid.values == cat).astype(np.int64)
-        s = np.zeros((nr + 1, nc + 1), dtype=np.int64)
-        s[1:, 1:] = ind.cumsum(axis=0).cumsum(axis=1)
-        sats.append(s)
-
-    c0 = np.ceil((xs - half - grid.origin_x) / grid.cell_size - 0.5).astype(np.int64)
-    c1 = np.floor((xs + half - grid.origin_x) / grid.cell_size - 0.5).astype(np.int64)
-    r0 = np.ceil((ys - half - grid.origin_y) / grid.cell_size - 0.5).astype(np.int64)
-    r1 = np.floor((ys + half - grid.origin_y) / grid.cell_size - 0.5).astype(np.int64)
-    c0 = np.clip(c0, 0, nc)
-    c1 = np.clip(c1, -1, nc - 1)
-    r0 = np.clip(r0, 0, nr)
-    r1 = np.clip(r1, -1, nr - 1)
-    empty = (c0 > c1) | (r0 > r1)
-    c0s, c1s = np.where(empty, 0, c0), np.where(empty, -1, c1)
-    r0s, r1s = np.where(empty, 0, r0), np.where(empty, -1, r1)
-
-    def rect_sum(sat):
-        return (
-            sat[r1s + 1, c1s + 1] - sat[r0s, c1s + 1] - sat[r1s + 1, c0s] + sat[r0s, c0s]
-        )
-
-    valid = np.where(empty, 0, rect_sum(sat_valid))
-    fracs = np.zeros((xs.size, len(categories)))
-    nz = valid > 0
-    for k, sat in enumerate(sats):
-        cnt = np.where(empty, 0, rect_sum(sat))
-        fracs[nz, k] = cnt[nz] / valid[nz]
-    return fracs, valid
+    values, valid = extract(specs, xs, ys, layers, grids, categorical)
+    values[~valid] = lattice.nodata
+    shape = (lattice.n_rows, lattice.n_cols)
+    return {spec.name: lattice.with_values(values[:, j].reshape(shape))
+            for j, spec in enumerate(specs)}

@@ -7,25 +7,26 @@ storage, so the center of cell (col c, row r) sits at
 with row r = 0 at the bottom. Grid files store the top row first; the
 reader flips into the bottom-first layout.
 
-Feature layers hold point or polyline geometry behind a uniform-bucket
-spatial index; bounding-box window queries are exact (no false negatives,
-no false positives at the bbox level).
+Feature layers hold point or polyline geometry behind one kd-tree, over
+the points or over the segment midpoints, which the covariate engine
+queries for buffer and proximity covariates. Bounding-box window queries
+test every stored bbox, so they are exact (no false negatives, no false
+positives at the bbox level).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     GridFormatError,
     InvalidArgumentError,
     NodataError,
-    NoFeaturesError,
     OutOfDomainError,
 )
 from ._util import fmt_float
@@ -338,9 +339,11 @@ class Feature:
 class FeatureLayer:
     """Indexed collection of point or polyline features.
 
-    The spatial index is a uniform bucket grid over feature bounding
-    boxes. Layers are immutable after construction and safe to share
-    across threads.
+    The spatial index is one kd-tree, ``tree``, over the points of a point
+    layer or the segment midpoints of a polyline layer. Every point of a
+    segment lies within ``max_half`` (the longest segment's half-length)
+    of its midpoint. Layers are immutable after construction and safe to
+    share across threads.
     """
 
     def __init__(self, kind: str, features: list[Feature]):
@@ -367,123 +370,39 @@ class FeatureLayer:
             xy = f.xy
             self._bbox[i] = (xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max())
         self._build_arrays()
-        self._build_index()
 
     def _build_arrays(self):
+        empty = np.empty((0, 2))
         if self.kind == POINTS:
-            if self.features:
-                self.points_xy = np.vstack([f.xy for f in self.features])
-            else:
-                self.points_xy = np.empty((0, 2))
-            self.seg_a = np.empty((0, 2))
-            self.seg_b = np.empty((0, 2))
-            self.seg_feature = np.empty(0, dtype=np.int64)
+            self.points_xy = np.vstack([f.xy for f in self.features] or [empty])
+            self.seg_a = self.seg_b = empty
+            self.tree = cKDTree(self.points_xy)
         else:
-            a, b, owner = [], [], []
-            for i, f in enumerate(self.features):
-                a.append(f.xy[:-1])
-                b.append(f.xy[1:])
-                owner.append(np.full(len(f.xy) - 1, i, dtype=np.int64))
-            self.points_xy = np.empty((0, 2))
-            self.seg_a = np.vstack(a) if a else np.empty((0, 2))
-            self.seg_b = np.vstack(b) if b else np.empty((0, 2))
-            self.seg_feature = np.concatenate(owner) if owner else np.empty(0, dtype=np.int64)
-
-    def _build_index(self):
-        n = len(self.features)
-        if n == 0:
-            self.bucket_size = 1000.0
-            self._buckets = {}
-            return
-        diag = np.hypot(self._bbox[:, 2] - self._bbox[:, 0], self._bbox[:, 3] - self._bbox[:, 1])
-        ext_dx = self._bbox[:, 2].max() - self._bbox[:, 0].min()
-        ext_dy = self._bbox[:, 3].max() - self._bbox[:, 1].min()
-        ext_diag = math.hypot(ext_dx, ext_dy)
-        # Occupancy-scaled bucket keeps window queries O(candidates), not
-        # O(domain area / bucket area), on large sparse domains.
-        self.bucket_size = max(float(np.median(diag)), 1000.0, 0.5 * ext_diag / math.sqrt(n))
-        buckets: dict[tuple[int, int], list[int]] = {}
-        s = self.bucket_size
-        for i in range(n):
-            x0, y0, x1, y1 = self._bbox[i]
-            for bx in range(math.floor(x0 / s), math.floor(x1 / s) + 1):
-                for by in range(math.floor(y0 / s), math.floor(y1 / s) + 1):
-                    buckets.setdefault((bx, by), []).append(i)
-        self._buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-        keys = np.array(list(self._buckets.keys()))
-        self._bucket_lo = (int(keys[:, 0].min()), int(keys[:, 1].min()))
-        self._bucket_hi = (int(keys[:, 0].max()), int(keys[:, 1].max()))
+            self.points_xy = empty
+            self.seg_a = np.vstack([f.xy[:-1] for f in self.features] or [empty])
+            self.seg_b = np.vstack([f.xy[1:] for f in self.features] or [empty])
+            self.tree = cKDTree(0.5 * (self.seg_a + self.seg_b))
+        half = 0.5 * np.hypot(*(self.seg_b - self.seg_a).T)
+        self.max_half = float(half.max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.features)
 
-    def candidate_indices(self, x_min, y_min, x_max, y_max) -> np.ndarray:
-        """Feature indices whose bounding box intersects the window (exact)."""
-        if x_min > x_max or y_min > y_max:
-            raise InvalidArgumentError("window must satisfy x_min <= x_max and y_min <= y_max")
-        if not self._buckets:
-            return np.empty(0, dtype=np.int64)
-        s = self.bucket_size
-        # Clamp to occupied buckets so huge windows stay O(occupied).
-        bx0 = max(math.floor(x_min / s), self._bucket_lo[0])
-        bx1 = min(math.floor(x_max / s), self._bucket_hi[0])
-        by0 = max(math.floor(y_min / s), self._bucket_lo[1])
-        by1 = min(math.floor(y_max / s), self._bucket_hi[1])
-        hits = []
-        for bx in range(bx0, bx1 + 1):
-            for by in range(by0, by1 + 1):
-                got = self._buckets.get((bx, by))
-                if got is not None:
-                    hits.append(got)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        cand = np.unique(np.concatenate(hits))
-        bb = self._bbox[cand]
-        keep = (bb[:, 0] <= x_max) & (bb[:, 2] >= x_min) & (bb[:, 1] <= y_max) & (bb[:, 3] >= y_min)
-        return cand[keep]
-
-    def nearest_distance(self, x: float, y: float) -> float:
-        """Exact distance to the nearest feature via expanding-window search."""
-        if not self.features:
-            raise NoFeaturesError("layer has no features")
-        r = self.bucket_size
-        x0g, y0g = self._bbox[:, 0].min(), self._bbox[:, 1].min()
-        x1g, y1g = self._bbox[:, 2].max(), self._bbox[:, 3].max()
-        r_cover = max(abs(x - x0g), abs(x - x1g), abs(y - y0g), abs(y - y1g)) + 1.0
-        while True:
-            cand = self.candidate_indices(x - r, y - r, x + r, y + r)
-            if cand.size:
-                d = self._exact_distances(cand, x, y)
-                best = float(d.min())
-                # Anything outside the square window is farther than r.
-                if best <= r:
-                    return best
-            if r >= r_cover:
-                cand = np.arange(len(self.features), dtype=np.int64)
-                return float(self._exact_distances(cand, x, y).min())
-            r *= 2.0
-
-    def _exact_distances(self, feature_idx: np.ndarray, x: float, y: float) -> np.ndarray:
-        if self.kind == POINTS:
-            pts = self.points_xy[feature_idx]
-            return np.hypot(pts[:, 0] - x, pts[:, 1] - y)
-        mask = np.isin(self.seg_feature, feature_idx)
-        a = self.seg_a[mask]
-        b = self.seg_b[mask]
-        return point_segment_distance(x, y, a, b)
-
 
 def query_window(layer: FeatureLayer, x_min, y_min, x_max, y_max) -> list[str]:
     """Ids of every feature whose bounding box intersects the window."""
-    idx = layer.candidate_indices(x_min, y_min, x_max, y_max)
-    return [layer.features[i].id for i in idx]
+    if x_min > x_max or y_min > y_max:
+        raise InvalidArgumentError("window must satisfy x_min <= x_max and y_min <= y_max")
+    bb = layer._bbox
+    hit = (bb[:, 0] <= x_max) & (bb[:, 2] >= x_min) & (bb[:, 1] <= y_max) & (bb[:, 3] >= y_min)
+    return [layer.features[i].id for i in np.flatnonzero(hit)]
 
 
 def point_segment_distance(x, y, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from (x, y) to each segment a[i]->b[i]; degenerate segments
-    are treated as points."""
+    are treated as points. x and y are scalars or one center per segment."""
     d = b - a
-    pa = np.array([x, y]) - a
+    pa = np.column_stack([x, y]) - a
     dd = np.einsum("ij,ij->i", d, d)
     t = np.zeros(len(a))
     nz = dd > 0
@@ -492,11 +411,12 @@ def point_segment_distance(x, y, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(closest[:, 0] - x, closest[:, 1] - y)
 
 
-def segment_disk_length(a: np.ndarray, b: np.ndarray, x: float, y: float, r: float) -> np.ndarray:
+def segment_disk_length(a: np.ndarray, b: np.ndarray, x, y, r: float) -> np.ndarray:
     """Length of each segment's intersection with the closed disk of
-    radius r centered at (x, y), by exact quadratic clipping."""
+    radius r centered at (x, y), by exact quadratic clipping. x and y are
+    scalars or one center per segment."""
     d = b - a
-    f = a - np.array([x, y])
+    f = a - np.column_stack([x, y])
     qa = np.einsum("ij,ij->i", d, d)
     qb = 2.0 * np.einsum("ij,ij->i", f, d)
     qc = np.einsum("ij,ij->i", f, f) - r * r

@@ -90,7 +90,8 @@ class MonitorTable:
 
     @classmethod
     def from_csv(cls, path) -> "MonitorTable":
-        rows = list(csv.DictReader(open(path, newline="")))
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
         return cls(
             site_ids=tuple(r["site_id"] for r in rows),
             x=np.array([float(r["x"]) for r in rows]),

@@ -48,7 +48,6 @@ class PipelineConfig:
     seed: int = 0
     out_dir: Path = Path("run")
     with_variance: bool = False
-    threads: int = 1
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -232,7 +231,7 @@ def run(config: PipelineConfig) -> RunReport:
         def do_covariates():
             layers, grids, categorical = geo_inputs()
             matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
-                                      categorical=categorical, threads=cfg.threads)
+                                      categorical=categorical)
             matrix.to_csv(out / "matrix.csv")
 
         entry, _ = runner.stage(
@@ -310,8 +309,7 @@ def run(config: PipelineConfig) -> RunReport:
                         f"no covariate spec for model columns: {sorted(missing)}"
                     )
                 grids_by_col = cov.rasterize_covariates(
-                    needed, lattice, layers=layers, grids=grids,
-                    categorical=categorical, threads=cfg.threads,
+                    needed, lattice, layers=layers, grids=grids, categorical=categorical,
                 )
                 surface = predict_grid(fitted, grids_by_col, lattice=lattice,
                                        with_variance=cfg.with_variance,

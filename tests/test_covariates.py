@@ -53,10 +53,29 @@ def test_count_empty_layer():
     assert cov.count_points_in_buffer(layer, 0.0, 0.0, 500.0) == 0
 
 
+def assert_callers_reject(kind, layer):
+    """build_matrix and rasterize_covariates both refuse a buffer kind on
+    the wrong kind of layer."""
+    specs = [cov.CovariateSpec("v", kind, "src", buffer_m=10.0)]
+    with pytest.raises(InvalidArgumentError, match="requires a"):
+        cov.build_matrix(table([(0.0, 0.0)]), specs, layers={"src": layer})
+    with pytest.raises(InvalidArgumentError, match="requires a"):
+        cov.rasterize_covariates(specs, geodata.RasterGrid.filled(0.0, 0.0, 1.0, 3, 3),
+                                 layers={"src": layer})
+
+
 def test_count_requires_point_layer():
     layer = segment_layer([[(0, 0), (1, 1)]])
     with pytest.raises(InvalidArgumentError):
         cov.count_points_in_buffer(layer, 0.0, 0.0, 10.0)
+    assert_callers_reject("point_count", layer)
+
+
+def test_length_requires_polyline_layer():
+    layer = point_layer([(0.0, 0.0)])
+    with pytest.raises(InvalidArgumentError):
+        cov.line_length_in_buffer(layer, 0.0, 0.0, 10.0)
+    assert_callers_reject("line_length", layer)
 
 
 def test_count_matches_brute_force():
@@ -377,13 +396,31 @@ def test_rasterize_matches_build_matrix():
         cov.CovariateSpec("elev", "grid_sample", "elev"),
         cov.CovariateSpec("cx", "coordinate_x"),
     ]
+    sources = dict(layers={"poi": players, "roads": slayer}, grids={"elev": src},
+                   categorical={"lc": lcg})
     lattice = geodata.RasterGrid.filled(4_000.0, 4_000.0, 1_500.0, 8, 8)
-    grids = cov.rasterize_covariates(specs, lattice, layers={"poi": players, "roads": slayer},
-                                     grids={"elev": src}, categorical={"lc": lcg})
+    grids = cov.rasterize_covariates(specs, lattice, **sources)
     xs, ys = lattice.center_meshgrid()
-    sites = table(np.column_stack([xs, ys]))
-    m = cov.build_matrix(sites, specs, layers={"poi": players, "roads": slayer},
-                         grids={"elev": src}, categorical={"lc": lcg})
+    m = cov.build_matrix(table(np.column_stack([xs, ys])), specs, **sources)
     for j, spec in enumerate(specs):
-        grid_vals = grids[spec.name].values.ravel()
-        assert np.allclose(grid_vals, m.values[:, j], rtol=1e-10, atol=1e-9), spec.name
+        assert np.array_equal(grids[spec.name].values.ravel(), m.values[:, j]), spec.name
+
+    # A lattice running past the elevation and land-cover grids: the cells
+    # rasterization marks nodata are exactly the failures build_matrix
+    # reports, and every other cell matches bit for bit.
+    wide = geodata.RasterGrid.filled(-6_000.0, -6_000.0, 1_500.0, 24, 24)
+    grids = cov.rasterize_covariates(specs, wide, **sources)
+    xs, ys = wide.center_meshgrid()
+    sites = table(np.column_stack([xs, ys]))
+    with pytest.raises(CovariateExtractionError) as err:
+        cov.build_matrix(sites, specs, **sources)
+    nodata = np.column_stack([grids[s.name].values.ravel() == wide.nodata for s in specs])
+    past_grids = [s.kind in ("grid_sample", "landcover_fraction") for s in specs]
+    assert nodata[:, past_grids].any(axis=0).all()
+    assert set(err.value.failures) == {
+        (sites.site_ids[i], specs[j].name) for i, j in zip(*np.nonzero(nodata))
+    }
+    good = np.flatnonzero(~nodata.any(axis=1))
+    m = cov.build_matrix(sites.subset(good), specs, **sources)
+    for j, spec in enumerate(specs):
+        assert np.array_equal(grids[spec.name].values.ravel()[good], m.values[:, j]), spec.name

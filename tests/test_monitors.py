@@ -126,6 +126,14 @@ def test_monitor_table_csv_round_trip(tmp_path):
     assert back.province == table.province
 
 
+@pytest.mark.filterwarnings("error")
+def test_monitor_table_from_csv_closes_its_file(tmp_path):
+    # A file left for the garbage collector to close raises ResourceWarning.
+    path = tmp_path / "monitors.csv"
+    annualize(records_for("a", 365), META, 2015).table.to_csv(path)
+    assert MonitorTable.from_csv(path).site_ids == ("a",)
+
+
 def test_daily_and_sites_csv_readers(tmp_path):
     daily = tmp_path / "daily.csv"
     daily.write_text("site_id,date,value\na,2015-01-01,4.5\na,2015-01-02,\n")
