@@ -13,10 +13,10 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.linalg import qr, solve_triangular
 
 from .covariates import CovariateMatrix
@@ -93,7 +93,7 @@ def ols_fit(X, y, names=None) -> OlsFit:
     se = np.sqrt(np.maximum(sigma2 * diag_cov, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta + (beta == 0)))
-    pvals = 2.0 * stats.t.sf(np.abs(t), df)
+    pvals = _t_pvalue(t, df)
     return OlsFit(
         intercept=float(beta[0]),
         coefficients=beta[1:].copy(),
@@ -134,13 +134,16 @@ def vif(candidate, included) -> float:
 
 @dataclass(frozen=True)
 class StepwiseConfig:
+    """Admissibility thresholds of forward stepwise selection.
+
+    A candidate may enter only while its entering VIF is below `vif_max`
+    and its entering coefficient p-value below `p_max`; selection stops
+    when the best admissible adjusted-R2 gain is below `min_adj_r2_gain`.
+    """
+
     vif_max: float = 5.0
     p_max: float = 0.05
     min_adj_r2_gain: float = 0.005
-    criterion: str = "adj_r2"  # adj_r2 | aic | cv10_r2 | f_value
-    direction: str = "forward"  # forward | backward
-    cv_folds: int = 10
-    cv_seed: int = 0
 
     def __post_init__(self):
         if not self.vif_max > 1:
@@ -149,19 +152,9 @@ class StepwiseConfig:
             raise InvalidArgumentError("p_max must be in (0, 1)")
         if self.min_adj_r2_gain < 0:
             raise InvalidArgumentError("min_adj_r2_gain must be >= 0")
-        if self.criterion not in ("adj_r2", "aic", "cv10_r2", "f_value"):
-            raise InvalidArgumentError(f"unknown criterion {self.criterion!r}")
-        if self.direction not in ("forward", "backward"):
-            raise InvalidArgumentError(f"unknown direction {self.direction!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "vif_max": self.vif_max,
-            "p_max": self.p_max,
-            "min_adj_r2_gain": self.min_adj_r2_gain,
-            "criterion": self.criterion,
-            "direction": self.direction,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -290,9 +283,8 @@ def fit_linear_model(matrix: CovariateMatrix, y, names, config=None) -> LinearMo
 class _QrState:
     """Incremental thin-QR over [1, selected columns].
 
-    Candidate evaluation (VIF, entering p-value, adjusted R2, tentative
-    coefficient signs) runs against this factorization; the committed
-    model is refit once at the end through ols_fit.
+    Candidates are scored against this factorization; the committed model
+    is refit once at the end through ols_fit.
     """
 
     def __init__(self, y: np.ndarray):
@@ -315,44 +307,59 @@ class _QrState:
         res -= self.Q @ u2
         return res, u + u2
 
-    def tentative_coefficients(self, u_col, rho, g_over_rho):
-        m = self.R.shape[0]
-        r_aug = np.zeros((m + 1, m + 1))
-        r_aug[:m, :m] = self.R
-        r_aug[:m, m] = u_col
-        r_aug[m, m] = rho
-        rhs = np.concatenate([self.qty, [g_over_rho]])
-        return solve_triangular(r_aug, rhs)
+    def score(self, cols: np.ndarray, df_new: int) -> "_Candidates":
+        """Score each column of `cols` as the next entering variable."""
+        res, u = self.residualize(cols)
+        rho2 = np.einsum("ij,ij->j", res, res)
+        g = res.T @ self.ry
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.sqrt(rho2)
+            gain = g / rho  # entering column's coefficient in the Q basis
+            rss_new = np.maximum(self.rss - gain**2, 0.0)
+            t = np.sqrt(gain**2 / (rss_new / df_new))
+        p = np.where(rss_new > 0, _t_pvalue(t, df_new), 0.0)
+        return _Candidates(res, u, rho2, rho, gain, rss_new, p)
 
-    def append(self, res_col, u_col, rho, g_over_rho):
+    def append(self, cand: "_Candidates", local: int):
         m = self.R.shape[0]
         r_new = np.zeros((m + 1, m + 1))
         r_new[:m, :m] = self.R
-        r_new[:m, m] = u_col
-        r_new[m, m] = rho
+        r_new[:m, m] = cand.u[:, local]
+        r_new[m, m] = cand.rho[local]
         self.R = r_new
-        self.Q = np.column_stack([self.Q, res_col / rho])
-        self.qty = np.concatenate([self.qty, [g_over_rho]])
+        self.Q = np.column_stack([self.Q, cand.res[:, local] / cand.rho[local]])
+        self.qty = np.concatenate([self.qty, [cand.gain[local]]])
         self.update_residual()
 
 
-def _criterion_value(criterion, rss_new, k_new, n, sst, cv_metric=None):
-    df = n - k_new - 1
-    if criterion == "adj_r2":
-        return 1.0 - (rss_new / df) / (sst / (n - 1))
-    if criterion == "aic":
-        return -(n * np.log(max(rss_new, 1e-300) / n) + 2.0 * (k_new + 2))
-    if criterion == "f_value":
-        if rss_new <= 0:
-            return np.inf
-        return ((sst - rss_new) / k_new) / (rss_new / df)
-    if criterion == "cv10_r2":
-        return cv_metric
-    raise InvalidArgumentError(criterion)
+@dataclass(frozen=True)
+class _Candidates:
+    """One step's candidates scored as arrays, one entry per column."""
+
+    res: np.ndarray  # columns residualized against the current Q
+    u: np.ndarray  # their coordinates in the current Q
+    rho2: np.ndarray
+    rho: np.ndarray
+    gain: np.ndarray
+    rss_new: np.ndarray
+    p: np.ndarray  # entering coefficient p-value
+
+
+def _t_pvalue(t, df):
+    """Two-sided Student-t p-value of `t` on `df` degrees of freedom."""
+    return 2.0 * special.stdtr(df, -np.abs(t))
 
 
 def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = None) -> LinearModel:
-    """Supervised stepwise variable selection over a covariate matrix.
+    """Supervised forward stepwise selection over a covariate matrix.
+
+    The column most correlated with the response enters first, provided
+    its p-value passes `cfg.p_max`. Each later step scores every remaining
+    column at once and enters the admissible one with the highest
+    adjusted R2: entering VIF below `cfg.vif_max`, entering p-value below
+    `cfg.p_max`, and no selected coefficient changing sign from its sign
+    at entry. Ties go to the lowest column index. Selection stops when no
+    column is admissible or the best gain is below `cfg.min_adj_r2_gain`.
 
     Zero-variance columns are never considered. Multiple buffer lengths
     of one base variable may enter, as long as each passes the
@@ -362,105 +369,73 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
     y = np.asarray(y, dtype=np.float64)
     if len(y) != matrix.n_sites:
         raise InvalidArgumentError("response length does not match matrix rows")
-    if cfg.direction == "backward":
-        return _backward_select(matrix, y, cfg)
 
     X = matrix.values
     names = matrix.columns
-    n, ptot = X.shape
+    n = X.shape[0]
     sds = X.std(axis=0)
-    usable = np.flatnonzero(~matrix.zero_variance & (sds > 0))
+    available = ~matrix.zero_variance & (sds > 0)
+    usable = np.flatnonzero(available)
     if usable.size == 0:
         raise EmptyModelError("no non-constant candidate columns")
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
         raise ZeroVarianceError("response has zero variance")
+    if n - 2 < 1:
+        raise InvalidArgumentError("too few observations for selection")
 
     ss_centered = np.sum((X - X.mean(axis=0)) ** 2, axis=0)
     state = _QrState(y)
-    selected: list[int] = []
-    entry_signs: list[float] = []
-    entry_pvalues: list[float] = []
-    cv_folds = None
-    if cfg.criterion == "cv10_r2":
-        rng = np.random.default_rng(cfg.cv_seed)
-        order = rng.permutation(n)
-        cv_folds = np.empty(n, dtype=np.int64)
-        cv_folds[order] = np.arange(n) % cfg.cv_folds
 
     # Step 1: highest absolute Pearson correlation with the response.
     yc = y - y.mean()
     with np.errstate(invalid="ignore"):
-        corr = np.zeros(ptot)
-        corr[usable] = np.abs((X[:, usable] - X[:, usable].mean(axis=0)).T @ yc) / (
+        corr = np.abs((X[:, usable] - X[:, usable].mean(axis=0)).T @ yc) / (
             np.sqrt(ss_centered[usable]) * np.sqrt(sst)
         )
-    first = int(usable[np.argmax(corr[usable])])
-    res, u = state.residualize(X[:, [first]])
-    rho = float(np.linalg.norm(res[:, 0]))
-    g = float(res[:, 0] @ state.ry)
-    rss_new = max(state.rss - (g / rho) ** 2, 0.0)
-    df = n - 2
-    if df < 1:
-        raise InvalidArgumentError("too few observations for selection")
-    p_first = _entering_pvalue(g, rho, rss_new, df)
-    if not p_first < cfg.p_max:
+    first = int(usable[np.argmax(corr)])
+    cand = state.score(X[:, [first]], n - 2)
+    if not cand.p[0] < cfg.p_max:
         raise EmptyModelError(
             f"no admissible first variable (best candidate {names[first]!r} "
-            f"has p={p_first:.3g})"
+            f"has p={cand.p[0]:.3g})"
         )
-    state.append(res[:, 0], u[:, 0], rho, g / rho)
-    selected.append(first)
-    beta1 = solve_triangular(state.R, state.qty)
-    entry_signs.append(float(np.sign(beta1[-1])))
-    entry_pvalues.append(p_first)
+    # Each pass enters column `remaining[local]` of the scored `cand`, then
+    # scores the columns still available for the next step.
+    local, remaining = 0, np.array([first])
 
+    selected: list[int] = []
+    entry_signs: list[float] = []
+    entry_pvalues: list[float] = []
     while True:
-        remaining = np.array([j for j in usable if j not in selected], dtype=np.int64)
-        if remaining.size == 0:
-            break
-        k_new = len(selected) + 1
-        df_new = n - k_new - 1
-        if df_new < 1:
-            break
-        res, u = state.residualize(X[:, remaining])
-        rho2 = np.einsum("ij,ij->j", res, res)
-        g = res.T @ state.ry
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vifs = np.where(rho2 > 0, ss_centered[remaining] / rho2, np.inf)
-        best = None  # (metric, j, local_idx, rss_new, adj_new)
-        adj_cur = 1.0 - (state.rss / (n - len(selected) - 1)) / (sst / (n - 1))
-        for local, j in enumerate(remaining):
-            if not vifs[local] < cfg.vif_max:
-                continue
-            if rho2[local] <= 0:
-                continue
-            rho_j = float(np.sqrt(rho2[local]))
-            rss_new = max(state.rss - (g[local] / rho_j) ** 2, 0.0)
-            p_val = _entering_pvalue(float(g[local]), rho_j, rss_new, df_new)
-            if not p_val < cfg.p_max:
-                continue
-            beta = state.tentative_coefficients(u[:, local], rho_j, g[local] / rho_j)
-            signs_now = np.sign(beta[1:-1])
-            if np.any(signs_now != np.asarray(entry_signs)):
-                continue
-            cv_metric = None
-            if cfg.criterion == "cv10_r2":
-                cv_metric = _cv_r2(X[:, selected + [int(j)]], y, cv_folds, cfg.cv_folds)
-            metric = _criterion_value(cfg.criterion, rss_new, k_new, n, sst, cv_metric)
-            if best is None or metric > best[0]:
-                adj_new = 1.0 - (rss_new / df_new) / (sst / (n - 1))
-                best = (metric, int(j), local, rss_new, adj_new, p_val, float(np.sign(beta[-1])))
-        if best is None:
-            break
-        _, j, local, rss_new, adj_new, p_val, sign_new = best
-        if adj_new - adj_cur < cfg.min_adj_r2_gain:
-            break
-        rho_j = float(np.sqrt(rho2[local]))
-        state.append(res[:, local], u[:, local], rho_j, g[local] / rho_j)
+        state.append(cand, local)
+        j = int(remaining[local])
         selected.append(j)
-        entry_signs.append(sign_new)
-        entry_pvalues.append(p_val)
+        available[j] = False
+        entry_signs.append(float(np.sign(cand.gain[local])))
+        entry_pvalues.append(float(cand.p[local]))
+
+        remaining = np.flatnonzero(available)
+        df_new = n - len(selected) - 2
+        if remaining.size == 0 or df_new < 1:
+            break
+        cand = state.score(X[:, remaining], df_new)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vifs = np.where(cand.rho2 > 0, ss_centered[remaining] / cand.rho2, np.inf)
+            # Coefficients [intercept, selected...] once each candidate
+            # enters: one column per candidate, from one batched solve.
+            beta_old = solve_triangular(state.R, state.qty)[:, None] \
+                - solve_triangular(state.R, cand.u) * (cand.gain / cand.rho)
+        keeps_signs = np.all(np.sign(beta_old[1:]) == np.array(entry_signs)[:, None], axis=0)
+        admissible = ((vifs < cfg.vif_max) & (cand.rho2 > 0) & (cand.p < cfg.p_max)
+                      & keeps_signs)
+        if not admissible.any():
+            break
+        adj_new = 1.0 - (cand.rss_new / df_new) / (sst / (n - 1))
+        local = int(np.argmax(np.where(admissible, adj_new, -np.inf)))
+        adj_cur = 1.0 - (state.rss / (n - len(selected) - 1)) / (sst / (n - 1))
+        if adj_new[local] - adj_cur < cfg.min_adj_r2_gain:
+            break
 
     names_sel = [names[j] for j in selected]
     fit = ols_fit(X[:, selected], y, names=names_sel)
@@ -476,69 +451,6 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
         n=n,
         config={"selection": "stepwise", **cfg.to_dict(),
                 "entry_p_values": entry_pvalues},
-    )
-
-
-def _entering_pvalue(g, rho, rss_new, df):
-    if rss_new <= 0:
-        return 0.0
-    t2 = (g / rho) ** 2 / (rss_new / df)
-    return float(2.0 * stats.t.sf(np.sqrt(t2), df))
-
-
-def _cv_r2(Xsub, y, fold_of, k):
-    n = len(y)
-    pred = np.empty(n)
-    for f in range(k):
-        test = fold_of == f
-        train = ~test
-        A = np.column_stack([np.ones(train.sum()), Xsub[train]])
-        coef, *_ = np.linalg.lstsq(A, y[train], rcond=None)
-        At = np.column_stack([np.ones(test.sum()), Xsub[test]])
-        pred[test] = At @ coef
-    sst = np.sum((y - y.mean()) ** 2)
-    return 1.0 - np.sum((y - pred) ** 2) / sst
-
-
-def _backward_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig) -> LinearModel:
-    """Backward elimination: drop worst-p columns, then any column whose
-    removal does not reduce adjusted R2. Entry signs are final signs."""
-    names = list(matrix.columns)
-    usable = [i for i in range(len(names)) if not matrix.zero_variance[i]]
-    current = list(usable)
-    if not current:
-        raise EmptyModelError("no non-constant candidate columns")
-    while True:
-        fit = ols_fit(matrix.values[:, current], y, names=[names[i] for i in current])
-        worst = int(np.argmax(fit.p_values))
-        if fit.p_values[worst] >= cfg.p_max:
-            if len(current) == 1:
-                raise EmptyModelError("backward elimination removed every variable")
-            current.pop(worst)
-            continue
-        if len(current) > 1:
-            best_drop, best_adj = None, fit.adj_r2
-            for k in range(len(current)):
-                trial = current[:k] + current[k + 1 :]
-                f2 = ols_fit(matrix.values[:, trial], y)
-                if f2.adj_r2 >= best_adj:
-                    best_drop, best_adj = k, f2.adj_r2
-            if best_drop is not None:
-                current.pop(best_drop)
-                continue
-        break
-    names_sel = [names[i] for i in current]
-    return LinearModel(
-        selected=tuple(names_sel),
-        intercept=fit.intercept,
-        coefficients=fit.coefficients,
-        entry_signs=np.sign(fit.coefficients),
-        r2=fit.r2,
-        adj_r2=fit.adj_r2,
-        residuals=fit.residuals,
-        p_values=fit.p_values,
-        n=fit.n,
-        config={"selection": "stepwise", **cfg.to_dict()},
     )
 
 

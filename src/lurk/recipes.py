@@ -8,7 +8,7 @@ selection and variogram fitting inside every training fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,16 +65,26 @@ class ModelRecipe:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelRecipe":
+        """Inverse of to_dict; missing keys take their defaults and unknown
+        keys raise InvalidArgumentError naming them."""
+        _check_keys(d, cls, "recipe")
         sw = d.get("stepwise", {})
+        _check_keys(sw, StepwiseConfig, "recipe stepwise")
         return cls(
             selection=d.get("selection", "stepwise"),
             kriging=bool(d.get("kriging", False)),
             exclude=tuple(d.get("exclude", ())),
-            stepwise=StepwiseConfig(**sw) if sw else StepwiseConfig(),
+            stepwise=StepwiseConfig(**sw),
             max_components=int(d.get("max_components", 10)),
             variogram_bins=int(d.get("variogram_bins", 15)),
             variogram_max_lag=d.get("variogram_max_lag"),
         )
+
+
+def _check_keys(d: dict, cls, what: str) -> None:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidArgumentError(f"unknown {what} keys: {unknown}")
 
 
 @dataclass
