@@ -1,10 +1,13 @@
-"""Shared helpers: hashing, seed derivation, float formatting, JSON output."""
+"""Shared helpers: hashing, seed derivation, float formatting, JSON output,
+config key checks."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from pathlib import Path
+
+from .errors import InvalidArgumentError
 
 
 def fmt_float(x) -> str:
@@ -40,3 +43,10 @@ def dump_json(obj, path) -> str:
     Path(path).write_text(text)
     return text
 
+
+
+def check_keys(d: dict, allowed, what: str) -> None:
+    """Raise InvalidArgumentError naming every key of `d` not in `allowed`."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise InvalidArgumentError(f"unknown {what} keys: {unknown}")

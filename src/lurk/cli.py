@@ -12,7 +12,7 @@ import click
 from . import covariates as cov
 from . import geodata
 from .evaluation import kfold_plan, logo_plan, monte_carlo_curve, run_cv
-from .exposure import PredictionSurface, window_variance
+from .exposure import window_variance
 from .monitors import annualize, read_daily_csv, read_sites_csv
 from .pipeline import (
     PipelineConfig,
@@ -187,10 +187,7 @@ def exposure_cmd(ctx, window_cells):
     report = run(cfg)
     out = Path(cfg.out_dir)
     if window_cells:
-        surface = PredictionSurface(
-            geodata.read_raster(out / "prediction.asc"), None, "", 0
-        )
-        grid = window_variance(surface, window_cells)
+        grid = window_variance(geodata.read_raster(out / "prediction.asc"), window_cells)
         geodata.write_raster(grid, out / f"window_variance_{window_cells}.asc")
         click.echo(f"window variance -> {out}/window_variance_{window_cells}.asc")
     click.echo(json.dumps({

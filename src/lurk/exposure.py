@@ -9,8 +9,6 @@ import numpy as np
 
 from .geodata import RasterGrid
 from .errors import InvalidArgumentError
-from .kriging import KrigingModel
-from .lur import LinearModel
 from .recipes import FittedModel
 from ._util import fmt_float
 
@@ -48,35 +46,17 @@ class ExposureCurve:
         }
 
 
-def _model_parts(model):
-    """Normalize LinearModel / KrigingModel / FittedModel to
-    (required columns, trend-or-None, kriging-or-None, transform)."""
-    if isinstance(model, KrigingModel):
-        return model.drift.selected, model.drift, model, None
-    if isinstance(model, LinearModel):
-        return model.selected, model, None, None
-    if isinstance(model, FittedModel):
-        transform = model.pls.transform if model.pls is not None else None
-        return model.required_columns, model.trend, model.kriging, transform
-    raise InvalidArgumentError(f"cannot predict a grid from {type(model).__name__}")
+def predict_grid(fitted: FittedModel, covariate_grids: dict[str, RasterGrid],
+                 lattice: RasterGrid, with_variance: bool = False,
+                 model_id: str = "") -> PredictionSurface:
+    """Evaluate a fitted model at every cell center of a lattice.
 
-
-def predict_grid(model, covariate_grids: dict[str, RasterGrid],
-                 lattice: RasterGrid | None = None, with_variance: bool = False,
-                 model_id: str = "", chunk: int = 4096) -> PredictionSurface:
-    """Evaluate a fitted model at every cell of a shared lattice.
-
-    One grid per required covariate, all on an identical lattice; cells
-    where any covariate is nodata become nodata. Negative predictions are
-    floored at zero and counted.
+    One grid per required covariate, each on the lattice; cells where any
+    covariate is nodata become nodata. The valid cells go through one
+    `FittedModel.predict` call; negative means are floored at zero and
+    counted.
     """
-    columns, trend, kriging_model, transform = _model_parts(model)
-    if lattice is None:
-        if not covariate_grids:
-            raise InvalidArgumentError(
-                "predict_grid needs covariate grids or an explicit lattice"
-            )
-        lattice = next(iter(covariate_grids.values()))
+    columns = fitted.required_columns
     missing = [c for c in columns if c not in covariate_grids]
     if missing:
         raise InvalidArgumentError(f"missing covariate grids: {missing}")
@@ -86,57 +66,43 @@ def predict_grid(model, covariate_grids: dict[str, RasterGrid],
 
     n_cells = lattice.n_cols * lattice.n_rows
     valid = np.ones(n_cells, dtype=bool)
-    cols = []
     for name in columns:
         g = covariate_grids[name]
-        flat = g.values.ravel()
-        valid &= flat != g.nodata
-        cols.append(flat)
-    X = np.column_stack(cols) if cols else np.empty((n_cells, 0))
-
-    mean = np.full(n_cells, np.nan)
-    var = np.full(n_cells, np.nan) if (with_variance and kriging_model is not None) else None
+        valid &= g.values.ravel() != g.nodata
     idx = np.flatnonzero(valid)
-    if idx.size:
-        rows = X[idx]
-        if transform is not None:
-            rows = transform(rows)
-        if kriging_model is not None:
-            xs, ys = lattice.center_meshgrid()
-            m, v = kriging_model.predict_many(
-                xs[idx], ys[idx], rows,
-                with_variance=var is not None, chunk=chunk,
-            )
-            mean[idx] = m
-            if var is not None:
-                var[idx] = v
-        else:
-            if rows.shape[1] == 0:
-                mean[idx] = trend.intercept
-            else:
-                mean[idx] = trend.intercept + rows @ trend.coefficients
-    neg = valid & (mean < 0.0)
-    n_floored = int(neg.sum())
+    # Column-major, like CovariateMatrix.select, so a cell rounds exactly
+    # as the same row predicted as a site would.
+    rows = np.empty((idx.size, len(columns)), order="F")
+    for j, name in enumerate(columns):
+        rows[:, j] = covariate_grids[name].values.ravel()[idx]
+    xs, ys = lattice.center_meshgrid()
+    mean, var = fitted.predict(rows, coords=np.column_stack([xs[idx], ys[idx]]),
+                               with_variance=with_variance)
+    neg = mean < 0.0
     mean[neg] = 0.0
 
-    conc_vals = np.where(valid, mean, lattice.nodata)
-    conc = lattice.with_values(conc_vals.reshape(lattice.n_rows, lattice.n_cols))
-    var_grid = None
-    if var is not None:
-        var_vals = np.where(valid, var, lattice.nodata)
-        var_grid = lattice.with_values(var_vals.reshape(lattice.n_rows, lattice.n_cols))
-    return PredictionSurface(concentration=conc, variance=var_grid,
-                             model_id=model_id, n_floored=n_floored)
+    def on_lattice(vals):
+        out = np.full(n_cells, lattice.nodata)
+        out[idx] = vals
+        return lattice.with_values(out.reshape(lattice.n_rows, lattice.n_cols))
+
+    return PredictionSurface(
+        concentration=on_lattice(mean),
+        variance=on_lattice(var) if var is not None else None,
+        model_id=model_id, n_floored=int(neg.sum()),
+    )
 
 
-def _shared_valid(surface: PredictionSurface, population: RasterGrid,
+def _shared_valid(concentration: RasterGrid, population: RasterGrid,
                   density_range=None):
-    conc = surface.concentration
-    if not conc.same_lattice(population):
-        raise InvalidArgumentError("surface and population are not on the same lattice")
-    c = conc.values.ravel()
+    if not concentration.same_lattice(population):
+        raise InvalidArgumentError(
+            "population grid is not on the concentration lattice; population "
+            "counts are not resampled, so supply them on the prediction lattice"
+        )
+    c = concentration.values.ravel()
     p = population.values.ravel()
-    valid = (c != conc.nodata) & (p != population.nodata)
+    valid = (c != concentration.nodata) & (p != population.nodata)
     if np.any(p[valid] < 0):
         raise InvalidArgumentError("population must be non-negative")
     if density_range is not None:
@@ -150,25 +116,25 @@ def _shared_valid(surface: PredictionSurface, population: RasterGrid,
     return c, p, valid
 
 
-def population_weighted_mean(surface: PredictionSurface, population: RasterGrid,
+def population_weighted_mean(concentration: RasterGrid, population: RasterGrid,
                              density_range=None) -> float:
     """Population-weighted mean concentration over jointly valid cells.
 
     `density_range=(lo, hi)` restricts the statistic to cells whose
     population falls in [lo, hi); either bound may be None.
     """
-    c, p, valid = _shared_valid(surface, population, density_range)
+    c, p, valid = _shared_valid(concentration, population, density_range)
     total = float(p[valid].sum())
     if total <= 0:
         raise InvalidArgumentError("total population over valid cells is zero")
     return float((p[valid] * c[valid]).sum() / total)
 
 
-def cumulative_exposure(surface: PredictionSurface, population: RasterGrid,
+def cumulative_exposure(concentration: RasterGrid, population: RasterGrid,
                         thresholds=DEFAULT_THRESHOLDS,
                         density_range=None) -> ExposureCurve:
     """Population fraction living above each threshold (strictly above)."""
-    c, p, valid = _shared_valid(surface, population, density_range)
+    c, p, valid = _shared_valid(concentration, population, density_range)
     total = float(p[valid].sum())
     if total <= 0:
         raise InvalidArgumentError("total population over valid cells is zero")
@@ -181,21 +147,20 @@ def cumulative_exposure(surface: PredictionSurface, population: RasterGrid,
     )
 
 
-def window_variance(surface: PredictionSurface, window_cells: int) -> RasterGrid:
+def window_variance(concentration: RasterGrid, window_cells: int) -> RasterGrid:
     """Population variance of valid cells in a centered square window.
 
     Edge windows use the available (partial) neighborhood; cells that are
-    nodata in the surface stay nodata in the output.
+    nodata in the concentration grid stay nodata in the output.
     """
     if window_cells < 1 or window_cells % 2 == 0:
         raise InvalidArgumentError("window_cells must be a positive odd number")
-    conc = surface.concentration
-    vals = conc.values
-    valid = vals != conc.nodata
+    vals = concentration.values
+    valid = vals != concentration.nodata
     # Center on the global mean before squaring to keep E[x^2]-E[x]^2 stable.
     offset = float(vals[valid].mean()) if np.any(valid) else 0.0
     v = np.where(valid, vals - offset, 0.0)
-    nr, nc = conc.n_rows, conc.n_cols
+    nr, nc = concentration.n_rows, concentration.n_cols
     half = window_cells // 2
 
     def sat(arr):
@@ -222,5 +187,5 @@ def window_variance(surface: PredictionSurface, window_cells: int) -> RasterGrid
     sum2 = rect(s_v2)
     with np.errstate(divide="ignore", invalid="ignore"):
         var = np.where(cnt > 0, np.maximum(sum2 / cnt - (sum1 / cnt) ** 2, 0.0), 0.0)
-    out = np.where(valid, var, conc.nodata)
-    return conc.with_values(out)
+    out = np.where(valid, var, concentration.nodata)
+    return concentration.with_values(out)

@@ -1,4 +1,4 @@
-"""Planar spatial data structures, file IO, and grid resampling.
+"""Planar spatial data structures, file IO, and bilinear grid sampling.
 
 All coordinates are projected planar meters. Grids follow the ESRI ASCII
 convention: square cells, lower-left corner origin, and bottom-row-first
@@ -306,19 +306,6 @@ def bilinear_sample(grid: RasterGrid, x: float, y: float) -> float:
     if touched[0]:
         raise NodataError(f"point ({x}, {y}) has a nodata cell among its 4 neighbors")
     return float(out[0])
-
-
-def resample_bilinear(src: RasterGrid, target: RasterGrid) -> RasterGrid:
-    """Resample src onto target's lattice by bilinear interpolation.
-
-    Target centers outside the src center hull, or touching nodata
-    neighbors, become nodata (no partial weighting).
-    """
-    xs, ys = target.center_meshgrid()
-    out, inside, touched = bilinear_sample_many(src, xs, ys)
-    valid = inside & ~touched
-    vals = np.where(valid, out, target.nodata).reshape(target.n_rows, target.n_cols)
-    return target.with_values(vals)
 
 
 # ---------------------------------------------------------------------------

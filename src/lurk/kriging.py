@@ -31,6 +31,7 @@ from .monitors import MonitorTable
 log = logging.getLogger(__name__)
 
 DEFAULT_N_BINS = 15
+PREDICT_CHUNK = 4096  # prediction points per right-hand-side block
 
 
 @dataclass(frozen=True)
@@ -181,14 +182,8 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
     return VariogramModel(nugget=float(c0), partial_sill=float(c1), range_m=float(a))
 
 
-@dataclass(frozen=True)
-class KrigingPrediction:
-    mean: float
-    variance: float
-
-
 class KrigingModel:
-    """Fitted drift + residual variogram + training state.
+    """Residual variogram + training sites and their drift rows.
 
     The bordered system [[C, F], [F', 0]] is factorized once at
     construction; the factorization and dual weights are immutable
@@ -196,9 +191,8 @@ class KrigingModel:
     parallel fan-out over grid cells.
     """
 
-    def __init__(self, drift: LinearModel, variogram: VariogramModel,
-                 coords: np.ndarray, x_rows: np.ndarray, y: np.ndarray):
-        self.drift = drift
+    def __init__(self, variogram: VariogramModel, coords: np.ndarray,
+                 x_rows: np.ndarray, y: np.ndarray):
         self.variogram = variogram
         self.coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
         self.x_rows = np.ascontiguousarray(np.asarray(x_rows, dtype=np.float64))
@@ -281,9 +275,8 @@ class KrigingModel:
         b[self.n_sites + 1 :] = x_std.T
         return b
 
-    def predict_many(self, xs, ys, x_rows, with_variance: bool = False,
-                     chunk: int = 4096):
-        """Kriging mean (and optionally variance) at many points."""
+    def predict_many(self, xs, ys, x_rows, with_variance: bool = False):
+        """Kriging mean and variance-or-None at many points."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
@@ -295,18 +288,17 @@ class KrigingModel:
         mean = np.empty(m)
         var = np.empty(m) if with_variance else None
         sill = self.variogram.sill
-        for s in range(0, m, chunk):
-            e = min(s + chunk, m)
+        for s in range(0, m, PREDICT_CHUNK):
+            e = min(s + PREDICT_CHUNK, m)
             b = self._rhs(xs[s:e], ys[s:e], x_rows[s:e])
             mean[s:e] = b.T @ self._dual
             if with_variance:
                 sol = lu_solve(self._lu, b, check_finite=False)
                 var[s:e] = np.maximum(sill - np.einsum("ij,ij->j", b, sol), 0.0)
-        return (mean, var) if with_variance else (mean, None)
+        return mean, var
 
     def to_dict(self) -> dict:
         return {
-            "drift": self.drift.to_dict(),
             "variogram": self.variogram.to_dict(),
             "training": {
                 "coords": self.coords.tolist(),
@@ -318,7 +310,6 @@ class KrigingModel:
     @classmethod
     def from_dict(cls, d: dict) -> "KrigingModel":
         return cls(
-            drift=LinearModel.from_dict(d["drift"]),
             variogram=VariogramModel.from_dict(d["variogram"]),
             coords=np.array(d["training"]["coords"]),
             x_rows=np.array(d["training"]["x_rows"]),
@@ -337,8 +328,8 @@ def uk_fit(drift: LinearModel, sites: MonitorTable, matrix: CovariateMatrix,
     y = np.asarray(sites.annual_mean, dtype=np.float64)
     if len(y) != matrix.n_sites:
         raise InvalidArgumentError("sites and matrix row counts differ")
-    x_sel = matrix.select(drift.selected) if drift.selected else np.empty((len(y), 0))
-    resid = y - drift.predict(matrix, n_rows=len(y))
+    x_sel = matrix.select(drift.selected)
+    resid = y - drift.predict(x_sel)
     if len(drift.residuals) != len(y) or not np.allclose(
         resid, drift.residuals, atol=1e-8 * (1.0 + float(np.abs(y).max()))
     ):
@@ -358,18 +349,10 @@ def uk_fit(drift: LinearModel, sites: MonitorTable, matrix: CovariateMatrix,
         y_u /= cnt
         x_u /= cnt[:, None]
         coords_u = uniq
-        resid_u = y_u - (drift.intercept + x_u @ drift.coefficients
-                         if drift.selected else np.full(len(uniq), drift.intercept))
+        resid_u = y_u - drift.predict(x_u)
     else:
         coords_u, x_u, y_u, resid_u = coords, x_sel, y, resid
     ev = empirical_variogram(resid_u, coords_u, n_bins=n_bins, max_lag=max_lag)
     variogram = fit_exponential(ev)
-    return KrigingModel(drift=drift, variogram=variogram, coords=coords_u,
-                        x_rows=x_u, y=y_u)
+    return KrigingModel(variogram=variogram, coords=coords_u, x_rows=x_u, y=y_u)
 
-
-def uk_predict(model: KrigingModel, x: float, y: float, x_row) -> KrigingPrediction:
-    """Universal-kriging mean and variance at one location."""
-    x_row = np.atleast_2d(np.asarray(x_row, dtype=np.float64))
-    mean, var = model.predict_many([x], [y], x_row, with_variance=True)
-    return KrigingPrediction(mean=float(mean[0]), variance=float(var[0]))

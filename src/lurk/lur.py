@@ -177,12 +177,10 @@ class LinearModel:
         return len(self.selected)
 
     def design(self, source) -> np.ndarray:
+        """Design rows from a CovariateMatrix (columns picked by name) or
+        an array whose columns are `selected` in order."""
         if hasattr(source, "select"):
             return source.select(self.selected)
-        if isinstance(source, dict):
-            return np.column_stack([np.asarray(source[name], dtype=np.float64)
-                                    for name in self.selected]) if self.selected else \
-                np.empty((_dict_len(source), 0))
         arr = np.asarray(source, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, None]
@@ -192,13 +190,8 @@ class LinearModel:
             )
         return arr
 
-    def predict(self, source, n_rows: int | None = None) -> np.ndarray:
-        if not self.selected:
-            if n_rows is None:
-                n_rows = len(self.design(source)) if source is not None else 1
-            return np.full(n_rows, self.intercept)
-        X = self.design(source)
-        return self.intercept + X @ self.coefficients
+    def predict(self, source) -> np.ndarray:
+        return self.intercept + self.design(source) @ self.coefficients
 
     def to_dict(self) -> dict:
         return {
@@ -231,12 +224,6 @@ class LinearModel:
             n=int(d["n"]),
             config=d.get("config", {}),
         )
-
-
-def _dict_len(source: dict) -> int:
-    for v in source.values():
-        return len(np.atleast_1d(v))
-    return 1
 
 
 def mean_model(y) -> LinearModel:
@@ -496,14 +483,6 @@ class PlsModel:
         k = self.n_components if k is None else k
         beta = self.rotations[:, :k] @ self.score_coefficients[:k]
         return self.y_mean + self._standardize(source) @ beta
-
-    def with_components(self, k: int) -> "PlsModel":
-        if not 1 <= k <= self.max_components:
-            raise InvalidArgumentError(f"k must be in [1, {self.max_components}]")
-        return PlsModel(
-            self.columns, self.x_mean, self.x_scale, self.y_mean,
-            self.weights, self.loadings, self.score_coefficients, self.rotations, k,
-        )
 
     def to_dict(self) -> dict:
         return {

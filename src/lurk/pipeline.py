@@ -2,13 +2,15 @@
 cross-validate -> gridded prediction -> exposure statistics.
 
 Each stage writes plain-file artifacts plus a manifest entry keyed by the
-hashes of everything the stage consumed; rerunning with unchanged inputs
-reuses the cached artifact. Stage timings go to a line-delimited log.
+hashes of everything the stage consumed, including the package's own
+source code; rerunning the same code on unchanged inputs reuses the
+cached artifact. Stage timings go to a line-delimited log.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import time
@@ -22,11 +24,24 @@ from .evaluation import kfold_plan, logo_plan, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
-from ._util import dump_json, sha256_bytes, sha256_file, stage_seed
+from ._util import check_keys, dump_json, sha256_bytes, sha256_file, stage_seed
 
 log = logging.getLogger(__name__)
 
 STAGES = ("annualize", "covariates", "fit", "cv", "predict", "exposure")
+CONFIG_KEYS = ("pollutant", "year", "monitors", "covariates", "layers", "grids",
+               "categorical_grids", "recipe", "cv", "prediction", "population_grid",
+               "thresholds", "seed", "out", "with_variance")
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """sha256 over the package's sources (sorted `*.py` names and bytes),
+    computed once per process; part of every stage key."""
+    parts = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        parts += [path.name.encode(), path.read_bytes()]
+    return sha256_bytes(b"\0".join(parts))
 
 
 @dataclass
@@ -53,6 +68,9 @@ class PipelineConfig:
     def from_json(cls, path) -> "PipelineConfig":
         path = Path(path)
         d = json.loads(path.read_text())
+        check_keys(d, CONFIG_KEYS, "config")
+        check_keys(d.get("monitors", {}), ("daily", "sites"), "config monitors")
+        check_keys(d.get("cv", {}), ("k", "logo_group"), "config cv")
         base = path.parent
 
         def resolve(p):
@@ -143,7 +161,8 @@ class _Runner:
         """Run one cached stage. `compute` writes every output file; the
         stage is skipped when the key matches the manifest and all outputs
         still hash-match."""
-        key = sha256_bytes(json.dumps([name, key_parts], sort_keys=True).encode())
+        key = sha256_bytes(json.dumps([name, code_fingerprint(), key_parts],
+                                      sort_keys=True).encode())
         entry = self.manifest.get(name)
         paths = {o: self.out / o for o in outputs}
         if entry and entry.get("key") == key:
@@ -311,7 +330,7 @@ def run(config: PipelineConfig) -> RunReport:
                 grids_by_col = cov.rasterize_covariates(
                     needed, lattice, layers=layers, grids=grids, categorical=categorical,
                 )
-                surface = predict_grid(fitted, grids_by_col, lattice=lattice,
+                surface = predict_grid(fitted, grids_by_col, lattice,
                                        with_variance=cfg.with_variance,
                                        model_id=cfg.recipe.label())
                 geodata.write_raster(surface.concentration, out / "prediction.asc")
@@ -335,14 +354,13 @@ def run(config: PipelineConfig) -> RunReport:
             pred_hash = report.stages["predict"]["outputs"]["prediction.asc"]
 
             def do_exposure():
-                surface_grid = geodata.read_raster(out / "prediction.asc")
-                from .exposure import PredictionSurface
-
-                surface = PredictionSurface(surface_grid, None, cfg.recipe.label(), 0)
+                concentration = geodata.read_raster(out / "prediction.asc")
                 population = geodata.read_raster(cfg.population_grid)
-                if not surface_grid.same_lattice(population):
-                    population = geodata.resample_bilinear(population, surface_grid)
-                curve = cumulative_exposure(surface, population, cfg.thresholds)
+                try:
+                    curve = cumulative_exposure(concentration, population, cfg.thresholds)
+                except InvalidArgumentError as exc:
+                    raise InvalidArgumentError(
+                        f"population grid {cfg.population_grid}: {exc}") from exc
                 curve.to_csv(out / "exposure.csv")
                 dump_json(curve.summary(), out / "exposure_summary.json")
 

@@ -25,7 +25,7 @@ from .lur import (
     stepwise_select,
 )
 from .monitors import MonitorTable
-from ._util import stage_seed
+from ._util import check_keys, stage_seed
 
 SELECTIONS = ("stepwise", "pls", "mean")
 
@@ -67,9 +67,9 @@ class ModelRecipe:
     def from_dict(cls, d: dict) -> "ModelRecipe":
         """Inverse of to_dict; missing keys take their defaults and unknown
         keys raise InvalidArgumentError naming them."""
-        _check_keys(d, cls, "recipe")
+        check_keys(d, (f.name for f in fields(cls)), "recipe")
         sw = d.get("stepwise", {})
-        _check_keys(sw, StepwiseConfig, "recipe stepwise")
+        check_keys(sw, (f.name for f in fields(StepwiseConfig)), "recipe stepwise")
         return cls(
             selection=d.get("selection", "stepwise"),
             kriging=bool(d.get("kriging", False)),
@@ -79,12 +79,6 @@ class ModelRecipe:
             variogram_bins=int(d.get("variogram_bins", 15)),
             variogram_max_lag=d.get("variogram_max_lag"),
         )
-
-
-def _check_keys(d: dict, cls, what: str) -> None:
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise InvalidArgumentError(f"unknown {what} keys: {unknown}")
 
 
 @dataclass
@@ -104,24 +98,24 @@ class FittedModel:
             return self.pls.columns
         return self.trend.selected
 
-    def design_rows(self, matrix_like) -> np.ndarray:
-        if self.pls is not None:
-            return self.pls.transform(matrix_like)
-        if not self.trend.selected:
-            return np.empty((_rows_of(matrix_like), 0))
-        return self.trend.design(matrix_like)
+    def predict(self, source, coords=None, with_variance: bool = False):
+        """Concentrations at new locations: the one prediction path for CV,
+        Monte Carlo holdouts and the national lattice.
 
-    def predict(self, matrix_like, coords=None) -> np.ndarray:
-        rows = self.design_rows(matrix_like)
-        if self.kriging is not None:
-            if coords is None:
-                raise InvalidArgumentError("kriging prediction needs coordinates")
-            coords = np.asarray(coords, dtype=np.float64)
-            mean, _ = self.kriging.predict_many(coords[:, 0], coords[:, 1], rows)
-            return mean
-        if rows.shape[1] == 0:
-            return np.full(len(rows), self.trend.intercept)
-        return self.trend.intercept + rows @ self.trend.coefficients
+        `source` is a CovariateMatrix or an array whose columns are
+        `required_columns` in order; `coords` (n, 2) are needed by the
+        kriging stage. Returns (mean, variance-or-None); the variance is
+        the universal-kriging variance, so it is None without kriging.
+        """
+        rows = (self.pls.transform(source) if self.pls is not None
+                else self.trend.design(source))
+        if self.kriging is None:
+            return self.trend.predict(rows), None
+        if coords is None:
+            raise InvalidArgumentError("kriging prediction needs coordinates")
+        coords = np.asarray(coords, dtype=np.float64)
+        return self.kriging.predict_many(coords[:, 0], coords[:, 1], rows,
+                                         with_variance=with_variance)
 
     def to_dict(self) -> dict:
         return {
@@ -139,12 +133,6 @@ class FittedModel:
             pls=PlsModel.from_dict(d["pls"]) if d.get("pls") else None,
             kriging=KrigingModel.from_dict(d["kriging"]) if d.get("kriging") else None,
         )
-
-
-def _rows_of(matrix_like) -> int:
-    if hasattr(matrix_like, "n_sites"):
-        return matrix_like.n_sites
-    return len(np.atleast_2d(np.asarray(matrix_like)))
 
 
 def fit_recipe(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,

@@ -15,7 +15,7 @@ import pytest
 from lurk.covariates import CovariateMatrix
 from lurk.evaluation import kfold_plan, logo_plan, monte_carlo_curve, r2_mse, run_cv
 from lurk.kriging import KrigingModel, VariogramModel, empirical_variogram, fit_exponential
-from lurk.lur import fit_linear_model, morans_i, ols_fit, pls_fit, stepwise_select
+from lurk.lur import morans_i, ols_fit, pls_fit, stepwise_select
 from lurk.monitors import MonitorTable
 from lurk.pipeline import PipelineConfig, run
 from lurk.recipes import ModelRecipe
@@ -58,11 +58,8 @@ def _kriging_problem(seed, nugget, psill=4.0, range_m=30_000.0, n=30, p=3):
     beta = rng.normal(0, 2.0, p)
     grf = simulate_grf(coords, nugget, psill, range_m, rng)
     y = 20.0 + X @ beta + grf
-    names = [f"x{j}" for j in range(p)]
-    matrix = CovariateMatrix.from_values([f"s{i}" for i in range(n)], names, X)
-    drift = fit_linear_model(matrix, y, names)
-    model = KrigingModel(drift=drift, variogram=VariogramModel(nugget, psill, range_m),
-                        coords=coords, x_rows=X, y=y)
+    model = KrigingModel(variogram=VariogramModel(nugget, psill, range_m),
+                         coords=coords, x_rows=X, y=y)
     return model, coords, X, y
 
 

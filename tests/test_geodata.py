@@ -138,45 +138,6 @@ def test_bilinear_nodata_neighbor():
         geodata.bilinear_sample(g, 1.0, 1.0)
 
 
-# -- resampling ----------------------------------------------------------------
-
-def test_resample_identity():
-    rng = np.random.default_rng(11)
-    g = make_grid(rng.normal(size=(8, 8)), cell=100.0)
-    out = geodata.resample_bilinear(g, g)
-    assert np.allclose(out.values, g.values, atol=1e-12)
-
-
-def test_resample_constant():
-    g = make_grid(np.full((6, 5), 3.25), cell=1000.0)
-    target = geodata.RasterGrid.filled(500.0, 500.0, 333.0, 9, 9)
-    out = geodata.resample_bilinear(g, target)
-    valid = out.values != out.nodata
-    assert valid.any()
-    assert np.allclose(out.values[valid], 3.25)
-
-
-def test_resample_linear_ramp_exact():
-    # 10 km source cells, target values equal the ramp at target centers
-    nx, ny, cell = 30, 20, 10_000.0
-    xs = (np.arange(nx) + 0.5) * cell
-    src = make_grid(np.tile(xs, (ny, 1)), cell=cell)
-    target = geodata.RasterGrid.filled(40_000.0, 30_000.0, 1_000.0, 50, 40)
-    out = geodata.resample_bilinear(src, target)
-    tx = target.x_centers()
-    expect = np.tile(tx, (target.n_rows, 1))
-    valid = out.values != out.nodata
-    assert valid.all()
-    assert np.max(np.abs(out.values - expect) / np.maximum(np.abs(expect), 1.0)) < 1e-9
-
-
-def test_resample_outside_is_nodata():
-    g = make_grid([[1.0, 2.0], [3.0, 4.0]], cell=1.0)
-    target = geodata.RasterGrid.filled(-10.0, -10.0, 1.0, 3, 3)
-    out = geodata.resample_bilinear(g, target)
-    assert np.all(out.values == out.nodata)
-
-
 # -- feature layers and window queries -------------------------------------------
 
 def _point_layer(coords):

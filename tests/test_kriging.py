@@ -14,7 +14,6 @@ from lurk.kriging import (
     empirical_variogram,
     fit_exponential,
     uk_fit,
-    uk_predict,
 )
 from lurk.lur import fit_linear_model
 from lurk.monitors import MonitorTable
@@ -128,7 +127,7 @@ def test_variogram_gamma_non_decreasing_and_zero_at_origin():
 
 def test_exact_interpolation_zero_nugget():
     sites, matrix, drift, coords, X, y = make_problem(seed=1, nugget=0.0)
-    model = KrigingModel(drift=drift, variogram=VariogramModel(0.0, 4.0, 30_000.0),
+    model = KrigingModel(variogram=VariogramModel(0.0, 4.0, 30_000.0),
                          coords=coords, x_rows=X, y=y)
     mean, var = model.predict_many(coords[:, 0], coords[:, 1], X, with_variance=True)
     assert np.all(np.abs(mean - y) <= 1e-8 * (1.0 + np.abs(y)))
@@ -140,16 +139,16 @@ def test_matches_dense_oracle():
     for seed in (3, 4):
         sites, matrix, drift, coords, X, y = make_problem(seed=seed, nugget=0.3)
         vg = VariogramModel(0.3, 4.0, 30_000.0)
-        model = KrigingModel(drift=drift, variogram=vg, coords=coords, x_rows=X, y=y)
+        model = KrigingModel(variogram=vg, coords=coords, x_rows=X, y=y)
         rng = np.random.default_rng(seed + 100)
         for _ in range(5):
             x0, y0 = rng.uniform(0, 100_000, 2)
             x_row = rng.normal(size=3)
-            got = uk_predict(model, x0, y0, x_row)
+            got_mean, got_var = model.predict_many([x0], [y0], [x_row], with_variance=True)
             want_mean, want_var, lam, _ = oracles.dense_uk_solve(
                 coords, X, y, 0.3, 4.0, 30_000.0, x0, y0, x_row)
-            assert got.mean == pytest.approx(want_mean, rel=1e-6, abs=1e-9)
-            assert got.variance == pytest.approx(want_var, rel=1e-6, abs=1e-9)
+            assert got_mean[0] == pytest.approx(want_mean, rel=1e-6, abs=1e-9)
+            assert got_var[0] == pytest.approx(want_var, rel=1e-6, abs=1e-9)
 
 
 def test_kriging_weights_unbiasedness():
@@ -163,7 +162,7 @@ def test_kriging_weights_unbiasedness():
 
 def test_pure_nugget_equals_drift_prediction():
     sites, matrix, drift, coords, X, y = make_problem(seed=5, noise=1.0, psill=0.0)
-    model = KrigingModel(drift=drift, variogram=VariogramModel(1.0, 0.0, 10_000.0),
+    model = KrigingModel(variogram=VariogramModel(1.0, 0.0, 10_000.0),
                          coords=coords, x_rows=X, y=y)
     rng = np.random.default_rng(55)
     pts = rng.uniform(0, 100_000, size=(10, 2))
@@ -176,7 +175,7 @@ def test_pure_nugget_equals_drift_prediction():
 def test_far_field_reduces_to_adjusted_trend():
     sites, matrix, drift, coords, X, y = make_problem(seed=11, nugget=0.1)
     vg = VariogramModel(0.1, 4.0, 5_000.0)
-    model = KrigingModel(drift=drift, variogram=vg, coords=coords, x_rows=X, y=y)
+    model = KrigingModel(variogram=vg, coords=coords, x_rows=X, y=y)
     x_far = coords[:, 0].max() + 25 * vg.range_m  # beyond 20x range
     rows = np.array([[0.3, -1.0, 0.8]])
     mean, _ = model.predict_many([x_far], [50_000.0], rows)
@@ -186,7 +185,7 @@ def test_far_field_reduces_to_adjusted_trend():
 
 def test_variance_nonnegative_everywhere():
     sites, matrix, drift, coords, X, y = make_problem(seed=13, nugget=0.5)
-    model = KrigingModel(drift=drift, variogram=VariogramModel(0.5, 4.0, 30_000.0),
+    model = KrigingModel(variogram=VariogramModel(0.5, 4.0, 30_000.0),
                          coords=coords, x_rows=X, y=y)
     rng = np.random.default_rng(77)
     pts = rng.uniform(-50_000, 150_000, size=(50, 2))
@@ -283,10 +282,8 @@ def test_singular_system_reports_duplicates():
     X = rng.normal(size=(10, 1))
     X[3] = X[2]  # colocated twin with the same drift row: truly singular
     y = rng.normal(size=10)
-    drift = fit_linear_model(
-        CovariateMatrix.from_values([f"s{i}" for i in range(10)], ["a"], X), y, ["a"])
     with pytest.raises(SingularKrigingError, match="duplicate"):
-        KrigingModel(drift=drift, variogram=VariogramModel(0.0, 1.0, 5_000.0),
+        KrigingModel(variogram=VariogramModel(0.0, 1.0, 5_000.0),
                      coords=coords, x_rows=X, y=y)
 
 

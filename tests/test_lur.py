@@ -241,7 +241,7 @@ def test_mean_model():
     y = np.array([1.0, 2.0, 3.0, 6.0])
     m = mean_model(y)
     assert m.intercept == pytest.approx(3.0)
-    assert m.predict(None, n_rows=2).tolist() == [3.0, 3.0]
+    assert m.predict(np.empty((2, 0))).tolist() == [3.0, 3.0]
 
 
 def test_linear_model_json_round_trip():

@@ -1,12 +1,14 @@
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from lurk import geodata, pipeline
 from lurk.cli import main as cli_main
 from lurk.covariates import CovariateMatrix
-from lurk.errors import DatasetMismatchError, StageError
+from lurk.errors import DatasetMismatchError, InvalidArgumentError, StageError
 from lurk.evaluation import kfold_plan, run_cv
 from lurk.monitors import MonitorTable
 from lurk.pipeline import PipelineConfig, compare_models, format_comparison, run
@@ -187,3 +189,66 @@ def test_cli_montecarlo(tmp_path):
     ])
     assert res.exit_code == 0, res.output
     assert (out / "mc" / "montecarlo.csv").exists()
+
+
+def test_population_on_another_lattice_fails_exposure(tmp_path):
+    config_path, data = write(tmp_path, scenario(seed=12))
+    # aggregate 2 x 2 cells: the counts are conserved but the lattice moves
+    pop = data.population
+    coarse = pop.values.reshape(pop.n_rows // 2, 2, pop.n_cols // 2, 2).sum(axis=(1, 3))
+    pop_path = config_path.parent / "inputs" / "population.asc"
+    geodata.write_raster(
+        geodata.RasterGrid(pop.origin_x, pop.origin_y, 2 * pop.cell_size,
+                           pop.n_cols // 2, pop.n_rows // 2, coarse, pop.nodata),
+        pop_path)
+    cfg = PipelineConfig.from_json(config_path)
+    with pytest.raises(StageError):
+        run(cfg)
+    report = json.loads((Path(cfg.out_dir) / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["failed_stage"] == "exposure"
+    assert str(pop_path) in report["error"]
+    assert "lattice" in report["error"]
+    assert (Path(cfg.out_dir) / "prediction.asc").exists()
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "population_gird"),
+    ("monitors", "dialy"),
+    ("cv", "logo_grop"),
+])
+def test_unknown_config_keys_rejected(tmp_path, section, key):
+    config_path, _ = write(tmp_path, scenario(seed=13))
+    config = json.loads(config_path.read_text())
+    (config if section is None else config[section])[key] = "x"
+    config_path.write_text(json.dumps(config))
+    with pytest.raises(InvalidArgumentError, match=key):
+        PipelineConfig.from_json(config_path)
+
+
+def test_code_change_recomputes_every_stage(tmp_path, monkeypatch):
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    log_path = tmp_path / "scn" / "run" / "run.log"
+
+    def run_and_log():
+        before = log_path.read_text() if log_path.exists() else ""
+        run(PipelineConfig.from_json(config_path))
+        return log_path.read_text()[len(before):]
+
+    run_and_log()
+    monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
+    recomputed = run_and_log()
+    for stage in pipeline.STAGES:
+        assert f"stage={stage} status=ok" in recomputed, stage
+    cached = run_and_log().strip().splitlines()
+    assert len(cached) == len(pipeline.STAGES)
+    assert all("status=cached" in line for line in cached)
+
+
+@pytest.mark.parametrize("script", ["run_national_synthetic.py", "model_family_sweep.py"])
+def test_scripts_import_against_the_api(script):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
