@@ -46,7 +46,7 @@ class EmptyVariogramError(LurkError):
 
 
 class VariogramFitError(LurkError):
-    """The variogram optimizer failed on every start."""
+    """The variogram cannot be fitted (non-finite semivariances)."""
 
 
 class SingularKrigingError(LurkError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.optimize import least_squares
+from scipy.optimize import brentq
 from scipy.spatial.distance import cdist, pdist
 
 from .covariates import CovariateMatrix
@@ -124,62 +124,60 @@ def empirical_variogram(residuals, coords, n_bins: int = DEFAULT_N_BINS,
 
 
 def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
-    """Fit (nugget, partial sill, range) by weighted nonlinear least
-    squares with multiple bounded starts.
+    """Fit (nugget c0, partial sill c1, range a) by weighted least squares
+    with c0, c1 >= 0 and a in [min_lag / 10, 10 * max_lag].
 
     Bin weights are n_pairs / lag^2 (the gstat default): pair counts
     stabilize sparse bins while the 1/lag^2 factor keeps the short-lag
     structure, which carries all nugget information, from being drowned
-    out by the huge pair counts at long range.
+    out by the huge pair counts at long range. For a fixed range the model
+    is linear in (c0, c1), which are profiled out (variable projection):
+    the best pair >= 0 is the cheapest of three closed forms (both free if
+    both are >= 0, c0 = 0, c1 = 0). The profile is scanned on a geometric
+    grid of ranges, and `brentq` polishes its best point on the profile's
+    derivative -2 c1 / a^2 sum(w r h exp(-h/a)) (envelope theorem) towards
+    the neighbour it points to; with no neighbour the range is that bound.
+    A fitted c1 of 0 leaves the range unidentified; it is then max_lag.
     """
     if len(ev.lag_centers) < 3:
         raise InvalidArgumentError("need at least 3 non-empty variogram bins")
-    lags = ev.lag_centers
-    emp = ev.semivariances
-    wts = np.sqrt(ev.n_pairs.astype(np.float64)) / lags
-    wts = wts / wts.max()
-    min_lag = float(lags[0])
-    max_lag = float(lags[-1])
-    lo = np.array([0.0, 0.0, min_lag / 10.0])
-    hi = np.array([np.inf, np.inf, 10.0 * max_lag])
-    level = float(np.max(emp))
-    if level <= 0:
+    lags, emp = ev.lag_centers, ev.semivariances
+    if not np.all(np.isfinite(emp)):
+        raise VariogramFitError("variogram semivariances must be finite")
+    w = ev.n_pairs / lags**2
+    w = w / w.sum()
+    e_mean, max_lag = float(w @ emp), float(lags[-1])
+    if float(np.max(emp)) <= 0:
         # Degenerate all-zero variogram (e.g. perfectly flat residuals).
         return VariogramModel(nugget=0.0, partial_sill=0.0, range_m=max_lag)
 
-    def resid(params):
-        c0, c1, a = params
-        model = c0 + c1 * (1.0 - np.exp(-lags / a))
-        return wts * (model - emp)
+    def profile(a):
+        """Best (c0, c1), the WLS cost and its derivative at each range."""
+        decay = np.exp(-lags / a[:, None])
+        g = 1.0 - decay
+        u = g - (g @ w)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c1_free = (u * w) @ (emp - e_mean) / ((u * u) @ w)
+            c1_only = np.maximum((g * w) @ emp / ((g * g) @ w), 0.0)
+        c0_free, zero = e_mean - c1_free * (g @ w), np.zeros_like(a)
+        c0 = np.stack([np.full_like(a, max(e_mean, 0.0)), zero, c0_free])
+        c1 = np.stack([zero, c1_only, c1_free])
+        r = c0[..., None] + c1[..., None] * g - emp
+        cost = (r * r) @ w
+        cost[2, ~((c0_free >= 0) & (c1_free >= 0))] = np.inf
+        best = np.argmin(cost, axis=0), np.arange(len(a))
+        slope = -2.0 * c1[best] / a**2 * ((r[best] * decay * lags) @ w)
+        return c0[best], c1[best], cost[best], slope
 
-    starts = []
-    for a0 in (max_lag / 20.0, max_lag / 4.0, max_lag):
-        a0 = min(max(a0, lo[2]), hi[2])
-        starts.append([0.0, level, a0])
-        starts.append([0.1 * level, 0.9 * level, a0])
-    best = None
-    failures = []
-    for x0 in starts:
-        try:
-            res = least_squares(
-                resid, x0, bounds=(lo, hi), method="trf",
-                x_scale=[max(level, 1e-12), max(level, 1e-12), max_lag],
-                xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
-            )
-        except Exception as exc:  # pragma: no cover - optimizer crash
-            failures.append(f"start {x0}: {exc}")
-            continue
-        if not res.success and not np.isfinite(res.cost):
-            failures.append(f"start {x0}: {res.message}")
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
-        raise VariogramFitError(
-            "variogram fit failed for every start: " + "; ".join(failures)
-        )
-    c0, c1, a = best.x
-    return VariogramModel(nugget=float(c0), partial_sill=float(c1), range_m=float(a))
+    grid = np.geomspace(float(lags[0]) / 10.0, 10.0 * max_lag, 256)
+    _, c1, cost, slope = profile(grid)
+    k = int(np.argmin(cost))
+    a, j = grid[k], k + (1 if slope[k] < 0 else -1)
+    if c1[k] > 0 and 0 <= j < len(grid) and slope[k] * slope[j] < 0:
+        lo, hi = sorted((grid[k], grid[j]))
+        a = brentq(lambda x: profile(np.array([x]))[3][0], lo, hi, xtol=1e-14 * lo)
+    (c0,), (c1,), _, _ = profile(np.array([a]))
+    return VariogramModel(float(c0), float(c1), float(a) if c1 > 0 else max_lag)
 
 
 class KrigingModel:

@@ -279,6 +279,8 @@ def run(config: PipelineConfig) -> RunReport:
         report.metrics["selected"] = list(fitted.trend.selected)
         report.metrics["trend_r2"] = fitted.trend.r2
         report.metrics["trend_adj_r2"] = fitted.trend.adj_r2
+        if fitted.kriging is not None:
+            report.metrics["variogram"] = fitted.kriging.variogram.to_dict()
 
         # -- cv -------------------------------------------------------------
         def do_cv():

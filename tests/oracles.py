@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import stats
+from scipy.optimize import least_squares
 
 
 # -- geometry ----------------------------------------------------------------
@@ -255,6 +256,50 @@ def allpairs_variogram(residuals, coords, n_bins, max_lag):
     keep = counts > 0
     centers = (np.arange(n_bins) + 0.5) * width
     return centers[keep], 0.5 * sums[keep] / counts[keep], counts[keep]
+
+
+def exponential_wls_cost(lags, semivariances, n_pairs, nugget, psill, range_m):
+    """Weighted least-squares cost of an exponential variogram, with the
+    gstat bin weights n_pairs / lag^2 scaled to a largest weight of 1."""
+    lags = np.asarray(lags, dtype=np.float64)
+    wts = np.asarray(n_pairs, dtype=np.float64) / lags**2
+    model = nugget + psill * (1.0 - np.exp(-lags / range_m))
+    return 0.5 * float(np.sum(wts / wts.max() * (model - semivariances) ** 2))
+
+
+def multistart_exponential(lags, semivariances, n_pairs):
+    """Exponential variogram (nugget, partial sill, range) by bounded
+    nonlinear least squares from six starts: three ranges (max_lag / 20,
+    max_lag / 4, max_lag), each with all sill or 10% nugget. Range bounds
+    [min_lag / 10, 10 * max_lag]; the cheapest successful start wins."""
+    lags = np.asarray(lags, dtype=np.float64)
+    emp = np.asarray(semivariances, dtype=np.float64)
+    wts = np.sqrt(np.asarray(n_pairs, dtype=np.float64)) / lags
+    wts = wts / wts.max()
+    min_lag, max_lag = float(lags[0]), float(lags[-1])
+    lo = np.array([0.0, 0.0, min_lag / 10.0])
+    hi = np.array([np.inf, np.inf, 10.0 * max_lag])
+    level = float(np.max(emp))
+    if level <= 0:
+        return 0.0, 0.0, max_lag
+
+    def resid(params):
+        c0, c1, a = params
+        return wts * (c0 + c1 * (1.0 - np.exp(-lags / a)) - emp)
+
+    best = None
+    for a0 in (max_lag / 20.0, max_lag / 4.0, max_lag):
+        a0 = min(max(a0, lo[2]), hi[2])
+        for x0 in ([0.0, level, a0], [0.1 * level, 0.9 * level, a0]):
+            res = least_squares(
+                resid, x0, bounds=(lo, hi), method="trf",
+                x_scale=[max(level, 1e-12), max(level, 1e-12), max_lag],
+                xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000,
+            )
+            if np.isfinite(res.cost) and (best is None or res.cost < best.cost):
+                best = res
+    c0, c1, a = best.x
+    return float(c0), float(c1), float(a)
 
 
 def dense_uk_solve(train_coords, train_x, train_y, nugget, psill, range_m,

@@ -6,6 +6,7 @@ from lurk.errors import (
     EmptyVariogramError,
     InvalidArgumentError,
     SingularKrigingError,
+    VariogramFitError,
 )
 from lurk.kriging import (
     EmpiricalVariogram,
@@ -104,6 +105,7 @@ def test_fit_flat_variogram_is_pure_nugget():
     fit = fit_exponential(ev)
     assert fit.nugget == pytest.approx(0.7, abs=1e-6)
     assert fit.partial_sill <= 1e-6
+    assert fit.range_m == lags[-1]
 
 
 def test_fit_needs_three_bins():
@@ -112,6 +114,68 @@ def test_fit_needs_three_bins():
                             n_pairs=np.array([3, 4]))
     with pytest.raises(InvalidArgumentError):
         fit_exponential(ev)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_semivariance(bad):
+    lags = np.linspace(1_000, 60_000, 8)
+    semis = np.linspace(0.2, 1.0, 8)
+    semis[3] = bad
+    ev = EmpiricalVariogram(lag_centers=lags, semivariances=semis,
+                            n_pairs=np.full(8, 30))
+    with pytest.raises(VariogramFitError):
+        fit_exponential(ev)
+
+
+def random_variogram(rng, n_bins, kind):
+    """Noisy exponential semivariances on equal-width bins (interior bins
+    randomly dropped when there are more than 4). `kind` places the true
+    model: interior nugget, nugget 0, pure nugget, or a range beyond the
+    fit's upper (10 max_lag) or lower (min_lag / 10) bound."""
+    width = rng.uniform(100.0, 5_000.0)
+    lags = (np.arange(n_bins) + 0.5) * width
+    if n_bins > 4:
+        keep = rng.random(n_bins) > 0.1
+        keep[[0, -1]] = True
+        lags = lags[keep]
+    n_pairs = np.maximum(1, (rng.uniform(5, 20, len(lags)) * lags / width).astype(int))
+    max_lag = lags[-1]
+    sill = rng.uniform(0.5, 20.0)
+    nugget = sill * rng.uniform(0.1, 0.5)
+    range_m = rng.uniform(max_lag / 10, max_lag)
+    if kind == "nugget_zero":
+        nugget = 0.0
+    elif kind == "pure_nugget":
+        sill = 0.0
+    elif kind == "range_above":
+        range_m = max_lag * rng.uniform(20, 200)
+    elif kind == "range_below":
+        range_m = lags[0] / rng.uniform(20, 200)
+    truth = VariogramModel(nugget, sill, range_m).gamma(lags)
+    semis = truth * (1.0 + 0.05 * rng.standard_normal(len(lags)))
+    return EmpiricalVariogram(lag_centers=lags, semivariances=semis, n_pairs=n_pairs)
+
+
+@pytest.mark.parametrize("n_bins", [4, 15, 200])
+def test_fit_matches_multistart_oracle(n_bins):
+    """The profiled fit never costs more than six bounded local starts, and
+    where the true range is interior it finds the same parameters."""
+    rng = np.random.default_rng(n_bins)
+    for kind in ("interior", "nugget_zero", "pure_nugget", "range_above",
+                 "range_below"):
+        for _ in range(3):
+            ev = random_variogram(rng, n_bins, kind)
+            data = (ev.lag_centers, ev.semivariances, ev.n_pairs)
+            fit = fit_exponential(ev)
+            ref = oracles.multistart_exponential(*data)
+            cost = oracles.exponential_wls_cost(
+                *data, fit.nugget, fit.partial_sill, fit.range_m)
+            assert cost <= oracles.exponential_wls_cost(*data, *ref) * (1 + 1e-12), kind
+            if kind in ("interior", "nugget_zero"):
+                sill = ref[0] + ref[1]
+                assert fit.nugget == pytest.approx(ref[0], abs=1e-6 * sill), kind
+                assert fit.partial_sill == pytest.approx(ref[1], rel=1e-6), kind
+                assert fit.range_m == pytest.approx(ref[2], rel=1e-6), kind
 
 
 def test_variogram_gamma_non_decreasing_and_zero_at_origin():

@@ -137,6 +137,7 @@ def test_compare_models_table(tmp_path):
     rows = compare_models(reports)
     assert len(rows) == 2
     assert rows[0]["kriging"] is False and rows[1]["kriging"] is True
+    assert "variogram" not in reports[0]["metrics"]
     assert format_comparison(rows).count("\n") == 2
 
     single = compare_models(reports[:1])
@@ -146,6 +147,20 @@ def test_compare_models_table(tmp_path):
     bad["dataset_hash"] = "different"
     with pytest.raises(DatasetMismatchError):
         compare_models([reports[0], bad])
+
+
+def test_report_carries_the_fitted_variogram(tmp_path):
+    config_path, _ = write(tmp_path, scenario(seed=2),
+                           recipe={"selection": "stepwise", "kriging": True})
+    cfg = PipelineConfig.from_json(config_path)
+    out = Path(cfg.out_dir)
+    for _ in range(2):  # the cached rerun reads the same model.json
+        assert run(cfg).status == "ok"
+        report = json.loads((out / "report.json").read_text())
+        model = json.loads((out / "model.json").read_text())
+        assert report["metrics"]["variogram"] == model["kriging"]["variogram"]
+    assert set(report["metrics"]["variogram"]) == {"nugget", "partial_sill", "range_m"}
+    assert "stage=fit status=cached" in (out / "run.log").read_text()
 
 
 def test_identical_recipes_identical_metrics(tmp_path):
