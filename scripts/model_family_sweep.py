@@ -8,11 +8,24 @@ prints the comparison table (10-fold and leave-one-province-out R2/RMSE).
 Usage: python scripts/model_family_sweep.py [outdir] [--seed N]
 """
 
-import argparse
-from pathlib import Path
+import os
 
-from lurk.pipeline import PipelineConfig, compare_models, comparison_to_csv, format_comparison, run
-from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
+# One BLAS thread: on small machines a multi-threaded OpenBLAS makes the
+# stepwise and kriging solves several times slower. Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from lurk.pipeline import (  # noqa: E402
+    PipelineConfig,
+    compare_models,
+    comparison_to_csv,
+    format_comparison,
+    run,
+)
+from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
 
 FAMILIES = [
     {"selection": "stepwise", "kriging": False, "exclude": ["satellite"]},

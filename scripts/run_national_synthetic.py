@@ -8,13 +8,20 @@ predict -> exposure, printing stage timings and headline metrics.
 Usage: python scripts/run_national_synthetic.py [outdir] [--seed N]
 """
 
-import argparse
-import json
-import time
-from pathlib import Path
+import os
 
-from lurk.pipeline import PipelineConfig, run
-from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
+# One BLAS thread: on small machines a multi-threaded OpenBLAS makes the
+# stepwise and kriging solves several times slower. Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from lurk.pipeline import PipelineConfig, run  # noqa: E402
+from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
 
 
 def main():

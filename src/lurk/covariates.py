@@ -216,7 +216,11 @@ def extract(specs, xs, ys, layers: dict | None = None, grids: dict | None = None
             valid[:, cols] = ok[:, None]
         elif kind == "landcover_fraction":
             grid = _lookup(categorical or {}, source, "categorical grid")
-            values[:, cols], valid[:, cols] = _window_fractions_many(grid, xs, ys, group)
+            for j, spec in zip(cols, group):
+                n_valid = grid.window_count(xs, ys, spec.buffer_m)
+                n_cat = grid.window_count(xs, ys, spec.buffer_m, spec.category)
+                ok = valid[:, j] = n_valid > 0
+                values[ok, j] = n_cat[ok] / n_valid[ok]
         else:
             layer = _lookup(layers or {}, source, "layer")
             if kind in _LAYER_KIND and layer.kind != _LAYER_KIND[kind]:
@@ -278,45 +282,6 @@ def _nearest_distances(layer: geodata.FeatureLayer, xs, ys) -> np.ndarray:
                                            layer.seg_a[seg], layer.seg_b[seg])
         np.minimum.at(out[block], pt, d)
     return out
-
-
-def _window_fractions_many(grid: geodata.CategoricalGrid, xs, ys, specs):
-    """Each spec's land-cover fraction in its square window at every
-    point, via summed-area tables, with membership decided by cell center.
-
-    Returns (fractions, valid), both (n_points, len(specs)); valid is
-    False where the window holds no valid cell.
-    """
-    nr, nc = grid.n_rows, grid.n_cols
-
-    def summed_area(mask):
-        s = np.zeros((nr + 1, nc + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(mask, axis=0, dtype=np.int64), axis=1, out=s[1:, 1:])
-        return s
-
-    def window_sum(sat, window_m: float):
-        # Half-open row and column ranges of the cell centers inside each
-        # window; a window holding no center gets an empty range.
-        half = window_m / 2.0
-        c0 = np.ceil((xs - half - grid.origin_x) / grid.cell_size - 0.5)
-        c1 = np.floor((xs + half - grid.origin_x) / grid.cell_size - 0.5) + 1
-        r0 = np.ceil((ys - half - grid.origin_y) / grid.cell_size - 0.5)
-        r1 = np.floor((ys + half - grid.origin_y) / grid.cell_size - 0.5) + 1
-        c0, c1 = (np.clip(c, 0, nc).astype(np.int64) for c in (c0, c1))
-        r0, r1 = (np.clip(r, 0, nr).astype(np.int64) for r in (r0, r1))
-        return sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
-
-    fracs = np.zeros((xs.size, len(specs)))
-    valid = np.zeros((xs.size, len(specs)), dtype=bool)
-    sat_valid = summed_area(grid.values != grid.nodata)
-    for cat in sorted({s.category for s in specs}):
-        sat = summed_area(grid.values == cat)
-        for k, spec in enumerate(specs):
-            if spec.category == cat:
-                n_valid = window_sum(sat_valid, spec.buffer_m)
-                ok = valid[:, k] = n_valid > 0
-                fracs[ok, k] = window_sum(sat, spec.buffer_m)[ok] / n_valid[ok]
-    return fracs, valid
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,17 @@ storage, so the center of cell (col c, row r) sits at
 with row r = 0 at the bottom. Grid files store the top row first; the
 reader flips into the bottom-first layout.
 
-Feature layers hold point or polyline geometry behind one kd-tree, over
-the points or over the segment midpoints, which the covariate engine
-queries for buffer and proximity covariates. Bounding-box window queries
-test every stored bbox, so they are exact (no false negatives, no false
-positives at the bbox level).
+Feature layers hold point or polyline geometry as columns (flat vertices
+plus per-feature offsets) behind one kd-tree over the points or segment
+midpoints, which the covariate engine queries for buffer and proximity
+covariates; window queries test every stored bbox, so they are exact. A
+categorical grid builds each summed-area table once and keeps it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +82,6 @@ class RasterGrid:
             and self.cell_size == other.cell_size
         )
 
-    def cell_center(self, col: int, row: int) -> tuple[float, float]:
-        return (
-            self.origin_x + (col + 0.5) * self.cell_size,
-            self.origin_y + (row + 0.5) * self.cell_size,
-        )
-
     def x_centers(self) -> np.ndarray:
         return self.origin_x + (np.arange(self.n_cols) + 0.5) * self.cell_size
 
@@ -98,9 +92,6 @@ class RasterGrid:
         """Flattened center coordinates, bottom row first."""
         xx, yy = np.meshgrid(self.x_centers(), self.y_centers())
         return xx.ravel(), yy.ravel()
-
-    def valid_mask(self) -> np.ndarray:
-        return self.values != self.nodata
 
     def with_values(self, values: np.ndarray, nodata: float | None = None) -> "RasterGrid":
         return RasterGrid(
@@ -121,6 +112,7 @@ class CategoricalGrid:
     values: np.ndarray
     categories: tuple[int, ...]
     nodata: int = -9999
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_cols < 1:
@@ -140,11 +132,33 @@ class CategoricalGrid:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "categories", tuple(int(c) for c in self.categories))
 
-    def x_centers(self) -> np.ndarray:
-        return self.origin_x + (np.arange(self.n_cols) + 0.5) * self.cell_size
+    def summed_area(self, category: int | None = None) -> np.ndarray:
+        """Summed-area table counting the cells of `category` (every valid
+        cell when None) in rows < r and columns < c at [r, c]; built on
+        first use and kept with the grid."""
+        if category not in self._tables:
+            mask = self.values != self.nodata if category is None else self.values == category
+            dtype = np.int32 if mask.size < 2**31 else np.int64  # no count overflows
+            table = np.zeros((self.n_rows + 1, self.n_cols + 1), dtype=dtype)
+            np.cumsum(np.cumsum(mask, axis=0, dtype=dtype), axis=1, out=table[1:, 1:])
+            table.setflags(write=False)
+            self._tables[category] = table
+        return self._tables[category]
 
-    def y_centers(self) -> np.ndarray:
-        return self.origin_y + (np.arange(self.n_rows) + 0.5) * self.cell_size
+    def window_count(self, xs, ys, window_m: float, category: int | None = None) -> np.ndarray:
+        """Cells of `category` (valid cells when None) whose centers lie in
+        the square window of side `window_m` centered at each point."""
+        # Half-open row and column ranges of the cell centers inside each
+        # window; a window holding no center gets an empty range.
+        half = window_m / 2.0
+        c0 = np.ceil((xs - half - self.origin_x) / self.cell_size - 0.5)
+        c1 = np.floor((xs + half - self.origin_x) / self.cell_size - 0.5) + 1
+        r0 = np.ceil((ys - half - self.origin_y) / self.cell_size - 0.5)
+        r1 = np.floor((ys + half - self.origin_y) / self.cell_size - 0.5) + 1
+        c0, c1 = (np.clip(c, 0, self.n_cols).astype(np.int64) for c in (c0, c1))
+        r0, r1 = (np.clip(r, 0, self.n_rows).astype(np.int64) for r in (r0, r1))
+        sat = self.summed_area(category)
+        return sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
 
 
 def _parse_header(lines: list[str], path) -> tuple[dict, int]:
@@ -174,8 +188,7 @@ def _parse_header(lines: list[str], path) -> tuple[dict, int]:
 
 
 def _read_ascii_grid(path) -> tuple[dict, np.ndarray]:
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     header, first_data_line = _parse_header(lines, path)
     n_cols = int(header["ncols"])
     n_rows = int(header["nrows"])
@@ -185,13 +198,15 @@ def _read_ascii_grid(path) -> tuple[dict, np.ndarray]:
         raise GridFormatError(f"{path}: nrows must be >= 1")
     if header["cellsize"] <= 0:
         raise GridFormatError(f"{path}: cellsize must be > 0")
-    tokens = " ".join(lines[first_data_line:]).split()
-    if len(tokens) != n_cols * n_rows:
-        raise GridFormatError(
-            f"{path}: expected {n_cols * n_rows} values, found {len(tokens)}"
-        )
+    body = lines[first_data_line:]
     try:
-        flat = np.array(tokens, dtype=np.float64)
+        flat = np.loadtxt(body, comments=None, ndmin=1).ravel()
+    except ValueError:  # rows of unequal length, or a token that is not a number
+        flat = " ".join(body).split()
+    if len(flat) != n_cols * n_rows:
+        raise GridFormatError(f"{path}: expected {n_cols * n_rows} values, found {len(flat)}")
+    try:
+        flat = np.asarray(flat, dtype=np.float64)
     except ValueError:
         raise GridFormatError(f"{path}: non-numeric value in grid body") from None
     # File rows run top-first; flip to bottom-first storage.
@@ -314,75 +329,65 @@ def bilinear_sample(grid: RasterGrid, x: float, y: float) -> float:
 
 POINTS = "points"
 POLYLINES = "polylines"
-
-
-@dataclass(frozen=True)
-class Feature:
-    id: str
-    category: str | None
-    xy: np.ndarray  # (k, 2) vertices; k == 1 for points
+_WKT_KINDS = {"POINT": POINTS, "LINESTRING": POLYLINES}
 
 
 class FeatureLayer:
-    """Indexed collection of point or polyline features.
+    """Point or polyline features held as columns: feature i has vertices
+    ``xy[offsets[i]:offsets[i + 1]]``, id ``ids[i]``, category
+    ``categories[i]`` ("" for none) and bounding box ``bbox[i]``. One
+    kd-tree, ``tree``, indexes the points of a point layer or the midpoints
+    of the segments ``seg_a``->``seg_b`` of a polyline layer; every point of
+    a segment lies within ``max_half`` of its midpoint. Layers are
+    immutable after construction and safe to share across threads."""
 
-    The spatial index is one kd-tree, ``tree``, over the points of a point
-    layer or the segment midpoints of a polyline layer. Every point of a
-    segment lies within ``max_half`` (the longest segment's half-length)
-    of its midpoint. Layers are immutable after construction and safe to
-    share across threads.
-    """
-
-    def __init__(self, kind: str, features: list[Feature]):
+    def __init__(self, kind: str, xy, offsets, ids, categories=None):
         if kind not in (POINTS, POLYLINES):
             raise InvalidArgumentError(f"unknown layer kind {kind!r}")
         self.kind = kind
-        self.features = []
-        for f in features:
-            xy = np.asarray(f.xy, dtype=np.float64)
-            if kind == POINTS:
-                if xy.shape != (1, 2):
-                    raise InvalidArgumentError(f"feature {f.id}: point must have one vertex")
-            else:
-                if xy.ndim != 2 or xy.shape[0] < 2 or xy.shape[1] != 2:
-                    raise InvalidArgumentError(f"feature {f.id}: polyline needs >= 2 vertices")
-                if np.any(np.all(xy[1:] == xy[:-1], axis=1)):
-                    raise InvalidArgumentError(
-                        f"feature {f.id}: consecutive duplicate vertices are not allowed"
-                    )
-            self.features.append(Feature(id=f.id, category=f.category, xy=xy))
-        n = len(self.features)
-        self._bbox = np.empty((n, 4))  # xmin, ymin, xmax, ymax
-        for i, f in enumerate(self.features):
-            xy = f.xy
-            self._bbox[i] = (xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max())
-        self._build_arrays()
-
-    def _build_arrays(self):
-        empty = np.empty((0, 2))
-        if self.kind == POINTS:
-            self.points_xy = np.vstack([f.xy for f in self.features] or [empty])
-            self.seg_a = self.seg_b = empty
-            self.tree = cKDTree(self.points_xy)
+        self.xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=str)
+        n = self.ids.size
+        self.categories = np.asarray([""] * n if categories is None else categories, dtype=str)
+        if (self.offsets.shape != (n + 1,) or self.categories.shape != (n,)
+                or self.offsets[0] != 0 or self.offsets[-1] != len(self.xy)):
+            raise InvalidArgumentError("offsets, ids and categories do not match the vertices")
+        counts = np.diff(self.offsets)
+        if kind == POINTS:
+            self._reject(np.flatnonzero(counts != 1), "point must have one vertex")
+            self.seg_a = self.seg_b = np.empty((0, 2))
+            self.tree = cKDTree(self.xy)
         else:
-            self.points_xy = empty
-            self.seg_a = np.vstack([f.xy[:-1] for f in self.features] or [empty])
-            self.seg_b = np.vstack([f.xy[1:] for f in self.features] or [empty])
+            self._reject(np.flatnonzero(counts < 2), "polyline needs >= 2 vertices")
+            # True for each pair of consecutive vertices of one feature: a segment.
+            segment = np.ones(max(len(self.xy) - 1, 0), dtype=bool)
+            segment[self.offsets[1:-1] - 1] = False
+            repeated = np.flatnonzero(segment & np.all(self.xy[1:] == self.xy[:-1], axis=1))
+            self._reject(np.searchsorted(self.offsets, repeated, "right") - 1,
+                         "consecutive duplicate vertices are not allowed")
+            self.seg_a, self.seg_b = self.xy[:-1][segment], self.xy[1:][segment]
             self.tree = cKDTree(0.5 * (self.seg_a + self.seg_b))
+        self.bbox = np.hstack([np.minimum.reduceat(self.xy, self.offsets[:-1], axis=0),
+                               np.maximum.reduceat(self.xy, self.offsets[:-1], axis=0)])
         half = 0.5 * np.hypot(*(self.seg_b - self.seg_a).T)
         self.max_half = float(half.max(initial=0.0))
 
+    def _reject(self, features: np.ndarray, what: str) -> None:
+        if features.size:
+            raise InvalidArgumentError(f"feature {self.ids[features[0]]}: {what}")
+
     def __len__(self) -> int:
-        return len(self.features)
+        return self.ids.size
 
 
 def query_window(layer: FeatureLayer, x_min, y_min, x_max, y_max) -> list[str]:
     """Ids of every feature whose bounding box intersects the window."""
     if x_min > x_max or y_min > y_max:
         raise InvalidArgumentError("window must satisfy x_min <= x_max and y_min <= y_max")
-    bb = layer._bbox
+    bb = layer.bbox
     hit = (bb[:, 0] <= x_max) & (bb[:, 2] >= x_min) & (bb[:, 1] <= y_max) & (bb[:, 3] >= y_min)
-    return [layer.features[i].id for i in np.flatnonzero(hit)]
+    return layer.ids[hit].tolist()
 
 
 def point_segment_distance(x, y, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -425,23 +430,6 @@ def segment_disk_length(a: np.ndarray, b: np.ndarray, x, y, r: float) -> np.ndar
 # Feature CSV IO: columns id,kind,category,wkt
 # ---------------------------------------------------------------------------
 
-def _parse_wkt(wkt: str) -> tuple[str, np.ndarray]:
-    s = wkt.strip()
-    upper = s.upper()
-    if upper.startswith("POINT"):
-        body = s[s.index("(") + 1 : s.rindex(")")]
-        x, y = body.split()
-        return POINTS, np.array([[float(x), float(y)]])
-    if upper.startswith("LINESTRING"):
-        body = s[s.index("(") + 1 : s.rindex(")")]
-        pts = []
-        for pair in body.split(","):
-            x, y = pair.split()
-            pts.append((float(x), float(y)))
-        return POLYLINES, np.array(pts)
-    raise InvalidArgumentError(f"unsupported WKT geometry: {s[:30]!r}")
-
-
 def _format_wkt(kind: str, xy: np.ndarray) -> str:
     if kind == POINTS:
         return f"POINT({fmt_float(xy[0, 0])} {fmt_float(xy[0, 1])})"
@@ -450,27 +438,61 @@ def _format_wkt(kind: str, xy: np.ndarray) -> str:
 
 
 def read_features(path) -> FeatureLayer:
-    """Read a feature layer CSV (id,kind,category,wkt); one kind per file."""
-    feats: list[Feature] = []
-    kinds = set()
+    """Read a feature layer CSV (id,kind,category,wkt) of POINT or
+    LINESTRING geometries, one kind per file; errors name the feature."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            kind, xy = _parse_wkt(row["wkt"])
-            kinds.add(kind)
-            category = row.get("category") or None
-            feats.append(Feature(id=row["id"], category=category, xy=xy))
-    if not feats:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    if not rows:
         raise InvalidArgumentError(f"{path}: no features")
-    if len(kinds) > 1:
+    try:
+        i_id, i_wkt, i_cat = (header.index(c) if c in header else None
+                              for c in ("id", "wkt", "category"))
+        ids, wkts = [row[i_id] for row in rows], [row[i_wkt] for row in rows]
+        categories = None if i_cat is None else [row[i_cat] for row in rows]
+    except (IndexError, TypeError):  # a short row, or no id or wkt column
+        raise InvalidArgumentError(f"{path}: every row needs an id and a wkt field") from None
+    parts = [wkt.partition("(") for wkt in wkts]
+    kinds = [_WKT_KINDS.get(tag.strip().upper()) for tag, _, _ in parts]
+    if None in kinds:
+        i = kinds.index(None)
+        raise InvalidArgumentError(
+            f"{path}: feature {ids[i]}: unsupported WKT geometry: {wkts[i].strip()[:30]!r}")
+    if len(set(kinds)) > 1:
         raise InvalidArgumentError(f"{path}: mixed point/polyline geometries in one layer")
-    return FeatureLayer(kinds.pop(), feats)
+    bodies = [rest.rpartition(")")[0] for _, _, rest in parts]
+    try:
+        xy, ends = _coordinates(bodies)
+    except ValueError:
+        for fid, body in zip(ids, bodies):
+            try:
+                _coordinates([body])
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"{path}: feature {fid}: coordinates are not 'x y' number pairs") from None
+    return FeatureLayer(kinds[0], xy, np.concatenate([[0], ends]), ids, categories)
+
+
+def _coordinates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and per-body end offsets of WKT coordinate lists, in one
+    parse: the tokens run "x y sep x y sep ..." with sep "," inside a body
+    and ";" after its last vertex. ValueError unless every vertex is a
+    pair of numbers."""
+    tokens = (" ; ".join(bodies) + " ;").replace(",", " , ").split()
+    seps = tokens[2::3]
+    del tokens[2::3]
+    ends = np.flatnonzero(np.array(seps) == ";") + 1
+    if len(ends) != len(bodies) or not {",", ";"}.issuperset(seps):
+        raise ValueError("malformed coordinates")
+    return np.array(tokens, dtype=np.float64), ends
 
 
 def write_features(layer: FeatureLayer, path) -> None:
+    kind_name = "point" if layer.kind == POINTS else "polyline"
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "kind", "category", "wkt"])
-        kind_name = "point" if layer.kind == POINTS else "polyline"
-        for feat in layer.features:
-            writer.writerow([feat.id, kind_name, feat.category or "", _format_wkt(layer.kind, feat.xy)])
+        for fid, category, xy in zip(layer.ids.tolist(), layer.categories.tolist(),
+                                     np.split(layer.xy, layer.offsets[1:-1])):
+            writer.writerow([fid, kind_name, category, _format_wkt(layer.kind, xy)])

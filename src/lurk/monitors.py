@@ -116,48 +116,48 @@ def annualize(records, site_meta: dict, year: int,
     """Collapse daily records to per-site annual means.
 
     `records` yields (site_id, date, value) with value None for missing
-    days. `site_meta` maps site_id -> (x, y, province, city). Sites with
-    completeness below `min_completeness` are excluded and reported.
-    `calendar_days` overrides the completeness denominator (defaults to
-    the calendar length of `year`).
+    days and date a "YYYY-MM-DD" string or a datetime.date. `site_meta`
+    maps site_id -> (x, y, province, city). Sites with completeness below
+    `min_completeness` are excluded and reported. `calendar_days`
+    overrides the completeness denominator (defaults to the calendar
+    length of `year`). Checks run in a fixed order (invalid date, outside
+    `year`, duplicate, negative), each naming the first offending record.
     """
     n_days = calendar_days if calendar_days is not None else (366 if calendar.isleap(year) else 365)
-    by_site: dict[str, dict[dt.date, float]] = {}
-    for site_id, date, value in records:
-        if isinstance(date, str):
-            date = dt.date.fromisoformat(date)
-        if date.year != year:
-            raise InvalidArgumentError(f"record ({site_id}, {date}) is outside year {year}")
-        days = by_site.setdefault(site_id, {})
-        if date in days:
-            raise InvalidArgumentError(f"duplicate record for site {site_id} on {date}")
-        if value is None:
-            days[date] = np.nan
-            continue
-        value = float(value)
-        if value < 0:
-            raise InvalidArgumentError(
-                f"negative value {value} for site {site_id} on {date}"
-            )
-        days[date] = value
+    records = list(records)
+    site_ids, site = np.unique([r[0] for r in records], return_inverse=True)
+    try:
+        day = np.array([r[1] for r in records], dtype="datetime64[D]")
+    except ValueError as e:
+        raise InvalidArgumentError(f"records hold an invalid date: {e}") from None
+    value = np.array([r[2] for r in records], dtype=np.float64)  # None -> NaN
+    # By site, then date; the sort is stable, so a repeat sorts after the
+    # record it repeats.
+    order = np.lexsort((day, site))
+    repeat = np.zeros(len(records), dtype=bool)
+    repeat[order[1:]] = (np.diff(site[order]) == 0) & (np.diff(day[order]) == np.timedelta64(0))
+    for bad, message in (
+            (np.isnat(day), "record ({site}, {date!r}) has no date"),
+            (day.astype("datetime64[Y]").astype(np.int64) + 1970 != year,
+             "record ({site}, {day}) is outside year {year}"),
+            (repeat, "duplicate record for site {site} on {day}"),
+            (value < 0, "negative value {value} for site {site} on {day}")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidArgumentError(message.format(
+                site=records[i][0], date=records[i][1], day=day[i], value=value[i], year=year))
 
-    # Sum in canonical (date) order so record order never changes the mean.
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for site_id, days in by_site.items():
-        vals = np.array([days[d] for d in sorted(days)], dtype=np.float64)
-        vals = vals[~np.isnan(vals)]
-        counts[site_id] = len(vals)
-        sums[site_id] = float(vals.sum())
-
-    included: list[str] = []
-    excluded: list[tuple[str, int, float]] = []
-    for site_id in sorted(counts):
-        completeness = counts[site_id] / n_days
-        if completeness >= min_completeness:
-            included.append(site_id)
-        else:
-            excluded.append((site_id, counts[site_id], completeness))
+    # One np.sum per site over its non-missing values in date order, so
+    # record order never changes the mean.
+    order = order[~np.isnan(value[order])]
+    counts = np.bincount(site[order], minlength=len(site_ids))
+    ends = np.cumsum(counts).tolist()
+    sums = np.array([value[order[lo:hi]].sum() for lo, hi in zip([0] + ends[:-1], ends)])
+    completeness = counts / n_days
+    keep = completeness >= min_completeness
+    included = site_ids[keep].tolist()
+    excluded = tuple(zip(site_ids[~keep].tolist(), counts[~keep].tolist(),
+                         completeness[~keep].tolist()))
 
     missing_meta = [s for s in included if s not in site_meta]
     if missing_meta:
@@ -169,20 +169,32 @@ def annualize(records, site_meta: dict, year: int,
         y=np.array([site_meta[s][1] for s in included], dtype=np.float64),
         province=tuple(site_meta[s][2] for s in included),
         city=tuple(site_meta[s][3] for s in included),
-        annual_mean=np.array([sums[s] / counts[s] for s in included]),
-        n_valid_days=np.array([counts[s] for s in included], dtype=np.int64),
+        annual_mean=sums[keep] / counts[keep],
+        n_valid_days=counts[keep],
         n_calendar_days=np.full(len(included), n_days, dtype=np.int64),
     )
-    return AnnualizeResult(table=table, excluded=tuple(excluded))
+    return AnnualizeResult(table=table, excluded=excluded)
 
 
 def read_daily_csv(path):
-    """Yield (site_id, iso-date, value-or-None) from a daily CSV."""
+    """Yield (site_id, iso-date, value-or-None) from a daily CSV with
+    site_id, date and value columns, in file order. The whole file is
+    checked first: a malformed record raises InvalidArgumentError naming
+    the file and its line."""
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            raw = row["value"].strip()
-            value = float(raw) if raw != "" else None
-            yield row["site_id"], row["date"], value
+        reader = csv.reader(f)
+        header = next(reader, [])
+        i, j, k = (header.index(c) if c in header else len(header)
+                   for c in ("site_id", "date", "value"))
+        records = []
+        for row in filter(None, reader):
+            try:
+                dt.date.fromisoformat(row[j])
+                records.append((row[i], row[j], float(row[k]) if row[k].strip() else None))
+            except (IndexError, ValueError):
+                raise InvalidArgumentError(
+                    f"{path}: line {reader.line_num}: malformed record {row!r}") from None
+    yield from records
 
 
 def read_sites_csv(path) -> dict:

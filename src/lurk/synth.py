@@ -223,7 +223,7 @@ def _full_specs(sc: SyntheticScenario) -> list[cov.CovariateSpec]:
 
 def _segments_layer(rng, n_segments, extent_x, extent_y, centers, urban_frac,
                     min_len, max_len, prefix) -> geodata.FeatureLayer:
-    feats = []
+    ends = np.empty((n_segments, 2, 2))
     for i in range(n_segments):
         if centers is not None and rng.uniform() < urban_frac:
             c = centers[rng.integers(0, len(centers))]
@@ -237,9 +237,9 @@ def _segments_layer(rng, n_segments, extent_x, extent_y, centers, urban_frac,
         b = np.clip(anchor + delta, [0, 0], [extent_x, extent_y])
         if np.all(a == b):
             b = a + np.array([1.0, 1.0])
-        feats.append(geodata.Feature(id=f"{prefix}{i:05d}", category=None,
-                                     xy=np.vstack([a, b])))
-    return geodata.FeatureLayer(geodata.POLYLINES, feats)
+        ends[i] = a, b
+    return geodata.FeatureLayer(geodata.POLYLINES, ends, np.arange(0, 2 * n_segments + 1, 2),
+                                [f"{prefix}{i:05d}" for i in range(n_segments)])
 
 
 def _points_layer(rng, n_points, extent_x, extent_y, centers, urban_frac, spread,
@@ -254,9 +254,8 @@ def _points_layer(rng, n_points, extent_x, extent_y, centers, urban_frac, spread
         xy[urban] = picked + rng.normal(0, spread, (k, 2))
         xy[:, 0] = np.clip(xy[:, 0], 0, extent_x)
         xy[:, 1] = np.clip(xy[:, 1], 0, extent_y)
-    feats = [geodata.Feature(id=f"{prefix}{i:05d}", category=None, xy=xy[i][None, :])
-             for i in range(n_points)]
-    return geodata.FeatureLayer(geodata.POINTS, feats)
+    return geodata.FeatureLayer(geodata.POINTS, xy, np.arange(n_points + 1),
+                                [f"{prefix}{i:05d}" for i in range(n_points)])
 
 
 def _field_grid(fn, origin_x, origin_y, cell, n_cols, n_rows, base=0.0) -> geodata.RasterGrid:

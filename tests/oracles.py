@@ -7,6 +7,8 @@ verifies.
 
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
 from scipy import stats
 from scipy.optimize import least_squares
@@ -79,6 +81,64 @@ def scan_landcover_fraction(grid_values, nodata, origin_x, origin_y, cell,
     if count_valid == 0:
         return None
     return count_cat / count_valid
+
+
+# -- feature layers and daily records ------------------------------------------
+
+def parse_wkt(wkt):
+    """One POINT or LINESTRING as (kind, (k, 2) vertices), pair by pair."""
+    s = wkt.strip()
+    body = s[s.index("(") + 1 : s.rindex(")")]
+    pts = []
+    for pair in body.split(","):
+        x, y = pair.split()
+        pts.append((float(x), float(y)))
+    return ("points" if s.upper().startswith("POINT") else "polylines"), np.array(pts)
+
+
+def per_feature_layer(kind, vertex_lists):
+    """Layer arrays built one feature at a time: vertices, bboxes, segment
+    endpoints, the points the kd-tree indexes, and the longest half-segment."""
+    empty = np.empty((0, 2))
+    bbox = np.empty((len(vertex_lists), 4))
+    for i, xy in enumerate(vertex_lists):
+        bbox[i] = (xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max())
+    if kind == "points":
+        seg_a = seg_b = empty
+        tree_data = np.vstack(vertex_lists or [empty])
+    else:
+        seg_a = np.vstack([xy[:-1] for xy in vertex_lists] or [empty])
+        seg_b = np.vstack([xy[1:] for xy in vertex_lists] or [empty])
+        tree_data = 0.5 * (seg_a + seg_b)
+    half = 0.5 * np.hypot(*(seg_b - seg_a).T)
+    return {"xy": np.vstack(vertex_lists or [empty]), "bbox": bbox, "seg_a": seg_a,
+            "seg_b": seg_b, "tree_data": tree_data, "max_half": float(half.max(initial=0.0))}
+
+
+def dict_annualize(records, year, min_completeness=0.75, calendar_days=None):
+    """Annual means from one dict of days per site, each site's values
+    summed by np.sum in date order. Returns ({site: (mean, n_valid)} for
+    kept sites, [(site, n_valid, completeness)] for excluded ones)."""
+    n_days = calendar_days or (366 if year % 4 == 0 and (year % 100 or year % 400 == 0)
+                               else 365)
+    by_site = {}
+    for site_id, date, value in records:
+        if isinstance(date, str):
+            date = dt.date.fromisoformat(date)
+        assert date.year == year
+        days = by_site.setdefault(site_id, {})
+        assert date not in days
+        days[date] = np.nan if value is None else float(value)
+    kept, excluded = {}, []
+    for site_id in sorted(by_site):
+        days = by_site[site_id]
+        vals = np.array([days[d] for d in sorted(days)], dtype=np.float64)
+        vals = vals[~np.isnan(vals)]
+        if len(vals) / n_days >= min_completeness:
+            kept[site_id] = (float(vals.sum()) / len(vals), len(vals))
+        else:
+            excluded.append((site_id, len(vals), len(vals) / n_days))
+    return kept, excluded
 
 
 # -- regression --------------------------------------------------------------

@@ -283,16 +283,14 @@ def test_criterion_10_geometry_oracles():
     worst_chord = 0.0
     for d in (0.0, 100.0, 400.0, 700.0):
         r = 800.0
-        layer = geodata.FeatureLayer(geodata.POLYLINES, [
-            geodata.Feature(id="l", category=None,
-                            xy=np.array([[-50_000.0, d], [50_000.0, d]]))])
+        layer = geodata.FeatureLayer(geodata.POLYLINES, [[-50_000.0, d], [50_000.0, d]],
+                                     [0, 2], ["l"])
         got = cov.line_length_in_buffer(layer, 0.0, 0.0, r)
         worst_chord = max(worst_chord, abs(got - 2.0 * np.sqrt(r * r - d * d)))
     # 1000 randomized point-count cases vs brute force
     pts = rng.uniform(0, 60_000, size=(5_000, 2))
-    feats = [geodata.Feature(id=f"p{i}", category=None, xy=pts[i][None, :])
-             for i in range(len(pts))]
-    layer = geodata.FeatureLayer(geodata.POINTS, feats)
+    layer = geodata.FeatureLayer(geodata.POINTS, pts, np.arange(len(pts) + 1),
+                                 [f"p{i}" for i in range(len(pts))])
     count_bad = 0
     for _ in range(1000):
         x, y = rng.uniform(0, 60_000, 2)

@@ -17,15 +17,14 @@ import oracles
 
 
 def point_layer(coords):
-    feats = [geodata.Feature(id=f"p{i}", category=None, xy=np.array([c], dtype=float))
-             for i, c in enumerate(coords)]
-    return geodata.FeatureLayer(geodata.POINTS, feats)
+    return geodata.FeatureLayer(geodata.POINTS, coords, np.arange(len(coords) + 1),
+                                [f"p{i}" for i in range(len(coords))])
 
 
 def segment_layer(segs):
-    feats = [geodata.Feature(id=f"s{i}", category=None, xy=np.array(ab, dtype=float))
-             for i, ab in enumerate(segs)]
-    return geodata.FeatureLayer(geodata.POLYLINES, feats)
+    return geodata.FeatureLayer(geodata.POLYLINES, [xy for seg in segs for xy in seg],
+                                np.cumsum([0] + [len(seg) for seg in segs]),
+                                [f"s{i}" for i in range(len(segs))])
 
 
 def table(coords):
@@ -49,7 +48,7 @@ def test_count_boundary_inclusive():
 
 
 def test_count_empty_layer():
-    layer = geodata.FeatureLayer(geodata.POINTS, [])
+    layer = geodata.FeatureLayer(geodata.POINTS, [], [0], [])
     assert cov.count_points_in_buffer(layer, 0.0, 0.0, 500.0) == 0
 
 
@@ -214,6 +213,28 @@ def test_fraction_matches_brute_force():
             assert cov.landcover_fraction(g, cat, x, y, w) == pytest.approx(want)
 
 
+def test_summed_area_tables_built_once_per_grid():
+    rng = np.random.default_rng(23)
+    codes = rng.integers(1, 5, size=(40, 60))
+    codes[rng.uniform(size=codes.shape) < 0.15] = -9999
+    grid = lc_grid(codes, cell=250.0)
+    specs = [cov.CovariateSpec(f"lc{c}_{int(w)}", "landcover_fraction", "lc", category=c,
+                               buffer_m=w) for c in (1, 3) for w in (300.0, 2_000.0, 1e6)]
+    xs, ys = rng.uniform(0, 15_000, 200), rng.uniform(0, 10_000, 200)
+    first = cov.extract(specs, xs, ys, categorical={"lc": grid})
+    tables = {c: grid.summed_area(c) for c in (None, 1, 3)}
+    again = cov.extract(specs, xs, ys, categorical={"lc": grid})
+    assert all(grid.summed_area(c) is table for c, table in tables.items())
+    fresh = cov.extract(specs, xs, ys, categorical={"lc": lc_grid(codes, cell=250.0)})
+    for got in (again, fresh):
+        assert np.array_equal(got[0], first[0]) and np.array_equal(got[1], first[1])
+    # A window covering the whole grid counts every valid cell.
+    n_valid = np.count_nonzero(codes != -9999)
+    assert tables[None][-1, -1] == n_valid
+    assert np.all(first[0][:, [2, 5]] == [np.count_nonzero(codes == 1) / n_valid,
+                                          np.count_nonzero(codes == 3) / n_valid])
+
+
 # -- distance to nearest ---------------------------------------------------------
 
 def test_distance_zero_when_coincident():
@@ -227,7 +248,7 @@ def test_distance_perpendicular_foot():
 
 
 def test_distance_empty_layer():
-    layer = geodata.FeatureLayer(geodata.POINTS, [])
+    layer = geodata.FeatureLayer(geodata.POINTS, [], [0], [])
     with pytest.raises(NoFeaturesError):
         cov.distance_to_nearest(layer, 0.0, 0.0)
 

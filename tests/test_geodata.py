@@ -141,9 +141,8 @@ def test_bilinear_nodata_neighbor():
 # -- feature layers and window queries -------------------------------------------
 
 def _point_layer(coords):
-    feats = [geodata.Feature(id=f"p{i}", category=None, xy=np.array([c], dtype=float))
-             for i, c in enumerate(coords)]
-    return geodata.FeatureLayer(geodata.POINTS, feats)
+    return geodata.FeatureLayer(geodata.POINTS, coords, np.arange(len(coords) + 1),
+                                [f"p{i}" for i in range(len(coords))])
 
 
 def test_query_window_hit_and_miss():
@@ -167,16 +166,17 @@ def test_query_window_matches_linear_scan():
 
 def test_query_window_polylines_match_scan():
     rng = np.random.default_rng(5)
-    feats = []
+    ends = []
     bboxes = []
     for i in range(500):
         a = rng.uniform(0, 50_000, 2)
         b = a + rng.uniform(-8_000, 8_000, 2)
         if np.all(a == b):
             b = a + 1.0
-        feats.append(geodata.Feature(id=f"l{i}", category=None, xy=np.vstack([a, b])))
+        ends.append((a, b))
         bboxes.append((min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])))
-    layer = geodata.FeatureLayer(geodata.POLYLINES, feats)
+    layer = geodata.FeatureLayer(geodata.POLYLINES, ends, np.arange(0, 1001, 2),
+                                 [f"l{i}" for i in range(500)])
     for _ in range(50):
         x0, y0 = rng.uniform(0, 40_000, 2)
         w, h = rng.uniform(500, 20_000, 2)
@@ -187,33 +187,22 @@ def test_query_window_polylines_match_scan():
 
 def test_polyline_validation():
     with pytest.raises(InvalidArgumentError, match=">= 2 vertices"):
-        geodata.FeatureLayer(
-            geodata.POLYLINES,
-            [geodata.Feature(id="a", category=None, xy=np.array([[0.0, 0.0]]))],
-        )
+        geodata.FeatureLayer(geodata.POLYLINES, [[0.0, 0.0]], [0, 1], ["a"])
     with pytest.raises(InvalidArgumentError, match="duplicate vertices"):
-        geodata.FeatureLayer(
-            geodata.POLYLINES,
-            [geodata.Feature(id="a", category=None,
-                             xy=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))],
-        )
+        geodata.FeatureLayer(geodata.POLYLINES, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [0, 3],
+                             ["a"])
 
 
 def test_features_csv_round_trip(tmp_path):
-    feats = [
-        geodata.Feature(id="r1", category="major",
-                        xy=np.array([[0.0, 0.5], [100.25, 30.0], [200.0, 31.0]])),
-        geodata.Feature(id="r2", category=None,
-                        xy=np.array([[5.0, 5.0], [6.0, 9.0]])),
-    ]
-    layer = geodata.FeatureLayer(geodata.POLYLINES, feats)
+    xy = np.array([[0.0, 0.5], [100.25, 30.0], [200.0, 31.0], [5.0, 5.0], [6.0, 9.0]])
+    layer = geodata.FeatureLayer(geodata.POLYLINES, xy, [0, 3, 5], ["r1", "r2"], ["major", ""])
     path = tmp_path / "roads.csv"
     geodata.write_features(layer, path)
     back = geodata.read_features(path)
     assert back.kind == geodata.POLYLINES
-    assert [f.id for f in back.features] == ["r1", "r2"]
-    assert back.features[0].category == "major"
-    assert np.array_equal(back.features[0].xy, feats[0].xy)
+    assert back.ids.tolist() == ["r1", "r2"]
+    assert back.categories.tolist() == ["major", ""]
+    assert np.array_equal(back.offsets, [0, 3, 5]) and np.array_equal(back.xy, xy)
 
 
 @settings(max_examples=50)
@@ -228,3 +217,59 @@ def test_query_window_never_misses_bbox_hits(seed):
     bboxes = [(x, y, x, y) for x, y in pts]
     want = {f"p{i}" for i in oracles.scan_window(bboxes, x0, y0, x0 + w, y0 + h)}
     assert got == want
+
+
+# -- columnar feature layers --------------------------------------------------------
+
+def _random_wkt_layer(rng, kind):
+    """(wkt strings, categories) of one random layer."""
+    wkts, categories = [], []
+    for _ in range(int(rng.integers(1, 40))):
+        k = 1 if kind == geodata.POINTS else int(rng.integers(2, 21))
+        xy = rng.normal(0.0, 10.0 ** rng.integers(2, 7), (k, 2))
+        whole = rng.uniform(size=xy.shape) < 0.2
+        xy[whole] = np.round(xy[whole])
+        body = ", ".join(f"{x!r} {y!r}" for x, y in xy.tolist())
+        wkts.append(f"POINT({body})" if kind == geodata.POINTS else f"LINESTRING({body})")
+        categories.append(str(rng.choice(["", "major", "minor"])))
+    return wkts, categories
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_read_features_matches_per_feature_oracle(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    kind = (geodata.POINTS, geodata.POLYLINES)[seed % 2]
+    wkts, categories = _random_wkt_layer(rng, kind)
+    path = tmp_path / "layer.csv"
+    path.write_text("id,kind,category,wkt\n" + "".join(
+        f'f{i},{kind},{c},"{w}"\n' for i, (c, w) in enumerate(zip(categories, wkts))))
+    layer = geodata.read_features(path)
+    parsed = [oracles.parse_wkt(w) for w in wkts]
+    assert {k for k, _ in parsed} == {layer.kind}
+    want = oracles.per_feature_layer(kind, [xy for _, xy in parsed])
+    assert layer.ids.tolist() == [f"f{i}" for i in range(len(wkts))]
+    assert layer.categories.tolist() == categories
+    for key in ("xy", "bbox", "seg_a", "seg_b"):
+        assert np.array_equal(getattr(layer, key), want[key]), key
+    assert np.array_equal(layer.tree.data, want["tree_data"])
+    assert layer.max_half == want["max_half"]
+    back = tmp_path / "back.csv"
+    geodata.write_features(layer, back)
+    assert np.array_equal(geodata.read_features(back).xy, layer.xy)
+
+
+@pytest.mark.parametrize("first, wkt, message", [
+    ("LINESTRING(0 0, 1 1)", "LINESTRING(1 2, 3)",
+     r"b\.csv: feature f1: coordinates are not 'x y' number pairs"),
+    ("POINT(0 0)", "POINT(a b)", r"b\.csv: feature f1: coordinates are not 'x y' number pairs"),
+    ("POINT(0 0)", "POINT(1 2, 3 4)", "feature f1: point must have one vertex"),
+    ("POINT(0 0)", "POLYGON((0 0, 1 0, 1 1, 0 0))", "feature f1: unsupported WKT geometry"),
+    ("POINT(0 0)", "LINESTRING(0 0, 1 1)", "mixed point/polyline geometries"),
+    ("LINESTRING(0 0, 1 1)", "LINESTRING(5 5, 6 6, 6 6)",
+     "feature f1: consecutive duplicate vertices"),
+])
+def test_read_features_names_malformed_feature(tmp_path, first, wkt, message):
+    path = tmp_path / "b.csv"
+    path.write_text(f'id,kind,category,wkt\nf0,,,"{first}"\nf1,,,"{wkt}"\n')
+    with pytest.raises(InvalidArgumentError, match=message):
+        geodata.read_features(path)

@@ -3,6 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
+import oracles
+
 from lurk.errors import InvalidArgumentError
 from lurk.monitors import (
     MonitorTable,
@@ -154,3 +156,64 @@ def test_subset_and_groups():
     assert sub.groups("province") == ("p1", "p2")
     with pytest.raises(InvalidArgumentError):
         table.groups("country")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_annual_means_match_dict_oracle(seed):
+    rng = np.random.default_rng(seed)
+    year = (2015, 2016)[seed % 2]
+    n_year = 366 if year == 2016 else 365
+    calendar_days = int(rng.integers(300, 400)) if seed % 4 == 3 else None
+    meta, recs = {}, []
+    for k in range(int(rng.integers(3, 15))):
+        site = f"z{rng.integers(0, 10**6):06d}"
+        meta[site] = (float(k), float(k), "p", "c")
+        days = rng.choice(n_year, size=int(rng.integers(200, n_year + 1)), replace=False)
+        for d in days:
+            date = dt.date(year, 1, 1) + dt.timedelta(days=int(d))
+            value = None if rng.uniform() < 0.1 else float(rng.lognormal(3.0, 1.5))
+            recs.append((site, date.isoformat() if rng.uniform() < 0.5 else date, value))
+    rng.shuffle(recs)
+    result = annualize(recs, meta, year, calendar_days=calendar_days)
+    kept, excluded = oracles.dict_annualize(recs, year, calendar_days=calendar_days)
+    assert result.table.site_ids == tuple(kept)
+    assert np.array_equal(result.table.annual_mean, [m for m, _ in kept.values()])
+    assert result.table.n_valid_days.tolist() == [n for _, n in kept.values()]
+    assert list(result.excluded) == excluded
+
+
+def test_checks_run_in_fixed_order_naming_first_record():
+    recs = [
+        ("a", dt.date(2015, 1, 1), -2.0),
+        ("b", dt.date(2015, 1, 2), -3.0),
+        ("a", dt.date(2015, 1, 3), 1.0),
+        ("a", dt.date(2015, 1, 3), 1.0),
+        ("b", dt.date(2015, 1, 2), 1.0),
+        ("c", dt.date(2014, 6, 1), 1.0),
+        ("c", dt.date(2016, 6, 1), 1.0),
+    ]
+    with pytest.raises(InvalidArgumentError, match=r"record \(c, 2014-06-01\) is outside"):
+        annualize(recs, META, 2015)
+    with pytest.raises(InvalidArgumentError, match="duplicate record for site a on 2015-01-03"):
+        annualize(recs[:5], META, 2015)
+    with pytest.raises(InvalidArgumentError, match="negative value -2.0 for site a on 2015-01-01"):
+        annualize(recs[:3], META, 2015)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a,2015-01-02,abc", r"daily\.csv: line 3: malformed record \['a', '2015-01-02', 'abc'\]"),
+    ("a,2015-13-01,4.0", r"daily\.csv: line 3: malformed record \['a', '2015-13-01', '4\.0'\]"),
+    ("a,2015-01-02", r"daily\.csv: line 3: malformed record \['a', '2015-01-02'\]"),
+])
+def test_read_daily_csv_names_malformed_record(tmp_path, line, message):
+    daily = tmp_path / "daily.csv"
+    daily.write_text(f"site_id,date,value\na,2015-01-01,4.5\n{line}\na,2015-01-03,\n")
+    with pytest.raises(InvalidArgumentError, match=message):
+        list(read_daily_csv(daily))
+
+
+def test_annualize_rejects_invalid_date():
+    with pytest.raises(InvalidArgumentError, match="invalid date: Day out of range .*2015-02-30"):
+        annualize([("a", "2015-01-01", 1.0), ("a", "2015-02-30", 1.0)], META, 2015)
+    with pytest.raises(InvalidArgumentError, match=r"record \(a, ''\) has no date"):
+        annualize([("a", "2015-01-01", 1.0), ("a", "", 1.0)], META, 2015)
