@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from .errors import InvalidArgumentError
@@ -38,11 +39,17 @@ def stage_seed(master_seed: int, label: str) -> int:
 
 
 def dump_json(obj, path) -> str:
-    """Write canonical (sorted-key) JSON; returns the text written."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text)
-    return text
+    """Write canonical (sorted-key) JSON; returns the text written.
 
+    The text goes to `<path>.tmp` first, which then replaces `path`, so a
+    write that fails or is killed halfway leaves the previous file whole.
+    """
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+    return text
 
 
 def check_keys(d: dict, allowed, what: str) -> None:

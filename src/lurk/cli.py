@@ -2,29 +2,36 @@
 
 from __future__ import annotations
 
-import json
-import logging
-import sys
-from pathlib import Path
+import os
 
-import click
+# One BLAS thread unless the caller chose otherwise: on two cores two
+# OpenBLAS threads made stepwise selection about 3x slower. Set before
+# numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import covariates as cov
-from . import geodata
-from .evaluation import kfold_plan, logo_plan, monte_carlo_curve, run_cv
-from .exposure import window_variance
-from .monitors import annualize, read_daily_csv, read_sites_csv
-from .pipeline import (
+import json  # noqa: E402
+import logging  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import click  # noqa: E402
+
+from . import geodata  # noqa: E402
+from .covariates import CovariateMatrix  # noqa: E402
+from .evaluation import monte_carlo_curve  # noqa: E402
+from .exposure import window_variance  # noqa: E402
+from .monitors import MonitorTable  # noqa: E402
+from .pipeline import (  # noqa: E402
+    STAGES,
     PipelineConfig,
-    _load_geo_inputs,
     compare_models,
     comparison_to_csv,
     format_comparison,
     run,
 )
-from .recipes import fit_recipe
-from .synth import SyntheticScenario, generate_synthetic, write_scenario
-from ._util import dump_json, stage_seed
+from .synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
+from ._util import dump_json, stage_seed  # noqa: E402
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -58,91 +65,24 @@ def main(ctx, config, seed, out, verbose):
     ctx.obj = {"config": config, "seed": seed, "out": out}
 
 
-@main.command("run")
-@click.pass_context
-def run_cmd(ctx):
-    """Execute every pipeline stage with artifact caching."""
-    cfg = _load_config(ctx)
-    report = run(cfg)
-    click.echo(json.dumps(report.metrics, indent=2, sort_keys=True))
-    click.echo(f"report: {cfg.out_dir}/report.json")
+def _stage_command(until: str):
+    """A command that runs the cached pipeline through stage `until`."""
+
+    @click.pass_context
+    def command(ctx):
+        cfg = _load_config(ctx)
+        report = run(cfg, until=until)
+        click.echo(json.dumps(report.metrics, indent=2, sort_keys=True))
+        click.echo(f"report: {cfg.out_dir}/report.json")
+
+    return command
 
 
-@main.command("annualize")
-@click.pass_context
-def annualize_cmd(ctx):
-    """Daily series to annual means with the completeness rule."""
-    cfg = _load_config(ctx)
-    result = annualize(read_daily_csv(cfg.daily_csv), read_sites_csv(cfg.sites_csv),
-                       cfg.year)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result.table.to_csv(out / "monitors.csv")
-    click.echo(f"{len(result.table)} sites kept, {len(result.excluded)} excluded "
-               f"-> {out / 'monitors.csv'}")
-
-
-def _sites_and_matrix(cfg: PipelineConfig):
-    result = annualize(read_daily_csv(cfg.daily_csv), read_sites_csv(cfg.sites_csv),
-                       cfg.year)
-    sites = result.table
-    specs = cov.read_specs(cfg.covariates_json)
-    layers, grids, categorical = _load_geo_inputs(cfg)
-    matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
-                              categorical=categorical)
-    return sites, matrix, specs, layers, grids, categorical
-
-
-@main.command("covariates")
-@click.pass_context
-def covariates_cmd(ctx):
-    """Extract the site-by-covariate matrix."""
-    cfg = _load_config(ctx)
-    _, matrix, *_ = _sites_and_matrix(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    matrix.to_csv(out / "matrix.csv")
-    click.echo(f"{matrix.n_sites} sites x {len(matrix.columns)} covariates "
-               f"-> {out / 'matrix.csv'}")
-
-
-@main.command("fit")
-@click.pass_context
-def fit_cmd(ctx):
-    """Fit the configured model recipe on all sites."""
-    cfg = _load_config(ctx)
-    sites, matrix, *_ = _sites_and_matrix(cfg)
-    fitted = fit_recipe(cfg.recipe, sites, matrix, seed=stage_seed(cfg.seed, "fit"))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_json(fitted.to_dict(), out / "model.json")
-    click.echo(f"selected: {list(fitted.trend.selected)}")
-    click.echo(f"adj_r2: {fitted.trend.adj_r2:.4f} -> {out / 'model.json'}")
-
-
-@main.command("cv")
-@click.option("--scheme", type=click.Choice(["kfold", "logo", "both"]), default="both")
-@click.pass_context
-def cv_cmd(ctx, scheme):
-    """Cross-validate the configured recipe."""
-    cfg = _load_config(ctx)
-    sites, matrix, *_ = _sites_and_matrix(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    if scheme in ("kfold", "both"):
-        plan = kfold_plan(sites.site_ids, cfg.cv_k, seed=stage_seed(cfg.seed, "cv-folds"))
-        res = run_cv(cfg.recipe, sites, matrix, plan, seed=stage_seed(cfg.seed, "cv-kfold"))
-        res.to_csv(out / "cv_kfold.csv")
-        summary["kfold"] = res.summary()
-    if scheme in ("logo", "both"):
-        plan = logo_plan(sites, cfg.logo_group)
-        res = run_cv(cfg.recipe, sites, matrix, plan, seed=stage_seed(cfg.seed, "cv-logo"))
-        res.to_csv(out / "cv_logo.csv")
-        summary["logo"] = res.summary()
-    dump_json(summary, out / "cv_summary.json")
-    for name, s in summary.items():
-        click.echo(f"{name}: r2_mse={s['r2_mse']:.4f} rmse={s['rmse']:.4f}")
+main.command("run", help="Execute every pipeline stage with artifact caching.")(
+    _stage_command(STAGES[-1]))
+for _stage in STAGES[:-1]:
+    main.command(_stage, help=f"Run the cached pipeline through the {_stage} stage.")(
+        _stage_command(_stage))
 
 
 @main.command("montecarlo")
@@ -153,28 +93,19 @@ def cv_cmd(ctx, scheme):
               help="Also run 10-fold and leave-one-group-out per iteration (slow).")
 @click.pass_context
 def montecarlo_cmd(ctx, n_grid, iterations, include_cv):
-    """Monte Carlo training-size experiment."""
+    """Monte Carlo training-size experiment on the cached site matrix."""
     cfg = _load_config(ctx)
-    sites, matrix, *_ = _sites_and_matrix(cfg)
+    run(cfg, until="covariates")
+    out = Path(cfg.out_dir)
+    sites = MonitorTable.from_csv(out / "monitors.csv")
+    matrix = CovariateMatrix.from_csv(out / "matrix.csv")
     ns = [int(v) for v in n_grid.split(",")]
     result = monte_carlo_curve(cfg.recipe, sites, matrix, ns, iterations,
                                seed=stage_seed(cfg.seed, "montecarlo"),
                                include_cv=include_cv, logo_group=cfg.logo_group)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "montecarlo.csv")
     dump_json(result.summary(), out / "montecarlo_summary.json")
     click.echo(json.dumps(result.summary(), indent=2, sort_keys=True))
-
-
-@main.command("predict")
-@click.pass_context
-def predict_cmd(ctx):
-    """Gridded prediction for the configured lattice (via `run` stages)."""
-    cfg = _load_config(ctx)
-    report = run(cfg)
-    click.echo(f"prediction: {cfg.out_dir}/prediction.asc "
-               f"(floored {report.metrics.get('n_floored', 0)} cells)")
 
 
 @main.command("exposure")

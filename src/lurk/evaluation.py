@@ -178,35 +178,6 @@ def run_cv(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
     )
 
 
-@dataclass(frozen=True)
-class NnDistanceSummary:
-    min: float
-    median: float
-    mean: float
-    max: float
-    per_site: np.ndarray
-
-
-def nn_distance_summary(plan: CvPlan, sites: MonitorTable) -> NnDistanceSummary:
-    """Distance from each site to its nearest out-of-fold (training) site."""
-    labels = np.array([plan.fold_of[s] for s in sites.site_ids])
-    coords = sites.coords
-    per_site = np.empty(len(sites))
-    for label in set(labels.tolist()):
-        test = np.flatnonzero(labels == label)
-        train = np.flatnonzero(labels != label)
-        if train.size == 0:
-            raise InvalidArgumentError(f"fold {label!r} has no out-of-fold sites")
-        per_site[test] = cdist(coords[test], coords[train]).min(axis=1)
-    return NnDistanceSummary(
-        min=float(per_site.min()),
-        median=float(np.median(per_site)),
-        mean=float(per_site.mean()),
-        max=float(per_site.max()),
-        per_site=per_site,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo training-size experiment
 # ---------------------------------------------------------------------------

@@ -116,20 +116,6 @@ def _shared_valid(concentration: RasterGrid, population: RasterGrid,
     return c, p, valid
 
 
-def population_weighted_mean(concentration: RasterGrid, population: RasterGrid,
-                             density_range=None) -> float:
-    """Population-weighted mean concentration over jointly valid cells.
-
-    `density_range=(lo, hi)` restricts the statistic to cells whose
-    population falls in [lo, hi); either bound may be None.
-    """
-    c, p, valid = _shared_valid(concentration, population, density_range)
-    total = float(p[valid].sum())
-    if total <= 0:
-        raise InvalidArgumentError("total population over valid cells is zero")
-    return float((p[valid] * c[valid]).sum() / total)
-
-
 def cumulative_exposure(concentration: RasterGrid, population: RasterGrid,
                         thresholds=DEFAULT_THRESHOLDS,
                         density_range=None) -> ExposureCurve:

@@ -10,8 +10,8 @@ reader flips into the bottom-first layout.
 Feature layers hold point or polyline geometry as columns (flat vertices
 plus per-feature offsets) behind one kd-tree over the points or segment
 midpoints, which the covariate engine queries for buffer and proximity
-covariates; window queries test every stored bbox, so they are exact. A
-categorical grid builds each summed-area table once and keeps it.
+covariates. A categorical grid builds each summed-area table once and
+keeps it.
 """
 
 from __future__ import annotations
@@ -334,12 +334,12 @@ _WKT_KINDS = {"POINT": POINTS, "LINESTRING": POLYLINES}
 
 class FeatureLayer:
     """Point or polyline features held as columns: feature i has vertices
-    ``xy[offsets[i]:offsets[i + 1]]``, id ``ids[i]``, category
-    ``categories[i]`` ("" for none) and bounding box ``bbox[i]``. One
-    kd-tree, ``tree``, indexes the points of a point layer or the midpoints
-    of the segments ``seg_a``->``seg_b`` of a polyline layer; every point of
-    a segment lies within ``max_half`` of its midpoint. Layers are
-    immutable after construction and safe to share across threads."""
+    ``xy[offsets[i]:offsets[i + 1]]``, id ``ids[i]`` and category
+    ``categories[i]`` ("" for none). One kd-tree, ``tree``, indexes the
+    points of a point layer or the midpoints of the segments
+    ``seg_a``->``seg_b`` of a polyline layer; every point of a segment lies
+    within ``max_half`` of its midpoint. Layers are immutable after
+    construction and safe to share across threads."""
 
     def __init__(self, kind: str, xy, offsets, ids, categories=None):
         if kind not in (POINTS, POLYLINES):
@@ -368,8 +368,6 @@ class FeatureLayer:
                          "consecutive duplicate vertices are not allowed")
             self.seg_a, self.seg_b = self.xy[:-1][segment], self.xy[1:][segment]
             self.tree = cKDTree(0.5 * (self.seg_a + self.seg_b))
-        self.bbox = np.hstack([np.minimum.reduceat(self.xy, self.offsets[:-1], axis=0),
-                               np.maximum.reduceat(self.xy, self.offsets[:-1], axis=0)])
         half = 0.5 * np.hypot(*(self.seg_b - self.seg_a).T)
         self.max_half = float(half.max(initial=0.0))
 
@@ -379,15 +377,6 @@ class FeatureLayer:
 
     def __len__(self) -> int:
         return self.ids.size
-
-
-def query_window(layer: FeatureLayer, x_min, y_min, x_max, y_max) -> list[str]:
-    """Ids of every feature whose bounding box intersects the window."""
-    if x_min > x_max or y_min > y_max:
-        raise InvalidArgumentError("window must satisfy x_min <= x_max and y_min <= y_max")
-    bb = layer.bbox
-    hit = (bb[:, 0] <= x_max) & (bb[:, 2] >= x_min) & (bb[:, 1] <= y_max) & (bb[:, 3] >= y_min)
-    return layer.ids[hit].tolist()
 
 
 def point_segment_distance(x, y, a: np.ndarray, b: np.ndarray) -> np.ndarray:

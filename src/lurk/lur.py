@@ -109,29 +109,6 @@ def ols_fit(X, y, names=None) -> OlsFit:
     )
 
 
-def vif(candidate, included) -> float:
-    """Variance inflation factor of `candidate` against `included` columns.
-
-    1 / (1 - R^2) of regressing the candidate on the included set with an
-    intercept; 1.0 for an empty set, +inf under perfect collinearity.
-    """
-    candidate = np.asarray(candidate, dtype=np.float64)
-    ss = float(np.sum((candidate - candidate.mean()) ** 2))
-    if ss == 0.0:
-        return np.inf
-    included = np.asarray(included, dtype=np.float64)
-    if included.size == 0:
-        return 1.0
-    if included.ndim == 1:
-        included = included[:, None]
-    A = np.column_stack([np.ones(len(candidate)), included])
-    coef, *_ = np.linalg.lstsq(A, candidate, rcond=None)
-    rss = float(np.sum((candidate - A @ coef) ** 2))
-    if rss <= 1e-12 * ss:
-        return np.inf
-    return ss / rss
-
-
 @dataclass(frozen=True)
 class StepwiseConfig:
     """Admissibility thresholds of forward stepwise selection.

@@ -201,8 +201,11 @@ def _load_geo_inputs(cfg: PipelineConfig):
     return layers, grids, categorical
 
 
-def run(config: PipelineConfig) -> RunReport:
-    """Execute the full pipeline; returns (and writes) the run report."""
+def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
+    """Execute the pipeline through stage `until` (every stage by default);
+    returns (and writes) the run report."""
+    if until not in STAGES:
+        raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
     cfg = config
     cfg.validate()
     runner = _Runner(cfg)
@@ -210,181 +213,197 @@ def run(config: PipelineConfig) -> RunReport:
         status="ok", pollutant=cfg.pollutant, year=cfg.year, seed=cfg.seed,
         recipe=cfg.recipe.to_dict(),
     )
-    out = runner.out
     try:
-        # -- annualize ----------------------------------------------------
-        def do_annualize():
-            result = annualize(read_daily_csv(cfg.daily_csv),
-                               read_sites_csv(cfg.sites_csv), cfg.year)
-            result.table.to_csv(out / "monitors.csv")
-            dump_json(
-                {"excluded": [{"site_id": s, "n_valid": n, "completeness": c}
-                              for s, n, c in result.excluded]},
-                out / "excluded_sites.json",
-            )
-
-        entry, _ = runner.stage(
-            "annualize",
-            [sha256_file(cfg.daily_csv), sha256_file(cfg.sites_csv), cfg.year],
-            ["monitors.csv", "excluded_sites.json"], do_annualize,
-        )
-        report.stages["annualize"] = entry
-        sites = MonitorTable.from_csv(out / "monitors.csv")
-        monitors_hash = entry["outputs"]["monitors.csv"]
-
-        # -- covariates ---------------------------------------------------
-        geo_hashes = sorted(
-            [sha256_file(p) for p in cfg.layers.values()]
-            + [sha256_file(p) for p in cfg.grids.values()]
-            + [sha256_file(v["path"]) for v in cfg.categorical.values()]
-        )
-        specs = cov.read_specs(cfg.covariates_json)
-        geo_cache: dict = {}
-
-        def geo_inputs():
-            if not geo_cache:
-                layers, grids, categorical = _load_geo_inputs(cfg)
-                geo_cache.update(layers=layers, grids=grids, categorical=categorical)
-            return geo_cache["layers"], geo_cache["grids"], geo_cache["categorical"]
-
-        def do_covariates():
-            layers, grids, categorical = geo_inputs()
-            matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
-                                      categorical=categorical)
-            matrix.to_csv(out / "matrix.csv")
-
-        entry, _ = runner.stage(
-            "covariates",
-            [monitors_hash, sha256_file(cfg.covariates_json), geo_hashes],
-            ["matrix.csv"], do_covariates,
-        )
-        report.stages["covariates"] = entry
-        matrix = cov.CovariateMatrix.from_csv(out / "matrix.csv")
-        matrix_hash = entry["outputs"]["matrix.csv"]
-        report.dataset_hash = sha256_bytes((monitors_hash + matrix_hash).encode())
-
-        # -- fit ------------------------------------------------------------
-        def do_fit():
-            fitted = fit_recipe(cfg.recipe, sites, matrix,
-                                seed=stage_seed(cfg.seed, "fit"))
-            dump_json(fitted.to_dict(), out / "model.json")
-
-        entry, _ = runner.stage(
-            "fit", [monitors_hash, matrix_hash, cfg.recipe.to_dict(), cfg.seed],
-            ["model.json"], do_fit,
-        )
-        report.stages["fit"] = entry
-        fitted = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
-        report.metrics["n_sites"] = len(sites)
-        report.metrics["selected"] = list(fitted.trend.selected)
-        report.metrics["trend_r2"] = fitted.trend.r2
-        report.metrics["trend_adj_r2"] = fitted.trend.adj_r2
-        if fitted.kriging is not None:
-            report.metrics["variogram"] = fitted.kriging.variogram.to_dict()
-
-        # -- cv -------------------------------------------------------------
-        def do_cv():
-            plan_k = kfold_plan(sites.site_ids, cfg.cv_k,
-                                seed=stage_seed(cfg.seed, "cv-folds"))
-            res_k = run_cv(cfg.recipe, sites, matrix, plan_k,
-                           seed=stage_seed(cfg.seed, "cv-kfold"))
-            res_k.to_csv(out / "cv_kfold.csv")
-            plan_g = logo_plan(sites, cfg.logo_group)
-            res_g = run_cv(cfg.recipe, sites, matrix, plan_g,
-                           seed=stage_seed(cfg.seed, "cv-logo"))
-            res_g.to_csv(out / "cv_logo.csv")
-            dump_json({"kfold": res_k.summary(), "logo": res_g.summary()},
-                      out / "cv_summary.json")
-
-        entry, _ = runner.stage(
-            "cv",
-            [monitors_hash, matrix_hash, cfg.recipe.to_dict(), cfg.seed,
-             cfg.cv_k, cfg.logo_group],
-            ["cv_kfold.csv", "cv_logo.csv", "cv_summary.json"], do_cv,
-        )
-        report.stages["cv"] = entry
-        cv_summary = json.loads((out / "cv_summary.json").read_text())
-        report.metrics["kfold_r2"] = cv_summary["kfold"]["r2_mse"]
-        report.metrics["kfold_rmse"] = cv_summary["kfold"]["rmse"]
-        report.metrics["logo_r2"] = cv_summary["logo"]["r2_mse"]
-        report.metrics["logo_rmse"] = cv_summary["logo"]["rmse"]
-
-        # -- predict ----------------------------------------------------------
-        if cfg.prediction is not None:
-            model_hash = report.stages["fit"]["outputs"]["model.json"]
-            pred_outputs = ["prediction.asc"]
-            if cfg.with_variance and fitted.kriging is not None:
-                pred_outputs.append("prediction_variance.asc")
-
-            def do_predict():
-                layers, grids, categorical = geo_inputs()
-                lat = cfg.prediction
-                lattice = geodata.RasterGrid.filled(
-                    lat["origin_x"], lat["origin_y"], lat["cell_size"],
-                    int(lat["n_cols"]), int(lat["n_rows"]),
-                )
-                needed = [s for s in specs if s.name in set(fitted.required_columns)]
-                missing = set(fitted.required_columns) - {s.name for s in needed}
-                if missing:
-                    raise InvalidArgumentError(
-                        f"no covariate spec for model columns: {sorted(missing)}"
-                    )
-                grids_by_col = cov.rasterize_covariates(
-                    needed, lattice, layers=layers, grids=grids, categorical=categorical,
-                )
-                surface = predict_grid(fitted, grids_by_col, lattice,
-                                       with_variance=cfg.with_variance,
-                                       model_id=cfg.recipe.label())
-                geodata.write_raster(surface.concentration, out / "prediction.asc")
-                if surface.variance is not None:
-                    geodata.write_raster(surface.variance,
-                                         out / "prediction_variance.asc")
-                dump_json({"n_floored": surface.n_floored, "model_id": surface.model_id},
-                          out / "prediction_meta.json")
-
-            entry, _ = runner.stage(
-                "predict",
-                [model_hash, geo_hashes, cfg.prediction, cfg.with_variance],
-                pred_outputs + ["prediction_meta.json"], do_predict,
-            )
-            report.stages["predict"] = entry
-            meta = json.loads((out / "prediction_meta.json").read_text())
-            report.metrics["n_floored"] = meta["n_floored"]
-
-        # -- exposure ----------------------------------------------------------
-        if cfg.prediction is not None and cfg.population_grid is not None:
-            pred_hash = report.stages["predict"]["outputs"]["prediction.asc"]
-
-            def do_exposure():
-                concentration = geodata.read_raster(out / "prediction.asc")
-                population = geodata.read_raster(cfg.population_grid)
-                try:
-                    curve = cumulative_exposure(concentration, population, cfg.thresholds)
-                except InvalidArgumentError as exc:
-                    raise InvalidArgumentError(
-                        f"population grid {cfg.population_grid}: {exc}") from exc
-                curve.to_csv(out / "exposure.csv")
-                dump_json(curve.summary(), out / "exposure_summary.json")
-
-            entry, _ = runner.stage(
-                "exposure",
-                [pred_hash, sha256_file(cfg.population_grid), list(cfg.thresholds)],
-                ["exposure.csv", "exposure_summary.json"], do_exposure,
-            )
-            report.stages["exposure"] = entry
-            summary = json.loads((out / "exposure_summary.json").read_text())
-            report.metrics["pop_weighted_mean"] = summary["pop_weighted_mean"]
-            report.metrics["fraction_above"] = dict(
-                zip(map(str, summary["thresholds"]), summary["fraction_above"])
-            )
+        for name in _stages(cfg, runner, report):
+            if name == until:
+                break
     except StageError as exc:
         report.status = "failed"
         report.failed_stage = exc.stage
         report.error = str(exc.cause)
-        dump_json(report.to_dict(), out / "report.json")
+        dump_json(report.to_dict(), runner.out / "report.json")
         raise
-    dump_json(report.to_dict(), out / "report.json")
+    dump_json(report.to_dict(), runner.out / "report.json")
     return report
+
+
+def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
+    """Run the stages in order, filling `report`; yields each stage's name
+    once it is done. The predict and exposure stages run only when the
+    config has a lattice (and, for exposure, a population grid)."""
+    out = runner.out
+
+    # -- annualize ----------------------------------------------------
+    def do_annualize():
+        result = annualize(read_daily_csv(cfg.daily_csv),
+                           read_sites_csv(cfg.sites_csv), cfg.year)
+        result.table.to_csv(out / "monitors.csv")
+        dump_json(
+            {"excluded": [{"site_id": s, "n_valid": n, "completeness": c}
+                          for s, n, c in result.excluded]},
+            out / "excluded_sites.json",
+        )
+
+    entry, _ = runner.stage(
+        "annualize",
+        [sha256_file(cfg.daily_csv), sha256_file(cfg.sites_csv), cfg.year],
+        ["monitors.csv", "excluded_sites.json"], do_annualize,
+    )
+    report.stages["annualize"] = entry
+    sites = MonitorTable.from_csv(out / "monitors.csv")
+    monitors_hash = entry["outputs"]["monitors.csv"]
+    report.metrics["n_sites"] = len(sites)
+    yield "annualize"
+
+    # -- covariates ---------------------------------------------------
+    geo_hashes = sorted(
+        [sha256_file(p) for p in cfg.layers.values()]
+        + [sha256_file(p) for p in cfg.grids.values()]
+        + [sha256_file(v["path"]) for v in cfg.categorical.values()]
+    )
+    specs = cov.read_specs(cfg.covariates_json)
+    geo_cache: dict = {}
+
+    def geo_inputs():
+        if not geo_cache:
+            layers, grids, categorical = _load_geo_inputs(cfg)
+            geo_cache.update(layers=layers, grids=grids, categorical=categorical)
+        return geo_cache["layers"], geo_cache["grids"], geo_cache["categorical"]
+
+    def do_covariates():
+        layers, grids, categorical = geo_inputs()
+        matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
+                                  categorical=categorical)
+        matrix.to_csv(out / "matrix.csv")
+
+    entry, _ = runner.stage(
+        "covariates",
+        [monitors_hash, sha256_file(cfg.covariates_json), geo_hashes],
+        ["matrix.csv"], do_covariates,
+    )
+    report.stages["covariates"] = entry
+    matrix = cov.CovariateMatrix.from_csv(out / "matrix.csv")
+    matrix_hash = entry["outputs"]["matrix.csv"]
+    report.dataset_hash = sha256_bytes((monitors_hash + matrix_hash).encode())
+    yield "covariates"
+
+    # -- fit ------------------------------------------------------------
+    def do_fit():
+        fitted = fit_recipe(cfg.recipe, sites, matrix,
+                            seed=stage_seed(cfg.seed, "fit"))
+        dump_json(fitted.to_dict(), out / "model.json")
+
+    entry, _ = runner.stage(
+        "fit", [monitors_hash, matrix_hash, cfg.recipe.to_dict(), cfg.seed],
+        ["model.json"], do_fit,
+    )
+    report.stages["fit"] = entry
+    fitted = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
+    report.metrics["selected"] = list(fitted.trend.selected)
+    report.metrics["trend_r2"] = fitted.trend.r2
+    report.metrics["trend_adj_r2"] = fitted.trend.adj_r2
+    if fitted.kriging is not None:
+        report.metrics["variogram"] = fitted.kriging.variogram.to_dict()
+    yield "fit"
+
+    # -- cv -------------------------------------------------------------
+    def do_cv():
+        plan_k = kfold_plan(sites.site_ids, cfg.cv_k,
+                            seed=stage_seed(cfg.seed, "cv-folds"))
+        res_k = run_cv(cfg.recipe, sites, matrix, plan_k,
+                       seed=stage_seed(cfg.seed, "cv-kfold"))
+        res_k.to_csv(out / "cv_kfold.csv")
+        plan_g = logo_plan(sites, cfg.logo_group)
+        res_g = run_cv(cfg.recipe, sites, matrix, plan_g,
+                       seed=stage_seed(cfg.seed, "cv-logo"))
+        res_g.to_csv(out / "cv_logo.csv")
+        dump_json({"kfold": res_k.summary(), "logo": res_g.summary()},
+                  out / "cv_summary.json")
+
+    entry, _ = runner.stage(
+        "cv",
+        [monitors_hash, matrix_hash, cfg.recipe.to_dict(), cfg.seed,
+         cfg.cv_k, cfg.logo_group],
+        ["cv_kfold.csv", "cv_logo.csv", "cv_summary.json"], do_cv,
+    )
+    report.stages["cv"] = entry
+    cv_summary = json.loads((out / "cv_summary.json").read_text())
+    report.metrics["kfold_r2"] = cv_summary["kfold"]["r2_mse"]
+    report.metrics["kfold_rmse"] = cv_summary["kfold"]["rmse"]
+    report.metrics["logo_r2"] = cv_summary["logo"]["r2_mse"]
+    report.metrics["logo_rmse"] = cv_summary["logo"]["rmse"]
+    yield "cv"
+
+    # -- predict ----------------------------------------------------------
+    if cfg.prediction is not None:
+        model_hash = report.stages["fit"]["outputs"]["model.json"]
+        pred_outputs = ["prediction.asc"]
+        if cfg.with_variance and fitted.kriging is not None:
+            pred_outputs.append("prediction_variance.asc")
+
+        def do_predict():
+            layers, grids, categorical = geo_inputs()
+            lat = cfg.prediction
+            lattice = geodata.RasterGrid.filled(
+                lat["origin_x"], lat["origin_y"], lat["cell_size"],
+                int(lat["n_cols"]), int(lat["n_rows"]),
+            )
+            needed = [s for s in specs if s.name in set(fitted.required_columns)]
+            missing = set(fitted.required_columns) - {s.name for s in needed}
+            if missing:
+                raise InvalidArgumentError(
+                    f"no covariate spec for model columns: {sorted(missing)}"
+                )
+            grids_by_col = cov.rasterize_covariates(
+                needed, lattice, layers=layers, grids=grids, categorical=categorical,
+            )
+            surface = predict_grid(fitted, grids_by_col, lattice,
+                                   with_variance=cfg.with_variance,
+                                   model_id=cfg.recipe.label())
+            geodata.write_raster(surface.concentration, out / "prediction.asc")
+            if surface.variance is not None:
+                geodata.write_raster(surface.variance,
+                                     out / "prediction_variance.asc")
+            dump_json({"n_floored": surface.n_floored, "model_id": surface.model_id},
+                      out / "prediction_meta.json")
+
+        entry, _ = runner.stage(
+            "predict",
+            [model_hash, geo_hashes, cfg.prediction, cfg.with_variance],
+            pred_outputs + ["prediction_meta.json"], do_predict,
+        )
+        report.stages["predict"] = entry
+        meta = json.loads((out / "prediction_meta.json").read_text())
+        report.metrics["n_floored"] = meta["n_floored"]
+        yield "predict"
+
+    # -- exposure ----------------------------------------------------------
+    if cfg.prediction is not None and cfg.population_grid is not None:
+        pred_hash = report.stages["predict"]["outputs"]["prediction.asc"]
+
+        def do_exposure():
+            concentration = geodata.read_raster(out / "prediction.asc")
+            population = geodata.read_raster(cfg.population_grid)
+            try:
+                curve = cumulative_exposure(concentration, population, cfg.thresholds)
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(
+                    f"population grid {cfg.population_grid}: {exc}") from exc
+            curve.to_csv(out / "exposure.csv")
+            dump_json(curve.summary(), out / "exposure_summary.json")
+
+        entry, _ = runner.stage(
+            "exposure",
+            [pred_hash, sha256_file(cfg.population_grid), list(cfg.thresholds)],
+            ["exposure.csv", "exposure_summary.json"], do_exposure,
+        )
+        report.stages["exposure"] = entry
+        summary = json.loads((out / "exposure_summary.json").read_text())
+        report.metrics["pop_weighted_mean"] = summary["pop_weighted_mean"]
+        report.metrics["fraction_above"] = dict(
+            zip(map(str, summary["thresholds"]), summary["fraction_above"])
+        )
+        yield "exposure"
 
 
 # ---------------------------------------------------------------------------

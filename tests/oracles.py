@@ -26,15 +26,6 @@ def bilinear_closed_form(v00, v10, v01, v11, u, v):
     )
 
 
-def scan_window(bboxes, x_min, y_min, x_max, y_max):
-    """Indices of bboxes that intersect the window; plain linear scan."""
-    hits = []
-    for i, (bx0, by0, bx1, by1) in enumerate(bboxes):
-        if bx0 <= x_max and bx1 >= x_min and by0 <= y_max and by1 >= y_min:
-            hits.append(i)
-    return hits
-
-
 def scan_count_points(points, x, y, r):
     d2 = (points[:, 0] - x) ** 2 + (points[:, 1] - y) ** 2
     return int(np.sum(d2 <= r * r))
@@ -97,12 +88,9 @@ def parse_wkt(wkt):
 
 
 def per_feature_layer(kind, vertex_lists):
-    """Layer arrays built one feature at a time: vertices, bboxes, segment
-    endpoints, the points the kd-tree indexes, and the longest half-segment."""
+    """Layer arrays built one feature at a time: vertices, segment endpoints,
+    the points the kd-tree indexes, and the longest half-segment."""
     empty = np.empty((0, 2))
-    bbox = np.empty((len(vertex_lists), 4))
-    for i, xy in enumerate(vertex_lists):
-        bbox[i] = (xy[:, 0].min(), xy[:, 1].min(), xy[:, 0].max(), xy[:, 1].max())
     if kind == "points":
         seg_a = seg_b = empty
         tree_data = np.vstack(vertex_lists or [empty])
@@ -111,8 +99,8 @@ def per_feature_layer(kind, vertex_lists):
         seg_b = np.vstack([xy[1:] for xy in vertex_lists] or [empty])
         tree_data = 0.5 * (seg_a + seg_b)
     half = 0.5 * np.hypot(*(seg_b - seg_a).T)
-    return {"xy": np.vstack(vertex_lists or [empty]), "bbox": bbox, "seg_a": seg_a,
-            "seg_b": seg_b, "tree_data": tree_data, "max_half": float(half.max(initial=0.0))}
+    return {"xy": np.vstack(vertex_lists or [empty]), "seg_a": seg_a, "seg_b": seg_b,
+            "tree_data": tree_data, "max_half": float(half.max(initial=0.0))}
 
 
 def dict_annualize(records, year, min_completeness=0.75, calendar_days=None):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from lurk.covariates import CovariateMatrix
 from lurk.errors import FoldError, InvalidArgumentError, ZeroVarianceError
 from lurk.evaluation import (
     CvPlan,
     kfold_plan,
     logo_plan,
     monte_carlo_curve,
-    nn_distance_summary,
     r2_mse,
     rmse,
     run_cv,
@@ -119,8 +119,6 @@ def test_logo_with_single_group_rejected():
     data = mini_data(seed=6, n_clusters=2, n_sites=30)
     plan = CvPlan(scheme="leave_one_group_out",
                   fold_of={s: "only" for s in data.sites.site_ids})
-    with pytest.raises(InvalidArgumentError):
-        nn_distance_summary(plan, data.sites)
     with pytest.raises(FoldError):
         run_cv(ModelRecipe(selection="mean"), data.sites, data.matrix, plan)
 
@@ -186,22 +184,29 @@ def test_cv_csv_and_summary(tmp_path):
 
 # -- nearest-training-neighbor distances ----------------------------------------------
 
+def _nn_distances(t, plan):
+    """`nn_distance_m` of an intercept-only CV over a matrix with no columns."""
+    matrix = CovariateMatrix.from_values(t.site_ids, [], np.empty((len(t), 0)))
+    return run_cv(ModelRecipe(selection="mean"), t, matrix, plan).nn_distance_m
+
+
 def test_nn_two_sites_two_folds():
-    t = _table([(0.0, 0.0), (3.0, 4.0)], [1.0, 2.0])
-    plan = CvPlan(scheme="kfold", fold_of={"s0": "a", "s1": "b"})
-    s = nn_distance_summary(plan, t)
-    assert s.per_site.tolist() == [5.0, 5.0]
-    assert s.min == s.max == 5.0
+    # three monitors at each of two sites: every fold keeps >= 3 training sites
+    t = _table([(0.0, 0.0)] * 3 + [(3.0, 4.0)] * 3, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    plan = CvPlan(scheme="kfold", fold_of={f"s{i}": "ab"[i // 3] for i in range(6)})
+    assert _nn_distances(t, plan).tolist() == [5.0] * 6
 
 
 def test_nn_singleton_fold():
-    t = _table([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0)], [1, 2, 3])
+    t = _table([(0.0, 0.0), (1.0, 0.0), (5.0, 0.0), (20.0, 0.0), (30.0, 0.0)],
+               [1, 2, 3, 4, 5])
     plan = CvPlan(scheme="kfold",
-                  fold_of={"s0": "a", "s1": "a", "s2": "b"})
-    s = nn_distance_summary(plan, t)
-    assert s.per_site[2] == pytest.approx(4.0)  # nearest out-of-fold site
-    assert s.per_site[0] == pytest.approx(5.0)
-    assert s.per_site[1] == pytest.approx(4.0)
+                  fold_of={"s0": "a", "s1": "a", "s2": "b", "s3": "c", "s4": "c"})
+    nn = _nn_distances(t, plan)
+    assert nn[2] == pytest.approx(4.0)  # nearest out-of-fold site
+    assert nn[0] == pytest.approx(5.0)  # the in-fold neighbour does not count
+    assert nn[1] == pytest.approx(4.0)
+    assert nn[3] == pytest.approx(15.0)
 
 
 def test_nn_matches_brute_force():
@@ -209,12 +214,12 @@ def test_nn_matches_brute_force():
     coords = rng.uniform(0, 10_000, size=(100, 2))
     t = _table(coords, rng.normal(size=100))
     plan = kfold_plan(t.site_ids, 10, seed=5)
-    s = nn_distance_summary(plan, t)
+    nn = _nn_distances(t, plan)
     labels = np.array([plan.fold_of[sid] for sid in t.site_ids])
     for i in range(100):
         others = coords[labels != labels[i]]
         want = cdist([coords[i]], others).min()
-        assert s.per_site[i] == pytest.approx(want)
+        assert nn[i] == pytest.approx(want)
 
 
 # -- Monte Carlo -----------------------------------------------------------------------

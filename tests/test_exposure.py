@@ -6,7 +6,6 @@ from lurk.covariates import CovariateMatrix, extract, rasterize_covariates
 from lurk.errors import InvalidArgumentError
 from lurk.exposure import (
     cumulative_exposure,
-    population_weighted_mean,
     predict_grid,
     window_variance,
 )
@@ -126,13 +125,13 @@ def test_kriging_grid_matches_pointwise_predictions():
 def test_pwm_uniform_population_is_mean():
     surf = grid_of([[10.0, 20.0], [30.0, 40.0]])
     pop = grid_of(np.ones((2, 2)))
-    assert population_weighted_mean(surf, pop) == pytest.approx(25.0)
+    assert cumulative_exposure(surf, pop).pop_weighted_mean == pytest.approx(25.0)
 
 
 def test_pwm_weighted_pair():
     surf = grid_of([[10.0, 20.0]])
     pop = grid_of([[1.0, 3.0]])
-    assert population_weighted_mean(surf, pop) == pytest.approx(17.5)
+    assert cumulative_exposure(surf, pop).pop_weighted_mean == pytest.approx(17.5)
 
 
 def test_pwm_matches_double_loop():
@@ -141,7 +140,7 @@ def test_pwm_matches_double_loop():
     p = rng.uniform(0, 100, size=(20, 20))
     surf = grid_of(c)
     pop = grid_of(p)
-    got = population_weighted_mean(surf, pop)
+    got = cumulative_exposure(surf, pop).pop_weighted_mean
     num = den = 0.0
     for i in range(20):
         for j in range(20):
@@ -154,7 +153,7 @@ def test_pwm_bounds():
     rng = np.random.default_rng(45)
     c = rng.uniform(5, 80, size=(10, 10))
     p = rng.uniform(0, 100, size=(10, 10))
-    got = population_weighted_mean(grid_of(c), grid_of(p))
+    got = cumulative_exposure(grid_of(c), grid_of(p)).pop_weighted_mean
     assert c.min() <= got <= c.max()
 
 
@@ -162,9 +161,10 @@ def test_density_band_filter():
     surf = grid_of([[10.0, 20.0, 80.0]])
     pop = grid_of([[1.0, 5.0, 100.0]])
     # only the dense cell
-    assert population_weighted_mean(surf, pop, density_range=(50.0, None)) == 80.0
+    dense = cumulative_exposure(surf, pop, density_range=(50.0, None))
+    assert dense.pop_weighted_mean == 80.0
     # exclude the dense cell
-    low = population_weighted_mean(surf, pop, density_range=(None, 50.0))
+    low = cumulative_exposure(surf, pop, density_range=(None, 50.0)).pop_weighted_mean
     assert low == pytest.approx((10.0 + 5 * 20.0) / 6.0)
     curve = cumulative_exposure(surf, pop, thresholds=[15.0],
                                 density_range=(None, 50.0))
@@ -175,13 +175,13 @@ def test_pwm_zero_population_errors():
     surf = grid_of([[10.0, 20.0]])
     pop = grid_of([[0.0, 0.0]])
     with pytest.raises(InvalidArgumentError, match="zero"):
-        population_weighted_mean(surf, pop)
+        cumulative_exposure(surf, pop)
 
 
 def test_pwm_negative_population_errors():
     surf = grid_of([[10.0, 20.0]])
     with pytest.raises(InvalidArgumentError, match="non-negative"):
-        population_weighted_mean(surf, grid_of([[1.0, -2.0]]))
+        cumulative_exposure(surf, grid_of([[1.0, -2.0]]))
 
 
 def test_cumulative_exposure_example():

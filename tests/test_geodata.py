@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lurk import geodata
@@ -138,52 +138,7 @@ def test_bilinear_nodata_neighbor():
         geodata.bilinear_sample(g, 1.0, 1.0)
 
 
-# -- feature layers and window queries -------------------------------------------
-
-def _point_layer(coords):
-    return geodata.FeatureLayer(geodata.POINTS, coords, np.arange(len(coords) + 1),
-                                [f"p{i}" for i in range(len(coords))])
-
-
-def test_query_window_hit_and_miss():
-    layer = _point_layer([(5.0, 5.0)])
-    assert geodata.query_window(layer, 0, 0, 10, 10) == ["p0"]
-    assert geodata.query_window(layer, 6, 6, 10, 10) == []
-
-
-def test_query_window_matches_linear_scan():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 100_000, size=(10_000, 2))
-    layer = _point_layer(pts)
-    bboxes = [(x, y, x, y) for x, y in pts]
-    for _ in range(100):
-        x0, y0 = rng.uniform(0, 90_000, 2)
-        w, h = rng.uniform(100, 30_000, 2)
-        got = set(geodata.query_window(layer, x0, y0, x0 + w, y0 + h))
-        want = {f"p{i}" for i in oracles.scan_window(bboxes, x0, y0, x0 + w, y0 + h)}
-        assert got == want
-
-
-def test_query_window_polylines_match_scan():
-    rng = np.random.default_rng(5)
-    ends = []
-    bboxes = []
-    for i in range(500):
-        a = rng.uniform(0, 50_000, 2)
-        b = a + rng.uniform(-8_000, 8_000, 2)
-        if np.all(a == b):
-            b = a + 1.0
-        ends.append((a, b))
-        bboxes.append((min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1])))
-    layer = geodata.FeatureLayer(geodata.POLYLINES, ends, np.arange(0, 1001, 2),
-                                 [f"l{i}" for i in range(500)])
-    for _ in range(50):
-        x0, y0 = rng.uniform(0, 40_000, 2)
-        w, h = rng.uniform(500, 20_000, 2)
-        got = set(geodata.query_window(layer, x0, y0, x0 + w, y0 + h))
-        want = {f"l{i}" for i in oracles.scan_window(bboxes, x0, y0, x0 + w, y0 + h)}
-        assert got == want
-
+# -- feature layers ------------------------------------------------------------------
 
 def test_polyline_validation():
     with pytest.raises(InvalidArgumentError, match=">= 2 vertices"):
@@ -203,20 +158,6 @@ def test_features_csv_round_trip(tmp_path):
     assert back.ids.tolist() == ["r1", "r2"]
     assert back.categories.tolist() == ["major", ""]
     assert np.array_equal(back.offsets, [0, 3, 5]) and np.array_equal(back.xy, xy)
-
-
-@settings(max_examples=50)
-@given(st.integers(0, 2**32 - 1))
-def test_query_window_never_misses_bbox_hits(seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1000, 1000, size=(50, 2))
-    layer = _point_layer(pts)
-    x0, y0 = rng.uniform(-1000, 900, 2)
-    w, h = rng.uniform(1, 500, 2)
-    got = set(geodata.query_window(layer, x0, y0, x0 + w, y0 + h))
-    bboxes = [(x, y, x, y) for x, y in pts]
-    want = {f"p{i}" for i in oracles.scan_window(bboxes, x0, y0, x0 + w, y0 + h)}
-    assert got == want
 
 
 # -- columnar feature layers --------------------------------------------------------
@@ -249,7 +190,7 @@ def test_read_features_matches_per_feature_oracle(tmp_path, seed):
     want = oracles.per_feature_layer(kind, [xy for _, xy in parsed])
     assert layer.ids.tolist() == [f"f{i}" for i in range(len(wkts))]
     assert layer.categories.tolist() == categories
-    for key in ("xy", "bbox", "seg_a", "seg_b"):
+    for key in ("xy", "seg_a", "seg_b"):
         assert np.array_equal(getattr(layer, key), want[key]), key
     assert np.array_equal(layer.tree.data, want["tree_data"])
     assert layer.max_half == want["max_half"]

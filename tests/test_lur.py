@@ -18,7 +18,6 @@ from lurk.lur import (
     ols_fit,
     pls_fit,
     stepwise_select,
-    vif,
 )
 
 import oracles
@@ -84,32 +83,6 @@ def test_ols_rank_deficiency_names_columns():
 def test_ols_requires_enough_rows():
     with pytest.raises(InvalidArgumentError):
         ols_fit(np.ones((3, 3)), np.arange(3.0))
-
-
-# -- VIF -----------------------------------------------------------------------
-
-def test_vif_orthogonal_is_one():
-    x = np.array([1.0, -1.0, 1.0, -1.0])
-    z = np.array([1.0, 1.0, -1.0, -1.0])
-    assert vif(x, z[:, None]) == pytest.approx(1.0)
-
-
-def test_vif_duplicate_is_infinite():
-    x = np.arange(10.0)
-    assert vif(x, x[:, None]) == np.inf
-
-
-def test_vif_empty_set_is_one():
-    assert vif(np.arange(5.0), np.empty((5, 0))) == 1.0
-
-
-def test_vif_matches_direct_r2():
-    rng = np.random.default_rng(7)
-    z = rng.normal(size=(80, 2))
-    x = 0.8 * z[:, 0] + 0.3 * z[:, 1] + rng.normal(0, 0.5, 80)
-    got = vif(x, z)
-    want = oracles.direct_vif(x, z)
-    assert got == pytest.approx(want, rel=1e-9)
 
 
 # -- stepwise ---------------------------------------------------------------------
@@ -201,7 +174,7 @@ def test_stepwise_admissibility_invariants():
         prev_adj = fit.adj_r2
         entering = cols[-1]
         if k > 1:
-            assert vif(X[:, entering], X[:, cols[:-1]]) < cfg.vif_max
+            assert oracles.direct_vif(X[:, entering], X[:, cols[:-1]]) < cfg.vif_max
     assert idx  # silence linters
 
 

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,3 +270,90 @@ def test_scripts_import_against_the_api(script):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_cli_stage_commands_share_the_pipeline_cache(tmp_path):
+    config_path, _ = write(tmp_path, scenario(seed=15))
+    out = tmp_path / "scn" / "run"
+    log_path = out / "run.log"
+    runner = CliRunner()
+
+    def invoke(*args):
+        before = log_path.read_text() if log_path.exists() else ""
+        res = runner.invoke(cli_main, ["--config", str(config_path), *args])
+        assert res.exit_code == 0, res.output
+        lines = log_path.read_text()[len(before):].strip().splitlines()
+        return {line.split()[0].split("=", 1)[1]: line.split()[1] for line in lines}
+
+    for i, stage in enumerate(pipeline.STAGES[:-1]):
+        logged = invoke(stage)
+        assert list(logged) == list(pipeline.STAGES[:i + 1]), stage
+        assert all(logged[s] == "status=cached" for s in pipeline.STAGES[:i]), logged
+        assert logged[stage] == "status=ok"
+    logged = invoke("run")
+    assert all(logged[s] == "status=cached" for s in pipeline.STAGES[:-1]), logged
+    assert logged["exposure"] == "status=ok"
+
+    fresh = tmp_path / "fresh"
+    res = runner.invoke(cli_main, ["--config", str(config_path), "--out", str(fresh), "run"])
+    assert res.exit_code == 0, res.output
+    bookkeeping = {"manifest.json", "report.json", "run.log"}
+    names = sorted(p.name for p in fresh.iterdir() if p.name not in bookkeeping)
+    assert names == sorted(p.name for p in out.iterdir() if p.name not in bookkeeping)
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    logged = invoke("montecarlo", "--n-grid", "20", "--iterations", "1")
+    assert logged == {"annualize": "status=cached", "covariates": "status=cached"}
+    assert (out / "montecarlo.csv").exists()
+
+    with pytest.raises(InvalidArgumentError, match="bogus"):
+        run(PipelineConfig.from_json(config_path), until="bogus")
+
+
+def test_interrupted_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    out = tmp_path / "scn" / "run"
+    first = run(PipelineConfig.from_json(config_path))
+    manifest = (out / "manifest.json").read_bytes()
+
+    write_text = Path.write_text
+
+    def half_then_fail(self, data, *args, **kwargs):
+        if not self.name.startswith("manifest.json"):
+            return write_text(self, data, *args, **kwargs)
+        write_text(self, data[:len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    # a code change makes every stage recompute, so the next run rewrites
+    # the manifest after its first stage
+    monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        run(PipelineConfig.from_json(config_path))
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert (out / "manifest.json").read_bytes() == manifest
+
+    log_before = (out / "run.log").read_text()
+    second = run(PipelineConfig.from_json(config_path))
+    recomputed = (out / "run.log").read_text()[len(log_before):]
+    for stage in pipeline.STAGES:
+        assert f"stage={stage} status=ok" in recomputed, stage
+    assert {s: e["outputs"] for s, e in second.stages.items()} == \
+        {s: e["outputs"] for s, e in first.stages.items()}
+
+
+def test_cli_pins_one_blas_thread():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(pipeline.__file__).resolve().parents[1])
+    code = ("import os, lurk.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+
+    def threads_seen():
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120).stdout.split()
+
+    assert threads_seen() == ["1", "1"]
+    env["OPENBLAS_NUM_THREADS"] = "2"  # an explicit choice is kept
+    assert threads_seen() == ["2", "1"]
