@@ -4,6 +4,10 @@
 Runs stepwise and PLS trend stages, each with and without the regional
 satellite-analog covariate and with and without universal kriging, then
 prints the comparison table (10-fold and leave-one-province-out R2/RMSE).
+The scenario is written once and every recipe runs through one config and
+one output directory, so the annualize and covariates stages run for the
+first recipe only and are cached for the rest. Each recipe's run report is
+kept as `<outdir>/report_<i>_<label>.json`.
 
 Usage: python scripts/model_family_sweep.py [outdir] [--seed N]
 """
@@ -16,6 +20,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import json  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from lurk.pipeline import (  # noqa: E402
@@ -25,6 +30,7 @@ from lurk.pipeline import (  # noqa: E402
     format_comparison,
     run,
 )
+from lurk.recipes import ModelRecipe  # noqa: E402
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
 
 FAMILIES = [
@@ -53,19 +59,20 @@ def main():
         grf_range_m=120_000.0,
         noise_sd=2.0,
     )
-    data = generate_synthetic(scenario)
+    outdir = Path(args.outdir)
+    cfg = PipelineConfig.from_json(write_scenario(generate_synthetic(scenario), outdir))
     reports = []
     for i, recipe in enumerate(FAMILIES):
-        base = Path(args.outdir) / f"family_{i}"
-        config_path = write_scenario(data, base, recipe=recipe)
-        report = run(PipelineConfig.from_json(config_path))
-        reports.append(report.to_dict())
-        label = report.recipe["selection"] + ("+uk" if report.recipe["kriging"] else "")
-        print(f"done: {label} excl={report.recipe['exclude']}")
+        cfg.recipe = ModelRecipe.from_dict(recipe)
+        report = run(cfg).to_dict()
+        reports.append(report)
+        path = outdir / f"report_{i}_{cfg.recipe.label()}.json"
+        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        print(f"done: {cfg.recipe.label()} -> {path}")
     rows = compare_models(reports)
     print()
     print(format_comparison(rows))
-    out_csv = Path(args.outdir) / "comparison.csv"
+    out_csv = outdir / "comparison.csv"
     comparison_to_csv(rows, out_csv)
     print(f"\nwrote {out_csv}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,13 +87,11 @@ class CovariateSpec:
 
 @dataclass(frozen=True)
 class CovariateMatrix:
-    """Dense site-by-covariate matrix with per-column summary metadata."""
+    """Dense site-by-covariate matrix with a zero-variance flag per column."""
 
     site_ids: tuple[str, ...]
     columns: tuple[str, ...]
     values: np.ndarray  # (n_sites, n_covariates)
-    means: np.ndarray
-    sds: np.ndarray
     zero_variance: np.ndarray  # bool per column
 
     def __post_init__(self):
@@ -108,14 +107,11 @@ class CovariateMatrix:
     @classmethod
     def from_values(cls, site_ids, columns, values) -> "CovariateMatrix":
         values = np.asarray(values, dtype=np.float64)
-        means = values.mean(axis=0) if len(values) else np.zeros(len(columns))
         sds = values.std(axis=0) if len(values) else np.zeros(len(columns))
         return cls(
             site_ids=tuple(site_ids),
             columns=tuple(columns),
             values=values,
-            means=means,
-            sds=sds,
             zero_variance=sds == 0.0,
         )
 
@@ -358,28 +354,16 @@ def _lookup(table: dict, key: str, what: str):
 # Covariate set definition file (JSON)
 # ---------------------------------------------------------------------------
 
-def specs_to_json(specs) -> list[dict]:
-    return [s.to_dict() for s in specs]
+def write_specs(specs, path) -> None:
+    Path(path).write_text(json.dumps([s.to_dict() for s in specs], indent=2) + "\n")
 
 
-def specs_from_json(items) -> list[CovariateSpec]:
-    specs = [CovariateSpec.from_dict(d) for d in items]
+def read_specs(path) -> list[CovariateSpec]:
+    specs = [CovariateSpec.from_dict(d) for d in json.loads(Path(path).read_text())]
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise InvalidArgumentError("duplicate covariate names in covariate set file")
     return specs
-
-
-def write_specs(specs, path) -> None:
-    import json
-
-    Path(path).write_text(json.dumps(specs_to_json(specs), indent=2) + "\n")
-
-
-def read_specs(path) -> list[CovariateSpec]:
-    import json
-
-    return specs_from_json(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

@@ -54,17 +54,10 @@ def rmse(obs, pred) -> float:
 class CvPlan:
     scheme: str  # "kfold" | "leave_one_group_out"
     fold_of: dict  # site_id -> fold label (str)
-    k: int | None = None
-    seed: int | None = None
-    group_key: str | None = None
 
     @property
     def labels(self) -> list[str]:
         return sorted(set(self.fold_of.values()))
-
-    def to_dict(self) -> dict:
-        return {"scheme": self.scheme, "k": self.k, "seed": self.seed,
-                "group_key": self.group_key, "fold_of": dict(self.fold_of)}
 
 
 def kfold_plan(site_ids, k: int, seed: int) -> CvPlan:
@@ -77,7 +70,7 @@ def kfold_plan(site_ids, k: int, seed: int) -> CvPlan:
     order = rng.permutation(n)
     width = len(str(k - 1))
     fold_of = {site_ids[order[i]]: f"{i % k:0{width}d}" for i in range(n)}
-    return CvPlan(scheme="kfold", fold_of=fold_of, k=k, seed=seed)
+    return CvPlan(scheme="kfold", fold_of=fold_of)
 
 
 def logo_plan(sites: MonitorTable, group_key: str) -> CvPlan:
@@ -89,7 +82,7 @@ def logo_plan(sites: MonitorTable, group_key: str) -> CvPlan:
             f"leave-one-group-out needs >= 2 distinct {group_key} groups"
         )
     fold_of = {sid: grp for sid, grp in zip(sites.site_ids, groups)}
-    return CvPlan(scheme="leave_one_group_out", fold_of=fold_of, group_key=group_key)
+    return CvPlan(scheme="leave_one_group_out", fold_of=fold_of)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,6 @@ def run_cv(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
 class MonteCarloResult:
     rows: list  # dicts: n, iteration, fitting_r2, holdout_r2, holdout_kind, ...
     n_grid: tuple[int, ...]
-    iterations: int
-    seed: int
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
@@ -277,5 +268,4 @@ def monte_carlo_curve(recipe: ModelRecipe, sites: MonitorTable,
                 except (InvalidArgumentError, FoldError):
                     row["logo_r2"] = None
             rows.append(row)
-    return MonteCarloResult(rows=rows, n_grid=tuple(int(n) for n in n_grid),
-                            iterations=iterations, seed=seed)
+    return MonteCarloResult(rows=rows, n_grid=tuple(int(n) for n in n_grid))

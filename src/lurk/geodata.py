@@ -68,10 +68,9 @@ class RasterGrid:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def filled(cls, origin_x, origin_y, cell_size, n_cols, n_rows, value=0.0,
-               nodata=DEFAULT_NODATA) -> "RasterGrid":
-        vals = np.full((n_rows, n_cols), float(value))
-        return cls(origin_x, origin_y, cell_size, n_cols, n_rows, vals, nodata)
+    def filled(cls, origin_x, origin_y, cell_size, n_cols, n_rows) -> "RasterGrid":
+        """A grid of zeros, used as a lattice."""
+        return cls(origin_x, origin_y, cell_size, n_cols, n_rows, np.zeros((n_rows, n_cols)))
 
     def same_lattice(self, other) -> bool:
         return (
@@ -93,11 +92,9 @@ class RasterGrid:
         xx, yy = np.meshgrid(self.x_centers(), self.y_centers())
         return xx.ravel(), yy.ravel()
 
-    def with_values(self, values: np.ndarray, nodata: float | None = None) -> "RasterGrid":
-        return RasterGrid(
-            self.origin_x, self.origin_y, self.cell_size, self.n_cols, self.n_rows,
-            values, self.nodata if nodata is None else nodata,
-        )
+    def with_values(self, values: np.ndarray) -> "RasterGrid":
+        return RasterGrid(self.origin_x, self.origin_y, self.cell_size, self.n_cols,
+                          self.n_rows, values, self.nodata)
 
 
 @dataclass(frozen=True)
@@ -228,19 +225,25 @@ def read_raster(path) -> RasterGrid:
     )
 
 
-def write_raster(grid: RasterGrid, path) -> None:
-    """Write an ESRI ASCII grid file (top row first); round-trip exact."""
+def _write_ascii_grid(grid, path, nodata: str, cell) -> None:
+    """Write an ESRI ASCII grid file, top row first; `cell` formats the
+    Python value of one cell."""
     out = [
         f"ncols {grid.n_cols}",
         f"nrows {grid.n_rows}",
         f"xllcorner {fmt_float(grid.origin_x)}",
         f"yllcorner {fmt_float(grid.origin_y)}",
         f"cellsize {fmt_float(grid.cell_size)}",
-        f"NODATA_value {fmt_float(grid.nodata)}",
+        f"NODATA_value {nodata}",
     ]
-    for r in range(grid.n_rows - 1, -1, -1):
-        out.append(" ".join(fmt_float(v) for v in grid.values[r]))
+    out += [" ".join(map(cell, row.tolist())) for row in grid.values[::-1]]
     Path(path).write_text("\n".join(out) + "\n")
+
+
+def write_raster(grid: RasterGrid, path) -> None:
+    """Write an ESRI ASCII grid file; round-trip exact (each cell is the
+    `repr` of its float, as `fmt_float` writes it)."""
+    _write_ascii_grid(grid, path, fmt_float(grid.nodata), repr)
 
 
 def read_categorical(path, categories) -> CategoricalGrid:
@@ -262,17 +265,7 @@ def read_categorical(path, categories) -> CategoricalGrid:
 
 
 def write_categorical(grid: CategoricalGrid, path) -> None:
-    out = [
-        f"ncols {grid.n_cols}",
-        f"nrows {grid.n_rows}",
-        f"xllcorner {fmt_float(grid.origin_x)}",
-        f"yllcorner {fmt_float(grid.origin_y)}",
-        f"cellsize {fmt_float(grid.cell_size)}",
-        f"NODATA_value {grid.nodata}",
-    ]
-    for r in range(grid.n_rows - 1, -1, -1):
-        out.append(" ".join(str(int(v)) for v in grid.values[r]))
-    Path(path).write_text("\n".join(out) + "\n")
+    _write_ascii_grid(grid, path, str(grid.nodata), str)
 
 
 def bilinear_sample_many(grid: RasterGrid, xs, ys):

@@ -225,7 +225,6 @@ class KrigingModel:
         a[:n, :n] = cov
         a[:n, n:] = f
         a[n:, :n] = f.T
-        self._system_nugget = nugget
         self._a_norm = float(np.abs(a).max())
         rhs = np.concatenate([self.y, np.zeros(p + 1)])
         with np.errstate(all="ignore"), warnings.catch_warnings():

@@ -13,7 +13,7 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -30,32 +30,18 @@ from .errors import (
 _RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class OlsFit:
-    intercept: float
-    coefficients: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    r2: float
-    adj_r2: float
-    p_values: np.ndarray  # two-sided t-test per slope
-    intercept_p: float
-    sigma2: float
-    n: int
-    p: int
-
-
-def ols_fit(X, y, names=None) -> OlsFit:
-    """Least-squares fit of y on [1, X] with coefficient t-test p-values.
+def ols_fit(X, y, names=None, config=None) -> LinearModel:
+    """Least-squares fit of y on [1, X] with coefficient t-test p-values,
+    as a LinearModel over the columns `names` (default col0, col1, ...)
+    whose entry signs are the signs of the fitted coefficients.
 
     Raises SingularDesignError naming the dependent columns when the
     design is rank deficient, and requires n > p + 1.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 1 and X.shape[1] > 1 and len(np.atleast_1d(y)) > 1:
-        X = X.T
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
+    names = tuple(names) if names is not None else tuple(f"col{j}" for j in range(p))
     if n != len(y):
         raise InvalidArgumentError("X and y must have the same number of rows")
     if n <= p + 1:
@@ -66,9 +52,7 @@ def ols_fit(X, y, names=None) -> OlsFit:
     tol = max(n, p + 1) * np.finfo(float).eps * (diag[0] if diag[0] > 0 else 1.0)
     rank = int(np.sum(diag > max(tol, _RANK_TOL * diag[0])))
     if rank < p + 1:
-        dep = sorted(piv[rank:].tolist())
-        labels = [("intercept" if j == 0 else (names[j - 1] if names else f"col{j - 1}"))
-                  for j in dep]
+        labels = [("intercept" if j == 0 else names[j - 1]) for j in sorted(piv[rank:].tolist())]
         raise SingularDesignError(
             f"design matrix is rank deficient; dependent columns: {labels}",
             dependent_columns=labels,
@@ -76,15 +60,13 @@ def ols_fit(X, y, names=None) -> OlsFit:
     beta_piv = solve_triangular(R, Q.T @ y)
     beta = np.empty(p + 1)
     beta[piv] = beta_piv
-    fitted = A @ beta
-    resid = y - fitted
+    resid = y - A @ beta
     rss = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
         raise ZeroVarianceError("response has zero variance")
     r2 = 1.0 - rss / sst
     df = n - p - 1
-    adj = 1.0 - (1.0 - r2) * (n - 1) / df
     sigma2 = rss / df
     r_inv = solve_triangular(R, np.eye(p + 1))
     diag_cov_piv = np.sum(r_inv**2, axis=1)
@@ -93,19 +75,17 @@ def ols_fit(X, y, names=None) -> OlsFit:
     se = np.sqrt(np.maximum(sigma2 * diag_cov, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(se > 0, beta / se, np.inf * np.sign(beta + (beta == 0)))
-    pvals = _t_pvalue(t, df)
-    return OlsFit(
+    return LinearModel(
+        selected=names,
         intercept=float(beta[0]),
         coefficients=beta[1:].copy(),
-        fitted=fitted,
-        residuals=resid,
+        entry_signs=np.sign(beta[1:]),
         r2=r2,
-        adj_r2=adj,
-        p_values=pvals[1:].copy(),
-        intercept_p=float(pvals[0]),
-        sigma2=sigma2,
+        adj_r2=1.0 - (1.0 - r2) * (n - 1) / df,
+        residuals=resid,
+        p_values=_t_pvalue(t[1:], df),
         n=n,
-        p=p,
+        config=dict(config or {}),
     )
 
 
@@ -222,24 +202,6 @@ def mean_model(y) -> LinearModel:
     )
 
 
-def fit_linear_model(matrix: CovariateMatrix, y, names, config=None) -> LinearModel:
-    """OLS on a fixed, ordered set of named columns (no selection)."""
-    names = list(names)
-    fit = ols_fit(matrix.select(names), np.asarray(y, dtype=np.float64), names=names)
-    return LinearModel(
-        selected=tuple(names),
-        intercept=fit.intercept,
-        coefficients=fit.coefficients,
-        entry_signs=np.sign(fit.coefficients),
-        r2=fit.r2,
-        adj_r2=fit.adj_r2,
-        residuals=fit.residuals,
-        p_values=fit.p_values,
-        n=fit.n,
-        config=dict(config or {}),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Forward stepwise engine
 # ---------------------------------------------------------------------------
@@ -337,8 +299,7 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
     X = matrix.values
     names = matrix.columns
     n = X.shape[0]
-    sds = X.std(axis=0)
-    available = ~matrix.zero_variance & (sds > 0)
+    available = ~matrix.zero_variance
     usable = np.flatnonzero(available)
     if usable.size == 0:
         raise EmptyModelError("no non-constant candidate columns")
@@ -401,21 +362,9 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
         if adj_new[local] - adj_cur < cfg.min_adj_r2_gain:
             break
 
-    names_sel = [names[j] for j in selected]
-    fit = ols_fit(X[:, selected], y, names=names_sel)
-    return LinearModel(
-        selected=tuple(names_sel),
-        intercept=fit.intercept,
-        coefficients=fit.coefficients,
-        entry_signs=np.array(entry_signs),
-        r2=fit.r2,
-        adj_r2=fit.adj_r2,
-        residuals=fit.residuals,
-        p_values=fit.p_values,
-        n=n,
-        config={"selection": "stepwise", **cfg.to_dict(),
-                "entry_p_values": entry_pvalues},
-    )
+    config = {"selection": "stepwise", **cfg.to_dict(), "entry_p_values": entry_pvalues}
+    return replace(ols_fit(X[:, selected], y, [names[j] for j in selected], config=config),
+                   entry_signs=np.array(entry_signs))
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +438,6 @@ class PlsModel:
         )
 
 
-@dataclass(frozen=True)
-class PlsFit:
-    model: PlsModel  # truncated at the selected component count
-    rmsep: np.ndarray  # pooled CV RMSEP per component count (1..K)
-    rmsep_se: np.ndarray  # fold-to-fold standard error per component count
-    n_components: int
-
-
 def _pls1_path(X0: np.ndarray, y0: np.ndarray, max_k: int):
     """Score-deflation PLS1; returns weight/loading matrices and score
     coefficients, stopping early when no signal remains."""
@@ -531,8 +472,7 @@ def _pls1_path(X0: np.ndarray, y0: np.ndarray, max_k: int):
     return W, P, q, rotations
 
 
-def pls_fit(matrix: CovariateMatrix, y, max_components: int, n_folds: int = 10,
-            seed: int = 0) -> PlsFit:
+def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> PlsModel:
     """Fit a PLS1 component family and pick the component count by the
     one-standard-error rule on 10-fold CV RMSEP (the most parsimonious
     model not significantly worse than the RMSEP minimum)."""
@@ -557,7 +497,7 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, n_folds: int = 10,
     K = W.shape[1]
 
     rng = np.random.default_rng(seed)
-    n_folds_eff = min(n_folds, n)
+    n_folds_eff = min(10, n)
     order = rng.permutation(n)
     fold_of = np.empty(n, dtype=np.int64)
     fold_of[order] = np.arange(n) % n_folds_eff
@@ -592,7 +532,7 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, n_folds: int = 10,
     k_min = int(np.argmin(rmsep))
     threshold = rmsep[k_min] + se[k_min]
     k_star = int(np.argmax(rmsep <= threshold)) + 1
-    model = PlsModel(
+    return PlsModel(
         columns=tuple(matrix.columns),
         x_mean=x_mean,
         x_scale=x_scale,
@@ -603,7 +543,6 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, n_folds: int = 10,
         rotations=rotations,
         n_components=k_star,
     )
-    return PlsFit(model=model, rmsep=rmsep, rmsep_se=se, n_components=k_star)
 
 
 # ---------------------------------------------------------------------------

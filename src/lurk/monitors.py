@@ -111,14 +111,13 @@ class AnnualizeResult:
 
 
 def annualize(records, site_meta: dict, year: int,
-              min_completeness: float = DEFAULT_MIN_COMPLETENESS,
               calendar_days: int | None = None) -> AnnualizeResult:
     """Collapse daily records to per-site annual means.
 
     `records` yields (site_id, date, value) with value None for missing
     days and date a "YYYY-MM-DD" string or a datetime.date. `site_meta`
     maps site_id -> (x, y, province, city). Sites with completeness below
-    `min_completeness` are excluded and reported. `calendar_days`
+    `DEFAULT_MIN_COMPLETENESS` are excluded and reported. `calendar_days`
     overrides the completeness denominator (defaults to the calendar
     length of `year`). Checks run in a fixed order (invalid date, outside
     `year`, duplicate, negative), each naming the first offending record.
@@ -154,7 +153,7 @@ def annualize(records, site_meta: dict, year: int,
     ends = np.cumsum(counts).tolist()
     sums = np.array([value[order[lo:hi]].sum() for lo, hi in zip([0] + ends[:-1], ends)])
     completeness = counts / n_days
-    keep = completeness >= min_completeness
+    keep = completeness >= DEFAULT_MIN_COMPLETENESS
     included = site_ids[keep].tolist()
     excluded = tuple(zip(site_ids[~keep].tolist(), counts[~keep].tolist(),
                          completeness[~keep].tolist()))

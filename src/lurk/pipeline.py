@@ -14,7 +14,7 @@ import functools
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import covariates as cov
@@ -127,18 +127,7 @@ class RunReport:
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "pollutant": self.pollutant,
-            "year": self.year,
-            "seed": self.seed,
-            "recipe": self.recipe,
-            "dataset_hash": self.dataset_hash,
-            "failed_stage": self.failed_stage,
-            "error": self.error,
-            "stages": self.stages,
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
 
 class _Runner:

@@ -19,8 +19,8 @@ from .lur import (
     LinearModel,
     PlsModel,
     StepwiseConfig,
-    fit_linear_model,
     mean_model,
+    ols_fit,
     pls_fit,
     stepwise_select,
 )
@@ -152,15 +152,14 @@ def fit_recipe(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix
     else:  # pls
         n_usable = int(np.sum(~work.zero_variance))
         max_k = min(recipe.max_components, max(n_usable, 1), len(sites) - 1)
-        fit = pls_fit(work, y, max_components=max_k,
-                      seed=stage_seed(seed, "pls-cv"))
-        pls_model = fit.model
-        scores = pls_model.transform(work)
-        score_names = [f"pls_{k + 1}" for k in range(scores.shape[1])]
-        drift_matrix = CovariateMatrix.from_values(work.site_ids, score_names, scores)
-        trend = fit_linear_model(drift_matrix, y, score_names,
-                                 config={"selection": "pls",
-                                         "n_components": pls_model.n_components})
+        pls_model = pls_fit(work, y, max_components=max_k, seed=stage_seed(seed, "pls-cv"))
+        score_names = [f"pls_{k + 1}" for k in range(pls_model.n_components)]
+        drift_matrix = CovariateMatrix.from_values(work.site_ids, score_names,
+                                                   pls_model.transform(work))
+        # Fit on the column-major copy `select` returns, not on the
+        # C-ordered scores: BLAS sums the two in a different order.
+        trend = ols_fit(drift_matrix.select(score_names), y, score_names,
+                        config={"selection": "pls", "n_components": pls_model.n_components})
     kriging_model = None
     if recipe.kriging:
         kriging_model = uk_fit(trend, sites, drift_matrix,

@@ -337,7 +337,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     pred_cell_y = ey / sc.prediction_rows
     pred_cell = max(pred_cell_x, pred_cell_y)
     lattice = geodata.RasterGrid.filled(0.0, 0.0, pred_cell,
-                                        sc.prediction_cols, sc.prediction_rows, 0.0)
+                                        sc.prediction_cols, sc.prediction_rows)
 
     def pop_density(x, y):
         x = np.asarray(x, dtype=np.float64)
@@ -424,9 +424,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     )
 
 
-def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None,
-                   cv_k: int = 10, logo_group: str = "province",
-                   thresholds=None) -> Path:
+def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> Path:
     """Write a scenario to disk as pipeline-ready inputs plus config.json.
 
     Returns the config path. Daily files carry one record per calendar
@@ -491,7 +489,7 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None,
         },
         "covariates": "covariates.json",
         "recipe": recipe or {"selection": "stepwise", "kriging": True},
-        "cv": {"k": cv_k, "logo_group": logo_group},
+        "cv": {"k": 10, "logo_group": "province"},
         "prediction": {
             "origin_x": data.prediction_lattice.origin_x,
             "origin_y": data.prediction_lattice.origin_y,
@@ -500,12 +498,9 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None,
             "n_rows": data.prediction_lattice.n_rows,
         },
         "population_grid": "inputs/population.asc",
-        "thresholds": list(thresholds) if thresholds is not None else None,
         "seed": sc.seed,
         "out": "run",
     }
-    if config["thresholds"] is None:
-        del config["thresholds"]
     path = outdir / "config.json"
     dump_json(config, path)
     return path

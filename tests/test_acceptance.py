@@ -328,10 +328,10 @@ def test_criterion_11_pls():
     y = X @ np.array([1.0, -0.5, 0.2, 0.0, 0.7]) + rng.normal(0, 0.5, 40)
     matrix = CovariateMatrix.from_values([f"s{i}" for i in range(40)],
                                          [f"x{j}" for j in range(5)], X)
-    fit = pls_fit(matrix, y, max_components=5)
-    pred_full = fit.model.predict(X, k=fit.model.max_components)
+    model = pls_fit(matrix, y, max_components=5)
+    pred_full = model.predict(X, k=model.max_components)
     ols = ols_fit(X, y)
-    full_rank_ok = bool(np.max(np.abs(pred_full - ols.fitted)) <= 1e-6)
+    full_rank_ok = bool(np.max(np.abs(pred_full - (y - ols.residuals))) <= 1e-6)
 
     parsimony_hits = 0
     for seed in range(20):

@@ -10,7 +10,7 @@ from lurk.exposure import (
     window_variance,
 )
 from lurk.kriging import KrigingModel, VariogramModel
-from lurk.lur import LinearModel, fit_linear_model
+from lurk.lur import LinearModel, ols_fit
 from lurk.recipes import FittedModel, ModelRecipe, fit_recipe
 from lurk.synth import SyntheticScenario, generate_synthetic, simulate_grf
 
@@ -44,21 +44,17 @@ def test_intercept_only_uniform_surface():
 
 
 def test_linear_model_on_zero_grid_gives_intercept():
-    zeros = geodata.RasterGrid.filled(0.0, 0.0, 500.0, 6, 6, 0.0)
+    zeros = geodata.RasterGrid.filled(0.0, 0.0, 500.0, 6, 6)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 1))
     y = 7.0 + 2.0 * X[:, 0] + rng.normal(0, 0.01, 30)
-    m = fit_linear_model(
-        CovariateMatrix.from_values([f"s{i}" for i in range(30)], ["g"], X), y, ["g"])
+    m = ols_fit(X, y, ["g"])
     surf = predict_grid(fitted_of(m), {"g": zeros}, zeros)
     assert np.allclose(surf.concentration.values, m.intercept)
 
 
 def test_missing_grid_and_lattice_mismatch_errors():
-    m = fit_linear_model(
-        CovariateMatrix.from_values(
-            ["a", "b", "c"], ["g"], np.array([[0.0], [1.0], [2.0]])),
-        np.array([1.0, 2.0, 3.1]), ["g"])
+    m = ols_fit(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.1]), ["g"])
     with pytest.raises(InvalidArgumentError, match="missing covariate"):
         predict_grid(fitted_of(m), {}, geodata.RasterGrid.filled(0, 0, 1.0, 2, 2))
     g1 = geodata.RasterGrid.filled(0.0, 0.0, 1.0, 2, 2)
@@ -71,10 +67,7 @@ def test_nodata_covariate_propagates():
     vals = np.ones((3, 3))
     vals[1, 1] = -9999.0
     g = grid_of(vals)
-    m = fit_linear_model(
-        CovariateMatrix.from_values(
-            ["a", "b", "c"], ["g"], np.array([[0.0], [1.0], [2.0]])),
-        np.array([1.0, 2.0, 3.1]), ["g"])
+    m = ols_fit(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.1]), ["g"])
     surf = predict_grid(fitted_of(m), {"g": g}, g)
     assert surf.concentration.values[1, 1] == surf.concentration.nodata
     assert np.sum(surf.concentration.values == surf.concentration.nodata) == 1
@@ -100,7 +93,7 @@ def test_kriging_grid_matches_pointwise_predictions():
     grf = simulate_grf(coords, 0.1, 3.0, 15_000.0, rng)
     y = 30.0 + 2.5 * X[:, 0] + grf
     matrix = CovariateMatrix.from_values([f"s{i}" for i in range(40)], ["g"], X)
-    drift = fit_linear_model(matrix, y, ["g"])
+    drift = ols_fit(matrix.select(["g"]), y, ["g"])
     model = KrigingModel(variogram=VariogramModel(0.1, 3.0, 15_000.0),
                          coords=coords, x_rows=X, y=y)
     lattice = geodata.RasterGrid.filled(0.0, 0.0, 1_000.0, 50, 50)

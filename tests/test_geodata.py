@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lurk import geodata
+from lurk._util import fmt_float
 from lurk.errors import (
     GridFormatError,
     InvalidArgumentError,
@@ -78,6 +79,37 @@ def test_categorical_round_trip(tmp_path):
     geodata.write_categorical(g, path)
     g2 = geodata.read_categorical(path, range(1, 9))
     assert np.array_equal(g2.values, g.values)
+
+
+def per_cell_ascii_grid(grid, nodata: str, cell) -> bytes:
+    """ESRI ASCII text formatted one numpy cell at a time, top row first."""
+    lines = [f"ncols {grid.n_cols}", f"nrows {grid.n_rows}",
+             f"xllcorner {fmt_float(grid.origin_x)}", f"yllcorner {fmt_float(grid.origin_y)}",
+             f"cellsize {fmt_float(grid.cell_size)}", f"NODATA_value {nodata}"]
+    for r in range(grid.n_rows - 1, -1, -1):
+        lines.append(" ".join(cell(v) for v in grid.values[r]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_grid_writers_match_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(11)
+    edge = [-9999.0, 1e-5, 1e16, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3,
+            3.0, -2.5e-300, 123456789.125, 1e22, 9007199254740993.0]
+    vals = rng.normal(0.0, 1.0, 7 * 11) * 10.0 ** rng.integers(-30, 30, 7 * 11)
+    vals[:len(edge)] = edge
+    g = make_grid(rng.permutation(vals).reshape(7, 11), cell=333.3, origin=(-1e5, 0.1))
+    geodata.write_raster(g, tmp_path / "g.asc")
+    assert (tmp_path / "g.asc").read_bytes() == per_cell_ascii_grid(g, fmt_float(g.nodata),
+                                                                    fmt_float)
+    back = geodata.read_raster(tmp_path / "g.asc")
+    assert np.array_equal(back.values, g.values)
+    assert np.array_equal(np.signbit(back.values), np.signbit(g.values))
+
+    codes = rng.choice([-9999, 0, 1, 7, 12, 255, 40_000], (5, 9))
+    lc = geodata.CategoricalGrid(2.5, -7.0, 500.0, 9, 5, codes, (0, 1, 7, 12, 255, 40_000))
+    geodata.write_categorical(lc, tmp_path / "lc.asc")
+    assert (tmp_path / "lc.asc").read_bytes() == per_cell_ascii_grid(lc, str(lc.nodata),
+                                                                     lambda v: str(int(v)))
 
 
 def test_categorical_rejects_undeclared_code():

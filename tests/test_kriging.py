@@ -16,7 +16,7 @@ from lurk.kriging import (
     fit_exponential,
     uk_fit,
 )
-from lurk.lur import fit_linear_model
+from lurk.lur import ols_fit
 from lurk.monitors import MonitorTable
 from lurk.synth import simulate_grf
 
@@ -46,7 +46,7 @@ def make_problem(seed, n=30, p=3, nugget=0.0, psill=4.0, range_m=30_000.0,
     names = [f"x{j}" for j in range(p)]
     matrix = CovariateMatrix.from_values([f"s{i}" for i in range(n)], names, X)
     sites = table_from(coords, y)
-    drift = fit_linear_model(matrix, y, names)
+    drift = ols_fit(matrix.select(names), y, names)
     return sites, matrix, drift, coords, X, y
 
 
@@ -264,7 +264,7 @@ def test_uk_fit_permutation_invariance():
     perm = np.random.default_rng(3).permutation(len(y))
     sites_p = sites.subset(perm)
     matrix_p = matrix.subset_rows(perm)
-    drift_p = fit_linear_model(matrix_p, sites_p.annual_mean, drift.selected)
+    drift_p = ols_fit(matrix_p.select(drift.selected), sites_p.annual_mean, drift.selected)
     model_p = uk_fit(drift_p, sites_p, matrix_p)
     assert model_p.variogram.nugget == pytest.approx(model.variogram.nugget, rel=1e-6, abs=1e-12)
     assert model_p.variogram.range_m == pytest.approx(model.variogram.range_m, rel=1e-6)
@@ -284,7 +284,7 @@ def test_uk_fit_zero_residuals_reduces_to_drift():
     names = ["a", "b"]
     matrix = CovariateMatrix.from_values([f"s{i}" for i in range(25)], names, X)
     sites = table_from(coords, y)
-    drift = fit_linear_model(matrix, y, names)
+    drift = ols_fit(matrix.select(names), y, names)
     model = uk_fit(drift, sites, matrix)
     assert model.variogram.partial_sill <= 1e-8
     rows = rng.normal(size=(6, 2))
@@ -306,7 +306,7 @@ def test_uk_fit_residual_variogram_tracks_generated_field():
         y = 30.0 + 4.0 * X[:, 0] + grf
         matrix = CovariateMatrix.from_values([f"s{i}" for i in range(300)], ["a"], X)
         sites = table_from(coords, y)
-        drift = fit_linear_model(matrix, y, ["a"])
+        drift = ols_fit(X, y, ["a"])
         model = uk_fit(drift, sites, matrix)
         sills.append(model.variogram.sill)
         ranges.append(model.variogram.range_m)
@@ -330,7 +330,7 @@ def test_uk_fit_averages_duplicate_coordinates(caplog):
     y = 3.0 + 1.5 * X[:, 0] + rng.normal(0, 0.5, 20)
     matrix = CovariateMatrix.from_values([f"s{i}" for i in range(20)], ["a"], X)
     sites = table_from(coords, y)
-    drift = fit_linear_model(matrix, y, ["a"])
+    drift = ols_fit(X, y, ["a"])
     import logging
 
     with caplog.at_level(logging.WARNING):

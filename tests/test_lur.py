@@ -234,19 +234,19 @@ def test_pls_full_rank_equals_ols():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 5))
     y = X @ np.array([1.0, -0.5, 0.2, 0.0, 0.7]) + rng.normal(0, 0.5, 40)
-    fit = pls_fit(matrix_of(X), y, max_components=5)
-    pred = fit.model.predict(X, k=fit.model.max_components)
+    model = pls_fit(matrix_of(X), y, max_components=5)
+    pred = model.predict(X, k=model.max_components)
     ols = ols_fit(X, y)
-    assert np.allclose(pred, ols.fitted, atol=1e-6)
+    assert np.allclose(pred, y - ols.residuals, atol=1e-6)
 
 
 def test_pls_single_column_equals_simple_regression():
     rng = np.random.default_rng(8)
     x = rng.normal(size=30)
     y = 2.0 + 3.0 * x + rng.normal(0, 0.2, 30)
-    fit = pls_fit(matrix_of(x[:, None]), y, max_components=1)
+    model = pls_fit(matrix_of(x[:, None]), y, max_components=1)
     ols = ols_fit(x[:, None], y)
-    assert np.allclose(fit.model.predict(x[:, None]), ols.fitted, atol=1e-8)
+    assert np.allclose(model.predict(x[:, None]), y - ols.residuals, atol=1e-8)
 
 
 def test_pls_matches_from_scratch_reimplementation():
@@ -255,18 +255,18 @@ def test_pls_matches_from_scratch_reimplementation():
     load = rng.normal(size=(2, 10))
     X = latent @ load + 0.2 * rng.normal(size=(100, 10))
     y = latent @ np.array([2.0, -1.0]) + 0.3 * rng.normal(size=100)
-    fit = pls_fit(matrix_of(X), y, max_components=6, seed=0)
+    model = pls_fit(matrix_of(X), y, max_components=6, seed=0)
     predict_ref, k_ref = oracles.nipals_pls1(X, y, 6)
     for k in range(1, min(6, k_ref) + 1):
-        assert np.allclose(fit.model.predict(X, k=k), predict_ref(X, k), atol=1e-6)
+        assert np.allclose(model.predict(X, k=k), predict_ref(X, k), atol=1e-6)
 
 
 def test_pls_scores_orthogonal():
     rng = np.random.default_rng(25)
     X = rng.normal(size=(50, 8))
     y = X[:, 0] + 0.5 * X[:, 3] + rng.normal(0, 0.4, 50)
-    fit = pls_fit(matrix_of(X), y, max_components=5)
-    T = fit.model.transform(X, k=fit.model.max_components)
+    model = pls_fit(matrix_of(X), y, max_components=5)
+    T = model.transform(X, k=model.max_components)
     gram = T.T @ T
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-8 * np.max(np.diag(gram))
@@ -279,7 +279,7 @@ def test_pls_column_scaling_invariance():
     f1 = pls_fit(matrix_of(X), y, max_components=4, seed=1)
     X2 = X * np.array([1.0, 250.0, 0.004, 1.0, 1.0, 1.0])
     f2 = pls_fit(matrix_of(X2), y, max_components=4, seed=1)
-    assert np.allclose(f1.model.predict(X), f2.model.predict(X2), atol=1e-8)
+    assert np.allclose(f1.predict(X), f2.predict(X2), atol=1e-8)
     assert f1.n_components == f2.n_components
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -15,6 +16,7 @@ from lurk.errors import DatasetMismatchError, InvalidArgumentError, StageError
 from lurk.evaluation import kfold_plan, run_cv
 from lurk.monitors import MonitorTable
 from lurk.pipeline import PipelineConfig, compare_models, format_comparison, run
+from lurk.recipes import ModelRecipe
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 from lurk._util import stage_seed
 
@@ -263,6 +265,75 @@ def test_code_change_recomputes_every_stage(tmp_path, monkeypatch):
     assert all("status=cached" in line for line in cached)
 
 
+def new_log_lines(log_path, before: str) -> dict:
+    """stage -> status of the run.log lines written after `before`."""
+    lines = log_path.read_text()[len(before):].strip().splitlines()
+    return {line.split()[0].split("=", 1)[1]: line.split()[1] for line in lines}
+
+
+def test_recipe_change_reuses_annualize_and_covariates(tmp_path):
+    config_path, _ = write(tmp_path, scenario(seed=2),
+                           recipe={"selection": "stepwise", "kriging": False})
+    cfg = PipelineConfig.from_json(config_path)
+    first = run(cfg)
+    out, log_path = Path(cfg.out_dir), Path(cfg.out_dir) / "run.log"
+    before = log_path.read_text()
+    cfg.recipe = ModelRecipe.from_dict({"selection": "pls", "kriging": True})
+    second = run(cfg)
+    assert new_log_lines(log_path, before) == {
+        "annualize": "status=cached", "covariates": "status=cached", "fit": "status=ok",
+        "cv": "status=ok", "predict": "status=ok", "exposure": "status=ok"}
+    for stage in ("annualize", "covariates"):
+        assert second.stages[stage] == first.stages[stage]
+    assert second.recipe["selection"] == "pls" and second.dataset_hash == first.dataset_hash
+
+    # what the shared directory holds now is what a fresh run of the
+    # second recipe writes
+    cfg.out_dir = tmp_path / "fresh"
+    run(cfg)
+    bookkeeping = {"manifest.json", "report.json", "run.log"}
+    names = sorted(p.name for p in cfg.out_dir.iterdir() if p.name not in bookkeeping)
+    assert names == sorted(p.name for p in out.iterdir() if p.name not in bookkeeping)
+    for name in names:
+        assert (out / name).read_bytes() == (cfg.out_dir / name).read_bytes(), name
+
+
+def test_with_variance_writes_a_cached_variance_grid(tmp_path):
+    config_path, _ = write(tmp_path, scenario(seed=17),
+                           recipe={"selection": "stepwise", "kriging": True})
+    # One lattice row and column past the source grids' cell centers, so
+    # the elevation covariate the trend selects is nodata there (with no
+    # population grid on this lattice, the exposure stage does not run).
+    config = json.loads(config_path.read_text())
+    del config["population_grid"]
+    config["prediction"].update(n_cols=13, n_rows=13)
+    config_path.write_text(json.dumps({**config, "with_variance": True}))
+    cfg = PipelineConfig.from_json(config_path)
+    run(cfg)
+    out = Path(cfg.out_dir)
+    pred = geodata.read_raster(out / "prediction.asc")
+    var = geodata.read_raster(out / "prediction_variance.asc")
+    assert var.same_lattice(pred)
+    valid = pred.values != pred.nodata
+    assert "elevation" in json.loads((out / "model.json").read_text())["trend"]["selected"]
+    assert valid.any() and not valid.all()
+    assert np.array_equal(var.values != var.nodata, valid)
+    assert np.all(var.values[valid] >= 0.0)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "prediction_variance.asc" in manifest["predict"]["outputs"]
+
+    before = (out / "run.log").read_text()
+    run(PipelineConfig.from_json(config_path))
+    assert set(new_log_lines(out / "run.log", before).values()) == {"status=cached"}
+
+    config_path.write_text(json.dumps({**config, "with_variance": True, "out": "trend_only",
+                                       "recipe": {"selection": "stepwise"}}))
+    cfg = PipelineConfig.from_json(config_path)
+    assert run(cfg).status == "ok"
+    assert (cfg.out_dir / "prediction.asc").exists()
+    assert not (cfg.out_dir / "prediction_variance.asc").exists()
+
+
 @pytest.mark.parametrize("script", ["run_national_synthetic.py", "model_family_sweep.py"])
 def test_scripts_import_against_the_api(script):
     path = Path(__file__).resolve().parents[1] / "scripts" / script
@@ -270,6 +341,30 @@ def test_scripts_import_against_the_api(script):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_benchmark_tracer_wraps_and_restores_the_library(tmp_path):
+    """perfbench/tracer.py wraps library names by attribute; a rename or
+    deletion of one fails here, not first in a benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    config_path, _ = write(tmp_path, scenario(seed=18),
+                           recipe={"selection": "stepwise", "kriging": True})
+    tracer = tracer_module.Tracer()
+    ins = tracer_module.instrument(tracer)
+    saved = list(ins._saved)
+    try:
+        assert saved and all(getattr(o, a) is not orig for o, a, orig in saved)
+        assert run(PipelineConfig.from_json(config_path)).status == "ok"
+    finally:
+        ins.restore()
+    assert all(getattr(owner, attr) is original for owner, attr, original in saved)
+    for stage in pipeline.STAGES:
+        assert tracer.durations(f"pipeline.stage.{stage}"), stage
+    assert tracer.counts["lur.stepwise_select_calls"] > 1  # the fit and every CV fold
+    assert tracer.counts["kriging.uk_fit_calls"] > 1
 
 
 def test_cli_stage_commands_share_the_pipeline_cache(tmp_path):
@@ -282,8 +377,7 @@ def test_cli_stage_commands_share_the_pipeline_cache(tmp_path):
         before = log_path.read_text() if log_path.exists() else ""
         res = runner.invoke(cli_main, ["--config", str(config_path), *args])
         assert res.exit_code == 0, res.output
-        lines = log_path.read_text()[len(before):].strip().splitlines()
-        return {line.split()[0].split("=", 1)[1]: line.split()[1] for line in lines}
+        return new_log_lines(log_path, before)
 
     for i, stage in enumerate(pipeline.STAGES[:-1]):
         logged = invoke(stage)
