@@ -107,12 +107,13 @@ class CovariateMatrix:
     @classmethod
     def from_values(cls, site_ids, columns, values) -> "CovariateMatrix":
         values = np.asarray(values, dtype=np.float64)
-        sds = values.std(axis=0) if len(values) else np.zeros(len(columns))
+        # Exact constancy: the std of a column of 40 x 0.1 rounds to ~4e-17, not 0.
+        constant = np.ptp(values, axis=0) == 0 if len(values) else np.ones(len(columns), bool)
         return cls(
             site_ids=tuple(site_ids),
             columns=tuple(columns),
             values=values,
-            zero_variance=sds == 0.0,
+            zero_variance=constant,
         )
 
     @property

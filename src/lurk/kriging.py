@@ -1,20 +1,20 @@
 """Second-stage spatial smoothing: residual variograms and universal
 kriging with the fitted linear trend as external drift.
 
-The kriging system is global (all training sites in one bordered solve),
-built from the residual covariance c1 * exp(-h / a) with the nugget added
-on the diagonal, and unbiasedness constraints on [1, X(s)]. The variogram
-is fitted once on the trend residuals; no GLS iteration.
+The kriging system is global: all training sites, the residual covariance
+C = c1 * exp(-h / a) plus the nugget on the diagonal, and the drift
+F = [1, X(s)], solved as GLS (a Cholesky factor L of C whitens F and y, a
+QR of L^-1 F gives the drift; Rasmussen & Williams 2006, Alg. 2.1). The
+variogram is fitted once on the trend residuals; no GLS iteration.
 """
 
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 from scipy.optimize import brentq
 from scipy.spatial.distance import cdist, pdist
 
@@ -25,7 +25,7 @@ from .errors import (
     SingularKrigingError,
     VariogramFitError,
 )
-from .lur import LinearModel
+from .lur import _RANK_TOL, LinearModel
 from .monitors import MonitorTable
 
 log = logging.getLogger(__name__)
@@ -61,8 +61,11 @@ class VariogramModel:
     def covariance(self, h) -> np.ndarray:
         """Residual covariance between distinct locations; the nugget is
         applied only on the kriging system diagonal."""
-        h = np.asarray(h, dtype=np.float64)
-        return self.partial_sill * np.exp(-h / self.range_m)
+        # In place; h / -a is -h / a bit for bit.
+        cov = np.divide(np.asarray(h, dtype=np.float64), -self.range_m)
+        np.exp(cov, out=cov)
+        cov *= self.partial_sill
+        return cov
 
     def to_dict(self) -> dict:
         return {"nugget": self.nugget, "partial_sill": self.partial_sill,
@@ -183,10 +186,10 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
 class KrigingModel:
     """Residual variogram + training sites and their drift rows.
 
-    The bordered system [[C, F], [F', 0]] is factorized once at
-    construction; the factorization and dual weights are immutable
-    afterwards, so prediction is a pure read-only operation safe for
-    parallel fan-out over grid cells.
+    The covariance C is Cholesky-factored once at construction, C = L L',
+    and the whitened drift L^-1 F is QR-factored; the factors and dual
+    weights are immutable afterwards, so prediction is a pure read-only
+    operation safe for parallel fan-out over grid cells.
     """
 
     def __init__(self, variogram: VariogramModel, coords: np.ndarray,
@@ -203,37 +206,49 @@ class KrigingModel:
     def _assemble(self):
         n = len(self.y)
         p = self.x_rows.shape[1]
-        d = cdist(self.coords, self.coords)
         # Keep the system nonsingular when the fitted variogram collapses
         # to zero (flat residuals): with a pure-nugget covariance the
         # predictor is the GLS (= OLS) drift regardless of the nugget size.
         nugget = self.variogram.nugget
         if nugget + self.variogram.partial_sill <= 0:
             nugget = 1e-4 * max(1.0, float(np.var(self.y)))
-        cov = self.variogram.covariance(d)
+        cov = self.variogram.covariance(cdist(self.coords, self.coords))
         cov[np.diag_indices(n)] += nugget
-        # Standardized drift columns keep the bordered system balanced;
-        # [1, X] and [1, (X - m)/s] span the same constraint space, so
-        # predictions are unchanged.
+        # Standardized drift columns keep the system balanced; [1, X] and
+        # [1, (X - m)/s] span the same constraint space, so predictions
+        # are unchanged.
         self._x_shift = self.x_rows.mean(axis=0) if n else np.zeros(p)
         sd = self.x_rows.std(axis=0) if n else np.ones(p)
         self._x_scale = np.where(sd > 0, sd, 1.0)
         f = np.column_stack([np.ones(n),
                              (self.x_rows - self._x_shift) / self._x_scale])
-        m = n + p + 1
-        a = np.zeros((m, m))
-        a[:n, :n] = cov
-        a[:n, n:] = f
-        a[n:, :n] = f.T
-        self._a_norm = float(np.abs(a).max())
-        rhs = np.concatenate([self.y, np.zeros(p + 1)])
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            self._lu = lu_factor(a, check_finite=False)
-            dual = lu_solve(self._lu, rhs, check_finite=False)
-            residual = a @ dual - rhs
-        denom = self._a_norm * float(np.abs(dual).sum()) + float(np.abs(rhs).sum()) + 1e-300
-        if not np.all(np.isfinite(dual)) or float(np.abs(residual).max()) > 1e-8 * denom:
+        try:
+            with np.errstate(all="ignore"):
+                self._chol = cho_factor(cov, lower=True, check_finite=False)[0]
+                fyw = solve_triangular(self._chol, np.column_stack([f, self.y]), lower=True,
+                                       check_finite=False)  # L^-1 [F, y]
+                fw, yw = fyw[:, :-1], fyw[:, -1]
+                self._q, self._r = np.linalg.qr(fw)
+                # Pivot^2 / variance and |R_jj| / |fw_j| near 0: C or the
+                # drift is rank deficient and the solve would be noise.
+                if (np.diag(self._chol) ** 2).min() <= _RANK_TOL * cov.diagonal().max() \
+                        or np.any(np.abs(np.diag(self._r))
+                                  <= _RANK_TOL * np.linalg.norm(fw, axis=0)):
+                    raise LinAlgError("numerically singular kriging system")
+                # Project twice: rounding leaves drift in e when the sill is ~0.
+                e = yw - self._q @ (self._q.T @ yw)
+                e -= self._q @ (self._q.T @ e)
+                beta = solve_triangular(self._r, self._q.T @ yw, check_finite=False)
+                lam = solve_triangular(self._chol, e, lower=True, trans="T", check_finite=False)
+                dual = np.concatenate([lam, beta])
+                # Residual of the bordered system [[C, F], [F', 0]] dual = [y, 0].
+                residual = np.concatenate([cov @ lam + f @ beta - self.y, f.T @ lam])
+        except LinAlgError:
+            dual = residual = np.array([np.nan])
+        # max |[[C, F], [F', 0]]|; C >= 0 peaks on its diagonal
+        a_norm = max(float(cov.diagonal().max()), float(np.abs(f).max()))
+        denom = a_norm * float(np.abs(dual).sum()) + float(np.abs(self.y).sum()) + 1e-300
+        if not np.all(np.isfinite(dual)) or not float(np.abs(residual).max()) <= 1e-8 * denom:
             dup = int(np.sum(pdist(self.coords) == 0.0))
             raise SingularKrigingError(
                 "kriging system is singular "
@@ -290,8 +305,10 @@ class KrigingModel:
             b = self._rhs(xs[s:e], ys[s:e], x_rows[s:e])
             mean[s:e] = b.T @ self._dual
             if with_variance:
-                sol = lu_solve(self._lu, b, check_finite=False)
-                var[s:e] = np.maximum(sill - np.einsum("ij,ij->j", b, sol), 0.0)
+                v = solve_triangular(self._chol, b[: self.n_sites], lower=True)
+                u = self._q.T @ v - solve_triangular(self._r, b[self.n_sites :], trans="T")
+                var[s:e] = np.maximum(sill - np.einsum("ij,ij->j", v, v)
+                                      + np.einsum("ij,ij->j", u, u), 0.0)
         return mean, var
 
     def to_dict(self) -> dict:

@@ -439,37 +439,41 @@ class PlsModel:
 
 
 def _pls1_path(X0: np.ndarray, y0: np.ndarray, max_k: int):
-    """Score-deflation PLS1; returns weight/loading matrices and score
-    coefficients, stopping early when no signal remains."""
+    """PLS1 without deflating X (Dayal & MacGregor 1997): weight w maps
+    through the earlier rotations to r, the score is X0 r, and only
+    s = X_k' y0 is deflated. Returns W, P, q and W (P'W)^-1, stopping
+    early when no signal remains."""
     n, p = X0.shape
-    Xk = X0.copy()
-    yk = y0.copy()
-    scale0 = float(np.linalg.norm(X0.T @ y0)) or 1.0
-    W, P, q = [], [], []
-    for _ in range(max_k):
-        w = Xk.T @ yk
-        nw = float(np.linalg.norm(w))
+    s = X0.T @ y0
+    scale0 = float(np.linalg.norm(s)) or 1.0
+    W, P, R = (np.empty((p, max_k)) for _ in range(3))
+    q = np.empty(max_k)
+    k = 0
+    while k < max_k:
+        nw = float(np.linalg.norm(s))
         if nw <= 1e-12 * scale0:
             break
-        w = w / nw
-        t = Xk @ w
+        w = s / nw
+        r = w - R[:, :k] @ (P[:, :k].T @ w)
+        t = X0 @ r
         tt = float(t @ t)
         if tt <= 1e-24 * n:
             break
-        pk = Xk.T @ t / tt
-        qk = float(yk @ t / tt)
-        Xk = Xk - np.outer(t, pk)
-        yk = yk - qk * t
-        W.append(w)
-        P.append(pk)
-        q.append(qk)
-    if not W:
+        yt = float(y0 @ t)
+        W[:, k], R[:, k] = w, r
+        P[:, k] = X0.T @ t / tt
+        q[k] = yt / tt
+        s = s - P[:, k] * yt
+        k += 1
+    if k == 0:
         raise ZeroVarianceError("response carries no signal over the given columns")
-    W = np.column_stack(W)
-    P = np.column_stack(P)
-    q = np.array(q)
-    rotations = W @ np.linalg.inv(P.T @ W)
-    return W, P, q, rotations
+    W, P, q = W[:, :k], P[:, :k], q[:k]
+    return W, P, q, W @ np.linalg.inv(P.T @ W)
+
+
+def _column_scale(X: np.ndarray) -> np.ndarray:
+    """Sample std per column; 1.0 where the column is constant (its std may round to ~1e-17)."""
+    return np.where(np.ptp(X, axis=0) > 0, X.std(axis=0, ddof=1), 1.0)
 
 
 def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> PlsModel:
@@ -488,9 +492,7 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> P
             f"max_components={max_components} exceeds the design capacity "
             f"min(n - 1, p) = {min(n - 1, p)}"
         )
-    x_mean = X.mean(axis=0)
-    x_scale = X.std(axis=0, ddof=1)
-    x_scale = np.where(x_scale > 0, x_scale, 1.0)
+    x_mean, x_scale = X.mean(axis=0), _column_scale(X)
     X0 = (X - x_mean) / x_scale
     y_mean = float(y.mean())
     W, P, q, rotations = _pls1_path(X0, y - y_mean, max_components)
@@ -507,9 +509,7 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> P
         test = fold_of == f
         train = ~test
         Xt = X[train]
-        mt = Xt.mean(axis=0)
-        st = Xt.std(axis=0, ddof=1)
-        st = np.where(st > 0, st, 1.0)
+        mt, st = Xt.mean(axis=0), _column_scale(Xt)
         X0t = (Xt - mt) / st
         ymt = float(y[train].mean())
         try:

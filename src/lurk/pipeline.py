@@ -331,6 +331,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
             pred_outputs.append("prediction_variance.asc")
 
         def do_predict():
+            # No variance grid of an earlier run outlives its manifest entry.
+            (out / "prediction_variance.asc").unlink(missing_ok=True)
             layers, grids, categorical = geo_inputs()
             lat = cfg.prediction
             lattice = geodata.RasterGrid.filled(

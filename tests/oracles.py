@@ -261,6 +261,38 @@ def nipals_pls1(X, y, k):
     return predict, W.shape[1]
 
 
+def deflation_pls1_path(X0, y0, max_k):
+    """PLS1 by explicit rank-1 deflation of X and y after every component,
+    on centered X0 and y0, with the same early stops as the package path:
+    a weight norm below 1e-12 of the first, or a score sum of squares
+    below 1e-24 * n. Returns (W, P, q, W (P'W)^-1)."""
+    n, p = X0.shape
+    Xk = X0.copy()
+    yk = y0.copy()
+    scale0 = float(np.linalg.norm(X0.T @ y0)) or 1.0
+    W, P, q = [], [], []
+    for _ in range(max_k):
+        w = Xk.T @ yk
+        nw = float(np.linalg.norm(w))
+        if nw <= 1e-12 * scale0:
+            break
+        w = w / nw
+        t = Xk @ w
+        tt = float(t @ t)
+        if tt <= 1e-24 * n:
+            break
+        pk = Xk.T @ t / tt
+        qk = float(yk @ t / tt)
+        Xk = Xk - np.outer(t, pk)
+        yk = yk - qk * t
+        W.append(w)
+        P.append(pk)
+        q.append(qk)
+    W = np.column_stack(W)
+    P = np.column_stack(P)
+    return W, P, np.array(q), W @ np.linalg.inv(P.T @ W)
+
+
 def moran_double_sum(residuals, coords, min_distance=1000.0):
     """Moran's I via the explicit double loop."""
     z = np.asarray(residuals, dtype=np.float64)
@@ -350,14 +382,12 @@ def multistart_exponential(lags, semivariances, n_pairs):
     return float(c0), float(c1), float(a)
 
 
-def dense_uk_solve(train_coords, train_x, train_y, nugget, psill, range_m,
-                   x0, y0, x_row):
-    """Universal kriging at one point by assembling and solving the full
-    bordered system with a plain dense solver."""
+def dense_uk_system(train_coords, train_x, nugget, psill, range_m):
+    """The bordered universal kriging matrix [[C, F], [F', 0]] with
+    F = [1, X], entry by entry."""
     train_coords = np.asarray(train_coords, dtype=np.float64)
     train_x = np.asarray(train_x, dtype=np.float64)
-    train_y = np.asarray(train_y, dtype=np.float64)
-    n = len(train_y)
+    n = len(train_coords)
     p1 = train_x.shape[1] + 1
     dmat = np.zeros((n, n))
     for i in range(n):
@@ -370,6 +400,17 @@ def dense_uk_solve(train_coords, train_x, train_y, nugget, psill, range_m,
     A[:n, :n] = cov
     A[:n, n:] = F
     A[n:, :n] = F.T
+    return A
+
+
+def dense_uk_solve(train_coords, train_x, train_y, nugget, psill, range_m,
+                   x0, y0, x_row):
+    """Universal kriging at one point by assembling and solving the full
+    bordered system with a plain dense solver."""
+    train_coords = np.asarray(train_coords, dtype=np.float64)
+    train_y = np.asarray(train_y, dtype=np.float64)
+    n = len(train_y)
+    A = dense_uk_system(train_coords, train_x, nugget, psill, range_m)
     d0 = np.hypot(train_coords[:, 0] - x0, train_coords[:, 1] - y0)
     b = np.concatenate([psill * np.exp(-d0 / range_m), [1.0], np.asarray(x_row)])
     sol = np.linalg.solve(A, b)
@@ -377,3 +418,12 @@ def dense_uk_solve(train_coords, train_x, train_y, nugget, psill, range_m,
     mean = float(lam @ train_y)
     variance = float((nugget + psill) - b @ sol)
     return mean, variance, lam, sol[n:]
+
+
+def dense_uk_drift(train_coords, train_x, train_y, nugget, psill, range_m):
+    """GLS drift coefficients [intercept, slopes]: the last p + 1 entries
+    of the bordered system solved against [y, 0]."""
+    train_y = np.asarray(train_y, dtype=np.float64)
+    A = dense_uk_system(train_coords, train_x, nugget, psill, range_m)
+    rhs = np.concatenate([train_y, np.zeros(len(A) - len(train_y))])
+    return np.linalg.solve(A, rhs)[len(train_y):]

@@ -215,6 +215,30 @@ def test_matches_dense_oracle():
             assert got_var[0] == pytest.approx(want_var, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("nugget,psill", [
+    (0.0, 4.0),  # exact interpolator
+    (1.0, 0.0),  # pure nugget
+    (1e-7, 4e-6),  # sill far below var(y)
+])
+def test_gls_solve_matches_dense_oracle(nugget, psill):
+    sites, matrix, drift, coords, X, y = make_problem(seed=43, nugget=0.3, noise=0.5)
+    model = KrigingModel(variogram=VariogramModel(nugget, psill, 30_000.0),
+                         coords=coords, x_rows=X, y=y)
+    beta = oracles.dense_uk_drift(coords, X, y, nugget, psill, 30_000.0)
+    assert model.adjusted_intercept == pytest.approx(beta[0], rel=1e-6)
+    assert np.allclose(model.adjusted_coefficients, beta[1:], rtol=1e-6, atol=0)
+    rng = np.random.default_rng(143)
+    pts = rng.uniform(0, 100_000, size=(6, 2))
+    rows = rng.normal(size=(6, 3))
+    got_mean, got_var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    sill = nugget + psill
+    for i in range(6):
+        want_mean, want_var, _, _ = oracles.dense_uk_solve(
+            coords, X, y, nugget, psill, 30_000.0, pts[i, 0], pts[i, 1], rows[i])
+        assert got_mean[i] == pytest.approx(want_mean, rel=1e-6, abs=1e-9)
+        assert got_var[i] == pytest.approx(want_var, rel=1e-6, abs=1e-9 * sill)
+
+
 def test_kriging_weights_unbiasedness():
     # the dense solve's Lagrange system forces the weights to reproduce
     # the drift columns; the constant column gives sum(lambda) = 1
@@ -348,6 +372,25 @@ def test_singular_system_reports_duplicates():
     y = rng.normal(size=10)
     with pytest.raises(SingularKrigingError, match="duplicate"):
         KrigingModel(variogram=VariogramModel(0.0, 1.0, 5_000.0),
+                     coords=coords, x_rows=X, y=y)
+
+
+def test_collinear_drift_is_singular():
+    sites, matrix, drift, coords, X, y = make_problem(seed=47, nugget=0.3)
+    X = np.column_stack([X, 2.0 * X[:, 0] - X[:, 2]])
+    for vg in (VariogramModel(0.3, 4.0, 30_000.0), VariogramModel(0.0, 4.0, 30_000.0)):
+        with pytest.raises(SingularKrigingError, match="0 duplicate site pair"):
+            KrigingModel(variogram=vg, coords=coords, x_rows=X, y=y)
+
+
+@pytest.mark.parametrize("psill,bad_coord", [(np.inf, False), (4.0, True)])
+def test_non_finite_covariance_is_singular(psill, bad_coord):
+    sites, matrix, drift, coords, X, y = make_problem(seed=53, nugget=0.3)
+    coords = coords.copy()
+    if bad_coord:
+        coords[4, 0] = np.nan
+    with pytest.raises(SingularKrigingError, match="0 duplicate site pair"):
+        KrigingModel(variogram=VariogramModel(0.3, psill, 30_000.0),
                      coords=coords, x_rows=X, y=y)
 
 

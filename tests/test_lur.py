@@ -13,6 +13,7 @@ from lurk.errors import (
 from lurk.lur import (
     LinearModel,
     StepwiseConfig,
+    _pls1_path,
     mean_model,
     morans_i,
     ols_fit,
@@ -300,6 +301,56 @@ def test_pls_parsimonious_selection_two_latent_factors():
         fit = pls_fit(matrix_of(X), y, max_components=8, seed=seed)
         chosen.append(fit.n_components)
     assert sum(1 for k in chosen if k <= 4) >= 9
+
+
+def pls_oracle_cases():
+    """(X0, y0, max_k) cases: generic designs, a rank-3 design, and an
+    orthogonal design on which the signal runs out after one component."""
+    for seed in range(12):
+        rng = np.random.default_rng(700 + seed)
+        n, p = 60, 12
+        if seed % 3 == 1:
+            X = rng.normal(size=(n, 3)) @ rng.normal(size=(3, p))
+        elif seed % 3 == 2:
+            Z = rng.normal(size=(n, p))
+            X = np.linalg.qr(Z - Z.mean(axis=0))[0]
+        else:
+            latent = rng.normal(size=(n, 3))
+            X = latent @ rng.normal(size=(3, p)) + 0.3 * rng.normal(size=(n, p))
+        X0 = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+        y = X0[:, :4] @ rng.normal(size=4) + 0.5 * rng.normal(size=n)
+        yield seed, X0, y - y.mean(), 8
+
+
+def test_pls_path_matches_deflation_oracle():
+    counts = set()
+    for seed, X0, y0, max_k in pls_oracle_cases():
+        got = _pls1_path(X0, y0, max_k)
+        want = oracles.deflation_pls1_path(X0, y0, max_k)
+        assert got[0].shape == want[0].shape, seed
+        counts.add(got[0].shape[1])
+        for name, g, w in zip(("W", "P", "q", "rotations"), got, want):
+            assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w), (seed, name)
+    assert {1, 3, 8} <= counts  # signal exhausted, rank reached, max_k reached
+
+
+def test_pls_scales_a_constant_column_by_one():
+    # down the columns of a matrix, 40 x 0.1 sums to a mean just off 0.1
+    # and a std of ~4e-17; that std as its scale would map 0.1 to -0.987
+    # and 0.2 to ~2e15
+    rng = np.random.default_rng(45)
+    X = np.column_stack([rng.normal(size=(40, 4)), np.full(40, 0.1)])
+    y = X[:, 0] - X[:, 2] + rng.normal(0, 0.3, 40)
+    model = pls_fit(matrix_of(X), y, max_components=3)
+    assert matrix_of(X).zero_variance.tolist() == [False] * 4 + [True]
+    assert model.x_scale[4] == 1.0
+    assert np.all(np.abs(model.transform(X)) < 1e3)
+    moved = X.copy()
+    moved[:, 4] = 0.2
+    assert np.allclose(model.predict(moved), model.predict(X), rtol=0, atol=1e-12)
+    without = pls_fit(matrix_of(X[:, :4]), y, max_components=3)
+    assert model.n_components == without.n_components
+    assert np.allclose(model.predict(X), without.predict(X[:, :4]), rtol=0, atol=1e-10)
 
 
 # -- Moran's I ------------------------------------------------------------------------

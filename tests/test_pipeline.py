@@ -333,6 +333,14 @@ def test_with_variance_writes_a_cached_variance_grid(tmp_path):
     assert (cfg.out_dir / "prediction.asc").exists()
     assert not (cfg.out_dir / "prediction_variance.asc").exists()
 
+    # the trend-only recipe in the directory that holds the UK variance grid
+    config_path.write_text(json.dumps({**config, "with_variance": True,
+                                       "recipe": {"selection": "stepwise"}}))
+    assert run(PipelineConfig.from_json(config_path)).status == "ok"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "prediction_variance.asc" not in manifest["predict"]["outputs"]
+    assert not (out / "prediction_variance.asc").exists()
+
 
 @pytest.mark.parametrize("script", ["run_national_synthetic.py", "model_family_sweep.py"])
 def test_scripts_import_against_the_api(script):
