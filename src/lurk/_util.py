@@ -1,12 +1,16 @@
 """Shared helpers: hashing, seed derivation, float formatting, JSON output,
-config key checks."""
+config key and value checks."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
+
+import numpy as np
 
 from .errors import InvalidArgumentError
 
@@ -52,8 +56,30 @@ def dump_json(obj, path) -> str:
     return text
 
 
+def plain(obj) -> dict:
+    """A dataclass as JSON-ready data: its fields, nested dataclasses as
+    dicts and arrays as lists. A model's JSON form is `plain(model)`, and
+    `cls(**d)` rebuilds it."""
+    return dataclasses.asdict(obj, dict_factory=lambda items: {
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
+
+
 def check_keys(d: dict, allowed, what: str) -> None:
     """Raise InvalidArgumentError naming every key of `d` not in `allowed`."""
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise InvalidArgumentError(f"unknown {what} keys: {unknown}")
+
+
+def is_finite_number(x) -> bool:
+    """True for a finite int or float that is not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def check_finite_fields(obj, what: str) -> None:
+    """Raise InvalidArgumentError naming the first field of dataclass `obj`
+    that is not a finite number, and its value."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not is_finite_number(value):
+            raise InvalidArgumentError(f"{what} {f.name} must be a finite number, got {value!r}")

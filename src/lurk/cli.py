@@ -10,6 +10,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import dataclasses  # noqa: E402
 import json  # noqa: E402
 import logging  # noqa: E402
 import sys  # noqa: E402
@@ -135,11 +136,11 @@ def exposure_cmd(ctx, window_cells):
 def synth_cmd(ctx, scenario, preset):
     """Generate a synthetic scenario directory ready for `run`."""
     if scenario:
-        sc = SyntheticScenario.from_dict(json.loads(Path(scenario).read_text()))
+        sc = SyntheticScenario(**json.loads(Path(scenario).read_text()))
     else:
         sc = SyntheticScenario(covariate_set=preset)
     if ctx.obj.get("seed") is not None:
-        sc = SyntheticScenario.from_dict({**sc.to_dict(), "seed": ctx.obj["seed"]})
+        sc = dataclasses.replace(sc, seed=ctx.obj["seed"])
     out = Path(ctx.obj.get("out") or "synth_scenario")
     data = generate_synthetic(sc)
     config_path = write_scenario(data, out)

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .lur import _RANK_TOL, LinearModel
 from .monitors import MonitorTable
+from ._util import check_finite_fields, plain
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +45,7 @@ class VariogramModel:
     range_m: float
 
     def __post_init__(self):
+        check_finite_fields(self, "variogram")
         if self.nugget < 0 or self.partial_sill < 0 or self.range_m <= 0:
             raise InvalidArgumentError(
                 "variogram requires nugget >= 0, partial_sill >= 0, range > 0"
@@ -66,14 +68,6 @@ class VariogramModel:
         np.exp(cov, out=cov)
         cov *= self.partial_sill
         return cov
-
-    def to_dict(self) -> dict:
-        return {"nugget": self.nugget, "partial_sill": self.partial_sill,
-                "range_m": self.range_m}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VariogramModel":
-        return cls(float(d["nugget"]), float(d["partial_sill"]), float(d["range_m"]))
 
 
 @dataclass(frozen=True)
@@ -312,23 +306,13 @@ class KrigingModel:
         return mean, var
 
     def to_dict(self) -> dict:
-        return {
-            "variogram": self.variogram.to_dict(),
-            "training": {
-                "coords": self.coords.tolist(),
-                "x_rows": self.x_rows.tolist(),
-                "y": self.y.tolist(),
-            },
-        }
+        """The variogram and the training data; the factors are rebuilt."""
+        training = {k: getattr(self, k).tolist() for k in ("coords", "x_rows", "y")}
+        return {"variogram": plain(self.variogram), "training": training}
 
     @classmethod
     def from_dict(cls, d: dict) -> "KrigingModel":
-        return cls(
-            variogram=VariogramModel.from_dict(d["variogram"]),
-            coords=np.array(d["training"]["coords"]),
-            x_rows=np.array(d["training"]["x_rows"]),
-            y=np.array(d["training"]["y"]),
-        )
+        return cls(VariogramModel(**d["variogram"]), **d["training"])
 
 
 def uk_fit(drift: LinearModel, sites: MonitorTable, matrix: CovariateMatrix,

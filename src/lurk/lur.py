@@ -26,6 +26,7 @@ from .errors import (
     SingularDesignError,
     ZeroVarianceError,
 )
+from ._util import check_finite_fields
 
 _RANK_TOL = 1e-10
 
@@ -103,15 +104,13 @@ class StepwiseConfig:
     min_adj_r2_gain: float = 0.005
 
     def __post_init__(self):
+        check_finite_fields(self, "stepwise")
         if not self.vif_max > 1:
             raise InvalidArgumentError("vif_max must be > 1")
         if not 0 < self.p_max < 1:
             raise InvalidArgumentError("p_max must be in (0, 1)")
         if self.min_adj_r2_gain < 0:
             raise InvalidArgumentError("min_adj_r2_gain must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,11 @@ class LinearModel:
     n: int
     config: dict = field(default_factory=dict)
 
-    @property
-    def p(self) -> int:
-        return len(self.selected)
+    def __post_init__(self):
+        # A model read back from JSON holds lists.
+        object.__setattr__(self, "selected", tuple(self.selected))
+        for name in ("coefficients", "entry_signs", "residuals", "p_values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
     def design(self, source) -> np.ndarray:
         """Design rows from a CovariateMatrix (columns picked by name) or
@@ -149,38 +150,6 @@ class LinearModel:
 
     def predict(self, source) -> np.ndarray:
         return self.intercept + self.design(source) @ self.coefficients
-
-    def to_dict(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "intercept": self.intercept,
-            "coefficients": self.coefficients.tolist(),
-            "entry_signs": self.entry_signs.tolist(),
-            "fit_stats": {
-                "r2": self.r2,
-                "adj_r2": self.adj_r2,
-                "residuals": self.residuals.tolist(),
-            },
-            "n": self.n,
-            "p": self.p,
-            "p_values": self.p_values.tolist(),
-            "config": self.config,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(
-            selected=tuple(d["selected"]),
-            intercept=float(d["intercept"]),
-            coefficients=np.array(d["coefficients"], dtype=np.float64),
-            entry_signs=np.array(d["entry_signs"], dtype=np.float64),
-            r2=float(d["fit_stats"]["r2"]),
-            adj_r2=float(d["fit_stats"]["adj_r2"]),
-            residuals=np.array(d["fit_stats"]["residuals"], dtype=np.float64),
-            p_values=np.array(d.get("p_values", []), dtype=np.float64),
-            n=int(d["n"]),
-            config=d.get("config", {}),
-        )
 
 
 def mean_model(y) -> LinearModel:
@@ -362,7 +331,7 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
         if adj_new[local] - adj_cur < cfg.min_adj_r2_gain:
             break
 
-    config = {"selection": "stepwise", **cfg.to_dict(), "entry_p_values": entry_pvalues}
+    config = {"selection": "stepwise", **asdict(cfg), "entry_p_values": entry_pvalues}
     return replace(ols_fit(X[:, selected], y, [names[j] for j in selected], config=config),
                    entry_signs=np.array(entry_signs))
 
@@ -375,24 +344,28 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
 class PlsModel:
     """PLS1 regression on centered, unit-variance columns.
 
-    `weights`, `loadings` are (p, K); `score_coefficients` (K,) regress
-    the response on component scores; `rotations` map standardized inputs
-    directly to scores. `n_components` is the operating truncation.
+    `rotations` (p, K) map standardized inputs directly to component
+    scores; `score_coefficients` (K,) regress the response on the scores.
+    `n_components` is the operating truncation.
     """
 
     columns: tuple[str, ...]
     x_mean: np.ndarray
     x_scale: np.ndarray
     y_mean: float
-    weights: np.ndarray
-    loadings: np.ndarray
     score_coefficients: np.ndarray
     rotations: np.ndarray
     n_components: int
 
+    def __post_init__(self):
+        # A model read back from JSON holds lists.
+        object.__setattr__(self, "columns", tuple(self.columns))
+        for name in ("x_mean", "x_scale", "score_coefficients", "rotations"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+
     @property
     def max_components(self) -> int:
-        return self.weights.shape[1]
+        return self.rotations.shape[1]
 
     def _standardize(self, source) -> np.ndarray:
         if hasattr(source, "select"):
@@ -410,43 +383,16 @@ class PlsModel:
         beta = self.rotations[:, :k] @ self.score_coefficients[:k]
         return self.y_mean + self._standardize(source) @ beta
 
-    def to_dict(self) -> dict:
-        return {
-            "columns": list(self.columns),
-            "x_mean": self.x_mean.tolist(),
-            "x_scale": self.x_scale.tolist(),
-            "y_mean": self.y_mean,
-            "weights": self.weights.tolist(),
-            "loadings": self.loadings.tolist(),
-            "score_coefficients": self.score_coefficients.tolist(),
-            "rotations": self.rotations.tolist(),
-            "n_components": self.n_components,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlsModel":
-        return cls(
-            columns=tuple(d["columns"]),
-            x_mean=np.array(d["x_mean"]),
-            x_scale=np.array(d["x_scale"]),
-            y_mean=float(d["y_mean"]),
-            weights=np.array(d["weights"]),
-            loadings=np.array(d["loadings"]),
-            score_coefficients=np.array(d["score_coefficients"]),
-            rotations=np.array(d["rotations"]),
-            n_components=int(d["n_components"]),
-        )
-
 
 def _pls1_path(X0: np.ndarray, y0: np.ndarray, max_k: int):
     """PLS1 without deflating X (Dayal & MacGregor 1997): weight w maps
     through the earlier rotations to r, the score is X0 r, and only
-    s = X_k' y0 is deflated. Returns W, P, q and W (P'W)^-1, stopping
-    early when no signal remains."""
+    s = X_k' y0 is deflated. Returns q and the rotations R = W (P'W)^-1
+    it builds, stopping early when no signal remains."""
     n, p = X0.shape
     s = X0.T @ y0
     scale0 = float(np.linalg.norm(s)) or 1.0
-    W, P, R = (np.empty((p, max_k)) for _ in range(3))
+    P, R = np.empty((p, max_k)), np.empty((p, max_k))
     q = np.empty(max_k)
     k = 0
     while k < max_k:
@@ -460,15 +406,14 @@ def _pls1_path(X0: np.ndarray, y0: np.ndarray, max_k: int):
         if tt <= 1e-24 * n:
             break
         yt = float(y0 @ t)
-        W[:, k], R[:, k] = w, r
+        R[:, k] = r
         P[:, k] = X0.T @ t / tt
         q[k] = yt / tt
         s = s - P[:, k] * yt
         k += 1
     if k == 0:
         raise ZeroVarianceError("response carries no signal over the given columns")
-    W, P, q = W[:, :k], P[:, :k], q[:k]
-    return W, P, q, W @ np.linalg.inv(P.T @ W)
+    return q[:k], R[:, :k]
 
 
 def _column_scale(X: np.ndarray) -> np.ndarray:
@@ -495,8 +440,8 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> P
     x_mean, x_scale = X.mean(axis=0), _column_scale(X)
     X0 = (X - x_mean) / x_scale
     y_mean = float(y.mean())
-    W, P, q, rotations = _pls1_path(X0, y - y_mean, max_components)
-    K = W.shape[1]
+    q, rotations = _pls1_path(X0, y - y_mean, max_components)
+    K = len(q)
 
     rng = np.random.default_rng(seed)
     n_folds_eff = min(10, n)
@@ -513,7 +458,7 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> P
         X0t = (Xt - mt) / st
         ymt = float(y[train].mean())
         try:
-            Wf, Pf, qf, Rf = _pls1_path(X0t, y[train] - ymt, K)
+            qf, Rf = _pls1_path(X0t, y[train] - ymt, K)
         except ZeroVarianceError:
             continue
         Kf = Rf.shape[1]
@@ -537,8 +482,6 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> P
         x_mean=x_mean,
         x_scale=x_scale,
         y_mean=y_mean,
-        weights=W,
-        loadings=P,
         score_coefficients=q,
         rotations=rotations,
         n_components=k_star,

@@ -292,7 +292,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
     report.metrics["trend_r2"] = fitted.trend.r2
     report.metrics["trend_adj_r2"] = fitted.trend.adj_r2
     if fitted.kriging is not None:
-        report.metrics["variogram"] = fitted.kriging.variogram.to_dict()
+        report.metrics["variogram"] = asdict(fitted.kriging.variogram)
     yield "fit"
 
     # -- cv -------------------------------------------------------------

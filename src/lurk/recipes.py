@@ -25,7 +25,7 @@ from .lur import (
     stepwise_select,
 )
 from .monitors import MonitorTable
-from ._util import check_keys, stage_seed
+from ._util import check_keys, is_finite_number, plain, stage_seed
 
 SELECTIONS = ("stepwise", "pls", "mean")
 
@@ -43,6 +43,21 @@ class ModelRecipe:
     def __post_init__(self):
         if self.selection not in SELECTIONS:
             raise InvalidArgumentError(f"unknown selection {self.selection!r}")
+        if not isinstance(self.kriging, bool):
+            raise InvalidArgumentError(
+                f"recipe kriging must be true or false, got {self.kriging!r}")
+        if not (isinstance(self.exclude, (list, tuple))
+                and all(isinstance(c, str) for c in self.exclude)):
+            raise InvalidArgumentError(
+                f"recipe exclude must be a list of column names, got {self.exclude!r}")
+        for key in ("max_components", "variogram_bins"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidArgumentError(f"recipe {key} must be an integer >= 1, got {value!r}")
+        lag = self.variogram_max_lag
+        if lag is not None and not (is_finite_number(lag) and lag > 0):
+            raise InvalidArgumentError(
+                f"recipe variogram_max_lag must be null or a finite number > 0, got {lag!r}")
         object.__setattr__(self, "exclude", tuple(self.exclude))
 
     def label(self) -> str:
@@ -53,32 +68,16 @@ class ModelRecipe:
         return "_".join(parts)
 
     def to_dict(self) -> dict:
-        return {
-            "selection": self.selection,
-            "kriging": self.kriging,
-            "exclude": list(self.exclude),
-            "stepwise": self.stepwise.to_dict(),
-            "max_components": self.max_components,
-            "variogram_bins": self.variogram_bins,
-            "variogram_max_lag": self.variogram_max_lag,
-        }
+        return plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelRecipe":
-        """Inverse of to_dict; missing keys take their defaults and unknown
-        keys raise InvalidArgumentError naming them."""
+        """Inverse of to_dict; missing keys take their defaults, and unknown
+        keys or mistyped values raise InvalidArgumentError naming them."""
         check_keys(d, (f.name for f in fields(cls)), "recipe")
         sw = d.get("stepwise", {})
         check_keys(sw, (f.name for f in fields(StepwiseConfig)), "recipe stepwise")
-        return cls(
-            selection=d.get("selection", "stepwise"),
-            kriging=bool(d.get("kriging", False)),
-            exclude=tuple(d.get("exclude", ())),
-            stepwise=StepwiseConfig(**sw),
-            max_components=int(d.get("max_components", 10)),
-            variogram_bins=int(d.get("variogram_bins", 15)),
-            variogram_max_lag=d.get("variogram_max_lag"),
-        )
+        return cls(**{**d, "stepwise": StepwiseConfig(**sw)})
 
 
 @dataclass
@@ -119,9 +118,9 @@ class FittedModel:
 
     def to_dict(self) -> dict:
         return {
-            "recipe": self.recipe.to_dict(),
-            "trend": self.trend.to_dict(),
-            "pls": self.pls.to_dict() if self.pls is not None else None,
+            "recipe": plain(self.recipe),
+            "trend": plain(self.trend),
+            "pls": plain(self.pls) if self.pls is not None else None,
             "kriging": self.kriging.to_dict() if self.kriging is not None else None,
         }
 
@@ -129,8 +128,8 @@ class FittedModel:
     def from_dict(cls, d: dict) -> "FittedModel":
         return cls(
             recipe=ModelRecipe.from_dict(d["recipe"]),
-            trend=LinearModel.from_dict(d["trend"]),
-            pls=PlsModel.from_dict(d["pls"]) if d.get("pls") else None,
+            trend=LinearModel(**d["trend"]),
+            pls=PlsModel(**d["pls"]) if d.get("pls") else None,
             kriging=KrigingModel.from_dict(d["kriging"]) if d.get("kriging") else None,
         )
 

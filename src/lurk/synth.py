@@ -115,17 +115,9 @@ class SyntheticScenario:
     prediction_rows: int = 50
     pollutant: str = "pm25"
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["trend"] = [list(t) for t in self.trend]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticScenario":
-        d = dict(d)
-        if "trend" in d:
-            d["trend"] = tuple((str(n), float(e)) for n, e in d["trend"])
-        return cls(**d)
+    def __post_init__(self):
+        # A scenario read from JSON holds the trend as lists.
+        object.__setattr__(self, "trend", tuple((str(n), float(e)) for n, e in self.trend))
 
 
 def _ladder(lo: float, hi: float, count: int) -> tuple[float, ...]:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -383,15 +385,23 @@ def test_collinear_drift_is_singular():
             KrigingModel(variogram=vg, coords=coords, x_rows=X, y=y)
 
 
-@pytest.mark.parametrize("psill,bad_coord", [(np.inf, False), (4.0, True)])
-def test_non_finite_covariance_is_singular(psill, bad_coord):
+@pytest.mark.parametrize("bad_coord", [np.nan, np.inf])
+def test_non_finite_covariance_is_singular(bad_coord):
     sites, matrix, drift, coords, X, y = make_problem(seed=53, nugget=0.3)
     coords = coords.copy()
-    if bad_coord:
-        coords[4, 0] = np.nan
+    coords[4, 0] = bad_coord
     with pytest.raises(SingularKrigingError, match="0 duplicate site pair"):
-        KrigingModel(variogram=VariogramModel(0.3, psill, 30_000.0),
+        KrigingModel(variogram=VariogramModel(0.3, 4.0, 30_000.0),
                      coords=coords, x_rows=X, y=y)
+
+
+@pytest.mark.parametrize("name", ["nugget", "partial_sill", "range_m"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1.0", True])
+def test_variogram_rejects_non_finite_parameters(name, bad):
+    params = {"nugget": 0.3, "partial_sill": 4.0, "range_m": 30_000.0, name: bad}
+    with pytest.raises(InvalidArgumentError,
+                       match=re.escape(f"variogram {name} must be a finite number, got {bad!r}")):
+        VariogramModel(**params)
 
 
 def test_kriging_model_json_round_trip():

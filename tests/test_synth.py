@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from lurk.synth import (
     simulate_grf,
     write_scenario,
 )
+from lurk._util import plain
 
 
 def test_same_seed_same_dataset():
@@ -107,5 +110,5 @@ def test_write_scenario_round_trips_through_annualize(tmp_path):
 
 def test_scenario_dict_round_trip():
     sc = SyntheticScenario(seed=2, trend=(("elevation", 3.0),), n_sites=10)
-    back = SyntheticScenario.from_dict(sc.to_dict())
+    back = SyntheticScenario(**json.loads(json.dumps(plain(sc))))
     assert back == sc
