@@ -3,7 +3,8 @@
 
 Produces 1,500 clustered monitors, ~290 covariates, and a 100k-cell
 prediction lattice, then executes annualize -> covariates -> fit -> CV ->
-predict -> exposure, printing stage timings and headline metrics.
+predict -> exposure, printing the time and peak RSS after generation,
+writing and the pipeline, then the headline metrics.
 
 Usage: python scripts/run_national_synthetic.py [outdir] [--seed N]
 """
@@ -17,11 +18,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from lurk.pipeline import PipelineConfig, run  # noqa: E402
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
+
+
+def peak_rss() -> str:
+    """The process's peak resident set size so far (`ru_maxrss`, KiB on Linux)."""
+    return f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB"
 
 
 def main():
@@ -49,15 +56,16 @@ def main():
     t0 = time.perf_counter()
     data = generate_synthetic(scenario)
     print(f"generated {len(data.sites)} sites x {len(data.matrix.columns)} covariates "
-          f"in {time.perf_counter() - t0:.1f}s")
+          f"in {time.perf_counter() - t0:.2f}s, {peak_rss()}")
 
     t0 = time.perf_counter()
     config_path = write_scenario(data, Path(args.outdir))
-    print(f"wrote inputs to {args.outdir} in {time.perf_counter() - t0:.1f}s")
+    print(f"wrote inputs to {args.outdir} in {time.perf_counter() - t0:.2f}s, {peak_rss()}")
 
+    del data  # the pipeline reads the written inputs; holding the scenario too adds ~90 MB
     t0 = time.perf_counter()
     report = run(PipelineConfig.from_json(config_path))
-    print(f"pipeline finished in {time.perf_counter() - t0:.1f}s")
+    print(f"pipeline finished in {time.perf_counter() - t0:.2f}s, {peak_rss()}")
     print(json.dumps(report.metrics, indent=2, sort_keys=True))
     print(f"artifacts: {Path(args.outdir) / 'run'}")
 

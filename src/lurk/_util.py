@@ -76,10 +76,22 @@ def is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def is_int(x) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def checked(what: str, value, ok: bool, want: str):
+    """`value`; InvalidArgumentError "<what> must be <want>, got <value>"
+    unless `ok`."""
+    if not ok:
+        raise InvalidArgumentError(f"{what} must be {want}, got {value!r}")
+    return value
+
+
 def check_finite_fields(obj, what: str) -> None:
     """Raise InvalidArgumentError naming the first field of dataclass `obj`
     that is not a finite number, and its value."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if not is_finite_number(value):
-            raise InvalidArgumentError(f"{what} {f.name} must be a finite number, got {value!r}")
+        checked(f"{what} {f.name}", value, is_finite_number(value), "a finite number")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -265,7 +266,10 @@ def read_categorical(path, categories) -> CategoricalGrid:
 
 
 def write_categorical(grid: CategoricalGrid, path) -> None:
-    _write_ascii_grid(grid, path, str(grid.nodata), str)
+    """Write an ESRI ASCII grid of category codes, each distinct code
+    formatted once."""
+    text = {code: str(code) for code in np.unique(grid.values).tolist()}
+    _write_ascii_grid(grid, path, str(grid.nodata), text.__getitem__)
 
 
 def bilinear_sample_many(grid: RasterGrid, xs, ys):
@@ -412,13 +416,6 @@ def segment_disk_length(a: np.ndarray, b: np.ndarray, x, y, r: float) -> np.ndar
 # Feature CSV IO: columns id,kind,category,wkt
 # ---------------------------------------------------------------------------
 
-def _format_wkt(kind: str, xy: np.ndarray) -> str:
-    if kind == POINTS:
-        return f"POINT({fmt_float(xy[0, 0])} {fmt_float(xy[0, 1])})"
-    coords = ", ".join(f"{fmt_float(px)} {fmt_float(py)}" for px, py in xy)
-    return f"LINESTRING({coords})"
-
-
 def read_features(path) -> FeatureLayer:
     """Read a feature layer CSV (id,kind,category,wkt) of POINT or
     LINESTRING geometries, one kind per file; errors name the feature."""
@@ -471,10 +468,15 @@ def _coordinates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_features(layer: FeatureLayer, path) -> None:
-    kind_name = "point" if layer.kind == POINTS else "polyline"
+    """Write a feature layer CSV (id,kind,category,wkt); every coordinate is
+    the `repr` of its float, as `fmt_float` writes it."""
+    v = list(map(repr, layer.xy.ravel().tolist()))
+    pairs = list(map(" ".join, zip(v[::2], v[1::2])))
+    tag, kind_name = ("POINT", "point") if layer.kind == POINTS else ("LINESTRING", "polyline")
+    ends = layer.offsets.tolist()
+    wkts = (f"{tag}({', '.join(pairs[i:j])})" for i, j in zip(ends, ends[1:]))
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "kind", "category", "wkt"])
-        for fid, category, xy in zip(layer.ids.tolist(), layer.categories.tolist(),
-                                     np.split(layer.xy, layer.offsets[1:-1])):
-            writer.writerow([fid, kind_name, category, _format_wkt(layer.kind, xy)])
+        writer.writerows(zip(layer.ids.tolist(), repeat(kind_name), layer.categories.tolist(),
+                             wkts))

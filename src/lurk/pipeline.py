@@ -24,7 +24,8 @@ from .evaluation import kfold_plan, logo_plan, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
-from ._util import check_keys, dump_json, sha256_bytes, sha256_file, stage_seed
+from ._util import (check_keys, checked, dump_json, is_finite_number, is_int, sha256_bytes,
+                    sha256_file, stage_seed)
 
 log = logging.getLogger(__name__)
 
@@ -32,6 +33,7 @@ STAGES = ("annualize", "covariates", "fit", "cv", "predict", "exposure")
 CONFIG_KEYS = ("pollutant", "year", "monitors", "covariates", "layers", "grids",
                "categorical_grids", "recipe", "cv", "prediction", "population_grid",
                "thresholds", "seed", "out", "with_variance")
+LATTICE_KEYS = ("origin_x", "origin_y", "cell_size", "n_cols", "n_rows")
 
 
 @functools.cache
@@ -70,7 +72,17 @@ class PipelineConfig:
         d = json.loads(path.read_text())
         check_keys(d, CONFIG_KEYS, "config")
         check_keys(d.get("monitors", {}), ("daily", "sites"), "config monitors")
-        check_keys(d.get("cv", {}), ("k", "logo_group"), "config cv")
+        cv, lattice, seed = d.get("cv", {}), d.get("prediction"), d.get("seed", 0)
+        k, with_variance = cv.get("k", 10), d.get("with_variance", False)
+        check_keys(cv, ("k", "logo_group"), "config cv")
+        checked("config prediction", lattice, lattice is None or (
+            isinstance(lattice, dict) and sorted(lattice) == sorted(LATTICE_KEYS)
+            and all(map(is_finite_number, lattice.values())) and lattice["cell_size"] > 0
+            and all(is_int(lattice[k]) and lattice[k] >= 1 for k in ("n_cols", "n_rows"))),
+            f"null or a lattice of the keys {LATTICE_KEYS} with cell_size > 0, n_cols, n_rows >= 1")
+        thresholds = d.get("thresholds", DEFAULT_THRESHOLDS)
+        checked("config thresholds", thresholds, isinstance(thresholds, (list, tuple))
+                and all(map(is_finite_number, thresholds)), "a list of finite numbers")
         base = path.parent
 
         def resolve(p):
@@ -78,7 +90,7 @@ class PipelineConfig:
 
         return cls(
             pollutant=d["pollutant"],
-            year=int(d["year"]),
+            year=checked("config year", d["year"], is_int(d["year"]), "an integer"),
             daily_csv=resolve(d["monitors"]["daily"]),
             sites_csv=resolve(d["monitors"]["sites"]),
             covariates_json=resolve(d["covariates"]),
@@ -89,14 +101,15 @@ class PipelineConfig:
                 for k, v in d.get("categorical_grids", {}).items()
             },
             recipe=ModelRecipe.from_dict(d.get("recipe", {})),
-            cv_k=int(d.get("cv", {}).get("k", 10)),
-            logo_group=d.get("cv", {}).get("logo_group", "province"),
-            prediction=d.get("prediction"),
+            cv_k=checked("config cv.k", k, is_int(k), "an integer"),
+            logo_group=cv.get("logo_group", "province"),
+            prediction=lattice,
             population_grid=resolve(d.get("population_grid")),
-            thresholds=tuple(d.get("thresholds", DEFAULT_THRESHOLDS)),
-            seed=int(d.get("seed", 0)),
+            thresholds=tuple(thresholds),
+            seed=checked("config seed", seed, is_int(seed), "an integer"),
             out_dir=resolve(d.get("out", "run")),
-            with_variance=bool(d.get("with_variance", False)),
+            with_variance=checked("config with_variance", with_variance,
+                                  isinstance(with_variance, bool), "true or false"),
         )
 
     def validate(self) -> None:

@@ -25,7 +25,7 @@ from .lur import (
     stepwise_select,
 )
 from .monitors import MonitorTable
-from ._util import check_keys, is_finite_number, plain, stage_seed
+from ._util import check_keys, checked, is_finite_number, is_int, plain, stage_seed
 
 SELECTIONS = ("stepwise", "pls", "mean")
 
@@ -43,21 +43,15 @@ class ModelRecipe:
     def __post_init__(self):
         if self.selection not in SELECTIONS:
             raise InvalidArgumentError(f"unknown selection {self.selection!r}")
-        if not isinstance(self.kriging, bool):
-            raise InvalidArgumentError(
-                f"recipe kriging must be true or false, got {self.kriging!r}")
-        if not (isinstance(self.exclude, (list, tuple))
-                and all(isinstance(c, str) for c in self.exclude)):
-            raise InvalidArgumentError(
-                f"recipe exclude must be a list of column names, got {self.exclude!r}")
+        checked("recipe kriging", self.kriging, isinstance(self.kriging, bool), "true or false")
+        checked("recipe exclude", self.exclude, isinstance(self.exclude, (list, tuple))
+                and all(isinstance(c, str) for c in self.exclude), "a list of column names")
         for key in ("max_components", "variogram_bins"):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidArgumentError(f"recipe {key} must be an integer >= 1, got {value!r}")
+            checked(f"recipe {key}", value, is_int(value) and value >= 1, "an integer >= 1")
         lag = self.variogram_max_lag
-        if lag is not None and not (is_finite_number(lag) and lag > 0):
-            raise InvalidArgumentError(
-                f"recipe variogram_max_lag must be null or a finite number > 0, got {lag!r}")
+        checked("recipe variogram_max_lag", lag, lag is None or (is_finite_number(lag) and lag > 0),
+                "null or a finite number > 0")
         object.__setattr__(self, "exclude", tuple(self.exclude))
 
     def label(self) -> str:

@@ -10,8 +10,10 @@ matrix columns.
 
 from __future__ import annotations
 
+import calendar
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +22,10 @@ from . import covariates as cov
 from . import geodata
 from .errors import ScenarioError
 from .monitors import MonitorTable
-from ._util import dump_json, fmt_float, stage_seed
+from ._util import dump_json, stage_seed
 
 N_LANDCOVER_CLASSES = 8
+FIELD_BLOCK = 1 << 17  # cells per block of a field evaluation
 
 
 def simulate_grf(coords, nugget: float, partial_sill: float, range_m: float,
@@ -76,10 +79,25 @@ def _smooth_field(rng: np.random.Generator, scale: float, amplitude: float,
     kx = 2 * np.pi * np.cos(angles) / wavelengths
     ky = 2 * np.pi * np.sin(angles) / wavelengths
 
-    def f(x, y):
-        x = np.asarray(x, dtype=np.float64)[..., None]
-        y = np.asarray(y, dtype=np.float64)[..., None]
-        return np.sum(amps * np.cos(x * kx + y * ky + phases), axis=-1)
+    def f(xs, ys):
+        waves = xs[:, None] * kx + (ys[:, None] * ky)[:, None]
+        waves += phases
+        np.cos(waves, out=waves)
+        waves *= amps
+        return np.sum(waves, axis=-1)
+
+    return f
+
+
+def _population_field(centers, cluster_sd_m: float):
+    """Population density: 2 plus a Gaussian bump of 800 at each cluster center."""
+    s2 = (2.5 * cluster_sd_m) ** 2
+
+    def f(xs, ys):
+        out = np.full((len(ys), len(xs)), 2.0)
+        for cx, cy in centers:
+            out += 800.0 * np.exp(-((xs - cx) ** 2 + ((ys - cy) ** 2)[:, None]) / (2 * s2))
+        return out
 
     return f
 
@@ -183,25 +201,21 @@ _FULL_GRIDS = ("elevation", "population_density", "ndvi", "evi", "blh", "tempera
 
 def _full_specs(sc: SyntheticScenario) -> list[cov.CovariateSpec]:
     specs = []
-    road_ladder = ROAD_LADDER
-    poi_ladder = POI_LADDER
-    fire_ladder = FIRE_LADDER
-    lc_ladder = LANDCOVER_LADDER
     for layer in _FULL_ROAD_LAYERS:
-        for r in road_ladder:
+        for r in ROAD_LADDER:
             specs.append(cov.CovariateSpec(f"{layer}_len_{int(r)}m", "line_length",
                                            layer, buffer_m=r))
     for layer in ("roads_major", "roads_secondary", "railways"):
         specs.append(cov.CovariateSpec(f"dist_{layer}", "distance_to_nearest", layer))
     for layer in _FULL_POI_LAYERS:
-        for r in poi_ladder:
+        for r in POI_LADDER:
             specs.append(cov.CovariateSpec(f"{layer}_n_{int(r)}m", "point_count",
                                            layer, buffer_m=r))
-    for r in fire_ladder:
+    for r in FIRE_LADDER:
         specs.append(cov.CovariateSpec(f"fires_n_{int(r)}m", "point_count",
                                        "fires", buffer_m=r))
     for cat in range(1, N_LANDCOVER_CLASSES + 1):
-        for w in lc_ladder:
+        for w in LANDCOVER_LADDER:
             specs.append(cov.CovariateSpec(f"lc{cat}_{int(w)}m", "landcover_fraction",
                                            "landcover", category=cat, buffer_m=w))
     for name in _FULL_GRIDS:
@@ -215,22 +229,22 @@ def _full_specs(sc: SyntheticScenario) -> list[cov.CovariateSpec]:
 
 def _segments_layer(rng, n_segments, extent_x, extent_y, centers, urban_frac,
                     min_len, max_len, prefix) -> geodata.FeatureLayer:
-    ends = np.empty((n_segments, 2, 2))
+    anchor, angle, length = np.empty((n_segments, 2)), np.empty(n_segments), np.empty(n_segments)
     for i in range(n_segments):
         if centers is not None and rng.uniform() < urban_frac:
             c = centers[rng.integers(0, len(centers))]
-            anchor = c + rng.normal(0, 0.04 * min(extent_x, extent_y), 2)
+            anchor[i] = c + rng.normal(0, 0.04 * min(extent_x, extent_y), 2)
         else:
-            anchor = np.array([rng.uniform(0, extent_x), rng.uniform(0, extent_y)])
-        angle = rng.uniform(0, 2 * np.pi)
-        length = rng.uniform(min_len, max_len)
-        delta = 0.5 * length * np.array([np.cos(angle), np.sin(angle)])
-        a = np.clip(anchor - delta, [0, 0], [extent_x, extent_y])
-        b = np.clip(anchor + delta, [0, 0], [extent_x, extent_y])
-        if np.all(a == b):
-            b = a + np.array([1.0, 1.0])
-        ends[i] = a, b
-    return geodata.FeatureLayer(geodata.POLYLINES, ends, np.arange(0, 2 * n_segments + 1, 2),
+            anchor[i] = rng.uniform(0, extent_x), rng.uniform(0, extent_y)
+        angle[i] = rng.uniform(0, 2 * np.pi)
+        length[i] = rng.uniform(min_len, max_len)
+    delta = 0.5 * length[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    a = np.clip(anchor - delta, 0, [extent_x, extent_y])
+    b = np.clip(anchor + delta, 0, [extent_x, extent_y])
+    same = np.all(a == b, axis=1)
+    b[same] = a[same] + 1.0
+    return geodata.FeatureLayer(geodata.POLYLINES, np.stack([a, b], axis=1),
+                                np.arange(0, 2 * n_segments + 1, 2),
                                 [f"{prefix}{i:05d}" for i in range(n_segments)])
 
 
@@ -250,12 +264,18 @@ def _points_layer(rng, n_points, extent_x, extent_y, centers, urban_frac, spread
                                 [f"{prefix}{i:05d}" for i in range(n_points)])
 
 
-def _field_grid(fn, origin_x, origin_y, cell, n_cols, n_rows, base=0.0) -> geodata.RasterGrid:
-    xs = origin_x + (np.arange(n_cols) + 0.5) * cell
-    ys = origin_y + (np.arange(n_rows) + 0.5) * cell
-    xx, yy = np.meshgrid(xs, ys)
-    return geodata.RasterGrid(origin_x, origin_y, cell, n_cols, n_rows,
-                              base + fn(xx, yy))
+def _field_grid(fn, cell, n_cols, n_rows, base=0.0) -> geodata.RasterGrid:
+    """`base` plus field `fn(xs, ys)` on a grid with origin (0, 0); `fn` takes
+    the column centers and a block of row centers and returns those rows.
+    Blocks hold about FIELD_BLOCK cells, so no temporary spans the grid."""
+    xs = (np.arange(n_cols) + 0.5) * cell
+    ys = (np.arange(n_rows) + 0.5) * cell
+    values = np.empty((n_rows, n_cols))
+    step = max(1, FIELD_BLOCK // n_cols)
+    for r in range(0, n_rows, step):
+        values[r:r + step] = fn(xs, ys[r:r + step])
+    values += base
+    return geodata.RasterGrid(0.0, 0.0, cell, n_cols, n_rows, values)
 
 
 def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
@@ -305,19 +325,17 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         wave_scale = ex / rng.uniform(3.0, 7.0)
         amp = {"elevation": 400.0}.get(name, 1.0)
         base = {"elevation": 800.0}.get(name, 0.0)
-        grids[name] = _field_grid(_smooth_field(rng, wave_scale, amp),
-                                  0.0, 0.0, cov_cell, nc, nr, base=base)
+        grids[name] = _field_grid(_smooth_field(rng, wave_scale, amp), cov_cell, nc, nr, base)
 
     sat_cell = min(ex, ey) / 40
     snc, snr = int(round(ex / sat_cell)), int(round(ey / sat_cell))
     sat_names = ("satellite_pm25", "satellite_no2") if full else ("satellite",)
     for name in sat_names:
-        f = _smooth_field(rng, ex / 2.2, 1.0, n_waves=6)
-        grids[name] = _field_grid(f, 0.0, 0.0, sat_cell, snc, snr)
+        grids[name] = _field_grid(_smooth_field(rng, ex / 2.2, 1.0, n_waves=6), sat_cell, snc, snr)
 
     lc_cell = min(ex, ey) / (1000 if full else 240)
     lnc, lnr = int(round(ex / lc_cell)), int(round(ey / lc_cell))
-    latent = _field_grid(_smooth_field(rng, ex / 6.0, 1.0), 0.0, 0.0, lc_cell, lnc, lnr)
+    latent = _field_grid(_smooth_field(rng, ex / 6.0, 1.0), lc_cell, lnc, lnr)
     qs = np.quantile(latent.values, np.linspace(0, 1, N_LANDCOVER_CLASSES + 1)[1:-1])
     codes = 1 + np.searchsorted(qs, latent.values).astype(np.int32)
     categorical["landcover"] = geodata.CategoricalGrid(
@@ -331,30 +349,20 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     lattice = geodata.RasterGrid.filled(0.0, 0.0, pred_cell,
                                         sc.prediction_cols, sc.prediction_rows)
 
-    def pop_density(x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = np.full(np.broadcast_shapes(x.shape, y.shape), 2.0)
-        s2 = (2.5 * sc.cluster_sd_m) ** 2
-        for cx, cy in centers:
-            out = out + 800.0 * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s2))
-        return out
-
-    population = _field_grid(pop_density, 0.0, 0.0, pred_cell,
-                             sc.prediction_cols, sc.prediction_rows)
+    pop_density = _population_field(centers, sc.cluster_sd_m)
+    population = _field_grid(pop_density, pred_cell, sc.prediction_cols, sc.prediction_rows)
     if full:
-        grids["population_density"] = _field_grid(pop_density, 0.0, 0.0,
-                                                  cov_cell, nc, nr)
+        grids["population_density"] = _field_grid(pop_density, cov_cell, nc, nr)
 
     specs = _full_specs(sc) if full else _mini_specs(sc)
-    table_stub = MonitorTable(
+    n_days = 366 if calendar.isleap(sc.year) else 365
+    sites = MonitorTable(
         site_ids=site_ids, x=coords[:, 0], y=coords[:, 1],
-        province=province, city=city,
-        annual_mean=np.zeros(sc.n_sites),
-        n_valid_days=np.zeros(sc.n_sites, dtype=np.int64),
-        n_calendar_days=np.zeros(sc.n_sites, dtype=np.int64),
+        province=province, city=city, annual_mean=np.zeros(sc.n_sites),
+        n_valid_days=np.full(sc.n_sites, n_days, dtype=np.int64),
+        n_calendar_days=np.full(sc.n_sites, n_days, dtype=np.int64),
     )
-    matrix = cov.build_matrix(table_stub, specs, layers=layers, grids=grids,
+    matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
                               categorical=categorical)
 
     trend = sc.trend or (_FULL_TREND if full else _MINI_TREND)
@@ -375,29 +383,14 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     noise = sc.noise_sd * np.random.default_rng(
         stage_seed(sc.seed, "noise")).standard_normal(sc.n_sites)
     y = np.maximum(y + grf + noise, 0.0)
+    sites = replace(sites, annual_mean=y)
 
-    n_days = 366 if sc.year % 4 == 0 and (sc.year % 100 != 0 or sc.year % 400 == 0) else 365
-    sites = MonitorTable(
-        site_ids=site_ids, x=coords[:, 0], y=coords[:, 1],
-        province=province, city=city, annual_mean=y,
-        n_valid_days=np.full(sc.n_sites, n_days, dtype=np.int64),
-        n_calendar_days=np.full(sc.n_sites, n_days, dtype=np.int64),
-    )
-
-    excluded = {}
-    if sc.n_excluded_sites:
-        exc_rng = np.random.default_rng(stage_seed(sc.seed, "excluded"))
-        exc_coords, exc_cluster, _ = clustered_coords(
-            exc_rng, sc.n_excluded_sites, sc.n_clusters, ex, ey, sc.cluster_sd_m
-        )
-        for i in range(sc.n_excluded_sites):
-            sid = f"x{i:04d}"
-            c = exc_cluster[i]
-            excluded[sid] = (
-                float(exc_coords[i, 0]), float(exc_coords[i, 1]),
-                f"prov{center_prov[c]:02d}", f"city{c:03d}",
-                float(sc.trend_intercept), int(0.5 * n_days),
-            )
+    exc_coords, exc_cluster, _ = clustered_coords(
+        np.random.default_rng(stage_seed(sc.seed, "excluded")), sc.n_excluded_sites,
+        sc.n_clusters, ex, ey, sc.cluster_sd_m)
+    excluded = {f"x{i:04d}": (px, py, f"prov{center_prov[c]:02d}", f"city{c:03d}",
+                              float(sc.trend_intercept), int(0.5 * n_days))
+                for i, ((px, py), c) in enumerate(zip(exc_coords.tolist(), exc_cluster))}
 
     truth = {
         "intercept": sc.trend_intercept,
@@ -420,7 +413,10 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
     """Write a scenario to disk as pipeline-ready inputs plus config.json.
 
     Returns the config path. Daily files carry one record per calendar
-    day; excluded sites get sparse series that fail the completeness rule.
+    day whose mean over the year is the site's annual value; with
+    `daily_noise_sd` > 0 the noisy series is shifted to that mean, and a
+    series that would then need a value below zero raises ScenarioError.
+    Excluded sites get sparse series that fail the completeness rule.
     """
     outdir = Path(outdir)
     inputs = outdir / "inputs"
@@ -428,34 +424,32 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
     (inputs / "grids").mkdir(parents=True, exist_ok=True)
     sc = data.scenario
 
+    sites = data.sites
+    rows = [*zip(sites.site_ids, sites.x.tolist(), sites.y.tolist(), sites.province, sites.city),
+            *((sid, *v[:4]) for sid, v in sorted(data.excluded_sites.items()))]
     sites_rows = ["site_id,x,y,province,city"]
-    for i, sid in enumerate(data.sites.site_ids):
-        sites_rows.append(
-            f"{sid},{fmt_float(data.sites.x[i])},{fmt_float(data.sites.y[i])},"
-            f"{data.sites.province[i]},{data.sites.city[i]}"
-        )
-    for sid, (x, y, prov, cty, _, _) in sorted(data.excluded_sites.items()):
-        sites_rows.append(f"{sid},{fmt_float(x)},{fmt_float(y)},{prov},{cty}")
+    sites_rows += (f"{sid},{x!r},{y!r},{prov},{cty}" for sid, x, y, prov, cty in rows)
     (inputs / "sites.csv").write_text("\n".join(sites_rows) + "\n")
 
     rng = np.random.default_rng(stage_seed(sc.seed, "daily"))
     start = dt.date(sc.year, 1, 1)
-    n_days = int(data.sites.n_calendar_days[0])
+    n_days = int(sites.n_calendar_days[0])
     dates = [(start + dt.timedelta(days=d)).isoformat() for d in range(n_days)]
     daily_rows = ["site_id,date,value"]
-    for i, sid in enumerate(data.sites.site_ids):
-        annual = data.sites.annual_mean[i]
+    for sid, annual in zip(sites.site_ids, sites.annual_mean.tolist()):
         if sc.daily_noise_sd > 0:
             vals = np.maximum(annual + sc.daily_noise_sd * rng.standard_normal(n_days), 0.0)
-            vals = vals - vals.mean() + annual  # keep the annual mean exact
-            vals = np.maximum(vals, 0.0)
+            vals = vals - vals.mean() + annual
+            if vals.min() < 0.0:
+                raise ScenarioError(f"site {sid}: daily noise cannot keep the annual mean "
+                                    f"{annual!r} with values >= 0; clipped at 0 the series "
+                                    f"averages {float(np.maximum(vals, 0).mean())!r}")
+            texts = map(repr, vals.tolist())
         else:
-            vals = np.full(n_days, annual)
-        for d, date in enumerate(dates):
-            daily_rows.append(f"{sid},{date},{fmt_float(vals[d])}")
+            texts = repeat(repr(annual))
+        daily_rows += (f"{sid},{date},{text}" for date, text in zip(dates, texts))
     for sid, (_, _, _, _, value, keep_days) in sorted(data.excluded_sites.items()):
-        for date in dates[:keep_days]:
-            daily_rows.append(f"{sid},{date},{fmt_float(value)}")
+        daily_rows += (f"{sid},{date},{value!r}" for date in dates[:keep_days])
     (inputs / "daily.csv").write_text("\n".join(daily_rows) + "\n")
 
     for name, layer in data.layers.items():

@@ -7,6 +7,7 @@ verifies.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -127,6 +128,133 @@ def dict_annualize(records, year, min_completeness=0.75, calendar_days=None):
         else:
             excluded.append((site_id, len(vals), len(vals) / n_days))
     return kept, excluded
+
+
+# -- synthetic scenarios -------------------------------------------------------
+# The generator and writers as they were when each value went through its
+# own Python statement: one segment per loop iteration, every field on full
+# meshgrids, one fmt_float/str call per coordinate, cell or daily value.
+
+def loop_segment_ends(rng, n_segments, extent_x, extent_y, centers, urban_frac,
+                      min_len, max_len):
+    """(n, 2, 2) segment end points, drawn, turned and clipped one segment
+    at a time."""
+    ends = np.empty((n_segments, 2, 2))
+    for i in range(n_segments):
+        if centers is not None and rng.uniform() < urban_frac:
+            c = centers[rng.integers(0, len(centers))]
+            anchor = c + rng.normal(0, 0.04 * min(extent_x, extent_y), 2)
+        else:
+            anchor = np.array([rng.uniform(0, extent_x), rng.uniform(0, extent_y)])
+        angle = rng.uniform(0, 2 * np.pi)
+        length = rng.uniform(min_len, max_len)
+        delta = 0.5 * length * np.array([np.cos(angle), np.sin(angle)])
+        a = np.clip(anchor - delta, [0, 0], [extent_x, extent_y])
+        b = np.clip(anchor + delta, [0, 0], [extent_x, extent_y])
+        if np.all(a == b):
+            b = a + np.array([1.0, 1.0])
+        ends[i] = a, b
+    return ends
+
+
+def meshgrid_smooth_field(rng, scale, amplitude, n_waves=10):
+    """The plane-wave field, drawing its waves in the generator's order,
+    as a function of full (x, y) meshgrids."""
+    angles = rng.uniform(0, 2 * np.pi, n_waves)
+    wavelengths = scale * rng.uniform(0.6, 1.8, n_waves)
+    phases = rng.uniform(0, 2 * np.pi, n_waves)
+    amps = amplitude * rng.uniform(0.5, 1.0, n_waves) / np.sqrt(n_waves / 2.0)
+    kx = 2 * np.pi * np.cos(angles) / wavelengths
+    ky = 2 * np.pi * np.sin(angles) / wavelengths
+
+    def f(x, y):
+        x = np.asarray(x, dtype=np.float64)[..., None]
+        y = np.asarray(y, dtype=np.float64)[..., None]
+        return np.sum(amps * np.cos(x * kx + y * ky + phases), axis=-1)
+
+    return f
+
+
+def meshgrid_population_field(centers, cluster_sd_m):
+    """Population density on full (x, y) meshgrids."""
+    def f(x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        out = np.full(np.broadcast_shapes(x.shape, y.shape), 2.0)
+        s2 = (2.5 * cluster_sd_m) ** 2
+        for cx, cy in centers:
+            out = out + 800.0 * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s2))
+        return out
+
+    return f
+
+
+def meshgrid_field(fn, cell, n_cols, n_rows, base=0.0):
+    """(n_rows, n_cols) values of `base + fn(xx, yy)` over the cell centers
+    of a grid with origin (0, 0), in one call."""
+    xs = 0.0 + (np.arange(n_cols) + 0.5) * cell
+    ys = 0.0 + (np.arange(n_rows) + 0.5) * cell
+    xx, yy = np.meshgrid(xs, ys)
+    return base + fn(xx, yy)
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def per_feature_write_features(layer, path):
+    """Feature CSV (id,kind,category,wkt), one csv row and one coordinate
+    formatted at a time."""
+    kind_name = "point" if layer.kind == "points" else "polyline"
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["id", "kind", "category", "wkt"])
+        for i in range(len(layer.ids)):
+            xy = layer.xy[layer.offsets[i]:layer.offsets[i + 1]]
+            if layer.kind == "points":
+                wkt = f"POINT({_fmt(xy[0, 0])} {_fmt(xy[0, 1])})"
+            else:
+                wkt = "LINESTRING(" + ", ".join(f"{_fmt(px)} {_fmt(py)}" for px, py in xy) + ")"
+            writer.writerow([str(layer.ids[i]), kind_name, str(layer.categories[i]), wkt])
+
+
+def per_cell_write_categorical(grid, path):
+    """ESRI ASCII grid of category codes, top row first, `str` per cell."""
+    out = [f"ncols {grid.n_cols}", f"nrows {grid.n_rows}",
+           f"xllcorner {_fmt(grid.origin_x)}", f"yllcorner {_fmt(grid.origin_y)}",
+           f"cellsize {_fmt(grid.cell_size)}", f"NODATA_value {grid.nodata}"]
+    for r in range(grid.n_rows - 1, -1, -1):
+        out.append(" ".join(str(int(v)) for v in grid.values[r]))
+    with open(path, "w") as f:
+        f.write("\n".join(out) + "\n")
+
+
+def per_value_sites_and_daily(sites, excluded, year, daily_noise_sd, rng):
+    """Text of sites.csv and daily.csv: one formatted value per row, every
+    daily value of a noisy series shifted to the annual mean and clipped
+    at zero. `rng` is the scenario's daily stream."""
+    rows = ["site_id,x,y,province,city"]
+    for i, sid in enumerate(sites.site_ids):
+        rows.append(f"{sid},{_fmt(sites.x[i])},{_fmt(sites.y[i])},"
+                    f"{sites.province[i]},{sites.city[i]}")
+    for sid, (x, y, prov, cty, _, _) in sorted(excluded.items()):
+        rows.append(f"{sid},{_fmt(x)},{_fmt(y)},{prov},{cty}")
+    n_days = int(sites.n_calendar_days[0])
+    dates = [(dt.date(year, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(n_days)]
+    daily = ["site_id,date,value"]
+    for i, sid in enumerate(sites.site_ids):
+        annual = sites.annual_mean[i]
+        if daily_noise_sd > 0:
+            vals = np.maximum(annual + daily_noise_sd * rng.standard_normal(n_days), 0.0)
+            vals = np.maximum(vals - vals.mean() + annual, 0.0)
+        else:
+            vals = np.full(n_days, annual)
+        for d, date in enumerate(dates):
+            daily.append(f"{sid},{date},{_fmt(vals[d])}")
+    for sid, (_, _, _, _, value, keep_days) in sorted(excluded.items()):
+        for date in dates[:keep_days]:
+            daily.append(f"{sid},{date},{_fmt(value)}")
+    return "\n".join(rows) + "\n", "\n".join(daily) + "\n"
 
 
 # -- regression --------------------------------------------------------------

@@ -246,6 +246,39 @@ def test_unknown_config_keys_rejected(tmp_path, section, key):
         PipelineConfig.from_json(config_path)
 
 
+_LATTICE = {"origin_x": 0.0, "origin_y": 0.0, "cell_size": 1000.0, "n_cols": 4, "n_rows": 3}
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("with_variance", "false", "config with_variance"),  # bool("false") is True
+    ("cv", {"k": 7.9}, "config cv.k"),                   # int() would run 7 folds
+    ("cv", {"k": True}, "config cv.k"),                  # ... and 1 fold here
+    ("thresholds", "25", "config thresholds"),           # tuple() gives ('2', '5')
+    ("thresholds", [10.0, "15"], "config thresholds"),
+    ("seed", 1.7, "config seed"),
+    ("year", "2015.5", "config year"),
+    ("year", 2015.0, "config year"),
+    ("prediction", {**_LATTICE, "n_col": 4}, "config prediction"),
+    ("prediction", {k: v for k, v in _LATTICE.items() if k != "n_rows"}, "config prediction"),
+    ("prediction", {**_LATTICE, "cell_size": 0.0}, "config prediction"),
+    ("prediction", {**_LATTICE, "n_cols": 2.5}, "config prediction"),
+    ("prediction", {**_LATTICE, "n_rows": 0}, "config prediction"),
+    ("prediction", {**_LATTICE, "origin_x": "0"}, "config prediction"),
+    ("prediction", [0.0, 0.0, 1000.0, 4, 3], "config prediction"),
+])
+def test_config_values_checked(tmp_path, key, value, named):
+    config = {"pollutant": "no2", "year": 2015, "prediction": _LATTICE,
+              "monitors": {"daily": "daily.csv", "sites": "sites.csv"},
+              "covariates": "covariates.json"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    cfg = PipelineConfig.from_json(path)
+    assert (cfg.year, cfg.seed, cfg.cv_k, cfg.with_variance) == (2015, 0, 10, False)
+    path.write_text(json.dumps({**config, key: value}))
+    with pytest.raises(InvalidArgumentError, match=named):
+        PipelineConfig.from_json(path)
+
+
 def test_code_change_recomputes_every_stage(tmp_path, monkeypatch):
     config_path, _ = write(tmp_path, scenario(seed=14))
     log_path = tmp_path / "scn" / "run" / "run.log"
