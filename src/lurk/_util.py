@@ -1,10 +1,12 @@
-"""Shared helpers: hashing, seed derivation, float formatting, JSON output,
-config key and value checks."""
+"""Shared helpers: hashing, seed derivation, float formatting, the artifact
+file codec (atomic writes, CSV tables, JSON), config key and value checks."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -42,18 +44,59 @@ def stage_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def dump_json(obj, path) -> str:
-    """Write canonical (sorted-key) JSON; returns the text written.
-
-    The text goes to `<path>.tmp` first, which then replaces `path`, so a
-    write that fails or is killed halfway leaves the previous file whole.
-    """
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def write_atomic(path, text: str) -> None:
+    """Write `text` (newlines as given) to `<path>.tmp`, then move it onto
+    `path`: a write that fails or is killed halfway leaves the previous file
+    whole, and a failed one leaves no temporary file behind."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def dump_json(obj, path) -> str:
+    """Write canonical (sorted-key) JSON atomically; returns the text written."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    write_atomic(path, text)
     return text
+
+
+def write_table(path, header, columns) -> None:
+    """Write a CSV table atomically: the `header` row, then one row per
+    position of the equal-length `columns`. Arrays are written through
+    `tolist()`, so a float is the `repr` that `fmt_float` gives, an int its
+    digits and None an empty field; a field holding the delimiter, a quote
+    or a newline is quoted by the csv module's rules."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    write_atomic(path, text.getvalue())
+
+
+def read_table(path, text) -> tuple[dict, list[str], np.ndarray]:
+    """The `text` columns of a CSV table by name (tuples of str), the names
+    of its other columns, and those parsed as one float64 (rows, columns)
+    array. Quoted fields follow the csv module: a doubled quote inside
+    quotes is one quote, and a quoted field may hold a comma or a newline."""
+    with open(path, newline="") as f:
+        header = next(csv.reader(f), [])
+        body = f.read()
+    numeric = [j for j, name in enumerate(header) if name not in text]
+
+    def parse(usecols, dtype):
+        if not body.strip():
+            return np.empty((0, len(usecols)), dtype)
+        return np.loadtxt(io.StringIO(body), dtype, comments=None, delimiter=",",
+                          quotechar='"', usecols=usecols, ndmin=2)
+
+    strings = parse([header.index(name) for name in text], str)
+    return ({name: tuple(strings[:, i].tolist()) for i, name in enumerate(text)},
+            [header[j] for j in numeric], parse(numeric, np.float64))
 
 
 def plain(obj) -> dict:

@@ -16,7 +16,6 @@ monitor responses.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .errors import (
     NodataError,
     NoFeaturesError,
 )
-from ._util import fmt_float
+from ._util import read_table, write_atomic, write_table
 
 KINDS = (
     "point_count",
@@ -147,23 +146,12 @@ class CovariateMatrix:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["site_id", *self.columns])
-            for sid, row in zip(self.site_ids, self.values):
-                writer.writerow([sid, *[fmt_float(v) for v in row]])
+        write_table(path, ["site_id", *self.columns], [self.site_ids, *self.values.T])
 
     @classmethod
     def from_csv(cls, path) -> "CovariateMatrix":
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            columns = header[1:]
-            site_ids, rows = [], []
-            for rec in reader:
-                site_ids.append(rec[0])
-                rows.append([float(v) for v in rec[1:]])
-        return cls.from_values(site_ids, columns, np.array(rows))
+        text, columns, values = read_table(path, ("site_id",))
+        return cls.from_values(text["site_id"], columns, values)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +344,7 @@ def _lookup(table: dict, key: str, what: str):
 # ---------------------------------------------------------------------------
 
 def write_specs(specs, path) -> None:
-    Path(path).write_text(json.dumps([s.to_dict() for s in specs], indent=2) + "\n")
+    write_atomic(path, json.dumps([s.to_dict() for s in specs], indent=2) + "\n")
 
 
 def read_specs(path) -> list[CovariateSpec]:

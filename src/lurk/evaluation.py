@@ -8,7 +8,6 @@ only, so nothing about the held-out sites can leak into the fold model.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ from .covariates import CovariateMatrix
 from .errors import FoldError, InvalidArgumentError, ZeroVarianceError
 from .monitors import MonitorTable
 from .recipes import ModelRecipe, fit_recipe
-from ._util import fmt_float, stage_seed
+from ._util import stage_seed, write_table
 
 log = logging.getLogger(__name__)
 
@@ -102,12 +101,9 @@ class CvResult:
     per_fold: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["site_id", "fold", "observed", "predicted", "nn_distance_m"])
-            for i, sid in enumerate(self.site_ids):
-                w.writerow([sid, self.fold_labels[i], fmt_float(self.observed[i]),
-                            fmt_float(self.predicted[i]), fmt_float(self.nn_distance_m[i])])
+        write_table(path, ["site_id", "fold", "observed", "predicted", "nn_distance_m"],
+                    [self.site_ids, self.fold_labels, self.observed, self.predicted,
+                     self.nn_distance_m])
 
     def summary(self) -> dict:
         return {
@@ -177,16 +173,15 @@ def run_cv(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
 
 @dataclass
 class MonteCarloResult:
-    rows: list  # dicts: n, iteration, fitting_r2, holdout_r2, holdout_kind, ...
+    rows: list  # dicts: n, iteration, fitting_r2, holdout_r2, holdout_kind[, kfold_r2, logo_r2]
     n_grid: tuple[int, ...]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["n", "iteration", "fitting_r2", "holdout_r2"])
-            for r in self.rows:
-                w.writerow([r["n"], r["iteration"], fmt_float(r["fitting_r2"]),
-                            fmt_float(r["holdout_r2"])])
+        """One line per row; `holdout_r2` holds a squared error where
+        `holdout_kind` is "sq_err", and a missing `logo_r2` is empty."""
+        header = ["n", "iteration", "fitting_r2", "holdout_r2", "holdout_kind"]
+        header += [k for k in ("kfold_r2", "logo_r2") if self.rows and k in self.rows[0]]
+        write_table(path, header, [[r[k] for r in self.rows] for k in header])
 
     def summary(self) -> dict:
         """Median and interquartile range per training size."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .geodata import RasterGrid
 from .errors import InvalidArgumentError
 from .recipes import FittedModel
-from ._util import fmt_float
+from ._util import write_table
 
 # WHO annual guideline/interim-target levels plus the 35 ug/m3 national
 # standard and the 40 ug/m3 NO2 guideline.
@@ -32,11 +31,7 @@ class ExposureCurve:
     pop_weighted_mean: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["threshold", "fraction_above"])
-            for t, frac in zip(self.thresholds, self.fraction_above):
-                w.writerow([fmt_float(t), fmt_float(frac)])
+        write_table(path, ["threshold", "fraction_above"], [self.thresholds, self.fraction_above])
 
     def summary(self) -> dict:
         return {

@@ -30,7 +30,7 @@ from .errors import (
     NodataError,
     OutOfDomainError,
 )
-from ._util import fmt_float
+from ._util import fmt_float, write_atomic, write_table
 
 DEFAULT_NODATA = -9999.0
 
@@ -238,7 +238,7 @@ def _write_ascii_grid(grid, path, nodata: str, cell) -> None:
         f"NODATA_value {nodata}",
     ]
     out += [" ".join(map(cell, row.tolist())) for row in grid.values[::-1]]
-    Path(path).write_text("\n".join(out) + "\n")
+    write_atomic(path, "\n".join(out) + "\n")
 
 
 def write_raster(grid: RasterGrid, path) -> None:
@@ -475,8 +475,5 @@ def write_features(layer: FeatureLayer, path) -> None:
     tag, kind_name = ("POINT", "point") if layer.kind == POINTS else ("LINESTRING", "polyline")
     ends = layer.offsets.tolist()
     wkts = (f"{tag}({', '.join(pairs[i:j])})" for i, j in zip(ends, ends[1:]))
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "kind", "category", "wkt"])
-        writer.writerows(zip(layer.ids.tolist(), repeat(kind_name), layer.categories.tolist(),
-                             wkts))
+    write_table(path, ["id", "kind", "category", "wkt"],
+                [layer.ids, repeat(kind_name), layer.categories, wkts])

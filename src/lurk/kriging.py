@@ -27,7 +27,7 @@ from .errors import (
 )
 from .lur import _RANK_TOL, LinearModel
 from .monitors import MonitorTable
-from ._util import check_finite_fields, plain
+from ._util import check_finite_fields
 
 log = logging.getLogger(__name__)
 
@@ -177,28 +177,27 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
     return VariogramModel(float(c0), float(c1), float(a) if c1 > 0 else max_lag)
 
 
+@dataclass(eq=False)
 class KrigingModel:
-    """Residual variogram + training sites and their drift rows.
-
-    The covariance C is Cholesky-factored once at construction, C = L L',
-    and the whitened drift L^-1 F is QR-factored; the factors and dual
-    weights are immutable afterwards, so prediction is a pure read-only
-    operation safe for parallel fan-out over grid cells.
+    """Residual variogram + training sites and their drift rows; the fields
+    are the JSON form (`plain`). Construction factors C = L L' by Cholesky
+    and QR-factors the whitened drift L^-1 F, or raises SingularKrigingError;
+    the factors and dual weights never change afterwards, so prediction is
+    a pure read-only operation safe for parallel fan-out over grid cells.
     """
 
-    def __init__(self, variogram: VariogramModel, coords: np.ndarray,
-                 x_rows: np.ndarray, y: np.ndarray):
-        self.variogram = variogram
-        self.coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
-        self.x_rows = np.ascontiguousarray(np.asarray(x_rows, dtype=np.float64))
-        self.y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
+    variogram: VariogramModel
+    coords: np.ndarray
+    x_rows: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        # A model read back from JSON holds lists.
+        for name in ("coords", "x_rows", "y"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
         n = len(self.y)
         if self.coords.shape != (n, 2) or self.x_rows.shape[0] != n:
             raise InvalidArgumentError("training arrays have inconsistent shapes")
-        self._assemble()
-
-    def _assemble(self):
-        n = len(self.y)
         p = self.x_rows.shape[1]
         # Keep the system nonsingular when the fitted variogram collapses
         # to zero (flat residuals): with a pure-nugget covariance the
@@ -304,15 +303,6 @@ class KrigingModel:
                 var[s:e] = np.maximum(sill - np.einsum("ij,ij->j", v, v)
                                       + np.einsum("ij,ij->j", u, u), 0.0)
         return mean, var
-
-    def to_dict(self) -> dict:
-        """The variogram and the training data; the factors are rebuilt."""
-        training = {k: getattr(self, k).tolist() for k in ("coords", "x_rows", "y")}
-        return {"variogram": plain(self.variogram), "training": training}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KrigingModel":
-        return cls(VariogramModel(**d["variogram"]), **d["training"])
 
 
 def uk_fit(drift: LinearModel, sites: MonitorTable, matrix: CovariateMatrix,

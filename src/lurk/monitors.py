@@ -9,12 +9,12 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from ._util import fmt_float
+from ._util import read_table, write_table
 
 DEFAULT_MIN_COMPLETENESS = 0.75
 
@@ -36,8 +36,10 @@ class MonitorTable:
         n = len(self.site_ids)
         if len(set(self.site_ids)) != n:
             raise InvalidArgumentError("site_ids must be unique")
+        # Contiguous: BLAS sums a strided column (a view into a table read
+        # from CSV) in another order, which moves the last bits of a fit.
         for name in ("x", "y", "annual_mean"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (n,):
                 raise InvalidArgumentError(f"{name} must have one entry per site")
             if name in ("x", "y") and not np.all(np.isfinite(arr)):
@@ -45,7 +47,7 @@ class MonitorTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("n_valid_days", "n_calendar_days"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -77,31 +79,13 @@ class MonitorTable:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["site_id", "x", "y", "province", "city",
-                        "annual_mean", "n_valid_days", "n_calendar_days"])
-            for i, sid in enumerate(self.site_ids):
-                w.writerow([
-                    sid, fmt_float(self.x[i]), fmt_float(self.y[i]),
-                    self.province[i], self.city[i], fmt_float(self.annual_mean[i]),
-                    int(self.n_valid_days[i]), int(self.n_calendar_days[i]),
-                ])
+        names = [f.name for f in fields(self)]  # the header calls site_ids site_id
+        write_table(path, ["site_id", *names[1:]], [getattr(self, n) for n in names])
 
     @classmethod
     def from_csv(cls, path) -> "MonitorTable":
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
-        return cls(
-            site_ids=tuple(r["site_id"] for r in rows),
-            x=np.array([float(r["x"]) for r in rows]),
-            y=np.array([float(r["y"]) for r in rows]),
-            province=tuple(r["province"] for r in rows),
-            city=tuple(r["city"] for r in rows),
-            annual_mean=np.array([float(r["annual_mean"]) for r in rows]),
-            n_valid_days=np.array([int(r["n_valid_days"]) for r in rows]),
-            n_calendar_days=np.array([int(r["n_calendar_days"]) for r in rows]),
-        )
+        text, names, values = read_table(path, ("site_id", "province", "city"))
+        return cls(site_ids=text.pop("site_id"), **text, **dict(zip(names, values.T)))
 
 
 @dataclass(frozen=True)

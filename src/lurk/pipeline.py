@@ -9,7 +9,6 @@ cached artifact. Stage timings go to a line-delimited log.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import logging
@@ -25,7 +24,7 @@ from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
 from ._util import (check_keys, checked, dump_json, is_finite_number, is_int, sha256_bytes,
-                    sha256_file, stage_seed)
+                    sha256_file, stage_seed, write_table)
 
 log = logging.getLogger(__name__)
 
@@ -300,12 +299,13 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
         ["model.json"], do_fit,
     )
     report.stages["fit"] = entry
-    fitted = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
-    report.metrics["selected"] = list(fitted.trend.selected)
-    report.metrics["trend_r2"] = fitted.trend.r2
-    report.metrics["trend_adj_r2"] = fitted.trend.adj_r2
-    if fitted.kriging is not None:
-        report.metrics["variogram"] = asdict(fitted.kriging.variogram)
+    # The report reads the model's JSON; only the predict stage rebuilds it.
+    model = json.loads((out / "model.json").read_text())
+    report.metrics["selected"] = model["trend"]["selected"]
+    report.metrics["trend_r2"] = model["trend"]["r2"]
+    report.metrics["trend_adj_r2"] = model["trend"]["adj_r2"]
+    if model["kriging"] is not None:
+        report.metrics["variogram"] = model["kriging"]["variogram"]
     yield "fit"
 
     # -- cv -------------------------------------------------------------
@@ -340,12 +340,13 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
     if cfg.prediction is not None:
         model_hash = report.stages["fit"]["outputs"]["model.json"]
         pred_outputs = ["prediction.asc"]
-        if cfg.with_variance and fitted.kriging is not None:
+        if cfg.with_variance and cfg.recipe.kriging:
             pred_outputs.append("prediction_variance.asc")
 
         def do_predict():
             # No variance grid of an earlier run outlives its manifest entry.
             (out / "prediction_variance.asc").unlink(missing_ok=True)
+            fitted = FittedModel.from_dict(model)
             layers, grids, categorical = geo_inputs()
             lat = cfg.prediction
             lattice = geodata.RasterGrid.filled(
@@ -445,11 +446,7 @@ def compare_models(reports: list[dict]) -> list[dict]:
 
 
 def comparison_to_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=COMPARE_COLUMNS)
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+    write_table(path, COMPARE_COLUMNS, [[r[c] for r in rows] for c in COMPARE_COLUMNS])
 
 
 def format_comparison(rows: list[dict]) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .covariates import CovariateMatrix
 from .errors import InvalidArgumentError
-from .kriging import KrigingModel, uk_fit
+from .kriging import KrigingModel, VariogramModel, uk_fit
 from .lur import (
     LinearModel,
     PlsModel,
@@ -111,20 +111,18 @@ class FittedModel:
                                          with_variance=with_variance)
 
     def to_dict(self) -> dict:
-        return {
-            "recipe": plain(self.recipe),
-            "trend": plain(self.trend),
-            "pls": plain(self.pls) if self.pls is not None else None,
-            "kriging": self.kriging.to_dict() if self.kriging is not None else None,
-        }
+        return plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
+        kriging = d.get("kriging")
+        if kriging:
+            kriging = KrigingModel(**{**kriging, "variogram": VariogramModel(**kriging["variogram"])})
         return cls(
             recipe=ModelRecipe.from_dict(d["recipe"]),
             trend=LinearModel(**d["trend"]),
             pls=PlsModel(**d["pls"]) if d.get("pls") else None,
-            kriging=KrigingModel.from_dict(d["kriging"]) if d.get("kriging") else None,
+            kriging=kriging or None,
         )
 
 

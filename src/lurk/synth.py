@@ -22,7 +22,7 @@ from . import covariates as cov
 from . import geodata
 from .errors import ScenarioError
 from .monitors import MonitorTable
-from ._util import dump_json, stage_seed
+from ._util import dump_json, stage_seed, write_atomic
 
 N_LANDCOVER_CLASSES = 8
 FIELD_BLOCK = 1 << 17  # cells per block of a field evaluation
@@ -429,7 +429,7 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
             *((sid, *v[:4]) for sid, v in sorted(data.excluded_sites.items()))]
     sites_rows = ["site_id,x,y,province,city"]
     sites_rows += (f"{sid},{x!r},{y!r},{prov},{cty}" for sid, x, y, prov, cty in rows)
-    (inputs / "sites.csv").write_text("\n".join(sites_rows) + "\n")
+    write_atomic(inputs / "sites.csv", "\n".join(sites_rows) + "\n")
 
     rng = np.random.default_rng(stage_seed(sc.seed, "daily"))
     start = dt.date(sc.year, 1, 1)
@@ -450,7 +450,7 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
         daily_rows += (f"{sid},{date},{text}" for date, text in zip(dates, texts))
     for sid, (_, _, _, _, value, keep_days) in sorted(data.excluded_sites.items()):
         daily_rows += (f"{sid},{date},{value!r}" for date in dates[:keep_days])
-    (inputs / "daily.csv").write_text("\n".join(daily_rows) + "\n")
+    write_atomic(inputs / "daily.csv", "\n".join(daily_rows) + "\n")
 
     for name, layer in data.layers.items():
         geodata.write_features(layer, inputs / "layers" / f"{name}.csv")

@@ -1,0 +1,147 @@
+"""The artifact file codec: atomic writes, CSV tables that keep quoted text
+and every float bit, and the rule that nothing else in the package writes
+a file."""
+
+import ast
+import errno
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lurk
+from lurk import geodata
+from lurk.covariates import CovariateMatrix
+from lurk.evaluation import CvResult
+from lurk.monitors import MonitorTable
+from lurk._util import dump_json, read_table
+
+TESTS = Path(__file__).resolve().parent
+
+
+def monitor_table(site_ids, rng, province=None, city=None):
+    n = len(site_ids)
+    return MonitorTable(
+        site_ids=tuple(site_ids), x=rng.uniform(0, 1e6, n), y=rng.uniform(0, 1e6, n),
+        province=tuple(province or ["p"] * n), city=tuple(city or ["c"] * n),
+        annual_mean=rng.lognormal(2.0, 1.0, n),
+        n_valid_days=rng.integers(274, 366, n), n_calendar_days=np.full(n, 365),
+    )
+
+
+# -- atomic writes ---------------------------------------------------------------
+
+def artifact(kind, seed):
+    """A table, grid or JSON object of a few kilobytes; each seed differs."""
+    rng = np.random.default_rng(seed)
+    if kind == "table":
+        return monitor_table([f"s{i}" for i in range(40)], rng)
+    if kind == "grid":
+        return geodata.RasterGrid(0.0, 0.0, 100.0, 20, 20, rng.normal(size=(20, 20)))
+    return {"values": rng.normal(size=200).tolist()}
+
+
+WRITERS = {
+    "table": lambda obj, path: obj.to_csv(path),
+    "grid": geodata.write_raster,
+    "json": dump_json,
+}
+NAMES = {"table": "monitors.csv", "grid": "prediction.asc", "json": "manifest.json"}
+
+# Runs one write in a child process whose file-size limit stops it halfway,
+# as a full disk would; prints the errno of the error the write raised.
+FAILING_WRITE = """
+import resource, signal, sys
+import test_codec as t
+kind, path, limit = sys.argv[1], sys.argv[2], int(sys.argv[3])
+obj = t.artifact(kind, seed=2)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    t.WRITERS[kind](obj, path)
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_a_write_that_fails_halfway_keeps_the_previous_file(tmp_path, kind):
+    path = tmp_path / NAMES[kind]
+    WRITERS[kind](artifact(kind, seed=1), path)
+    before = path.read_bytes()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(Path(lurk.__file__).parents[1]), str(TESTS)]))
+    child = subprocess.run(
+        [sys.executable, "-c", FAILING_WRITE, kind, str(path), str(len(before) // 2)],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert child.stdout.split() == [str(errno.EFBIG)], child.stderr  # it failed halfway
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temporary file left
+
+
+# -- quoted text ---------------------------------------------------------------------
+
+ODD = ['a,b', 'say "hi"', '"both", here', 'plain', ' padded ', 'two\nlines', '']
+
+
+def test_quoted_ids_and_groups_round_trip_every_bit(tmp_path):
+    rng = np.random.default_rng(7)
+    ids = [f"{s}#{i}" for i, s in enumerate(ODD)]
+    provinces = ODD[::-1]
+    table = monitor_table(ids, rng, provinces, [s + ", city" for s in ODD])
+    table.to_csv(tmp_path / "monitors.csv")
+    back = MonitorTable.from_csv(tmp_path / "monitors.csv")
+    for name in ("site_ids", "province", "city"):
+        assert getattr(back, name) == getattr(table, name)
+    for name in ("x", "y", "annual_mean", "n_valid_days", "n_calendar_days"):
+        assert getattr(back, name).tobytes() == getattr(table, name).tobytes(), name
+
+    values = rng.normal(size=(len(ids), 3)) * [1e-300, 1.0, 1e300]
+    values[0] = [-0.0, 5e-324, 0.1]
+    matrix = CovariateMatrix.from_values(ids, ["x,1", 'q"2', "plain"], values)
+    matrix.to_csv(tmp_path / "matrix.csv")
+    back = CovariateMatrix.from_csv(tmp_path / "matrix.csv")
+    assert (back.site_ids, back.columns) == (matrix.site_ids, matrix.columns)
+    assert back.values.tobytes() == matrix.values.tobytes()
+
+    cv = CvResult(scheme="leave_one_group_out", site_ids=tuple(ids),
+                  fold_labels=tuple(provinces), observed=table.annual_mean.copy(),
+                  predicted=rng.normal(size=len(ids)), nn_distance_m=rng.uniform(0, 1e5, len(ids)),
+                  r2_mse=0.0, rmse=0.0)
+    cv.to_csv(tmp_path / "cv_kfold.csv")
+    text, names, columns = read_table(tmp_path / "cv_kfold.csv", ("site_id", "fold"))
+    assert (text["site_id"], text["fold"]) == (cv.site_ids, cv.fold_labels)
+    assert names == ["observed", "predicted", "nn_distance_m"]
+    for j, name in enumerate(names):
+        assert np.ascontiguousarray(columns[:, j]).tobytes() == getattr(cv, name).tobytes()
+
+
+# -- one writer ------------------------------------------------------------------------
+
+WRITE_MODE = re.compile(r"[rwxabt+]*[wax+][rwxabt+]*")
+ALLOWED = [("pipeline.py", "open(self.log_path, 'a')")]  # run.log's line-by-line append
+
+
+def test_only_the_codec_writes_files():
+    """Outside `_util`, no module of the package opens a file for writing,
+    calls `write_text` or `write_bytes`, or makes a csv writer."""
+    found = []
+    for path in sorted(Path(lurk.__file__).parent.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            modes = [a.value for a in [*node.args, *(k.value for k in node.keywords)]
+                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+            if (name in ("write_text", "write_bytes", "writer", "DictWriter")
+                    or name == "open" and any(WRITE_MODE.fullmatch(m) for m in modes)):
+                found.append((path.name, ast.unparse(node)))
+    assert found == ALLOWED

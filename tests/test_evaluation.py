@@ -17,7 +17,7 @@ from lurk.lur import StepwiseConfig, stepwise_select
 from lurk.monitors import MonitorTable
 from lurk.recipes import ModelRecipe
 from lurk.synth import SyntheticScenario, generate_synthetic
-from lurk._util import stage_seed
+from lurk._util import read_table, stage_seed
 
 from scipy.spatial.distance import cdist
 
@@ -253,10 +253,29 @@ def test_monte_carlo_csv(tmp_path):
     path = tmp_path / "mc.csv"
     res.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "n,iteration,fitting_r2,holdout_r2"
+    assert lines[0] == "n,iteration,fitting_r2,holdout_r2,holdout_kind"
     assert len(lines) == 3
     summary = res.summary()
     assert "20" in summary
+
+
+def test_monte_carlo_csv_labels_a_squared_error_and_keeps_cv(tmp_path):
+    # n = n_total - 1 leaves one holdout site, scored as a squared error;
+    # include_cv adds 10-fold and leave-one-province-out R2 to the row
+    data = generate_synthetic(SyntheticScenario(seed=4, n_sites=60, n_clusters=6))
+    n = len(data.sites) - 1
+    res = monte_carlo_curve(ModelRecipe(selection="stepwise"), data.sites, data.matrix,
+                            [n], 1, seed=0, include_cv=True)
+    (row,) = res.rows
+    assert row["holdout_kind"] == "sq_err"
+    path = tmp_path / "mc.csv"
+    res.to_csv(path)
+    text, names, values = read_table(path, ("holdout_kind",))
+    assert names == ["n", "iteration", "fitting_r2", "holdout_r2", "kfold_r2", "logo_r2"]
+    assert text["holdout_kind"] == ("sq_err",)
+    written = dict(zip(names, values[0].tolist()))
+    for key in names:  # bit for bit
+        assert written[key] == row[key], key
 
 
 def test_monte_carlo_seed_derivation_is_stable():

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -21,6 +22,7 @@ from lurk.kriging import (
 from lurk.lur import ols_fit
 from lurk.monitors import MonitorTable
 from lurk.synth import simulate_grf
+from lurk._util import plain
 
 import oracles
 
@@ -407,7 +409,9 @@ def test_variogram_rejects_non_finite_parameters(name, bad):
 def test_kriging_model_json_round_trip():
     sites, matrix, drift, coords, X, y = make_problem(seed=41, nugget=0.2, noise=0.5)
     model = uk_fit(drift, sites, matrix)
-    back = KrigingModel.from_dict(model.to_dict())
+    d = json.loads(json.dumps(plain(model)))
+    assert sorted(d) == ["coords", "variogram", "x_rows", "y"]
+    back = KrigingModel(**{**d, "variogram": VariogramModel(**d["variogram"])})
     pts = np.random.default_rng(5).uniform(0, 100_000, size=(5, 2))
     rows = np.random.default_rng(6).normal(size=(5, 3))
     m1, v1 = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
