@@ -20,7 +20,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
-import json  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from lurk.pipeline import (  # noqa: E402
@@ -30,6 +29,7 @@ from lurk.pipeline import (  # noqa: E402
     format_comparison,
     run,
 )
+from lurk._util import dump_json  # noqa: E402
 from lurk.recipes import ModelRecipe  # noqa: E402
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
 
@@ -67,7 +67,7 @@ def main():
         report = run(cfg).to_dict()
         reports.append(report)
         path = outdir / f"report_{i}_{cfg.recipe.label()}.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        dump_json(report, path)
         print(f"done: {cfg.recipe.label()} -> {path}")
     rows = compare_models(reports)
     print()

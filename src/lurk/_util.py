@@ -78,6 +78,14 @@ def write_table(path, header, columns) -> None:
     write_atomic(path, text.getvalue())
 
 
+def csv_field(text: str) -> str:
+    """`text` as one field of a CSV row, quoted by the rules `write_table`
+    follows."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([text])
+    return out.getvalue()
+
+
 def read_table(path, text) -> tuple[dict, list[str], np.ndarray]:
     """The `text` columns of a CSV table by name (tuples of str), the names
     of its other columns, and those parsed as one float64 (rows, columns)

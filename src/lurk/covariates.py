@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,8 @@ from .errors import (
     NodataError,
     NoFeaturesError,
 )
-from ._util import read_table, write_atomic, write_table
+from ._util import (check_keys, checked, is_finite_number, is_int, read_table, write_atomic,
+                    write_table)
 
 KINDS = (
     "point_count",
@@ -56,6 +57,14 @@ class CovariateSpec:
     buffer_m: float = 0.0
 
     def __post_init__(self):
+        what = f"covariate spec {self.name!r}"
+        checked(f"{what} name", self.name, isinstance(self.name, str), "a string")
+        checked(f"{what} source", self.source, isinstance(self.source, str), "a string")
+        checked(f"{what} category", self.category,
+                self.category is None or is_int(self.category), "an integer")
+        checked(f"{what} buffer_m", self.buffer_m, is_finite_number(self.buffer_m),
+                "a finite number")
+        object.__setattr__(self, "buffer_m", float(self.buffer_m))
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"{self.name}: unknown covariate kind {self.kind!r}")
         if self.kind in _BUFFER_KINDS and self.buffer_m <= 0:
@@ -75,13 +84,10 @@ class CovariateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateSpec":
-        return cls(
-            name=d["name"],
-            kind=d["kind"],
-            source=d.get("source", ""),
-            category=d.get("category"),
-            buffer_m=float(d.get("buffer_m", 0.0)),
-        )
+        """A spec from its JSON form; a key that is not a spec field raises
+        InvalidArgumentError naming the spec."""
+        check_keys(d, [f.name for f in fields(cls)], f"covariate spec {d.get('name')!r}")
+        return cls(**{"name": None, "kind": None, **d})  # a missing one fails its check
 
 
 @dataclass(frozen=True)
@@ -202,6 +208,10 @@ def extract(specs, xs, ys, layers: dict | None = None, grids: dict | None = None
         elif kind == "landcover_fraction":
             grid = _lookup(categorical or {}, source, "categorical grid")
             for j, spec in zip(cols, group):
+                if spec.category not in grid.categories:
+                    raise InvalidArgumentError(
+                        f"{spec.name}: category {spec.category!r} is not among the "
+                        f"categories {list(grid.categories)} of {source!r}")
                 n_valid = grid.window_count(xs, ys, spec.buffer_m)
                 n_cat = grid.window_count(xs, ys, spec.buffer_m, spec.category)
                 ok = valid[:, j] = n_valid > 0
@@ -371,6 +381,4 @@ def rasterize_covariates(specs, lattice: geodata.RasterGrid, layers: dict | None
     xs, ys = lattice.center_meshgrid()
     values, valid = extract(specs, xs, ys, layers, grids, categorical)
     values[~valid] = lattice.nodata
-    shape = (lattice.n_rows, lattice.n_cols)
-    return {spec.name: lattice.with_values(values[:, j].reshape(shape))
-            for j, spec in enumerate(specs)}
+    return {spec.name: lattice.with_values(values[:, j]) for j, spec in enumerate(specs)}

@@ -184,27 +184,23 @@ class MonteCarloResult:
         write_table(path, header, [[r[k] for r in self.rows] for k in header])
 
     def summary(self) -> dict:
-        """Median and interquartile range per training size."""
+        """Median and interquartile range per training size of the fitting and
+        holdout R2 and, when the rows carry them, the k-fold and LOGO R2; a
+        holdout scored as a squared error, or an empty LOGO value, is left out."""
         out = {}
         for n in self.n_grid:
-            fit_vals = [r["fitting_r2"] for r in self.rows if r["n"] == n]
-            hold_vals = [r["holdout_r2"] for r in self.rows
-                         if r["n"] == n and r["holdout_kind"] == "r2"]
-            if not fit_vals:
+            rows = [r for r in self.rows if r["n"] == n]
+            if not rows:
                 continue
-            out[str(n)] = {
-                "n_runs": len(fit_vals),
-                "fitting_r2_median": float(np.median(fit_vals)),
-                "fitting_r2_iqr": _iqr(fit_vals),
-                "holdout_r2_median": float(np.median(hold_vals)) if hold_vals else None,
-                "holdout_r2_iqr": _iqr(hold_vals) if hold_vals else None,
-            }
+            scores = {"fitting_r2": [r["fitting_r2"] for r in rows],
+                      "holdout_r2": [r["holdout_r2"] for r in rows if r["holdout_kind"] == "r2"]}
+            scores.update({k: [r[k] for r in rows if r[k] is not None]
+                           for k in ("kfold_r2", "logo_r2") if k in rows[0]})
+            out[str(n)] = entry = {"n_runs": len(rows)}
+            for k, vals in scores.items():
+                entry[f"{k}_median"] = float(np.median(vals)) if vals else None
+                entry[f"{k}_iqr"] = np.percentile(vals, [25, 75]).tolist() if vals else None
         return out
-
-
-def _iqr(vals) -> list[float]:
-    lo, hi = np.percentile(vals, [25, 75])
-    return [float(lo), float(hi)]
 
 
 def monte_carlo_curve(recipe: ModelRecipe, sites: MonitorTable,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodata import RasterGrid
+from .geodata import RasterGrid, box_sum, summed_area_table
 from .errors import InvalidArgumentError
 from .recipes import FittedModel
 from ._util import write_table
@@ -79,7 +79,7 @@ def predict_grid(fitted: FittedModel, covariate_grids: dict[str, RasterGrid],
     def on_lattice(vals):
         out = np.full(n_cells, lattice.nodata)
         out[idx] = vals
-        return lattice.with_values(out.reshape(lattice.n_rows, lattice.n_cols))
+        return lattice.with_values(out)
 
     return PredictionSurface(
         concentration=on_lattice(mean),
@@ -143,29 +143,11 @@ def window_variance(concentration: RasterGrid, window_cells: int) -> RasterGrid:
     v = np.where(valid, vals - offset, 0.0)
     nr, nc = concentration.n_rows, concentration.n_cols
     half = window_cells // 2
-
-    def sat(arr):
-        s = np.zeros((nr + 1, nc + 1))
-        s[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
-        return s
-
-    s_cnt = sat(valid.astype(np.float64))
-    s_v = sat(v)
-    s_v2 = sat(v * v)
-    rows = np.arange(nr)
-    cols = np.arange(nc)
-    r0 = np.maximum(rows - half, 0)
-    r1 = np.minimum(rows + half, nr - 1)
-    c0 = np.maximum(cols - half, 0)
-    c1 = np.minimum(cols + half, nc - 1)
-
-    def rect(s):
-        return (s[r1 + 1][:, c1 + 1] - s[r0][:, c1 + 1]
-                - s[r1 + 1][:, c0] + s[r0][:, c0])
-
-    cnt = rect(s_cnt)
-    sum1 = rect(s_v)
-    sum2 = rect(s_v2)
+    rows, cols = np.arange(nr)[:, None], np.arange(nc)
+    r0, r1 = np.maximum(rows - half, 0), np.minimum(rows + half + 1, nr)
+    c0, c1 = np.maximum(cols - half, 0), np.minimum(cols + half + 1, nc)
+    cnt, sum1, sum2 = (box_sum(summed_area_table(a, np.float64), r0, r1, c0, c1)
+                       for a in (valid, v, v * v))
     with np.errstate(divide="ignore", invalid="ignore"):
         var = np.where(cnt > 0, np.maximum(sum2 / cnt - (sum1 / cnt) ** 2, 0.0), 0.0)
     out = np.where(valid, var, concentration.nodata)

@@ -2,10 +2,10 @@
 
 All coordinates are projected planar meters. Grids follow the ESRI ASCII
 convention: square cells, lower-left corner origin, and bottom-row-first
-storage, so the center of cell (col c, row r) sits at
-``(origin_x + (c + 0.5) * cell_size, origin_y + (r + 0.5) * cell_size)``
-with row r = 0 at the bottom. Grid files store the top row first; the
-reader flips into the bottom-first layout.
+storage. `Lattice` holds that geometry and its center formula;
+`RasterGrid` (rasters and the prediction lattice) and `CategoricalGrid`
+(land cover) extend it. Grid files store the top row first; the reader
+flips into the bottom-first layout.
 
 Feature layers hold point or polyline geometry as columns (flat vertices
 plus per-feature offsets) behind one kd-tree over the points or segment
@@ -17,7 +17,7 @@ keeps it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -38,21 +38,17 @@ _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_
 
 
 @dataclass(frozen=True)
-class RasterGrid:
-    """Regular planar grid of one real-valued variable.
-
-    ``values`` has shape (n_rows, n_cols) with row 0 the bottom row.
-    Nodata cells carry the ``nodata`` sentinel exactly. Instances are
-    immutable after construction and safe to share across threads.
-    """
+class Lattice:
+    """The geometry of a grid: `n_cols` x `n_rows` square cells of side
+    `cell_size` with lower-left corner (`origin_x`, `origin_y`), row 0 at
+    the bottom. Cell (c, r) is centered at
+    ``origin + (c + 0.5, r + 0.5) * cell_size``."""
 
     origin_x: float
     origin_y: float
     cell_size: float
     n_cols: int
     n_rows: int
-    values: np.ndarray
-    nodata: float = DEFAULT_NODATA
 
     def __post_init__(self):
         if self.n_cols < 1:
@@ -61,26 +57,13 @@ class RasterGrid:
             raise InvalidArgumentError("nrows must be >= 1")
         if self.cell_size <= 0:
             raise InvalidArgumentError("cellsize must be > 0")
-        vals = np.asarray(self.values, dtype=np.float64).reshape(self.n_rows, self.n_cols)
-        if not np.all(np.isfinite(vals)):
-            raise InvalidArgumentError("grid values must be finite (use the nodata sentinel)")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def filled(cls, origin_x, origin_y, cell_size, n_cols, n_rows) -> "RasterGrid":
-        """A grid of zeros, used as a lattice."""
-        return cls(origin_x, origin_y, cell_size, n_cols, n_rows, np.zeros((n_rows, n_cols)))
+    def geometry(self) -> dict:
+        """The five fields by name, as `RasterGrid.filled` and a config's `prediction` take them."""
+        return {f.name: getattr(self, f.name) for f in fields(Lattice)}
 
     def same_lattice(self, other) -> bool:
-        return (
-            self.n_cols == other.n_cols
-            and self.n_rows == other.n_rows
-            and self.origin_x == other.origin_x
-            and self.origin_y == other.origin_y
-            and self.cell_size == other.cell_size
-        )
+        return self.geometry() == other.geometry()
 
     def x_centers(self) -> np.ndarray:
         return self.origin_x + (np.arange(self.n_cols) + 0.5) * self.cell_size
@@ -93,36 +76,70 @@ class RasterGrid:
         xx, yy = np.meshgrid(self.x_centers(), self.y_centers())
         return xx.ravel(), yy.ravel()
 
-    def with_values(self, values: np.ndarray) -> "RasterGrid":
-        return RasterGrid(self.origin_x, self.origin_y, self.cell_size, self.n_cols,
-                          self.n_rows, values, self.nodata)
+    def cell_coords(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """The inverse of the center formula: fractional (column, row) of
+        each point, integral at cell centers."""
+        return ((xs - self.origin_x) / self.cell_size - 0.5,
+                (ys - self.origin_y) / self.cell_size - 0.5)
 
 
 @dataclass(frozen=True)
-class CategoricalGrid:
+class RasterGrid(Lattice):
+    """Regular planar grid of one real-valued variable.
+
+    ``values`` has shape (n_rows, n_cols) with row 0 the bottom row.
+    Nodata cells carry the ``nodata`` sentinel exactly. Instances are
+    immutable after construction and safe to share across threads.
+    """
+
+    values: np.ndarray
+    nodata: float = DEFAULT_NODATA
+
+    def __post_init__(self):
+        super().__post_init__()
+        vals = np.asarray(self.values, dtype=np.float64).reshape(self.n_rows, self.n_cols)
+        if not np.all(np.isfinite(vals)):
+            raise InvalidArgumentError("grid values must be finite (use the nodata sentinel)")
+        vals = np.ascontiguousarray(vals)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def filled(cls, origin_x, origin_y, cell_size, n_cols, n_rows) -> "RasterGrid":
+        """A grid of zeros, used as a lattice."""
+        return cls(origin_x, origin_y, cell_size, n_cols, n_rows, np.zeros((n_rows, n_cols)))
+
+    def with_values(self, values: np.ndarray) -> "RasterGrid":
+        return RasterGrid(**self.geometry(), values=values, nodata=self.nodata)
+
+
+def summed_area_table(values: np.ndarray, dtype) -> np.ndarray:
+    """Table S with S[r, c] the sum of ``values[:r, :c]``, accumulated in
+    `dtype` down the columns first, then along the rows."""
+    table = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=dtype)
+    np.cumsum(np.cumsum(values, axis=0, dtype=dtype), axis=1, out=table[1:, 1:])
+    return table
+
+
+def box_sum(table: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
+    """Sum of the cells in rows [r0, r1) and columns [c0, c1) of the grid
+    behind summed-area `table`; the bounds broadcast against each other."""
+    return table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0]
+
+
+@dataclass(frozen=True)
+class CategoricalGrid(Lattice):
     """Regular grid of small-integer category codes (land cover classes)."""
 
-    origin_x: float
-    origin_y: float
-    cell_size: float
-    n_cols: int
-    n_rows: int
     values: np.ndarray
     categories: tuple[int, ...]
     nodata: int = -9999
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_cols < 1:
-            raise InvalidArgumentError("ncols must be >= 1")
-        if self.n_rows < 1:
-            raise InvalidArgumentError("nrows must be >= 1")
-        if self.cell_size <= 0:
-            raise InvalidArgumentError("cellsize must be > 0")
+        super().__post_init__()
         vals = np.asarray(self.values).astype(np.int32).reshape(self.n_rows, self.n_cols)
-        allowed = set(self.categories) | {self.nodata}
-        present = set(np.unique(vals).tolist())
-        bad = present - allowed
+        bad = set(np.unique(vals).tolist()) - {*self.categories, self.nodata}
         if bad:
             raise InvalidArgumentError(f"grid contains undeclared category codes: {sorted(bad)}")
         vals = np.ascontiguousarray(vals)
@@ -137,8 +154,7 @@ class CategoricalGrid:
         if category not in self._tables:
             mask = self.values != self.nodata if category is None else self.values == category
             dtype = np.int32 if mask.size < 2**31 else np.int64  # no count overflows
-            table = np.zeros((self.n_rows + 1, self.n_cols + 1), dtype=dtype)
-            np.cumsum(np.cumsum(mask, axis=0, dtype=dtype), axis=1, out=table[1:, 1:])
+            table = summed_area_table(mask, dtype)
             table.setflags(write=False)
             self._tables[category] = table
         return self._tables[category]
@@ -149,14 +165,11 @@ class CategoricalGrid:
         # Half-open row and column ranges of the cell centers inside each
         # window; a window holding no center gets an empty range.
         half = window_m / 2.0
-        c0 = np.ceil((xs - half - self.origin_x) / self.cell_size - 0.5)
-        c1 = np.floor((xs + half - self.origin_x) / self.cell_size - 0.5) + 1
-        r0 = np.ceil((ys - half - self.origin_y) / self.cell_size - 0.5)
-        r1 = np.floor((ys + half - self.origin_y) / self.cell_size - 0.5) + 1
+        c0, r0 = map(np.ceil, self.cell_coords(xs - half, ys - half))
+        c1, r1 = (np.floor(u) + 1 for u in self.cell_coords(xs + half, ys + half))
         c0, c1 = (np.clip(c, 0, self.n_cols).astype(np.int64) for c in (c0, c1))
         r0, r1 = (np.clip(r, 0, self.n_rows).astype(np.int64) for r in (r0, r1))
-        sat = self.summed_area(category)
-        return sat[r1, c1] - sat[r0, c1] - sat[r1, c0] + sat[r0, c0]
+        return box_sum(self.summed_area(category), r0, r1, c0, c1)
 
 
 def _parse_header(lines: list[str], path) -> tuple[dict, int]:
@@ -185,17 +198,17 @@ def _parse_header(lines: list[str], path) -> tuple[dict, int]:
     return header, i
 
 
-def _read_ascii_grid(path) -> tuple[dict, np.ndarray]:
+def _read_ascii_grid(path, nodata: float) -> tuple[Lattice, float, np.ndarray]:
+    """The lattice, the nodata value (`nodata` when the header has none)
+    and the bottom-row-first values of an ESRI ASCII grid file."""
     lines = Path(path).read_text().splitlines()
     header, first_data_line = _parse_header(lines, path)
-    n_cols = int(header["ncols"])
-    n_rows = int(header["nrows"])
-    if n_cols < 1:
-        raise GridFormatError(f"{path}: ncols must be >= 1")
-    if n_rows < 1:
-        raise GridFormatError(f"{path}: nrows must be >= 1")
-    if header["cellsize"] <= 0:
-        raise GridFormatError(f"{path}: cellsize must be > 0")
+    try:
+        lattice = Lattice(header["xllcorner"], header["yllcorner"], header["cellsize"],
+                          int(header["ncols"]), int(header["nrows"]))
+    except InvalidArgumentError as e:
+        raise GridFormatError(f"{path}: {e}") from None
+    n_cols, n_rows = lattice.n_cols, lattice.n_rows
     body = lines[first_data_line:]
     try:
         flat = np.loadtxt(body, comments=None, ndmin=1).ravel()
@@ -208,22 +221,13 @@ def _read_ascii_grid(path) -> tuple[dict, np.ndarray]:
     except ValueError:
         raise GridFormatError(f"{path}: non-numeric value in grid body") from None
     # File rows run top-first; flip to bottom-first storage.
-    vals = flat.reshape(n_rows, n_cols)[::-1]
-    return header, vals
+    return lattice, header.get("nodata_value", nodata), flat.reshape(n_rows, n_cols)[::-1]
 
 
 def read_raster(path) -> RasterGrid:
     """Read an ESRI ASCII grid file into a RasterGrid."""
-    header, vals = _read_ascii_grid(path)
-    return RasterGrid(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        cell_size=header["cellsize"],
-        n_cols=int(header["ncols"]),
-        n_rows=int(header["nrows"]),
-        values=vals,
-        nodata=header.get("nodata_value", DEFAULT_NODATA),
-    )
+    lattice, nodata, vals = _read_ascii_grid(path, DEFAULT_NODATA)
+    return RasterGrid(**lattice.geometry(), values=vals, nodata=nodata)
 
 
 def _write_ascii_grid(grid, path, nodata: str, cell) -> None:
@@ -249,20 +253,13 @@ def write_raster(grid: RasterGrid, path) -> None:
 
 def read_categorical(path, categories) -> CategoricalGrid:
     """Read an ESRI ASCII grid of integer category codes."""
-    header, vals = _read_ascii_grid(path)
+    lattice, nodata, vals = _read_ascii_grid(path, -9999)
     ivals = vals.astype(np.int32)
     if not np.array_equal(ivals, vals):
         raise GridFormatError(f"{path}: categorical grid contains non-integer codes")
-    return CategoricalGrid(
-        origin_x=header["xllcorner"],
-        origin_y=header["yllcorner"],
-        cell_size=header["cellsize"],
-        n_cols=int(header["ncols"]),
-        n_rows=int(header["nrows"]),
-        values=ivals,
-        categories=tuple(int(c) for c in categories),
-        nodata=int(header.get("nodata_value", -9999)),
-    )
+    return CategoricalGrid(**lattice.geometry(), values=ivals,
+                           categories=tuple(int(c) for c in categories),
+                           nodata=int(nodata))
 
 
 def write_categorical(grid: CategoricalGrid, path) -> None:
@@ -280,8 +277,7 @@ def bilinear_sample_many(grid: RasterGrid, xs, ys):
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    u = (xs - grid.origin_x) / grid.cell_size - 0.5
-    v = (ys - grid.origin_y) / grid.cell_size - 0.5
+    u, v = grid.cell_coords(xs, ys)
     inside = (u >= 0.0) & (u <= grid.n_cols - 1) & (v >= 0.0) & (v <= grid.n_rows - 1)
     c0 = np.clip(np.floor(u).astype(np.int64), 0, max(grid.n_cols - 2, 0))
     r0 = np.clip(np.floor(v).astype(np.int64), 0, max(grid.n_rows - 2, 0))

@@ -181,11 +181,26 @@ def read_daily_csv(path):
 
 
 def read_sites_csv(path) -> dict:
-    """Read site metadata CSV into {site_id: (x, y, province, city)}."""
-    meta = {}
+    """Read site metadata CSV into {site_id: (x, y, province, city)}. A missing
+    column, a repeated site_id, a short row, or an x or y that is not a
+    number raises InvalidArgumentError naming the file, line and site."""
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            meta[row["site_id"]] = (
-                float(row["x"]), float(row["y"]), row["province"], row["city"],
-            )
+        reader = csv.DictReader(f)
+        missing = [c for c in ("site_id", "x", "y", "province", "city")
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidArgumentError(f"{path}: missing columns {missing}")
+        meta = {}
+        for row in reader:
+            sid = row["site_id"]
+            where = f"{path}: line {reader.line_num}: site {sid!r}"
+            if sid in meta:
+                raise InvalidArgumentError(f"{where} repeats an earlier row")
+            if None in row.values():
+                raise InvalidArgumentError(f"{where}: the row has fewer fields than the header")
+            try:
+                meta[sid] = (float(row["x"]), float(row["y"]), row["province"], row["city"])
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"{where}: x and y must be numbers, got {row['x']!r}, {row['y']!r}") from None
     return meta

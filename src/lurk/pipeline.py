@@ -13,7 +13,7 @@ import functools
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import covariates as cov
@@ -32,7 +32,7 @@ STAGES = ("annualize", "covariates", "fit", "cv", "predict", "exposure")
 CONFIG_KEYS = ("pollutant", "year", "monitors", "covariates", "layers", "grids",
                "categorical_grids", "recipe", "cv", "prediction", "population_grid",
                "thresholds", "seed", "out", "with_variance")
-LATTICE_KEYS = ("origin_x", "origin_y", "cell_size", "n_cols", "n_rows")
+LATTICE_KEYS = tuple(f.name for f in fields(geodata.Lattice))
 
 
 @functools.cache
@@ -76,9 +76,14 @@ class PipelineConfig:
         check_keys(cv, ("k", "logo_group"), "config cv")
         checked("config prediction", lattice, lattice is None or (
             isinstance(lattice, dict) and sorted(lattice) == sorted(LATTICE_KEYS)
-            and all(map(is_finite_number, lattice.values())) and lattice["cell_size"] > 0
-            and all(is_int(lattice[k]) and lattice[k] >= 1 for k in ("n_cols", "n_rows"))),
-            f"null or a lattice of the keys {LATTICE_KEYS} with cell_size > 0, n_cols, n_rows >= 1")
+            and all(map(is_finite_number, lattice.values()))
+            and is_int(lattice["n_cols"]) and is_int(lattice["n_rows"])),
+            f"null or a lattice of the keys {LATTICE_KEYS} with integer n_cols and n_rows")
+        try:
+            if lattice is not None:
+                geodata.Lattice(**lattice)  # the geometry checks
+        except InvalidArgumentError as e:
+            raise InvalidArgumentError(f"config prediction: {e}") from None
         thresholds = d.get("thresholds", DEFAULT_THRESHOLDS)
         checked("config thresholds", thresholds, isinstance(thresholds, (list, tuple))
                 and all(map(is_finite_number, thresholds)), "a list of finite numbers")
@@ -348,11 +353,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
             (out / "prediction_variance.asc").unlink(missing_ok=True)
             fitted = FittedModel.from_dict(model)
             layers, grids, categorical = geo_inputs()
-            lat = cfg.prediction
-            lattice = geodata.RasterGrid.filled(
-                lat["origin_x"], lat["origin_y"], lat["cell_size"],
-                int(lat["n_cols"]), int(lat["n_rows"]),
-            )
+            lattice = geodata.RasterGrid.filled(**cfg.prediction)
             needed = [s for s in specs if s.name in set(fitted.required_columns)]
             missing = set(fitted.required_columns) - {s.name for s in needed}
             if missing:

@@ -22,7 +22,7 @@ from . import covariates as cov
 from . import geodata
 from .errors import ScenarioError
 from .monitors import MonitorTable
-from ._util import dump_json, stage_seed, write_atomic
+from ._util import csv_field, dump_json, stage_seed, write_atomic, write_table
 
 N_LANDCOVER_CLASSES = 8
 FIELD_BLOCK = 1 << 17  # cells per block of a field evaluation
@@ -268,14 +268,14 @@ def _field_grid(fn, cell, n_cols, n_rows, base=0.0) -> geodata.RasterGrid:
     """`base` plus field `fn(xs, ys)` on a grid with origin (0, 0); `fn` takes
     the column centers and a block of row centers and returns those rows.
     Blocks hold about FIELD_BLOCK cells, so no temporary spans the grid."""
-    xs = (np.arange(n_cols) + 0.5) * cell
-    ys = (np.arange(n_rows) + 0.5) * cell
+    lattice = geodata.Lattice(0.0, 0.0, cell, n_cols, n_rows)
+    xs, ys = lattice.x_centers(), lattice.y_centers()
     values = np.empty((n_rows, n_cols))
     step = max(1, FIELD_BLOCK // n_cols)
     for r in range(0, n_rows, step):
         values[r:r + step] = fn(xs, ys[r:r + step])
     values += base
-    return geodata.RasterGrid(0.0, 0.0, cell, n_cols, n_rows, values)
+    return geodata.RasterGrid(**lattice.geometry(), values=values)
 
 
 def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
@@ -343,9 +343,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         categories=tuple(range(1, N_LANDCOVER_CLASSES + 1)),
     )
 
-    pred_cell_x = ex / sc.prediction_cols
-    pred_cell_y = ey / sc.prediction_rows
-    pred_cell = max(pred_cell_x, pred_cell_y)
+    pred_cell = max(ex / sc.prediction_cols, ey / sc.prediction_rows)
     lattice = geodata.RasterGrid.filled(0.0, 0.0, pred_cell,
                                         sc.prediction_cols, sc.prediction_rows)
 
@@ -427,9 +425,7 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
     sites = data.sites
     rows = [*zip(sites.site_ids, sites.x.tolist(), sites.y.tolist(), sites.province, sites.city),
             *((sid, *v[:4]) for sid, v in sorted(data.excluded_sites.items()))]
-    sites_rows = ["site_id,x,y,province,city"]
-    sites_rows += (f"{sid},{x!r},{y!r},{prov},{cty}" for sid, x, y, prov, cty in rows)
-    write_atomic(inputs / "sites.csv", "\n".join(sites_rows) + "\n")
+    write_table(inputs / "sites.csv", ["site_id", "x", "y", "province", "city"], zip(*rows))
 
     rng = np.random.default_rng(stage_seed(sc.seed, "daily"))
     start = dt.date(sc.year, 1, 1)
@@ -437,6 +433,7 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
     dates = [(start + dt.timedelta(days=d)).isoformat() for d in range(n_days)]
     daily_rows = ["site_id,date,value"]
     for sid, annual in zip(sites.site_ids, sites.annual_mean.tolist()):
+        quoted_id = csv_field(sid)
         if sc.daily_noise_sd > 0:
             vals = np.maximum(annual + sc.daily_noise_sd * rng.standard_normal(n_days), 0.0)
             vals = vals - vals.mean() + annual
@@ -447,9 +444,10 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
             texts = map(repr, vals.tolist())
         else:
             texts = repeat(repr(annual))
-        daily_rows += (f"{sid},{date},{text}" for date, text in zip(dates, texts))
+        daily_rows += (f"{quoted_id},{date},{text}" for date, text in zip(dates, texts))
     for sid, (_, _, _, _, value, keep_days) in sorted(data.excluded_sites.items()):
-        daily_rows += (f"{sid},{date},{value!r}" for date in dates[:keep_days])
+        quoted_id = csv_field(sid)
+        daily_rows += (f"{quoted_id},{date},{value!r}" for date in dates[:keep_days])
     write_atomic(inputs / "daily.csv", "\n".join(daily_rows) + "\n")
 
     for name, layer in data.layers.items():
@@ -476,13 +474,7 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
         "covariates": "covariates.json",
         "recipe": recipe or {"selection": "stepwise", "kriging": True},
         "cv": {"k": 10, "logo_group": "province"},
-        "prediction": {
-            "origin_x": data.prediction_lattice.origin_x,
-            "origin_y": data.prediction_lattice.origin_y,
-            "cell_size": data.prediction_lattice.cell_size,
-            "n_cols": data.prediction_lattice.n_cols,
-            "n_rows": data.prediction_lattice.n_rows,
-        },
+        "prediction": data.prediction_lattice.geometry(),
         "population_grid": "inputs/population.asc",
         "seed": sc.seed,
         "out": "run",

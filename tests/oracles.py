@@ -230,9 +230,10 @@ def per_cell_write_categorical(grid, path):
 
 
 def per_value_sites_and_daily(sites, excluded, year, daily_noise_sd, rng):
-    """Text of sites.csv and daily.csv: one formatted value per row, every
-    daily value of a noisy series shifted to the annual mean and clipped
-    at zero. `rng` is the scenario's daily stream."""
+    """Text of sites.csv (CSV line ends, "\\r\\n") and daily.csv: one
+    formatted value per row, every daily value of a noisy series shifted to
+    the annual mean and clipped at zero. `rng` is the scenario's daily
+    stream. Synthetic ids and groups hold no character that needs quoting."""
     rows = ["site_id,x,y,province,city"]
     for i, sid in enumerate(sites.site_ids):
         rows.append(f"{sid},{_fmt(sites.x[i])},{_fmt(sites.y[i])},"
@@ -254,7 +255,7 @@ def per_value_sites_and_daily(sites, excluded, year, daily_noise_sd, rng):
     for sid, (_, _, _, _, value, keep_days) in sorted(excluded.items()):
         for date in dates[:keep_days]:
             daily.append(f"{sid},{date},{_fmt(value)}")
-    return "\n".join(rows) + "\n", "\n".join(daily) + "\n"
+    return "\r\n".join(rows) + "\r\n", "\n".join(daily) + "\n"
 
 
 # -- regression --------------------------------------------------------------

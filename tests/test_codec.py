@@ -128,10 +128,13 @@ ALLOWED = [("pipeline.py", "open(self.log_path, 'a')")]  # run.log's line-by-lin
 
 
 def test_only_the_codec_writes_files():
-    """Outside `_util`, no module of the package opens a file for writing,
-    calls `write_text` or `write_bytes`, or makes a csv writer."""
+    """Outside `_util`, no module of the package and no script in `scripts/`
+    opens a file for writing, calls `write_text` or `write_bytes`, or makes a
+    csv writer."""
     found = []
-    for path in sorted(Path(lurk.__file__).parent.glob("*.py")):
+    scripts = sorted((TESTS.parent / "scripts").glob("*.py"))
+    assert scripts
+    for path in [*sorted(Path(lurk.__file__).parent.glob("*.py")), *scripts]:
         if path.name == "_util.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):

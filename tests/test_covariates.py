@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,6 +392,35 @@ def test_spec_validation():
         cov.CovariateSpec("bad", "landcover_fraction", "lc", buffer_m=100.0)
     with pytest.raises(InvalidArgumentError):
         cov.CovariateSpec("bad", "no_such_kind")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"category": "1"}, "covariate spec 'lc1' category must be an integer, got '1'"),
+    ({"category": 1.5}, "covariate spec 'lc1' category must be an integer, got 1.5"),
+    ({"category": True}, "covariate spec 'lc1' category must be an integer, got True"),
+    ({"category": 9}, "lc1: category 9 is not among the categories [1, 2] of 'lc'"),
+    ({"buffer_m": True}, "covariate spec 'lc1' buffer_m must be a finite number, got True"),
+    ({"buffer_m": "500"}, "covariate spec 'lc1' buffer_m must be a finite number"),
+    ({"buffer_m": float("inf")}, "covariate spec 'lc1' buffer_m must be a finite number"),
+    ({"bufer_m": 50.0}, "unknown covariate spec 'lc1' keys: ['bufer_m']"),
+    ({"source": 3}, "covariate spec 'lc1' source must be a string, got 3"),
+    ({"name": 7}, "covariate spec 7 name must be a string, got 7"),
+])
+def test_spec_values_checked_not_coerced(tmp_path, change, message):
+    # Each of these once gave a valid column of zeros, a 1 m buffer, or a
+    # silently ignored key.
+    spec = {"name": "lc1", "kind": "landcover_fraction", "source": "lc", "category": 1,
+            "buffer_m": 2000.0}
+    grid = lc_grid([[1, 2], [2, 1]], categories=(1, 2))
+    path = tmp_path / "covariates.json"
+
+    def fraction(d):
+        path.write_text(json.dumps([d]))
+        return cov.extract(cov.read_specs(path), [1000.0], [1000.0], categorical={"lc": grid})
+
+    assert [a.tolist() for a in fraction(spec)] == [[[0.5]], [[True]]]
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        fraction({**spec, **change})
 
 
 # -- rasterized covariates match per-site extraction ------------------------------

@@ -5,6 +5,7 @@ from lurk.covariates import CovariateMatrix
 from lurk.errors import FoldError, InvalidArgumentError, ZeroVarianceError
 from lurk.evaluation import (
     CvPlan,
+    MonteCarloResult,
     kfold_plan,
     logo_plan,
     monte_carlo_curve,
@@ -276,6 +277,28 @@ def test_monte_carlo_csv_labels_a_squared_error_and_keeps_cv(tmp_path):
     written = dict(zip(names, values[0].tolist()))
     for key in names:  # bit for bit
         assert written[key] == row[key], key
+
+
+def test_monte_carlo_summary_reports_cv_scores():
+    rows = [{"n": 20, "iteration": i, "fitting_r2": 0.9, "holdout_r2": 0.8,
+             "holdout_kind": "r2", "kfold_r2": kfold, "logo_r2": logo}
+            for i, (kfold, logo) in enumerate([(0.1, 0.5), (0.2, None), (0.3, 0.7),
+                                               (0.4, None), (0.5, 0.9)])]
+    rows.append({"n": 30, "iteration": 0, "fitting_r2": 0.9, "holdout_r2": 0.8,
+                 "holdout_kind": "r2", "kfold_r2": 0.6, "logo_r2": None})
+    summary = MonteCarloResult(rows=rows, n_grid=(20, 30)).summary()
+    assert summary["20"]["n_runs"] == 5
+    assert summary["20"]["kfold_r2_median"] == 0.3
+    assert summary["20"]["kfold_r2_iqr"] == pytest.approx([0.2, 0.4])
+    assert summary["20"]["logo_r2_median"] == 0.7  # the empty values left out
+    assert summary["20"]["logo_r2_iqr"] == pytest.approx([0.6, 0.8])
+    assert summary["20"]["holdout_r2_median"] == 0.8
+    assert (summary["30"]["logo_r2_median"], summary["30"]["logo_r2_iqr"]) == (None, None)
+    without_cv = [{k: v for k, v in r.items() if k not in ("kfold_r2", "logo_r2")}
+                  for r in rows]
+    assert set(MonteCarloResult(rows=without_cv, n_grid=(20,)).summary()["20"]) == {
+        "n_runs", "fitting_r2_median", "fitting_r2_iqr", "holdout_r2_median",
+        "holdout_r2_iqr"}
 
 
 def test_monte_carlo_seed_derivation_is_stable():

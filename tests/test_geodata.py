@@ -117,6 +117,38 @@ def test_categorical_rejects_undeclared_code():
         geodata.CategoricalGrid(0, 0, 1.0, 2, 1, [[1, 9]], categories=(1, 2))
 
 
+# -- the lattice geometry --------------------------------------------------------
+
+def test_lattice_centers_and_cell_coords_invert_each_other():
+    lat = geodata.Lattice(-250.0, 1_000.0, 125.0, 7, 4)
+    u, v = lat.cell_coords(*lat.center_meshgrid())
+    cols, rows = np.meshgrid(np.arange(7), np.arange(4))
+    assert np.allclose(u, cols.ravel(), atol=1e-12) and np.allclose(v, rows.ravel(), atol=1e-12)
+    raster = geodata.RasterGrid.filled(**lat.geometry())
+    land = geodata.CategoricalGrid(**lat.geometry(), values=np.ones((4, 7)), categories=(1,))
+    assert raster.same_lattice(land) and land.same_lattice(lat)
+    assert not raster.same_lattice(geodata.Lattice(-250.0, 1_000.0, 125.0, 7, 5))
+
+
+@pytest.mark.parametrize("geometry, message", [
+    ((0.0, 0.0, 1.0, 0, 2), "ncols must be >= 1"),
+    ((0.0, 0.0, 1.0, 2, 0), "nrows must be >= 1"),
+    ((0.0, 0.0, -1.0, 2, 2), "cellsize must be > 0"),
+])
+def test_lattice_checks_hold_for_every_grid_and_the_reader(tmp_path, geometry, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        geodata.RasterGrid(*geometry, np.zeros(4))
+    with pytest.raises(InvalidArgumentError, match=message):
+        geodata.CategoricalGrid(*geometry, np.ones(4), (1,))
+    x, y, cell, n_cols, n_rows = geometry
+    path = tmp_path / "bad.asc"
+    path.write_text(f"ncols {n_cols}\nnrows {n_rows}\nxllcorner {x}\nyllcorner {y}\n"
+                    f"cellsize {cell}\n1 1 1 1\n")
+    for read in (geodata.read_raster, lambda p: geodata.read_categorical(p, (1,))):
+        with pytest.raises(GridFormatError, match=f"{path}: {message}"):
+            read(path)
+
+
 # -- bilinear sampling ---------------------------------------------------------
 
 def test_bilinear_midpoint_single_hot_corner():

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,22 @@ def test_daily_and_sites_csv_readers(tmp_path):
     sites = tmp_path / "sites.csv"
     sites.write_text("site_id,x,y,province,city\na,1.0,2.0,p,c\n")
     assert read_sites_csv(sites) == {"a": (1.0, 2.0, "p", "c")}
+
+
+@pytest.mark.parametrize("text, named", [
+    # a repeated site would silently replace the earlier row
+    ("site_id,x,y,province,city\na,0,0,p,c\nb,1,1,p,c\na,500,500,p,c\n",
+     "line 4: site 'a' repeats"),
+    ("site_id,x,province,city\na,0,p,c\n", "missing columns ['y']"),
+    ("site_id,x,y,province,city\na,0,0,p,c\nb,east,0,p,c\n", "line 3: site 'b'"),
+    ("site_id,x,y,province,city\na,0,0,p\n", "line 2: site 'a'"),
+])
+def test_malformed_sites_csv_rejected(tmp_path, text, named):
+    path = tmp_path / "sites.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidArgumentError, match=re.escape(named)) as err:
+        read_sites_csv(path)
+    assert str(path) in str(err.value)
 
 
 def test_subset_and_groups():

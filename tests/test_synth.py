@@ -112,6 +112,32 @@ def test_write_scenario_round_trips_through_annualize(tmp_path):
     assert excluded_ids == set(data.excluded_sites)
 
 
+def test_written_sites_keep_commas_and_quotes(tmp_path):
+    # Unquoted, province "North, prov04" would read back as province "North"
+    # and city " prov04", and the leave-one-province-out groups would change.
+    from dataclasses import replace
+
+    from lurk.monitors import annualize, read_daily_csv, read_sites_csv
+
+    sc = SyntheticScenario(seed=7, n_sites=6, n_clusters=2, n_excluded_sites=1)
+    data = generate_synthetic(sc)
+    sites = data.sites
+    data.sites = replace(sites, site_ids=tuple(f'{s}, "a"' for s in sites.site_ids),
+                         province=tuple(f"North, {p}" for p in sites.province),
+                         city=tuple(f'{c} "old", town' for c in sites.city))
+    data.excluded_sites = {f'{k},"x"': v for k, v in data.excluded_sites.items()}
+    write_scenario(data, tmp_path)
+    meta = read_sites_csv(tmp_path / "inputs" / "sites.csv")
+    assert list(meta) == [*data.sites.site_ids, *sorted(data.excluded_sites)]
+    result = annualize(read_daily_csv(tmp_path / "inputs" / "daily.csv"), meta, sc.year)
+    table = result.table
+    assert (table.site_ids, table.province, table.city) == \
+        (data.sites.site_ids, data.sites.province, data.sites.city)
+    assert table.x.tobytes() == data.sites.x.tobytes()
+    assert table.y.tobytes() == data.sites.y.tobytes()
+    assert {s for s, _, _ in result.excluded} == set(data.excluded_sites)
+
+
 def test_scenario_dict_round_trip():
     sc = SyntheticScenario(seed=2, trend=(("elevation", 3.0),), n_sites=10)
     back = SyntheticScenario(**json.loads(json.dumps(plain(sc))))
