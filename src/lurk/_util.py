@@ -122,6 +122,13 @@ def check_keys(d: dict, allowed, what: str) -> None:
         raise InvalidArgumentError(f"unknown {what} keys: {unknown}")
 
 
+def check_required(d: dict, required, what: str) -> None:
+    """Raise InvalidArgumentError naming every key of `required` missing from `d`."""
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise InvalidArgumentError(f"missing {what} keys: {missing}")
+
+
 def is_finite_number(x) -> bool:
     """True for a finite int or float that is not a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)

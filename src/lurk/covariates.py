@@ -4,8 +4,7 @@ One batched engine, `extract`, evaluates covariate specs at any set of
 points, and each covariate kind has exactly one implementation in it.
 `build_matrix` runs it at monitor sites and raises on cells it cannot
 evaluate; `rasterize_covariates` runs it at lattice cell centers and
-writes nodata there. The single-point functions are one-point calls into
-the same engine.
+writes nodata there.
 
 Buffer covariates use circular buffers with an inclusive boundary
 (distance <= r counts); land-cover fractions use axis-aligned square
@@ -24,12 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geodata
-from .errors import (
-    CovariateExtractionError,
-    InvalidArgumentError,
-    NodataError,
-    NoFeaturesError,
-)
+from .errors import CovariateExtractionError, InvalidArgumentError, NoFeaturesError
 from ._util import (check_keys, checked, is_finite_number, is_int, read_table, write_atomic,
                     write_table)
 
@@ -277,44 +271,6 @@ def _nearest_distances(layer: geodata.FeatureLayer, xs, ys) -> np.ndarray:
                                            layer.seg_a[seg], layer.seg_b[seg])
         np.minimum.at(out[block], pt, d)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Single-point covariate operations
-# ---------------------------------------------------------------------------
-
-def _at(spec: CovariateSpec, x: float, y: float, **sources) -> tuple[float, bool]:
-    values, valid = extract([spec], [x], [y], **sources)
-    return float(values[0, 0]), bool(valid[0, 0])
-
-
-def count_points_in_buffer(layer: geodata.FeatureLayer, x: float, y: float, r: float) -> int:
-    """Points within distance r of (x, y), boundary inclusive."""
-    spec = CovariateSpec("count", "point_count", "layer", buffer_m=r)
-    return int(_at(spec, x, y, layers={"layer": layer})[0])
-
-
-def line_length_in_buffer(layer: geodata.FeatureLayer, x: float, y: float, r: float) -> float:
-    """Total polyline length inside the closed disk of radius r."""
-    spec = CovariateSpec("length", "line_length", "layer", buffer_m=r)
-    return _at(spec, x, y, layers={"layer": layer})[0]
-
-
-def landcover_fraction(grid: geodata.CategoricalGrid, category: int, x: float, y: float,
-                       window_m: float) -> float:
-    """Fraction of non-nodata cells of `category` in the square window."""
-    spec = CovariateSpec("fraction", "landcover_fraction", "grid", category=category,
-                         buffer_m=window_m)
-    value, ok = _at(spec, x, y, categorical={"grid": grid})
-    if not ok:
-        raise NodataError(f"no valid land-cover cell in {window_m} m window at ({x}, {y})")
-    return value
-
-
-def distance_to_nearest(layer: geodata.FeatureLayer, x: float, y: float) -> float:
-    """Exact minimum distance from (x, y) to any feature in the layer."""
-    spec = CovariateSpec("distance", "distance_to_nearest", "layer")
-    return _at(spec, x, y, layers={"layer": layer})[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,6 @@ class GridFormatError(LurkError, ValueError):
     """A grid file is malformed."""
 
 
-class OutOfDomainError(LurkError):
-    """A query point lies outside the interpolatable domain."""
-
-
-class NodataError(LurkError):
-    """A computation touched nodata cells and cannot produce a value."""
-
-
 class NoFeaturesError(LurkError):
     """A feature layer is empty where at least one feature is required."""
 

@@ -54,10 +54,6 @@ class CvPlan:
     scheme: str  # "kfold" | "leave_one_group_out"
     fold_of: dict  # site_id -> fold label (str)
 
-    @property
-    def labels(self) -> list[str]:
-        return sorted(set(self.fold_of.values()))
-
 
 def kfold_plan(site_ids, k: int, seed: int) -> CvPlan:
     """Seeded uniform shuffle then round-robin: fold sizes differ by <= 1."""

@@ -88,8 +88,9 @@ def predict_grid(fitted: FittedModel, covariate_grids: dict[str, RasterGrid],
     )
 
 
-def _shared_valid(concentration: RasterGrid, population: RasterGrid,
-                  density_range=None):
+def cumulative_exposure(concentration: RasterGrid, population: RasterGrid,
+                        thresholds=DEFAULT_THRESHOLDS) -> ExposureCurve:
+    """Population fraction living above each threshold (strictly above)."""
     if not concentration.same_lattice(population):
         raise InvalidArgumentError(
             "population grid is not on the concentration lattice; population "
@@ -100,22 +101,6 @@ def _shared_valid(concentration: RasterGrid, population: RasterGrid,
     valid = (c != concentration.nodata) & (p != population.nodata)
     if np.any(p[valid] < 0):
         raise InvalidArgumentError("population must be non-negative")
-    if density_range is not None:
-        # restrict to cells in a population-density band (per-cell counts on
-        # an equal-area lattice are proportional to density)
-        lo, hi = density_range
-        if lo is not None:
-            valid &= p >= lo
-        if hi is not None:
-            valid &= p < hi
-    return c, p, valid
-
-
-def cumulative_exposure(concentration: RasterGrid, population: RasterGrid,
-                        thresholds=DEFAULT_THRESHOLDS,
-                        density_range=None) -> ExposureCurve:
-    """Population fraction living above each threshold (strictly above)."""
-    c, p, valid = _shared_valid(concentration, population, density_range)
     total = float(p[valid].sum())
     if total <= 0:
         raise InvalidArgumentError("total population over valid cells is zero")

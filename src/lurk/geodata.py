@@ -24,12 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (
-    GridFormatError,
-    InvalidArgumentError,
-    NodataError,
-    OutOfDomainError,
-)
+from .errors import GridFormatError, InvalidArgumentError
 from ._util import fmt_float, write_atomic, write_table
 
 DEFAULT_NODATA = -9999.0
@@ -299,21 +294,6 @@ def bilinear_sample_many(grid: RasterGrid, xs, ys):
         + v11 * wx * wy
     )
     return out, inside, touched_nodata
-
-
-def bilinear_sample(grid: RasterGrid, x: float, y: float) -> float:
-    """Bilinear interpolation of the 4 cell centers enclosing (x, y).
-
-    Exact at cell centers; exact for any function a + bx + cy + dxy
-    within one cell. Raises OutOfDomainError outside the center hull and
-    NodataError when any of the 4 enclosing centers is nodata.
-    """
-    out, inside, touched = bilinear_sample_many(grid, [x], [y])
-    if not inside[0]:
-        raise OutOfDomainError(f"point ({x}, {y}) is outside the cell-center hull")
-    if touched[0]:
-        raise NodataError(f"point ({x}, {y}) has a nodata cell among its 4 neighbors")
-    return float(out[0])
 
 
 # ---------------------------------------------------------------------------

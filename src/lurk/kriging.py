@@ -253,22 +253,6 @@ class KrigingModel:
     def n_sites(self) -> int:
         return len(self.y)
 
-    @property
-    def adjusted_intercept(self) -> float:
-        """Drift intercept re-estimated under the residual covariance."""
-        w = self._dual[self.n_sites :]
-        return float(w[0] - np.sum(w[1:] * self._x_shift / self._x_scale))
-
-    @property
-    def adjusted_coefficients(self) -> np.ndarray:
-        return self._dual[self.n_sites + 1 :] / self._x_scale
-
-    def adjusted_trend(self, x_rows) -> np.ndarray:
-        """Trend-only prediction with the covariance-adjusted coefficients;
-        the far-field limit of the kriging predictor."""
-        x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-        return self.adjusted_intercept + x_rows @ self.adjusted_coefficients
-
     def _rhs(self, xs, ys, x_rows) -> np.ndarray:
         pts = np.column_stack([np.asarray(xs, dtype=np.float64),
                                np.asarray(ys, dtype=np.float64)])

@@ -183,7 +183,7 @@ def read_daily_csv(path):
 def read_sites_csv(path) -> dict:
     """Read site metadata CSV into {site_id: (x, y, province, city)}. A missing
     column, a repeated site_id, a short row, or an x or y that is not a
-    number raises InvalidArgumentError naming the file, line and site."""
+    finite number raises InvalidArgumentError naming the file, line and site."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [c for c in ("site_id", "x", "y", "province", "city")
@@ -199,8 +199,11 @@ def read_sites_csv(path) -> dict:
             if None in row.values():
                 raise InvalidArgumentError(f"{where}: the row has fewer fields than the header")
             try:
-                meta[sid] = (float(row["x"]), float(row["y"]), row["province"], row["city"])
+                x, y = float(row["x"]), float(row["y"])
             except ValueError:
+                x = y = np.nan
+            if not np.isfinite([x, y]).all():
                 raise InvalidArgumentError(
-                    f"{where}: x and y must be numbers, got {row['x']!r}, {row['y']!r}") from None
+                    f"{where}: x and y must be finite numbers, got {row['x']!r}, {row['y']!r}")
+            meta[sid] = (x, y, row["province"], row["city"])
     return meta

@@ -23,8 +23,8 @@ from .evaluation import kfold_plan, logo_plan, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
-from ._util import (check_keys, checked, dump_json, is_finite_number, is_int, sha256_bytes,
-                    sha256_file, stage_seed, write_table)
+from ._util import (check_keys, check_required, checked, dump_json, is_finite_number, is_int,
+                    sha256_bytes, sha256_file, stage_seed, write_table)
 
 log = logging.getLogger(__name__)
 
@@ -70,9 +70,14 @@ class PipelineConfig:
         path = Path(path)
         d = json.loads(path.read_text())
         check_keys(d, CONFIG_KEYS, "config")
-        check_keys(d.get("monitors", {}), ("daily", "sites"), "config monitors")
+        check_required(d, ("pollutant", "year", "monitors", "covariates"), "config")
+        check_keys(d["monitors"], ("daily", "sites"), "config monitors")
+        check_required(d["monitors"], ("daily", "sites"), "config monitors")
+        for name, entry in d.get("categorical_grids", {}).items():
+            check_required(entry, ("path", "categories"), f"config categorical_grids {name!r}")
         cv, lattice, seed = d.get("cv", {}), d.get("prediction"), d.get("seed", 0)
         k, with_variance = cv.get("k", 10), d.get("with_variance", False)
+        logo_group = cv.get("logo_group", "province")
         check_keys(cv, ("k", "logo_group"), "config cv")
         checked("config prediction", lattice, lattice is None or (
             isinstance(lattice, dict) and sorted(lattice) == sorted(LATTICE_KEYS)
@@ -106,7 +111,8 @@ class PipelineConfig:
             },
             recipe=ModelRecipe.from_dict(d.get("recipe", {})),
             cv_k=checked("config cv.k", k, is_int(k), "an integer"),
-            logo_group=cv.get("logo_group", "province"),
+            logo_group=checked("config cv.logo_group", logo_group,
+                               logo_group in ("province", "city"), '"province" or "city"'),
             prediction=lattice,
             population_grid=resolve(d.get("population_grid")),
             thresholds=tuple(thresholds),

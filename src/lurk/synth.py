@@ -173,7 +173,7 @@ class SyntheticData:
     excluded_sites: dict  # site_id -> (x, y, province, city, annual_value, n_days)
 
 
-def _mini_specs(sc: SyntheticScenario) -> list[cov.CovariateSpec]:
+def _mini_specs() -> list[cov.CovariateSpec]:
     specs = []
     for r in (1000.0, 5000.0, 10000.0):
         specs.append(cov.CovariateSpec(f"roads_major_len_{int(r)}m", "line_length",
@@ -199,7 +199,7 @@ _FULL_GRIDS = ("elevation", "population_density", "ndvi", "evi", "blh", "tempera
                "dewpoint", "pressure", "wind10m", "precipitation", "rh", "blha_ws")
 
 
-def _full_specs(sc: SyntheticScenario) -> list[cov.CovariateSpec]:
+def _full_specs() -> list[cov.CovariateSpec]:
     specs = []
     for layer in _FULL_ROAD_LAYERS:
         for r in ROAD_LADDER:
@@ -352,7 +352,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     if full:
         grids["population_density"] = _field_grid(pop_density, cov_cell, nc, nr)
 
-    specs = _full_specs(sc) if full else _mini_specs(sc)
+    specs = _full_specs() if full else _mini_specs()
     n_days = 366 if calendar.isleap(sc.year) else 365
     sites = MonitorTable(
         site_ids=site_ids, x=coords[:, 0], y=coords[:, 1],

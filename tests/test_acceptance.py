@@ -285,7 +285,8 @@ def test_criterion_10_geometry_oracles():
         r = 800.0
         layer = geodata.FeatureLayer(geodata.POLYLINES, [[-50_000.0, d], [50_000.0, d]],
                                      [0, 2], ["l"])
-        got = cov.line_length_in_buffer(layer, 0.0, 0.0, r)
+        spec = cov.CovariateSpec("len", "line_length", "l", buffer_m=r)
+        got = cov.extract([spec], [0.0], [0.0], layers={"l": layer})[0][0, 0]
         worst_chord = max(worst_chord, abs(got - 2.0 * np.sqrt(r * r - d * d)))
     # 1000 randomized point-count cases vs brute force
     pts = rng.uniform(0, 60_000, size=(5_000, 2))
@@ -295,8 +296,9 @@ def test_criterion_10_geometry_oracles():
     for _ in range(1000):
         x, y = rng.uniform(0, 60_000, 2)
         r = rng.uniform(50, 25_000)
-        if cov.count_points_in_buffer(layer, x, y, r) != \
-                oracles.scan_count_points(pts, x, y, r):
+        spec = cov.CovariateSpec("n", "point_count", "p", buffer_m=r)
+        got = cov.extract([spec], [x], [y], layers={"p": layer})[0][0, 0]
+        if got != oracles.scan_count_points(pts, x, y, r):
             count_bad += 1
     # 500 randomized window-fraction cases vs cell scan
     codes = rng.integers(1, 5, size=(50, 50))
@@ -309,10 +311,9 @@ def test_criterion_10_geometry_oracles():
         cat = int(rng.integers(1, 5))
         want = oracles.scan_landcover_fraction(np.asarray(codes), -9999, 0.0, 0.0,
                                                300.0, cat, x, y, w)
-        try:
-            got = cov.landcover_fraction(grid, cat, x, y, w)
-        except Exception:
-            got = None
+        spec = cov.CovariateSpec("frac", "landcover_fraction", "g", category=cat, buffer_m=w)
+        values, valid = cov.extract([spec], [x], [y], categorical={"g": grid})
+        got = values[0, 0] if valid[0, 0] else None  # an empty window has no value
         if (want is None) != (got is None) or \
                 (want is not None and abs(got - want) > 1e-12):
             frac_bad += 1

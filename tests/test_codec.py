@@ -1,6 +1,7 @@
 """The artifact file codec: atomic writes, CSV tables that keep quoted text
 and every float bit, and the rule that nothing else in the package writes
-a file."""
+a file; and the rule that the package defines no public name that only
+tests use."""
 
 import ast
 import errno
@@ -148,3 +149,68 @@ def test_only_the_codec_writes_files():
                     or name == "open" and any(WRITE_MODE.fullmatch(m) for m in modes)):
                 found.append((path.name, ast.unparse(node)))
     assert found == ALLOWED
+
+
+# -- no code that only tests use ---------------------------------------------------------
+
+# Public names that nothing outside tests/ reads yet, each with its reason.
+UNREFERENCED_ALLOWED = {
+    "morans_i": "ROADMAP item 3 reports Moran's I of the model residuals",
+    "gamma": "the variogram-fit tests draw their true semivariances from it",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) for each public function and class of a module and each
+    public method or property of its public classes. Click commands are run
+    by name from the command line, so they are exempt."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if not any(isinstance(d, ast.Call) and getattr(d.func, "attr", "") in ("command", "group")
+                   for d in node.decorator_list):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def _references(node, enclosing=()):
+    """(name, ids of the enclosing definitions) for every name, attribute and
+    import alias under `node`."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = (*enclosing, id(node))
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    elif isinstance(node, ast.alias):
+        yield from ((part, enclosing) for part in node.name.split("."))
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, enclosing)
+
+
+def test_every_public_name_is_used_outside_tests():
+    """Each public function, class, method and property in the package is
+    referenced by a name, attribute or import somewhere in the package,
+    `scripts/` or `perfbench/`, outside its own definition; tests do not
+    count. The scan matches names only, so it cannot see a member whose name
+    another attribute or variable shares: `CvPlan.labels` once went unseen
+    because `labels` is also a local variable in `evaluation`."""
+    root = TESTS.parent
+    package = sorted(Path(lurk.__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in [
+        *package, *sorted((root / "scripts").glob("*.py")),
+        *sorted((root / "perfbench").glob("*.py"))]}
+    used_from: dict[str, list[tuple]] = {}
+    for tree in trees.values():
+        for name, enclosing in _references(tree):
+            used_from.setdefault(name, []).append(enclosing)
+    unused = [(path.stem, name) for path in package
+              for name, node in _public_definitions(trees[path])
+              if all(id(node) in enclosing for enclosing in used_from.get(name, ()))]
+    only_tests = sorted(f"{module}.{name}" for module, name in unused
+                        if name not in UNREFERENCED_ALLOWED)
+    assert not only_tests, f"public names that only tests use: {only_tests}"
+    assert {name for _, name in unused} >= set(UNREFERENCED_ALLOWED), \
+        "an allowed name is used outside tests now; drop it from the allowlist"

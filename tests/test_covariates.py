@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from lurk import covariates as cov
 from lurk import geodata
-from lurk.errors import (
-    CovariateExtractionError,
-    InvalidArgumentError,
-    NodataError,
-    NoFeaturesError,
-)
+from lurk.errors import CovariateExtractionError, InvalidArgumentError, NoFeaturesError
 from lurk.monitors import MonitorTable
 
 import oracles
@@ -42,17 +37,44 @@ def table(coords):
     )
 
 
+def at(spec, x, y, **sources):
+    """One covariate at one point through the batched engine, or None
+    where the engine marks the cell invalid."""
+    values, valid = cov.extract([spec], [x], [y], **sources)
+    return float(values[0, 0]) if valid[0, 0] else None
+
+
+def count(layer, x, y, r):
+    spec = cov.CovariateSpec("n", "point_count", "l", buffer_m=r)
+    return at(spec, x, y, layers={"l": layer})
+
+
+def length(layer, x, y, r):
+    spec = cov.CovariateSpec("len", "line_length", "l", buffer_m=r)
+    return at(spec, x, y, layers={"l": layer})
+
+
+def fraction(grid, category, x, y, window_m):
+    spec = cov.CovariateSpec("frac", "landcover_fraction", "g", category=category,
+                             buffer_m=window_m)
+    return at(spec, x, y, categorical={"g": grid})
+
+
+def distance(layer, x, y):
+    return at(cov.CovariateSpec("d", "distance_to_nearest", "l"), x, y, layers={"l": layer})
+
+
 # -- point counts ------------------------------------------------------------
 
 def test_count_boundary_inclusive():
     layer = point_layer([(100.0, 0.0)])
-    assert cov.count_points_in_buffer(layer, 0.0, 0.0, 100.0) == 1
-    assert cov.count_points_in_buffer(layer, 0.0, 0.0, 99.999) == 0
+    assert count(layer, 0.0, 0.0, 100.0) == 1
+    assert count(layer, 0.0, 0.0, 99.999) == 0
 
 
 def test_count_empty_layer():
     layer = geodata.FeatureLayer(geodata.POINTS, [], [0], [])
-    assert cov.count_points_in_buffer(layer, 0.0, 0.0, 500.0) == 0
+    assert count(layer, 0.0, 0.0, 500.0) == 0
 
 
 def assert_callers_reject(kind, layer):
@@ -69,14 +91,14 @@ def assert_callers_reject(kind, layer):
 def test_count_requires_point_layer():
     layer = segment_layer([[(0, 0), (1, 1)]])
     with pytest.raises(InvalidArgumentError):
-        cov.count_points_in_buffer(layer, 0.0, 0.0, 10.0)
+        count(layer, 0.0, 0.0, 10.0)
     assert_callers_reject("point_count", layer)
 
 
 def test_length_requires_polyline_layer():
     layer = point_layer([(0.0, 0.0)])
     with pytest.raises(InvalidArgumentError):
-        cov.line_length_in_buffer(layer, 0.0, 0.0, 10.0)
+        length(layer, 0.0, 0.0, 10.0)
     assert_callers_reject("line_length", layer)
 
 
@@ -87,20 +109,19 @@ def test_count_matches_brute_force():
     for _ in range(200):
         x, y = rng.uniform(0, 50_000, 2)
         r = rng.uniform(50, 20_000)
-        assert cov.count_points_in_buffer(layer, x, y, r) == \
-            oracles.scan_count_points(pts, x, y, r)
+        assert count(layer, x, y, r) == oracles.scan_count_points(pts, x, y, r)
 
 
 # -- line lengths ------------------------------------------------------------
 
 def test_diameter_chord():
     layer = segment_layer([[(-1000.0, 0.0), (1000.0, 0.0)]])
-    assert cov.line_length_in_buffer(layer, 0.0, 0.0, 250.0) == pytest.approx(500.0)
+    assert length(layer, 0.0, 0.0, 250.0) == pytest.approx(500.0)
 
 
 def test_segment_outside_disk():
     layer = segment_layer([[(5000.0, 5000.0), (6000.0, 5000.0)]])
-    assert cov.line_length_in_buffer(layer, 0.0, 0.0, 100.0) == 0.0
+    assert length(layer, 0.0, 0.0, 100.0) == 0.0
 
 
 def test_chord_closed_form():
@@ -108,14 +129,14 @@ def test_chord_closed_form():
     for d in (0.0, 100.0, 400.0, 799.0):
         layer = segment_layer([[(-10_000.0, d), (10_000.0, d)]])
         expected = 2.0 * np.sqrt(r * r - d * d)
-        got = cov.line_length_in_buffer(layer, 0.0, 0.0, r)
+        got = length(layer, 0.0, 0.0, r)
         assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_degenerate_segment_contributes_zero():
     # a polyline that doubles back still counts each segment separately
     layer = segment_layer([[(0.0, 0.0), (10.0, 0.0), (0.0, 0.0)]])
-    assert cov.line_length_in_buffer(layer, 0.0, 0.0, 100.0) == pytest.approx(20.0)
+    assert length(layer, 0.0, 0.0, 100.0) == pytest.approx(20.0)
     # zero-length segment contributes 0, not an error
     a = np.array([[3.0, 3.0]])
     assert geodata.segment_disk_length(a, a, 0.0, 0.0, 100.0)[0] == 0.0
@@ -133,7 +154,7 @@ def test_length_converges_to_total_layer_length():
         segs.append([a, b])
         total += float(np.hypot(*(b - a)))
     layer = segment_layer(segs)
-    got = cov.line_length_in_buffer(layer, 5_000.0, 5_000.0, 1e9)
+    got = length(layer, 5_000.0, 5_000.0, 1e9)
     assert got == pytest.approx(total, rel=1e-12)
 
 
@@ -147,10 +168,8 @@ def test_buffer_values_monotone_in_radius(seed, r, factor):
     segs = [[a, b if not np.all(a == b) else b + 1.0] for a, b in segs]
     slayer = segment_layer(segs)
     x, y = rng.uniform(0, 10_000, 2)
-    assert cov.count_points_in_buffer(players, x, y, r * factor) >= \
-        cov.count_points_in_buffer(players, x, y, r)
-    assert cov.line_length_in_buffer(slayer, x, y, r * factor) >= \
-        cov.line_length_in_buffer(slayer, x, y, r) - 1e-9
+    assert count(players, x, y, r * factor) >= count(players, x, y, r)
+    assert length(slayer, x, y, r * factor) >= length(slayer, x, y, r) - 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,13 +179,13 @@ def test_translation_invariance(seed, dx, dy):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 5_000, size=(60, 2))
     x, y, r = 2_500.0, 2_500.0, 1_200.0
-    base = cov.count_points_in_buffer(point_layer(pts), x, y, r)
-    moved = cov.count_points_in_buffer(point_layer(pts + [dx, dy]), x + dx, y + dy, r)
+    base = count(point_layer(pts), x, y, r)
+    moved = count(point_layer(pts + [dx, dy]), x + dx, y + dy, r)
     assert base == moved
     segs = [[pts[i], pts[i + 1]] for i in range(0, 40, 2)]
-    a = cov.line_length_in_buffer(segment_layer(segs), x, y, r)
+    a = length(segment_layer(segs), x, y, r)
     segs2 = [[np.asarray(s[0]) + [dx, dy], np.asarray(s[1]) + [dx, dy]] for s in segs]
-    b = cov.line_length_in_buffer(segment_layer(segs2), x + dx, y + dy, r)
+    b = length(segment_layer(segs2), x + dx, y + dy, r)
     assert b == pytest.approx(a, rel=1e-9, abs=1e-6)
 
 
@@ -180,22 +199,23 @@ def lc_grid(codes, cell=1000.0, categories=(1, 2, 3, 4)):
 
 def test_fraction_window_of_four_cells():
     g = lc_grid([[1, 2], [3, 4]])
-    frac = cov.landcover_fraction(g, 1, 1000.0, 1000.0, 2000.0)
+    frac = fraction(g, 1, 1000.0, 1000.0, 2000.0)
     assert frac == pytest.approx(0.25)
 
 
 def test_fraction_uniform_grid():
     g = lc_grid(np.full((5, 5), 2))
-    assert cov.landcover_fraction(g, 2, 2500.0, 2500.0, 3000.0) == 1.0
-    assert cov.landcover_fraction(g, 1, 2500.0, 2500.0, 3000.0) == 0.0
+    assert fraction(g, 2, 2500.0, 2500.0, 3000.0) == 1.0
+    assert fraction(g, 1, 2500.0, 2500.0, 3000.0) == 0.0
 
 
 def test_fraction_nodata_window():
     codes = np.full((4, 4), -9999)
     codes[0, 0] = 1
     g = geodata.CategoricalGrid(0.0, 0.0, 1000.0, 4, 4, codes, (1, 2))
-    with pytest.raises(NodataError):
-        cov.landcover_fraction(g, 1, 3500.0, 3500.0, 1500.0)
+    spec = cov.CovariateSpec("frac", "landcover_fraction", "g", category=1, buffer_m=1500.0)
+    values, valid = cov.extract([spec], [3500.0], [3500.0], categorical={"g": g})
+    assert not valid[0, 0] and values[0, 0] == 0.0
 
 
 def test_fraction_matches_brute_force():
@@ -210,10 +230,9 @@ def test_fraction_matches_brute_force():
         want = oracles.scan_landcover_fraction(np.asarray(codes), -9999, 0.0, 0.0,
                                                200.0, cat, x, y, w)
         if want is None:
-            with pytest.raises(NodataError):
-                cov.landcover_fraction(g, cat, x, y, w)
+            assert fraction(g, cat, x, y, w) is None
         else:
-            assert cov.landcover_fraction(g, cat, x, y, w) == pytest.approx(want)
+            assert fraction(g, cat, x, y, w) == pytest.approx(want)
 
 
 def test_summed_area_tables_built_once_per_grid():
@@ -242,18 +261,18 @@ def test_summed_area_tables_built_once_per_grid():
 
 def test_distance_zero_when_coincident():
     layer = point_layer([(500.0, 600.0)])
-    assert cov.distance_to_nearest(layer, 500.0, 600.0) == 0.0
+    assert distance(layer, 500.0, 600.0) == 0.0
 
 
 def test_distance_perpendicular_foot():
     layer = segment_layer([[(0.0, 0.0), (10.0, 0.0)]])
-    assert cov.distance_to_nearest(layer, 5.0, 3.0) == pytest.approx(3.0)
+    assert distance(layer, 5.0, 3.0) == pytest.approx(3.0)
 
 
 def test_distance_empty_layer():
     layer = geodata.FeatureLayer(geodata.POINTS, [], [0], [])
     with pytest.raises(NoFeaturesError):
-        cov.distance_to_nearest(layer, 0.0, 0.0)
+        distance(layer, 0.0, 0.0)
 
 
 def test_distance_matches_brute_force():
@@ -269,7 +288,7 @@ def test_distance_matches_brute_force():
     for _ in range(200):
         x, y = rng.uniform(-10_000, 110_000, 2)
         want = oracles.scan_nearest(None, segs, x, y)
-        assert cov.distance_to_nearest(layer, x, y) == pytest.approx(want, rel=1e-12)
+        assert distance(layer, x, y) == pytest.approx(want, rel=1e-12)
 
 
 # -- matrix assembly --------------------------------------------------------------
@@ -326,20 +345,18 @@ def test_matrix_matches_individual_operations():
                          grids={"elev": grid}, categorical={"lc": lcg})
     for i in range(10):
         x, y = sites.x[i], sites.y[i]
-        assert m.values[i, 0] == cov.count_points_in_buffer(players, x, y, 1_000.0)
-        assert m.values[i, 1] == cov.count_points_in_buffer(players, x, y, 3_000.0)
-        assert m.values[i, 2] == cov.count_points_in_buffer(players, x, y, 8_000.0)
-        assert m.values[i, 3] == pytest.approx(
-            cov.line_length_in_buffer(slayer, x, y, 1_000.0))
-        assert m.values[i, 4] == pytest.approx(
-            cov.line_length_in_buffer(slayer, x, y, 5_000.0))
-        assert m.values[i, 5] == pytest.approx(
-            cov.landcover_fraction(lcg, 1, x, y, 2_000.0))
-        assert m.values[i, 6] == pytest.approx(
-            cov.landcover_fraction(lcg, 3, x, y, 4_000.0))
-        assert m.values[i, 7] == pytest.approx(cov.distance_to_nearest(slayer, x, y))
-        assert m.values[i, 8] == pytest.approx(cov.distance_to_nearest(players, x, y))
-        assert m.values[i, 9] == pytest.approx(geodata.bilinear_sample(grid, x, y))
+        assert m.values[i, 0] == count(players, x, y, 1_000.0)
+        assert m.values[i, 1] == count(players, x, y, 3_000.0)
+        assert m.values[i, 2] == count(players, x, y, 8_000.0)
+        assert m.values[i, 3] == pytest.approx(length(slayer, x, y, 1_000.0))
+        assert m.values[i, 4] == pytest.approx(length(slayer, x, y, 5_000.0))
+        assert m.values[i, 5] == pytest.approx(fraction(lcg, 1, x, y, 2_000.0))
+        assert m.values[i, 6] == pytest.approx(fraction(lcg, 3, x, y, 4_000.0))
+        assert m.values[i, 7] == pytest.approx(distance(slayer, x, y))
+        assert m.values[i, 8] == pytest.approx(distance(players, x, y))
+        sampled, inside, touched = geodata.bilinear_sample_many(grid, [x], [y])
+        assert inside[0] and not touched[0]
+        assert m.values[i, 9] == pytest.approx(sampled[0])
         assert m.values[i, 10] == x
         assert m.values[i, 11] == y
 
@@ -414,13 +431,13 @@ def test_spec_values_checked_not_coerced(tmp_path, change, message):
     grid = lc_grid([[1, 2], [2, 1]], categories=(1, 2))
     path = tmp_path / "covariates.json"
 
-    def fraction(d):
+    def evaluate(d):
         path.write_text(json.dumps([d]))
         return cov.extract(cov.read_specs(path), [1000.0], [1000.0], categorical={"lc": grid})
 
-    assert [a.tolist() for a in fraction(spec)] == [[[0.5]], [[True]]]
+    assert [a.tolist() for a in evaluate(spec)] == [[[0.5]], [[True]]]
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
-        fraction({**spec, **change})
+        evaluate({**spec, **change})
 
 
 # -- rasterized covariates match per-site extraction ------------------------------

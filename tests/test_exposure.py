@@ -150,20 +150,6 @@ def test_pwm_bounds():
     assert c.min() <= got <= c.max()
 
 
-def test_density_band_filter():
-    surf = grid_of([[10.0, 20.0, 80.0]])
-    pop = grid_of([[1.0, 5.0, 100.0]])
-    # only the dense cell
-    dense = cumulative_exposure(surf, pop, density_range=(50.0, None))
-    assert dense.pop_weighted_mean == 80.0
-    # exclude the dense cell
-    low = cumulative_exposure(surf, pop, density_range=(None, 50.0)).pop_weighted_mean
-    assert low == pytest.approx((10.0 + 5 * 20.0) / 6.0)
-    curve = cumulative_exposure(surf, pop, thresholds=[15.0],
-                                density_range=(None, 50.0))
-    assert curve.fraction_above == (5.0 / 6.0,)
-
-
 def test_pwm_zero_population_errors():
     surf = grid_of([[10.0, 20.0]])
     pop = grid_of([[0.0, 0.0]])

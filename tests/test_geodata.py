@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 
 from lurk import geodata
 from lurk._util import fmt_float
-from lurk.errors import (
-    GridFormatError,
-    InvalidArgumentError,
-    NodataError,
-    OutOfDomainError,
-)
+from lurk.errors import GridFormatError, InvalidArgumentError
 
 import oracles
 
@@ -151,15 +146,22 @@ def test_lattice_checks_hold_for_every_grid_and_the_reader(tmp_path, geometry, m
 
 # -- bilinear sampling ---------------------------------------------------------
 
+def sample(grid, x, y):
+    """The bilinear value at one point inside the center hull, clear of nodata."""
+    out, inside, touched = geodata.bilinear_sample_many(grid, [x], [y])
+    assert inside[0] and not touched[0]
+    return out[0]
+
+
 def test_bilinear_midpoint_single_hot_corner():
     g = make_grid([[0.0, 0.0], [0.0, 4.0]], cell=1.0)
     # midpoint of the 4 cell centers
-    assert geodata.bilinear_sample(g, 1.0, 1.0) == pytest.approx(1.0)
+    assert sample(g, 1.0, 1.0) == pytest.approx(1.0)
 
 
 def test_bilinear_exact_at_cell_center():
     g = make_grid([[1.0, 2.0], [7.5, 4.0]], cell=10.0)
-    assert geodata.bilinear_sample(g, 5.0, 15.0) == 7.5
+    assert sample(g, 5.0, 15.0) == 7.5
 
 
 def test_bilinear_matches_closed_form():
@@ -167,7 +169,7 @@ def test_bilinear_matches_closed_form():
     g = make_grid([[1.0, 2.0], [3.0, 4.0]], cell=1.0)
     expected = oracles.bilinear_closed_form(1.0, 2.0, 3.0, 4.0, 0.25, 0.75)
     assert expected == pytest.approx(2.75)
-    got = geodata.bilinear_sample(g, 0.5 + 0.25, 0.5 + 0.75)
+    got = sample(g, 0.5 + 0.25, 0.5 + 0.75)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -185,21 +187,19 @@ def test_bilinear_reproduces_bilinear_functions(a, b, c, d, u, v):
     g = make_grid(vals, cell=cell)
     qx, qy = 50.0 + 100.0 * u, 50.0 + 100.0 * v
     expected = f(qx, qy)
-    assert geodata.bilinear_sample(g, qx, qy) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    assert sample(g, qx, qy) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_bilinear_out_of_domain():
     g = make_grid([[1.0, 2.0], [3.0, 4.0]], cell=1.0)
-    with pytest.raises(OutOfDomainError):
-        geodata.bilinear_sample(g, 0.4, 0.9)
-    with pytest.raises(OutOfDomainError):
-        geodata.bilinear_sample(g, 1.2, 1.6)
+    _, inside, _ = geodata.bilinear_sample_many(g, [0.4, 1.2], [0.9, 1.6])
+    assert not inside.any()
 
 
 def test_bilinear_nodata_neighbor():
     g = make_grid([[1.0, -9999.0], [3.0, 4.0]], cell=1.0)
-    with pytest.raises(NodataError):
-        geodata.bilinear_sample(g, 1.0, 1.0)
+    _, inside, touched = geodata.bilinear_sample_many(g, [1.0], [1.0])
+    assert inside[0] and touched[0]
 
 
 # -- feature layers ------------------------------------------------------------------

@@ -219,6 +219,19 @@ def test_matches_dense_oracle():
             assert got_var[0] == pytest.approx(want_var, rel=1e-6, abs=1e-9)
 
 
+def gls_drift(model, n_cols):
+    """The GLS drift [intercept, slopes] read off predict_many at the zero
+    row and each unit row, 1,000 ranges past every site: the covariance
+    exp(-h / a) underflows to exactly 0 there, so the kriging mean is the
+    drift alone."""
+    far = float(np.abs(model.coords).max()) + 1_000 * model.variogram.range_m
+    d = np.hypot(far - model.coords[:, 0], far - model.coords[:, 1])
+    assert not model.variogram.covariance(d).any()
+    rows = np.vstack([np.zeros(n_cols), np.eye(n_cols)])
+    mean, _ = model.predict_many(np.full(len(rows), far), np.full(len(rows), far), rows)
+    return np.concatenate([mean[:1], mean[1:] - mean[0]])
+
+
 @pytest.mark.parametrize("nugget,psill", [
     (0.0, 4.0),  # exact interpolator
     (1.0, 0.0),  # pure nugget
@@ -229,8 +242,9 @@ def test_gls_solve_matches_dense_oracle(nugget, psill):
     model = KrigingModel(variogram=VariogramModel(nugget, psill, 30_000.0),
                          coords=coords, x_rows=X, y=y)
     beta = oracles.dense_uk_drift(coords, X, y, nugget, psill, 30_000.0)
-    assert model.adjusted_intercept == pytest.approx(beta[0], rel=1e-6)
-    assert np.allclose(model.adjusted_coefficients, beta[1:], rtol=1e-6, atol=0)
+    got = gls_drift(model, X.shape[1])
+    assert got[0] == pytest.approx(beta[0], rel=1e-6)
+    assert np.allclose(got[1:], beta[1:], rtol=1e-6, atol=0)
     rng = np.random.default_rng(143)
     pts = rng.uniform(0, 100_000, size=(6, 2))
     rows = rng.normal(size=(6, 3))
@@ -271,8 +285,9 @@ def test_far_field_reduces_to_adjusted_trend():
     x_far = coords[:, 0].max() + 25 * vg.range_m  # beyond 20x range
     rows = np.array([[0.3, -1.0, 0.8]])
     mean, _ = model.predict_many([x_far], [50_000.0], rows)
-    want = model.adjusted_trend(rows)
-    assert abs(mean[0] - want[0]) <= 1e-6
+    beta = oracles.dense_uk_drift(coords, X, y, 0.1, 4.0, 5_000.0)
+    assert np.allclose(gls_drift(model, X.shape[1]), beta, rtol=1e-6, atol=0)
+    assert abs(mean[0] - (beta[0] + rows[0] @ beta[1:])) <= 1e-6
 
 
 def test_variance_nonnegative_everywhere():

@@ -155,6 +155,9 @@ def test_daily_and_sites_csv_readers(tmp_path):
     ("site_id,x,province,city\na,0,p,c\n", "missing columns ['y']"),
     ("site_id,x,y,province,city\na,0,0,p,c\nb,east,0,p,c\n", "line 3: site 'b'"),
     ("site_id,x,y,province,city\na,0,0,p\n", "line 2: site 'a'"),
+    # annualize once failed with a bare "site coordinates must be finite"
+    ("site_id,x,y,province,city\na,0,0,p,c\nb,1,nan,p,c\n", "line 3: site 'b'"),
+    ("site_id,x,y,province,city\na,-inf,0,p,c\n", "line 2: site 'a'"),
 ])
 def test_malformed_sites_csv_rejected(tmp_path, text, named):
     path = tmp_path / "sites.csv"

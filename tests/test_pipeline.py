@@ -246,6 +246,24 @@ def test_unknown_config_keys_rejected(tmp_path, section, key):
         PipelineConfig.from_json(config_path)
 
 
+@pytest.mark.parametrize("dotted", [
+    "year", "pollutant", "monitors", "covariates", "monitors.sites", "monitors.daily",
+    "categorical_grids.landcover.path", "categorical_grids.landcover.categories",
+])
+def test_missing_config_keys_named(tmp_path, dotted):
+    # Each of these once failed with a bare KeyError.
+    config_path, _ = write(tmp_path, scenario(seed=13))
+    config = json.loads(config_path.read_text())
+    *parents, key = dotted.split(".")
+    section = config
+    for name in parents:
+        section = section[name]
+    del section[key]
+    config_path.write_text(json.dumps(config))
+    with pytest.raises(InvalidArgumentError, match=rf"missing .*keys: \['{key}'\]"):
+        PipelineConfig.from_json(config_path)
+
+
 _LATTICE = {"origin_x": 0.0, "origin_y": 0.0, "cell_size": 1000.0, "n_cols": 4, "n_rows": 3}
 
 
@@ -265,6 +283,7 @@ _LATTICE = {"origin_x": 0.0, "origin_y": 0.0, "cell_size": 1000.0, "n_cols": 4, 
     ("prediction", {**_LATTICE, "n_rows": 0}, "config prediction"),
     ("prediction", {**_LATTICE, "origin_x": "0"}, "config prediction"),
     ("prediction", [0.0, 0.0, 1000.0, 4, 3], "config prediction"),
+    ("cv", {"logo_group": "county"}, "config cv.logo_group"),  # once failed only at cv
 ])
 def test_config_values_checked(tmp_path, key, value, named):
     config = {"pollutant": "no2", "year": 2015, "prediction": _LATTICE,
