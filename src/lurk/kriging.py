@@ -32,7 +32,15 @@ from ._util import check_finite_fields
 log = logging.getLogger(__name__)
 
 DEFAULT_N_BINS = 15
-PREDICT_CHUNK = 4096  # prediction points per right-hand-side block
+PREDICT_CHUNK = 4096  # most prediction points per right-hand-side block
+PREDICT_BLOCK_BYTES = 16 * 2**20  # about the most right-hand side per block
+
+
+def _block_points(rhs_rows: int) -> int:
+    """Prediction points per block: PREDICT_CHUNK, or fewer so that a
+    block's right-hand side (`rhs_rows` rows: one per site, one for the
+    intercept and one per drift column) stays within PREDICT_BLOCK_BYTES."""
+    return max(1, min(PREDICT_CHUNK, PREDICT_BLOCK_BYTES // (8 * rhs_rows)))
 
 
 @dataclass(frozen=True)
@@ -63,8 +71,10 @@ class VariogramModel:
     def covariance(self, h) -> np.ndarray:
         """Residual covariance between distinct locations; the nugget is
         applied only on the kriging system diagonal."""
-        # In place; h / -a is -h / a bit for bit.
-        cov = np.divide(np.asarray(h, dtype=np.float64), -self.range_m)
+        # In place; h / -a is -h / a bit for bit. An explicit `out` keeps a
+        # 0-d input an array, which `np.exp(..., out=)` needs.
+        h = np.asarray(h, dtype=np.float64)
+        cov = np.divide(h, -self.range_m, out=np.empty_like(h))
         np.exp(cov, out=cov)
         cov *= self.partial_sill
         return cov
@@ -277,8 +287,9 @@ class KrigingModel:
         mean = np.empty(m)
         var = np.empty(m) if with_variance else None
         sill = self.variogram.sill
-        for s in range(0, m, PREDICT_CHUNK):
-            e = min(s + PREDICT_CHUNK, m)
+        block = _block_points(self.n_sites + 1 + self.x_rows.shape[1])
+        for s in range(0, m, block):
+            e = min(s + block, m)
             b = self._rhs(xs[s:e], ys[s:e], x_rows[s:e])
             mean[s:e] = b.T @ self._dual
             if with_variance:

@@ -7,17 +7,19 @@ adjusted-R2 improvement, where admissible means: entering VIF below the
 cap, entering coefficient p-value below the cap, and no previously
 selected coefficient flipping sign relative to its sign at entry. It
 stops when the best admissible gain falls below the configured minimum.
-Ties always break toward the lowest column index, so selection is fully
+Candidates whose residual sums of squares agree to a relative TIE_RTOL tie,
+and ties break toward the lowest column index, so selection is fully
 deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import special
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import blas, qr, solve_triangular
 
 from .covariates import CovariateMatrix
 from .errors import (
@@ -29,6 +31,11 @@ from .errors import (
 from ._util import check_finite_fields
 
 _RANK_TOL = 1e-10
+# Relative residual-sum-of-squares gap within which stepwise candidates tie.
+# On the national synthetic matrix, proportional candidates (two buffer radii
+# reaching the same features) came out up to 2e-15 apart, and the closest
+# distinct pair 3e-6 apart.
+TIE_RTOL = 1e-10
 
 
 def ols_fit(X, y, names=None, config=None) -> LinearModel:
@@ -175,74 +182,34 @@ def mean_model(y) -> LinearModel:
 # Forward stepwise engine
 # ---------------------------------------------------------------------------
 
-class _QrState:
-    """Incremental thin-QR over [1, selected columns].
+def _sweep(S: np.ndarray, k: int) -> None:
+    """Sweep the symmetric matrix S on pivot k in place (Goodnight 1979).
 
-    Candidates are scored against this factorization; the committed model
-    is refit once at the end through ols_fit.
-    """
-
-    def __init__(self, y: np.ndarray):
-        self.n = len(y)
-        self.y = y
-        q0 = np.full((self.n, 1), 1.0 / np.sqrt(self.n))
-        self.Q = q0
-        self.R = np.array([[np.sqrt(float(self.n))]])
-        self.qty = np.array([q0[:, 0] @ y])
-        self.update_residual()
-
-    def update_residual(self):
-        self.ry = self.y - self.Q @ self.qty
-        self.rss = float(self.ry @ self.ry)
-
-    def residualize(self, cols: np.ndarray):
-        u = self.Q.T @ cols
-        res = cols - self.Q @ u
-        u2 = self.Q.T @ res
-        res -= self.Q @ u2
-        return res, u + u2
-
-    def score(self, cols: np.ndarray, df_new: int) -> "_Candidates":
-        """Score each column of `cols` as the next entering variable."""
-        res, u = self.residualize(cols)
-        rho2 = np.einsum("ij,ij->j", res, res)
-        g = res.T @ self.ry
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.sqrt(rho2)
-            gain = g / rho  # entering column's coefficient in the Q basis
-            rss_new = np.maximum(self.rss - gain**2, 0.0)
-            t = np.sqrt(gain**2 / (rss_new / df_new))
-        p = np.where(rss_new > 0, _t_pvalue(t, df_new), 0.0)
-        return _Candidates(res, u, rho2, rho, gain, rss_new, p)
-
-    def append(self, cand: "_Candidates", local: int):
-        m = self.R.shape[0]
-        r_new = np.zeros((m + 1, m + 1))
-        r_new[:m, :m] = self.R
-        r_new[:m, m] = cand.u[:, local]
-        r_new[m, m] = cand.rho[local]
-        self.R = r_new
-        self.Q = np.column_stack([self.Q, cand.res[:, local] / cand.rho[local]])
-        self.qty = np.concatenate([self.qty, [cand.gain[local]]])
-        self.update_residual()
-
-
-@dataclass(frozen=True)
-class _Candidates:
-    """One step's candidates scored as arrays, one entry per column."""
-
-    res: np.ndarray  # columns residualized against the current Q
-    u: np.ndarray  # their coordinates in the current Q
-    rho2: np.ndarray
-    rho: np.ndarray
-    gain: np.ndarray
-    rss_new: np.ndarray
-    p: np.ndarray  # entering coefficient p-value
+    Once S = [X y]'[X y] of centred columns is swept on a set K of
+    columns, S[K, K] = -(X_K'X_K)^-1, S[K, j] holds the coefficients of
+    column j regressed on X_K, and S[j, j] and S[j, y] hold the residual
+    sum of squares of column j and its residual cross-product with y."""
+    d = S[k, k]
+    row = S[k] / d
+    # S -= S[:, k] row', in place: S is C-ordered, so S.T is the
+    # Fortran-ordered matrix that BLAS updates without a copy.
+    blas.dger(-1.0, row, S[:, k].copy(), a=S.T, overwrite_a=True)
+    S[k] = row
+    S[:, k] = row
+    S[k, k] = -1.0 / d
 
 
 def _t_pvalue(t, df):
     """Two-sided Student-t p-value of `t` on `df` degrees of freedom."""
     return 2.0 * special.stdtr(df, -np.abs(t))
+
+
+def _entry_pvalue(explained: float, rss_new: float, df: int) -> float:
+    """p-value of an entering coefficient that explains `explained` of the
+    residual sum of squares, leaving `rss_new` on `df` degrees of freedom."""
+    if rss_new <= 0:
+        return 0.0
+    return float(_t_pvalue(math.sqrt(explained * df / rss_new), df))
 
 
 def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = None) -> LinearModel:
@@ -253,12 +220,17 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
     column at once and enters the admissible one with the highest
     adjusted R2: entering VIF below `cfg.vif_max`, entering p-value below
     `cfg.p_max`, and no selected coefficient changing sign from its sign
-    at entry. Ties go to the lowest column index. Selection stops when no
-    column is admissible or the best gain is below `cfg.min_adj_r2_gain`.
+    at entry. Ties go to the lowest column index; candidates tie when
+    their residual sums of squares lie within a relative `TIE_RTOL` of
+    the best one's, that is, their adjusted R2 within `TIE_RTOL` times
+    (1 - the best adjusted R2). Selection stops when no column is
+    admissible or the best gain is below `cfg.min_adj_r2_gain`.
 
     Zero-variance columns are never considered. Multiple buffer lengths
     of one base variable may enter, as long as each passes the
-    admissibility rules on its own.
+    admissibility rules on its own. Candidates are scored by sweeping the
+    centred cross-product matrix of the usable columns and y, built once;
+    the selected columns are refit by `ols_fit`.
     """
     cfg = cfg or StepwiseConfig()
     y = np.asarray(y, dtype=np.float64)
@@ -268,8 +240,7 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
     X = matrix.values
     names = matrix.columns
     n = X.shape[0]
-    available = ~matrix.zero_variance
-    usable = np.flatnonzero(available)
+    usable = np.flatnonzero(~matrix.zero_variance)
     if usable.size == 0:
         raise EmptyModelError("no non-constant candidate columns")
     sst = float(np.sum((y - y.mean()) ** 2))
@@ -278,61 +249,58 @@ def stepwise_select(matrix: CovariateMatrix, y, cfg: StepwiseConfig | None = Non
     if n - 2 < 1:
         raise InvalidArgumentError("too few observations for selection")
 
-    ss_centered = np.sum((X - X.mean(axis=0)) ** 2, axis=0)
-    state = _QrState(y)
-
-    # Step 1: highest absolute Pearson correlation with the response.
-    yc = y - y.mean()
-    with np.errstate(invalid="ignore"):
-        corr = np.abs((X[:, usable] - X[:, usable].mean(axis=0)).T @ yc) / (
-            np.sqrt(ss_centered[usable]) * np.sqrt(sst)
-        )
-    first = int(usable[np.argmax(corr)])
-    cand = state.score(X[:, [first]], n - 2)
-    if not cand.p[0] < cfg.p_max:
-        raise EmptyModelError(
-            f"no admissible first variable (best candidate {names[first]!r} "
-            f"has p={cand.p[0]:.3g})"
-        )
-    # Each pass enters column `remaining[local]` of the scored `cand`, then
-    # scores the columns still available for the next step.
-    local, remaining = 0, np.array([first])
-
-    selected: list[int] = []
+    m = usable.size  # S's last row and column are y's
+    Z = np.empty((n, m + 1))
+    Z[:, :m] = X[:, usable]
+    Z[:, m] = y
+    Z -= Z.mean(axis=0)
+    S = Z.T @ Z
+    ss_centered = S.diagonal()[:m].copy()
+    free = np.ones(m, dtype=bool)
+    selected: list[int] = []  # indices into `usable`
     entry_signs: list[float] = []
     entry_pvalues: list[float] = []
     while True:
-        state.append(cand, local)
-        j = int(remaining[local])
-        selected.append(j)
-        available[j] = False
-        entry_signs.append(float(np.sign(cand.gain[local])))
-        entry_pvalues.append(float(cand.p[local]))
-
-        remaining = np.flatnonzero(available)
         df_new = n - len(selected) - 2
-        if remaining.size == 0 or df_new < 1:
+        if not free.any() or df_new < 1:
             break
-        cand = state.score(X[:, remaining], df_new)
+        rho2, g, rss = S.diagonal()[:m], S[:m, m], S[m, m]
+        # p < p_max exactly when t^2 = g b df_new / rss_new exceeds t_crit^2.
+        t_crit2 = special.stdtrit(df_new, cfg.p_max / 2.0) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            vifs = np.where(cand.rho2 > 0, ss_centered[remaining] / cand.rho2, np.inf)
-            # Coefficients [intercept, selected...] once each candidate
-            # enters: one column per candidate, from one batched solve.
-            beta_old = solve_triangular(state.R, state.qty)[:, None] \
-                - solve_triangular(state.R, cand.u) * (cand.gain / cand.rho)
-        keeps_signs = np.all(np.sign(beta_old[1:]) == np.array(entry_signs)[:, None], axis=0)
-        admissible = ((vifs < cfg.vif_max) & (cand.rho2 > 0) & (cand.p < cfg.p_max)
-                      & keeps_signs)
+            b = g / rho2  # each candidate's coefficient once it enters
+            explained = g * b
+            rss_new = np.maximum(rss - explained, 0.0)
+            usable_now = free & (rho2 > 0)
+            admissible = usable_now & ((rss_new <= 0) | (explained * df_new > t_crit2 * rss_new))
+            if selected:
+                # Coefficients of the selected columns once each candidate enters.
+                beta = S[selected, m][:, None] - S[selected, :m] * b
+                admissible &= (ss_centered / rho2 < cfg.vif_max) & np.all(
+                    np.sign(beta) == np.array(entry_signs)[:, None], axis=0)
         if not admissible.any():
+            if not selected:
+                j = int(np.argmin(np.where(usable_now, rss_new, np.inf)))
+                p = _entry_pvalue(explained[j], rss_new[j], df_new)
+                raise EmptyModelError(f"no admissible first variable (best candidate "
+                                      f"{names[usable[j]]!r} has p={p:.3g})")
             break
-        adj_new = 1.0 - (cand.rss_new / df_new) / (sst / (n - 1))
-        local = int(np.argmax(np.where(admissible, adj_new, -np.inf)))
-        adj_cur = 1.0 - (state.rss / (n - len(selected) - 1)) / (sst / (n - 1))
-        if adj_new[local] - adj_cur < cfg.min_adj_r2_gain:
-            break
+        best = np.min(rss_new[admissible])
+        j = int(np.argmax(admissible & (rss_new <= best * (1.0 + TIE_RTOL))))
+        if selected:
+            adj_new = 1.0 - (rss_new[j] / df_new) / (sst / (n - 1))
+            adj_cur = 1.0 - (rss / (n - len(selected) - 1)) / (sst / (n - 1))
+            if adj_new - adj_cur < cfg.min_adj_r2_gain:
+                break
+        selected.append(j)
+        free[j] = False
+        entry_signs.append(float(np.sign(g[j])))
+        entry_pvalues.append(_entry_pvalue(explained[j], rss_new[j], df_new))
+        _sweep(S, j)
 
+    cols = usable[selected]
     config = {"selection": "stepwise", **asdict(cfg), "entry_p_values": entry_pvalues}
-    return replace(ols_fit(X[:, selected], y, [names[j] for j in selected], config=config),
+    return replace(ols_fit(X[:, cols], y, [names[c] for c in cols], config=config),
                    entry_signs=np.array(entry_signs))
 
 
@@ -384,47 +352,74 @@ class PlsModel:
         return self.y_mean + self._standardize(source) @ beta
 
 
-def _pls1_path(X0: np.ndarray, y0: np.ndarray, max_k: int):
-    """PLS1 without deflating X (Dayal & MacGregor 1997): weight w maps
-    through the earlier rotations to r, the score is X0 r, and only
-    s = X_k' y0 is deflated. Returns q and the rotations R = W (P'W)^-1
-    it builds, stopping early when no signal remains."""
-    n, p = X0.shape
-    s = X0.T @ y0
-    scale0 = float(np.linalg.norm(s)) or 1.0
-    P, R = np.empty((p, max_k)), np.empty((p, max_k))
-    q = np.empty(max_k)
-    k = 0
-    while k < max_k:
-        nw = float(np.linalg.norm(s))
-        if nw <= 1e-12 * scale0:
+def _pls1_paths(apply, xty: np.ndarray, tiny: np.ndarray, max_k: int):
+    """PLS1 in kernel form (Dayal & MacGregor 1997) on B systems at once.
+
+    `apply(V)` returns the rows X0_b'X0_b v_b for the rows v_b of V (B, p),
+    `xty` (B, p) holds X0_b'y0 and `tiny` (B,) the score sum of squares at
+    or below which a system stops. Weight w maps through the earlier
+    rotations to r, the score sum of squares is r'X0'X0 r, and only
+    s = X_k'y0 is deflated; a system also stops when |s| falls to 1e-12 of
+    its start. Returns q (B, max_k), the rotations R = W (P'W)^-1
+    (B, p, max_k) and the component counts (B,); entries past a system's
+    count are zero."""
+    B, p = xty.shape
+    s = xty
+    scale0 = np.sqrt(np.einsum("bp,bp->b", s, s))
+    scale0[scale0 == 0] = 1.0
+    P, R = np.zeros((B, p, max_k)), np.zeros((B, p, max_k))
+    q = np.zeros((B, max_k))
+    live = np.ones(B, dtype=bool)
+    count = np.zeros(B, dtype=np.int64)
+    for k in range(max_k):
+        nw = np.sqrt(np.einsum("bp,bp->b", s, s))
+        live &= nw > 1e-12 * scale0
+        if not live.any():
             break
-        w = s / nw
-        r = w - R[:, :k] @ (P[:, :k].T @ w)
-        t = X0 @ r
-        tt = float(t @ t)
-        if tt <= 1e-24 * n:
+        w = s / np.where(live, nw, 1.0)[:, None]
+        r = w - ((w[:, None, :] @ P[:, :, :k]) @ R[:, :, :k].transpose(0, 2, 1))[:, 0]
+        xtt = apply(r)  # X0't
+        tt = np.einsum("bp,bp->b", r, xtt)
+        live &= tt > tiny
+        if not live.any():
             break
-        yt = float(y0 @ t)
-        R[:, k] = r
-        P[:, k] = X0.T @ t / tt
-        q[k] = yt / tt
-        s = s - P[:, k] * yt
-        k += 1
+        tt = np.where(live, tt, 1.0)
+        yt = np.where(live, np.einsum("bp,bp->b", xty, r), 0.0)
+        R[live, :, k] = r[live]
+        P[live, :, k] = xtt[live] / tt[live, None]
+        q[:, k] = yt / tt
+        s = s - P[:, :, k] * yt[:, None]
+        count += live
+    return q, R, count
+
+
+def _pls1_path(xtx: np.ndarray, xty: np.ndarray, max_k: int):
+    """PLS1 from X0'X0 and X0'y0 alone (`_pls1_paths` with one system),
+    stopping at a score sum of squares of 1e-24 times X0'X0's largest
+    diagonal entry (n - 1 for standardized columns). Returns q and the
+    rotations R, trimmed to the components found."""
+    tiny = 1e-24 * xtx.diagonal().max(initial=0.0)
+    q, R, count = _pls1_paths(lambda V: V @ xtx, xty[None], np.array([tiny]), max_k)
+    k = int(count[0])
     if k == 0:
         raise ZeroVarianceError("response carries no signal over the given columns")
-    return q[:k], R[:, :k]
-
-
-def _column_scale(X: np.ndarray) -> np.ndarray:
-    """Sample std per column; 1.0 where the column is constant (its std may round to ~1e-17)."""
-    return np.where(np.ptp(X, axis=0) > 0, X.std(axis=0, ddof=1), 1.0)
+    return q[0, :k], R[0, :, :k]
 
 
 def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> PlsModel:
     """Fit a PLS1 component family and pick the component count by the
     one-standard-error rule on 10-fold CV RMSEP (the most parsimonious
-    model not significantly worse than the RMSEP minimum)."""
+    model not significantly worse than the RMSEP minimum).
+
+    Columns are centred and divided by their ddof=1 std, or by 1 where
+    constant. The data are read once, for the cross-products G of [X y]
+    centred at the full means. A training fold's centred cross-products
+    are G less the fold's own rows' and a rank-one term that moves the
+    centre to the training mean; they are scaled by the fold's own std,
+    and by 0 where a column is constant on the fold, so that it
+    contributes exactly zero. The ten fold fits apply these matrices to
+    vectors without forming them, in one batch.
+    """
     y = np.asarray(y, dtype=np.float64)
     X = matrix.values
     n, p = X.shape
@@ -437,43 +432,65 @@ def pls_fit(matrix: CovariateMatrix, y, max_components: int, seed: int = 0) -> P
             f"max_components={max_components} exceeds the design capacity "
             f"min(n - 1, p) = {min(n - 1, p)}"
         )
-    x_mean, x_scale = X.mean(axis=0), _column_scale(X)
-    X0 = (X - x_mean) / x_scale
-    y_mean = float(y.mean())
-    q, rotations = _pls1_path(X0, y - y_mean, max_components)
+    # Fold f holds rows order[f::F] (row f of `rows`, padded with -1 whose
+    # rows of Z are zero), as fold_of[order] = arange(n) % F.
+    F = min(10, n)
+    rows = np.full(-(-n // F) * F, -1)
+    rows[:n] = np.random.default_rng(seed).permutation(n)
+    rows = rows.reshape(-1, F).T
+    held = rows >= 0
+    x_mean, y_mean = X.mean(axis=0), float(y.mean())
+    Z = X[rows.ravel()]
+    Z -= x_mean
+    zy = y[rows.ravel()] - y_mean
+    Z[~held.ravel()] = zy[~held.ravel()] = 0.0
+    Gx, g = Z.T @ Z, Z.T @ zy
+
+    constant = matrix.zero_variance
+    x_scale = np.where(constant, 1.0, np.sqrt(Gx.diagonal() / (n - 1)))
+    inv = np.where(constant, 0.0, 1.0 / x_scale)
+    xtx = Gx * inv
+    xtx *= inv[:, None]
+    q, rotations = _pls1_path(xtx, g * inv, max_components)
     K = len(q)
 
-    rng = np.random.default_rng(seed)
-    n_folds_eff = min(10, n)
-    order = rng.permutation(n)
-    fold_of = np.empty(n, dtype=np.int64)
-    fold_of[order] = np.arange(n) % n_folds_eff
+    ZF, yf = Z.reshape(F, -1, p), zy.reshape(F, -1)
+    n_t = n - held.sum(axis=1)
+    mean = (Z.sum(axis=0) - ZF.sum(axis=1)) / n_t[:, None]  # training means, as offsets
+    mean_y = (zy.sum() - yf.sum(axis=1)) / n_t
+    last = held[:, -1:]  # padding sits in a fold's last row only
+    lo = np.minimum(ZF[:, :-1].min(axis=1, initial=np.inf), np.where(last, ZF[:, -1], np.inf))
+    hi = np.maximum(ZF[:, :-1].max(axis=1, initial=-np.inf), np.where(last, ZF[:, -1], -np.inf))
+    away = ~np.eye(F, dtype=bool)[..., None]  # [f, h]: fold h trains fold f's model
+    fold_constant = (np.where(away, hi, -np.inf).max(axis=1)
+                     == np.where(away, lo, np.inf).min(axis=1))
+    ss = np.maximum(Gx.diagonal() - np.einsum("fmp,fmp->fp", ZF, ZF) - n_t[:, None] * mean**2,
+                    0.0)
+    fold_inv = np.where(fold_constant, 0.0,
+                        1.0 / np.sqrt(np.where(fold_constant, 1.0, ss) / (n_t - 1)[:, None]))
+    fold_xty = (g - np.einsum("fmp,fm->fp", ZF, yf) - n_t[:, None] * mean * mean_y[:, None]) \
+        * fold_inv
+    ZFt = ZF.transpose(0, 2, 1)
 
-    sq_err = np.full((n, K), np.nan)
-    for f in range(n_folds_eff):
-        test = fold_of == f
-        train = ~test
-        Xt = X[train]
-        mt, st = Xt.mean(axis=0), _column_scale(Xt)
-        X0t = (Xt - mt) / st
-        ymt = float(y[train].mean())
-        try:
-            qf, Rf = _pls1_path(X0t, y[train] - ymt, K)
-        except ZeroVarianceError:
-            continue
-        Kf = Rf.shape[1]
-        Xv = (X[test] - mt) / st
-        for k in range(1, K + 1):
-            kk = min(k, Kf)
-            beta = Rf[:, :kk] @ qf[:kk]
-            pred = ymt + Xv @ beta
-            sq_err[test, k - 1] = (y[test] - pred) ** 2
-    rmsep = np.sqrt(np.nanmean(sq_err, axis=0))
-    fold_rmsep = np.empty((n_folds_eff, K))
-    for f in range(n_folds_eff):
-        fold_rmsep[f] = np.sqrt(np.nanmean(sq_err[fold_of == f], axis=0))
-    se = fold_rmsep.std(axis=0, ddof=1) / np.sqrt(n_folds_eff) if n_folds_eff > 1 \
-        else np.zeros(K)
+    def fold_xtx(V):
+        U = V * fold_inv
+        out = U @ Gx
+        out -= (ZFt @ (ZF @ U[..., None]))[..., 0]
+        out -= (n_t * np.einsum("fp,fp->f", mean, U))[:, None] * mean
+        out *= fold_inv
+        return out
+
+    qf, Rf, count = _pls1_paths(fold_xtx, fold_xty,
+                                1e-24 * (ss * fold_inv**2).max(axis=1), K)
+    # Regression vectors for 1..K components, past a fold's count its last,
+    # applied to the fold's rows centred at the training mean.
+    betas = fold_inv[..., None] * np.cumsum(Rf * qf[:, None, :], axis=2)
+    pred = (ZF @ betas) + (mean_y[:, None] - np.einsum("fp,fpk->fk", mean, betas))[:, None, :]
+    sq_err = (yf[..., None] - pred) ** 2
+    sq_err[~held | (count == 0)[:, None]] = np.nan  # padding, and folds with no component
+    rmsep = np.sqrt(np.nanmean(sq_err.reshape(-1, K), axis=0))
+    fold_rmsep = np.sqrt(np.nanmean(sq_err, axis=1))
+    se = fold_rmsep.std(axis=0, ddof=1) / np.sqrt(F) if F > 1 else np.zeros(K)
     k_min = int(np.argmin(rmsep))
     threshold = rmsep[k_min] + se[k_min]
     k_star = int(np.argmax(rmsep <= threshold)) + 1

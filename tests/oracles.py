@@ -2,17 +2,25 @@
 
 Everything here is deliberately naive (linear scans, double loops, dense
 solves, from-scratch math) and shares no code with the implementations it
-verifies.
+verifies. The exceptions are the earlier forms of the package's stepwise
+selection and PLS fit kept as references: they end in the package's own
+`ols_fit` and `PlsModel`, and follow its tie rule, so that their results
+compare bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+from dataclasses import asdict, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
+from scipy.linalg import solve_triangular
 from scipy.optimize import least_squares
+
+from lurk.errors import EmptyModelError, ZeroVarianceError
+from lurk.lur import TIE_RTOL, PlsModel, StepwiseConfig, ols_fit
 
 
 # -- geometry ----------------------------------------------------------------
@@ -420,6 +428,193 @@ def deflation_pls1_path(X0, y0, max_k):
     W = np.column_stack(W)
     P = np.column_stack(P)
     return W, P, np.array(q), W @ np.linalg.inv(P.T @ W)
+
+
+# The package's stepwise selection and PLS fit as they were before both
+# moved to cross-product form: stepwise projected every candidate column on
+# an incremental thin QR of [1, selected] at every step, and PLS read the
+# standardized data in every component of every CV fold. Both end in the
+# package's own `ols_fit` and `PlsModel`, so a selection that matches gives
+# bit-identical coefficients.
+
+class QrState:
+    """Incremental thin QR over [1, selected columns]."""
+
+    def __init__(self, y):
+        self.n = len(y)
+        self.y = y
+        q0 = np.full((self.n, 1), 1.0 / np.sqrt(self.n))
+        self.Q = q0
+        self.R = np.array([[np.sqrt(float(self.n))]])
+        self.qty = np.array([q0[:, 0] @ y])
+        self.update_residual()
+
+    def update_residual(self):
+        self.ry = self.y - self.Q @ self.qty
+        self.rss = float(self.ry @ self.ry)
+
+    def score(self, cols, df_new):
+        """Score each column of `cols` as the next entering variable."""
+        u = self.Q.T @ cols
+        res = cols - self.Q @ u
+        u2 = self.Q.T @ res
+        res -= self.Q @ u2
+        u = u + u2
+        rho2 = np.einsum("ij,ij->j", res, res)
+        g = res.T @ self.ry
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.sqrt(rho2)
+            gain = g / rho  # entering column's coefficient in the Q basis
+            rss_new = np.maximum(self.rss - gain**2, 0.0)
+            t = np.sqrt(gain**2 / (rss_new / df_new))
+        p = np.where(rss_new > 0, 2.0 * special.stdtr(df_new, -np.abs(t)), 0.0)
+        return dict(res=res, u=u, rho2=rho2, rho=rho, gain=gain, rss_new=rss_new, p=p)
+
+    def append(self, cand, local):
+        m = self.R.shape[0]
+        r_new = np.zeros((m + 1, m + 1))
+        r_new[:m, :m] = self.R
+        r_new[:m, m] = cand["u"][:, local]
+        r_new[m, m] = cand["rho"][local]
+        self.R = r_new
+        self.Q = np.column_stack([self.Q, cand["res"][:, local] / cand["rho"][local]])
+        self.qty = np.concatenate([self.qty, [cand["gain"][local]]])
+        self.update_residual()
+
+
+def lowest_of_ties(rss_new, admissible, rtol):
+    """Lowest index whose residual sum of squares is within a relative
+    `rtol` of the least admissible one."""
+    best = np.min(np.where(admissible, rss_new, np.inf))
+    return int(np.argmax(admissible & (rss_new <= best * (1.0 + rtol))))
+
+
+def qr_stepwise_select(matrix, y, cfg=None):
+    """Forward stepwise selection scored on an incremental QR, with the
+    package's tie rule; the selected columns are refit by `ols_fit`."""
+    cfg = cfg or StepwiseConfig()
+    y = np.asarray(y, dtype=np.float64)
+    X = matrix.values
+    names = matrix.columns
+    n = X.shape[0]
+    available = ~matrix.zero_variance
+    sst = float(np.sum((y - y.mean()) ** 2))
+    ss_centered = np.sum((X - X.mean(axis=0)) ** 2, axis=0)
+    state = QrState(y)
+    remaining = np.flatnonzero(available)
+    cand = state.score(X[:, remaining], n - 2)
+    local = lowest_of_ties(cand["rss_new"], np.ones(remaining.size, bool), TIE_RTOL)
+    if not cand["p"][local] < cfg.p_max:
+        raise EmptyModelError("no admissible first variable")
+    selected, entry_signs, entry_pvalues = [], [], []
+    while True:
+        state.append(cand, local)
+        j = int(remaining[local])
+        selected.append(j)
+        available[j] = False
+        entry_signs.append(float(np.sign(cand["gain"][local])))
+        entry_pvalues.append(float(cand["p"][local]))
+        remaining = np.flatnonzero(available)
+        df_new = n - len(selected) - 2
+        if remaining.size == 0 or df_new < 1:
+            break
+        cand = state.score(X[:, remaining], df_new)
+        rho2 = cand["rho2"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vifs = np.where(rho2 > 0, ss_centered[remaining] / rho2, np.inf)
+            beta_old = solve_triangular(state.R, state.qty)[:, None] \
+                - solve_triangular(state.R, cand["u"]) * (cand["gain"] / cand["rho"])
+        keeps_signs = np.all(np.sign(beta_old[1:]) == np.array(entry_signs)[:, None], axis=0)
+        admissible = (vifs < cfg.vif_max) & (rho2 > 0) & (cand["p"] < cfg.p_max) & keeps_signs
+        if not admissible.any():
+            break
+        local = lowest_of_ties(cand["rss_new"], admissible, TIE_RTOL)
+        adj_new = 1.0 - (cand["rss_new"][local] / df_new) / (sst / (n - 1))
+        adj_cur = 1.0 - (state.rss / (n - len(selected) - 1)) / (sst / (n - 1))
+        if adj_new - adj_cur < cfg.min_adj_r2_gain:
+            break
+    config = {"selection": "stepwise", **asdict(cfg), "entry_p_values": entry_pvalues}
+    return replace(ols_fit(X[:, selected], y, [names[j] for j in selected], config=config),
+                   entry_signs=np.array(entry_signs))
+
+
+def data_pls1_path(X0, y0, max_k):
+    """PLS1 without deflating X, reading the standardized data X0 for
+    every score t = X0 r and loading X0' t."""
+    n, p = X0.shape
+    s = X0.T @ y0
+    scale0 = float(np.linalg.norm(s)) or 1.0
+    P, R = np.empty((p, max_k)), np.empty((p, max_k))
+    q = np.empty(max_k)
+    k = 0
+    while k < max_k:
+        nw = float(np.linalg.norm(s))
+        if nw <= 1e-12 * scale0:
+            break
+        w = s / nw
+        r = w - R[:, :k] @ (P[:, :k].T @ w)
+        t = X0 @ r
+        tt = float(t @ t)
+        if tt <= 1e-24 * n:
+            break
+        yt = float(y0 @ t)
+        R[:, k] = r
+        P[:, k] = X0.T @ t / tt
+        q[k] = yt / tt
+        s = s - P[:, k] * yt
+        k += 1
+    if k == 0:
+        raise ZeroVarianceError("response carries no signal over the given columns")
+    return q[:k], R[:, :k]
+
+
+def _column_scale(X):
+    return np.where(np.ptp(X, axis=0) > 0, X.std(axis=0, ddof=1), 1.0)
+
+
+def data_pls_fit(matrix, y, max_components, seed=0):
+    """PLS1 with the component count picked by the one-standard-error rule
+    on 10-fold CV RMSEP, standardizing each training fold's rows anew."""
+    y = np.asarray(y, dtype=np.float64)
+    X = matrix.values
+    n, p = X.shape
+    x_mean, x_scale = X.mean(axis=0), _column_scale(X)
+    X0 = (X - x_mean) / x_scale
+    y_mean = float(y.mean())
+    q, rotations = data_pls1_path(X0, y - y_mean, max_components)
+    K = len(q)
+    rng = np.random.default_rng(seed)
+    n_folds_eff = min(10, n)
+    order = rng.permutation(n)
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[order] = np.arange(n) % n_folds_eff
+    sq_err = np.full((n, K), np.nan)
+    for f in range(n_folds_eff):
+        test = fold_of == f
+        train = ~test
+        Xt = X[train]
+        mt, st = Xt.mean(axis=0), _column_scale(Xt)
+        ymt = float(y[train].mean())
+        try:
+            qf, Rf = data_pls1_path((Xt - mt) / st, y[train] - ymt, K)
+        except ZeroVarianceError:
+            continue
+        Kf = Rf.shape[1]
+        Xv = (X[test] - mt) / st
+        for k in range(1, K + 1):
+            kk = min(k, Kf)
+            sq_err[test, k - 1] = (y[test] - (ymt + Xv @ (Rf[:, :kk] @ qf[:kk]))) ** 2
+    rmsep = np.sqrt(np.nanmean(sq_err, axis=0))
+    fold_rmsep = np.empty((n_folds_eff, K))
+    for f in range(n_folds_eff):
+        fold_rmsep[f] = np.sqrt(np.nanmean(sq_err[fold_of == f], axis=0))
+    se = fold_rmsep.std(axis=0, ddof=1) / np.sqrt(n_folds_eff) if n_folds_eff > 1 \
+        else np.zeros(K)
+    k_min = int(np.argmin(rmsep))
+    k_star = int(np.argmax(rmsep <= rmsep[k_min] + se[k_min])) + 1
+    return PlsModel(columns=tuple(matrix.columns), x_mean=x_mean, x_scale=x_scale,
+                    y_mean=y_mean, score_coefficients=q, rotations=rotations,
+                    n_components=k_star)
 
 
 def moran_double_sum(residuals, coords, min_distance=1000.0):

@@ -11,6 +11,7 @@ from lurk.errors import (
     SingularKrigingError,
     VariogramFitError,
 )
+from lurk import kriging
 from lurk.kriging import (
     EmpiricalVariogram,
     KrigingModel,
@@ -191,6 +192,19 @@ def test_variogram_gamma_non_decreasing_and_zero_at_origin():
     assert m.sill == pytest.approx(1.7)
 
 
+def test_covariance_of_a_scalar_and_of_an_array():
+    m = VariogramModel(nugget=0.1, partial_sill=4.0, range_m=5_000.0)
+    h = np.array([[0.0, 3.0], [2_500.0, 1e6]])
+    want = 4.0 * np.exp(-h / 5_000.0)
+    got = m.covariance(h)
+    assert got.shape == h.shape and np.array_equal(got, want)
+    for i, d in enumerate(h.ravel()):
+        scalar = m.covariance(float(d))
+        assert np.ndim(scalar) == 0 and scalar == want.ravel()[i]
+    assert m.covariance(np.float64(3.0)) == m.covariance(3) == want[0, 1]
+    assert m.covariance(3.0) == pytest.approx(m.sill - m.gamma(3.0))
+
+
 # -- universal kriging --------------------------------------------------------------
 
 def test_exact_interpolation_zero_nugget():
@@ -299,6 +313,33 @@ def test_variance_nonnegative_everywhere():
     rows = rng.normal(size=(50, 3))
     _, var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
     assert np.all(var >= 0.0)
+
+
+@pytest.mark.parametrize("rhs_rows,points", [
+    (261, 4096),        # 250 sites and 10 drift columns: PREDICT_CHUNK, as before
+    (1511, 1387),       # 1,500 sites: (16 MiB / 8 B) // 1,511 rows
+    (3_000_000, 1),
+])
+def test_predict_block_caps_points_and_right_hand_side(rhs_rows, points):
+    assert kriging._block_points(rhs_rows) == points
+    assert points == kriging.PREDICT_CHUNK or points == 1 \
+        or points * rhs_rows * 8 <= kriging.PREDICT_BLOCK_BYTES < (points + 1) * rhs_rows * 8
+
+
+def test_blocked_prediction_matches_one_block(monkeypatch):
+    sites, matrix, drift, coords, X, y = make_problem(seed=29, n=60, nugget=0.3, noise=0.2)
+    model = KrigingModel(variogram=VariogramModel(0.3, 4.0, 30_000.0),
+                         coords=coords, x_rows=X, y=y)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-20_000, 120_000, size=(1_000, 2))
+    rows = rng.normal(size=(1_000, 3))
+    mean, var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    # 64 rows of right-hand side: blocks of 37 points, the last one short
+    monkeypatch.setattr(kriging, "PREDICT_BLOCK_BYTES", 37 * 64 * 8)
+    assert kriging._block_points(64) == 37
+    b_mean, b_var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    assert np.max(np.abs(b_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+    assert np.max(np.abs(b_var - var)) <= 1e-12 * np.max(np.abs(var))
 
 
 def test_uk_fit_permutation_invariance():

@@ -22,6 +22,7 @@ from lurk.lur import (
     pls_fit,
     stepwise_select,
 )
+from lurk.synth import SyntheticScenario, generate_synthetic
 from lurk._util import plain
 
 import oracles
@@ -214,6 +215,55 @@ def test_stepwise_scale_invariance(scale, seed):
         assert c_scaled == pytest.approx(expect, rel=1e-8)
 
 
+@pytest.mark.parametrize("factor", [2.51, 0.37])
+def test_stepwise_tie_goes_to_the_lower_column_in_either_order(factor):
+    # A sparse column and a multiple of it, like two buffer radii that each
+    # reach the same few features: their adjusted R2 tie exactly in exact
+    # arithmetic and to ~1e-15 in floating point.
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(60, 3))
+        a = np.zeros(60)
+        a[rng.choice(60, 6, replace=False)] = rng.uniform(1.0, 3.0, 6)
+        y = base[:, 0] + 2.0 * a + rng.normal(0, 0.3, 60)
+        for pair in ((a, factor * a), (factor * a, a)):
+            X = np.column_stack([base, *pair])
+            model = stepwise_select(matrix_of(X, ["b0", "b1", "b2", "first", "second"]), y)
+            assert "first" in model.selected and "second" not in model.selected, seed
+
+
+@pytest.fixture(scope="module")
+def national_matrix():
+    """One 1,200-site synthetic matrix with the full 291 covariates."""
+    data = generate_synthetic(SyntheticScenario(
+        seed=5, covariate_set="full", n_sites=1200, n_clusters=36, extent_x=1_600_000.0,
+        extent_y=1_000_000.0, cluster_sd_m=15_000.0, prediction_cols=10, prediction_rows=10))
+    return data.matrix, data.sites.annual_mean
+
+
+def test_cross_product_fits_match_their_references(national_matrix):
+    # Stepwise against the QR-scored selection it replaced (same columns and,
+    # through the shared `ols_fit` refit, the same coefficient bits); PLS
+    # against the data-form fit it replaced. In four of the n = 60 subsets
+    # two proportional ladder columns tie for entry; without the tie rule
+    # the two scorings break that tie differently.
+    matrix, y = national_matrix
+    rng = np.random.default_rng(15)
+    for n, subsets in ((60, 40), (150, 8), (225, 6), (500, 3), (1000, 2)):
+        for i in range(subsets):
+            rows = np.sort(rng.choice(matrix.n_sites, n, replace=False))
+            sub, ys = matrix.subset_rows(rows), y[rows]
+            got, want = stepwise_select(sub, ys), oracles.qr_stepwise_select(sub, ys)
+            assert got.selected == want.selected, (n, i)
+            assert got.intercept == want.intercept and \
+                np.array_equal(got.coefficients, want.coefficients), (n, i)
+            k = min(10, int(np.sum(~sub.zero_variance)), n - 1)
+            pls, pls_want = pls_fit(sub, ys, k, seed=i), oracles.data_pls_fit(sub, ys, k, seed=i)
+            assert pls.n_components == pls_want.n_components, (n, i)
+            pred, pred_want = pls.predict(sub), pls_want.predict(sub)
+            assert np.max(np.abs(pred - pred_want)) <= 1e-10 * np.max(np.abs(pred_want)), (n, i)
+
+
 def test_mean_model():
     y = np.array([1.0, 2.0, 3.0, 6.0])
     m = mean_model(y)
@@ -329,7 +379,7 @@ def pls_oracle_cases():
 def test_pls_path_matches_deflation_oracle():
     counts = set()
     for seed, X0, y0, max_k in pls_oracle_cases():
-        q, rotations = _pls1_path(X0, y0, max_k)
+        q, rotations = _pls1_path(X0.T @ X0, X0.T @ y0, max_k)
         _, _, want_q, want_rotations = oracles.deflation_pls1_path(X0, y0, max_k)
         assert rotations.shape == want_rotations.shape, seed
         counts.add(rotations.shape[1])
