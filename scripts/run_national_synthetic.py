@@ -4,7 +4,8 @@
 Produces 1,500 clustered monitors, ~290 covariates, and a 100k-cell
 prediction lattice, then executes annualize -> covariates -> fit -> CV ->
 predict -> exposure, printing the time and peak RSS after generation,
-writing and the pipeline, then the headline metrics.
+writing and the pipeline, each stage's time (`elapsed_s` in the report),
+the time of one cached rerun, then the headline metrics.
 
 Usage: python scripts/run_national_synthetic.py [outdir] [--seed N]
 """
@@ -66,6 +67,11 @@ def main():
     t0 = time.perf_counter()
     report = run(PipelineConfig.from_json(config_path))
     print(f"pipeline finished in {time.perf_counter() - t0:.2f}s, {peak_rss()}")
+    for name, entry in report.stages.items():
+        print(f"  {name:<10} {entry['elapsed_s']:.3f}s")
+    t0 = time.perf_counter()
+    run(PipelineConfig.from_json(config_path))
+    print(f"cached rerun finished in {time.perf_counter() - t0:.3f}s")
     print(json.dumps(report.metrics, indent=2, sort_keys=True))
     print(f"artifacts: {Path(args.outdir) / 'run'}")
 

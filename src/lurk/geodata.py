@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -110,9 +109,14 @@ class RasterGrid(Lattice):
 
 def summed_area_table(values: np.ndarray, dtype) -> np.ndarray:
     """Table S with S[r, c] the sum of ``values[:r, :c]``, accumulated in
-    `dtype` down the columns first, then along the rows."""
+    `dtype` down the columns first (each row added to the sum of the rows
+    before it), then along the rows."""
     table = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=dtype)
-    np.cumsum(np.cumsum(values, axis=0, dtype=dtype), axis=1, out=table[1:, 1:])
+    sums = table[1:, 1:]
+    sums[...] = values
+    for r in range(1, len(sums)):  # whole contiguous rows; cumsum(axis=0) strides
+        sums[r] += sums[r - 1]
+    np.cumsum(sums, axis=1, out=sums)
     return table
 
 
@@ -167,54 +171,62 @@ class CategoricalGrid(Lattice):
         return box_sum(self.summed_area(category), r0, r1, c0, c1)
 
 
-def _parse_header(lines: list[str], path) -> tuple[dict, int]:
+def _read_header(f, path) -> dict:
+    """Read the header lines of an open ESRI ASCII grid file, leaving `f`
+    at the first body line; blank lines before the body are skipped."""
     header: dict[str, float] = {}
-    i = 0
-    while i < len(lines):
-        parts = lines[i].split()
-        if not parts:
-            i += 1
-            continue
-        key = parts[0].lower()
-        if key not in _HEADER_KEYS:
+    number = 0  # of the line just read
+    while True:
+        start = f.tell()
+        line = f.readline()
+        number += 1
+        parts = line.split()
+        if not line or (parts and parts[0].lower() not in _HEADER_KEYS):
+            f.seek(start)
             break
+        if not parts:
+            continue
         if len(parts) != 2:
-            raise GridFormatError(f"{path}: malformed header line {i + 1!r}: {lines[i].strip()!r}")
+            raise GridFormatError(f"{path}: malformed header line {number!r}: {line.strip()!r}")
         try:
-            header[key] = float(parts[1])
+            header[parts[0].lower()] = float(parts[1])
         except ValueError:
             raise GridFormatError(
-                f"{path}: malformed header line {i + 1}: {lines[i].strip()!r}"
-            ) from None
-        i += 1
+                f"{path}: malformed header line {number}: {line.strip()!r}") from None
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise GridFormatError(f"{path}: missing header key '{key}'")
-    return header, i
+    return header
 
 
-def _read_ascii_grid(path, nodata: float) -> tuple[Lattice, float, np.ndarray]:
+def _read_ascii_grid(path, nodata: float, dtype=np.float64) -> tuple[Lattice, float, np.ndarray]:
     """The lattice, the nodata value (`nodata` when the header has none)
-    and the bottom-row-first values of an ESRI ASCII grid file."""
-    lines = Path(path).read_text().splitlines()
-    header, first_data_line = _parse_header(lines, path)
-    try:
-        lattice = Lattice(header["xllcorner"], header["yllcorner"], header["cellsize"],
-                          int(header["ncols"]), int(header["nrows"]))
-    except InvalidArgumentError as e:
-        raise GridFormatError(f"{path}: {e}") from None
-    n_cols, n_rows = lattice.n_cols, lattice.n_rows
-    body = lines[first_data_line:]
-    try:
-        flat = np.loadtxt(body, comments=None, ndmin=1).ravel()
-    except ValueError:  # rows of unequal length, or a token that is not a number
-        flat = " ".join(body).split()
+    and the bottom-row-first values of an ESRI ASCII grid file. The body
+    is parsed in one `np.loadtxt` pass as `dtype`; when that fails (rows
+    of unequal length, or a token `dtype` cannot hold) the whitespace
+    tokens are counted and parsed as float64, so a wrong count or a
+    non-numeric token raises GridFormatError."""
+    with open(path) as f:
+        header = _read_header(f, path)
+        try:
+            lattice = Lattice(header["xllcorner"], header["yllcorner"], header["cellsize"],
+                              int(header["ncols"]), int(header["nrows"]))
+        except InvalidArgumentError as e:
+            raise GridFormatError(f"{path}: {e}") from None
+        n_cols, n_rows = lattice.n_cols, lattice.n_rows
+        body = f.tell()
+        try:
+            flat = np.loadtxt(f, dtype, comments=None, ndmin=1).ravel()
+        except ValueError:
+            f.seek(body)
+            flat = f.read().split()
     if len(flat) != n_cols * n_rows:
         raise GridFormatError(f"{path}: expected {n_cols * n_rows} values, found {len(flat)}")
-    try:
-        flat = np.asarray(flat, dtype=np.float64)
-    except ValueError:
-        raise GridFormatError(f"{path}: non-numeric value in grid body") from None
+    if isinstance(flat, list):
+        try:
+            flat = np.asarray(flat, dtype=np.float64)
+        except ValueError:
+            raise GridFormatError(f"{path}: non-numeric value in grid body") from None
     # File rows run top-first; flip to bottom-first storage.
     return lattice, header.get("nodata_value", nodata), flat.reshape(n_rows, n_cols)[::-1]
 
@@ -248,11 +260,14 @@ def write_raster(grid: RasterGrid, path) -> None:
 
 def read_categorical(path, categories) -> CategoricalGrid:
     """Read an ESRI ASCII grid of integer category codes."""
-    lattice, nodata, vals = _read_ascii_grid(path, -9999)
-    ivals = vals.astype(np.int32)
-    if not np.array_equal(ivals, vals):
-        raise GridFormatError(f"{path}: categorical grid contains non-integer codes")
-    return CategoricalGrid(**lattice.geometry(), values=ivals,
+    lattice, nodata, vals = _read_ascii_grid(path, -9999, np.int32)
+    if vals.dtype != np.int32:  # the float fallback: some code is not an int32
+        with np.errstate(invalid="ignore"):  # NaN or out of range: named below
+            ivals = vals.astype(np.int32)
+        if not np.array_equal(ivals, vals):
+            raise GridFormatError(f"{path}: categorical grid contains non-integer codes")
+        vals = ivals
+    return CategoricalGrid(**lattice.geometry(), values=vals,
                            categories=tuple(int(c) for c in categories),
                            nodata=int(nodata))
 

@@ -68,13 +68,14 @@ class VariogramModel:
         g = self.nugget + self.partial_sill * (1.0 - np.exp(-h / self.range_m))
         return np.where(h > 0, g, 0.0)
 
-    def covariance(self, h) -> np.ndarray:
-        """Residual covariance between distinct locations; the nugget is
-        applied only on the kriging system diagonal."""
+    def covariance(self, h, out: np.ndarray | None = None) -> np.ndarray:
+        """Residual covariance between distinct locations, written into
+        `out` when given (which may be `h` itself); the nugget is applied
+        only on the kriging system diagonal."""
         # In place; h / -a is -h / a bit for bit. An explicit `out` keeps a
         # 0-d input an array, which `np.exp(..., out=)` needs.
         h = np.asarray(h, dtype=np.float64)
-        cov = np.divide(h, -self.range_m, out=np.empty_like(h))
+        cov = np.divide(h, -self.range_m, out=np.empty_like(h) if out is None else out)
         np.exp(cov, out=cov)
         cov *= self.partial_sill
         return cov
@@ -266,9 +267,10 @@ class KrigingModel:
     def _rhs(self, xs, ys, x_rows) -> np.ndarray:
         pts = np.column_stack([np.asarray(xs, dtype=np.float64),
                                np.asarray(ys, dtype=np.float64)])
-        d = cdist(self.coords, pts)
         b = np.empty((self.n_sites + 1 + self.x_rows.shape[1], len(pts)))
-        b[: self.n_sites] = self.variogram.covariance(d)
+        # The distances, then their covariance, in place in b's first rows.
+        self.variogram.covariance(cdist(self.coords, pts, out=b[: self.n_sites]),
+                                  out=b[: self.n_sites])
         b[self.n_sites] = 1.0
         x_std = (np.atleast_2d(x_rows) - self._x_shift) / self._x_scale
         b[self.n_sites + 1 :] = x_std.T

@@ -242,13 +242,22 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
 def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
     """Run the stages in order, filling `report`; yields each stage's name
     once it is done. The predict and exposure stages run only when the
-    config has a lattice (and, for exposure, a population grid)."""
+    config has a lattice (and, for exposure, a population grid).
+
+    Inputs and artifacts are read on first use and kept: the covariate
+    specs, `matrix.csv` and the geo inputs only by a stage that computes,
+    so a cached stage costs the hashes of its inputs and the small JSON
+    it reports from."""
     out = runner.out
 
     # -- annualize ----------------------------------------------------
     def do_annualize():
         result = annualize(read_daily_csv(cfg.daily_csv),
                            read_sites_csv(cfg.sites_csv), cfg.year)
+        if not len(result.table):
+            raise InvalidArgumentError(
+                f"{cfg.daily_csv}: no site meets the completeness rule "
+                f"({len(result.excluded)} site(s) excluded)")
         result.table.to_csv(out / "monitors.csv")
         dump_json(
             {"excluded": [{"site_id": s, "n_valid": n, "completeness": c}
@@ -262,9 +271,9 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
         ["monitors.csv", "excluded_sites.json"], do_annualize,
     )
     report.stages["annualize"] = entry
-    sites = MonitorTable.from_csv(out / "monitors.csv")
+    sites = functools.cache(lambda: MonitorTable.from_csv(out / "monitors.csv"))
     monitors_hash = entry["outputs"]["monitors.csv"]
-    report.metrics["n_sites"] = len(sites)
+    report.metrics["n_sites"] = len(sites())
     yield "annualize"
 
     # -- covariates ---------------------------------------------------
@@ -273,18 +282,12 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
         + [sha256_file(p) for p in cfg.grids.values()]
         + [sha256_file(v["path"]) for v in cfg.categorical.values()]
     )
-    specs = cov.read_specs(cfg.covariates_json)
-    geo_cache: dict = {}
-
-    def geo_inputs():
-        if not geo_cache:
-            layers, grids, categorical = _load_geo_inputs(cfg)
-            geo_cache.update(layers=layers, grids=grids, categorical=categorical)
-        return geo_cache["layers"], geo_cache["grids"], geo_cache["categorical"]
+    specs = functools.cache(lambda: cov.read_specs(cfg.covariates_json))
+    geo_inputs = functools.cache(lambda: _load_geo_inputs(cfg))
 
     def do_covariates():
         layers, grids, categorical = geo_inputs()
-        matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
+        matrix = cov.build_matrix(sites(), specs(), layers=layers, grids=grids,
                                   categorical=categorical)
         matrix.to_csv(out / "matrix.csv")
 
@@ -294,14 +297,14 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
         ["matrix.csv"], do_covariates,
     )
     report.stages["covariates"] = entry
-    matrix = cov.CovariateMatrix.from_csv(out / "matrix.csv")
+    matrix = functools.cache(lambda: cov.CovariateMatrix.from_csv(out / "matrix.csv"))
     matrix_hash = entry["outputs"]["matrix.csv"]
     report.dataset_hash = sha256_bytes((monitors_hash + matrix_hash).encode())
     yield "covariates"
 
     # -- fit ------------------------------------------------------------
     def do_fit():
-        fitted = fit_recipe(cfg.recipe, sites, matrix,
+        fitted = fit_recipe(cfg.recipe, sites(), matrix(),
                             seed=stage_seed(cfg.seed, "fit"))
         dump_json(fitted.to_dict(), out / "model.json")
 
@@ -321,13 +324,13 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
 
     # -- cv -------------------------------------------------------------
     def do_cv():
-        plan_k = kfold_plan(sites.site_ids, cfg.cv_k,
+        plan_k = kfold_plan(sites().site_ids, cfg.cv_k,
                             seed=stage_seed(cfg.seed, "cv-folds"))
-        res_k = run_cv(cfg.recipe, sites, matrix, plan_k,
+        res_k = run_cv(cfg.recipe, sites(), matrix(), plan_k,
                        seed=stage_seed(cfg.seed, "cv-kfold"))
         res_k.to_csv(out / "cv_kfold.csv")
-        plan_g = logo_plan(sites, cfg.logo_group)
-        res_g = run_cv(cfg.recipe, sites, matrix, plan_g,
+        plan_g = logo_plan(sites(), cfg.logo_group)
+        res_g = run_cv(cfg.recipe, sites(), matrix(), plan_g,
                        seed=stage_seed(cfg.seed, "cv-logo"))
         res_g.to_csv(out / "cv_logo.csv")
         dump_json({"kfold": res_k.summary(), "logo": res_g.summary()},
@@ -360,7 +363,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
             fitted = FittedModel.from_dict(model)
             layers, grids, categorical = geo_inputs()
             lattice = geodata.RasterGrid.filled(**cfg.prediction)
-            needed = [s for s in specs if s.name in set(fitted.required_columns)]
+            needed = [s for s in specs() if s.name in set(fitted.required_columns)]
             missing = set(fitted.required_columns) - {s.name for s in needed}
             if missing:
                 raise InvalidArgumentError(

@@ -5,7 +5,9 @@ solves, from-scratch math) and shares no code with the implementations it
 verifies. The exceptions are the earlier forms of the package's stepwise
 selection and PLS fit kept as references: they end in the package's own
 `ols_fit` and `PlsModel`, and follow its tie rule, so that their results
-compare bit for bit.
+compare bit for bit. Likewise the earlier per-line readers of daily CSVs
+and grid files build the package's own `Lattice` and errors, and the
+earlier kriging right-hand side reads a `KrigingModel`'s fields.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ import numpy as np
 from scipy import special, stats
 from scipy.linalg import solve_triangular
 from scipy.optimize import least_squares
+from scipy.spatial.distance import cdist
 
-from lurk.errors import EmptyModelError, ZeroVarianceError
+from lurk.errors import (EmptyModelError, GridFormatError, InvalidArgumentError,
+                         ZeroVarianceError)
+from lurk.geodata import Lattice
 from lurk.lur import TIE_RTOL, PlsModel, StepwiseConfig, ols_fit
 
 
@@ -751,3 +756,98 @@ def dense_uk_drift(train_coords, train_x, train_y, nugget, psill, range_m):
     A = dense_uk_system(train_coords, train_x, nugget, psill, range_m)
     rhs = np.concatenate([train_y, np.zeros(len(A) - len(train_y))])
     return np.linalg.solve(A, rhs)[len(train_y):]
+
+
+def copying_kriging_rhs(model, xs, ys, x_rows):
+    """`KrigingModel`'s right-hand side block [c(s_i, x); 1; x_std] built
+    from a new distance array and a new covariance array copied into it."""
+    pts = np.column_stack([np.asarray(xs, dtype=np.float64),
+                           np.asarray(ys, dtype=np.float64)])
+    d = cdist(model.coords, pts)
+    b = np.empty((model.n_sites + 1 + model.x_rows.shape[1], len(pts)))
+    b[: model.n_sites] = model.variogram.covariance(d)
+    b[model.n_sites] = 1.0
+    x_std = (np.atleast_2d(x_rows) - model._x_shift) / model._x_scale
+    b[model.n_sites + 1 :] = x_std.T
+    return b
+
+
+def per_line_read_daily_csv(path):
+    """The daily CSV reader of earlier versions: a csv.reader loop that
+    checks and converts one record at a time."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        i, j, k = (header.index(c) if c in header else len(header)
+                   for c in ("site_id", "date", "value"))
+        records = []
+        for row in filter(None, reader):
+            try:
+                dt.date.fromisoformat(row[j])
+                records.append((row[i], row[j], float(row[k]) if row[k].strip() else None))
+            except (IndexError, ValueError):
+                raise InvalidArgumentError(
+                    f"{path}: line {reader.line_num}: malformed record {row!r}") from None
+    yield from records
+
+
+_GRID_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
+
+
+def splitlines_read_ascii_grid(path, nodata):
+    """The grid reader of earlier versions: the file as a list of lines,
+    the header parsed line by line, the body by `np.loadtxt` over the
+    remaining lines as float64. Returns (lattice, nodata, bottom-first
+    values)."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    header, i = {}, 0
+    while i < len(lines):
+        parts = lines[i].split()
+        if not parts:
+            i += 1
+            continue
+        key = parts[0].lower()
+        if key not in _GRID_HEADER_KEYS:
+            break
+        if len(parts) != 2:
+            raise GridFormatError(f"{path}: malformed header line {i + 1!r}: {lines[i].strip()!r}")
+        try:
+            header[key] = float(parts[1])
+        except ValueError:
+            raise GridFormatError(
+                f"{path}: malformed header line {i + 1}: {lines[i].strip()!r}") from None
+        i += 1
+    for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+        if key not in header:
+            raise GridFormatError(f"{path}: missing header key '{key}'")
+    try:
+        lattice = Lattice(header["xllcorner"], header["yllcorner"], header["cellsize"],
+                          int(header["ncols"]), int(header["nrows"]))
+    except InvalidArgumentError as e:
+        raise GridFormatError(f"{path}: {e}") from None
+    n_cols, n_rows = lattice.n_cols, lattice.n_rows
+    body = lines[i:]
+    try:
+        flat = np.loadtxt(body, comments=None, ndmin=1).ravel()
+    except ValueError:
+        flat = " ".join(body).split()
+    if len(flat) != n_cols * n_rows:
+        raise GridFormatError(f"{path}: expected {n_cols * n_rows} values, found {len(flat)}")
+    try:
+        flat = np.asarray(flat, dtype=np.float64)
+    except ValueError:
+        raise GridFormatError(f"{path}: non-numeric value in grid body") from None
+    return lattice, header.get("nodata_value", nodata), flat.reshape(n_rows, n_cols)[::-1]
+
+
+def splitlines_read_categorical_codes(path):
+    """The category codes of a grid file as the earlier reader took them:
+    parsed as float64, then each required to be an int32 value. Returns
+    (lattice, nodata, bottom-first int32 codes)."""
+    lattice, nodata, vals = splitlines_read_ascii_grid(path, -9999)
+    with np.errstate(invalid="ignore"):
+        ivals = vals.astype(np.int32)
+    if not np.array_equal(ivals, vals):
+        raise GridFormatError(f"{path}: categorical grid contains non-integer codes")
+    return lattice, int(nodata), ivals

@@ -278,3 +278,78 @@ def test_read_features_names_malformed_feature(tmp_path, first, wkt, message):
     path.write_text(f'id,kind,category,wkt\nf0,,,"{first}"\nf1,,,"{wkt}"\n')
     with pytest.raises(InvalidArgumentError, match=message):
         geodata.read_features(path)
+
+
+def grid_outcome(call):
+    """The geometry, nodata and values of `call()`'s grid, or the type and
+    message of what it raised."""
+    try:
+        lattice, nodata, values = call()
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+    return lattice.geometry(), nodata, values.dtype, values.tolist()
+
+
+GRID_HEADER = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\nNODATA_value -9999\n"
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("text", [
+    GRID_HEADER + "1 2 3\n4 5 6\n",
+    GRID_HEADER + "1.5 2 3\n4 5 -9999\n",
+    GRID_HEADER + "1.0 2 3\n4 5 6\n",  # a code written as a float
+    (GRID_HEADER + "1 2 3\n4 5 6\n").replace("\n", "\r\n"),
+    GRID_HEADER + "\n1 2 3\n\n4 5 6\n\n",  # blank lines
+    "ncols 3\n\nnrows 2\n  \nxllcorner 0\nyllcorner 0\ncellsize 10\n1 2 3\n4 5 6\n",
+    GRID_HEADER + "1 2\n3 4 5 6\n",  # short and long rows, the right count
+    GRID_HEADER + "1 2 3\n4 5\n",  # too few values
+    GRID_HEADER + "1 2 3\n4 5 6 7\n",  # too many
+    GRID_HEADER + "1 2 x\n4 5 6\n",  # a non-numeric token
+    GRID_HEADER + "1 2 x\n4 5\n",  # a wrong count names before a bad token
+    GRID_HEADER + "3000000000 2 3\n4 5 6\n",  # outside int32
+    GRID_HEADER + "2147483647 -2147483648 3\n4 5 6\n",
+    GRID_HEADER + "1e0 2 3\n4 5 6\n",
+    GRID_HEADER + "nan 2 3\n4 5 6\n",
+    GRID_HEADER,  # header only
+    GRID_HEADER.replace("cellsize 10", "cellsize 10 20") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("cellsize 10", "cellsize ten") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("cellsize 10\n", "") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("ncols 3", "ncols 0") + "1 2 3\n4 5 6\n",
+])
+def test_grid_readers_match_the_splitlines_oracle(tmp_path, text):
+    path = tmp_path / "g.asc"
+    path.write_bytes(text.encode())
+
+    categories = range(-9999, 10)
+
+    def raster():
+        g = geodata.read_raster(path)
+        return g, g.nodata, g.values
+
+    def raster_oracle():
+        lattice, nodata, values = oracles.splitlines_read_ascii_grid(path, geodata.DEFAULT_NODATA)
+        g = geodata.RasterGrid(**lattice.geometry(), values=values, nodata=nodata)
+        return g, g.nodata, g.values
+
+    def categorical():
+        g = geodata.read_categorical(path, categories)
+        return g, g.nodata, g.values
+
+    def categorical_oracle():
+        lattice, nodata, codes = oracles.splitlines_read_categorical_codes(path)
+        g = geodata.CategoricalGrid(**lattice.geometry(), values=codes,
+                                    categories=categories, nodata=nodata)
+        return g, g.nodata, g.values
+
+    assert grid_outcome(raster) == grid_outcome(raster_oracle)
+    assert grid_outcome(categorical) == grid_outcome(categorical_oracle)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_summed_area_table_sums_columns_then_rows_bit_for_bit(dtype):
+    rng = np.random.default_rng(3)
+    values = rng.random((37, 23)) if dtype is np.float64 else rng.random((37, 23)) < 0.4
+    want = np.zeros((38, 24), dtype=dtype)
+    np.cumsum(np.cumsum(values, axis=0, dtype=dtype), axis=1, out=want[1:, 1:])
+    got = geodata.summed_area_table(values, dtype)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -474,3 +474,19 @@ def test_kriging_model_json_round_trip():
     m2, v2 = back.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
     assert np.allclose(m1, m2, atol=1e-12)
     assert np.allclose(v1, v2, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_in_place_rhs_matches_the_copying_oracle_bit_for_bit(monkeypatch, chunk):
+    sites, matrix, drift, coords, X, y = make_problem(seed=21, nugget=0.2)
+    model = KrigingModel(variogram=VariogramModel(0.2, 4.0, 30_000.0),
+                         coords=coords, x_rows=X, y=y)
+    rng = np.random.default_rng(121)
+    m = 2 * chunk + 3 if chunk < 4096 else 5000  # whole blocks and a partial one
+    pts = rng.uniform(0, 100_000, size=(m, 2))
+    rows = rng.normal(size=(m, 3))
+    monkeypatch.setattr(kriging, "PREDICT_CHUNK", chunk)
+    got = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    monkeypatch.setattr(KrigingModel, "_rhs", oracles.copying_kriging_rhs)
+    want = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

@@ -237,3 +237,65 @@ def test_annualize_rejects_invalid_date():
         annualize([("a", "2015-01-01", 1.0), ("a", "2015-02-30", 1.0)], META, 2015)
     with pytest.raises(InvalidArgumentError, match=r"record \(a, ''\) has no date"):
         annualize([("a", "2015-01-01", 1.0), ("a", "", 1.0)], META, 2015)
+
+
+def outcome(call):
+    """The value of `call()`, or the type and message of what it raised."""
+    try:
+        return "ok", call()
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+
+
+DAILY_HEADER = "site_id,date,value\n"
+# Over 1 MB, so that the reader splits it in more than one piece.
+LONG_DAILY = DAILY_HEADER + "".join(
+    f"s{i % 97},2015-{1 + i % 12:02d}-{1 + i % 28:02d},{i * 0.37!r}\n" for i in range(40_000))
+
+
+@pytest.mark.parametrize("text", [
+    DAILY_HEADER + "a,2015-01-01,4.5\na,2015-01-02,\nb,2015-01-01,0.1\n",
+    DAILY_HEADER + "a,2015-01-01,4.5\r\nb,2015-01-02,3\r\n",  # CRLF
+    DAILY_HEADER + "a,2015-01-01,4.5\rb,2015-01-02,3\r",  # CR
+    DAILY_HEADER + '"a,1",2015-01-01,4.5\n"b ""x""",2015-01-02,1\nc,2015-01-03,2\n',
+    DAILY_HEADER + "\na,2015-01-01,4.5\n\n\nb,2015-01-02,2\n\n",  # blank lines
+    DAILY_HEADER + "a,2015-01-01,  \na,2015-01-02,\t\na,2015-01-03, 7 \n",
+    DAILY_HEADER + "a,2015-01-01,4.5\na,2015-01-02\na,2015-01-03,1\n",  # short row
+    DAILY_HEADER + "a,2015-01-01,4.5,extra\na,2015-01-02,3\n",  # long row
+    "site_id,date,value,flag\na,2015-01-01,4.5,x\nb,2015-01-02,3,\n",
+    "value,flag,date,site_id\n4.5,,2015-01-01,a\n,,2015-01-02,b\n",
+    DAILY_HEADER + "a,2015-01-01,4.5\na,2015-01-02,abc\n",  # non-numeric value
+    DAILY_HEADER + "a,2015-01-01,1e400\na,2015-01-02,-inf\nb,2015-01-03,nan\n",
+    DAILY_HEADER + "a,2015-13-01,4\n",
+    DAILY_HEADER + "a,2015-01-01\nb,2015-13-01,4\n",  # the first malformed record wins
+    DAILY_HEADER + "a,2015-13-01,4\nb,2015-01-01\n",
+    DAILY_HEADER + '"a\nb",2015-01-01,x\n',  # the line count includes the quoted newline
+    DAILY_HEADER + " \n",  # a whitespace-only line is a short row
+    DAILY_HEADER,
+    "site_id,date,value",
+    LONG_DAILY,
+    LONG_DAILY + "a,2015-01-01,\n\na,2015-01-02,  \n",
+    LONG_DAILY + "a,2015-01-01\n",
+    LONG_DAILY + "a,2015-01-01,4,5\n",
+    LONG_DAILY + "a,2015-02-30,4\n",
+    LONG_DAILY.replace("\n", "\r\n"),
+])
+def test_read_daily_csv_matches_per_line_oracle(tmp_path, text):
+    daily = tmp_path / "daily.csv"
+    daily.write_bytes(text.encode())
+    got = outcome(lambda: list(read_daily_csv(daily)))
+    assert repr(got) == repr(outcome(lambda: list(oracles.per_line_read_daily_csv(daily))))
+
+
+@pytest.mark.parametrize("header, missing", [
+    ("site_id,date", ["value"]),
+    ("date,value", ["site_id"]),
+    ("site,day,value", ["site_id", "date"]),
+    ("", ["site_id", "date", "value"]),
+])
+def test_read_daily_csv_names_a_missing_column(tmp_path, header, missing):
+    daily = tmp_path / "daily.csv"
+    daily.write_text(f"{header}\ns1,2015-01-01\n")
+    with pytest.raises(InvalidArgumentError,
+                       match=re.escape(f"daily.csv: missing columns {missing}")):
+        list(read_daily_csv(daily))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lurk import geodata, pipeline
+from lurk import covariates, geodata, pipeline
 from lurk.cli import main as cli_main
 from lurk.covariates import CovariateMatrix
 from lurk.errors import DatasetMismatchError, InvalidArgumentError, StageError
@@ -105,6 +105,61 @@ def test_stage_failure_reported_with_partial_artifacts(tmp_path):
     assert report["error"]
     assert (Path(cfg.out_dir) / "monitors.csv").exists()
     assert (Path(cfg.out_dir) / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("keep", ["header only", "January to August"])
+def test_annualize_stage_fails_by_name_when_no_site_is_included(tmp_path, keep):
+    """A daily file that leaves no site (no records, or every site below
+    the 75% rule at 243 of 365 days) fails at annualize, naming the file
+    and the excluded count, before the covariates stage runs."""
+    config_path, _ = write(tmp_path, scenario(seed=8))
+    daily = config_path.parent / "inputs" / "daily.csv"
+    header, *lines = daily.read_text().splitlines()
+    if keep == "header only":
+        lines = []
+    else:
+        lines = [line for line in lines if line.split(",")[1][5:7] < "09"]
+    daily.write_text("\n".join([header, *lines]) + "\n")
+    n_excluded = len({line.split(",")[0] for line in lines})
+    cfg = PipelineConfig.from_json(config_path)
+    with pytest.raises(StageError) as info:
+        run(cfg)
+    assert info.value.stage == "annualize"
+    assert isinstance(info.value.cause, InvalidArgumentError)
+    assert str(daily) in str(info.value.cause)
+    assert f"({n_excluded} site(s) excluded)" in str(info.value.cause)
+    report = json.loads((Path(cfg.out_dir) / "report.json").read_text())
+    assert report["failed_stage"] == "annualize"
+    assert not (Path(cfg.out_dir) / "matrix.csv").exists()
+
+
+def test_cached_rerun_parses_no_matrix_specs_or_geo_inputs(tmp_path, monkeypatch):
+    config_path, _ = write(tmp_path, scenario(seed=18),
+                           recipe={"selection": "stepwise", "kriging": True})
+    first = run(PipelineConfig.from_json(config_path))
+    out = Path(PipelineConfig.from_json(config_path).out_dir)
+    report_before = json.loads((out / "report.json").read_text())
+    before = (out / "run.log").read_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached rerun parsed an input")
+
+    for owner, name in ((CovariateMatrix, "from_csv"), (covariates, "read_specs"),
+                        (geodata, "read_features"), (geodata, "read_raster"),
+                        (geodata, "read_categorical")):
+        monkeypatch.setattr(owner, name, refuse)
+    second = run(PipelineConfig.from_json(config_path))
+    assert new_log_lines(out / "run.log", before) == dict.fromkeys(
+        pipeline.STAGES, "status=cached")
+
+    def without_timings(report):
+        for entry in report["stages"].values():
+            entry.pop("elapsed_s")
+        return report
+
+    report_after = json.loads((out / "report.json").read_text())
+    assert without_timings(report_after) == without_timings(report_before)
+    assert second.metrics == first.metrics
 
 
 def test_missing_input_rejected(tmp_path):
