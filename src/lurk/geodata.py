@@ -17,6 +17,7 @@ keeps it.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 
@@ -216,8 +217,13 @@ def _read_ascii_grid(path, nodata: float, dtype=np.float64) -> tuple[Lattice, fl
         n_cols, n_rows = lattice.n_cols, lattice.n_rows
         body = f.tell()
         try:
-            flat = np.loadtxt(f, dtype, comments=None, ndmin=1).ravel()
-        except ValueError:
+            with warnings.catch_warnings():
+                # NumPy 1.23 added a deprecated fallback that parses a float
+                # token into an integer dtype with only a DeprecationWarning;
+                # make it the failure it is once the fallback is gone.
+                warnings.simplefilter("error", DeprecationWarning)
+                flat = np.loadtxt(f, dtype, comments=None, ndmin=1).ravel()
+        except (ValueError, DeprecationWarning):
             f.seek(body)
             flat = f.read().split()
     if len(flat) != n_cols * n_rows:

@@ -9,10 +9,7 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
-import io
 from dataclasses import dataclass, fields
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -171,33 +168,32 @@ def read_daily_csv(path):
     ISO, a value that is not a number), raises InvalidArgumentError naming
     the file and, for a record, its line.
 
-    The file is parsed by columns: an unquoted file whose every line has
-    the header's field count is split on commas (`_split_columns`), any
-    other goes through the csv module; each distinct date is checked once
-    and the values are converted by one `map(float, ...)`."""
+    The file is parsed by columns: the csv module's rows are split into
+    site, date and value lists, each distinct date is checked once and
+    the values are converted by one `map(float, ...)`."""
     with open(path, newline="") as f:
-        header = next(csv.reader(f), [])
-        body = f.read()
-    missing = [c for c in DAILY_COLUMNS if c not in header]
-    if missing:
-        raise InvalidArgumentError(f"{path}: missing columns {missing}")
-    columns = [header.index(c) for c in DAILY_COLUMNS]
-    try:
-        split = None
-        if '"' not in body and "\0" not in body:
-            # A row ends at \r\n, \r or \n, as the csv module reads it.
-            body = body.replace("\r\n", "\n").replace("\r", "\n")
-            split = _split_columns(body, len(header), columns)
-        if split is None:
-            rows = filter(None, csv.reader(io.StringIO(body, newline="")))
-            sites, days, values = list(zip(*map(itemgetter(*columns), rows))) or ([], [], [])
-            split = sites, days, _numbers(values)
-        del body  # not held while the caller consumes the records
-        sites, days, numbers = split
-        for day in set(days):
-            dt.date.fromisoformat(day)
-    except (IndexError, ValueError):
-        raise _first_malformed(path) from None
+        reader = csv.reader(f)
+        header = next(reader, [])
+        missing = [c for c in DAILY_COLUMNS if c not in header]
+        if missing:
+            raise InvalidArgumentError(f"{path}: missing columns {missing}")
+        i, j, k = map(header.index, DAILY_COLUMNS)
+        sites, days, values = [], [], []
+        try:
+            # Rows are not kept: a list of row lists makes the cyclic
+            # garbage collector rescan them as it grows. Each distinct site
+            # id and date is kept as one string object.
+            shared: dict = {}
+            for row in filter(None, reader):
+                site, day, value = row[i], row[j], row[k]
+                sites.append(shared.setdefault(site, site))
+                days.append(shared.setdefault(day, day))
+                values.append(value)
+            for day in set(days):
+                dt.date.fromisoformat(day)
+            numbers = _numbers(values)
+        except (IndexError, ValueError):
+            raise _first_malformed(path) from None
     yield from zip(sites, days, numbers)
 
 
@@ -210,31 +206,6 @@ def _numbers(values) -> list:
         return [float(v) if v.strip() else None for v in values]
 
 
-def _split_columns(body: str, width: int, columns):
-    """The site ids, dates and numbers (as `_numbers` gives them) of the
-    comma-separated lines of `body`, or None unless every line that is not
-    blank has `width` fields. About 1 MB of lines is split at a time, and
-    each site id and date is one string object per distinct value, so the
-    file's fields never exist as strings all at once."""
-    sites, days, numbers = [], [], []
-    shared: dict = {}
-    start = 0
-    while start < len(body):
-        end = body.find("\n", start + (1 << 20)) + 1 or len(body)
-        lines = list(filter(None, body[start:end].split("\n")))
-        start = end
-        if not lines:
-            continue
-        if set(map(str.count, lines, repeat(","))) != {width - 1}:
-            return None
-        fields = ",".join(lines).split(",")
-        site, day, value = (fields[c::width] for c in columns)
-        sites += map(shared.setdefault, site, site)
-        days += map(shared.setdefault, day, day)
-        numbers += _numbers(value)
-    return sites, days, numbers
-
-
 def _first_malformed(path) -> InvalidArgumentError:
     """The error naming the first malformed record of daily CSV `path`
     and its line, found by reading the file again row by row."""
@@ -243,9 +214,10 @@ def _first_malformed(path) -> InvalidArgumentError:
         i, j, k = map(next(reader).index, DAILY_COLUMNS)
         for row in filter(None, reader):
             try:
-                dt.date.fromisoformat(row[j])
-                if row[k].strip():
-                    float(row[k])
+                site, day, value = row[i], row[j], row[k]
+                dt.date.fromisoformat(day)
+                if value.strip():
+                    float(value)
             except (IndexError, ValueError):
                 return InvalidArgumentError(
                     f"{path}: line {reader.line_num}: malformed record {row!r}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -343,6 +345,32 @@ def test_grid_readers_match_the_splitlines_oracle(tmp_path, text):
 
     assert grid_outcome(raster) == grid_outcome(raster_oracle)
     assert grid_outcome(categorical) == grid_outcome(categorical_oracle)
+
+
+@pytest.mark.parametrize("code", ["1.5", "3000000000", "nan"])
+def test_read_categorical_rejects_codes_a_float_fallback_would_cast(tmp_path, monkeypatch, code):
+    # Some NumPy releases parse a float token into an integer dtype with
+    # only a DeprecationWarning; the reader must still name the code.
+    loadtxt = np.loadtxt
+
+    def loadtxt_with_float_fallback(f, dtype=float, **kwargs):
+        start = f.tell()
+        try:
+            return loadtxt(f, dtype, **kwargs)
+        except ValueError:
+            if not np.issubdtype(dtype, np.integer):
+                raise
+            f.seek(start)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            with np.errstate(invalid="ignore"):
+                return loadtxt(f, np.float64, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_float_fallback)
+    path = tmp_path / "g.asc"
+    path.write_text(GRID_HEADER + f"{code} 2 3\n4 5 6\n")
+    with pytest.raises(GridFormatError, match="non-integer codes"):
+        geodata.read_categorical(path, range(-9999, 10))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.float64])

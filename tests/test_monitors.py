@@ -248,7 +248,7 @@ def outcome(call):
 
 
 DAILY_HEADER = "site_id,date,value\n"
-# Over 1 MB, so that the reader splits it in more than one piece.
+# A long file, so that a malformed record at its end is found by the re-read.
 LONG_DAILY = DAILY_HEADER + "".join(
     f"s{i % 97},2015-{1 + i % 12:02d}-{1 + i % 28:02d},{i * 0.37!r}\n" for i in range(40_000))
 
@@ -264,6 +264,7 @@ LONG_DAILY = DAILY_HEADER + "".join(
     DAILY_HEADER + "a,2015-01-01,4.5,extra\na,2015-01-02,3\n",  # long row
     "site_id,date,value,flag\na,2015-01-01,4.5,x\nb,2015-01-02,3,\n",
     "value,flag,date,site_id\n4.5,,2015-01-01,a\n,,2015-01-02,b\n",
+    "value,date,site_id\n4.5,2015-01-01\n",  # short row missing only the site id
     DAILY_HEADER + "a,2015-01-01,4.5\na,2015-01-02,abc\n",  # non-numeric value
     DAILY_HEADER + "a,2015-01-01,1e400\na,2015-01-02,-inf\nb,2015-01-03,nan\n",
     DAILY_HEADER + "a,2015-13-01,4\n",
