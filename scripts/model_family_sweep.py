@@ -12,26 +12,19 @@ kept as `<outdir>/report_<i>_<label>.json`.
 Usage: python scripts/model_family_sweep.py [outdir] [--seed N]
 """
 
-import os
+import argparse
+from pathlib import Path
 
-# One BLAS thread: on small machines a multi-threaded OpenBLAS makes the
-# stepwise and kriging solves several times slower. Set before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import argparse  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from lurk.pipeline import (  # noqa: E402
+from lurk.pipeline import (
     PipelineConfig,
     compare_models,
     comparison_to_csv,
     format_comparison,
     run,
 )
-from lurk._util import dump_json  # noqa: E402
-from lurk.recipes import ModelRecipe  # noqa: E402
-from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
+from lurk._util import dump_json
+from lurk.recipes import ModelRecipe
+from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 
 FAMILIES = [
     {"selection": "stepwise", "kriging": False, "exclude": ["satellite"]},

@@ -10,21 +10,14 @@ the time of one cached rerun, then the headline metrics.
 Usage: python scripts/run_national_synthetic.py [outdir] [--seed N]
 """
 
-import os
+import argparse
+import json
+import resource
+import time
+from pathlib import Path
 
-# One BLAS thread: on small machines a multi-threaded OpenBLAS makes the
-# stepwise and kriging solves several times slower. Set before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import resource  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-from lurk.pipeline import PipelineConfig, run  # noqa: E402
-from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
+from lurk.pipeline import PipelineConfig, run
+from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 
 
 def peak_rss() -> str:

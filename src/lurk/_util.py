@@ -1,13 +1,17 @@
-"""Shared helpers: hashing, seed derivation, float formatting, the artifact
-file codec (atomic writes, CSV tables, JSON), config key and value checks."""
+"""Shared helpers: hashing, seeds, float formatting, the artifact file codec
+(atomic writes, CSV tables, JSON), config checks, the one-BLAS-thread pin."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 from pathlib import Path
@@ -153,3 +157,38 @@ def check_finite_fields(obj, what: str) -> None:
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         checked(f"{what} {f.name}", value, is_finite_number(value), "a finite number")
+
+
+GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)  # int openblas_get_num_threads(void)
+SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)  # void openblas_set_num_threads(int)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count calls of each OpenBLAS build in this process,
+    found on first use: numpy's, and scipy's, which every pinning module imports."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:  # no /proc outside Linux
+        paths = []
+    names = [p + "openblas_%s_num_threads" + s for p in ("scipy_", "") for s in ("64_", "")]
+    controls = tuple((GET_THREADS((n % "get", lib)), SET_THREADS((n % "set", lib)))
+                     for lib in map(ctypes.CDLL, paths) for n in names if hasattr(lib, n % "get"))
+    if not controls:
+        logging.getLogger(__name__).warning("no OpenBLAS found: BLAS threads are not pinned")
+    return controls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body (as `@one_blas_thread()`, each call) with every loaded OpenBLAS
+    build at one thread, then restore the counts: more threads sum in another order."""
+    before = [(set_threads, get()) for get, set_threads in _openblas_thread_controls()]
+    for set_threads, _ in before:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, n in before:
+            set_threads(n)

@@ -2,28 +2,20 @@
 
 from __future__ import annotations
 
-import os
+import dataclasses
+import json
+import logging
+import sys
+from pathlib import Path
 
-# One BLAS thread unless the caller chose otherwise: on two cores two
-# OpenBLAS threads made stepwise selection about 3x slower. Set before
-# numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+import click
 
-import dataclasses  # noqa: E402
-import json  # noqa: E402
-import logging  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import click  # noqa: E402
-
-from . import geodata  # noqa: E402
-from .covariates import CovariateMatrix  # noqa: E402
-from .evaluation import monte_carlo_curve  # noqa: E402
-from .exposure import window_variance  # noqa: E402
-from .monitors import MonitorTable  # noqa: E402
-from .pipeline import (  # noqa: E402
+from . import geodata
+from .covariates import CovariateMatrix
+from .evaluation import monte_carlo_curve
+from .exposure import window_variance
+from .monitors import MonitorTable
+from .pipeline import (
     STAGES,
     PipelineConfig,
     compare_models,
@@ -31,8 +23,8 @@ from .pipeline import (  # noqa: E402
     format_comparison,
     run,
 )
-from .synth import SyntheticScenario, generate_synthetic, write_scenario  # noqa: E402
-from ._util import dump_json, stage_seed  # noqa: E402
+from .synth import SyntheticScenario, generate_synthetic, write_scenario
+from ._util import dump_json, stage_seed
 
 
 def _setup_logging(verbose: bool) -> None:

@@ -139,9 +139,11 @@ class CategoricalGrid(Lattice):
     def __post_init__(self):
         super().__post_init__()
         vals = np.asarray(self.values).astype(np.int32).reshape(self.n_rows, self.n_cols)
-        bad = set(np.unique(vals).tolist()) - {*self.categories, self.nodata}
-        if bad:
-            raise InvalidArgumentError(f"grid contains undeclared category codes: {sorted(bad)}")
+        # "sort" compares few codes cell by cell; "table" copies the grid as intp
+        bad = np.isin(vals, [*self.categories, self.nodata], invert=True, kind="sort")
+        if bad.any():
+            raise InvalidArgumentError(
+                f"grid contains undeclared category codes: {np.unique(vals[bad]).tolist()}")
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,19 +96,17 @@ class AnnualizeResult:
     excluded: tuple[tuple[str, int, float], ...]  # (site_id, n_valid, completeness)
 
 
-def annualize(records, site_meta: dict, year: int,
-              calendar_days: int | None = None) -> AnnualizeResult:
+def annualize(records, site_meta: dict, year: int) -> AnnualizeResult:
     """Collapse daily records to per-site annual means.
 
     `records` yields (site_id, date, value) with value None for missing
     days and date a "YYYY-MM-DD" string or a datetime.date. `site_meta`
     maps site_id -> (x, y, province, city). Sites with completeness below
-    `DEFAULT_MIN_COMPLETENESS` are excluded and reported. `calendar_days`
-    overrides the completeness denominator (defaults to the calendar
-    length of `year`). Checks run in a fixed order (invalid date, outside
-    `year`, duplicate, negative), each naming the first offending record.
+    `DEFAULT_MIN_COMPLETENESS` of the days of `year` are excluded and
+    reported. Checks run in a fixed order (invalid date, outside `year`,
+    duplicate, negative), each naming the first offending record.
     """
-    n_days = calendar_days if calendar_days is not None else (366 if calendar.isleap(year) else 365)
+    n_days = 366 if calendar.isleap(year) else 365
     records = list(records)
     site_ids, site = np.unique([r[0] for r in records], return_inverse=True)
     try:
@@ -165,8 +164,8 @@ def read_daily_csv(path):
     site_id, date and value columns, in file order; a blank or
     whitespace-only value is None. The whole file is checked first: a
     missing column, or a malformed record (a short row, a date that is not
-    ISO, a value that is not a number), raises InvalidArgumentError naming
-    the file and, for a record, its line.
+    ISO, a value that is not a finite number, such as nan, inf or 1e400),
+    raises InvalidArgumentError naming the file and, for a record, its line.
 
     The file is parsed by columns: the csv module's rows are split into
     site, date and value lists, each distinct date is checked once and
@@ -199,11 +198,14 @@ def read_daily_csv(path):
 
 def _numbers(values) -> list:
     """float() of each value, None for a blank one; ValueError for a value
-    that is not a number."""
+    that is not a finite number (nan, an infinity, or one that overflows)."""
     try:
-        return list(map(float, values))
+        numbers = list(map(float, values))
     except ValueError:
-        return [float(v) if v.strip() else None for v in values]
+        numbers = [float(v) if v.strip() else None for v in values]
+    if not all(map(math.isfinite, filter(None, numbers))):  # filter drops None (and 0.0)
+        raise ValueError("a value is not finite")
+    return numbers
 
 
 def _first_malformed(path) -> InvalidArgumentError:
@@ -216,8 +218,7 @@ def _first_malformed(path) -> InvalidArgumentError:
             try:
                 site, day, value = row[i], row[j], row[k]
                 dt.date.fromisoformat(day)
-                if value.strip():
-                    float(value)
+                _numbers([value])
             except (IndexError, ValueError):
                 return InvalidArgumentError(
                     f"{path}: line {reader.line_num}: malformed record {row!r}")

@@ -25,7 +25,7 @@ from .lur import (
     stepwise_select,
 )
 from .monitors import MonitorTable
-from ._util import check_keys, checked, is_finite_number, is_int, plain, stage_seed
+from ._util import check_keys, checked, is_finite_number, is_int, one_blas_thread, plain, stage_seed
 
 SELECTIONS = ("stepwise", "pls", "mean")
 
@@ -91,6 +91,7 @@ class FittedModel:
             return self.pls.columns
         return self.trend.selected
 
+    @one_blas_thread()
     def predict(self, source, coords=None, with_variance: bool = False):
         """Concentrations at new locations: the one prediction path for CV,
         Monte Carlo holdouts and the national lattice.
@@ -126,6 +127,7 @@ class FittedModel:
         )
 
 
+@one_blas_thread()
 def fit_recipe(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
                seed: int = 0) -> FittedModel:
     """Fit a recipe end to end on the given sites."""

@@ -22,7 +22,7 @@ from . import covariates as cov
 from . import geodata
 from .errors import ScenarioError
 from .monitors import MonitorTable
-from ._util import csv_field, dump_json, stage_seed, write_atomic, write_table
+from ._util import csv_field, dump_json, one_blas_thread, stage_seed, write_atomic, write_table
 
 N_LANDCOVER_CLASSES = 8
 FIELD_BLOCK = 1 << 17  # cells per block of a field evaluation
@@ -278,6 +278,7 @@ def _field_grid(fn, cell, n_cols, n_rows, base=0.0) -> geodata.RasterGrid:
     return geodata.RasterGrid(**lattice.geometry(), values=values)
 
 
+@one_blas_thread()
 def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     """Build the full synthetic dataset for a scenario."""
     sc = scenario

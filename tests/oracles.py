@@ -117,12 +117,11 @@ def per_feature_layer(kind, vertex_lists):
             "tree_data": tree_data, "max_half": float(half.max(initial=0.0))}
 
 
-def dict_annualize(records, year, min_completeness=0.75, calendar_days=None):
+def dict_annualize(records, year, min_completeness=0.75):
     """Annual means from one dict of days per site, each site's values
     summed by np.sum in date order. Returns ({site: (mean, n_valid)} for
     kept sites, [(site, n_valid, completeness)] for excluded ones)."""
-    n_days = calendar_days or (366 if year % 4 == 0 and (year % 100 or year % 400 == 0)
-                               else 365)
+    n_days = 366 if year % 4 == 0 and (year % 100 or year % 400 == 0) else 365
     by_site = {}
     for site_id, date, value in records:
         if isinstance(date, str):
@@ -774,7 +773,9 @@ def copying_kriging_rhs(model, xs, ys, x_rows):
 
 def per_line_read_daily_csv(path):
     """The daily CSV reader of earlier versions: a csv.reader loop that
-    checks and converts one record at a time."""
+    checks and converts one record at a time. A value that is not a finite
+    number is malformed, as the package has it since nan and inf days were
+    rejected."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -784,7 +785,10 @@ def per_line_read_daily_csv(path):
         for row in filter(None, reader):
             try:
                 dt.date.fromisoformat(row[j])
-                records.append((row[i], row[j], float(row[k]) if row[k].strip() else None))
+                value = float(row[k]) if row[k].strip() else None
+                if value is not None and not np.isfinite(value):
+                    raise ValueError(row[k])
+                records.append((row[i], row[j], value))
             except (IndexError, ValueError):
                 raise InvalidArgumentError(
                     f"{path}: line {reader.line_num}: malformed record {row!r}") from None

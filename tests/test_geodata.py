@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -112,6 +113,11 @@ def test_grid_writers_match_per_cell_formatting(tmp_path):
 def test_categorical_rejects_undeclared_code():
     with pytest.raises(InvalidArgumentError, match="undeclared category"):
         geodata.CategoricalGrid(0, 0, 1.0, 2, 1, [[1, 9]], categories=(1, 2))
+    # each undeclared code once, sorted; a far code next to nodata is named too
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            "grid contains undeclared category codes: [-5, 9, 2147483647]")):
+        geodata.CategoricalGrid(0, 0, 1.0, 6, 1, [[9, 1, 2**31 - 1, -9999, 9, -5]],
+                                categories=(1, 2))
 
 
 # -- the lattice geometry --------------------------------------------------------

@@ -47,16 +47,19 @@ def test_exact_threshold_retained():
     assert result.table.site_ids == ("a",)
 
 
-def test_four_day_window_mean():
-    recs = [
-        ("a", dt.date(2015, 1, 1), 10.0),
-        ("a", dt.date(2015, 1, 2), 20.0),
-        ("a", dt.date(2015, 1, 3), 30.0),
-        ("a", dt.date(2015, 1, 4), None),
-    ]
-    result = annualize(recs, META, 2015, calendar_days=4)
+def test_missing_days_count_against_completeness_not_the_mean():
+    # every day of 2015 has a record; a None day is missing. Site a keeps
+    # 274 valid days (kept), site b 273 (excluded, 273/365 < 0.75)
+    recs = []
+    for site, n_valid in (("a", 274), ("b", 273)):
+        for d, (_, day, _) in enumerate(records_for(site, 365)):
+            recs.append((site, day, (10.0, 30.0)[d % 2] if d < n_valid else None))
+    result = annualize(recs, META, 2015)
+    assert result.table.site_ids == ("a",)
     assert result.table.annual_mean[0] == pytest.approx(20.0)
-    assert result.table.n_valid_days[0] == 3
+    assert result.table.n_valid_days[0] == 274
+    assert result.table.n_calendar_days[0] == 365
+    assert result.excluded == (("b", 273, 273 / 365),)
 
 
 def test_duplicate_record_rejected():
@@ -183,7 +186,6 @@ def test_annual_means_match_dict_oracle(seed):
     rng = np.random.default_rng(seed)
     year = (2015, 2016)[seed % 2]
     n_year = 366 if year == 2016 else 365
-    calendar_days = int(rng.integers(300, 400)) if seed % 4 == 3 else None
     meta, recs = {}, []
     for k in range(int(rng.integers(3, 15))):
         site = f"z{rng.integers(0, 10**6):06d}"
@@ -194,8 +196,8 @@ def test_annual_means_match_dict_oracle(seed):
             value = None if rng.uniform() < 0.1 else float(rng.lognormal(3.0, 1.5))
             recs.append((site, date.isoformat() if rng.uniform() < 0.5 else date, value))
     rng.shuffle(recs)
-    result = annualize(recs, meta, year, calendar_days=calendar_days)
-    kept, excluded = oracles.dict_annualize(recs, year, calendar_days=calendar_days)
+    result = annualize(recs, meta, year)
+    kept, excluded = oracles.dict_annualize(recs, year)
     assert result.table.site_ids == tuple(kept)
     assert np.array_equal(result.table.annual_mean, [m for m, _ in kept.values()])
     assert result.table.n_valid_days.tolist() == [n for _, n in kept.values()]
@@ -224,6 +226,9 @@ def test_checks_run_in_fixed_order_naming_first_record():
     ("a,2015-01-02,abc", r"daily\.csv: line 3: malformed record \['a', '2015-01-02', 'abc'\]"),
     ("a,2015-13-01,4.0", r"daily\.csv: line 3: malformed record \['a', '2015-13-01', '4\.0'\]"),
     ("a,2015-01-02", r"daily\.csv: line 3: malformed record \['a', '2015-01-02'\]"),
+    # a value that is not a finite number is malformed too, not missing
+    *((f"a,2015-01-02,{v}", rf"daily\.csv: line 3: malformed record \['a', '2015-01-02', '{v}'\]")
+      for v in ("inf", "-inf", "1e400", "nan", " NaN ")),
 ])
 def test_read_daily_csv_names_malformed_record(tmp_path, line, message):
     daily = tmp_path / "daily.csv"

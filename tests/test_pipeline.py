@@ -1,8 +1,5 @@
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +128,24 @@ def test_annualize_stage_fails_by_name_when_no_site_is_included(tmp_path, keep):
     report = json.loads((Path(cfg.out_dir) / "report.json").read_text())
     assert report["failed_stage"] == "annualize"
     assert not (Path(cfg.out_dir) / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+def test_non_finite_daily_value_fails_annualize_naming_its_line(tmp_path, value):
+    """One non-finite day would make a site's annual mean inf (and the fit
+    fail blaming a covariate) or count as missing; instead annualize fails,
+    naming the file and the line."""
+    config_path, _ = write(tmp_path, scenario(seed=8))
+    daily = config_path.parent / "inputs" / "daily.csv"
+    lines = daily.read_text().splitlines()
+    site, day, _ = lines[100].split(",")
+    lines[100] = f"{site},{day},{value}"
+    daily.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StageError) as info:
+        run(PipelineConfig.from_json(config_path))
+    assert info.value.stage == "annualize"
+    assert str(info.value.cause) == (
+        f"{daily}: line 101: malformed record {[site, day, value]!r}")
 
 
 def test_cached_rerun_parses_no_matrix_specs_or_geo_inputs(tmp_path, monkeypatch):
@@ -550,19 +565,3 @@ def test_interrupted_manifest_write_keeps_the_previous_manifest(tmp_path, monkey
         assert f"stage={stage} status=ok" in recomputed, stage
     assert {s: e["outputs"] for s, e in second.stages.items()} == \
         {s: e["outputs"] for s, e in first.stages.items()}
-
-
-def test_cli_pins_one_blas_thread():
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(pipeline.__file__).resolve().parents[1])
-    code = ("import os, lurk.cli; "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
-
-    def threads_seen():
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True, timeout=120).stdout.split()
-
-    assert threads_seen() == ["1", "1"]
-    env["OPENBLAS_NUM_THREADS"] = "2"  # an explicit choice is kept
-    assert threads_seen() == ["2", "1"]
