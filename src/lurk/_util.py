@@ -163,18 +163,36 @@ GET_THREADS = ctypes.CFUNCTYPE(ctypes.c_int)  # int openblas_get_num_threads(voi
 SET_THREADS = ctypes.CFUNCTYPE(None, ctypes.c_int)  # void openblas_set_num_threads(int)
 
 
+def _openblas_paths(maps: str = "/proc/self/maps") -> list:
+    """Files of the OpenBLAS builds loaded in this process; without /proc
+    (macOS, Windows), those shipped in numpy's and scipy's wheels."""
+    try:
+        with open(maps) as f:  # the pathname, 6th field, may hold spaces
+            fields = [line.rstrip("\n").split(None, 5) for line in f if "openblas" in line]
+        return sorted({f[5] for f in fields if len(f) == 6 and not f[5].endswith(" (deleted)")})
+    except OSError:
+        import scipy
+        dirs = [Path(m.__file__).parent for m in (np, scipy)]
+        return sorted({str(p) for d in dirs for p in [*d.glob(".dylibs/*openblas*"),
+                                                       *d.parent.glob(d.name + ".libs/*openblas*")]})
+
+
+def _load(path: str):
+    """The library at `path`; None if it does not load."""
+    try:
+        return ctypes.CDLL(path)
+    except OSError:
+        return None
+
+
 @functools.cache
 def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count calls of each OpenBLAS build in this process,
-    found on first use: numpy's, and scipy's, which every pinning module imports."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
-    except OSError:  # no /proc outside Linux
-        paths = []
+    """(get, set) thread-count calls of each OpenBLAS build, found on first
+    use: numpy's, and scipy's, which every pinning module imports."""
     names = [p + "openblas_%s_num_threads" + s for p in ("scipy_", "") for s in ("64_", "")]
     controls = tuple((GET_THREADS((n % "get", lib)), SET_THREADS((n % "set", lib)))
-                     for lib in map(ctypes.CDLL, paths) for n in names if hasattr(lib, n % "get"))
+                     for lib in map(_load, _openblas_paths()) for n in names
+                     if hasattr(lib, n % "get"))
     if not controls:
         logging.getLogger(__name__).warning("no OpenBLAS found: BLAS threads are not pinned")
     return controls

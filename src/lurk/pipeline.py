@@ -123,10 +123,15 @@ class PipelineConfig:
         )
 
     def validate(self) -> None:
+        missing = []
         paths = [self.daily_csv, self.sites_csv, self.covariates_json,
                  *self.layers.values(), *self.grids.values(),
-                 *(v["path"] for v in self.categorical.values()), self.population_grid]
-        missing = [str(p) for p in paths if p is not None and not Path(p).exists()]
+                 *(v["path"] for v in self.categorical.values())]
+        if self.population_grid is not None:
+            paths.append(self.population_grid)
+        for p in paths:
+            if p is not None and not Path(p).exists():
+                missing.append(str(p))
         if missing:
             raise InvalidArgumentError(f"missing input files: {missing}")
 
@@ -363,15 +368,18 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
             missing = set(fitted.required_columns) - {s.name for s in needed}
             if missing:
                 raise InvalidArgumentError(
-                    f"no covariate spec for model columns: {sorted(missing)}")
-            grids_by_col = cov.rasterize_covariates(needed, lattice, layers=layers, grids=grids,
-                                                    categorical=categorical)
+                    f"no covariate spec for model columns: {sorted(missing)}"
+                )
+            grids_by_col = cov.rasterize_covariates(
+                needed, lattice, layers=layers, grids=grids, categorical=categorical,
+            )
             surface = predict_grid(fitted, grids_by_col, lattice,
                                    with_variance=cfg.with_variance,
                                    model_id=cfg.recipe.label())
             geodata.write_raster(surface.concentration, out / "prediction.asc")
             if surface.variance is not None:
-                geodata.write_raster(surface.variance, out / "prediction_variance.asc")
+                geodata.write_raster(surface.variance,
+                                     out / "prediction_variance.asc")
             dump_json({"n_floored": surface.n_floored, "model_id": surface.model_id},
                       out / "prediction_meta.json")
 

@@ -140,6 +140,46 @@ def test_without_openblas_a_pinned_call_runs_and_logs_once(monkeypatch, caplog):
         "no OpenBLAS found: BLAS threads are not pinned"]
 
 
+# A pathname may hold spaces; a library replaced on disk ends in " (deleted)".
+MAPS = """\
+7f1c2a000000-7f1c2a100000 r--p 00000000 08:01 4211 /home/First Last/venv/numpy.libs/libscipy_openblas64_.so
+7f1c2b000000-7f1c2b100000 r-xp 00001000 08:01 4212 /usr/lib/libopenblas.so.0 (deleted)
+7f1c2c000000-7f1c2c100000 r--p 00000000 08:01 4213 /usr/lib/libm.so.6
+"""
+
+
+def test_maps_pathnames_keep_their_spaces_and_deleted_files_are_skipped(tmp_path):
+    (tmp_path / "maps").write_text(MAPS)
+    assert _util._openblas_paths(str(tmp_path / "maps")) == [
+        "/home/First Last/venv/numpy.libs/libscipy_openblas64_.so"]
+
+
+def test_without_proc_the_wheels_builds_are_found(tmp_path):
+    import lurk.pipeline  # noqa: F401  loads numpy's and scipy's OpenBLAS
+    found = _util._openblas_paths(str(tmp_path / "no maps"))
+    if not found:
+        pytest.skip("numpy and scipy ship no OpenBLAS of their own here")
+    assert {os.path.realpath(p) for p in found} <= set(_util._openblas_paths())
+
+
+def test_a_build_at_a_path_with_a_space_is_pinned_and_one_that_fails_to_load_skipped(
+        tmp_path, monkeypatch):
+    loaded = _util._openblas_paths()
+    if not loaded:
+        pytest.skip("no OpenBLAS is loaded")
+    spaced = tmp_path / "First Last" / Path(loaded[0]).name
+    spaced.parent.mkdir()
+    spaced.symlink_to(loaded[0])  # the loader maps the same file once
+    monkeypatch.setattr(_util, "_openblas_paths", lambda: [str(spaced), str(tmp_path / "gone.so")])
+    _util._openblas_thread_controls.cache_clear()
+    try:
+        (get, _), = _util._openblas_thread_controls()
+        with _util.one_blas_thread():
+            assert get() == 1
+    finally:
+        _util._openblas_thread_controls.cache_clear()
+
+
 # -- one pin, in the library ----------------------------------------------------------------
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
