@@ -331,25 +331,13 @@ class PlsModel:
         for name in ("x_mean", "x_scale", "score_coefficients", "rotations"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
-    @property
-    def max_components(self) -> int:
-        return self.rotations.shape[1]
-
-    def _standardize(self, source) -> np.ndarray:
+    def transform(self, source) -> np.ndarray:
+        """Scores on the first `n_components` components."""
         if hasattr(source, "select"):
             X = source.select(self.columns)
         else:
             X = np.asarray(source, dtype=np.float64)
-        return (X - self.x_mean) / self.x_scale
-
-    def transform(self, source, k: int | None = None) -> np.ndarray:
-        k = self.n_components if k is None else k
-        return self._standardize(source) @ self.rotations[:, :k]
-
-    def predict(self, source, k: int | None = None) -> np.ndarray:
-        k = self.n_components if k is None else k
-        beta = self.rotations[:, :k] @ self.score_coefficients[:k]
-        return self.y_mean + self._standardize(source) @ beta
+        return ((X - self.x_mean) / self.x_scale) @ self.rotations[:, :self.n_components]
 
 
 def _pls1_paths(apply, xty: np.ndarray, tiny: np.ndarray, max_k: int):

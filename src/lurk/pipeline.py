@@ -2,9 +2,10 @@
 cross-validate -> gridded prediction -> exposure statistics.
 
 Each stage writes plain-file artifacts plus a manifest entry keyed by the
-hashes of everything the stage consumed, including the package's own
-source code; rerunning the same code on unchanged inputs reuses the
-cached artifact. Stage timings go to a line-delimited log.
+content hashes of the files it reads, the settings it reads and a
+fingerprint of the package's own source code; rerunning the same code on
+unchanged inputs reuses the cached artifact. Stage timings go to a
+line-delimited log.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import covariates as cov
 from . import geodata
@@ -37,9 +41,10 @@ LATTICE_KEYS = tuple(f.name for f in fields(geodata.Lattice))
 
 @functools.cache
 def code_fingerprint() -> str:
-    """sha256 over the package's sources (sorted `*.py` names and bytes),
-    computed once per process; part of every stage key."""
-    parts = []
+    """sha256 over the numpy and scipy versions and the package's sources
+    (sorted `*.py` names and bytes), computed once per process; part of
+    every stage key."""
+    parts = [numpy.__version__.encode(), scipy.__version__.encode()]
     for path in sorted(Path(__file__).parent.glob("*.py")):
         parts += [path.name.encode(), path.read_bytes()]
     return sha256_bytes(b"\0".join(parts))
@@ -155,7 +160,6 @@ class RunReport:
 
 class _Runner:
     def __init__(self, config: PipelineConfig):
-        self.cfg = config
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
@@ -163,44 +167,60 @@ class _Runner:
         if self.manifest_path.exists():
             self.manifest = json.loads(self.manifest_path.read_text())
         self.log_path = self.out / "run.log"
+        self.report = RunReport(
+            status="ok", pollutant=config.pollutant, year=config.year, seed=config.seed,
+            recipe=config.recipe.to_dict(),
+        )
+        self.hashes = {}  # path -> sha256, taken at most once per run
 
     def _log_line(self, text: str) -> None:
         with open(self.log_path, "a") as f:
             f.write(text + "\n")
         log.info(text)
 
-    def stage(self, name: str, key_parts: list, outputs: list[str], compute):
-        """Run one cached stage. `compute` writes every output file; the
-        stage is skipped when the key matches the manifest and all outputs
-        still hash-match."""
-        key = sha256_bytes(json.dumps([name, code_fingerprint(), key_parts],
+    def hash(self, path) -> str:
+        path = Path(path)
+        if path not in self.hashes:
+            self.hashes[path] = sha256_file(path)
+        return self.hashes[path]
+
+    def stage(self, name: str, reads: dict, values: dict, outputs: list[str], compute):
+        """Run one cached stage and record its manifest entry in the report.
+        `reads` labels each file `compute` reads (a config input by its config
+        name, an earlier artifact by its file name) and `values` holds every
+        other setting it reads; the key is the code fingerprint, each read's
+        content hash by label and the values, and holds no path. `compute`
+        writes every output; the stage is skipped when the key matches the
+        manifest and all outputs still hash-match."""
+        hashes = {label: self.hash(path) for label, path in reads.items()}
+        key = sha256_bytes(json.dumps([name, code_fingerprint(), hashes, values],
                                       sort_keys=True).encode())
         entry = self.manifest.get(name)
         paths = {o: self.out / o for o in outputs}
-        if entry and entry.get("key") == key:
-            ok = all(
-                paths[o].exists() and sha256_file(paths[o]) == entry["outputs"].get(o)
-                for o in outputs
-            )
-            if ok:
-                self._log_line(f"stage={name} status=cached")
-                return entry, True
-        t0 = time.perf_counter()
-        try:
-            compute()
-        except Exception as exc:
-            self._log_line(f"stage={name} status=failed error={exc}")
-            raise StageError(name, exc) from exc
-        elapsed = time.perf_counter() - t0
-        entry = {
-            "key": key,
-            "outputs": {o: sha256_file(paths[o]) for o in outputs},
-            "elapsed_s": round(elapsed, 4),
-        }
-        self.manifest[name] = entry
-        dump_json(self.manifest, self.manifest_path)
-        self._log_line(f"stage={name} status=ok elapsed_s={elapsed:.3f}")
-        return entry, False
+        cached = entry is not None and entry.get("key") == key and all(
+            paths[o].exists() and self.hash(paths[o]) == entry["outputs"].get(o)
+            for o in outputs)
+        if cached:
+            self._log_line(f"stage={name} status=cached")
+        else:
+            for path in paths.values():
+                self.hashes.pop(path, None)  # rewritten below
+            t0 = time.perf_counter()
+            try:
+                compute()
+            except Exception as exc:
+                self._log_line(f"stage={name} status=failed error={exc}")
+                raise StageError(name, exc) from exc
+            elapsed = time.perf_counter() - t0
+            entry = self.manifest[name] = {
+                "key": key,
+                "outputs": {o: self.hash(paths[o]) for o in outputs},
+                "elapsed_s": round(elapsed, 4),
+            }
+            dump_json(self.manifest, self.manifest_path)
+            self._log_line(f"stage={name} status=ok elapsed_s={elapsed:.3f}")
+        self.report.stages[name] = entry
+        return entry, cached
 
 
 def _load_geo_inputs(cfg: PipelineConfig):
@@ -219,15 +239,11 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     returns (and writes) the run report."""
     if until not in STAGES:
         raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
-    cfg = config
-    cfg.validate()
-    runner = _Runner(cfg)
-    report = RunReport(
-        status="ok", pollutant=cfg.pollutant, year=cfg.year, seed=cfg.seed,
-        recipe=cfg.recipe.to_dict(),
-    )
+    config.validate()
+    runner = _Runner(config)
+    report = runner.report
     try:
-        for name in _stages(cfg, runner, report):
+        for name in _stages(config, runner):
             if name == until:
                 break
     except StageError as exc:
@@ -240,16 +256,22 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     return report
 
 
-def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
-    """Run the stages in order, filling `report`; yields each stage's name
-    once it is done. The predict and exposure stages run only when the
-    config has a lattice (and, for exposure, a population grid).
+def _stages(cfg: PipelineConfig, runner: _Runner):
+    """Run the stages in order, filling the runner's report; yields each
+    stage's name once it is done. The predict and exposure stages run only
+    when the config has a lattice (and, for exposure, a population grid).
 
     Inputs and artifacts are read on first use and kept: the covariate
     specs, `matrix.csv` and the geo inputs only by a stage that computes,
-    so a cached stage costs the hashes of its inputs and the small JSON
-    it reports from."""
-    out = runner.out
+    so a cached stage costs the hashes of its reads and outputs and the
+    small JSON it reports from."""
+    out, report = runner.out, runner.report
+    geo_reads = {
+        **{f"layer {name}": path for name, path in cfg.layers.items()},
+        **{f"grid {name}": path for name, path in cfg.grids.items()},
+        **{f"categorical {name}": spec["path"] for name, spec in cfg.categorical.items()},
+    }
+    categories = {name: spec["categories"] for name, spec in cfg.categorical.items()}
 
     # -- annualize ----------------------------------------------------
     def do_annualize():
@@ -266,23 +288,13 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
             out / "excluded_sites.json",
         )
 
-    entry, _ = runner.stage(
-        "annualize",
-        [sha256_file(cfg.daily_csv), sha256_file(cfg.sites_csv), cfg.year],
-        ["monitors.csv", "excluded_sites.json"], do_annualize,
-    )
-    report.stages["annualize"] = entry
+    runner.stage("annualize", {"daily": cfg.daily_csv, "sites": cfg.sites_csv},
+                 {"year": cfg.year}, ["monitors.csv", "excluded_sites.json"], do_annualize)
     sites = functools.cache(lambda: MonitorTable.from_csv(out / "monitors.csv"))
-    monitors_hash = entry["outputs"]["monitors.csv"]
     report.metrics["n_sites"] = len(sites())
     yield "annualize"
 
     # -- covariates ---------------------------------------------------
-    geo_hashes = sorted(
-        [sha256_file(p) for p in cfg.layers.values()]
-        + [sha256_file(p) for p in cfg.grids.values()]
-        + [sha256_file(v["path"]) for v in cfg.categorical.values()]
-    )
     specs = functools.cache(lambda: cov.read_specs(cfg.covariates_json))
     geo_inputs = functools.cache(lambda: _load_geo_inputs(cfg))
 
@@ -292,28 +304,24 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
                                   categorical=categorical)
         matrix.to_csv(out / "matrix.csv")
 
-    entry, _ = runner.stage(
-        "covariates",
-        [monitors_hash, sha256_file(cfg.covariates_json), geo_hashes],
-        ["matrix.csv"], do_covariates,
-    )
-    report.stages["covariates"] = entry
+    runner.stage("covariates", {"monitors.csv": out / "monitors.csv",
+                                "covariates": cfg.covariates_json, **geo_reads},
+                 {"categories": categories}, ["matrix.csv"], do_covariates)
     matrix = functools.cache(lambda: cov.CovariateMatrix.from_csv(out / "matrix.csv"))
-    matrix_hash = entry["outputs"]["matrix.csv"]
-    report.dataset_hash = sha256_bytes((monitors_hash + matrix_hash).encode())
+    report.dataset_hash = sha256_bytes(
+        (runner.hash(out / "monitors.csv") + runner.hash(out / "matrix.csv")).encode())
     yield "covariates"
 
     # -- fit ------------------------------------------------------------
+    trend_reads = {"monitors.csv": out / "monitors.csv", "matrix.csv": out / "matrix.csv"}
+    fit_values = {"recipe": cfg.recipe.to_dict(), "seed": cfg.seed}
+
     def do_fit():
         fitted = fit_recipe(cfg.recipe, sites(), matrix(),
                             seed=stage_seed(cfg.seed, "fit"))
         dump_json(fitted.to_dict(), out / "model.json")
 
-    entry, _ = runner.stage(
-        "fit", [monitors_hash, matrix_hash, cfg.recipe.to_dict(), cfg.seed],
-        ["model.json"], do_fit,
-    )
-    report.stages["fit"] = entry
+    runner.stage("fit", trend_reads, fit_values, ["model.json"], do_fit)
     # The report reads the model's JSON; only the predict stage rebuilds it.
     model = json.loads((out / "model.json").read_text())
     report.metrics["selected"] = model["trend"]["selected"]
@@ -337,13 +345,9 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
         dump_json({"kfold": res_k.summary(), "logo": res_g.summary()},
                   out / "cv_summary.json")
 
-    entry, _ = runner.stage(
-        "cv",
-        [monitors_hash, matrix_hash, cfg.recipe.to_dict(), cfg.seed,
-         cfg.cv_k, cfg.logo_group],
-        ["cv_kfold.csv", "cv_logo.csv", "cv_summary.json"], do_cv,
-    )
-    report.stages["cv"] = entry
+    runner.stage("cv", trend_reads,
+                 {**fit_values, "k": cfg.cv_k, "logo_group": cfg.logo_group},
+                 ["cv_kfold.csv", "cv_logo.csv", "cv_summary.json"], do_cv)
     cv_summary = json.loads((out / "cv_summary.json").read_text())
     report.metrics["kfold_r2"] = cv_summary["kfold"]["r2_mse"]
     report.metrics["kfold_rmse"] = cv_summary["kfold"]["rmse"]
@@ -353,7 +357,6 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
 
     # -- predict ----------------------------------------------------------
     if cfg.prediction is not None:
-        model_hash = report.stages["fit"]["outputs"]["model.json"]
         pred_outputs = ["prediction.asc"]
         if cfg.with_variance and cfg.recipe.kriging:
             pred_outputs.append("prediction_variance.asc")
@@ -383,20 +386,17 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
             dump_json({"n_floored": surface.n_floored, "model_id": surface.model_id},
                       out / "prediction_meta.json")
 
-        entry, _ = runner.stage(
-            "predict",
-            [model_hash, geo_hashes, cfg.prediction, cfg.with_variance],
-            pred_outputs + ["prediction_meta.json"], do_predict,
-        )
-        report.stages["predict"] = entry
+        runner.stage("predict", {"model.json": out / "model.json",
+                                 "covariates": cfg.covariates_json, **geo_reads},
+                     {"categories": categories, "lattice": cfg.prediction,
+                      "with_variance": cfg.with_variance},
+                     pred_outputs + ["prediction_meta.json"], do_predict)
         meta = json.loads((out / "prediction_meta.json").read_text())
         report.metrics["n_floored"] = meta["n_floored"]
         yield "predict"
 
     # -- exposure ----------------------------------------------------------
     if cfg.prediction is not None and cfg.population_grid is not None:
-        pred_hash = report.stages["predict"]["outputs"]["prediction.asc"]
-
         def do_exposure():
             concentration = geodata.read_raster(out / "prediction.asc")
             population = geodata.read_raster(cfg.population_grid)
@@ -408,12 +408,10 @@ def _stages(cfg: PipelineConfig, runner: _Runner, report: RunReport):
             curve.to_csv(out / "exposure.csv")
             dump_json(curve.summary(), out / "exposure_summary.json")
 
-        entry, _ = runner.stage(
-            "exposure",
-            [pred_hash, sha256_file(cfg.population_grid), list(cfg.thresholds)],
-            ["exposure.csv", "exposure_summary.json"], do_exposure,
-        )
-        report.stages["exposure"] = entry
+        runner.stage("exposure", {"prediction.asc": out / "prediction.asc",
+                                  "population": cfg.population_grid},
+                     {"thresholds": list(cfg.thresholds)},
+                     ["exposure.csv", "exposure_summary.json"], do_exposure)
         summary = json.loads((out / "exposure_summary.json").read_text())
         report.metrics["pop_weighted_mean"] = summary["pop_weighted_mean"]
         report.metrics["fraction_above"] = dict(

@@ -621,6 +621,24 @@ def data_pls_fit(matrix, y, max_components, seed=0):
                     n_components=k_star)
 
 
+def pls_standardized(model, source):
+    """A PLS model's input columns, centered and scaled as in its fit."""
+    if hasattr(source, "select"):
+        X = source.select(model.columns)
+    else:
+        X = np.asarray(source, dtype=np.float64)
+    return (X - model.x_mean) / model.x_scale
+
+
+def pls_predict(model, source, k=None):
+    """PLS1 regression from the first `k` components (`n_components` by
+    default) applied to the standardized columns, by the regression vector
+    rotations[:, :k] @ score_coefficients[:k]."""
+    k = model.n_components if k is None else k
+    beta = model.rotations[:, :k] @ model.score_coefficients[:k]
+    return model.y_mean + pls_standardized(model, source) @ beta
+
+
 def moran_double_sum(residuals, coords, min_distance=1000.0):
     """Moran's I via the explicit double loop."""
     z = np.asarray(residuals, dtype=np.float64)

@@ -1,7 +1,7 @@
 """The artifact file codec: atomic writes, CSV tables that keep quoted text
 and every float bit, and the rule that nothing else in the package writes
-a file; and the rule that the package defines no public name that only
-tests use."""
+a file; the rule that only the pipeline's stage runner hashes files; and
+the rule that the package defines no public name that only tests use."""
 
 import ast
 import errno
@@ -149,6 +149,19 @@ def test_only_the_codec_writes_files():
                     or name == "open" and any(WRITE_MODE.fullmatch(m) for m in modes)):
                 found.append((path.name, ast.unparse(node)))
     assert found == ALLOWED
+
+
+def test_only_the_stage_runner_hashes_files():
+    """Stage keys are built in one place: in `pipeline.py` only `_Runner`
+    names `sha256_file`, so no stage assembles a key from hashes by hand."""
+    tree = ast.parse((Path(lurk.__file__).parent / "pipeline.py").read_text())
+    runner = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Runner")
+    inside = {id(node) for node in ast.walk(runner)}
+    named = [node for node in ast.walk(tree)
+             if getattr(node, "id", getattr(node, "attr", None)) == "sha256_file"]
+    assert any(id(node) in inside for node in named)
+    assert [f"line {node.lineno}" for node in named if id(node) not in inside] == []
 
 
 # -- no code that only tests use ---------------------------------------------------------

@@ -368,7 +368,8 @@ def test_config_values_checked(tmp_path, key, value, named):
         PipelineConfig.from_json(path)
 
 
-def test_code_change_recomputes_every_stage(tmp_path, monkeypatch):
+@pytest.mark.parametrize("change", ["sources", "numpy version"])
+def test_code_change_recomputes_every_stage(tmp_path, monkeypatch, change):
     config_path, _ = write(tmp_path, scenario(seed=14))
     log_path = tmp_path / "scn" / "run" / "run.log"
 
@@ -378,11 +379,19 @@ def test_code_change_recomputes_every_stage(tmp_path, monkeypatch):
         return log_path.read_text()[len(before):]
 
     run_and_log()
-    monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
-    recomputed = run_and_log()
-    for stage in pipeline.STAGES:
-        assert f"stage={stage} status=ok" in recomputed, stage
-    cached = run_and_log().strip().splitlines()
+    if change == "sources":
+        monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
+    else:
+        monkeypatch.setattr(np, "__version__", np.__version__ + "+other.build")
+        pipeline.code_fingerprint.cache_clear()
+    try:
+        recomputed = run_and_log()
+        for stage in pipeline.STAGES:
+            assert f"stage={stage} status=ok" in recomputed, stage
+        cached = run_and_log().strip().splitlines()
+    finally:
+        monkeypatch.undo()
+        pipeline.code_fingerprint.cache_clear()
     assert len(cached) == len(pipeline.STAGES)
     assert all("status=cached" in line for line in cached)
 
@@ -462,6 +471,81 @@ def test_with_variance_writes_a_cached_variance_grid(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "prediction_variance.asc" not in manifest["predict"]["outputs"]
     assert not (out / "prediction_variance.asc").exists()
+
+
+def rerun_after(config_path, edit) -> dict:
+    """Apply `edit` to the parsed config, write it back and rerun; returns
+    the rerun's stage -> status."""
+    config = json.loads(config_path.read_text())
+    edit(config)
+    config_path.write_text(json.dumps(config))
+    log_path = config_path.parent / config["out"] / "run.log"
+    before = log_path.read_text()
+    run(PipelineConfig.from_json(config_path))
+    return new_log_lines(log_path, before)
+
+
+def test_swapped_grid_paths_recompute_covariates(tmp_path):
+    """Each read is keyed by its config name, so two grids that trade paths
+    (the same bytes under other names) build a new matrix."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    run(PipelineConfig.from_json(config_path))
+
+    def swap(config):
+        grids = config["grids"]
+        grids["elevation"], grids["satellite"] = grids["satellite"], grids["elevation"]
+
+    assert rerun_after(config_path, swap)["covariates"] == "status=ok"
+    cfg = PipelineConfig.from_json(config_path)
+    out, cfg.out_dir = cfg.out_dir, tmp_path / "fresh"
+    run(cfg)
+    assert (out / "matrix.csv").read_bytes() == (cfg.out_dir / "matrix.csv").read_bytes()
+
+
+def test_undeclared_land_cover_code_fails_a_cached_rerun(tmp_path):
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    run(PipelineConfig.from_json(config_path))
+    entry = json.loads(config_path.read_text())["categorical_grids"]["landcover"]
+    grid = geodata.read_raster(config_path.parent / entry["path"])
+    code = int(np.max(grid.values[grid.values != grid.nodata]))
+
+    def undeclare(config):
+        config["categorical_grids"]["landcover"]["categories"].remove(code)
+
+    with pytest.raises(StageError) as info:
+        rerun_after(config_path, undeclare)
+    assert info.value.stage == "covariates"
+    assert f"undeclared category codes: [{code}]" in str(info.value.cause)
+
+
+def test_respaced_covariate_specs_rerun_covariates_and_predict(tmp_path):
+    """The predict stage reads the covariate specs, so its key holds their
+    hash; the same specs in other whitespace rebuild an identical matrix
+    and grid, and the stages after each hit the cache."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    run(PipelineConfig.from_json(config_path))
+    prediction = (tmp_path / "scn" / "run" / "prediction.asc").read_bytes()
+    specs = config_path.parent / "covariates.json"
+    text = specs.read_text()
+    specs.write_text(json.dumps(json.loads(text), indent="\t"))
+    assert specs.read_text() != text
+    assert rerun_after(config_path, lambda config: None) == {
+        "annualize": "status=cached", "covariates": "status=ok", "fit": "status=cached",
+        "cv": "status=cached", "predict": "status=ok", "exposure": "status=cached"}
+    assert (tmp_path / "scn" / "run" / "prediction.asc").read_bytes() == prediction
+
+
+def test_each_run_hashes_each_file_once(tmp_path, monkeypatch):
+    """Cold or warm, a run hashes each input and artifact once: an output's
+    cache check and a later stage's read of it share one hash."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    calls, sha256_file = [], pipeline.sha256_file
+    monkeypatch.setattr(pipeline, "sha256_file",
+                        lambda path: calls.append(Path(path)) or sha256_file(path))
+    for _ in ("cold", "warm"):
+        calls.clear()
+        run(PipelineConfig.from_json(config_path))
+        assert calls and len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("script", ["run_national_synthetic.py", "model_family_sweep.py"])
