@@ -3,8 +3,8 @@
 One batched engine, `extract`, evaluates covariate specs at any set of
 points, and each covariate kind has exactly one implementation in it.
 `build_matrix` runs it at monitor sites and raises on cells it cannot
-evaluate; `rasterize_covariates` runs it at lattice cell centers and
-writes nodata there.
+evaluate; `exposure.predict_grid` runs it at lattice cell centers and
+makes those cells nodata.
 
 Buffer covariates use circular buffers with an inclusive boundary
 (distance <= r counts); land-cover fractions use axis-aligned square
@@ -322,17 +322,18 @@ def read_specs(path) -> list[CovariateSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Covariate rasterization (for gridded prediction)
+# Covariate rasterization
 # ---------------------------------------------------------------------------
 
 def rasterize_covariates(specs, lattice: geodata.RasterGrid, layers: dict | None = None,
                          grids: dict | None = None,
                          categorical: dict | None = None) -> dict[str, geodata.RasterGrid]:
-    """Evaluate each spec at every cell center of `lattice`.
+    """Evaluate each spec at every cell center of `lattice`, one grid per
+    spec, with nodata where `extract` marks a cell invalid.
 
-    The same engine as build_matrix, but cells that cannot be evaluated
-    become nodata instead of raising, since national lattices routinely
-    extend past individual source grids.
+    Prediction does not go through these grids (`exposure.predict_grid`
+    reads `extract`'s validity directly): a valid value equal to the
+    nodata sentinel reads back as nodata here.
     """
     xs, ys = lattice.center_meshgrid()
     values, valid = extract(specs, xs, ys, layers, grids, categorical)

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodata import RasterGrid, box_sum, summed_area_table
+from .covariates import extract
+from .geodata import DEFAULT_NODATA, Lattice, RasterGrid, box_sum, summed_area_table
 from .errors import InvalidArgumentError
 from .recipes import FittedModel
 from ._util import write_table
@@ -41,45 +42,38 @@ class ExposureCurve:
         }
 
 
-def predict_grid(fitted: FittedModel, covariate_grids: dict[str, RasterGrid],
-                 lattice: RasterGrid, with_variance: bool = False,
-                 model_id: str = "") -> PredictionSurface:
+def predict_grid(fitted: FittedModel, specs, lattice: Lattice, layers: dict | None = None,
+                 grids: dict | None = None, categorical: dict | None = None,
+                 with_variance: bool = False, model_id: str = "") -> PredictionSurface:
     """Evaluate a fitted model at every cell center of a lattice.
 
-    One grid per required covariate, each on the lattice; cells where any
-    covariate is nodata become nodata. The valid cells go through one
+    The model's columns are looked up by name in `specs` and evaluated at
+    the cell centers by one `extract` call; cells where `extract` marks
+    any column invalid become nodata. The valid cells go through one
     `FittedModel.predict` call; negative means are floored at zero and
     counted.
     """
+    by_name = {s.name: s for s in specs}
     columns = fitted.required_columns
-    missing = [c for c in columns if c not in covariate_grids]
+    missing = sorted(set(columns) - by_name.keys())
     if missing:
-        raise InvalidArgumentError(f"missing covariate grids: {missing}")
-    bad = [name for name in columns if not lattice.same_lattice(covariate_grids[name])]
-    if bad:
-        raise InvalidArgumentError(f"grids not on the shared lattice: {bad}")
-
-    n_cells = lattice.n_cols * lattice.n_rows
-    valid = np.ones(n_cells, dtype=bool)
-    for name in columns:
-        g = covariate_grids[name]
-        valid &= g.values.ravel() != g.nodata
-    idx = np.flatnonzero(valid)
-    # Column-major, like CovariateMatrix.select, so a cell rounds exactly
-    # as the same row predicted as a site would.
-    rows = np.empty((idx.size, len(columns)), order="F")
-    for j, name in enumerate(columns):
-        rows[:, j] = covariate_grids[name].values.ravel()[idx]
+        raise InvalidArgumentError(f"no covariate spec for model columns: {missing}")
     xs, ys = lattice.center_meshgrid()
+    values, valid = extract([by_name[c] for c in columns], xs, ys, layers, grids, categorical)
+    idx = np.flatnonzero(valid.all(axis=1))
+    # Column-major, like CovariateMatrix.select, so a cell rounds exactly
+    # as the same row predicted as a site would: `take` returns a new
+    # C-ordered (columns, cells) array, whose transpose is that layout.
+    rows = np.take(values.T, idx, axis=1).T
     mean, var = fitted.predict(rows, coords=np.column_stack([xs[idx], ys[idx]]),
                                with_variance=with_variance)
     neg = mean < 0.0
     mean[neg] = 0.0
 
     def on_lattice(vals):
-        out = np.full(n_cells, lattice.nodata)
+        out = np.full(lattice.n_cols * lattice.n_rows, DEFAULT_NODATA)
         out[idx] = vals
-        return lattice.with_values(out)
+        return RasterGrid(**lattice.geometry(), values=out)
 
     return PredictionSurface(
         concentration=on_lattice(mean),

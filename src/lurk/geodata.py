@@ -2,8 +2,8 @@
 
 All coordinates are projected planar meters. Grids follow the ESRI ASCII
 convention: square cells, lower-left corner origin, and bottom-row-first
-storage. `Lattice` holds that geometry and its center formula;
-`RasterGrid` (rasters and the prediction lattice) and `CategoricalGrid`
+storage. `Lattice` holds that geometry and its center formula (the
+prediction lattice is one); `RasterGrid` (rasters) and `CategoricalGrid`
 (land cover) extend it. Grid files store the top row first; the reader
 flips into the bottom-first layout.
 
@@ -54,7 +54,7 @@ class Lattice:
             raise InvalidArgumentError("cellsize must be > 0")
 
     def geometry(self) -> dict:
-        """The five fields by name, as `RasterGrid.filled` and a config's `prediction` take them."""
+        """The five fields by name, as `Lattice`, `RasterGrid` and a config's `prediction` take them."""
         return {f.name: getattr(self, f.name) for f in fields(Lattice)}
 
     def same_lattice(self, other) -> bool:
@@ -101,7 +101,7 @@ class RasterGrid(Lattice):
 
     @classmethod
     def filled(cls, origin_x, origin_y, cell_size, n_cols, n_rows) -> "RasterGrid":
-        """A grid of zeros, used as a lattice."""
+        """A grid of zeros."""
         return cls(origin_x, origin_y, cell_size, n_cols, n_rows, np.zeros((n_rows, n_cols)))
 
     def with_values(self, values: np.ndarray) -> "RasterGrid":

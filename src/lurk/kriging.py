@@ -264,35 +264,35 @@ class KrigingModel:
     def n_sites(self) -> int:
         return len(self.y)
 
-    def _rhs(self, xs, ys, x_rows) -> np.ndarray:
-        pts = np.column_stack([np.asarray(xs, dtype=np.float64),
-                               np.asarray(ys, dtype=np.float64)])
-        b = np.empty((self.n_sites + 1 + self.x_rows.shape[1], len(pts)))
+    def _rhs(self, coords, x_rows) -> np.ndarray:
+        b = np.empty((self.n_sites + 1 + self.x_rows.shape[1], len(coords)))
         # The distances, then their covariance, in place in b's first rows.
-        self.variogram.covariance(cdist(self.coords, pts, out=b[: self.n_sites]),
+        self.variogram.covariance(cdist(self.coords, coords, out=b[: self.n_sites]),
                                   out=b[: self.n_sites])
         b[self.n_sites] = 1.0
-        x_std = (np.atleast_2d(x_rows) - self._x_shift) / self._x_scale
+        x_std = (x_rows - self._x_shift) / self._x_scale
         b[self.n_sites + 1 :] = x_std.T
         return b
 
-    def predict_many(self, xs, ys, x_rows, with_variance: bool = False):
-        """Kriging mean and variance-or-None at many points."""
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
+    def predict_many(self, coords, x_rows, with_variance: bool = False):
+        """Kriging mean and variance-or-None at many points: `coords` (m, 2)
+        and their drift rows `x_rows` (m, p)."""
+        coords = np.asarray(coords, dtype=np.float64)
         x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
-        if x_rows.shape[1] != self.x_rows.shape[1]:
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise InvalidArgumentError(f"coords must have shape (m, 2), not {coords.shape}")
+        if x_rows.shape != (len(coords), self.x_rows.shape[1]):
             raise InvalidArgumentError(
-                f"x_rows must supply the drift's {self.x_rows.shape[1]} columns"
-            )
-        m = len(xs)
+                f"x_rows must hold one row of the drift's {self.x_rows.shape[1]} columns "
+                f"per point, not shape {x_rows.shape}")
+        m = len(coords)
         mean = np.empty(m)
         var = np.empty(m) if with_variance else None
         sill = self.variogram.sill
         block = _block_points(self.n_sites + 1 + self.x_rows.shape[1])
         for s in range(0, m, block):
             e = min(s + block, m)
-            b = self._rhs(xs[s:e], ys[s:e], x_rows[s:e])
+            b = self._rhs(coords[s:e], x_rows[s:e])
             mean[s:e] = b.T @ self._dual
             if with_variance:
                 v = solve_triangular(self._chol, b[: self.n_sites], lower=True)

@@ -364,19 +364,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
         def do_predict():
             # No variance grid of an earlier run outlives its manifest entry.
             (out / "prediction_variance.asc").unlink(missing_ok=True)
-            fitted = FittedModel.from_dict(model)
-            layers, grids, categorical = geo_inputs()
-            lattice = geodata.RasterGrid.filled(**cfg.prediction)
-            needed = [s for s in specs() if s.name in set(fitted.required_columns)]
-            missing = set(fitted.required_columns) - {s.name for s in needed}
-            if missing:
-                raise InvalidArgumentError(
-                    f"no covariate spec for model columns: {sorted(missing)}"
-                )
-            grids_by_col = cov.rasterize_covariates(
-                needed, lattice, layers=layers, grids=grids, categorical=categorical,
-            )
-            surface = predict_grid(fitted, grids_by_col, lattice,
+            surface = predict_grid(FittedModel.from_dict(model), specs(),
+                                   geodata.Lattice(**cfg.prediction), *geo_inputs(),
                                    with_variance=cfg.with_variance,
                                    model_id=cfg.recipe.label())
             geodata.write_raster(surface.concentration, out / "prediction.asc")

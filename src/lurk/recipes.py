@@ -107,9 +107,7 @@ class FittedModel:
             return self.trend.predict(rows), None
         if coords is None:
             raise InvalidArgumentError("kriging prediction needs coordinates")
-        coords = np.asarray(coords, dtype=np.float64)
-        return self.kriging.predict_many(coords[:, 0], coords[:, 1], rows,
-                                         with_variance=with_variance)
+        return self.kriging.predict_many(coords, rows, with_variance=with_variance)
 
     def to_dict(self) -> dict:
         return plain(self)

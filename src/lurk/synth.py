@@ -168,7 +168,7 @@ class SyntheticData:
     grids: dict
     categorical: dict
     population: geodata.RasterGrid
-    prediction_lattice: geodata.RasterGrid
+    prediction_lattice: geodata.Lattice
     truth: dict
     excluded_sites: dict  # site_id -> (x, y, province, city, annual_value, n_days)
 
@@ -345,8 +345,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     )
 
     pred_cell = max(ex / sc.prediction_cols, ey / sc.prediction_rows)
-    lattice = geodata.RasterGrid.filled(0.0, 0.0, pred_cell,
-                                        sc.prediction_cols, sc.prediction_rows)
+    lattice = geodata.Lattice(0.0, 0.0, pred_cell, sc.prediction_cols, sc.prediction_rows)
 
     pop_density = _population_field(centers, sc.cluster_sd_m)
     population = _field_grid(pop_density, pred_cell, sc.prediction_cols, sc.prediction_rows)

@@ -775,13 +775,11 @@ def dense_uk_drift(train_coords, train_x, train_y, nugget, psill, range_m):
     return np.linalg.solve(A, rhs)[len(train_y):]
 
 
-def copying_kriging_rhs(model, xs, ys, x_rows):
+def copying_kriging_rhs(model, coords, x_rows):
     """`KrigingModel`'s right-hand side block [c(s_i, x); 1; x_std] built
     from a new distance array and a new covariance array copied into it."""
-    pts = np.column_stack([np.asarray(xs, dtype=np.float64),
-                           np.asarray(ys, dtype=np.float64)])
-    d = cdist(model.coords, pts)
-    b = np.empty((model.n_sites + 1 + model.x_rows.shape[1], len(pts)))
+    d = cdist(model.coords, coords)
+    b = np.empty((model.n_sites + 1 + model.x_rows.shape[1], len(coords)))
     b[: model.n_sites] = model.variogram.covariance(d)
     b[model.n_sites] = 1.0
     x_std = (np.atleast_2d(x_rows) - model._x_shift) / model._x_scale

@@ -68,8 +68,7 @@ def test_criterion_01_kriging_exactness():
     worst_mean = worst_var = 0.0
     for seed in range(20):
         model, coords, X, y = _kriging_problem(100 + seed, nugget=0.0)
-        mean, var = model.predict_many(coords[:, 0], coords[:, 1], X,
-                                       with_variance=True)
+        mean, var = model.predict_many(coords, X, with_variance=True)
         worst_mean = max(worst_mean, float(np.max(np.abs(mean - y) / (1.0 + np.abs(y)))))
         worst_var = max(worst_var, float(np.max(var)))
     elapsed = time.perf_counter() - t0
@@ -86,8 +85,7 @@ def test_criterion_02_dense_solver_oracle():
         for _ in range(5):
             x0, y0 = rng.uniform(-20_000, 120_000, 2)
             x_row = rng.normal(size=3)
-            mean, var = model.predict_many([x0], [y0], x_row[None, :],
-                                           with_variance=True)
+            mean, var = model.predict_many([[x0, y0]], x_row[None, :], with_variance=True)
             want_mean, want_var, _, _ = oracles.dense_uk_solve(
                 coords, X, y, 0.3, 4.0, 30_000.0, x0, y0, x_row)
             worst = max(worst,

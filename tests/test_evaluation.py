@@ -142,7 +142,7 @@ def test_run_cv_matches_scripted_folds():
         trend = stepwise_select(sub_matrix, sub_sites.annual_mean, StepwiseConfig())
         krig = uk_fit(trend, sub_sites, sub_matrix)
         rows = data.matrix.subset_rows(test).select(trend.selected)
-        mean, _ = krig.predict_many(data.sites.x[test], data.sites.y[test], rows)
+        mean, _ = krig.predict_many(data.sites.coords[test], rows)
         pred[test] = mean
     assert np.allclose(res.predicted, pred, rtol=1e-10, atol=1e-10)
     assert res.r2_mse == pytest.approx(r2_mse(data.sites.annual_mean, pred))

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from lurk import geodata
-from lurk.covariates import CovariateMatrix, extract, rasterize_covariates
+from lurk.covariates import CovariateMatrix, CovariateSpec, extract
 from lurk.errors import InvalidArgumentError
 from lurk.exposure import (
     cumulative_exposure,
@@ -36,10 +38,23 @@ def intercept_model(value):
 
 # -- predict_grid ---------------------------------------------------------------
 
+def sampled(name="g"):
+    """A spec that samples the grid named `name` at each point."""
+    return CovariateSpec(name, "grid_sample", name)
+
+
+def linear_model(column, intercept, slope):
+    return fitted_of(LinearModel(
+        selected=(column,), intercept=intercept, coefficients=np.array([slope]),
+        entry_signs=np.array([1.0]), r2=1.0, adj_r2=1.0,
+        residuals=np.zeros(3), p_values=np.array([0.0]), n=3,
+    ))
+
+
 def test_intercept_only_uniform_surface():
-    lattice = geodata.RasterGrid.filled(0.0, 0.0, 1000.0, 5, 4)
-    surf = predict_grid(intercept_model(40.0), {}, lattice)
+    surf = predict_grid(intercept_model(40.0), [], geodata.Lattice(0.0, 0.0, 1000.0, 5, 4))
     assert np.all(surf.concentration.values == 40.0)
+    assert surf.concentration.nodata == geodata.DEFAULT_NODATA
     assert surf.n_floored == 0
 
 
@@ -49,41 +64,51 @@ def test_linear_model_on_zero_grid_gives_intercept():
     X = rng.normal(size=(30, 1))
     y = 7.0 + 2.0 * X[:, 0] + rng.normal(0, 0.01, 30)
     m = ols_fit(X, y, ["g"])
-    surf = predict_grid(fitted_of(m), {"g": zeros}, zeros)
+    surf = predict_grid(fitted_of(m), [sampled()], zeros, grids={"g": zeros})
     assert np.allclose(surf.concentration.values, m.intercept)
 
 
-def test_missing_grid_and_lattice_mismatch_errors():
+def test_missing_spec_error_names_the_column():
     m = ols_fit(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.1]), ["g"])
-    with pytest.raises(InvalidArgumentError, match="missing covariate"):
-        predict_grid(fitted_of(m), {}, geodata.RasterGrid.filled(0, 0, 1.0, 2, 2))
-    g1 = geodata.RasterGrid.filled(0.0, 0.0, 1.0, 2, 2)
-    g2 = geodata.RasterGrid.filled(0.0, 0.0, 2.0, 2, 2)
-    with pytest.raises(InvalidArgumentError, match="shared lattice"):
-        predict_grid(fitted_of(m), {"g": g2}, g1)
+    with pytest.raises(InvalidArgumentError,
+                       match=re.escape("no covariate spec for model columns: ['g']")):
+        predict_grid(fitted_of(m), [sampled("h")], geodata.Lattice(0, 0, 1.0, 2, 2))
 
 
 def test_nodata_covariate_propagates():
-    vals = np.ones((3, 3))
-    vals[1, 1] = -9999.0
+    # A nodata cell spoils every bilinear stencil that touches it: on a
+    # 6 x 6 grid the four cells around (2, 2), and no other.
+    vals = np.ones((6, 6))
+    vals[2, 2] = -9999.0
     g = grid_of(vals)
     m = ols_fit(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.1]), ["g"])
-    surf = predict_grid(fitted_of(m), {"g": g}, g)
-    assert surf.concentration.values[1, 1] == surf.concentration.nodata
-    assert np.sum(surf.concentration.values == surf.concentration.nodata) == 1
+    surf = predict_grid(fitted_of(m), [sampled()], g, grids={"g": g})
+    xs, ys = g.center_meshgrid()
+    _, valid = extract([sampled()], xs, ys, grids={"g": g})
+    nodata = surf.concentration.values.ravel() == surf.concentration.nodata
+    assert np.array_equal(nodata, ~valid[:, 0])
+    assert np.array_equal(np.flatnonzero(nodata), [7, 8, 13, 14])
+
+
+def test_valid_value_equal_to_the_sentinel_is_predicted():
+    # Cell centers at x = -9,999 m: a coordinate_x value equal to the
+    # nodata sentinel is a valid value, and its cells are predicted.
+    lattice = geodata.Lattice(-10_499.0, 0.0, 1_000.0, 4, 3)
+    fitted = linear_model("coord_x", 30.0, 1e-3)
+    surf = predict_grid(fitted, [CovariateSpec("coord_x", "coordinate_x")], lattice)
+    xs, _ = lattice.center_meshgrid()
+    assert xs.min() == geodata.DEFAULT_NODATA
+    want, _ = fitted.predict(xs[:, None])
+    assert np.array_equal(surf.concentration.values.ravel(), want)
+    assert surf.n_floored == 0
 
 
 def test_negative_predictions_floored_and_counted():
     vals = np.linspace(-5, 5, 16).reshape(4, 4)
     g = grid_of(vals)
-    m = LinearModel(
-        selected=("g",), intercept=0.0, coefficients=np.array([1.0]),
-        entry_signs=np.array([1.0]), r2=1.0, adj_r2=1.0,
-        residuals=np.zeros(3), p_values=np.array([0.0]), n=3,
-    )
-    surf = predict_grid(fitted_of(m), {"g": g}, g)
+    surf = predict_grid(linear_model("g", 0.0, 1.0), [sampled()], g, grids={"g": g})
     assert surf.n_floored == int(np.sum(vals < 0))
-    assert np.all(surf.concentration.values >= 0)
+    assert np.array_equal(surf.concentration.values, np.maximum(vals, 0.0))
 
 
 def test_kriging_grid_matches_pointwise_predictions():
@@ -96,18 +121,19 @@ def test_kriging_grid_matches_pointwise_predictions():
     drift = ols_fit(matrix.select(["g"]), y, ["g"])
     model = KrigingModel(variogram=VariogramModel(0.1, 3.0, 15_000.0),
                          coords=coords, x_rows=X, y=y)
-    lattice = geodata.RasterGrid.filled(0.0, 0.0, 1_000.0, 50, 50)
+    lattice = geodata.Lattice(0.0, 0.0, 1_000.0, 50, 50)
     gvals = rng.normal(size=(50, 50))
-    g = lattice.with_values(gvals)
-    surf = predict_grid(fitted_of(drift, model), {"g": g}, lattice, with_variance=True)
+    g = geodata.RasterGrid(**lattice.geometry(), values=gvals)
+    surf = predict_grid(fitted_of(drift, model), [sampled()], lattice, grids={"g": g},
+                        with_variance=True)
     xs, ys = lattice.center_meshgrid()
     picks = rng.choice(2500, size=25, replace=False)
     flat_c = surf.concentration.values.ravel()
     flat_v = surf.variance.values.ravel()
     floored = flat_c == 0.0
     for idx in picks:
-        want_mean, want_var = model.predict_many([xs[idx]], [ys[idx]],
-                                                 [gvals.ravel()[idx]], with_variance=True)
+        want_mean, want_var = model.predict_many([[xs[idx], ys[idx]]],
+                                                 [[gvals.ravel()[idx]]], with_variance=True)
         expect_mean = max(want_mean[0], 0.0) if floored[idx] else want_mean[0]
         assert flat_c[idx] == pytest.approx(expect_mean, rel=1e-9, abs=1e-9)
         assert flat_v[idx] == pytest.approx(want_var[0], rel=1e-9, abs=1e-9)
@@ -266,8 +292,7 @@ def test_grid_equals_pointwise_fitted_predict(mini_data, selection, kriging):
     specs = [s for s in data.specs if s.name in fitted.required_columns]
     geo = dict(layers=data.layers, grids=data.grids, categorical=data.categorical)
     lattice = data.prediction_lattice
-    surf = predict_grid(fitted, rasterize_covariates(specs, lattice, **geo), lattice,
-                        with_variance=True)
+    surf = predict_grid(fitted, data.specs, lattice, **geo, with_variance=True)
     xs, ys = lattice.center_meshgrid()
     values, valid = extract(specs, xs, ys, **geo)
     cells = np.flatnonzero(valid.all(axis=1))
@@ -277,7 +302,7 @@ def test_grid_equals_pointwise_fitted_predict(mini_data, selection, kriging):
     mean, var = fitted.predict(rows, coords=np.column_stack([xs[cells], ys[cells]]),
                                with_variance=True)
     conc = surf.concentration.values.ravel()
-    assert np.array_equal(np.flatnonzero(conc != lattice.nodata), cells)
+    assert np.array_equal(np.flatnonzero(conc != surf.concentration.nodata), cells)
     assert np.array_equal(conc[cells], np.maximum(mean, 0.0))
     assert surf.n_floored == int(np.sum(mean < 0.0))
     if kriging:

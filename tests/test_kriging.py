@@ -211,7 +211,7 @@ def test_exact_interpolation_zero_nugget():
     sites, matrix, drift, coords, X, y = make_problem(seed=1, nugget=0.0)
     model = KrigingModel(variogram=VariogramModel(0.0, 4.0, 30_000.0),
                          coords=coords, x_rows=X, y=y)
-    mean, var = model.predict_many(coords[:, 0], coords[:, 1], X, with_variance=True)
+    mean, var = model.predict_many(coords, X, with_variance=True)
     assert np.all(np.abs(mean - y) <= 1e-8 * (1.0 + np.abs(y)))
     assert np.all(var <= 1e-8)
     assert np.all(var >= 0.0)
@@ -226,7 +226,7 @@ def test_matches_dense_oracle():
         for _ in range(5):
             x0, y0 = rng.uniform(0, 100_000, 2)
             x_row = rng.normal(size=3)
-            got_mean, got_var = model.predict_many([x0], [y0], [x_row], with_variance=True)
+            got_mean, got_var = model.predict_many([[x0, y0]], [x_row], with_variance=True)
             want_mean, want_var, lam, _ = oracles.dense_uk_solve(
                 coords, X, y, 0.3, 4.0, 30_000.0, x0, y0, x_row)
             assert got_mean[0] == pytest.approx(want_mean, rel=1e-6, abs=1e-9)
@@ -242,7 +242,7 @@ def gls_drift(model, n_cols):
     d = np.hypot(far - model.coords[:, 0], far - model.coords[:, 1])
     assert not model.variogram.covariance(d).any()
     rows = np.vstack([np.zeros(n_cols), np.eye(n_cols)])
-    mean, _ = model.predict_many(np.full(len(rows), far), np.full(len(rows), far), rows)
+    mean, _ = model.predict_many(np.full((len(rows), 2), far), rows)
     return np.concatenate([mean[:1], mean[1:] - mean[0]])
 
 
@@ -262,7 +262,7 @@ def test_gls_solve_matches_dense_oracle(nugget, psill):
     rng = np.random.default_rng(143)
     pts = rng.uniform(0, 100_000, size=(6, 2))
     rows = rng.normal(size=(6, 3))
-    got_mean, got_var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    got_mean, got_var = model.predict_many(pts, rows, with_variance=True)
     sill = nugget + psill
     for i in range(6):
         want_mean, want_var, _, _ = oracles.dense_uk_solve(
@@ -287,7 +287,7 @@ def test_pure_nugget_equals_drift_prediction():
     rng = np.random.default_rng(55)
     pts = rng.uniform(0, 100_000, size=(10, 2))
     rows = rng.normal(size=(10, 3))
-    mean, _ = model.predict_many(pts[:, 0], pts[:, 1], rows)
+    mean, _ = model.predict_many(pts, rows)
     want = drift.intercept + rows @ drift.coefficients
     assert np.allclose(mean, want, atol=1e-6)
 
@@ -298,7 +298,7 @@ def test_far_field_reduces_to_adjusted_trend():
     model = KrigingModel(variogram=vg, coords=coords, x_rows=X, y=y)
     x_far = coords[:, 0].max() + 25 * vg.range_m  # beyond 20x range
     rows = np.array([[0.3, -1.0, 0.8]])
-    mean, _ = model.predict_many([x_far], [50_000.0], rows)
+    mean, _ = model.predict_many([[x_far, 50_000.0]], rows)
     beta = oracles.dense_uk_drift(coords, X, y, 0.1, 4.0, 5_000.0)
     assert np.allclose(gls_drift(model, X.shape[1]), beta, rtol=1e-6, atol=0)
     assert abs(mean[0] - (beta[0] + rows[0] @ beta[1:])) <= 1e-6
@@ -311,8 +311,21 @@ def test_variance_nonnegative_everywhere():
     rng = np.random.default_rng(77)
     pts = rng.uniform(-50_000, 150_000, size=(50, 2))
     rows = rng.normal(size=(50, 3))
-    _, var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    _, var = model.predict_many(pts, rows, with_variance=True)
     assert np.all(var >= 0.0)
+
+
+@pytest.mark.parametrize("coords", [np.zeros(4), np.zeros((2, 4)), np.zeros((4, 3)),
+                                    np.zeros((4, 2, 1))],
+                         ids=["flat", "xs-ys-rows", "three-columns", "three-dims"])
+def test_predict_many_rejects_coords_not_m_by_2(coords):
+    sites, matrix, drift, c, X, y = make_problem(seed=13, nugget=0.5)
+    model = KrigingModel(variogram=VariogramModel(0.5, 4.0, 30_000.0),
+                         coords=c, x_rows=X, y=y)
+    with pytest.raises(InvalidArgumentError, match=re.escape("coords must have shape (m, 2)")):
+        model.predict_many(coords, np.zeros((4, 3)))
+    with pytest.raises(InvalidArgumentError, match="one row of the drift's 3 columns per point"):
+        model.predict_many(np.zeros((4, 2)), np.zeros((5, 3)))
 
 
 @pytest.mark.parametrize("rhs_rows,points", [
@@ -333,11 +346,11 @@ def test_blocked_prediction_matches_one_block(monkeypatch):
     rng = np.random.default_rng(5)
     pts = rng.uniform(-20_000, 120_000, size=(1_000, 2))
     rows = rng.normal(size=(1_000, 3))
-    mean, var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    mean, var = model.predict_many(pts, rows, with_variance=True)
     # 64 rows of right-hand side: blocks of 37 points, the last one short
     monkeypatch.setattr(kriging, "PREDICT_BLOCK_BYTES", 37 * 64 * 8)
     assert kriging._block_points(64) == 37
-    b_mean, b_var = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    b_mean, b_var = model.predict_many(pts, rows, with_variance=True)
     assert np.max(np.abs(b_mean - mean)) <= 1e-12 * np.max(np.abs(mean))
     assert np.max(np.abs(b_var - var)) <= 1e-12 * np.max(np.abs(var))
 
@@ -355,8 +368,8 @@ def test_uk_fit_permutation_invariance():
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 100_000, size=(8, 2))
     rows = rng.normal(size=(8, 3))
-    m1, _ = model.predict_many(pts[:, 0], pts[:, 1], rows)
-    m2, _ = model_p.predict_many(pts[:, 0], pts[:, 1], rows)
+    m1, _ = model.predict_many(pts, rows)
+    m2, _ = model_p.predict_many(pts, rows)
     assert np.allclose(m1, m2, rtol=1e-8, atol=1e-8)
 
 
@@ -373,7 +386,7 @@ def test_uk_fit_zero_residuals_reduces_to_drift():
     assert model.variogram.partial_sill <= 1e-8
     rows = rng.normal(size=(6, 2))
     pts = rng.uniform(0, 50_000, size=(6, 2))
-    mean, _ = model.predict_many(pts[:, 0], pts[:, 1], rows)
+    mean, _ = model.predict_many(pts, rows)
     assert np.allclose(mean, 5.0 + rows @ np.array([2.0, -1.0]), atol=1e-6)
 
 
@@ -470,8 +483,8 @@ def test_kriging_model_json_round_trip():
     back = KrigingModel(**{**d, "variogram": VariogramModel(**d["variogram"])})
     pts = np.random.default_rng(5).uniform(0, 100_000, size=(5, 2))
     rows = np.random.default_rng(6).normal(size=(5, 3))
-    m1, v1 = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
-    m2, v2 = back.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    m1, v1 = model.predict_many(pts, rows, with_variance=True)
+    m2, v2 = back.predict_many(pts, rows, with_variance=True)
     assert np.allclose(m1, m2, atol=1e-12)
     assert np.allclose(v1, v2, atol=1e-12)
 
@@ -486,7 +499,7 @@ def test_in_place_rhs_matches_the_copying_oracle_bit_for_bit(monkeypatch, chunk)
     pts = rng.uniform(0, 100_000, size=(m, 2))
     rows = rng.normal(size=(m, 3))
     monkeypatch.setattr(kriging, "PREDICT_CHUNK", chunk)
-    got = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    got = model.predict_many(pts, rows, with_variance=True)
     monkeypatch.setattr(KrigingModel, "_rhs", oracles.copying_kriging_rhs)
-    want = model.predict_many(pts[:, 0], pts[:, 1], rows, with_variance=True)
+    want = model.predict_many(pts, rows, with_variance=True)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
