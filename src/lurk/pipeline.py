@@ -4,8 +4,9 @@ cross-validate -> gridded prediction -> exposure statistics.
 Each stage writes plain-file artifacts plus a manifest entry keyed by the
 content hashes of the files it reads, the settings it reads and a
 fingerprint of the package's own source code; rerunning the same code on
-unchanged inputs reuses the cached artifact. Stage timings go to a
-line-delimited log.
+unchanged inputs reuses the cached artifact. The manifest also memoizes
+each file's content hash by its stat signature, so a rerun reads only the
+files that changed. Stage timings go to a line-delimited log.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -37,6 +39,10 @@ CONFIG_KEYS = ("pollutant", "year", "monitors", "covariates", "layers", "grids",
                "categorical_grids", "recipe", "cv", "prediction", "population_grid",
                "thresholds", "seed", "out", "with_variance")
 LATTICE_KEYS = tuple(f.name for f in fields(geodata.Lattice))
+# A memoized hash is trusted only for a file whose last change (st_ctime)
+# came more than this long before the hash: a write in the same timestamp
+# tick as the recorded stat would leave the signature as it was.
+RACY_WINDOW_NS = 2_000_000_000
 
 
 @functools.cache
@@ -163,9 +169,9 @@ class _Runner:
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
-        self.manifest = {}
-        if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text())
+        self.manifest = _read_manifest(self.manifest_path)
+        self.memo = self.manifest.setdefault("files", {})  # path -> hash, stat, hashed_at_ns
+        self.memo_changed = False  # since the manifest was last written
         self.log_path = self.out / "run.log"
         self.report = RunReport(
             status="ok", pollutant=config.pollutant, year=config.year, seed=config.seed,
@@ -181,8 +187,38 @@ class _Runner:
     def hash(self, path) -> str:
         path = Path(path)
         if path not in self.hashes:
-            self.hashes[path] = sha256_file(path)
+            self.hashes[path] = self._memo_hash(str(path))
         return self.hashes[path]
+
+    def _memo_hash(self, path: str) -> str:
+        """The file's sha256 from the memo when its stat signature is the
+        recorded one and it last changed more than RACY_WINDOW_NS before
+        that hash; otherwise hashed, and memoized if a second stat shows
+        the file unchanged by the read."""
+        hashed_at = time.time_ns()
+        signature = _signature(path)
+        memo = self.memo.get(path)
+        if (memo is not None and memo["stat"] == signature
+                and memo["hashed_at_ns"] - signature[4] > RACY_WINDOW_NS):
+            return memo["sha256"]
+        digest = sha256_file(path)
+        if _signature(path) == signature:
+            self.memo[path] = {"sha256": digest, "stat": signature, "hashed_at_ns": hashed_at}
+        else:
+            self.memo.pop(path, None)
+        self.memo_changed = True
+        return digest
+
+    def write_manifest(self) -> None:
+        dump_json(self.manifest, self.manifest_path)
+        self.memo_changed = False
+
+    def finish(self) -> None:
+        """Write the manifest if the memo changed since it was last
+        written, then the report."""
+        if self.memo_changed:
+            self.write_manifest()
+        dump_json(self.report.to_dict(), self.out / "report.json")
 
     def stage(self, name: str, reads: dict, values: dict, outputs: list[str], compute):
         """Run one cached stage and record its manifest entry in the report.
@@ -217,10 +253,44 @@ class _Runner:
                 "outputs": {o: self.hash(paths[o]) for o in outputs},
                 "elapsed_s": round(elapsed, 4),
             }
-            dump_json(self.manifest, self.manifest_path)
+            self.write_manifest()
             self._log_line(f"stage={name} status=ok elapsed_s={elapsed:.3f}")
         self.report.stages[name] = entry
         return entry, cached
+
+
+def _signature(path: str) -> list:
+    st = os.stat(path)
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _is_memo_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+            and is_int(entry.get("hashed_at_ns")) and isinstance(entry.get("stat"), list)
+            and len(entry["stat"]) == 5 and all(map(is_int, entry["stat"])))
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at `path`; {} when there is none. A manifest that does
+    not parse to an object of stage entries is logged and read as empty, so
+    every stage recomputes; a malformed "files" memo is logged and read as
+    empty, so every file is hashed."""
+    try:
+        manifest = json.loads(path.read_text())
+    except FileNotFoundError:
+        return {}
+    except ValueError:  # not JSON, or not UTF-8
+        manifest = None
+    if not (isinstance(manifest, dict) and all(
+            isinstance(manifest[s], dict) and isinstance(manifest[s].get("outputs"), dict)
+            for s in STAGES if s in manifest)):
+        log.warning("%s: unreadable manifest; every stage recomputes", path)
+        return {}
+    files = manifest.get("files", {})
+    if not (isinstance(files, dict) and all(map(_is_memo_entry, files.values()))):
+        log.warning("%s: malformed file-hash memo; every file is hashed", path)
+        manifest["files"] = {}
+    return manifest
 
 
 def _load_geo_inputs(cfg: PipelineConfig):
@@ -250,9 +320,9 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
         report.status = "failed"
         report.failed_stage = exc.stage
         report.error = str(exc.cause)
-        dump_json(report.to_dict(), runner.out / "report.json")
+        runner.finish()
         raise
-    dump_json(report.to_dict(), runner.out / "report.json")
+    runner.finish()
     return report
 
 
@@ -263,8 +333,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
 
     Inputs and artifacts are read on first use and kept: the covariate
     specs, `matrix.csv` and the geo inputs only by a stage that computes,
-    so a cached stage costs the hashes of its reads and outputs and the
-    small JSON it reports from."""
+    so a cached stage costs the hashes of its reads and outputs (memo hits
+    for unchanged files) and the small JSON it reports from."""
     out, report = runner.out, runner.report
     geo_reads = {
         **{f"layer {name}": path for name, path in cfg.layers.items()},
@@ -283,7 +353,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
                 f"({len(result.excluded)} site(s) excluded)")
         result.table.to_csv(out / "monitors.csv")
         dump_json(
-            {"excluded": [{"site_id": s, "n_valid": n, "completeness": c}
+            {"n_included": len(result.table),
+             "excluded": [{"site_id": s, "n_valid": n, "completeness": c}
                           for s, n, c in result.excluded]},
             out / "excluded_sites.json",
         )
@@ -291,7 +362,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
     runner.stage("annualize", {"daily": cfg.daily_csv, "sites": cfg.sites_csv},
                  {"year": cfg.year}, ["monitors.csv", "excluded_sites.json"], do_annualize)
     sites = functools.cache(lambda: MonitorTable.from_csv(out / "monitors.csv"))
-    report.metrics["n_sites"] = len(sites())
+    report.metrics["n_sites"] = json.loads(
+        (out / "excluded_sites.json").read_text())["n_included"]
     yield "annualize"
 
     # -- covariates ---------------------------------------------------

@@ -1,12 +1,15 @@
 import importlib.util
 import json
+import logging
+import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lurk import covariates, geodata, pipeline
+from lurk import _util, covariates, geodata, pipeline
 from lurk.cli import main as cli_main
 from lurk.covariates import CovariateMatrix
 from lurk.errors import DatasetMismatchError, InvalidArgumentError, StageError
@@ -49,6 +52,9 @@ def test_run_smoke_and_artifacts(tmp_path):
     assert report.metrics["pop_weighted_mean"] > 0
     model = json.loads((out / "model.json").read_text())
     assert model["recipe"]["selection"] == "stepwise"
+    n_included = json.loads((out / "excluded_sites.json").read_text())["n_included"]
+    assert n_included == report.metrics["n_sites"] == len(
+        MonitorTable.from_csv(out / "monitors.csv")) == len(data.sites)
 
 
 def test_run_deterministic_across_directories(tmp_path):
@@ -159,22 +165,25 @@ def test_cached_rerun_parses_no_matrix_specs_or_geo_inputs(tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a cached rerun parsed an input")
 
-    for owner, name in ((CovariateMatrix, "from_csv"), (covariates, "read_specs"),
-                        (geodata, "read_features"), (geodata, "read_raster"),
-                        (geodata, "read_categorical")):
+    for owner, name in ((CovariateMatrix, "from_csv"), (MonitorTable, "from_csv"),
+                        (covariates, "read_specs"), (geodata, "read_features"),
+                        (geodata, "read_raster"), (geodata, "read_categorical")):
         monkeypatch.setattr(owner, name, refuse)
     second = run(PipelineConfig.from_json(config_path))
     assert new_log_lines(out / "run.log", before) == dict.fromkeys(
         pipeline.STAGES, "status=cached")
-
-    def without_timings(report):
-        for entry in report["stages"].values():
-            entry.pop("elapsed_s")
-        return report
-
-    report_after = json.loads((out / "report.json").read_text())
-    assert without_timings(report_after) == without_timings(report_before)
+    assert report_without_timings(out) == without_timings(report_before)
     assert second.metrics == first.metrics
+
+
+def without_timings(report: dict) -> dict:
+    for entry in report["stages"].values():
+        entry.pop("elapsed_s")
+    return report
+
+
+def report_without_timings(out: Path) -> dict:
+    return without_timings(json.loads((out / "report.json").read_text()))
 
 
 def test_missing_input_rejected(tmp_path):
@@ -422,11 +431,7 @@ def test_recipe_change_reuses_annualize_and_covariates(tmp_path):
     # second recipe writes
     cfg.out_dir = tmp_path / "fresh"
     run(cfg)
-    bookkeeping = {"manifest.json", "report.json", "run.log"}
-    names = sorted(p.name for p in cfg.out_dir.iterdir() if p.name not in bookkeeping)
-    assert names == sorted(p.name for p in out.iterdir() if p.name not in bookkeeping)
-    for name in names:
-        assert (out / name).read_bytes() == (cfg.out_dir / name).read_bytes(), name
+    assert_same_artifacts(out, cfg.out_dir)
 
 
 def test_with_variance_writes_a_cached_variance_grid(tmp_path):
@@ -535,17 +540,204 @@ def test_respaced_covariate_specs_rerun_covariates_and_predict(tmp_path):
     assert (tmp_path / "scn" / "run" / "prediction.asc").read_bytes() == prediction
 
 
+def count_hashes(monkeypatch) -> list:
+    """The paths `pipeline.sha256_file` is called on from now on."""
+    calls = []
+    monkeypatch.setattr(pipeline, "sha256_file",
+                        lambda path: calls.append(Path(path)) or _util.sha256_file(path))
+    return calls
+
+
+def age_the_clock(monkeypatch) -> None:
+    """Move the clock the runner reads 3 s forward: every file written so
+    far then lies outside the 2 s window of a hash taken from now on."""
+    time_ns = time.time_ns
+    monkeypatch.setattr(time, "time_ns", lambda: time_ns() + 3_000_000_000)
+
+
 def test_each_run_hashes_each_file_once(tmp_path, monkeypatch):
     """Cold or warm, a run hashes each input and artifact once: an output's
-    cache check and a later stage's read of it share one hash."""
+    cache check and a later stage's read of it share one hash. The warm run
+    is a rerun within 2 s of the writes, so it hashes every file again: the
+    clock is held where it stood before the inputs were written, so each
+    hash falls inside the window however slow the host."""
+    held = time.time_ns()
+    monkeypatch.setattr(time, "time_ns", lambda: held)
     config_path, _ = write(tmp_path, scenario(seed=14))
-    calls, sha256_file = [], pipeline.sha256_file
-    monkeypatch.setattr(pipeline, "sha256_file",
-                        lambda path: calls.append(Path(path)) or sha256_file(path))
-    for _ in ("cold", "warm"):
+    calls = count_hashes(monkeypatch)
+    hashed = {}
+    for run_name in ("cold", "warm"):
         calls.clear()
         run(PipelineConfig.from_json(config_path))
         assert calls and len(calls) == len(set(calls))
+        hashed[run_name] = set(calls)
+    assert hashed["warm"] == hashed["cold"]
+
+
+def test_aged_rerun_hashes_nothing_and_writes_no_manifest(tmp_path, monkeypatch):
+    """Once every hash is more than 2 s younger than its file's last
+    change, a rerun reads no file to hash: it serves all six stages from
+    the cache, reports what the run before it did and leaves the manifest
+    as it was."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    out = tmp_path / "scn" / "run"
+    run(PipelineConfig.from_json(config_path))
+    age_the_clock(monkeypatch)
+    run(PipelineConfig.from_json(config_path))  # hashes again what was within 2 s
+    report_before = report_without_timings(out)
+    manifest = (out / "manifest.json").stat()
+    before = (out / "run.log").read_text()
+    calls = count_hashes(monkeypatch)
+    run(PipelineConfig.from_json(config_path))
+    assert calls == []
+    assert new_log_lines(out / "run.log", before) == dict.fromkeys(
+        pipeline.STAGES, "status=cached")
+    assert report_without_timings(out) == report_before
+    after = (out / "manifest.json").stat()
+    assert (after.st_ino, after.st_mtime_ns) == (manifest.st_ino, manifest.st_mtime_ns)
+
+
+def test_a_partial_run_keeps_the_memo_of_files_it_did_not_read(tmp_path):
+    """`lurk annualize` hashes only the annualize files; the grids' and the
+    other artifacts' memo entries stay for the next full run."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    cfg = PipelineConfig.from_json(config_path)
+    run(cfg)
+    manifest = cfg.out_dir / "manifest.json"
+    memo = json.loads(manifest.read_text())["files"]
+    assert {str(path) for path in cfg.grids.values()} <= set(memo)
+    run(cfg, until="annualize")
+    after = json.loads(manifest.read_text())["files"]
+    assert set(after) == set(memo)
+    untouched = set(memo) - {str(cfg.daily_csv), str(cfg.sites_csv),
+                             str(cfg.out_dir / "monitors.csv"),
+                             str(cfg.out_dir / "excluded_sites.json")}
+    assert {p: after[p] for p in untouched} == {p: memo[p] for p in untouched}
+
+
+def edit_first_value(data: bytes) -> bytes:
+    """`data`, a daily CSV, with the leading digit of its first record's
+    value changed: the same size, another annual mean."""
+    first = data.index(b"\n") + 1
+    i = data.index(b",", data.index(b",", first) + 1) + 1
+    digit = data[i:i + 1]
+    assert digit.isdigit()
+    return data[:i] + (b"8" if digit == b"9" else bytes([digit[0] + 1])) + data[i + 1:]
+
+
+def assert_same_artifacts(out: Path, fresh: Path) -> None:
+    bookkeeping = {"manifest.json", "report.json", "run.log"}
+    names = sorted(p.name for p in fresh.iterdir() if p.name not in bookkeeping)
+    assert names == sorted(p.name for p in out.iterdir() if p.name not in bookkeeping)
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("edit", ["in place", "in place, old mtime", "replaced, old mtime"])
+def test_same_size_edit_after_an_aged_run_recomputes(tmp_path, monkeypatch, edit):
+    """A same-size change to one daily value, after a run whose memo is
+    trusted, recomputes annualize and every stage after it: an edit in
+    place, the same edit with the old mtime put back (st_ctime still
+    moves), or a new file with the old mtime moved over the old one (a new
+    inode). The artifacts are then those of a fresh run."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    cfg = PipelineConfig.from_json(config_path)
+    out = cfg.out_dir
+    run(cfg)
+    age_the_clock(monkeypatch)
+    run(cfg)
+    daily = cfg.daily_csv
+    old = daily.stat()
+    edited = edit_first_value(daily.read_bytes())
+    target = daily.with_name("daily.new") if edit.startswith("replaced") else daily
+    target.write_bytes(edited)
+    if edit.endswith("old mtime"):
+        os.utime(target, ns=(old.st_atime_ns, old.st_mtime_ns))
+    if target != daily:
+        os.replace(target, daily)
+    new = daily.stat()
+    assert new.st_size == old.st_size
+    assert (new.st_mtime_ns == old.st_mtime_ns) == edit.endswith("old mtime")
+    assert (new.st_ino == old.st_ino) == (target == daily)
+    before = (out / "run.log").read_text()
+    run(cfg)
+    assert new_log_lines(out / "run.log", before) == dict.fromkeys(pipeline.STAGES, "status=ok")
+    cfg.out_dir = tmp_path / "fresh"
+    run(cfg)
+    assert_same_artifacts(out, cfg.out_dir)
+
+
+def test_a_file_that_changes_while_hashed_is_not_memoized(tmp_path, monkeypatch):
+    """A file that a writer appends to while it is hashed keeps no memo
+    entry, so the next run hashes it again and sees the change; here the
+    covariate specs gain a trailing space (the same JSON), which reruns the
+    covariates and predict stages."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    cfg = PipelineConfig.from_json(config_path)
+    specs, manifest = cfg.covariates_json, cfg.out_dir / "manifest.json"
+    run(cfg)
+    age_the_clock(monkeypatch)
+    run(cfg)  # every memo entry is now trusted
+    os.utime(specs)  # so the next run hashes the specs
+
+    def hash_then_append(path):
+        digest = _util.sha256_file(path)
+        if Path(path) == specs:
+            with open(path, "a") as f:
+                f.write(" ")
+        return digest
+
+    monkeypatch.setattr(pipeline, "sha256_file", hash_then_append)
+    run(cfg)
+    memo = json.loads(manifest.read_text())["files"]
+    assert str(specs) not in memo and str(cfg.daily_csv) in memo
+    calls = count_hashes(monkeypatch)
+    before = (cfg.out_dir / "run.log").read_text()
+    run(cfg)
+    assert specs in calls and cfg.daily_csv not in calls
+    assert new_log_lines(cfg.out_dir / "run.log", before) == {
+        "annualize": "status=cached", "covariates": "status=ok", "fit": "status=cached",
+        "cv": "status=cached", "predict": "status=ok", "exposure": "status=cached"}
+    assert str(specs) in json.loads(manifest.read_text())["files"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "a list", "a stage entry not an object",
+                                    "a malformed memo entry"])
+def test_unreadable_manifest_is_logged_and_read_as_empty(tmp_path, monkeypatch, caplog,
+                                                         damage):
+    """A manifest that does not parse, or is not an object of stage
+    entries, is read as empty with one warning naming it, so every stage
+    recomputes; a malformed file-hash memo is read as empty the same way,
+    so every file is hashed while the stages stay cached."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    cfg = PipelineConfig.from_json(config_path)
+    manifest = cfg.out_dir / "manifest.json"
+    first = run(cfg)
+    age_the_clock(monkeypatch)
+    run(cfg)  # every memo entry is now trusted
+    good = json.loads(manifest.read_text())
+    if damage == "truncated":
+        manifest.write_text('{"annualize": ')
+    elif damage == "a list":
+        manifest.write_text("[]")
+    elif damage == "a stage entry not an object":
+        manifest.write_text(json.dumps({**good, "fit": []}))
+    else:
+        good["files"][str(cfg.daily_csv)]["stat"] = "not a stat"
+        manifest.write_text(json.dumps(good))
+    calls = count_hashes(monkeypatch)
+    before = (cfg.out_dir / "run.log").read_text()
+    with caplog.at_level(logging.WARNING, logger="lurk.pipeline"):
+        second = run(cfg)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and str(manifest) in warnings[0]
+    status = "status=cached" if damage == "a malformed memo entry" else "status=ok"
+    assert new_log_lines(cfg.out_dir / "run.log", before) == dict.fromkeys(
+        pipeline.STAGES, status)
+    assert set(calls) == {Path(p) for p in good["files"]}
+    assert {s: e["outputs"] for s, e in second.stages.items()} == \
+        {s: e["outputs"] for s, e in first.stages.items()}
+    assert set(json.loads(manifest.read_text())["files"]) == set(good["files"])
 
 
 @pytest.mark.parametrize("script", ["run_national_synthetic.py", "model_family_sweep.py"])
@@ -605,11 +797,7 @@ def test_cli_stage_commands_share_the_pipeline_cache(tmp_path):
     fresh = tmp_path / "fresh"
     res = runner.invoke(cli_main, ["--config", str(config_path), "--out", str(fresh), "run"])
     assert res.exit_code == 0, res.output
-    bookkeeping = {"manifest.json", "report.json", "run.log"}
-    names = sorted(p.name for p in fresh.iterdir() if p.name not in bookkeeping)
-    assert names == sorted(p.name for p in out.iterdir() if p.name not in bookkeeping)
-    for name in names:
-        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert_same_artifacts(out, fresh)
 
     logged = invoke("montecarlo", "--n-grid", "20", "--iterations", "1")
     assert logged == {"annualize": "status=cached", "covariates": "status=cached"}

@@ -65,13 +65,17 @@ for selection in ("stepwise", "pls"):
 
 def without_timings(path: Path) -> bytes:
     """The file's bytes; for the run's bookkeeping files, with the stage
-    times taken out."""
+    times taken out, and the manifest's file-hash memo (inode numbers and
+    clock times, which no two processes share); every stage entry stays."""
     if path.name in ("manifest.json", "report.json"):
         def drop(obj):
             if isinstance(obj, dict):
                 return {k: drop(v) for k, v in obj.items() if k != "elapsed_s"}
             return obj
-        return json.dumps(drop(json.loads(path.read_text())), sort_keys=True).encode()
+        bookkeeping = json.loads(path.read_text())
+        if path.name == "manifest.json":
+            del bookkeeping["files"]
+        return json.dumps(drop(bookkeeping), sort_keys=True).encode()
     if path.name == "run.log":
         return re.sub(rb" elapsed_s=\S+", b"", path.read_bytes())
     return path.read_bytes()
