@@ -201,15 +201,23 @@ def extract(specs, xs, ys, layers: dict | None = None, grids: dict | None = None
             valid[:, cols] = ok[:, None]
         elif kind == "landcover_fraction":
             grid = _lookup(categorical or {}, source, "categorical grid")
-            for j, spec in zip(cols, group):
+            for spec in group:
                 if spec.category not in grid.categories:
                     raise InvalidArgumentError(
                         f"{spec.name}: category {spec.category!r} is not among the "
                         f"categories {list(grid.categories)} of {source!r}")
-                n_valid = grid.window_count(xs, ys, spec.buffer_m)
-                n_cat = grid.window_count(xs, ys, spec.buffer_m, spec.category)
-                ok = valid[:, j] = n_valid > 0
-                values[ok, j] = n_cat[ok] / n_valid[ok]
+            # One window count per class, each building and dropping its own
+            # summed-area table, so one table is alive at a time.
+            windows = sorted({spec.buffer_m for spec in group})
+            n_valid = dict(zip(windows, grid.window_counts(xs, ys, windows).T))
+            for category in dict.fromkeys(spec.category for spec in group):
+                members = [(j, spec) for j, spec in zip(cols, group) if spec.category == category]
+                n_cat = grid.window_counts(xs, ys, [spec.buffer_m for _, spec in members],
+                                           category)
+                for (j, spec), n_in in zip(members, n_cat.T):
+                    n = n_valid[spec.buffer_m]
+                    ok = valid[:, j] = n > 0
+                    values[ok, j] = n_in[ok] / n[ok]
         else:
             layer = _lookup(layers or {}, source, "layer")
             if kind in _LAYER_KIND and layer.kind != _LAYER_KIND[kind]:

@@ -10,15 +10,15 @@ flips into the bottom-first layout.
 Feature layers hold point or polyline geometry as columns (flat vertices
 plus per-feature offsets) behind one kd-tree over the points or segment
 midpoints, which the covariate engine queries for buffer and proximity
-covariates. A categorical grid builds each summed-area table once and
-keeps it.
+covariates. A categorical grid keeps no summed-area table: each window
+count builds the one table it needs and drops it when it returns.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 
 import numpy as np
@@ -129,12 +129,16 @@ def box_sum(table: np.ndarray, r0, r1, c0, c1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CategoricalGrid(Lattice):
-    """Regular grid of small-integer category codes (land cover classes)."""
+    """Regular grid of small-integer category codes (land cover classes).
+
+    ``values`` (int32, row 0 the bottom row) holds a declared category or
+    the ``nodata`` code in each cell. Instances are immutable after
+    construction and safe to share across threads; they cache nothing.
+    """
 
     values: np.ndarray
     categories: tuple[int, ...]
     nodata: int = -9999
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -149,29 +153,29 @@ class CategoricalGrid(Lattice):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "categories", tuple(int(c) for c in self.categories))
 
-    def summed_area(self, category: int | None = None) -> np.ndarray:
-        """Summed-area table counting the cells of `category` (every valid
-        cell when None) in rows < r and columns < c at [r, c]; built on
-        first use and kept with the grid."""
-        if category not in self._tables:
+    def window_counts(self, xs, ys, windows_m, category: int | None = None) -> np.ndarray:
+        """Cells of `category` (valid cells when None) whose centers lie in
+        the square window of side ``windows_m[k]`` centered at each point,
+        in column k. The call builds one summed-area table and frees it on
+        return; on a grid without nodata it builds none for the valid cells,
+        whose count is then the window's clipped cell count."""
+        table = None
+        if category is not None or np.any(self.values == self.nodata):
             mask = self.values != self.nodata if category is None else self.values == category
             dtype = np.int32 if mask.size < 2**31 else np.int64  # no count overflows
             table = summed_area_table(mask, dtype)
-            table.setflags(write=False)
-            self._tables[category] = table
-        return self._tables[category]
-
-    def window_count(self, xs, ys, window_m: float, category: int | None = None) -> np.ndarray:
-        """Cells of `category` (valid cells when None) whose centers lie in
-        the square window of side `window_m` centered at each point."""
-        # Half-open row and column ranges of the cell centers inside each
-        # window; a window holding no center gets an empty range.
-        half = window_m / 2.0
-        c0, r0 = map(np.ceil, self.cell_coords(xs - half, ys - half))
-        c1, r1 = (np.floor(u) + 1 for u in self.cell_coords(xs + half, ys + half))
-        c0, c1 = (np.clip(c, 0, self.n_cols).astype(np.int64) for c in (c0, c1))
-        r0, r1 = (np.clip(r, 0, self.n_rows).astype(np.int64) for r in (r0, r1))
-        return box_sum(self.summed_area(category), r0, r1, c0, c1)
+        counts = np.empty((np.size(xs), len(windows_m)), dtype=np.int64)
+        for k, window_m in enumerate(windows_m):
+            # Half-open row and column ranges of the cell centers inside each
+            # window; a window holding no center gets an empty range.
+            half = window_m / 2.0
+            c0, r0 = map(np.ceil, self.cell_coords(xs - half, ys - half))
+            c1, r1 = (np.floor(u) + 1 for u in self.cell_coords(xs + half, ys + half))
+            c0, c1 = (np.clip(c, 0, self.n_cols).astype(np.int64) for c in (c0, c1))
+            r0, r1 = (np.clip(r, 0, self.n_rows).astype(np.int64) for r in (r0, r1))
+            counts[:, k] = ((r1 - r0) * (c1 - c0) if table is None
+                            else box_sum(table, r0, r1, c0, c1))
+        return counts
 
 
 def _read_header(f, path) -> dict:

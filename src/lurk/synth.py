@@ -40,12 +40,22 @@ def simulate_grf(coords, nugget: float, partial_sill: float, range_m: float,
         return np.zeros(n)
     from scipy.spatial.distance import squareform, pdist
 
-    k = partial_sill * np.exp(-squareform(pdist(coords)) / range_m)
-    k[np.diag_indices(n)] += nugget
+    # One n x n buffer: the distances become the covariance in place, and a
+    # jitter goes onto a saved copy of the diagonal.
+    k = squareform(pdist(coords))
+    np.negative(k, out=k)
+    k /= range_m
+    np.exp(k, out=k)
+    k *= partial_sill
+    diagonal = np.einsum("ii->i", k)
+    diagonal += nugget
+    base = diagonal.copy()
     scale = partial_sill + nugget
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+        if jitter:
+            np.add(base, jitter * scale, out=diagonal)
         try:
-            chol = np.linalg.cholesky(k + jitter * scale * np.eye(n))
+            chol = np.linalg.cholesky(k)
             return chol @ rng.standard_normal(n)
         except np.linalg.LinAlgError:
             continue

@@ -147,6 +147,24 @@ def dict_annualize(records, year, min_completeness=0.75):
 # own Python statement: one segment per loop iteration, every field on full
 # meshgrids, one fmt_float/str call per coordinate, cell or daily value.
 
+def allocating_grf(coords, nugget, partial_sill, range_m, rng):
+    """The GRF draw as a fresh expression per step: the covariance from the
+    square distance matrix in one formula, and each factorization attempt
+    on the sum of it and a jitter times the identity (zero first)."""
+    from scipy.spatial.distance import pdist, squareform
+    n = len(coords)
+    k = partial_sill * np.exp(-squareform(pdist(coords)) / range_m)
+    k[np.diag_indices(n)] += nugget
+    scale = partial_sill + nugget
+    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+        try:
+            chol = np.linalg.cholesky(k + jitter * scale * np.eye(n))
+            return chol @ rng.standard_normal(n), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError("not positive definite even after jitter")
+
+
 def loop_segment_ends(rng, n_segments, extent_x, extent_y, centers, urban_frac,
                       min_len, max_len):
     """(n, 2, 2) segment end points, drawn, turned and clipped one segment

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,26 +236,57 @@ def test_fraction_matches_brute_force():
             assert fraction(g, cat, x, y, w) == pytest.approx(want)
 
 
-def test_summed_area_tables_built_once_per_grid():
+def test_extract_holds_one_summed_area_table_at_a_time():
+    """The tracemalloc peak of one `extract` over 8 classes with nodata (a
+    valid-cell table and one table per class if they were kept) stays
+    within two tables, plus the mask a table is built from and the
+    outputs; calls repeat bit for bit, on the same grid and a fresh one."""
     rng = np.random.default_rng(23)
-    codes = rng.integers(1, 5, size=(40, 60))
+    codes = rng.integers(1, 9, size=(300, 400))
     codes[rng.uniform(size=codes.shape) < 0.15] = -9999
-    grid = lc_grid(codes, cell=250.0)
+    grid = lc_grid(codes, cell=250.0, categories=range(1, 9))
     specs = [cov.CovariateSpec(f"lc{c}_{int(w)}", "landcover_fraction", "lc", category=c,
-                               buffer_m=w) for c in (1, 3) for w in (300.0, 2_000.0, 1e6)]
-    xs, ys = rng.uniform(0, 15_000, 200), rng.uniform(0, 10_000, 200)
-    first = cov.extract(specs, xs, ys, categorical={"lc": grid})
-    tables = {c: grid.summed_area(c) for c in (None, 1, 3)}
+                               buffer_m=w) for c in range(1, 9) for w in (300.0, 2_000.0, 1e6)]
+    xs, ys = rng.uniform(0, 100_000, 200), rng.uniform(0, 75_000, 200)
+    tracemalloc.start()
+    try:
+        first = cov.extract(specs, xs, ys, categorical={"lc": grid})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = (codes.shape[0] + 1) * (codes.shape[1] + 1) * np.dtype(np.int32).itemsize
+    assert peak <= 2 * table + codes.size + first[0].nbytes + first[1].nbytes
     again = cov.extract(specs, xs, ys, categorical={"lc": grid})
-    assert all(grid.summed_area(c) is table for c, table in tables.items())
-    fresh = cov.extract(specs, xs, ys, categorical={"lc": lc_grid(codes, cell=250.0)})
+    fresh = cov.extract(specs, xs, ys, categorical={"lc": lc_grid(codes, 250.0, range(1, 9))})
     for got in (again, fresh):
         assert np.array_equal(got[0], first[0]) and np.array_equal(got[1], first[1])
     # A window covering the whole grid counts every valid cell.
     n_valid = np.count_nonzero(codes != -9999)
-    assert tables[None][-1, -1] == n_valid
-    assert np.all(first[0][:, [2, 5]] == [np.count_nonzero(codes == 1) / n_valid,
-                                          np.count_nonzero(codes == 3) / n_valid])
+    assert grid.window_counts(np.array([50_000.0]), np.array([37_500.0]), [1e6]) == [[n_valid]]
+    assert np.all(first[0][:, 2::3] == [np.count_nonzero(codes == c) / n_valid
+                                        for c in range(1, 9)])
+
+
+@pytest.mark.parametrize("nodata_share", [0.0, 0.1])
+def test_window_fractions_match_the_cell_scan(nodata_share):
+    """All windows of a grid with nodata (valid cells counted from a table)
+    and of one without (counted from the window bounds) against the
+    cell-by-cell scan, bit for bit; a window past the grid's edge holds
+    fewer cells."""
+    rng = np.random.default_rng(29)
+    codes = rng.integers(1, 4, size=(30, 40))
+    codes[rng.uniform(size=codes.shape) < nodata_share] = -9999
+    grid = lc_grid(codes, cell=200.0, categories=(1, 2, 3))
+    windows = (150.0, 500.0, 1_000.0, 3_333.0)
+    specs = [cov.CovariateSpec(f"lc{c}_{w}", "landcover_fraction", "lc", category=c,
+                               buffer_m=w) for c in (3, 1) for w in windows]
+    xs, ys = rng.uniform(-500, 8_500, 150), rng.uniform(-500, 6_500, 150)
+    values, valid = cov.extract(specs, xs, ys, categorical={"lc": grid})
+    for j, spec in enumerate(specs):
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            want = oracles.scan_landcover_fraction(codes, -9999, 0.0, 0.0, 200.0,
+                                                   spec.category, x, y, spec.buffer_m)
+            assert (values[i, j], valid[i, j]) == ((0.0, False) if want is None else (want, True))
 
 
 # -- distance to nearest ---------------------------------------------------------

@@ -62,6 +62,36 @@ def test_grf_validations():
                           np.zeros(4))
 
 
+@pytest.mark.parametrize("nugget, duplicates", [(0.0, False), (2.0, False), (0.0, True)])
+def test_grf_draw_matches_the_allocating_formula_bit_for_bit(nugget, duplicates):
+    """The in-place covariance and diagonal jitter draw what the formula
+    with a fresh matrix per step draws; duplicate sites with no nugget make
+    the covariance singular, so the draw needs a jitter."""
+    coords = np.random.default_rng(8).uniform(0, 200_000, (300, 2))
+    if duplicates:
+        coords[150:] = coords[:150]
+    got = simulate_grf(coords, nugget, 25.0, 40_000.0, np.random.default_rng(9))
+    want, jitter = oracles.allocating_grf(coords, nugget, 25.0, 40_000.0,
+                                          np.random.default_rng(9))
+    assert (jitter > 0) == duplicates
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grf_draw_holds_one_covariance_and_its_factor():
+    """The tracemalloc peak of a draw at n sites stays within two n x n
+    matrices (the covariance and its Cholesky factor) and the condensed
+    distances; the allocating formula holds four."""
+    n = 400
+    coords = np.random.default_rng(4).uniform(0, 200_000, (n, 2))
+    tracemalloc.start()
+    try:
+        simulate_grf(coords, 1.0, 25.0, 40_000.0, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n * n + n * (n - 1) // 2) + 64 * n
+
+
 def test_grf_sample_variogram_matches_target_model():
     # aggregate empirical variogram over seeds tracks the target model
     nugget, psill, range_m = 0.1, 1.0, 50_000.0
