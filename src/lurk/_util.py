@@ -1,5 +1,6 @@
 """Shared helpers: hashing, seeds, float formatting, the artifact file codec
-(atomic writes, CSV tables, JSON), config checks, the one-BLAS-thread pin."""
+(atomic writes, CSV tables, JSON), the output-directory lock, config checks,
+the one-BLAS-thread pin."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import contextlib
 import csv
 import ctypes
 import dataclasses
+import fcntl
 import functools
 import hashlib
 import io
@@ -14,11 +16,12 @@ import json
 import logging
 import math
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, OutputLockedError
 
 
 def fmt_float(x) -> str:
@@ -109,6 +112,37 @@ def read_table(path, text) -> tuple[dict, list[str], np.ndarray]:
     strings = parse([header.index(name) for name in text], str)
     return ({name: tuple(strings[:, i].tolist()) for i, name in enumerate(text)},
             [header[j] for j in numeric], parse(numeric, np.float64))
+
+
+_locked_dirs = threading.local()  # .held: the directories this thread has locked
+
+
+@contextlib.contextmanager
+def locked_dir(directory):
+    """Create `directory` if need be and hold an exclusive `flock` on its
+    `.lock` file for the body; OutputLockedError at once if another process
+    or thread holds it. The lock goes when the file closes, so a killed run
+    leaves none behind. Re-entering it in the thread that holds it is a
+    no-op, so a command can hold it around a `pipeline.run`."""
+    path = Path(directory).resolve()
+    held = _locked_dirs.__dict__.setdefault("held", set())
+    if path in held:
+        yield
+        return
+    path.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path / ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise OutputLockedError(directory) from None
+        held.add(path)
+        try:
+            yield
+        finally:
+            held.discard(path)
+    finally:
+        os.close(fd)
 
 
 def plain(obj) -> dict:

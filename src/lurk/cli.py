@@ -24,7 +24,7 @@ from .pipeline import (
     run,
 )
 from .synth import SyntheticScenario, generate_synthetic, write_scenario
-from ._util import dump_json, stage_seed
+from ._util import dump_json, locked_dir, stage_seed
 
 
 def _setup_logging(verbose: bool) -> None:
@@ -88,16 +88,17 @@ for _stage in STAGES[:-1]:
 def montecarlo_cmd(ctx, n_grid, iterations, include_cv):
     """Monte Carlo training-size experiment on the cached site matrix."""
     cfg = _load_config(ctx)
-    run(cfg, until="covariates")
     out = Path(cfg.out_dir)
-    sites = MonitorTable.from_csv(out / "monitors.csv")
-    matrix = CovariateMatrix.from_csv(out / "matrix.csv")
     ns = [int(v) for v in n_grid.split(",")]
-    result = monte_carlo_curve(cfg.recipe, sites, matrix, ns, iterations,
-                               seed=stage_seed(cfg.seed, "montecarlo"),
-                               include_cv=include_cv, logo_group=cfg.logo_group)
-    result.to_csv(out / "montecarlo.csv")
-    dump_json(result.summary(), out / "montecarlo_summary.json")
+    with locked_dir(out):  # no other run rewrites the matrix before it is read
+        run(cfg, until="covariates")
+        sites = MonitorTable.from_csv(out / "monitors.csv")
+        matrix = CovariateMatrix.from_csv(out / "matrix.csv")
+        result = monte_carlo_curve(cfg.recipe, sites, matrix, ns, iterations,
+                                   seed=stage_seed(cfg.seed, "montecarlo"),
+                                   include_cv=include_cv, logo_group=cfg.logo_group)
+        result.to_csv(out / "montecarlo.csv")
+        dump_json(result.summary(), out / "montecarlo_summary.json")
     click.echo(json.dumps(result.summary(), indent=2, sort_keys=True))
 
 
@@ -108,12 +109,13 @@ def montecarlo_cmd(ctx, n_grid, iterations, include_cv):
 def exposure_cmd(ctx, window_cells):
     """Population exposure statistics from a finished prediction."""
     cfg = _load_config(ctx)
-    report = run(cfg)
     out = Path(cfg.out_dir)
-    if window_cells:
-        grid = window_variance(geodata.read_raster(out / "prediction.asc"), window_cells)
-        geodata.write_raster(grid, out / f"window_variance_{window_cells}.asc")
-        click.echo(f"window variance -> {out}/window_variance_{window_cells}.asc")
+    with locked_dir(out):  # no other run rewrites the prediction before it is read
+        report = run(cfg)
+        if window_cells:
+            grid = window_variance(geodata.read_raster(out / "prediction.asc"), window_cells)
+            geodata.write_raster(grid, out / f"window_variance_{window_cells}.asc")
+            click.echo(f"window variance -> {out}/window_variance_{window_cells}.asc")
     click.echo(json.dumps({
         "pop_weighted_mean": report.metrics.get("pop_weighted_mean"),
         "fraction_above": report.metrics.get("fraction_above"),

@@ -70,5 +70,14 @@ class StageError(LurkError):
         self.cause = cause
 
 
+class OutputLockedError(LurkError):
+    """Another pipeline run holds the output directory."""
+
+    def __init__(self, out_dir):
+        super().__init__(f"{out_dir}: another pipeline run holds this output directory "
+                         f"(its .lock file); one run at a time may write there")
+        self.out_dir = out_dir
+
+
 class DatasetMismatchError(LurkError):
     """Run reports being compared refer to different datasets."""

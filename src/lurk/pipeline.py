@@ -6,7 +6,9 @@ content hashes of the files it reads, the settings it reads and a
 fingerprint of the package's own source code; rerunning the same code on
 unchanged inputs reuses the cached artifact. The manifest also memoizes
 each file's content hash by its stat signature, so a rerun reads only the
-files that changed. Stage timings go to a line-delimited log.
+files that changed. Stage timings go to a line-delimited log. One run at a
+time writes to an output directory: a run holds its `.lock` throughout, and
+a second one raises OutputLockedError.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
 from ._util import (check_keys, check_required, checked, dump_json, is_finite_number, is_int,
-                    one_blas_thread, sha256_bytes, sha256_file, stage_seed, write_table)
+                    locked_dir, one_blas_thread, sha256_bytes, sha256_file, stage_seed,
+                    write_table)
 
 log = logging.getLogger(__name__)
 
@@ -166,8 +169,7 @@ class RunReport:
 
 class _Runner:
     def __init__(self, config: PipelineConfig):
-        self.out = Path(config.out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        self.out = Path(config.out_dir)  # made by `locked_dir`
         self.manifest_path = self.out / "manifest.json"
         self.manifest = _read_manifest(self.manifest_path)
         self.memo = self.manifest.setdefault("files", {})  # path -> hash, stat, hashed_at_ns
@@ -306,23 +308,26 @@ def _load_geo_inputs(cfg: PipelineConfig):
 @one_blas_thread()
 def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     """Execute the pipeline through stage `until` (every stage by default);
-    returns (and writes) the run report."""
+    returns (and writes) the run report. The run holds the output
+    directory's lock throughout (`_util.locked_dir`): OutputLockedError,
+    before anything is read or written, while another run holds it."""
     if until not in STAGES:
         raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
     config.validate()
-    runner = _Runner(config)
-    report = runner.report
-    try:
-        for name in _stages(config, runner):
-            if name == until:
-                break
-    except StageError as exc:
-        report.status = "failed"
-        report.failed_stage = exc.stage
-        report.error = str(exc.cause)
+    with locked_dir(config.out_dir):
+        runner = _Runner(config)
+        report = runner.report
+        try:
+            for name in _stages(config, runner):
+                if name == until:
+                    break
+        except StageError as exc:
+            report.status = "failed"
+            report.failed_stage = exc.stage
+            report.error = str(exc.cause)
+            runner.finish()
+            raise
         runner.finish()
-        raise
-    runner.finish()
     return report
 
 

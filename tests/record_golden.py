@@ -90,10 +90,11 @@ def _stripped(name: str, data: bytes) -> bytes:
 
 
 def file_hashes(root: Path) -> dict:
-    """sha256 of every file under `root` by relative path, stripped first."""
+    """sha256 of every file under `root` by relative path, stripped first;
+    the run's empty `.lock` file holds no data and is left out."""
     return {path.relative_to(root).as_posix():
             hashlib.sha256(_stripped(path.name, path.read_bytes())).hexdigest()
-            for path in sorted(root.rglob("*")) if path.is_file()}
+            for path in sorted(root.rglob("*")) if path.is_file() and path.name != ".lock"}
 
 
 def _summary(values: np.ndarray) -> dict:

@@ -2,6 +2,10 @@ import importlib.util
 import json
 import logging
 import os
+import re
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -12,7 +16,8 @@ from click.testing import CliRunner
 from lurk import _util, covariates, geodata, pipeline
 from lurk.cli import main as cli_main
 from lurk.covariates import CovariateMatrix
-from lurk.errors import DatasetMismatchError, InvalidArgumentError, StageError
+from lurk.errors import (DatasetMismatchError, InvalidArgumentError, OutputLockedError,
+                         StageError)
 from lurk.evaluation import kfold_plan, run_cv
 from lurk.monitors import MonitorTable
 from lurk.pipeline import PipelineConfig, compare_models, format_comparison, run
@@ -288,6 +293,58 @@ def test_cli_montecarlo(tmp_path):
     ])
     assert res.exit_code == 0, res.output
     assert (out / "mc" / "montecarlo.csv").exists()
+
+
+# Holds an exclusive flock on <dir>/.lock, as a running pipeline does, until
+# its stdin closes.
+HOLD_LOCK = """
+import fcntl, os, sys
+fd = os.open(os.path.join(sys.argv[1], ".lock"), os.O_RDWR | os.O_CREAT)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
+def test_one_run_at_a_time_per_output_directory(tmp_path):
+    """While another process holds the output directory, a run and the
+    Monte Carlo command raise OutputLockedError naming it and touch
+    nothing; so does a run from another thread of a process that holds it,
+    while a run inside the holding thread goes ahead. Once the holder
+    exits, the run goes ahead."""
+    config_path, _ = write(tmp_path, scenario(seed=2),
+                           recipe={"selection": "stepwise", "kriging": False})
+    cfg = PipelineConfig.from_json(config_path)
+    out = Path(cfg.out_dir)
+    out.mkdir()
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        with pytest.raises(OutputLockedError, match=re.escape(str(out))):
+            run(cfg)
+        res = CliRunner().invoke(cli_main, ["--config", str(config_path), "montecarlo",
+                                            "--n-grid", "20", "--iterations", "1"])
+        assert isinstance(res.exception, OutputLockedError), res.output
+        assert [p.name for p in out.iterdir()] == [".lock"]
+    finally:
+        holder.stdin.close()
+        holder.wait(timeout=60)
+    with _util.locked_dir(out):
+        raised = []
+
+        def run_in_another_thread():
+            try:
+                run(cfg)
+            except OutputLockedError as exc:
+                raised.append(exc)
+
+        other = threading.Thread(target=run_in_another_thread)
+        other.start()
+        other.join(timeout=60)
+        assert not other.is_alive() and len(raised) == 1
+        assert run(cfg, until="annualize").status == "ok"
+    assert run(cfg).status == "ok"
 
 
 def test_population_on_another_lattice_fails_exposure(tmp_path):

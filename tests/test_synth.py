@@ -80,7 +80,7 @@ def test_grf_draw_matches_the_allocating_formula_bit_for_bit(nugget, duplicates)
 def test_grf_draw_holds_one_covariance_and_its_factor():
     """The tracemalloc peak of a draw at n sites stays within two n x n
     matrices (the covariance and its Cholesky factor) and the condensed
-    distances; the allocating formula holds four."""
+    distances; the allocating formula holds three."""
     n = 400
     coords = np.random.default_rng(4).uniform(0, 200_000, (n, 2))
     tracemalloc.start()
