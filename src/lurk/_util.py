@@ -13,6 +13,7 @@ import functools
 import hashlib
 import io
 import json
+import locale
 import logging
 import math
 import os
@@ -51,24 +52,52 @@ def stage_seed(master_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def write_atomic(path, text: str) -> None:
+_writes = threading.local()  # .digests: {path: sha256} of a `recorded_writes` body
+
+
+@contextlib.contextmanager
+def recorded_writes():
+    """Yield a dict that gathers, by path string, the sha256 of the bytes
+    each `write_atomic` in this thread wrote during the body (the last write
+    of a path wins)."""
+    outer = getattr(_writes, "digests", None)
+    _writes.digests = digests = {}
+    try:
+        yield digests
+    finally:
+        _writes.digests = outer
+
+
+def write_atomic(path, text: str, if_changed: bool = False) -> None:
     """Write `text` (newlines as given) to `<path>.tmp`, then move it onto
     `path`: a write that fails or is killed halfway leaves the previous file
-    whole, and a failed one leaves no temporary file behind."""
+    whole, and a failed one leaves no temporary file behind. With
+    `if_changed`, a file that already holds those bytes is left as it is.
+    The sha256 of the bytes goes to `recorded_writes`."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    data = text.encode(locale.getpreferredencoding(False))  # as `write_text` encodes
     try:
-        tmp.write_text(text, newline="")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        unchanged = if_changed and path.read_bytes() == data
+    except FileNotFoundError:
+        unchanged = False
+    if not unchanged:
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_text(text, newline="")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    digests = getattr(_writes, "digests", None)
+    if digests is not None:
+        digests[os.fspath(path)] = sha256_bytes(data)
 
 
-def dump_json(obj, path) -> str:
-    """Write canonical (sorted-key) JSON atomically; returns the text written."""
+def dump_json(obj, path, if_changed: bool = False) -> str:
+    """Write canonical (sorted-key) JSON atomically (`write_atomic`); returns
+    the text written."""
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    write_atomic(path, text)
+    write_atomic(path, text, if_changed)
     return text
 
 

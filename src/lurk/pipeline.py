@@ -4,9 +4,11 @@ cross-validate -> gridded prediction -> exposure statistics.
 Each stage writes plain-file artifacts plus a manifest entry keyed by the
 content hashes of the files it reads, the settings it reads and a
 fingerprint of the package's own source code; rerunning the same code on
-unchanged inputs reuses the cached artifact. The manifest also memoizes
-each file's content hash by its stat signature, so a rerun reads only the
-files that changed. Stage timings go to a line-delimited log. One run at a
+unchanged inputs reuses the cached artifact. The entry records each
+output's hash from the bytes written and the metrics the report takes
+from the stage, so a cached stage parses nothing. The manifest also
+memoizes each file's content hash by its stat signature, so a rerun reads
+only the files that changed. Stage timings go to a line-delimited log. One run at a
 time writes to an output directory: a run holds its `.lock` throughout, and
 a second one raises OutputLockedError.
 """
@@ -18,7 +20,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy
@@ -32,8 +34,8 @@ from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
 from ._util import (check_keys, check_required, checked, dump_json, is_finite_number, is_int,
-                    locked_dir, one_blas_thread, sha256_bytes, sha256_file, stage_seed,
-                    write_table)
+                    locked_dir, one_blas_thread, recorded_writes, sha256_bytes, sha256_file,
+                    stage_seed, write_table)
 
 log = logging.getLogger(__name__)
 
@@ -136,18 +138,24 @@ class PipelineConfig:
                                   isinstance(with_variance, bool), "true or false"),
         )
 
-    def validate(self) -> None:
-        missing = []
+    def validate(self) -> dict:
+        """InvalidArgumentError naming every missing input file; otherwise
+        {path string: (clock, stat signature)} of each input, the clock read
+        before the stats, so the run's hash memo need not stat it again."""
         paths = [self.daily_csv, self.sites_csv, self.covariates_json,
                  *self.layers.values(), *self.grids.values(),
                  *(v["path"] for v in self.categorical.values())]
         if self.population_grid is not None:
             paths.append(self.population_grid)
-        for p in paths:
-            if p is not None and not Path(p).exists():
-                missing.append(str(p))
+        stats, missing, clock = {}, [], time.time_ns()
+        for path in map(os.fspath, paths):
+            try:
+                stats[path] = clock, _signature(path)
+            except FileNotFoundError:
+                missing.append(path)
         if missing:
             raise InvalidArgumentError(f"missing input files: {missing}")
+        return stats
 
 
 @dataclass
@@ -164,11 +172,12 @@ class RunReport:
     metrics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name; nested dicts are shared, not copied."""
+        return dict(vars(self))
 
 
 class _Runner:
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, input_stats: dict):
         self.out = Path(config.out_dir)  # made by `locked_dir`
         self.manifest_path = self.out / "manifest.json"
         self.manifest = _read_manifest(self.manifest_path)
@@ -179,7 +188,8 @@ class _Runner:
             status="ok", pollutant=config.pollutant, year=config.year, seed=config.seed,
             recipe=config.recipe.to_dict(),
         )
-        self.hashes = {}  # path -> sha256, taken at most once per run
+        self.hashes = {}  # path string -> sha256, taken at most once per run
+        self.input_stats = input_stats  # path string -> (clock, signature), from `validate`
 
     def _log_line(self, text: str) -> None:
         with open(self.log_path, "a") as f:
@@ -187,29 +197,40 @@ class _Runner:
         log.info(text)
 
     def hash(self, path) -> str:
-        path = Path(path)
-        if path not in self.hashes:
-            self.hashes[path] = self._memo_hash(str(path))
-        return self.hashes[path]
+        path = os.fspath(path)
+        digest = self.hashes.get(path)
+        if digest is None:
+            digest = self.hashes[path] = self._memo_hash(path)
+        return digest
 
     def _memo_hash(self, path: str) -> str:
-        """The file's sha256 from the memo when its stat signature is the
-        recorded one and it last changed more than RACY_WINDOW_NS before
-        that hash; otherwise hashed, and memoized if a second stat shows
-        the file unchanged by the read."""
-        hashed_at = time.time_ns()
-        signature = _signature(path)
+        """The file's sha256 from the memo when its stat signature (for an
+        input, the one `validate` took) is the recorded one and it last
+        changed more than RACY_WINDOW_NS before that hash; otherwise hashed. A hash that a second stat shows
+        unchanged by the read replaces the memo entry unless it only
+        confirms it: same digest and signature, taken within the window
+        too, so no later run could trust it more."""
+        hashed_at, signature = (self.input_stats.pop(path, None)
+                                or (time.time_ns(), _signature(path)))
         memo = self.memo.get(path)
-        if (memo is not None and memo["stat"] == signature
-                and memo["hashed_at_ns"] - signature[4] > RACY_WINDOW_NS):
+        same_stat = memo is not None and memo["stat"] == signature
+        if same_stat and memo["hashed_at_ns"] - signature[4] > RACY_WINDOW_NS:
             return memo["sha256"]
         digest = sha256_file(path)
-        if _signature(path) == signature:
+        if _signature(path) != signature:
+            self.memo_changed |= self.memo.pop(path, None) is not None
+        elif (not (same_stat and memo["sha256"] == digest)
+              or hashed_at - signature[4] > RACY_WINDOW_NS):
             self.memo[path] = {"sha256": digest, "stat": signature, "hashed_at_ns": hashed_at}
-        else:
-            self.memo.pop(path, None)
-        self.memo_changed = True
+            self.memo_changed = True
         return digest
+
+    def _output_hash(self, path: str) -> str | None:
+        """The output's hash; None when the file is missing."""
+        try:
+            return self.hash(path)
+        except FileNotFoundError:
+            return None
 
     def write_manifest(self) -> None:
         dump_json(self.manifest, self.manifest_path)
@@ -217,10 +238,10 @@ class _Runner:
 
     def finish(self) -> None:
         """Write the manifest if the memo changed since it was last
-        written, then the report."""
+        written, then the report if its text is not the one on disk."""
         if self.memo_changed:
             self.write_manifest()
-        dump_json(self.report.to_dict(), self.out / "report.json")
+        dump_json(self.report.to_dict(), self.out / "report.json", if_changed=True)
 
     def stage(self, name: str, reads: dict, values: dict, outputs: list[str], compute):
         """Run one cached stage and record its manifest entry in the report.
@@ -228,16 +249,20 @@ class _Runner:
         name, an earlier artifact by its file name) and `values` holds every
         other setting it reads; the key is the code fingerprint, each read's
         content hash by label and the values, and holds no path. `compute`
-        writes every output; the stage is skipped when the key matches the
-        manifest and all outputs still hash-match."""
+        writes every output and returns the metrics the report takes from
+        the stage; the entry keeps them, and each output's sha256 from the
+        bytes written. The stage is skipped when the key matches the
+        manifest, the entry has its metrics and every output on disk still
+        hashes as recorded."""
         hashes = {label: self.hash(path) for label, path in reads.items()}
         key = sha256_bytes(json.dumps([name, code_fingerprint(), hashes, values],
                                       sort_keys=True).encode())
         entry = self.manifest.get(name)
-        paths = {o: self.out / o for o in outputs}
-        cached = entry is not None and entry.get("key") == key and all(
-            paths[o].exists() and self.hash(paths[o]) == entry["outputs"].get(o)
-            for o in outputs)
+        paths = {o: os.path.join(self.out, o) for o in outputs}
+        cached = (entry is not None and entry.get("key") == key
+                  and isinstance(entry.get("metrics"), dict)
+                  and all(self._output_hash(paths[o]) == entry["outputs"].get(o)
+                          for o in outputs))
         if cached:
             self._log_line(f"stage={name} status=cached")
         else:
@@ -245,19 +270,26 @@ class _Runner:
                 self.hashes.pop(path, None)  # rewritten below
             t0 = time.perf_counter()
             try:
-                compute()
+                with recorded_writes() as written:
+                    metrics = compute()
+                unwritten = [o for o in outputs if paths[o] not in written]
+                if unwritten:
+                    raise RuntimeError(f"stage did not write its outputs {unwritten}")
             except Exception as exc:
                 self._log_line(f"stage={name} status=failed error={exc}")
                 raise StageError(name, exc) from exc
             elapsed = time.perf_counter() - t0
             entry = self.manifest[name] = {
                 "key": key,
-                "outputs": {o: self.hash(paths[o]) for o in outputs},
+                "outputs": {o: written[paths[o]] for o in outputs},
                 "elapsed_s": round(elapsed, 4),
+                # as a cached run reads them back from the manifest
+                "metrics": json.loads(json.dumps(metrics)),
             }
             self.write_manifest()
             self._log_line(f"stage={name} status=ok elapsed_s={elapsed:.3f}")
-        self.report.stages[name] = entry
+        self.report.stages[name] = {k: v for k, v in entry.items() if k != "metrics"}
+        self.report.metrics.update(entry["metrics"])
         return entry, cached
 
 
@@ -313,9 +345,9 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     before anything is read or written, while another run holds it."""
     if until not in STAGES:
         raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
-    config.validate()
+    input_stats = config.validate()
     with locked_dir(config.out_dir):
-        runner = _Runner(config)
+        runner = _Runner(config, input_stats)
         report = runner.report
         try:
             for name in _stages(config, runner):
@@ -336,10 +368,10 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
     stage's name once it is done. The predict and exposure stages run only
     when the config has a lattice (and, for exposure, a population grid).
 
-    Inputs and artifacts are read on first use and kept: the covariate
-    specs, `matrix.csv` and the geo inputs only by a stage that computes,
-    so a cached stage costs the hashes of its reads and outputs (memo hits
-    for unchanged files) and the small JSON it reports from."""
+    Inputs and artifacts are read on first use and kept, and only by a
+    stage that computes: a cached stage costs the hashes of its reads and
+    outputs (memo hits for unchanged files), and its report metrics come
+    from its manifest entry."""
     out, report = runner.out, runner.report
     geo_reads = {
         **{f"layer {name}": path for name, path in cfg.layers.items()},
@@ -357,18 +389,15 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
                 f"{cfg.daily_csv}: no site meets the completeness rule "
                 f"({len(result.excluded)} site(s) excluded)")
         result.table.to_csv(out / "monitors.csv")
-        dump_json(
-            {"n_included": len(result.table),
-             "excluded": [{"site_id": s, "n_valid": n, "completeness": c}
-                          for s, n, c in result.excluded]},
-            out / "excluded_sites.json",
-        )
+        excluded = {"n_included": len(result.table),
+                    "excluded": [{"site_id": s, "n_valid": n, "completeness": c}
+                                 for s, n, c in result.excluded]}
+        dump_json(excluded, out / "excluded_sites.json")
+        return {"n_sites": excluded["n_included"]}
 
     runner.stage("annualize", {"daily": cfg.daily_csv, "sites": cfg.sites_csv},
                  {"year": cfg.year}, ["monitors.csv", "excluded_sites.json"], do_annualize)
     sites = functools.cache(lambda: MonitorTable.from_csv(out / "monitors.csv"))
-    report.metrics["n_sites"] = json.loads(
-        (out / "excluded_sites.json").read_text())["n_included"]
     yield "annualize"
 
     # -- covariates ---------------------------------------------------
@@ -380,6 +409,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
         matrix = cov.build_matrix(sites(), specs(), layers=layers, grids=grids,
                                   categorical=categorical)
         matrix.to_csv(out / "matrix.csv")
+        return {}
 
     runner.stage("covariates", {"monitors.csv": out / "monitors.csv",
                                 "covariates": cfg.covariates_json, **geo_reads},
@@ -396,16 +426,16 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
     def do_fit():
         fitted = fit_recipe(cfg.recipe, sites(), matrix(),
                             seed=stage_seed(cfg.seed, "fit"))
-        dump_json(fitted.to_dict(), out / "model.json")
+        model = fitted.to_dict()
+        dump_json(model, out / "model.json")
+        trend = model["trend"]
+        metrics = {"selected": trend["selected"], "trend_r2": trend["r2"],
+                   "trend_adj_r2": trend["adj_r2"]}
+        if model["kriging"] is not None:
+            metrics["variogram"] = model["kriging"]["variogram"]
+        return metrics
 
     runner.stage("fit", trend_reads, fit_values, ["model.json"], do_fit)
-    # The report reads the model's JSON; only the predict stage rebuilds it.
-    model = json.loads((out / "model.json").read_text())
-    report.metrics["selected"] = model["trend"]["selected"]
-    report.metrics["trend_r2"] = model["trend"]["r2"]
-    report.metrics["trend_adj_r2"] = model["trend"]["adj_r2"]
-    if model["kriging"] is not None:
-        report.metrics["variogram"] = model["kriging"]["variogram"]
     yield "fit"
 
     # -- cv -------------------------------------------------------------
@@ -419,17 +449,14 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
         res_g = run_cv(cfg.recipe, sites(), matrix(), plan_g,
                        seed=stage_seed(cfg.seed, "cv-logo"))
         res_g.to_csv(out / "cv_logo.csv")
-        dump_json({"kfold": res_k.summary(), "logo": res_g.summary()},
-                  out / "cv_summary.json")
+        summary = {"kfold": res_k.summary(), "logo": res_g.summary()}
+        dump_json(summary, out / "cv_summary.json")
+        return {"kfold_r2": summary["kfold"]["r2_mse"], "kfold_rmse": summary["kfold"]["rmse"],
+                "logo_r2": summary["logo"]["r2_mse"], "logo_rmse": summary["logo"]["rmse"]}
 
     runner.stage("cv", trend_reads,
                  {**fit_values, "k": cfg.cv_k, "logo_group": cfg.logo_group},
                  ["cv_kfold.csv", "cv_logo.csv", "cv_summary.json"], do_cv)
-    cv_summary = json.loads((out / "cv_summary.json").read_text())
-    report.metrics["kfold_r2"] = cv_summary["kfold"]["r2_mse"]
-    report.metrics["kfold_rmse"] = cv_summary["kfold"]["rmse"]
-    report.metrics["logo_r2"] = cv_summary["logo"]["r2_mse"]
-    report.metrics["logo_rmse"] = cv_summary["logo"]["rmse"]
     yield "cv"
 
     # -- predict ----------------------------------------------------------
@@ -441,7 +468,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
         def do_predict():
             # No variance grid of an earlier run outlives its manifest entry.
             (out / "prediction_variance.asc").unlink(missing_ok=True)
-            surface = predict_grid(FittedModel.from_dict(model), specs(),
+            model = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
+            surface = predict_grid(model, specs(),
                                    geodata.Lattice(**cfg.prediction), *geo_inputs(),
                                    with_variance=cfg.with_variance,
                                    model_id=cfg.recipe.label())
@@ -449,16 +477,15 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
             if surface.variance is not None:
                 geodata.write_raster(surface.variance,
                                      out / "prediction_variance.asc")
-            dump_json({"n_floored": surface.n_floored, "model_id": surface.model_id},
-                      out / "prediction_meta.json")
+            meta = {"n_floored": surface.n_floored, "model_id": surface.model_id}
+            dump_json(meta, out / "prediction_meta.json")
+            return {"n_floored": meta["n_floored"]}
 
         runner.stage("predict", {"model.json": out / "model.json",
                                  "covariates": cfg.covariates_json, **geo_reads},
                      {"categories": categories, "lattice": cfg.prediction,
                       "with_variance": cfg.with_variance},
                      pred_outputs + ["prediction_meta.json"], do_predict)
-        meta = json.loads((out / "prediction_meta.json").read_text())
-        report.metrics["n_floored"] = meta["n_floored"]
         yield "predict"
 
     # -- exposure ----------------------------------------------------------
@@ -472,17 +499,16 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
                 raise InvalidArgumentError(
                     f"population grid {cfg.population_grid}: {exc}") from exc
             curve.to_csv(out / "exposure.csv")
-            dump_json(curve.summary(), out / "exposure_summary.json")
+            summary = curve.summary()
+            dump_json(summary, out / "exposure_summary.json")
+            return {"pop_weighted_mean": summary["pop_weighted_mean"],
+                    "fraction_above": dict(zip(map(str, summary["thresholds"]),
+                                               summary["fraction_above"]))}
 
         runner.stage("exposure", {"prediction.asc": out / "prediction.asc",
                                   "population": cfg.population_grid},
                      {"thresholds": list(cfg.thresholds)},
                      ["exposure.csv", "exposure_summary.json"], do_exposure)
-        summary = json.loads((out / "exposure_summary.json").read_text())
-        report.metrics["pop_weighted_mean"] = summary["pop_weighted_mean"]
-        report.metrics["fraction_above"] = dict(
-            zip(map(str, summary["thresholds"]), summary["fraction_above"])
-        )
         yield "exposure"
 
 

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -160,6 +161,8 @@ def test_non_finite_daily_value_fails_annualize_naming_its_line(tmp_path, value)
 
 
 def test_cached_rerun_parses_no_matrix_specs_or_geo_inputs(tmp_path, monkeypatch):
+    """A fully cached rerun parses no input and no artifact: it reports
+    the metrics its stages' manifest entries keep."""
     config_path, _ = write(tmp_path, scenario(seed=18),
                            recipe={"selection": "stepwise", "kriging": True})
     first = run(PipelineConfig.from_json(config_path))
@@ -174,6 +177,13 @@ def test_cached_rerun_parses_no_matrix_specs_or_geo_inputs(tmp_path, monkeypatch
                         (covariates, "read_specs"), (geodata, "read_features"),
                         (geodata, "read_raster"), (geodata, "read_categorical")):
         monkeypatch.setattr(owner, name, refuse)
+    # nor the JSON artifacts: the report's metrics come from the manifest
+    reported = {"model.json", "cv_summary.json", "excluded_sites.json",
+                "prediction_meta.json", "exposure_summary.json"}
+    for name in ("read_text", "read_bytes"):
+        read = getattr(Path, name)
+        monkeypatch.setattr(Path, name, lambda self, *a, read=read, **kw: (
+            refuse() if self.name in reported else read(self, *a, **kw)))
     second = run(PipelineConfig.from_json(config_path))
     assert new_log_lines(out / "run.log", before) == dict.fromkeys(
         pipeline.STAGES, "status=cached")
@@ -612,15 +622,22 @@ def age_the_clock(monkeypatch) -> None:
     monkeypatch.setattr(time, "time_ns", lambda: time_ns() + 3_000_000_000)
 
 
+# The artifacts a later stage reads, so the only ones a cold run hashes.
+READ_ARTIFACTS = ("monitors.csv", "matrix.csv", "model.json", "prediction.asc")
+
+
 def test_each_run_hashes_each_file_once(tmp_path, monkeypatch):
-    """Cold or warm, a run hashes each input and artifact once: an output's
-    cache check and a later stage's read of it share one hash. The warm run
-    is a rerun within 2 s of the writes, so it hashes every file again: the
-    clock is held where it stood before the inputs were written, so each
-    hash falls inside the window however slow the host."""
+    """Cold or warm, a run hashes each file it hashes once: an output's
+    cache check and a later stage's read of it share one hash. The cold run
+    records each output's hash from the bytes it wrote, so it hashes the
+    inputs and only the artifacts a later stage reads. The warm run is a
+    rerun within 2 s of the writes, so it hashes every input and output
+    again: the clock is held where it stood before the inputs were
+    written, so each hash falls inside the window however slow the host."""
     held = time.time_ns()
     monkeypatch.setattr(time, "time_ns", lambda: held)
     config_path, _ = write(tmp_path, scenario(seed=14))
+    out = tmp_path / "scn" / "run"
     calls = count_hashes(monkeypatch)
     hashed = {}
     for run_name in ("cold", "warm"):
@@ -628,21 +645,29 @@ def test_each_run_hashes_each_file_once(tmp_path, monkeypatch):
         run(PipelineConfig.from_json(config_path))
         assert calls and len(calls) == len(set(calls))
         hashed[run_name] = set(calls)
-    assert hashed["warm"] == hashed["cold"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    outputs = {out / o for s in pipeline.STAGES for o in manifest[s]["outputs"]}
+    assert hashed["cold"] & outputs == {out / name for name in READ_ARTIFACTS}
+    assert hashed["warm"] == hashed["cold"] | outputs
+
+
+def file_identity(path: Path) -> tuple:
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
 
 
 def test_aged_rerun_hashes_nothing_and_writes_no_manifest(tmp_path, monkeypatch):
     """Once every hash is more than 2 s younger than its file's last
     change, a rerun reads no file to hash: it serves all six stages from
     the cache, reports what the run before it did and leaves the manifest
-    as it was."""
+    and the report as they were."""
     config_path, _ = write(tmp_path, scenario(seed=14))
     out = tmp_path / "scn" / "run"
     run(PipelineConfig.from_json(config_path))
     age_the_clock(monkeypatch)
     run(PipelineConfig.from_json(config_path))  # hashes again what was within 2 s
     report_before = report_without_timings(out)
-    manifest = (out / "manifest.json").stat()
+    written = {name: file_identity(out / name) for name in ("manifest.json", "report.json")}
     before = (out / "run.log").read_text()
     calls = count_hashes(monkeypatch)
     run(PipelineConfig.from_json(config_path))
@@ -650,8 +675,30 @@ def test_aged_rerun_hashes_nothing_and_writes_no_manifest(tmp_path, monkeypatch)
     assert new_log_lines(out / "run.log", before) == dict.fromkeys(
         pipeline.STAGES, "status=cached")
     assert report_without_timings(out) == report_before
-    after = (out / "manifest.json").stat()
-    assert (after.st_ino, after.st_mtime_ns) == (manifest.st_ino, manifest.st_mtime_ns)
+    assert {name: file_identity(out / name) for name in written} == written
+
+
+def test_in_window_rerun_that_confirms_the_memo_writes_no_manifest(tmp_path, monkeypatch):
+    """A rerun within 2 s of the writes hashes every file again; when each
+    hash finds the memo's digest and signature, the memo stays as it was,
+    so the run rewrites neither the manifest nor the report. The clock is
+    held where it stood before the inputs were written, so every hash
+    falls inside the window however slow the host."""
+    held = time.time_ns()
+    monkeypatch.setattr(time, "time_ns", lambda: held)
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    out = tmp_path / "scn" / "run"
+    run(PipelineConfig.from_json(config_path))
+    run(PipelineConfig.from_json(config_path))  # memoizes the outputs no stage read
+    written = {name: file_identity(out / name) for name in ("manifest.json", "report.json")}
+    memo = json.loads((out / "manifest.json").read_text())["files"]
+    before = (out / "run.log").read_text()
+    calls = count_hashes(monkeypatch)
+    run(PipelineConfig.from_json(config_path))
+    assert {str(path) for path in calls} == set(memo)
+    assert new_log_lines(out / "run.log", before) == dict.fromkeys(
+        pipeline.STAGES, "status=cached")
+    assert {name: file_identity(out / name) for name in written} == written
 
 
 def test_a_partial_run_keeps_the_memo_of_files_it_did_not_read(tmp_path):
@@ -660,6 +707,7 @@ def test_a_partial_run_keeps_the_memo_of_files_it_did_not_read(tmp_path):
     config_path, _ = write(tmp_path, scenario(seed=14))
     cfg = PipelineConfig.from_json(config_path)
     run(cfg)
+    run(cfg)  # hashes the outputs no stage read, so the memo holds every file
     manifest = cfg.out_dir / "manifest.json"
     memo = json.loads(manifest.read_text())["files"]
     assert {str(path) for path in cfg.grids.values()} <= set(memo)
@@ -764,8 +812,9 @@ def test_unreadable_manifest_is_logged_and_read_as_empty(tmp_path, monkeypatch, 
                                                          damage):
     """A manifest that does not parse, or is not an object of stage
     entries, is read as empty with one warning naming it, so every stage
-    recomputes; a malformed file-hash memo is read as empty the same way,
-    so every file is hashed while the stages stay cached."""
+    recomputes (hashing the inputs and the artifacts a later stage reads);
+    a malformed file-hash memo is read as empty the same way, so every file
+    is hashed while the stages stay cached."""
     config_path, _ = write(tmp_path, scenario(seed=14))
     cfg = PipelineConfig.from_json(config_path)
     manifest = cfg.out_dir / "manifest.json"
@@ -788,13 +837,69 @@ def test_unreadable_manifest_is_logged_and_read_as_empty(tmp_path, monkeypatch, 
         second = run(cfg)
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(warnings) == 1 and str(manifest) in warnings[0]
-    status = "status=cached" if damage == "a malformed memo entry" else "status=ok"
+    cached = damage == "a malformed memo entry"
     assert new_log_lines(cfg.out_dir / "run.log", before) == dict.fromkeys(
-        pipeline.STAGES, status)
-    assert set(calls) == {Path(p) for p in good["files"]}
+        pipeline.STAGES, "status=cached" if cached else "status=ok")
+    assert set(calls) == {Path(p) for p in good["files"] if cached
+                          or Path(p).parent != cfg.out_dir or Path(p).name in READ_ARTIFACTS}
     assert {s: e["outputs"] for s, e in second.stages.items()} == \
         {s: e["outputs"] for s, e in first.stages.items()}
-    assert set(json.loads(manifest.read_text())["files"]) == set(good["files"])
+    assert set(json.loads(manifest.read_text())["files"]) == {str(p) for p in calls}
+
+
+def test_a_stage_entry_without_metrics_recomputes_that_stage(tmp_path):
+    """A manifest entry without its metrics (an older manifest, or a hand
+    edit) is a cache miss: that stage recomputes, the stages after it stay
+    cached (its output comes out the same) and the report is unchanged."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    cfg = PipelineConfig.from_json(config_path)
+    manifest = cfg.out_dir / "manifest.json"
+    run(cfg)
+    report_before = report_without_timings(cfg.out_dir)
+    damaged = json.loads(manifest.read_text())
+    metrics = damaged["fit"].pop("metrics")
+    manifest.write_text(json.dumps(damaged))
+    before = (cfg.out_dir / "run.log").read_text()
+    run(cfg)
+    assert new_log_lines(cfg.out_dir / "run.log", before) == {
+        **dict.fromkeys(pipeline.STAGES, "status=cached"), "fit": "status=ok"}
+    assert report_without_timings(cfg.out_dir) == report_before
+    assert json.loads(manifest.read_text())["fit"]["metrics"] == metrics
+
+
+def test_an_output_swapped_after_its_write_recomputes_its_stage(tmp_path, monkeypatch):
+    """A stage's entry records each output's hash from the bytes the stage
+    wrote, not from the file after the stage: a `model.json` that another
+    run's replaces right after the fit stage wrote it (here a PLS model
+    under a stepwise recipe) makes the next run recompute fit, and predict
+    and exposure after it, instead of serving the PLS model from the
+    cache."""
+    config_path, _ = write(tmp_path, scenario(seed=14),
+                           recipe={"selection": "stepwise", "kriging": True})
+    cfg = PipelineConfig.from_json(config_path)
+    pls = PipelineConfig.from_json(config_path)
+    pls.recipe = ModelRecipe(selection="pls", kriging=True)
+    pls.out_dir = tmp_path / "pls"
+    run(pls)
+    dump_json = pipeline.dump_json
+
+    def dump_then_swap(obj, path, **kwargs):
+        text = dump_json(obj, path, **kwargs)
+        if Path(path).name == "model.json":
+            shutil.copyfile(pls.out_dir / "model.json", path)
+        return text
+
+    monkeypatch.setattr(pipeline, "dump_json", dump_then_swap)
+    run(cfg)
+    monkeypatch.setattr(pipeline, "dump_json", dump_json)
+    before = (cfg.out_dir / "run.log").read_text()
+    run(cfg)
+    assert new_log_lines(cfg.out_dir / "run.log", before) == {
+        **dict.fromkeys(pipeline.STAGES, "status=ok"), "annualize": "status=cached",
+        "covariates": "status=cached", "cv": "status=cached"}
+    out, cfg.out_dir = cfg.out_dir, tmp_path / "fresh"
+    run(cfg)
+    assert_same_artifacts(out, cfg.out_dir)
 
 
 @pytest.mark.parametrize("script", ["run_national_synthetic.py", "model_family_sweep.py"])
