@@ -3,9 +3,10 @@
 
 Produces 1,500 clustered monitors, ~290 covariates, and a 100k-cell
 prediction lattice, then executes annualize -> covariates -> fit -> CV ->
-predict -> exposure, printing the time and peak RSS after generation,
-writing and the pipeline, each stage's time (`elapsed_s` in the report),
-the times of three cached reruns, then the headline metrics. The first
+predict -> exposure, printing the time and peak RSS (the process's and
+its children's) after generation, writing and the pipeline, each stage's
+time (`elapsed_s` in the report), the times of three cached reruns, then
+the headline metrics. The first
 rerun starts right after the cold run, inside `pipeline.RACY_WINDOW_NS`
 of its writes (as perfbench's `warm_s` times it), so it hashes every file
 the cold run wrote or hashed within that window. The other two wait the
@@ -26,8 +27,13 @@ from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 
 
 def peak_rss() -> str:
-    """The process's peak resident set size so far (`ru_maxrss`, KiB on Linux)."""
-    return f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB"
+    """The peak resident set size so far (`ru_maxrss`, KiB on Linux) of the
+    process and of its largest reaped child: the pipeline's geo-input
+    parsers run in forked workers, whose memory the process's own peak
+    does not show."""
+    own, children = (resource.getrusage(who).ru_maxrss / 1024
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return f"peak RSS {own:.0f} MB (children {children:.0f} MB)"
 
 
 def main():

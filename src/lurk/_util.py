@@ -1,6 +1,6 @@
 """Shared helpers: hashing, seeds, float formatting, the artifact file codec
 (atomic writes, CSV tables, JSON), the output-directory lock, config checks,
-the one-BLAS-thread pin."""
+the one-BLAS-thread pin, and the one fan-out of jobs to forked workers."""
 
 from __future__ import annotations
 
@@ -16,7 +16,11 @@ import json
 import locale
 import logging
 import math
+import multiprocessing
 import os
+import pickle
+import signal
+import sys
 import threading
 from pathlib import Path
 
@@ -273,3 +277,120 @@ def one_blas_thread():
     finally:
         for set_threads, n in before:
             set_threads(n)
+
+
+class FanOut:
+    """Runs `fn(*args)` for each job `(cost, fn, args)`: in forked worker
+    processes, one per usable core (`os.sched_getaffinity`) and at most one
+    per job, which start at once; inline, one job at a time as `results`
+    reaches it, on one core, off Linux, or when the caller is not the main
+    thread or other Python threads are alive (a fork copies only the
+    calling thread, and whatever lock another thread holds stays held in
+    the child). The workers take the jobs from one queue, largest cost
+    first, each the next one as it comes free, so none idles while another
+    has jobs left. A worker runs all the jobs it takes before it sends
+    anything, so it never waits on a parent that is busy elsewhere. Forked
+    workers inherit every open file, the output-directory lock among them,
+    so whoever makes a FanOut calls `close` before letting such files go."""
+
+    def __init__(self, jobs):
+        self.jobs = list(jobs)
+        self.workers = []  # (process, receiving end of its pipe)
+        n = 1
+        if (sys.platform == "linux" and threading.current_thread() is threading.main_thread()
+                and threading.active_count() == 1):
+            n = min(len(os.sched_getaffinity(0)), len(self.jobs))
+        if n < 2:
+            return
+        order = sorted(range(len(self.jobs)), key=lambda i: -self.jobs[i][0])
+        queue = b"".join(i.to_bytes(4, "little") for i in order)
+        context = multiprocessing.get_context("fork")
+        try:
+            tasks, fill = os.pipe()  # the queue: job indices, read 4 bytes at a time
+            try:
+                os.set_blocking(fill, False)  # a queue the pipe cannot hold runs inline
+                if os.write(fill, queue) < len(queue):
+                    raise BlockingIOError("the job queue does not fit in a pipe")
+            finally:
+                os.close(fill)  # before any fork: a worker reads the queue to its end
+            try:
+                for _ in range(n):
+                    receiver, sender = context.Pipe(duplex=False)
+                    inherited = [r for _, r in self.workers] + [receiver]
+                    process = context.Process(target=_work, daemon=True,
+                                              args=(tasks, self.jobs, sender, inherited))
+                    self.workers.append((process, receiver))
+                    try:
+                        process.start()
+                    finally:
+                        sender.close()
+            finally:
+                os.close(tasks)
+        except OSError:  # no process or pipe to be had: run the jobs inline
+            self.close()
+
+    def results(self):
+        """Each job's return value, or the exception it raised, in job
+        order. Every worker's results are received, on the calling thread,
+        and the worker reaped before the first is yielded; a job with no
+        result from them (its worker died, or its result did not unpickle)
+        runs inline, with a warning."""
+        received, forked = {}, bool(self.workers)
+        for _, receiver in self.workers:
+            while True:
+                try:
+                    data = receiver.recv_bytes()
+                except (EOFError, OSError):  # the worker is done, or gone
+                    break
+                with contextlib.suppress(Exception):
+                    i, outcome = pickle.loads(data)
+                    received[i] = outcome
+        self.close()
+        if forked and len(received) < len(self.jobs):
+            logging.getLogger(__name__).warning(
+                "%d of %d jobs got no result from their workers; they run inline",
+                len(self.jobs) - len(received), len(self.jobs))
+        for i, (_, fn, args) in enumerate(self.jobs):
+            yield received[i] if i in received else _outcome(fn, args)
+
+    def close(self) -> None:
+        """Stop and reap every worker still running; idempotent."""
+        for process, receiver in self.workers:
+            receiver.close()
+            if process.pid is not None:
+                process.kill()
+                process.join()
+            process.close()
+        self.workers = []
+
+
+def _outcome(fn, args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _work(tasks, jobs, sender, inherited) -> None:
+    """A FanOut worker: take job indices from the `tasks` pipe until it is
+    empty and run each job, then send each (index, outcome) pickled; an
+    outcome that does not pickle goes as a RuntimeError naming why. It
+    first closes the pipes' read ends it `inherited`, so that once the
+    parent is gone its send fails and it exits quietly, rather than wait
+    for ever holding the parent's open files (the output-directory lock
+    among them)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+    for receiver in inherited:
+        receiver.close()
+    outcomes = []
+    while index := os.read(tasks, 4):
+        i = int.from_bytes(index, "little")
+        outcomes.append((i, _outcome(*jobs[i][1:])))
+    with contextlib.suppress(BrokenPipeError), sender:
+        for i, outcome in outcomes:
+            try:
+                data = pickle.dumps((i, outcome), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps((i, RuntimeError(f"the result did not pickle: {exc!r}")))
+            sender.send_bytes(data)

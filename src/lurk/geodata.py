@@ -17,6 +17,7 @@ count builds the one table it needs and drops it when it returns.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -52,6 +53,13 @@ class Lattice:
             raise InvalidArgumentError("nrows must be >= 1")
         if self.cell_size <= 0:
             raise InvalidArgumentError("cellsize must be > 0")
+
+    def __setstate__(self, state):
+        """Unpickled (as from a worker process), a grid's arrays stay read-only."""
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
 
     def geometry(self) -> dict:
         """The five fields by name, as `Lattice`, `RasterGrid` and a config's `prediction` take them."""
@@ -206,14 +214,24 @@ def _read_header(f, path) -> dict:
     return header
 
 
-def _read_ascii_grid(path, nodata: float, dtype=np.float64) -> tuple[Lattice, float, np.ndarray]:
+def _open_text(path, data: bytes | None, newline=None):
+    """The file at `path` opened as text; or, when `data` holds its bytes,
+    read already, those bytes decoded as `open` would decode the file."""
+    if data is None:
+        return open(path, newline=newline)
+    return io.TextIOWrapper(io.BytesIO(data), newline=newline)
+
+
+def _read_ascii_grid(path, nodata: float, dtype=np.float64,
+                     data: bytes | None = None) -> tuple[Lattice, float, np.ndarray]:
     """The lattice, the nodata value (`nodata` when the header has none)
-    and the bottom-row-first values of an ESRI ASCII grid file. The body
+    and the bottom-row-first values of an ESRI ASCII grid file (of its
+    bytes `data`, when given; see `_open_text`). The body
     is parsed in one `np.loadtxt` pass as `dtype`; when that fails (rows
     of unequal length, or a token `dtype` cannot hold) the whitespace
     tokens are counted and parsed as float64, so a wrong count or a
     non-numeric token raises GridFormatError."""
-    with open(path) as f:
+    with _open_text(path, data) as f:
         header = _read_header(f, path)
         try:
             lattice = Lattice(header["xllcorner"], header["yllcorner"], header["cellsize"],
@@ -243,9 +261,10 @@ def _read_ascii_grid(path, nodata: float, dtype=np.float64) -> tuple[Lattice, fl
     return lattice, header.get("nodata_value", nodata), flat.reshape(n_rows, n_cols)[::-1]
 
 
-def read_raster(path) -> RasterGrid:
-    """Read an ESRI ASCII grid file into a RasterGrid."""
-    lattice, nodata, vals = _read_ascii_grid(path, DEFAULT_NODATA)
+def read_raster(path, data: bytes | None = None) -> RasterGrid:
+    """Read an ESRI ASCII grid file into a RasterGrid; `data`, when given,
+    holds the file's bytes, read already (errors still name `path`)."""
+    lattice, nodata, vals = _read_ascii_grid(path, DEFAULT_NODATA, data=data)
     return RasterGrid(**lattice.geometry(), values=vals, nodata=nodata)
 
 
@@ -270,9 +289,10 @@ def write_raster(grid: RasterGrid, path) -> None:
     _write_ascii_grid(grid, path, fmt_float(grid.nodata), repr)
 
 
-def read_categorical(path, categories) -> CategoricalGrid:
-    """Read an ESRI ASCII grid of integer category codes."""
-    lattice, nodata, vals = _read_ascii_grid(path, -9999, np.int32)
+def read_categorical(path, categories, data: bytes | None = None) -> CategoricalGrid:
+    """Read an ESRI ASCII grid of integer category codes; `data` as for
+    `read_raster`."""
+    lattice, nodata, vals = _read_ascii_grid(path, -9999, np.int32, data)
     if vals.dtype != np.int32:  # the float fallback: some code is not an int32
         with np.errstate(invalid="ignore"):  # NaN or out of range: named below
             ivals = vals.astype(np.int32)
@@ -419,10 +439,11 @@ def segment_disk_length(a: np.ndarray, b: np.ndarray, x, y, r: float) -> np.ndar
 # Feature CSV IO: columns id,kind,category,wkt
 # ---------------------------------------------------------------------------
 
-def read_features(path) -> FeatureLayer:
+def read_features(path, data: bytes | None = None) -> FeatureLayer:
     """Read a feature layer CSV (id,kind,category,wkt) of POINT or
-    LINESTRING geometries, one kind per file; errors name the feature."""
-    with open(path, newline="") as f:
+    LINESTRING geometries, one kind per file; errors name the feature.
+    `data` as for `read_raster`."""
+    with _open_text(path, data, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
         rows = [row for row in reader if row]

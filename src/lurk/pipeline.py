@@ -33,9 +33,9 @@ from .evaluation import kfold_plan, logo_plan, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
-from ._util import (check_keys, check_required, checked, dump_json, is_finite_number, is_int,
-                    locked_dir, one_blas_thread, recorded_writes, sha256_bytes, sha256_file,
-                    stage_seed, write_table)
+from ._util import (FanOut, check_keys, check_required, checked, dump_json, is_finite_number,
+                    is_int, locked_dir, one_blas_thread, recorded_writes, sha256_bytes,
+                    sha256_file, stage_seed, write_table)
 
 log = logging.getLogger(__name__)
 
@@ -110,8 +110,8 @@ class PipelineConfig:
                 and all(map(is_finite_number, thresholds)), "a list of finite numbers")
         base = path.parent
 
-        def resolve(p):
-            return (base / p).resolve() if p is not None else None
+        def resolve(p):  # absolute, with no syscall: symlinks stay as written
+            return Path(os.path.abspath(base / p)) if p is not None else None
 
         return cls(
             pollutant=d["pollutant"],
@@ -327,14 +327,62 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _load_geo_inputs(cfg: PipelineConfig):
-    layers = {name: geodata.read_features(path) for name, path in cfg.layers.items()}
-    grids = {name: geodata.read_raster(path) for name, path in cfg.grids.items()}
-    categorical = {
-        name: geodata.read_categorical(spec["path"], spec["categories"])
-        for name, spec in cfg.categorical.items()
-    }
-    return layers, grids, categorical
+def _size(path) -> int:
+    """The file's size in bytes; 0 when it cannot be stat'ed (its job then
+    fails, and the stage that loads it names the error)."""
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
+def _read_geo(reader: str, path, *args) -> tuple:
+    """The sha256 of a geo input's bytes and what `geodata.<reader>` makes
+    of those bytes. A `FanOut` job: it reads the file once, and looks the
+    reader up where it runs, so a worker calls the module's reader of the
+    moment (a patched one too)."""
+    data = Path(path).read_bytes()
+    return sha256_bytes(data), getattr(geodata, reader)(path, *args, data=data)
+
+
+class _GeoInputs:
+    """The config's feature layers, grids and land-cover grids, parsed at
+    most once per run as the jobs of one `FanOut`: `start` begins them
+    (the first `load` does, if nothing did) and `close` stops and reaps any
+    worker still running."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.reads = [*(("read_features", path) for path in cfg.layers.values()),
+                      *(("read_raster", path) for path in cfg.grids.values()),
+                      *(("read_categorical", spec["path"], spec["categories"])
+                        for spec in cfg.categorical.values())]
+        self.names = (cfg.layers, cfg.grids, cfg.categorical)
+        self.fan_out = self.loaded = None
+
+    def start(self) -> None:
+        if self.fan_out is None:
+            self.fan_out = FanOut([(_size(read[1]), _read_geo, read) for read in self.reads])
+
+    def load(self, hash_of) -> tuple[dict, dict, dict]:
+        """The layers, grids and land-cover grids by name, taken in config
+        order. A job's value is used only when the bytes it parsed hash to
+        `hash_of(path)`, the hash in the calling stage's key; a stale or
+        failed job's file is parsed again here, after the key was taken, so
+        the stage caches nothing made from bytes its key does not name, and
+        the first failure in config order raises its reader's error."""
+        if self.loaded is None:
+            self.start()
+            values = []
+            for (reader, path, *args), got in zip(self.reads, self.fan_out.results()):
+                keyed = not isinstance(got, Exception) and got[0] == hash_of(path)
+                values.append(got[1] if keyed else getattr(geodata, reader)(path, *args))
+            values = iter(values)
+            self.loaded = tuple({name: next(values) for name in names} for names in self.names)
+        return self.loaded
+
+    def close(self) -> None:
+        if self.fan_out is not None:
+            self.fan_out.close()
 
 
 @one_blas_thread()
@@ -342,15 +390,22 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     """Execute the pipeline through stage `until` (every stage by default);
     returns (and writes) the run report. The run holds the output
     directory's lock throughout (`_util.locked_dir`): OutputLockedError,
-    before anything is read or written, while another run holds it."""
+    before anything is read or written, while another run holds it. When
+    the manifest has no covariates entry and `until` reaches that stage,
+    the geo inputs start parsing before annualize (`_GeoInputs`), in
+    workers where `FanOut` forks; no worker outlives the run."""
     if until not in STAGES:
         raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
     input_stats = config.validate()
     with locked_dir(config.out_dir):
         runner = _Runner(config, input_stats)
         report = runner.report
+        geo = _GeoInputs(config)
         try:
-            for name in _stages(config, runner):
+            if ("covariates" not in runner.manifest
+                    and STAGES.index(until) >= STAGES.index("covariates")):
+                geo.start()
+            for name in _stages(config, runner, geo):
                 if name == until:
                     break
         except StageError as exc:
@@ -359,19 +414,22 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
             report.error = str(exc.cause)
             runner.finish()
             raise
+        finally:
+            geo.close()
         runner.finish()
     return report
 
 
-def _stages(cfg: PipelineConfig, runner: _Runner):
+def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs):
     """Run the stages in order, filling the runner's report; yields each
     stage's name once it is done. The predict and exposure stages run only
     when the config has a lattice (and, for exposure, a population grid).
 
     Inputs and artifacts are read on first use and kept, and only by a
-    stage that computes: a cached stage costs the hashes of its reads and
-    outputs (memo hits for unchanged files), and its report metrics come
-    from its manifest entry."""
+    stage that computes (the geo inputs may be read ahead, see `run`): a
+    cached stage costs the hashes of its reads and outputs (memo hits for
+    unchanged files), and its report metrics come from its manifest
+    entry."""
     out, report = runner.out, runner.report
     geo_reads = {
         **{f"layer {name}": path for name, path in cfg.layers.items()},
@@ -402,10 +460,9 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
 
     # -- covariates ---------------------------------------------------
     specs = functools.cache(lambda: cov.read_specs(cfg.covariates_json))
-    geo_inputs = functools.cache(lambda: _load_geo_inputs(cfg))
 
     def do_covariates():
-        layers, grids, categorical = geo_inputs()
+        layers, grids, categorical = geo.load(runner.hash)
         matrix = cov.build_matrix(sites(), specs(), layers=layers, grids=grids,
                                   categorical=categorical)
         matrix.to_csv(out / "matrix.csv")
@@ -470,7 +527,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner):
             (out / "prediction_variance.asc").unlink(missing_ok=True)
             model = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
             surface = predict_grid(model, specs(),
-                                   geodata.Lattice(**cfg.prediction), *geo_inputs(),
+                                   geodata.Lattice(**cfg.prediction), *geo.load(runner.hash),
                                    with_variance=cfg.with_variance,
                                    model_id=cfg.recipe.label())
             geodata.write_raster(surface.concentration, out / "prediction.asc")

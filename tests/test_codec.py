@@ -1,7 +1,8 @@
 """The artifact file codec: atomic writes, CSV tables that keep quoted text
 and every float bit, and the rule that nothing else in the package writes
-a file; the rule that only the pipeline's stage runner hashes files; and
-the rule that the package defines no public name that only tests use."""
+a file; the rule that only the pipeline's stage runner hashes files; the
+rule that only `_util` starts processes; and the rule that the package
+defines no public name that only tests use."""
 
 import ast
 import errno
@@ -162,6 +163,39 @@ def test_only_the_stage_runner_hashes_files():
              if getattr(node, "id", getattr(node, "attr", None)) == "sha256_file"]
     assert any(id(node) in inside for node in named)
     assert [f"line {node.lineno}" for node in named if id(node) not in inside] == []
+
+
+# -- one fan-out ---------------------------------------------------------------------------
+
+PROCESS_MODULES = ("multiprocessing", "concurrent.futures", "subprocess")
+
+
+def test_only_util_starts_processes():
+    """Processes are started in one place, `_util.FanOut`: no other module
+    of the package imports multiprocessing, concurrent.futures or
+    subprocess, or calls a fork."""
+    found = []
+    for path in sorted(Path(lurk.__file__).parent.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name.startswith("fork"):
+                    found.append((path.name, ast.unparse(node)))
+                continue
+            else:
+                continue
+            if any(n == m or n.startswith(m + ".") for n in names for m in PROCESS_MODULES):
+                found.append((path.name, ast.unparse(node)))
+    assert found == []
+    util = (Path(lurk.__file__).parent / "_util.py").read_text()
+    assert "import multiprocessing" in util  # the scan would see it there
 
 
 # -- no code that only tests use ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import pickle
 import re
 import warnings
 
@@ -269,6 +270,9 @@ def test_read_features_matches_per_feature_oracle(tmp_path, seed):
     back = tmp_path / "back.csv"
     geodata.write_features(layer, back)
     assert np.array_equal(geodata.read_features(back).xy, layer.xy)
+    from_bytes = geodata.read_features(path, data=path.read_bytes())
+    for key in ("xy", "offsets", "ids", "categories", "seg_a", "seg_b"):
+        assert np.array_equal(getattr(from_bytes, key), getattr(layer, key)), key
 
 
 @pytest.mark.parametrize("first, wkt, message", [
@@ -286,6 +290,8 @@ def test_read_features_names_malformed_feature(tmp_path, first, wkt, message):
     path.write_text(f'id,kind,category,wkt\nf0,,,"{first}"\nf1,,,"{wkt}"\n')
     with pytest.raises(InvalidArgumentError, match=message):
         geodata.read_features(path)
+    with pytest.raises(InvalidArgumentError, match=message):
+        geodata.read_features(path, data=path.read_bytes())
 
 
 def grid_outcome(call):
@@ -325,13 +331,14 @@ GRID_HEADER = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\nNODATA_v
     GRID_HEADER.replace("ncols 3", "ncols 0") + "1 2 3\n4 5 6\n",
 ])
 def test_grid_readers_match_the_splitlines_oracle(tmp_path, text):
+    """From the file, or from its bytes read already."""
     path = tmp_path / "g.asc"
     path.write_bytes(text.encode())
 
     categories = range(-9999, 10)
 
-    def raster():
-        g = geodata.read_raster(path)
+    def raster(data=None):
+        g = geodata.read_raster(path, data=data)
         return g, g.nodata, g.values
 
     def raster_oracle():
@@ -339,8 +346,8 @@ def test_grid_readers_match_the_splitlines_oracle(tmp_path, text):
         g = geodata.RasterGrid(**lattice.geometry(), values=values, nodata=nodata)
         return g, g.nodata, g.values
 
-    def categorical():
-        g = geodata.read_categorical(path, categories)
+    def categorical(data=None):
+        g = geodata.read_categorical(path, categories, data=data)
         return g, g.nodata, g.values
 
     def categorical_oracle():
@@ -351,6 +358,17 @@ def test_grid_readers_match_the_splitlines_oracle(tmp_path, text):
 
     assert grid_outcome(raster) == grid_outcome(raster_oracle)
     assert grid_outcome(categorical) == grid_outcome(categorical_oracle)
+    data = path.read_bytes()
+    assert grid_outcome(lambda: raster(data)) == grid_outcome(raster_oracle)
+    assert grid_outcome(lambda: categorical(data)) == grid_outcome(categorical_oracle)
+
+
+def test_an_unpickled_grid_keeps_its_values_read_only():
+    for grid in (make_grid(np.arange(6.0).reshape(2, 3)),
+                 geodata.CategoricalGrid(0.0, 0.0, 1.0, 3, 2, np.ones((2, 3)), (1,))):
+        back = pickle.loads(pickle.dumps(grid))
+        assert type(back) is type(grid) and back.same_lattice(grid)
+        assert np.array_equal(back.values, grid.values) and not back.values.flags.writeable
 
 
 @pytest.mark.parametrize("code", ["1.5", "3000000000", "nan"])

@@ -209,6 +209,27 @@ def test_missing_input_rejected(tmp_path):
         run(cfg)
 
 
+def test_a_config_reached_through_a_symlinked_directory_runs_cached_reruns(
+        tmp_path, monkeypatch):
+    """Config paths are made absolute without resolving symlinks: a
+    scenario loaded through a symlinked directory, by a path relative to the
+    working directory, keeps the link in its paths and runs; a rerun
+    through the link is cached throughout, and so is one through the real
+    directory, since stage keys hold no paths."""
+    config_path, _ = write(tmp_path, scenario(seed=4), name="real")
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    monkeypatch.chdir(tmp_path)
+    cfg = PipelineConfig.from_json(Path("link") / "config.json")
+    assert cfg.daily_csv.is_absolute() and cfg.daily_csv.parts[:-2] == (tmp_path / "link").parts
+    assert cfg.out_dir == tmp_path / "link" / "run"
+    assert run(cfg).status == "ok"
+    log = tmp_path / "real" / "run" / "run.log"
+    for path in (Path("link") / "config.json", config_path):
+        before = log.read_text()
+        run(PipelineConfig.from_json(path))
+        assert new_log_lines(log, before) == dict.fromkeys(pipeline.STAGES, "status=cached")
+
+
 def test_cv_metrics_match_direct_evaluation(tmp_path):
     config_path, _ = write(tmp_path, scenario(seed=8),
                            recipe={"selection": "stepwise", "kriging": False})
