@@ -187,7 +187,9 @@ def plain(obj) -> dict:
 
 
 def check_keys(d: dict, allowed, what: str) -> None:
-    """Raise InvalidArgumentError naming every key of `d` not in `allowed`."""
+    """Raise InvalidArgumentError unless `d` is a dict (a JSON object),
+    naming every key of it not in `allowed`."""
+    checked(what, d, isinstance(d, dict), "an object")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise InvalidArgumentError(f"unknown {what} keys: {unknown}")
@@ -280,18 +282,18 @@ def one_blas_thread():
 
 
 class FanOut:
-    """Runs `fn(*args)` for each job `(cost, fn, args)`: in forked worker
+    """Runs `fn(*args)` for each job `(cost, fn, args)` in forked worker
     processes, one per usable core (`os.sched_getaffinity`) and at most one
-    per job, which start at once; inline, one job at a time as `results`
-    reaches it, on one core, off Linux, or when the caller is not the main
-    thread or other Python threads are alive (a fork copies only the
-    calling thread, and whatever lock another thread holds stays held in
-    the child). The workers take the jobs from one queue, largest cost
-    first, each the next one as it comes free, so none idles while another
-    has jobs left. A worker runs all the jobs it takes before it sends
-    anything, so it never waits on a parent that is busy elsewhere. Forked
-    workers inherit every open file, the output-directory lock among them,
-    so whoever makes a FanOut calls `close` before letting such files go."""
+    per job, which start at once; none start on one core, off Linux, off
+    the main thread or beside another Python thread (a fork copies only
+    the calling thread, and a lock another thread holds stays held in the
+    child), or when the queue, a process or a pipe cannot be had. The
+    workers take the jobs from one queue, largest cost first, each the
+    next one as it comes free, so none idles while another has jobs left.
+    A worker runs all its jobs before it sends anything, so it never waits
+    on a parent busy elsewhere. Workers inherit every open file, the
+    output-directory lock among them, so whoever makes a FanOut calls
+    `close` before letting such files go."""
 
     def __init__(self, jobs):
         self.jobs = list(jobs)
@@ -308,7 +310,7 @@ class FanOut:
         try:
             tasks, fill = os.pipe()  # the queue: job indices, read 4 bytes at a time
             try:
-                os.set_blocking(fill, False)  # a queue the pipe cannot hold runs inline
+                os.set_blocking(fill, False)
                 if os.write(fill, queue) < len(queue):
                     raise BlockingIOError("the job queue does not fit in a pipe")
             finally:
@@ -326,16 +328,15 @@ class FanOut:
                         sender.close()
             finally:
                 os.close(tasks)
-        except OSError:  # no process or pipe to be had: run the jobs inline
+        except OSError:  # no process or pipe to be had: no worker
             self.close()
 
-    def results(self):
-        """Each job's return value, or the exception it raised, in job
-        order. Every worker's results are received, on the calling thread,
-        and the worker reaped before the first is yielded; a job with no
-        result from them (its worker died, or its result did not unpickle)
-        runs inline, with a warning."""
-        received, forked = {}, bool(self.workers)
+    def results(self) -> list:
+        """Each job's value in job order, None where no worker delivered
+        one: the job raised, its value did not pickle, its worker died, or
+        no worker started. Every worker's values are received, on the
+        calling thread, and every worker reaped before it returns."""
+        values = [None] * len(self.jobs)
         for _, receiver in self.workers:
             while True:
                 try:
@@ -343,15 +344,10 @@ class FanOut:
                 except (EOFError, OSError):  # the worker is done, or gone
                     break
                 with contextlib.suppress(Exception):
-                    i, outcome = pickle.loads(data)
-                    received[i] = outcome
+                    i, value = pickle.loads(data)
+                    values[i] = value
         self.close()
-        if forked and len(received) < len(self.jobs):
-            logging.getLogger(__name__).warning(
-                "%d of %d jobs got no result from their workers; they run inline",
-                len(self.jobs) - len(received), len(self.jobs))
-        for i, (_, fn, args) in enumerate(self.jobs):
-            yield received[i] if i in received else _outcome(fn, args)
+        return values
 
     def close(self) -> None:
         """Stop and reap every worker still running; idempotent."""
@@ -364,33 +360,22 @@ class FanOut:
         self.workers = []
 
 
-def _outcome(fn, args):
-    """fn(*args), or the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
 def _work(tasks, jobs, sender, inherited) -> None:
     """A FanOut worker: take job indices from the `tasks` pipe until it is
-    empty and run each job, then send each (index, outcome) pickled; an
-    outcome that does not pickle goes as a RuntimeError naming why. It
-    first closes the pipes' read ends it `inherited`, so that once the
-    parent is gone its send fails and it exits quietly, rather than wait
-    for ever holding the parent's open files (the output-directory lock
-    among them)."""
+    empty and run each job, then send each (index, value) pickled; a job
+    that raises, or whose value does not pickle, sends nothing. It first
+    closes the pipe ends it `inherited`, so that once the parent is gone
+    its send fails and it exits, rather than wait for ever holding the
+    parent's open files (the output-directory lock among them)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
     for receiver in inherited:
         receiver.close()
-    outcomes = []
+    sent = []
     while index := os.read(tasks, 4):
         i = int.from_bytes(index, "little")
-        outcomes.append((i, _outcome(*jobs[i][1:])))
+        _, fn, args = jobs[i]
+        with contextlib.suppress(Exception):
+            sent.append(pickle.dumps((i, fn(*args)), pickle.HIGHEST_PROTOCOL))
     with contextlib.suppress(BrokenPipeError), sender:
-        for i, outcome in outcomes:
-            try:
-                data = pickle.dumps((i, outcome), pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                data = pickle.dumps((i, RuntimeError(f"the result did not pickle: {exc!r}")))
+        for data in sent:
             sender.send_bytes(data)

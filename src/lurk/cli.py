@@ -12,6 +12,7 @@ import click
 
 from . import geodata
 from .covariates import CovariateMatrix
+from .errors import InvalidArgumentError
 from .evaluation import monte_carlo_curve
 from .exposure import window_variance
 from .monitors import MonitorTable
@@ -109,6 +110,8 @@ def montecarlo_cmd(ctx, n_grid, iterations, include_cv):
 def exposure_cmd(ctx, window_cells):
     """Population exposure statistics from a finished prediction."""
     cfg = _load_config(ctx)
+    if window_cells and cfg.prediction is None:  # an earlier run's grid would be read
+        raise InvalidArgumentError("--window-cells needs a config with a prediction lattice")
     out = Path(cfg.out_dir)
     with locked_dir(out):  # no other run rewrites the prediction before it is read
         report = run(cfg)

@@ -2,19 +2,7 @@
 
 
 class LurkError(Exception):
-    """Base class for all toolkit errors. Each one survives a pickle round
-    trip (a worker process sends its errors to the parent that way): it is
-    rebuilt with its args and attributes, not through `__init__`, whose
-    parameters vary by subclass."""
-
-    def __reduce__(self):
-        return _rebuilt, (type(self), self.args, self.__dict__)
-
-
-def _rebuilt(cls, args, attributes):
-    exc = cls.__new__(cls, *args)
-    exc.__dict__.update(attributes)
-    return exc
+    """Base class for all toolkit errors."""
 
 
 class InvalidArgumentError(LurkError, ValueError):

@@ -89,12 +89,16 @@ class PipelineConfig:
         check_required(d, ("pollutant", "year", "monitors", "covariates"), "config")
         check_keys(d["monitors"], ("daily", "sites"), "config monitors")
         check_required(d["monitors"], ("daily", "sites"), "config monitors")
-        for name, entry in d.get("categorical_grids", {}).items():
-            check_required(entry, ("path", "categories"), f"config categorical_grids {name!r}")
         cv, lattice, seed = d.get("cv", {}), d.get("prediction"), d.get("seed", 0)
+        check_keys(cv, ("k", "logo_group"), "config cv")
+        maps = {name: d.get(name, {}) for name in ("layers", "grids", "categorical_grids")}
+        for name, paths in maps.items():
+            checked(f"config {name}", paths, isinstance(paths, dict), "an object")
+        for name, entry in maps["categorical_grids"].items():
+            check_keys(entry, ("path", "categories"), f"config categorical_grids {name!r}")
+            check_required(entry, ("path", "categories"), f"config categorical_grids {name!r}")
         k, with_variance = cv.get("k", 10), d.get("with_variance", False)
         logo_group = cv.get("logo_group", "province")
-        check_keys(cv, ("k", "logo_group"), "config cv")
         checked("config prediction", lattice, lattice is None or (
             isinstance(lattice, dict) and sorted(lattice) == sorted(LATTICE_KEYS)
             and all(map(is_finite_number, lattice.values()))
@@ -108,32 +112,35 @@ class PipelineConfig:
         thresholds = d.get("thresholds", DEFAULT_THRESHOLDS)
         checked("config thresholds", thresholds, isinstance(thresholds, (list, tuple))
                 and all(map(is_finite_number, thresholds)), "a list of finite numbers")
-        base = path.parent
+        base, population = path.parent, d.get("population_grid")
 
-        def resolve(p):  # absolute, with no syscall: symlinks stay as written
-            return Path(os.path.abspath(base / p)) if p is not None else None
+        def resolve(what, p):  # absolute, with no syscall: symlinks stay as written
+            checked(f"config {what}", p, isinstance(p, str), "a path string")
+            return Path(os.path.abspath(base / p))
 
         return cls(
             pollutant=d["pollutant"],
             year=checked("config year", d["year"], is_int(d["year"]), "an integer"),
-            daily_csv=resolve(d["monitors"]["daily"]),
-            sites_csv=resolve(d["monitors"]["sites"]),
-            covariates_json=resolve(d["covariates"]),
-            layers={k: resolve(v) for k, v in d.get("layers", {}).items()},
-            grids={k: resolve(v) for k, v in d.get("grids", {}).items()},
+            daily_csv=resolve("monitors.daily", d["monitors"]["daily"]),
+            sites_csv=resolve("monitors.sites", d["monitors"]["sites"]),
+            covariates_json=resolve("covariates", d["covariates"]),
+            layers={k: resolve(f"layers {k!r}", v) for k, v in maps["layers"].items()},
+            grids={k: resolve(f"grids {k!r}", v) for k, v in maps["grids"].items()},
             categorical={
-                k: {"path": resolve(v["path"]), "categories": v["categories"]}
-                for k, v in d.get("categorical_grids", {}).items()
+                k: {"path": resolve(f"categorical_grids {k!r} path", v["path"]),
+                    "categories": v["categories"]}
+                for k, v in maps["categorical_grids"].items()
             },
             recipe=ModelRecipe.from_dict(d.get("recipe", {})),
             cv_k=checked("config cv.k", k, is_int(k), "an integer"),
             logo_group=checked("config cv.logo_group", logo_group,
                                logo_group in ("province", "city"), '"province" or "city"'),
             prediction=lattice,
-            population_grid=resolve(d.get("population_grid")),
+            population_grid=(None if population is None
+                             else resolve("population_grid", population)),
             thresholds=tuple(thresholds),
             seed=checked("config seed", seed, is_int(seed), "an integer"),
-            out_dir=resolve(d.get("out", "run")),
+            out_dir=resolve("out", d.get("out", "run")),
             with_variance=checked("config with_variance", with_variance,
                                   isinstance(with_variance, bool), "true or false"),
         )
@@ -338,18 +345,17 @@ def _size(path) -> int:
 
 def _read_geo(reader: str, path, *args) -> tuple:
     """The sha256 of a geo input's bytes and what `geodata.<reader>` makes
-    of those bytes. A `FanOut` job: it reads the file once, and looks the
-    reader up where it runs, so a worker calls the module's reader of the
-    moment (a patched one too)."""
+    of those bytes. A `FanOut` job, run only in a worker: it reads the file
+    once, and looks the reader up where it runs, so a worker calls the
+    module's reader of the moment (a patched one too)."""
     data = Path(path).read_bytes()
     return sha256_bytes(data), getattr(geodata, reader)(path, *args, data=data)
 
 
 class _GeoInputs:
-    """The config's feature layers, grids and land-cover grids, parsed at
-    most once per run as the jobs of one `FanOut`: `start` begins them
-    (the first `load` does, if nothing did) and `close` stops and reaps any
-    worker still running."""
+    """The config's feature layers, grids and land-cover grids, each parsed
+    once per run: by the workers of one `FanOut` (`start` begins them, or
+    the first `load`; `close` stops and reaps them), or by `load` itself."""
 
     def __init__(self, cfg: PipelineConfig):
         self.reads = [*(("read_features", path) for path in cfg.layers.values()),
@@ -365,17 +371,22 @@ class _GeoInputs:
 
     def load(self, hash_of) -> tuple[dict, dict, dict]:
         """The layers, grids and land-cover grids by name, taken in config
-        order. A job's value is used only when the bytes it parsed hash to
-        `hash_of(path)`, the hash in the calling stage's key; a stale or
-        failed job's file is parsed again here, after the key was taken, so
-        the stage caches nothing made from bytes its key does not name, and
-        the first failure in config order raises its reader's error."""
+        order. A worker's value is used only when the bytes it parsed hash
+        to `hash_of(path)`, the hash in the calling stage's key; any other
+        file is parsed here, after the key was taken, and nowhere else
+        outside a worker. So the stage caches nothing made from bytes its
+        key does not name, and the first failure in config order raises its
+        reader's error. A warning counts the values workers did not deliver."""
         if self.loaded is None:
             self.start()
-            values = []
-            for (reader, path, *args), got in zip(self.reads, self.fan_out.results()):
-                keyed = not isinstance(got, Exception) and got[0] == hash_of(path)
+            forked, values = bool(self.fan_out.workers), []
+            delivered = self.fan_out.results()
+            for (reader, path, *args), got in zip(self.reads, delivered):
+                keyed = got is not None and got[0] == hash_of(path)
                 values.append(got[1] if keyed else getattr(geodata, reader)(path, *args))
+            if forked and None in delivered:
+                log.warning("%d of %d geo inputs came from no worker; parsed in the parent",
+                            delivered.count(None), len(delivered))
             values = iter(values)
             self.loaded = tuple({name: next(values) for name in names} for names in self.names)
         return self.loaded

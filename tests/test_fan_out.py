@@ -1,16 +1,15 @@
 """The fan-out of the geo-input parse to forked workers (`_util.FanOut`,
-`pipeline._GeoInputs`): the same artifacts with workers as inline, errors
-named as an inline parse names them, no worker that outlives a run, none
-started by a cached rerun, no prefetched value used for bytes the stage key
-does not name; and every `LurkError` surviving the pickle that carries a
-worker's error to the parent."""
+`pipeline._GeoInputs`): workers deliver values or nothing, and the parent's
+`_GeoInputs.load` parses every file they did not deliver. The same
+artifacts with workers as without, errors named as a parse in the parent
+names them, one warning for a dead worker's files, no worker that outlives
+a run, none started by a cached rerun, no prefetched value used for bytes
+the stage key does not name."""
 
 import fcntl
-import inspect
 import logging
 import multiprocessing
 import os
-import pickle
 import shutil
 import signal
 import subprocess
@@ -22,8 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lurk import _util, errors, geodata, pipeline
-from lurk.errors import GridFormatError, InvalidArgumentError, LurkError, StageError
+from lurk import _util, geodata, pipeline
+from lurk.errors import GridFormatError, InvalidArgumentError, StageError
 from lurk.pipeline import PipelineConfig, run
 from test_pipeline import new_log_lines, scenario, write
 
@@ -64,11 +63,11 @@ def artifacts(out: Path) -> dict:
 
 
 @linux_only
-def test_artifacts_are_byte_identical_with_workers_and_inline(tmp_path, monkeypatch):
-    """The same scenario run with two workers, inline because one core is
-    usable, and inline because it runs outside the main thread, writes the
-    same bytes; only the first run parses a geo input outside this
-    process."""
+def test_artifacts_are_byte_identical_with_and_without_workers(tmp_path, monkeypatch):
+    """The same scenario run with two workers, with none because one core
+    is usable, and with none because it runs outside the main thread,
+    writes the same bytes; only the first run parses a geo input outside
+    this process."""
     log = tmp_path / "calls.log"
     record_reader_calls(monkeypatch, log)
     sc = scenario(seed=4)
@@ -239,6 +238,53 @@ def test_workers_call_the_readers_by_module_attribute(tmp_path, monkeypatch):
     assert any(pid != os.getpid() and name == "satellite.asc" for pid, name in reader_calls(log))
 
 
+@linux_only
+def test_a_worker_killed_in_a_grid_parse_costs_one_warning(tmp_path, monkeypatch, caplog):
+    """A worker killed while it parses a grid delivers none of its files;
+    the parent parses them, the run completes with the artifacts of a
+    one-core run, and one warning is the only sign."""
+    parent = os.getpid()
+    original = geodata.read_raster
+
+    def killing(path, *args, **kwargs):
+        if os.getpid() != parent and Path(path).name == "satellite.asc":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(path, *args, **kwargs)
+
+    got = {}
+    for n_cpus in (2, 1):
+        cpus(monkeypatch, n_cpus)
+        config_path, _ = write(tmp_path, scenario(seed=4), name=f"cpus{n_cpus}")
+        caplog.clear()
+        with monkeypatch.context() as patched, caplog.at_level(logging.WARNING):
+            patched.setattr(geodata, "read_raster", killing)
+            assert run(PipelineConfig.from_json(config_path)).status == "ok"
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        if n_cpus == 2:
+            assert len(warnings) == 1 and "parsed in the parent" in warnings[0], warnings
+        else:
+            assert warnings == []
+        assert multiprocessing.active_children() == []
+        got[n_cpus] = artifacts(config_path.parent / "run")
+    assert "matrix.csv" in got[2] and got[2] == got[1]
+
+
+def test_on_one_core_no_geo_input_goes_through_a_job(tmp_path, monkeypatch):
+    """With one usable core no worker starts, so a cold run parses each
+    geo input once, in `_GeoInputs.load`, and never calls the job
+    function `_read_geo` in this process."""
+    cpus(monkeypatch, 1)
+    jobs, log = [], tmp_path / "calls.log"
+    record_reader_calls(monkeypatch, log)
+    original = pipeline._read_geo
+    monkeypatch.setattr(pipeline, "_read_geo", lambda *read: jobs.append(read) or original(*read))
+    config_path, _ = write(tmp_path, scenario(seed=4))
+    assert run(PipelineConfig.from_json(config_path)).status == "ok"
+    assert jobs == []
+    calls = [(pid, name) for pid, name in reader_calls(log) if name in GEO_INPUTS]
+    assert sorted(calls) == sorted((os.getpid(), name) for name in GEO_INPUTS)
+
+
 # -- the helper itself -------------------------------------------------------------------
 
 def square_or_fail(x):
@@ -248,20 +294,20 @@ def square_or_fail(x):
 
 
 @linux_only
-def test_fan_out_gives_results_and_errors_in_job_order(monkeypatch):
-    """Results come back in job order, a job's error in its place, whatever
-    worker ran it."""
+def test_fan_out_gives_values_in_job_order_and_none_for_errors(monkeypatch):
+    """Values come back in job order, None in the place of a job that
+    raised, whatever worker ran it."""
     cpus(monkeypatch, 2)
     values = [3, -1, 5, 2, -7, 4]
     fan = _util.FanOut([(abs(x), square_or_fail, (x,)) for x in values])
     assert len(fan.workers) == 2
-    got = list(fan.results())
+    got = fan.results()
     assert multiprocessing.active_children() == []
-    for x, outcome in zip(values, got):
+    for x, value in zip(values, got):
         if x < 0:
-            assert type(outcome) is InvalidArgumentError and str(outcome) == f"negative: {x}"
+            assert value is None
         else:
-            assert outcome[0] == x * x and outcome[1] != os.getpid()
+            assert value[0] == x * x and value[1] != os.getpid()
 
 
 def pid_after(seconds: float) -> int:
@@ -294,7 +340,7 @@ def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch, caplog
     fan = _util.FanOut([(i % 7, log_and_square, (log, i)) for i in range(300)])
     assert len(fan.workers) == 6
     with caplog.at_level(logging.WARNING, logger="lurk._util"):
-        assert list(fan.results()) == [i * i for i in range(300)]
+        assert fan.results() == [i * i for i in range(300)]
     assert sorted(map(int, log.read_text().split())) == list(range(300))
     assert caplog.text == "" and multiprocessing.active_children() == []
 
@@ -302,26 +348,27 @@ def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch, caplog
 def die_in_a_worker(parent: int):
     if os.getpid() != parent:
         os._exit(3)
-    return "inline"
+    return "in the parent"
 
 
 @linux_only
-def test_a_dead_worker_has_its_jobs_run_inline(monkeypatch, caplog):
+def test_a_dead_worker_s_jobs_come_back_as_none(monkeypatch, caplog):
+    """A worker that dies delivers nothing; the parent runs none of its
+    jobs, and the other worker's value comes back."""
     cpus(monkeypatch, 2)
     fan = _util.FanOut([(1, die_in_a_worker, (os.getpid(),)), (1, square_or_fail, (2,))])
     with caplog.at_level(logging.WARNING, logger="lurk._util"):
-        got = list(fan.results())
-    assert got[0] == "inline" and got[1][0] == 4
-    assert "got no result from their workers; they run inline" in caplog.text
+        got = fan.results()
+    assert got[0] is None and got[1][0] == 4
+    assert caplog.text == "" and multiprocessing.active_children() == []
 
 
 @linux_only
-def test_a_result_that_does_not_pickle_comes_back_as_an_error(monkeypatch):
+def test_a_value_that_does_not_pickle_comes_back_as_none(monkeypatch):
     cpus(monkeypatch, 2)
     fan = _util.FanOut([(1, lambda: (lambda: None), ()), (1, square_or_fail, (3,))])
-    got = list(fan.results())
-    assert type(got[0]) is RuntimeError and "did not pickle" in str(got[0])
-    assert got[1][0] == 9
+    got = fan.results()
+    assert got[0] is None and got[1][0] == 9
 
 
 # Locks a file as a pipeline run locks its output directory, starts two
@@ -353,45 +400,11 @@ def test_workers_of_a_killed_parent_exit_and_free_its_lock(tmp_path):
         time.sleep(0.05)
 
 
-def test_inline_jobs_run_when_their_results_are_taken(monkeypatch):
+def test_on_one_core_no_job_runs(monkeypatch):
+    """No worker starts, and `results` runs no job in the parent: every
+    place is None."""
     cpus(monkeypatch, 1)
     calls = []
     fan = _util.FanOut([(1, calls.append, (i,)) for i in range(3)])
-    assert fan.workers == [] and calls == []
-    results = fan.results()
-    next(results)
-    assert calls == [0]
-    fan.close()
-
-
-# -- errors survive a pickle ---------------------------------------------------------------
-
-# Constructor arguments of the errors whose __init__ takes more than a message.
-ERROR_ARGS = {
-    "SingularDesignError": ("rank deficient", ["a", "b"]),
-    "CovariateExtractionError": ("cells failed", [("s1", "elevation")]),
-    "StageError": ("fit", InvalidArgumentError("bad recipe")),
-    "OutputLockedError": ("/tmp/out",),
-}
-
-
-@pytest.mark.parametrize("cls", [c for _, c in inspect.getmembers(errors, inspect.isclass)
-                                 if issubclass(c, LurkError)], ids=lambda c: c.__name__)
-def test_every_error_survives_a_pickle_round_trip(cls):
-    exc = cls(*ERROR_ARGS.get(cls.__name__, ("a message",)))
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is cls
-    assert str(back) == str(exc) and back.args == exc.args
-    assert sorted(vars(back)) == sorted(vars(exc))
-    for name, value in vars(exc).items():
-        if isinstance(value, Exception):
-            assert type(getattr(back, name)) is type(value)
-            assert str(getattr(back, name)) == str(value)
-        else:
-            assert getattr(back, name) == value
-
-
-def test_every_error_with_its_own_arguments_is_listed():
-    custom = {name for name, c in inspect.getmembers(errors, inspect.isclass)
-              if issubclass(c, LurkError) and "__init__" in vars(c)}
-    assert custom == set(ERROR_ARGS)
+    assert fan.workers == []
+    assert fan.results() == [None] * 3 and calls == []

@@ -465,6 +465,34 @@ def test_config_values_checked(tmp_path, key, value, named):
         PipelineConfig.from_json(path)
 
 
+@pytest.mark.parametrize("key,value,named", [
+    # Each of these once failed with a bare TypeError or AttributeError.
+    ("monitors", 5, "config monitors must be an object"),
+    ("monitors", {"daily": 5, "sites": "sites.csv"}, "config monitors.daily must be a path"),
+    ("recipe", 5, "recipe must be an object"),
+    ("recipe", {"stepwise": 1}, "recipe stepwise must be an object"),
+    ("cv", 3, "config cv must be an object"),
+    ("layers", [], "config layers must be an object"),
+    ("layers", {"roads": 5}, "config layers 'roads' must be a path"),
+    ("grids", {"elevation": ["a.asc"]}, "config grids 'elevation' must be a path"),
+    ("categorical_grids", {"landcover": 5}, "config categorical_grids 'landcover' must be"),
+    ("categorical_grids", {"landcover": {"path": 5, "categories": [1]}},
+     "config categorical_grids 'landcover' path must be a path"),
+    ("covariates", 5, "config covariates must be a path"),
+    ("population_grid", 5, "config population_grid must be a path"),
+    ("out", None, "config out must be a path"),
+    (None, None, "config must be an object"),  # the config itself, as a list
+])
+def test_config_sections_of_the_wrong_type_named(tmp_path, key, value, named):
+    config = {"pollutant": "no2", "year": 2015,
+              "monitors": {"daily": "daily.csv", "sites": "sites.csv"},
+              "covariates": "covariates.json"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([config] if key is None else {**config, key: value}))
+    with pytest.raises(InvalidArgumentError, match=re.escape(named)):
+        PipelineConfig.from_json(path)
+
+
 @pytest.mark.parametrize("change", ["sources", "numpy version"])
 def test_code_change_recomputes_every_stage(tmp_path, monkeypatch, change):
     config_path, _ = write(tmp_path, scenario(seed=14))
@@ -988,6 +1016,25 @@ def test_cli_stage_commands_share_the_pipeline_cache(tmp_path):
 
     with pytest.raises(InvalidArgumentError, match="bogus"):
         run(PipelineConfig.from_json(config_path), until="bogus")
+
+
+def test_cli_window_variance_needs_a_prediction_lattice(tmp_path):
+    """`exposure --window-cells` on a config without `prediction` once read
+    an earlier run's prediction.asc; it fails by name and writes nothing."""
+    config_path, _ = write(tmp_path, scenario(seed=15))
+    out = config_path.parent / "run"
+    runner, args = CliRunner(), ["--config", str(config_path), "exposure", "--window-cells", "3"]
+    res = runner.invoke(cli_main, args)
+    assert res.exit_code == 0, res.output
+    (out / "window_variance_3.asc").unlink()
+    config = json.loads(config_path.read_text())
+    del config["prediction"]
+    config_path.write_text(json.dumps(config))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    res = runner.invoke(cli_main, args)
+    assert isinstance(res.exception, InvalidArgumentError)
+    assert "--window-cells needs a config with a prediction lattice" in str(res.exception)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_interrupted_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
