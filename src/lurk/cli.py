@@ -12,7 +12,7 @@ import click
 
 from . import geodata
 from .covariates import CovariateMatrix
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, LurkError
 from .evaluation import monte_carlo_curve
 from .exposure import window_variance
 from .monitors import MonitorTable
@@ -25,14 +25,7 @@ from .pipeline import (
     run,
 )
 from .synth import SyntheticScenario, generate_synthetic, write_scenario
-from ._util import dump_json, locked_dir, stage_seed
-
-
-def _setup_logging(verbose: bool) -> None:
-    logging.basicConfig(
-        level=logging.INFO if verbose else logging.WARNING,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+from ._util import check_keys, dump_json, locked_dir, stage_seed
 
 
 def _load_config(ctx) -> PipelineConfig:
@@ -47,7 +40,30 @@ def _load_config(ctx) -> PipelineConfig:
     return cfg
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a LurkError in one line, `Error: <message>`, exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except LurkError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+def _odd_cells(ctx, param, value):
+    if value is None or (value > 0 and value % 2):
+        return value
+    raise click.BadParameter(f"{value} is not a positive odd integer")
+
+
+def _training_sizes(ctx, param, value):
+    sizes = value.split(",")
+    if all(n.strip().isdecimal() and int(n) > 0 for n in sizes):
+        return [int(n) for n in sizes]
+    raise click.BadParameter(f"{value!r} is not a comma-separated list of positive integers")
+
+
+@click.group(cls=_Group)
 @click.option("--config", type=click.Path(exists=True), help="Pipeline config JSON.")
 @click.option("--seed", type=int, default=None, help="Master seed override.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory override.")
@@ -55,7 +71,8 @@ def _load_config(ctx) -> PipelineConfig:
 @click.pass_context
 def main(ctx, config, seed, out, verbose):
     """National land-use-regression + universal-kriging exposure modeling."""
-    _setup_logging(verbose)
+    logging.basicConfig(level=logging.INFO if verbose else logging.WARNING,
+                        format="%(asctime)s %(name)s %(levelname)s %(message)s")
     ctx.obj = {"config": config, "seed": seed, "out": out}
 
 
@@ -81,8 +98,8 @@ for _stage in STAGES[:-1]:
 
 @main.command("montecarlo")
 @click.option("--n-grid", default="20,40,80,160,320", show_default=True,
-              help="Comma-separated training sizes.")
-@click.option("--iterations", default=100, show_default=True)
+              callback=_training_sizes, help="Comma-separated training sizes.")
+@click.option("--iterations", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--include-cv", is_flag=True,
               help="Also run 10-fold and leave-one-group-out per iteration (slow).")
 @click.pass_context
@@ -90,12 +107,11 @@ def montecarlo_cmd(ctx, n_grid, iterations, include_cv):
     """Monte Carlo training-size experiment on the cached site matrix."""
     cfg = _load_config(ctx)
     out = Path(cfg.out_dir)
-    ns = [int(v) for v in n_grid.split(",")]
     with locked_dir(out):  # no other run rewrites the matrix before it is read
         run(cfg, until="covariates")
         sites = MonitorTable.from_csv(out / "monitors.csv")
         matrix = CovariateMatrix.from_csv(out / "matrix.csv")
-        result = monte_carlo_curve(cfg.recipe, sites, matrix, ns, iterations,
+        result = monte_carlo_curve(cfg.recipe, sites, matrix, n_grid, iterations,
                                    seed=stage_seed(cfg.seed, "montecarlo"),
                                    include_cv=include_cv, logo_group=cfg.logo_group)
         result.to_csv(out / "montecarlo.csv")
@@ -104,7 +120,7 @@ def montecarlo_cmd(ctx, n_grid, iterations, include_cv):
 
 
 @main.command("exposure")
-@click.option("--window-cells", type=int, default=None,
+@click.option("--window-cells", type=int, default=None, callback=_odd_cells,
               help="Also write a moving-window variance grid (odd cell count).")
 @click.pass_context
 def exposure_cmd(ctx, window_cells):
@@ -133,7 +149,9 @@ def exposure_cmd(ctx, window_cells):
 def synth_cmd(ctx, scenario, preset):
     """Generate a synthetic scenario directory ready for `run`."""
     if scenario:
-        sc = SyntheticScenario(**json.loads(Path(scenario).read_text()))
+        d = json.loads(Path(scenario).read_text())
+        check_keys(d, [f.name for f in dataclasses.fields(SyntheticScenario)], "scenario")
+        sc = SyntheticScenario(**d)
     else:
         sc = SyntheticScenario(covariate_set=preset)
     if ctx.obj.get("seed") is not None:

@@ -21,7 +21,6 @@ DEFAULT_THRESHOLDS = (10.0, 15.0, 25.0, 35.0, 40.0)
 class PredictionSurface:
     concentration: RasterGrid
     variance: RasterGrid | None
-    model_id: str
     n_floored: int  # negative predictions floored at zero
 
 
@@ -44,7 +43,7 @@ class ExposureCurve:
 
 def predict_grid(fitted: FittedModel, specs, lattice: Lattice, layers: dict | None = None,
                  grids: dict | None = None, categorical: dict | None = None,
-                 with_variance: bool = False, model_id: str = "") -> PredictionSurface:
+                 with_variance: bool = False) -> PredictionSurface:
     """Evaluate a fitted model at every cell center of a lattice.
 
     The model's columns are looked up by name in `specs` and evaluated at
@@ -78,7 +77,7 @@ def predict_grid(fitted: FittedModel, specs, lattice: Lattice, layers: dict | No
     return PredictionSurface(
         concentration=on_lattice(mean),
         variance=on_lattice(var) if var is not None else None,
-        model_id=model_id, n_floored=int(neg.sum()),
+        n_floored=int(neg.sum()),
     )
 
 

@@ -292,7 +292,7 @@ def write_raster(grid: RasterGrid, path) -> None:
 def read_categorical(path, categories, data: bytes | None = None) -> CategoricalGrid:
     """Read an ESRI ASCII grid of integer category codes; `data` as for
     `read_raster`."""
-    lattice, nodata, vals = _read_ascii_grid(path, -9999, np.int32, data)
+    lattice, nodata, vals = _read_ascii_grid(path, CategoricalGrid.nodata, np.int32, data)
     if vals.dtype != np.int32:  # the float fallback: some code is not an int32
         with np.errstate(invalid="ignore"):  # NaN or out of range: named below
             ivals = vals.astype(np.int32)
@@ -354,25 +354,22 @@ _WKT_KINDS = {"POINT": POINTS, "LINESTRING": POLYLINES}
 
 class FeatureLayer:
     """Point or polyline features held as columns: feature i has vertices
-    ``xy[offsets[i]:offsets[i + 1]]``, id ``ids[i]`` and category
-    ``categories[i]`` ("" for none). One kd-tree, ``tree``, indexes the
-    points of a point layer or the midpoints of the segments
-    ``seg_a``->``seg_b`` of a polyline layer; every point of a segment lies
-    within ``max_half`` of its midpoint. Layers are immutable after
-    construction and safe to share across threads."""
+    ``xy[offsets[i]:offsets[i + 1]]`` and id ``ids[i]``. One kd-tree,
+    ``tree``, indexes the points of a point layer or the midpoints of the
+    segments ``seg_a``->``seg_b`` of a polyline layer; every point of a
+    segment lies within ``max_half`` of its midpoint. Layers are immutable
+    after construction and safe to share across threads."""
 
-    def __init__(self, kind: str, xy, offsets, ids, categories=None):
+    def __init__(self, kind: str, xy, offsets, ids):
         if kind not in (POINTS, POLYLINES):
             raise InvalidArgumentError(f"unknown layer kind {kind!r}")
         self.kind = kind
         self.xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.ids = np.asarray(ids, dtype=str)
-        n = self.ids.size
-        self.categories = np.asarray([""] * n if categories is None else categories, dtype=str)
-        if (self.offsets.shape != (n + 1,) or self.categories.shape != (n,)
+        if (self.offsets.shape != (self.ids.size + 1,)
                 or self.offsets[0] != 0 or self.offsets[-1] != len(self.xy)):
-            raise InvalidArgumentError("offsets, ids and categories do not match the vertices")
+            raise InvalidArgumentError("offsets and ids do not match the vertices")
         counts = np.diff(self.offsets)
         if kind == POINTS:
             self._reject(np.flatnonzero(counts != 1), "point must have one vertex")
@@ -440,9 +437,9 @@ def segment_disk_length(a: np.ndarray, b: np.ndarray, x, y, r: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def read_features(path, data: bytes | None = None) -> FeatureLayer:
-    """Read a feature layer CSV (id,kind,category,wkt) of POINT or
-    LINESTRING geometries, one kind per file; errors name the feature.
-    `data` as for `read_raster`."""
+    """Read a feature layer CSV (id,kind,category,wkt; kind and category
+    ignored) of POINT or LINESTRING geometries, one kind per file; errors
+    name the feature. `data` as for `read_raster`."""
     with _open_text(path, data, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -450,10 +447,8 @@ def read_features(path, data: bytes | None = None) -> FeatureLayer:
     if not rows:
         raise InvalidArgumentError(f"{path}: no features")
     try:
-        i_id, i_wkt, i_cat = (header.index(c) if c in header else None
-                              for c in ("id", "wkt", "category"))
+        i_id, i_wkt = (header.index(c) if c in header else None for c in ("id", "wkt"))
         ids, wkts = [row[i_id] for row in rows], [row[i_wkt] for row in rows]
-        categories = None if i_cat is None else [row[i_cat] for row in rows]
     except (IndexError, TypeError):  # a short row, or no id or wkt column
         raise InvalidArgumentError(f"{path}: every row needs an id and a wkt field") from None
     parts = [wkt.partition("(") for wkt in wkts]
@@ -474,7 +469,7 @@ def read_features(path, data: bytes | None = None) -> FeatureLayer:
             except ValueError:
                 raise InvalidArgumentError(
                     f"{path}: feature {fid}: coordinates are not 'x y' number pairs") from None
-    return FeatureLayer(kinds[0], xy, np.concatenate([[0], ends]), ids, categories)
+    return FeatureLayer(kinds[0], xy, np.concatenate([[0], ends]), ids)
 
 
 def _coordinates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -492,12 +487,12 @@ def _coordinates(bodies: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_features(layer: FeatureLayer, path) -> None:
-    """Write a feature layer CSV (id,kind,category,wkt); every coordinate is
-    the `repr` of its float, as `fmt_float` writes it."""
+    """Write a feature layer CSV (id,kind,category,wkt), category empty;
+    each coordinate is the `repr` of its float, as `fmt_float` writes it."""
     v = list(map(repr, layer.xy.ravel().tolist()))
     pairs = list(map(" ".join, zip(v[::2], v[1::2])))
     tag, kind_name = ("POINT", "point") if layer.kind == POINTS else ("LINESTRING", "polyline")
     ends = layer.offsets.tolist()
     wkts = (f"{tag}({', '.join(pairs[i:j])})" for i, j in zip(ends, ends[1:]))
     write_table(path, ["id", "kind", "category", "wkt"],
-                [layer.ids, repeat(kind_name), layer.categories, wkts])
+                [layer.ids, repeat(kind_name), repeat(""), wkts])

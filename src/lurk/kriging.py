@@ -63,11 +63,6 @@ class VariogramModel:
     def sill(self) -> float:
         return self.nugget + self.partial_sill
 
-    def gamma(self, h) -> np.ndarray:
-        h = np.asarray(h, dtype=np.float64)
-        g = self.nugget + self.partial_sill * (1.0 - np.exp(-h / self.range_m))
-        return np.where(h > 0, g, 0.0)
-
     def covariance(self, h, out: np.ndarray | None = None) -> np.ndarray:
         """Residual covariance between distinct locations, written into
         `out` when given (which may be `h` itself); the nugget is applied

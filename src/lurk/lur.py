@@ -147,8 +147,6 @@ class LinearModel:
         if hasattr(source, "select"):
             return source.select(self.selected)
         arr = np.asarray(source, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
         if arr.shape[1] != len(self.selected):
             raise InvalidArgumentError(
                 f"expected {len(self.selected)} columns, got {arr.shape[1]}"

@@ -89,7 +89,7 @@ class PipelineConfig:
         check_required(d, ("pollutant", "year", "monitors", "covariates"), "config")
         check_keys(d["monitors"], ("daily", "sites"), "config monitors")
         check_required(d["monitors"], ("daily", "sites"), "config monitors")
-        cv, lattice, seed = d.get("cv", {}), d.get("prediction"), d.get("seed", 0)
+        cv, lattice, seed = d.get("cv", {}), d.get("prediction"), d.get("seed", cls.seed)
         check_keys(cv, ("k", "logo_group"), "config cv")
         maps = {name: d.get(name, {}) for name in ("layers", "grids", "categorical_grids")}
         for name, paths in maps.items():
@@ -97,8 +97,8 @@ class PipelineConfig:
         for name, entry in maps["categorical_grids"].items():
             check_keys(entry, ("path", "categories"), f"config categorical_grids {name!r}")
             check_required(entry, ("path", "categories"), f"config categorical_grids {name!r}")
-        k, with_variance = cv.get("k", 10), d.get("with_variance", False)
-        logo_group = cv.get("logo_group", "province")
+        k, logo_group = cv.get("k", cls.cv_k), cv.get("logo_group", cls.logo_group)
+        with_variance = d.get("with_variance", cls.with_variance)
         checked("config prediction", lattice, lattice is None or (
             isinstance(lattice, dict) and sorted(lattice) == sorted(LATTICE_KEYS)
             and all(map(is_finite_number, lattice.values()))
@@ -109,7 +109,7 @@ class PipelineConfig:
                 geodata.Lattice(**lattice)  # the geometry checks
         except InvalidArgumentError as e:
             raise InvalidArgumentError(f"config prediction: {e}") from None
-        thresholds = d.get("thresholds", DEFAULT_THRESHOLDS)
+        thresholds = d.get("thresholds", cls.thresholds)
         checked("config thresholds", thresholds, isinstance(thresholds, (list, tuple))
                 and all(map(is_finite_number, thresholds)), "a list of finite numbers")
         base, population = path.parent, d.get("population_grid")
@@ -401,10 +401,9 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     """Execute the pipeline through stage `until` (every stage by default);
     returns (and writes) the run report. The run holds the output
     directory's lock throughout (`_util.locked_dir`): OutputLockedError,
-    before anything is read or written, while another run holds it. When
-    the manifest has no covariates entry and `until` reaches that stage,
-    the geo inputs start parsing before annualize (`_GeoInputs`), in
-    workers where `FanOut` forks; no worker outlives the run."""
+    before anything is read or written, while another run holds it. A run
+    that goes past annualize lets the geo inputs parse ahead (see
+    `_stages`); no worker outlives the run."""
     if until not in STAGES:
         raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
     input_stats = config.validate()
@@ -413,10 +412,7 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
         report = runner.report
         geo = _GeoInputs(config)
         try:
-            if ("covariates" not in runner.manifest
-                    and STAGES.index(until) >= STAGES.index("covariates")):
-                geo.start()
-            for name in _stages(config, runner, geo):
+            for name in _stages(config, runner, geo, parse_ahead=until != "annualize"):
                 if name == until:
                     break
         except StageError as exc:
@@ -431,16 +427,16 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     return report
 
 
-def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs):
+def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, parse_ahead: bool):
     """Run the stages in order, filling the runner's report; yields each
     stage's name once it is done. The predict and exposure stages run only
     when the config has a lattice (and, for exposure, a population grid).
 
     Inputs and artifacts are read on first use and kept, and only by a
-    stage that computes (the geo inputs may be read ahead, see `run`): a
+    stage that computes (with `parse_ahead`, annualize's compute first
+    starts the geo-input parse, `_GeoInputs.start`, to overlap it): a
     cached stage costs the hashes of its reads and outputs (memo hits for
-    unchanged files), and its report metrics come from its manifest
-    entry."""
+    unchanged files), and its report metrics come from its manifest entry."""
     out, report = runner.out, runner.report
     geo_reads = {
         **{f"layer {name}": path for name, path in cfg.layers.items()},
@@ -451,6 +447,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs):
 
     # -- annualize ----------------------------------------------------
     def do_annualize():
+        if parse_ahead:
+            geo.start()
         result = annualize(read_daily_csv(cfg.daily_csv),
                            read_sites_csv(cfg.sites_csv), cfg.year)
         if not len(result.table):
@@ -539,13 +537,12 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs):
             model = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
             surface = predict_grid(model, specs(),
                                    geodata.Lattice(**cfg.prediction), *geo.load(runner.hash),
-                                   with_variance=cfg.with_variance,
-                                   model_id=cfg.recipe.label())
+                                   with_variance=cfg.with_variance)
             geodata.write_raster(surface.concentration, out / "prediction.asc")
             if surface.variance is not None:
                 geodata.write_raster(surface.variance,
                                      out / "prediction_variance.asc")
-            meta = {"n_floored": surface.n_floored, "model_id": surface.model_id}
+            meta = {"n_floored": surface.n_floored, "model_id": cfg.recipe.label()}
             dump_json(meta, out / "prediction_meta.json")
             return {"n_floored": meta["n_floored"]}
 
@@ -584,8 +581,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs):
 # Model comparison
 # ---------------------------------------------------------------------------
 
-COMPARE_COLUMNS = ("model", "selection", "kriging", "excluded",
-                   "kfold_r2", "logo_r2", "kfold_rmse", "logo_rmse")
+COMPARE_METRICS = ("kfold_r2", "logo_r2", "kfold_rmse", "logo_rmse")
+COMPARE_COLUMNS = ("model", "selection", "kriging", "excluded", *COMPARE_METRICS)
 
 
 def compare_models(reports: list[dict]) -> list[dict]:
@@ -599,17 +596,13 @@ def compare_models(reports: list[dict]) -> list[dict]:
         )
     rows = []
     for r in reports:
-        recipe = r.get("recipe", {})
-        met = r.get("metrics", {})
+        recipe, metrics = r.get("recipe", {}), r.get("metrics", {})
         rows.append({
             "model": f"{r.get('pollutant', '?')}-{len(rows) + 1}",
             "selection": recipe.get("selection", "?"),
             "kriging": bool(recipe.get("kriging", False)),
             "excluded": "+".join(recipe.get("exclude", [])) or "-",
-            "kfold_r2": met.get("kfold_r2"),
-            "logo_r2": met.get("logo_r2"),
-            "kfold_rmse": met.get("kfold_rmse"),
-            "logo_rmse": met.get("logo_rmse"),
+            **{c: metrics.get(c) for c in COMPARE_METRICS},
         })
     return rows
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .covariates import CovariateMatrix
 from .errors import InvalidArgumentError
-from .kriging import KrigingModel, VariogramModel, uk_fit
+from .kriging import DEFAULT_N_BINS, KrigingModel, VariogramModel, uk_fit
 from .lur import (
     LinearModel,
     PlsModel,
@@ -37,7 +37,7 @@ class ModelRecipe:
     exclude: tuple[str, ...] = ()
     stepwise: StepwiseConfig = field(default_factory=StepwiseConfig)
     max_components: int = 10
-    variogram_bins: int = 15
+    variogram_bins: int = DEFAULT_N_BINS
     variogram_max_lag: float | None = None
 
     def __post_init__(self):

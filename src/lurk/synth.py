@@ -417,7 +417,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     )
 
 
-def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> Path:
+def write_scenario(data: SyntheticData, outdir) -> Path:
     """Write a scenario to disk as pipeline-ready inputs plus config.json.
 
     Returns the config path. Daily files carry one record per calendar
@@ -482,7 +482,7 @@ def write_scenario(data: SyntheticData, outdir, recipe: dict | None = None) -> P
             for name, grid in data.categorical.items()
         },
         "covariates": "covariates.json",
-        "recipe": recipe or {"selection": "stepwise", "kriging": True},
+        "recipe": {"selection": "stepwise", "kriging": True},
         "cv": {"k": 10, "logo_group": "province"},
         "prediction": data.prediction_lattice.geometry(),
         "population_grid": "inputs/population.asc",

@@ -233,8 +233,8 @@ def _fmt(x):
 
 
 def per_feature_write_features(layer, path):
-    """Feature CSV (id,kind,category,wkt), one csv row and one coordinate
-    formatted at a time."""
+    """Feature CSV (id,kind,category,wkt) with empty categories, one csv
+    row and one coordinate formatted at a time."""
     kind_name = "point" if layer.kind == "points" else "polyline"
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -245,7 +245,7 @@ def per_feature_write_features(layer, path):
                 wkt = f"POINT({_fmt(xy[0, 0])} {_fmt(xy[0, 1])})"
             else:
                 wkt = "LINESTRING(" + ", ".join(f"{_fmt(px)} {_fmt(py)}" for px, py in xy) + ")"
-            writer.writerow([str(layer.ids[i]), kind_name, str(layer.categories[i]), wkt])
+            writer.writerow([str(layer.ids[i]), kind_name, "", wkt])
 
 
 def per_cell_write_categorical(grid, path):
@@ -680,6 +680,15 @@ def moran_double_sum(residuals, coords, min_distance=1000.0):
 
 
 # -- geostatistics -----------------------------------------------------------
+
+def exponential_gamma(model, h):
+    """Semivariance of an exponential variogram (`kriging.VariogramModel`'s
+    fields) at lags `h`: nugget + psill * (1 - exp(-h / range)) for h > 0,
+    and 0 at h = 0."""
+    h = np.asarray(h, dtype=np.float64)
+    g = model.nugget + model.partial_sill * (1.0 - np.exp(-h / model.range_m))
+    return np.where(h > 0, g, 0.0)
+
 
 def allpairs_variogram(residuals, coords, n_bins, max_lag):
     """Empirical variogram via an explicit all-pairs double loop."""

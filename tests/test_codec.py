@@ -202,8 +202,12 @@ def test_only_util_starts_processes():
 
 # Public names that nothing outside tests/ reads yet, each with its reason.
 UNREFERENCED_ALLOWED = {
-    "morans_i": "ROADMAP item 3 reports Moran's I of the model residuals",
-    "gamma": "the variogram-fit tests draw their true semivariances from it",
+    "morans_i": "ROADMAP item 2 reports Moran's I of the trend and CV residuals",
+}
+# Public names that only the benchmark (perfbench/) reads, each with its reason.
+BENCHMARK_ONLY = {
+    "rasterize_covariates": "perfbench times it; ROADMAP item 1 step B deletes it",
+    "filled": "perfbench builds its lattice with it; ROADMAP item 1 step B deletes it",
 }
 
 
@@ -223,8 +227,9 @@ def _public_definitions(tree):
 
 
 def _references(node, enclosing=()):
-    """(name, ids of the enclosing definitions) for every name, attribute and
-    import alias under `node`."""
+    """(name, ids of the enclosing definitions) for every name, attribute,
+    import alias and string constant under `node`: a string can name a
+    function, as `_GeoInputs` names the readers it calls."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         enclosing = (*enclosing, id(node))
     if isinstance(node, ast.Name):
@@ -233,31 +238,39 @@ def _references(node, enclosing=()):
         yield node.attr, enclosing
     elif isinstance(node, ast.alias):
         yield from ((part, enclosing) for part in node.name.split("."))
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value, enclosing
     for child in ast.iter_child_nodes(node):
         yield from _references(child, enclosing)
 
 
 def test_every_public_name_is_used_outside_tests():
     """Each public function, class, method and property in the package is
-    referenced by a name, attribute or import somewhere in the package,
-    `scripts/` or `perfbench/`, outside its own definition; tests do not
-    count. The scan matches names only, so it cannot see a member whose name
-    another attribute or variable shares: `CvPlan.labels` once went unseen
-    because `labels` is also a local variable in `evaluation`."""
+    referenced somewhere in the package or `scripts/`, outside its own
+    definition; tests do not count, and a name that only `perfbench/`
+    references must be on BENCHMARK_ONLY. The scan matches names only, so
+    it cannot see a member whose name another attribute or variable
+    shares: `CvPlan.labels` once went unseen because `labels` is also a
+    local variable in `evaluation`."""
     root = TESTS.parent
     package = sorted(Path(lurk.__file__).parent.glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in [
-        *package, *sorted((root / "scripts").glob("*.py")),
-        *sorted((root / "perfbench").glob("*.py"))]}
+    program = [*package, *sorted((root / "scripts").glob("*.py"))]
+    benchmark = sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in [*program, *benchmark]}
     used_from: dict[str, list[tuple]] = {}
-    for tree in trees.values():
-        for name, enclosing in _references(tree):
+    for path in program:
+        for name, enclosing in _references(trees[path]):
             used_from.setdefault(name, []).append(enclosing)
+    in_benchmark = {name for path in benchmark for name, _ in _references(trees[path])}
     unused = [(path.stem, name) for path in package
               for name, node in _public_definitions(trees[path])
               if all(id(node) in enclosing for enclosing in used_from.get(name, ()))]
     only_tests = sorted(f"{module}.{name}" for module, name in unused
-                        if name not in UNREFERENCED_ALLOWED)
+                        if name not in UNREFERENCED_ALLOWED
+                        and not (name in BENCHMARK_ONLY and name in in_benchmark))
     assert not only_tests, f"public names that only tests use: {only_tests}"
-    assert {name for _, name in unused} >= set(UNREFERENCED_ALLOWED), \
+    names = {name for _, name in unused}
+    assert names >= set(UNREFERENCED_ALLOWED), \
         "an allowed name is used outside tests now; drop it from the allowlist"
+    assert names & in_benchmark >= set(BENCHMARK_ONLY), \
+        "a BENCHMARK_ONLY name is used by the program, or not by perfbench; drop it"

@@ -7,6 +7,7 @@ a run, none started by a cached rerun, no prefetched value used for bytes
 the stage key does not name."""
 
 import fcntl
+import json
 import logging
 import multiprocessing
 import os
@@ -181,6 +182,37 @@ def test_a_cached_rerun_starts_no_process(tmp_path, monkeypatch):
     run(PipelineConfig.from_json(config_path))
     assert new_log_lines(config_path.parent / "run" / "run.log", before) == dict.fromkeys(
         pipeline.STAGES, "status=cached")
+
+
+def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monkeypatch):
+    """A run past annualize builds its `FanOut` in the annualize stage's
+    compute, before it calls `annualize`, even when the manifest holds a
+    covariates entry (stale here: the code fingerprint changed); a fully
+    cached rerun and a run through annualize only build none."""
+    cpus(monkeypatch, 1)
+    config_path, _ = write(tmp_path, scenario(seed=4))
+    run(PipelineConfig.from_json(config_path))
+    events = []
+    stage, fan_out, annualize = pipeline._Runner.stage, pipeline.FanOut, pipeline.annualize
+    monkeypatch.setattr(pipeline._Runner, "stage", lambda self, name, *args: (
+        events.append(f"stage {name}"), stage(self, name, *args))[1])
+    monkeypatch.setattr(pipeline, "FanOut", lambda *args: (
+        events.append("FanOut"), fan_out(*args))[1])
+    monkeypatch.setattr(pipeline, "annualize", lambda *args: (
+        events.append("annualize"), annualize(*args))[1])
+    stages = [f"stage {name}" for name in pipeline.STAGES]
+
+    monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
+    assert "covariates" in json.loads((config_path.parent / "run" / "manifest.json").read_text())
+    run(PipelineConfig.from_json(config_path))
+    assert events == [stages[0], "FanOut", "annualize", *stages[1:]]
+    events.clear()
+    run(PipelineConfig.from_json(config_path))
+    assert events == stages
+    events.clear()
+    monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "third code")
+    run(PipelineConfig.from_json(config_path), until="annualize")
+    assert events == [stages[0], "annualize"]
 
 
 @linux_only

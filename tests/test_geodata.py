@@ -223,20 +223,22 @@ def test_polyline_validation():
 
 def test_features_csv_round_trip(tmp_path):
     xy = np.array([[0.0, 0.5], [100.25, 30.0], [200.0, 31.0], [5.0, 5.0], [6.0, 9.0]])
-    layer = geodata.FeatureLayer(geodata.POLYLINES, xy, [0, 3, 5], ["r1", "r2"], ["major", ""])
+    layer = geodata.FeatureLayer(geodata.POLYLINES, xy, [0, 3, 5], ["r1", "r2"])
     path = tmp_path / "roads.csv"
     geodata.write_features(layer, path)
+    assert path.read_text().splitlines()[:2] == [
+        "id,kind,category,wkt", 'r1,polyline,,"LINESTRING(0.0 0.5, 100.25 30.0, 200.0 31.0)"']
     back = geodata.read_features(path)
     assert back.kind == geodata.POLYLINES
     assert back.ids.tolist() == ["r1", "r2"]
-    assert back.categories.tolist() == ["major", ""]
     assert np.array_equal(back.offsets, [0, 3, 5]) and np.array_equal(back.xy, xy)
 
 
 # -- columnar feature layers --------------------------------------------------------
 
 def _random_wkt_layer(rng, kind):
-    """(wkt strings, categories) of one random layer."""
+    """(wkt strings, categories) of one random layer; the reader ignores
+    the categories."""
     wkts, categories = [], []
     for _ in range(int(rng.integers(1, 40))):
         k = 1 if kind == geodata.POINTS else int(rng.integers(2, 21))
@@ -262,7 +264,6 @@ def test_read_features_matches_per_feature_oracle(tmp_path, seed):
     assert {k for k, _ in parsed} == {layer.kind}
     want = oracles.per_feature_layer(kind, [xy for _, xy in parsed])
     assert layer.ids.tolist() == [f"f{i}" for i in range(len(wkts))]
-    assert layer.categories.tolist() == categories
     for key in ("xy", "seg_a", "seg_b"):
         assert np.array_equal(getattr(layer, key), want[key]), key
     assert np.array_equal(layer.tree.data, want["tree_data"])
@@ -271,7 +272,7 @@ def test_read_features_matches_per_feature_oracle(tmp_path, seed):
     geodata.write_features(layer, back)
     assert np.array_equal(geodata.read_features(back).xy, layer.xy)
     from_bytes = geodata.read_features(path, data=path.read_bytes())
-    for key in ("xy", "offsets", "ids", "categories", "seg_a", "seg_b"):
+    for key in ("xy", "offsets", "ids", "seg_a", "seg_b"):
         assert np.array_equal(getattr(from_bytes, key), getattr(layer, key)), key
 
 

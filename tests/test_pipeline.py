@@ -38,8 +38,13 @@ def scenario(seed=1, **kw):
 
 
 def write(tmp_path, sc, recipe=None, name="scn"):
+    """The scenario's inputs and config.json under tmp_path / name, with
+    `recipe`, when given, in place of the config's; (config path, data)."""
     data = generate_synthetic(sc)
-    return write_scenario(data, tmp_path / name, recipe=recipe), data
+    path = write_scenario(data, tmp_path / name)
+    if recipe is not None:
+        path.write_text(json.dumps({**json.loads(path.read_text()), "recipe": recipe}))
+    return path, data
 
 
 def test_run_smoke_and_artifacts(tmp_path):
@@ -356,7 +361,8 @@ def test_one_run_at_a_time_per_output_directory(tmp_path):
             run(cfg)
         res = CliRunner().invoke(cli_main, ["--config", str(config_path), "montecarlo",
                                             "--n-grid", "20", "--iterations", "1"])
-        assert isinstance(res.exception, OutputLockedError), res.output
+        assert res.exit_code == 1
+        assert res.output == f"Error: {OutputLockedError(out)}\n"
         assert [p.name for p in out.iterdir()] == [".lock"]
     finally:
         holder.stdin.close()
@@ -960,13 +966,22 @@ def test_scripts_import_against_the_api(script):
     assert callable(module.main)
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_wraps_and_restores_the_library(tmp_path):
-    """perfbench/tracer.py wraps library names by attribute; a rename or
-    deletion of one fails here, not first in a benchmark run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
+    """perfbench/tracer.py wraps library names by attribute, and
+    perfbench/workloads.py calls the library and reads the run directory;
+    a rename or deletion of what they use fails here, not first in a
+    benchmark run. `per_kind_calls` is the only caller of
+    `rasterize_covariates` and `RasterGrid.filled`, and `observe_pipeline`
+    parses the tail of `run.log`."""
+    tracer_module, workloads = _perfbench_module("tracer"), _perfbench_module("workloads")
     config_path, _ = write(tmp_path, scenario(seed=18),
                            recipe={"selection": "stepwise", "kriging": True})
     tracer = tracer_module.Tracer()
@@ -982,6 +997,18 @@ def test_benchmark_tracer_wraps_and_restores_the_library(tmp_path):
         assert tracer.durations(f"pipeline.stage.{stage}"), stage
     assert tracer.counts["lur.stepwise_select_calls"] > 1  # the fit and every CV fold
     assert tracer.counts["kriging.uk_fit_calls"] > 1
+
+    out, kinds = config_path.parent / "run", tracer_module.Tracer()
+    workloads.per_kind_calls(config_path, out, kinds, {"build_matrix": 1, "rasterize": 1})
+    for call in ("build_matrix", "rasterize"):
+        assert len(kinds.durations(f"covariates.{call}.all")) == 1, call
+        assert sum(len(kinds.durations(f"covariates.{call}.{kind}"))
+                   for kind in workloads.KINDS) > 1, call
+    assert run(PipelineConfig.from_json(config_path)).status == "ok"
+    observed = workloads.observe_pipeline(out)
+    assert observed["last_run_cached"] == sorted(pipeline.STAGES)
+    assert observed["status"] == "ok" and observed["folds"] > 10
+    assert workloads.check_pipeline(observed, None) == ["no reference recorded for this operation"]
 
 
 def test_cli_stage_commands_share_the_pipeline_cache(tmp_path):
@@ -1032,9 +1059,56 @@ def test_cli_window_variance_needs_a_prediction_lattice(tmp_path):
     config_path.write_text(json.dumps(config))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     res = runner.invoke(cli_main, args)
-    assert isinstance(res.exception, InvalidArgumentError)
-    assert "--window-cells needs a config with a prediction lattice" in str(res.exception)
+    assert res.exit_code == 1
+    assert res.output == "Error: --window-cells needs a config with a prediction lattice\n"
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_reports_a_lurk_error_in_one_line(tmp_path):
+    """A config error and a failed stage each reach the user as one line,
+    `Error: <message>`, with exit code 1 and no traceback."""
+    config_path, _ = write(tmp_path, scenario(seed=15))
+    runner, good = CliRunner(), config_path.read_text()
+    config_path.write_text(json.dumps({**json.loads(good), "monitors": 5}))
+    res = runner.invoke(cli_main, ["--config", str(config_path), "run"])
+    assert res.exit_code == 1
+    assert res.output == "Error: config monitors must be an object, got 5\n"
+
+    config_path.write_text(good)
+    grid = config_path.parent / "inputs" / "grids" / "satellite.asc"
+    grid.write_text("\n".join(grid.read_text().splitlines()[:-1]) + "\n")  # one row short
+    res = runner.invoke(cli_main, ["--config", str(config_path), "run"])
+    assert res.exit_code == 1
+    assert res.output.startswith("Error: stage 'covariates' failed: ")
+    assert "satellite.asc" in res.output and res.output.count("\n") == 1
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["exposure", "--window-cells", "0"], "0 is not a positive odd integer"),
+    (["exposure", "--window-cells", "4"], "4 is not a positive odd integer"),
+    (["montecarlo", "--n-grid", "20,,40"],
+     "'20,,40' is not a comma-separated list of positive integers"),
+    (["montecarlo", "--n-grid", "20,0"],
+     "'20,0' is not a comma-separated list of positive integers"),
+    (["montecarlo", "--iterations", "0"], "0 is not in the range x>=1"),
+])
+def test_cli_checks_its_options_before_anything_runs(tmp_path, args, message):
+    config_path, _ = write(tmp_path, scenario(seed=15))
+    res = CliRunner().invoke(cli_main, ["--config", str(config_path), *args])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (config_path.parent / "run").exists()
+
+
+def test_cli_synth_names_an_unknown_scenario_key(tmp_path):
+    scenario_path, out = tmp_path / "scenario.json", tmp_path / "scn"
+    scenario_path.write_text(json.dumps({"seed": 3, "n_site": 40}))
+    res = CliRunner().invoke(cli_main, ["--out", str(out), "synth",
+                                        "--scenario", str(scenario_path)])
+    assert res.exit_code == 1
+    assert res.output == "Error: unknown scenario keys: ['n_site']\n"
+    assert not out.exists()
 
 
 def test_interrupted_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):

@@ -244,7 +244,7 @@ def _assert_same_data(got, want):
     _assert_bit_equal(got.matrix.values, want.matrix.values)
     assert got.layers.keys() == want.layers.keys()
     for name, layer in got.layers.items():
-        for attr in ("xy", "offsets", "ids", "categories"):
+        for attr in ("xy", "offsets", "ids"):
             _assert_bit_equal(getattr(layer, attr), getattr(want.layers[name], attr))
     assert got.prediction_lattice.geometry() == want.prediction_lattice.geometry()
     for mine, theirs in ((got.grids, want.grids), (got.categorical, want.categorical),
