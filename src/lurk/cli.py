@@ -24,7 +24,7 @@ from .pipeline import (
     format_comparison,
     run,
 )
-from .synth import SyntheticScenario, generate_synthetic, write_scenario
+from .synth import COVARIATE_SETS, SyntheticScenario, generate_synthetic, write_scenario
 from ._util import check_keys, dump_json, locked_dir, stage_seed
 
 
@@ -144,7 +144,7 @@ def exposure_cmd(ctx, window_cells):
 @main.command("synth")
 @click.option("--scenario", type=click.Path(exists=True), default=None,
               help="Scenario JSON; defaults when omitted.")
-@click.option("--preset", type=click.Choice(["mini", "full"]), default="mini")
+@click.option("--preset", type=click.Choice(COVARIATE_SETS), default="mini")
 @click.pass_context
 def synth_cmd(ctx, scenario, preset):
     """Generate a synthetic scenario directory ready for `run`."""

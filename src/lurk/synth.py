@@ -11,6 +11,7 @@ matrix columns.
 from __future__ import annotations
 
 import calendar
+import contextlib
 import datetime as dt
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -22,9 +23,11 @@ from . import covariates as cov
 from . import geodata
 from .errors import ScenarioError
 from .monitors import MonitorTable
-from ._util import csv_field, dump_json, one_blas_thread, stage_seed, write_atomic, write_table
+from ._util import (FanOut, checked, csv_field, dump_json, is_finite_number, is_int,
+                    one_blas_thread, stage_seed, write_atomic, write_table)
 
 N_LANDCOVER_CLASSES = 8
+COVARIATE_SETS = ("mini", "full")
 FIELD_BLOCK = 1 << 17  # cells per block of a field evaluation
 
 
@@ -129,7 +132,7 @@ class SyntheticScenario:
     cluster_sd_m: float = 12_000.0
     n_provinces_x: int = 3
     n_provinces_y: int = 3
-    covariate_set: str = "mini"  # "mini" | "full"
+    covariate_set: str = "mini"  # one of COVARIATE_SETS
     trend_intercept: float = 45.0
     trend: tuple = ()  # empty -> preset default
     grf_nugget: float = 0.0
@@ -144,8 +147,29 @@ class SyntheticScenario:
     pollutant: str = "pm25"
 
     def __post_init__(self):
+        counts = ("n_sites", "n_clusters", "n_provinces_x", "n_provinces_y",
+                  "prediction_cols", "prediction_rows")
+        for names, ok, want in (
+                (("seed",), is_int, "an integer"),
+                (("year",), lambda v: is_int(v) and dt.MINYEAR <= v <= dt.MAXYEAR,
+                 f"an integer from {dt.MINYEAR} to {dt.MAXYEAR}"),
+                (counts, lambda v: is_int(v) and v > 0, "an integer > 0"),
+                (("n_excluded_sites",), lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+                (("extent_x", "extent_y", "grf_range_m"),
+                 lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
+                (("cluster_sd_m", "noise_sd", "daily_noise_sd", "grf_nugget", "grf_partial_sill"),
+                 lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
+                (("trend_intercept",), is_finite_number, "a finite number"),
+                (("covariate_set",), lambda v: v in COVARIATE_SETS, '"mini" or "full"'),
+                (("pollutant",), lambda v: isinstance(v, str), "a string")):
+            for name in names:
+                value = getattr(self, name)
+                checked(f"scenario {name}", value, ok(value), want)
         # A scenario read from JSON holds the trend as lists.
-        object.__setattr__(self, "trend", tuple((str(n), float(e)) for n, e in self.trend))
+        checked("scenario trend", self.trend, isinstance(self.trend, (list, tuple)) and all(
+            isinstance(t, (list, tuple)) and len(t) == 2 and isinstance(t[0], str)
+            and is_finite_number(t[1]) for t in self.trend), "a list of [column, effect] pairs")
+        object.__setattr__(self, "trend", tuple((n, float(e)) for n, e in self.trend))
 
 
 def _ladder(lo: float, hi: float, count: int) -> tuple[float, ...]:
@@ -417,26 +441,15 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     )
 
 
-def write_scenario(data: SyntheticData, outdir) -> Path:
-    """Write a scenario to disk as pipeline-ready inputs plus config.json.
-
-    Returns the config path. Daily files carry one record per calendar
-    day whose mean over the year is the site's annual value; with
-    `daily_noise_sd` > 0 the noisy series is shifted to that mean, and a
-    series that would then need a value below zero raises ScenarioError.
-    Excluded sites get sparse series that fail the completeness rule.
-    """
-    outdir = Path(outdir)
-    inputs = outdir / "inputs"
-    (inputs / "layers").mkdir(parents=True, exist_ok=True)
-    (inputs / "grids").mkdir(parents=True, exist_ok=True)
-    sc = data.scenario
-
+def _write_sites(data: SyntheticData, path) -> None:
     sites = data.sites
     rows = [*zip(sites.site_ids, sites.x.tolist(), sites.y.tolist(), sites.province, sites.city),
             *((sid, *v[:4]) for sid, v in sorted(data.excluded_sites.items()))]
-    write_table(inputs / "sites.csv", ["site_id", "x", "y", "province", "city"], zip(*rows))
+    write_table(path, ["site_id", "x", "y", "province", "city"], zip(*rows))
 
+
+def _write_daily(data: SyntheticData, path) -> None:
+    sc, sites = data.scenario, data.sites
     rng = np.random.default_rng(stage_seed(sc.seed, "daily"))
     start = dt.date(sc.year, 1, 1)
     n_days = int(sites.n_calendar_days[0])
@@ -458,15 +471,56 @@ def write_scenario(data: SyntheticData, outdir) -> Path:
     for sid, (_, _, _, _, value, keep_days) in sorted(data.excluded_sites.items()):
         quoted_id = csv_field(sid)
         daily_rows += (f"{quoted_id},{date},{value!r}" for date in dates[:keep_days])
-    write_atomic(inputs / "daily.csv", "\n".join(daily_rows) + "\n")
+    write_atomic(path, "\n".join(daily_rows) + "\n")
 
-    for name, layer in data.layers.items():
-        geodata.write_features(layer, inputs / "layers" / f"{name}.csv")
-    for name, grid in data.grids.items():
-        geodata.write_raster(grid, inputs / "grids" / f"{name}.asc")
-    for name, grid in data.categorical.items():
-        geodata.write_categorical(grid, inputs / "grids" / f"{name}.asc")
-    geodata.write_raster(data.population, inputs / "population.asc")
+
+def _written(write, *args) -> bool:
+    """A FanOut job: `write(*args)`, then True, so that a file no worker
+    wrote comes back as None."""
+    write(*args)
+    return True
+
+
+def write_scenario(data: SyntheticData, outdir) -> Path:
+    """Write a scenario to disk as pipeline-ready inputs plus config.json.
+
+    Returns the config path. Daily files carry one record per calendar
+    day whose mean over the year is the site's annual value; with
+    `daily_noise_sd` > 0 the noisy series is shifted to that mean, and a
+    series that would then need a value below zero raises ScenarioError.
+    Excluded sites get sparse series that fail the completeness rule.
+
+    Each file under `inputs/` is one job of a `FanOut`, costed by the
+    records, vertices or cells it formats; afterwards the parent writes,
+    in job order, every file no worker wrote, so a failing write raises
+    here with its own error. A failure can leave other input files
+    written, each whole.
+    """
+    outdir = Path(outdir)
+    inputs = outdir / "inputs"
+    (inputs / "layers").mkdir(parents=True, exist_ok=True)
+    (inputs / "grids").mkdir(parents=True, exist_ok=True)
+    sc = data.scenario
+
+    n_records = len(data.sites) * int(data.sites.n_calendar_days[0]) + sum(
+        v[5] for v in data.excluded_sites.values())
+    writes = [
+        (len(data.sites) + len(data.excluded_sites), _write_sites, data, inputs / "sites.csv"),
+        (n_records, _write_daily, data, inputs / "daily.csv"),
+        *((len(layer.xy), geodata.write_features, layer, inputs / "layers" / f"{name}.csv")
+          for name, layer in data.layers.items()),
+        *((grid.values.size, geodata.write_raster, grid, inputs / "grids" / f"{name}.asc")
+          for name, grid in data.grids.items()),
+        *((grid.values.size, geodata.write_categorical, grid, inputs / "grids" / f"{name}.asc")
+          for name, grid in data.categorical.items()),
+        (data.population.values.size, geodata.write_raster, data.population,
+         inputs / "population.asc"),
+    ]
+    with contextlib.closing(FanOut([(cost, _written, job) for cost, *job in writes])) as fan_out:
+        done = fan_out.results()  # an interrupt too leaves no worker running
+    for (_, write, *args), written in zip(writes, done):
+        if written is None:
+            write(*args)
     cov.write_specs(data.specs, outdir / "covariates.json")
     dump_json(data.truth, outdir / "truth.json")
 

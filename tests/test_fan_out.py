@@ -4,7 +4,8 @@
 artifacts with workers as without, errors named as a parse in the parent
 names them, one warning for a dead worker's files, no worker that outlives
 a run, none started by a cached rerun, no prefetched value used for bytes
-the stage key does not name."""
+the stage key does not name. The same rule for the scenario writers of
+`synth.write_scenario`: the parent writes every file no worker wrote."""
 
 import fcntl
 import json
@@ -22,9 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lurk import _util, geodata, pipeline
-from lurk.errors import GridFormatError, InvalidArgumentError, StageError
+from lurk import _util, geodata, pipeline, synth
+from lurk.errors import GridFormatError, InvalidArgumentError, ScenarioError, StageError
 from lurk.pipeline import PipelineConfig, run
+from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 from test_pipeline import new_log_lines, scenario, write
 
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="FanOut forks only on Linux")
@@ -315,6 +317,122 @@ def test_on_one_core_no_geo_input_goes_through_a_job(tmp_path, monkeypatch):
     assert jobs == []
     calls = [(pid, name) for pid, name in reader_calls(log) if name in GEO_INPUTS]
     assert sorted(calls) == sorted((os.getpid(), name) for name in GEO_INPUTS)
+
+
+# -- the scenario writers ----------------------------------------------------------------
+
+WRITERS = ((geodata, "write_features"), (geodata, "write_raster"),
+           (geodata, "write_categorical"), (synth, "_write_sites"), (synth, "_write_daily"))
+SCENARIO_INPUTS = ("sites.csv", "daily.csv", "roads_major.csv", "poi_gas.csv", "elevation.asc",
+                   "satellite.asc", "landcover.asc", "population.asc")  # of a mini scenario
+NOISY = SyntheticScenario(seed=3, n_sites=40, n_clusters=5, daily_noise_sd=2.0,
+                          n_excluded_sites=3)
+
+
+def record_writer_calls(monkeypatch, log: Path, fault=None) -> None:
+    """Wrap the scenario's input writers so that each call appends "<pid>
+    <file name>" to `log` (read back by `reader_calls`), from whichever
+    process makes it; with `fault`, each call runs `fault(path)` before it
+    writes."""
+    for module, name in WRITERS:
+        def writer(obj, path, original=getattr(module, name)):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {Path(path).name}\n")
+            if fault is not None:
+                fault(Path(path))
+            return original(obj, path)
+
+        monkeypatch.setattr(module, name, writer)
+
+
+def scenario_files(directory: Path) -> dict:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@linux_only
+def test_scenario_files_are_byte_identical_with_and_without_workers(tmp_path, monkeypatch):
+    """A scenario written with two workers, with none because one core is
+    usable, and with none because it is written outside the main thread,
+    has the same bytes; each input file is written once, by a worker in
+    the first case and by this process in the others."""
+    data = generate_synthetic(NOISY)
+    log = tmp_path / "calls.log"
+    record_writer_calls(monkeypatch, log)
+    got = {}
+    for way in ("workers", "one core", "thread"):
+        cpus(monkeypatch, 1 if way == "one core" else 2)
+        log.unlink(missing_ok=True)
+        out = tmp_path / way.replace(" ", "_")
+        if way == "thread":
+            worker = threading.Thread(target=write_scenario, args=(data, out))
+            worker.start()
+            worker.join(timeout=300)
+        else:
+            write_scenario(data, out)
+        calls = reader_calls(log)
+        assert sorted(name for _, name in calls) == sorted(SCENARIO_INPUTS)
+        assert {pid == os.getpid() for pid, _ in calls} == {way != "workers"}, way
+        assert multiprocessing.active_children() == []
+        got[way] = scenario_files(out)
+    assert len(got["workers"]) == len(SCENARIO_INPUTS) + 3  # covariates, truth, config
+    assert got["workers"] == got["one core"] == got["thread"]
+
+
+@linux_only
+def test_a_writer_killed_mid_file_leaves_its_files_to_the_parent(tmp_path, monkeypatch):
+    """A worker killed halfway through writing the elevation grid, its
+    temporary file half written, delivers none of its files: the parent
+    writes them with the bytes of a one-core write, and leaves no
+    temporary file and no child process behind."""
+    data = generate_synthetic(NOISY)
+    cpus(monkeypatch, 1)
+    write_scenario(data, tmp_path / "one_core")
+    parent = os.getpid()
+
+    def die_in_elevation(path):
+        if os.getpid() != parent and path.name == "elevation.asc":
+            path.with_name(path.name + ".tmp").write_text("ncols 50\nnrows")
+            os._exit(3)
+
+    log = tmp_path / "calls.log"
+    record_writer_calls(monkeypatch, log, fault=die_in_elevation)
+    cpus(monkeypatch, 2)
+    write_scenario(data, tmp_path / "workers")
+    elevation = [pid for pid, name in reader_calls(log) if name == "elevation.asc"]
+    assert elevation[0] != parent and elevation[-1] == parent
+    assert scenario_files(tmp_path / "workers") == scenario_files(tmp_path / "one_core")
+    assert list((tmp_path / "workers").rglob("*.tmp")) == []
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_a_failing_daily_write_raises_from_the_parent(tmp_path, monkeypatch, n_cpus):
+    """Daily noise that would break the annual mean raises the ScenarioError
+    that the daily writer raises alone, from this process, however many
+    workers write; no child process or temporary file is left. The other
+    input files a worker wrote stay, each whole; on one core only
+    `sites.csv`, which comes before `daily.csv`, is written."""
+    sc = SyntheticScenario(seed=0, n_sites=1, n_clusters=1, trend_intercept=1.0,
+                           grf_partial_sill=0.0, noise_sd=0.0, daily_noise_sd=3.0)
+    data = generate_synthetic(sc)
+    with pytest.raises(ScenarioError) as alone:
+        synth._write_daily(data, tmp_path / "alone.csv")
+    cpus(monkeypatch, n_cpus)
+    with pytest.raises(ScenarioError, match=r"site s0000: .*annual mean 1\.0 .*averages 1\.3") \
+            as failed:
+        write_scenario(data, tmp_path / "scn")
+    assert str(failed.value) == str(alone.value)
+    assert multiprocessing.active_children() == []
+    files = scenario_files(tmp_path)
+    assert not any(name.endswith(".tmp") for name in files)
+    written = {Path(name).name for name in files if name.startswith("scn")}
+    assert written == ({"sites.csv"} if n_cpus == 1 else set(SCENARIO_INPUTS) - {"daily.csv"})
+    for name in written - {"sites.csv"}:
+        path = next((tmp_path / "scn").rglob(name))
+        reader = geodata.read_features if name.endswith(".csv") else geodata.read_raster
+        reader(path)  # whole: it parses
 
 
 # -- the helper itself -------------------------------------------------------------------

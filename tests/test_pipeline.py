@@ -1111,6 +1111,22 @@ def test_cli_synth_names_an_unknown_scenario_key(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"n_sites": "40"}, "scenario n_sites must be an integer > 0, got '40'"),
+    ({"n_sites": 40.0}, "scenario n_sites must be an integer > 0, got 40.0"),
+    ({"seed": True}, "scenario seed must be an integer, got True"),
+    ({"covariate_set": "huge"}, 'scenario covariate_set must be "mini" or "full", got \'huge\''),
+], ids=["string", "float-for-int", "bool", "unknown-preset"])
+def test_cli_synth_names_a_bad_scenario_value(tmp_path, fields, message):
+    scenario_path, out = tmp_path / "scenario.json", tmp_path / "scn"
+    scenario_path.write_text(json.dumps({"seed": 3, **fields}))
+    res = CliRunner().invoke(cli_main, ["--out", str(out), "synth",
+                                        "--scenario", str(scenario_path)])
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+    assert not out.exists()
+
+
 def test_interrupted_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
     config_path, _ = write(tmp_path, scenario(seed=14))
     out = tmp_path / "scn" / "run"

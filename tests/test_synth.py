@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lurk import geodata, synth
-from lurk.errors import ScenarioError
+from lurk.errors import InvalidArgumentError, ScenarioError
 from lurk.kriging import empirical_variogram
 from lurk.lur import ols_fit
 from lurk.recipes import ModelRecipe, fit_recipe
@@ -172,6 +172,33 @@ def test_scenario_dict_round_trip():
     sc = SyntheticScenario(seed=2, trend=(("elevation", 3.0),), n_sites=10)
     back = SyntheticScenario(**json.loads(json.dumps(plain(sc))))
     assert back == sc
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("year", 0, "an integer from 1 to 9999"),
+    ("n_clusters", 0, "an integer > 0"),
+    ("prediction_rows", np.int64(5), "an integer > 0"),
+    ("n_excluded_sites", -1, "an integer >= 0"),
+    ("extent_y", 0.0, "a finite number > 0"),
+    ("grf_range_m", float("inf"), "a finite number > 0"),
+    ("daily_noise_sd", -0.5, "a finite number >= 0"),
+    ("grf_nugget", -1.0, "a finite number >= 0"),
+    ("trend_intercept", float("nan"), "a finite number"),
+    ("pollutant", 25, "a string"),
+    ("trend", [["elevation"]], "a list of [column, effect] pairs"),
+    ("trend", [["elevation", "3"]], "a list of [column, effect] pairs"),
+])
+def test_scenario_names_a_bad_value(field, value, want):
+    with pytest.raises(InvalidArgumentError) as bad:
+        SyntheticScenario(**{field: value})
+    assert str(bad.value) == f"scenario {field} must be {want}, got {value!r}"
+
+
+def test_scenario_zero_counts_and_sds_are_allowed_where_they_make_sense():
+    sc = SyntheticScenario(n_excluded_sites=0, noise_sd=0.0, daily_noise_sd=0.0,
+                           grf_nugget=0.0, grf_partial_sill=0.0, cluster_sd_m=0.0,
+                           trend=[["elevation", 3]])
+    assert sc.trend == (("elevation", 3.0),)
 
 
 def test_noisy_daily_series_keeps_the_annual_mean(tmp_path):
