@@ -140,6 +140,9 @@ class CovariateMatrix:
 
     def drop_columns(self, names) -> "CovariateMatrix":
         drop = set(names)
+        unknown = sorted(drop.difference(self.columns))
+        if unknown:
+            raise InvalidArgumentError(f"cannot drop columns the matrix does not hold: {unknown}")
         keep = [i for i, c in enumerate(self.columns) if c not in drop]
         return CovariateMatrix.from_values(
             self.site_ids, [self.columns[i] for i in keep], self.values[:, keep]

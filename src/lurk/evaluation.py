@@ -137,7 +137,7 @@ def run_cv(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
                                 seed=stage_seed(seed, f"fold:{label}"))
         except Exception as exc:
             raise FoldError(f"fold {label!r}: {exc}") from exc
-        predicted[test], _ = fitted.predict(matrix.subset_rows(test),
+        predicted[test], _ = fitted.predict(matrix.select(fitted.required_columns)[test],
                                             coords=sites.coords[test])
         d = cdist(sites.coords[test], sites.coords[train])
         nn[test] = d.min(axis=1)
@@ -230,10 +230,11 @@ def monte_carlo_curve(recipe: ModelRecipe, sites: MonitorTable,
             except Exception as exc:
                 log.warning("skipping n=%d iteration %d: %s", n, it, exc)
                 continue
-            pred_in, _ = fitted.predict(sub_matrix, coords=sub_sites.coords)
+            pred_in, _ = fitted.predict(sub_matrix.select(fitted.required_columns),
+                                        coords=sub_sites.coords)
             fitting = r2_mse(sub_sites.annual_mean, pred_in)
             obs_out = sites.annual_mean[rest]
-            pred_out, _ = fitted.predict(matrix.subset_rows(rest),
+            pred_out, _ = fitted.predict(matrix.select(fitted.required_columns)[rest],
                                          coords=sites.coords[rest])
             if len(rest) >= 2 and np.var(obs_out) > 0:
                 holdout = r2_mse(obs_out, pred_out)

@@ -60,9 +60,9 @@ def predict_grid(fitted: FittedModel, specs, lattice: Lattice, layers: dict | No
     xs, ys = lattice.center_meshgrid()
     values, valid = extract([by_name[c] for c in columns], xs, ys, layers, grids, categorical)
     idx = np.flatnonzero(valid.all(axis=1))
-    # Column-major, like CovariateMatrix.select, so a cell rounds exactly
-    # as the same row predicted as a site would: `take` returns a new
-    # C-ordered (columns, cells) array, whose transpose is that layout.
+    # Gathered column-major, the layout the model computes in, so that no
+    # second copy is made: `take` returns a new C-ordered (columns, cells)
+    # array, whose transpose is that layout.
     rows = np.take(values.T, idx, axis=1).T
     mean, var = fitted.predict(rows, coords=np.column_stack([xs[idx], ys[idx]]),
                                with_variance=with_variance)

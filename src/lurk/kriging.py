@@ -18,14 +18,13 @@ from scipy.linalg import LinAlgError, cho_factor, solve_triangular
 from scipy.optimize import brentq
 from scipy.spatial.distance import cdist, pdist
 
-from .covariates import CovariateMatrix
 from .errors import (
     EmptyVariogramError,
     InvalidArgumentError,
     SingularKrigingError,
     VariogramFitError,
 )
-from .lur import _RANK_TOL, LinearModel
+from .lur import _RANK_TOL, LinearModel, _design_rows
 from .monitors import MonitorTable
 from ._util import check_finite_fields
 
@@ -297,18 +296,20 @@ class KrigingModel:
         return mean, var
 
 
-def uk_fit(drift: LinearModel, sites: MonitorTable, matrix: CovariateMatrix,
+def uk_fit(drift: LinearModel, sites: MonitorTable, rows,
            n_bins: int = DEFAULT_N_BINS, max_lag: float | None = None) -> KrigingModel:
-    """Assemble a KrigingModel from a fitted drift and its training data.
+    """Assemble a KrigingModel from a fitted drift and its training data:
+    the sites and their design rows, whose columns are `drift.selected` in
+    order.
 
     The empirical variogram of the drift residuals is fitted with the
     exponential model. Sites sharing exact coordinates are averaged into
     one site (with a logged warning) to keep the system nonsingular.
     """
     y = np.asarray(sites.annual_mean, dtype=np.float64)
-    if len(y) != matrix.n_sites:
-        raise InvalidArgumentError("sites and matrix row counts differ")
-    x_sel = matrix.select(drift.selected)
+    x_sel = _design_rows(rows, len(drift.selected))
+    if len(y) != len(x_sel):
+        raise InvalidArgumentError("sites and design rows differ in count")
     resid = y - drift.predict(x_sel)
     if len(drift.residuals) != len(y) or not np.allclose(
         resid, drift.residuals, atol=1e-8 * (1.0 + float(np.abs(y).max()))

@@ -38,6 +38,18 @@ _RANK_TOL = 1e-10
 TIE_RTOL = 1e-10
 
 
+def _design_rows(rows, width: int | None) -> np.ndarray:
+    """`rows` as a float64 column-major (n, width) array. BLAS sums a
+    row-major and a column-major product in different orders, so every fit
+    and prediction takes this one layout, and its bits do not depend on the
+    layout a caller passes."""
+    rows = np.asfortranarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or width not in (None, rows.shape[1]):
+        of = "" if width is None else f" of {width} columns"
+        raise InvalidArgumentError(f"expected 2-D design rows{of}, got shape {rows.shape}")
+    return rows
+
+
 def ols_fit(X, y, names=None, config=None) -> LinearModel:
     """Least-squares fit of y on [1, X] with coefficient t-test p-values,
     as a LinearModel over the columns `names` (default col0, col1, ...)
@@ -46,7 +58,7 @@ def ols_fit(X, y, names=None, config=None) -> LinearModel:
     Raises SingularDesignError naming the dependent columns when the
     design is rank deficient, and requires n > p + 1.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = _design_rows(X, None if names is None else len(names))
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
     names = tuple(names) if names is not None else tuple(f"col{j}" for j in range(p))
@@ -141,20 +153,9 @@ class LinearModel:
         for name in ("coefficients", "entry_signs", "residuals", "p_values"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
-    def design(self, source) -> np.ndarray:
-        """Design rows from a CovariateMatrix (columns picked by name) or
-        an array whose columns are `selected` in order."""
-        if hasattr(source, "select"):
-            return source.select(self.selected)
-        arr = np.asarray(source, dtype=np.float64)
-        if arr.shape[1] != len(self.selected):
-            raise InvalidArgumentError(
-                f"expected {len(self.selected)} columns, got {arr.shape[1]}"
-            )
-        return arr
-
-    def predict(self, source) -> np.ndarray:
-        return self.intercept + self.design(source) @ self.coefficients
+    def predict(self, rows) -> np.ndarray:
+        """Trend at design rows whose columns are `selected` in order."""
+        return self.intercept + _design_rows(rows, len(self.selected)) @ self.coefficients
 
 
 def mean_model(y) -> LinearModel:
@@ -329,12 +330,10 @@ class PlsModel:
         for name in ("x_mean", "x_scale", "score_coefficients", "rotations"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
 
-    def transform(self, source) -> np.ndarray:
-        """Scores on the first `n_components` components."""
-        if hasattr(source, "select"):
-            X = source.select(self.columns)
-        else:
-            X = np.asarray(source, dtype=np.float64)
+    def transform(self, rows) -> np.ndarray:
+        """Scores on the first `n_components` components of design rows
+        whose columns are `columns` in order."""
+        X = _design_rows(rows, len(self.columns))
         return ((X - self.x_mean) / self.x_scale) @ self.rotations[:, :self.n_components]
 
 

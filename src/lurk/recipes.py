@@ -92,17 +92,17 @@ class FittedModel:
         return self.trend.selected
 
     @one_blas_thread()
-    def predict(self, source, coords=None, with_variance: bool = False):
+    def predict(self, rows, coords=None, with_variance: bool = False):
         """Concentrations at new locations: the one prediction path for CV,
         Monte Carlo holdouts and the national lattice.
 
-        `source` is a CovariateMatrix or an array whose columns are
-        `required_columns` in order; `coords` (n, 2) are needed by the
-        kriging stage. Returns (mean, variance-or-None); the variance is
-        the universal-kriging variance, so it is None without kriging.
+        `rows` are design rows whose columns are `required_columns` in
+        order; `coords` (n, 2) are needed by the kriging stage. Returns
+        (mean, variance-or-None); the variance is the universal-kriging
+        variance, so it is None without kriging.
         """
-        rows = (self.pls.transform(source) if self.pls is not None
-                else self.trend.design(source))
+        if self.pls is not None:
+            rows = self.pls.transform(rows)
         if self.kriging is None:
             return self.trend.predict(rows), None
         if coords is None:
@@ -136,24 +136,19 @@ def fit_recipe(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix
     pls_model = None
     if recipe.selection == "stepwise":
         trend = stepwise_select(work, y, recipe.stepwise)
-        drift_matrix = work
     elif recipe.selection == "mean":
         trend = mean_model(y)
-        drift_matrix = work
     else:  # pls
         n_usable = int(np.sum(~work.zero_variance))
         max_k = min(recipe.max_components, max(n_usable, 1), len(sites) - 1)
         pls_model = pls_fit(work, y, max_components=max_k, seed=stage_seed(seed, "pls-cv"))
-        score_names = [f"pls_{k + 1}" for k in range(pls_model.n_components)]
-        drift_matrix = CovariateMatrix.from_values(work.site_ids, score_names,
-                                                   pls_model.transform(work))
-        # Fit on the column-major copy `select` returns, not on the
-        # C-ordered scores: BLAS sums the two in a different order.
-        trend = ols_fit(drift_matrix.select(score_names), y, score_names,
+        scores = pls_model.transform(work.values)
+        trend = ols_fit(scores, y, [f"pls_{k + 1}" for k in range(pls_model.n_components)],
                         config={"selection": "pls", "n_components": pls_model.n_components})
     kriging_model = None
     if recipe.kriging:
-        kriging_model = uk_fit(trend, sites, drift_matrix,
+        drift_rows = scores if pls_model is not None else work.select(trend.selected)
+        kriging_model = uk_fit(trend, sites, drift_rows,
                                n_bins=recipe.variogram_bins,
                                max_lag=recipe.variogram_max_lag)
     return FittedModel(recipe=recipe, trend=trend, pls=pls_model,

@@ -140,7 +140,7 @@ def test_run_cv_matches_scripted_folds():
         sub_sites = data.sites.subset(train)
         sub_matrix = data.matrix.subset_rows(train)
         trend = stepwise_select(sub_matrix, sub_sites.annual_mean, StepwiseConfig())
-        krig = uk_fit(trend, sub_sites, sub_matrix)
+        krig = uk_fit(trend, sub_sites, sub_matrix.select(trend.selected))
         rows = data.matrix.subset_rows(test).select(trend.selected)
         mean, _ = krig.predict_many(data.sites.coords[test], rows)
         pred[test] = mean

@@ -289,7 +289,8 @@ def test_grid_equals_pointwise_fitted_predict(mini_data, selection, kriging):
     data = mini_data
     fitted = fit_recipe(ModelRecipe(selection=selection, kriging=kriging),
                         data.sites, data.matrix)
-    specs = [s for s in data.specs if s.name in fitted.required_columns]
+    by_name = {s.name: s for s in data.specs}
+    specs = [by_name[c] for c in fitted.required_columns]
     geo = dict(layers=data.layers, grids=data.grids, categorical=data.categorical)
     lattice = data.prediction_lattice
     surf = predict_grid(fitted, data.specs, lattice, **geo, with_variance=True)
@@ -297,9 +298,7 @@ def test_grid_equals_pointwise_fitted_predict(mini_data, selection, kriging):
     values, valid = extract(specs, xs, ys, **geo)
     cells = np.flatnonzero(valid.all(axis=1))
     assert cells.size > 0
-    rows = CovariateMatrix.from_values([f"c{i}" for i in cells],
-                                       [s.name for s in specs], values[cells])
-    mean, var = fitted.predict(rows, coords=np.column_stack([xs[cells], ys[cells]]),
+    mean, var = fitted.predict(values[cells], coords=np.column_stack([xs[cells], ys[cells]]),
                                with_variance=True)
     conc = surf.concentration.values.ravel()
     assert np.array_equal(np.flatnonzero(conc != surf.concentration.nodata), cells)

@@ -358,12 +358,12 @@ def test_blocked_prediction_matches_one_block(monkeypatch):
 
 def test_uk_fit_permutation_invariance():
     sites, matrix, drift, coords, X, y = make_problem(seed=17, nugget=0.2, noise=0.5)
-    model = uk_fit(drift, sites, matrix)
+    model = uk_fit(drift, sites, matrix.select(drift.selected))
     perm = np.random.default_rng(3).permutation(len(y))
     sites_p = sites.subset(perm)
     matrix_p = matrix.subset_rows(perm)
     drift_p = ols_fit(matrix_p.select(drift.selected), sites_p.annual_mean, drift.selected)
-    model_p = uk_fit(drift_p, sites_p, matrix_p)
+    model_p = uk_fit(drift_p, sites_p, matrix_p.select(drift_p.selected))
     assert model_p.variogram.nugget == pytest.approx(model.variogram.nugget, rel=1e-6, abs=1e-12)
     assert model_p.variogram.range_m == pytest.approx(model.variogram.range_m, rel=1e-6)
     rng = np.random.default_rng(4)
@@ -383,7 +383,7 @@ def test_uk_fit_zero_residuals_reduces_to_drift():
     matrix = CovariateMatrix.from_values([f"s{i}" for i in range(25)], names, X)
     sites = table_from(coords, y)
     drift = ols_fit(matrix.select(names), y, names)
-    model = uk_fit(drift, sites, matrix)
+    model = uk_fit(drift, sites, matrix.select(drift.selected))
     assert model.variogram.partial_sill <= 1e-8
     rows = rng.normal(size=(6, 2))
     pts = rng.uniform(0, 50_000, size=(6, 2))
@@ -405,7 +405,7 @@ def test_uk_fit_residual_variogram_tracks_generated_field():
         matrix = CovariateMatrix.from_values([f"s{i}" for i in range(300)], ["a"], X)
         sites = table_from(coords, y)
         drift = ols_fit(X, y, ["a"])
-        model = uk_fit(drift, sites, matrix)
+        model = uk_fit(drift, sites, matrix.select(drift.selected))
         sills.append(model.variogram.sill)
         ranges.append(model.variogram.range_m)
     assert 0.5 * psill <= np.median(sills) <= 2.0 * psill
@@ -416,7 +416,7 @@ def test_uk_fit_rejects_foreign_drift():
     sites, matrix, drift, *_ = make_problem(seed=29, noise=1.0)
     other_sites, other_matrix, *_ = make_problem(seed=30, noise=1.0)
     with pytest.raises(InvalidArgumentError, match="not trained"):
-        uk_fit(drift, other_sites, other_matrix)
+        uk_fit(drift, other_sites, other_matrix.select(drift.selected))
 
 
 def test_uk_fit_averages_duplicate_coordinates(caplog):
@@ -432,7 +432,7 @@ def test_uk_fit_averages_duplicate_coordinates(caplog):
     import logging
 
     with caplog.at_level(logging.WARNING):
-        model = uk_fit(drift, sites, matrix)
+        model = uk_fit(drift, sites, matrix.select(drift.selected))
     assert model.n_sites == 19
     assert "averaging" in caplog.text
 
@@ -478,7 +478,7 @@ def test_variogram_rejects_non_finite_parameters(name, bad):
 
 def test_kriging_model_json_round_trip():
     sites, matrix, drift, coords, X, y = make_problem(seed=41, nugget=0.2, noise=0.5)
-    model = uk_fit(drift, sites, matrix)
+    model = uk_fit(drift, sites, matrix.select(drift.selected))
     d = json.loads(json.dumps(plain(model)))
     assert sorted(d) == ["coords", "variogram", "x_rows", "y"]
     back = KrigingModel(**{**d, "variogram": VariogramModel(**d["variogram"])})

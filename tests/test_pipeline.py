@@ -165,6 +165,15 @@ def test_non_finite_daily_value_fails_annualize_naming_its_line(tmp_path, value)
         f"{daily}: line 101: malformed record {[site, day, value]!r}")
 
 
+def test_misspelled_exclude_fails_the_fit_stage_naming_the_column(tmp_path):
+    config_path, _ = write(tmp_path, scenario(seed=8), recipe={"exclude": ["satelite"]})
+    with pytest.raises(StageError) as info:
+        run(PipelineConfig.from_json(config_path))
+    assert info.value.stage == "fit"
+    assert isinstance(info.value.cause, InvalidArgumentError)
+    assert "'satelite'" in str(info.value.cause)
+
+
 def test_cached_rerun_parses_no_matrix_specs_or_geo_inputs(tmp_path, monkeypatch):
     """A fully cached rerun parses no input and no artifact: it reports
     the metrics its stages' manifest entries keep."""

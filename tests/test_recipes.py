@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lurk.errors import InvalidArgumentError
-from lurk.lur import StepwiseConfig
+from lurk.lur import StepwiseConfig, ols_fit
 from lurk.pipeline import PipelineConfig
 from lurk.recipes import FittedModel, ModelRecipe, fit_recipe
 from lurk.synth import SyntheticScenario, generate_synthetic
@@ -86,13 +86,40 @@ def test_fitted_model_json_round_trip_predicts_identically(mini_data, selection,
     assert back.to_dict() == fitted.to_dict()
     assert (back.pls is None) == (selection != "pls")
     coords = data.sites.coords + 750.0  # off the training sites
-    mean, var = fitted.predict(data.matrix, coords, with_variance=True)
-    back_mean, back_var = back.predict(data.matrix, coords, with_variance=True)
+    rows = data.matrix.select(fitted.required_columns)
+    mean, var = fitted.predict(rows, coords, with_variance=True)
+    back_mean, back_var = back.predict(rows, coords, with_variance=True)
     assert np.array_equal(back_mean, mean)
     if kriging:
         assert np.array_equal(back_var, var)
     else:
         assert var is None and back_var is None
+
+
+@pytest.mark.parametrize("kriging", [False, True])
+@pytest.mark.parametrize("selection", ["stepwise", "pls"])
+def test_fits_and_predictions_do_not_depend_on_row_layout(mini_data, selection, kriging):
+    # BLAS sums a row-major and a column-major product in different orders;
+    # the same rows in either layout must give the same bits
+    data = mini_data
+    fitted = fit_recipe(ModelRecipe(selection=selection, kriging=kriging),
+                        data.sites, data.matrix)
+    rows = data.matrix.select(fitted.required_columns)
+    coords = data.sites.coords + 750.0
+    c_mean, c_var = fitted.predict(np.ascontiguousarray(rows), coords, with_variance=True)
+    f_mean, f_var = fitted.predict(np.asfortranarray(rows), coords, with_variance=True)
+    assert np.array_equal(c_mean, f_mean)
+    assert (c_var is None and f_var is None) or np.array_equal(c_var, f_var)
+    trend_rows = fitted.pls.transform(rows) if fitted.pls is not None else rows
+    y = data.sites.annual_mean
+    assert np.array_equal(ols_fit(np.ascontiguousarray(trend_rows), y).residuals,
+                          ols_fit(np.asfortranarray(trend_rows), y).residuals)
+
+
+def test_misspelled_exclude_is_rejected(mini_data):
+    with pytest.raises(InvalidArgumentError, match=r"\['satelite', 'zz'\]"):
+        fit_recipe(ModelRecipe(exclude=("satelite", "satellite", "zz")),
+                   mini_data.sites, mini_data.matrix)
 
 
 def test_non_finite_variogram_in_model_json_rejected(mini_data, tmp_path):

@@ -56,7 +56,8 @@ plan = kfold_plan(sites.site_ids, 10, seed=0)
 for selection in ("stepwise", "pls"):
     recipe = ModelRecipe(selection=selection, kriging=True)
     fitted = fit_recipe(recipe, sites, matrix, seed=0)
-    mean, variance = fitted.predict(matrix, coords=sites.coords, with_variance=True)
+    mean, variance = fitted.predict(matrix.select(fitted.required_columns), coords=sites.coords,
+                                     with_variance=True)
     for name, value in (("fit", plain(fitted)), ("cv", plain(run_cv(recipe, sites, matrix, plan))),
                         ("predict", [mean.tolist(), variance.tolist()])):
         (out / f"{selection}_{name}.repr").write_text(repr(value))
