@@ -28,9 +28,9 @@ from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 
 def peak_rss() -> str:
     """The peak resident set size so far (`ru_maxrss`, KiB on Linux) of the
-    process and of its largest reaped child: the scenario writers and the
-    pipeline's geo-input parsers run in forked workers, whose memory the
-    process's own peak does not show."""
+    process and of its largest reaped child: the scenario's evaluations
+    and writers and the pipeline's geo-input parsers run in forked
+    workers, whose memory the process's own peak does not show."""
     own, children = (resource.getrusage(who).ru_maxrss / 1024
                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return f"peak RSS {own:.0f} MB (children {children:.0f} MB)"

@@ -360,6 +360,19 @@ class FanOut:
         self.workers = []
 
 
+def run_jobs(jobs) -> list:
+    """`fn(*args)` of each job `(cost, fn, args)`, in job order: the value
+    a `FanOut` worker delivered, else the parent's own call. The parent
+    makes its calls in job order once every worker is reaped, so a job
+    that fails raises here with its own error, and no worker outlives the
+    call. A job whose value is None runs twice, so jobs return a value."""
+    jobs = list(jobs)
+    with contextlib.closing(FanOut(jobs)) as fan_out:
+        values = fan_out.results()  # an interrupt too leaves no worker running
+    return [fn(*args) if value is None else value
+            for value, (_, fn, args) in zip(values, jobs)]
+
+
 def _work(tasks, jobs, sender, inherited) -> None:
     """A FanOut worker: take job indices from the `tasks` pipe until it is
     empty and run each job, then send each (index, value) pickled; a job

@@ -3,15 +3,17 @@ smooth regional fields, and a ground-truth concentration surface built
 from a linear trend plus a Gaussian random field plus iid noise.
 
 Everything is driven by one seed; the same scenario and seed always
-produce the identical dataset. The generated covariate matrix reuses the
-production extraction code, so recorded truth coefficients refer to real
-matrix columns.
+produce the identical dataset. Every draw of the scenario's stream is made
+in the calling process, in one fixed order; the evaluations (the grids,
+the land cover, the population, the layers' site covariates, and the GRF
+from its own stream) may run in forked workers, with the same bits. The
+generated covariate matrix reuses the production extraction code, so
+recorded truth coefficients refer to real matrix columns.
 """
 
 from __future__ import annotations
 
 import calendar
-import contextlib
 import datetime as dt
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -23,8 +25,8 @@ from . import covariates as cov
 from . import geodata
 from .errors import ScenarioError
 from .monitors import MonitorTable
-from ._util import (FanOut, checked, csv_field, dump_json, is_finite_number, is_int,
-                    one_blas_thread, stage_seed, write_atomic, write_table)
+from ._util import (checked, csv_field, dump_json, is_finite_number, is_int, one_blas_thread,
+                    run_jobs, stage_seed, write_atomic, write_table)
 
 N_LANDCOVER_CLASSES = 8
 COVARIATE_SETS = ("mini", "full")
@@ -264,14 +266,18 @@ def _full_specs() -> list[cov.CovariateSpec]:
 def _segments_layer(rng, n_segments, extent_x, extent_y, centers, urban_frac,
                     min_len, max_len, prefix) -> geodata.FeatureLayer:
     anchor, angle, length = np.empty((n_segments, 2)), np.empty(n_segments), np.empty(n_segments)
+    # `low + (high - low) * rng.random()` is `rng.uniform(low, high)`, bit
+    # for bit, at under half its cost per scalar call.
+    uniform, turn, span = rng.random, 2 * np.pi, max_len - min_len
+    spread = 0.04 * min(extent_x, extent_y)
     for i in range(n_segments):
-        if centers is not None and rng.uniform() < urban_frac:
+        if centers is not None and uniform() < urban_frac:
             c = centers[rng.integers(0, len(centers))]
-            anchor[i] = c + rng.normal(0, 0.04 * min(extent_x, extent_y), 2)
+            anchor[i] = c + rng.normal(0, spread, 2)
         else:
-            anchor[i] = rng.uniform(0, extent_x), rng.uniform(0, extent_y)
-        angle[i] = rng.uniform(0, 2 * np.pi)
-        length[i] = rng.uniform(min_len, max_len)
+            anchor[i] = extent_x * uniform(), extent_y * uniform()
+        angle[i] = turn * uniform()
+        length[i] = min_len + span * uniform()
     delta = 0.5 * length[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     a = np.clip(anchor - delta, 0, [extent_x, extent_y])
     b = np.clip(anchor + delta, 0, [extent_x, extent_y])
@@ -312,9 +318,24 @@ def _field_grid(fn, cell, n_cols, n_rows, base=0.0) -> geodata.RasterGrid:
     return geodata.RasterGrid(**lattice.geometry(), values=values)
 
 
+def _landcover(fn, cell, n_cols, n_rows) -> geodata.CategoricalGrid:
+    """Land cover: latent field `fn` on a grid (as `_field_grid`), cut at
+    its quantiles into N_LANDCOVER_CLASSES classes of equal share, coded
+    1.. as int32. Only the codes outlive the call."""
+    latent = _field_grid(fn, cell, n_cols, n_rows).values
+    qs = np.quantile(latent, np.linspace(0, 1, N_LANDCOVER_CLASSES + 1)[1:-1])
+    codes = 1 + np.searchsorted(qs, latent).astype(np.int32)
+    return geodata.CategoricalGrid(0.0, 0.0, cell, n_cols, n_rows, codes,
+                                   categories=tuple(range(1, N_LANDCOVER_CLASSES + 1)))
+
+
 @one_blas_thread()
 def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
-    """Build the full synthetic dataset for a scenario."""
+    """Build the full synthetic dataset for a scenario.
+
+    The draws are made in this process and the evaluations run as
+    `_util.run_jobs` jobs, in forked workers where it can fork, so the
+    data has the same bits with workers or without."""
     sc = scenario
     rng = np.random.default_rng(stage_seed(sc.seed, "synth"))
     ex, ey = sc.extent_x, sc.extent_y
@@ -332,8 +353,6 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
 
     full = sc.covariate_set == "full"
     layers: dict[str, geodata.FeatureLayer] = {}
-    grids: dict[str, geodata.RasterGrid] = {}
-    categorical: dict[str, geodata.CategoricalGrid] = {}
 
     scale_pts = 1.0 if not full else max(1.0, (ex * ey) / (1.2e6 * 1.2e6))
     if full:
@@ -353,38 +372,39 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         layers["poi_gas"] = _points_layer(rng, 500, ex, ey, centers, 0.7,
                                           3 * sc.cluster_sd_m, "pg")
 
+    # Every draw of `rng` is made here, in the order it always was. The
+    # grids, the land cover, the population, the layers' site covariates
+    # and the GRF (from its own stream) are jobs of `run_jobs`, each costed
+    # by its work: cells x waves (or x bumps) of a field, vertices x specs
+    # x sites / 100 of a layer's covariates and n^3 / 1000 of the GRF, each
+    # unit 10-100 ns of one core, so the largest job (the land cover) goes first.
     cov_cell = min(ex, ey) / (200 if full else 50)
     nc, nr = int(round(ex / cov_cell)), int(round(ey / cov_cell))
-    grid_names = _FULL_GRIDS if full else ("elevation",)
-    for name in grid_names:
+    grid_jobs = {}  # name -> (cost, fn, args), in the order of the grids
+    for name in _FULL_GRIDS if full else ("elevation",):
         wave_scale = ex / rng.uniform(3.0, 7.0)
-        amp = {"elevation": 400.0}.get(name, 1.0)
-        base = {"elevation": 800.0}.get(name, 0.0)
-        grids[name] = _field_grid(_smooth_field(rng, wave_scale, amp), cov_cell, nc, nr, base)
+        field = _smooth_field(rng, wave_scale, {"elevation": 400.0}.get(name, 1.0))
+        grid_jobs[name] = (nc * nr * 10, _field_grid,
+                           (field, cov_cell, nc, nr, {"elevation": 800.0}.get(name, 0.0)))
 
     sat_cell = min(ex, ey) / 40
     snc, snr = int(round(ex / sat_cell)), int(round(ey / sat_cell))
-    sat_names = ("satellite_pm25", "satellite_no2") if full else ("satellite",)
-    for name in sat_names:
-        grids[name] = _field_grid(_smooth_field(rng, ex / 2.2, 1.0, n_waves=6), sat_cell, snc, snr)
+    for name in ("satellite_pm25", "satellite_no2") if full else ("satellite",):
+        field = _smooth_field(rng, ex / 2.2, 1.0, n_waves=6)
+        grid_jobs[name] = (snc * snr * 6, _field_grid, (field, sat_cell, snc, snr))
 
     lc_cell = min(ex, ey) / (1000 if full else 240)
     lnc, lnr = int(round(ex / lc_cell)), int(round(ey / lc_cell))
-    latent = _field_grid(_smooth_field(rng, ex / 6.0, 1.0), lc_cell, lnc, lnr)
-    qs = np.quantile(latent.values, np.linspace(0, 1, N_LANDCOVER_CLASSES + 1)[1:-1])
-    codes = 1 + np.searchsorted(qs, latent.values).astype(np.int32)
-    categorical["landcover"] = geodata.CategoricalGrid(
-        0.0, 0.0, lc_cell, lnc, lnr, codes,
-        categories=tuple(range(1, N_LANDCOVER_CLASSES + 1)),
-    )
+    latent = _smooth_field(rng, ex / 6.0, 1.0)
 
     pred_cell = max(ex / sc.prediction_cols, ey / sc.prediction_rows)
     lattice = geodata.Lattice(0.0, 0.0, pred_cell, sc.prediction_cols, sc.prediction_rows)
-
     pop_density = _population_field(centers, sc.cluster_sd_m)
-    population = _field_grid(pop_density, pred_cell, sc.prediction_cols, sc.prediction_rows)
     if full:
-        grids["population_density"] = _field_grid(pop_density, cov_cell, nc, nr)
+        # The population field replaces the smooth field drawn for this grid
+        # above, unevaluated; its draws stay, so later fields keep theirs.
+        grid_jobs["population_density"] = (nc * nr * len(centers), _field_grid,
+                                           (pop_density, cov_cell, nc, nr))
 
     specs = _full_specs() if full else _mini_specs()
     n_days = 366 if calendar.isleap(sc.year) else 365
@@ -394,8 +414,29 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         n_valid_days=np.full(sc.n_sites, n_days, dtype=np.int64),
         n_calendar_days=np.full(sc.n_sites, n_days, dtype=np.int64),
     )
-    matrix = cov.build_matrix(sites, specs, layers=layers, grids=grids,
-                              categorical=categorical)
+    layer_jobs = []
+    for name, layer in layers.items():
+        layer_specs = [s for s in specs if s.source == name]
+        layer_jobs.append((len(layer.xy) * len(layer_specs) * sc.n_sites / 100, cov.build_matrix,
+                           (sites, layer_specs, {name: layer})))
+    grf_args = (coords, sc.grf_nugget, sc.grf_partial_sill, sc.grf_range_m,
+                np.random.default_rng(stage_seed(sc.seed, "grf")))
+    *done, landcover, population, grf = run_jobs([
+        *grid_jobs.values(), *layer_jobs,
+        (lnc * lnr * 10, _landcover, (latent, lc_cell, lnc, lnr)),
+        (lattice.n_cols * lattice.n_rows * len(centers), _field_grid,
+         (pop_density, pred_cell, lattice.n_cols, lattice.n_rows)),
+        (sc.n_sites ** 3 / 1000, simulate_grf, grf_args),
+    ])
+    grids = dict(zip(grid_jobs, done))
+    categorical = {"landcover": landcover}
+    # The grid, land-cover and coordinate columns are extracted here.
+    rest = [s for s in specs if s.source not in layers]
+    parts = [*done[len(grids):], cov.build_matrix(sites, rest, grids=grids,
+                                                   categorical=categorical)]
+    columns = {name: col for part in parts for name, col in zip(part.columns, part.values.T)}
+    matrix = cov.CovariateMatrix.from_values(
+        site_ids, [s.name for s in specs], np.column_stack([columns[s.name] for s in specs]))
 
     trend = sc.trend or (_FULL_TREND if full else _MINI_TREND)
     if sc.n_sites < 2:
@@ -410,8 +451,6 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         beta = float(effect) / sd
         betas[name] = beta
         y = y + beta * col
-    grf = simulate_grf(coords, sc.grf_nugget, sc.grf_partial_sill, sc.grf_range_m,
-                       np.random.default_rng(stage_seed(sc.seed, "grf")))
     noise = sc.noise_sd * np.random.default_rng(
         stage_seed(sc.seed, "noise")).standard_normal(sc.n_sites)
     y = np.maximum(y + grf + noise, 0.0)
@@ -475,8 +514,8 @@ def _write_daily(data: SyntheticData, path) -> None:
 
 
 def _written(write, *args) -> bool:
-    """A FanOut job: `write(*args)`, then True, so that a file no worker
-    wrote comes back as None."""
+    """A `run_jobs` job: `write(*args)`, then True, so that a file no
+    worker wrote comes back as None."""
     write(*args)
     return True
 
@@ -516,11 +555,7 @@ def write_scenario(data: SyntheticData, outdir) -> Path:
         (data.population.values.size, geodata.write_raster, data.population,
          inputs / "population.asc"),
     ]
-    with contextlib.closing(FanOut([(cost, _written, job) for cost, *job in writes])) as fan_out:
-        done = fan_out.results()  # an interrupt too leaves no worker running
-    for (_, write, *args), written in zip(writes, done):
-        if written is None:
-            write(*args)
+    run_jobs((cost, _written, job) for cost, *job in writes)
     cov.write_specs(data.specs, outdir / "covariates.json")
     dump_json(data.truth, outdir / "truth.json")
 

@@ -5,7 +5,10 @@ artifacts with workers as without, errors named as a parse in the parent
 names them, one warning for a dead worker's files, no worker that outlives
 a run, none started by a cached rerun, no prefetched value used for bytes
 the stage key does not name. The same rule for the scenario writers of
-`synth.write_scenario`: the parent writes every file no worker wrote."""
+`synth.write_scenario` (the parent writes every file no worker wrote) and
+for the evaluations of `synth.generate_synthetic` (the parent runs every
+job no worker delivered, `_util.run_jobs`), whose data has the same bits
+with workers as without."""
 
 import fcntl
 import json
@@ -23,11 +26,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lurk import _util, geodata, pipeline, synth
+from lurk import _util, covariates, geodata, pipeline, synth
 from lurk.errors import GridFormatError, InvalidArgumentError, ScenarioError, StageError
 from lurk.pipeline import PipelineConfig, run
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 from test_pipeline import new_log_lines, scenario, write
+from test_synth import _assert_same_data
 
 linux_only = pytest.mark.skipif(sys.platform != "linux", reason="FanOut forks only on Linux")
 READERS = ("read_features", "read_raster", "read_categorical")
@@ -435,6 +439,111 @@ def test_a_failing_daily_write_raises_from_the_parent(tmp_path, monkeypatch, n_c
         reader(path)  # whole: it parses
 
 
+# -- the scenario generator --------------------------------------------------------------
+
+FULL_SMALL = SyntheticScenario(seed=2, covariate_set="full", n_sites=30, n_clusters=4,
+                               extent_x=500_000.0, extent_y=400_000.0, prediction_cols=20,
+                               prediction_rows=16, n_excluded_sites=2)
+GENERATION_JOBS = ((synth, "_field_grid"), (synth, "_landcover"), (synth, "simulate_grf"),
+                   (covariates, "build_matrix"))  # what the generator's jobs call
+
+
+def record_job_calls(monkeypatch, log: Path, fault=None) -> None:
+    """Wrap the functions the generator's jobs call so that each call
+    appends "<pid> <function name>" to `log` (read back by `reader_calls`),
+    from whichever process makes it; with `fault`, each call runs
+    `fault(name)` first and gives None when that is true."""
+    for module, name in GENERATION_JOBS:
+        def job(*args, original=getattr(module, name), name=name, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {name}\n")
+            if fault is not None and fault(name):
+                return None
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, job)
+
+
+@linux_only
+@pytest.mark.parametrize("sc", [NOISY, FULL_SMALL], ids=["mini", "full-small"])
+def test_generated_data_is_bit_identical_with_and_without_workers(sc, tmp_path, monkeypatch):
+    """A scenario generated with two workers, with none because one core is
+    usable, and with none because another thread is alive, has the same
+    arrays, bit for bit, and the same truth, specs and excluded sites. Each
+    job runs once: in a worker in the first case, here in the others; the
+    grid and land-cover columns are always extracted here."""
+    log = tmp_path / "calls.log"
+    record_job_calls(monkeypatch, log)
+    got, calls = {}, {}
+    for way in ("workers", "one core", "beside a thread"):
+        cpus(monkeypatch, 1 if way == "one core" else 2)
+        log.unlink(missing_ok=True)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(300,))
+        if way == "beside a thread":
+            other.start()
+        try:
+            got[way] = generate_synthetic(sc)
+        finally:
+            release.set()
+        if way == "beside a thread":
+            other.join(timeout=60)
+            assert not other.is_alive()
+        assert multiprocessing.active_children() == []
+        ran = reader_calls(log)
+        calls[way] = sorted(name for _, name in ran)
+        in_parent = {name for pid, name in ran if pid == os.getpid()}
+        assert in_parent == ({"build_matrix"} if way == "workers" else set(calls[way])), way
+    assert calls["workers"] == calls["one core"] == calls["beside a thread"]
+    assert calls["workers"].count("build_matrix") == len(got["workers"].layers) + 1
+    _assert_same_data(got["workers"], got["one core"])
+    _assert_same_data(got["workers"], got["beside a thread"])
+
+
+@linux_only
+@pytest.mark.parametrize("fault", ["killed", "none"])
+def test_a_generation_job_no_worker_delivers_is_run_by_the_parent(fault, tmp_path, monkeypatch):
+    """A worker killed in the land-cover job, or a GRF job whose value
+    comes back None, leaves that job to the parent, which gives the bits
+    of a one-core generation and leaves no child process behind."""
+    cpus(monkeypatch, 1)
+    want = generate_synthetic(NOISY)
+    parent, target = os.getpid(), {"killed": "_landcover", "none": "simulate_grf"}[fault]
+
+    def in_a_worker(name):
+        if os.getpid() != parent and name == target:
+            if fault == "killed":
+                os._exit(3)
+            return True
+        return False
+
+    log = tmp_path / "calls.log"
+    record_job_calls(monkeypatch, log, fault=in_a_worker)
+    cpus(monkeypatch, 2)
+    got = generate_synthetic(NOISY)
+    assert multiprocessing.active_children() == []
+    pids = [pid for pid, name in reader_calls(log) if name == target]
+    assert len(pids) == 2 and pids[0] != parent and pids[1] == parent
+    _assert_same_data(got, want)
+
+
+@linux_only
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_a_failing_generation_job_raises_from_the_parent(tmp_path, monkeypatch, n_cpus):
+    """A job that raises in a worker raises again, with its own error and
+    message, from this process, however many workers ran; no child process
+    is left."""
+    def fail(name):
+        if name == "simulate_grf":
+            raise ScenarioError(f"patched GRF fault in process {os.getpid()}")
+
+    record_job_calls(monkeypatch, tmp_path / "calls.log", fault=fail)
+    cpus(monkeypatch, n_cpus)
+    with pytest.raises(ScenarioError, match=f"^patched GRF fault in process {os.getpid()}$"):
+        generate_synthetic(NOISY)
+    assert multiprocessing.active_children() == []
+
+
 # -- the helper itself -------------------------------------------------------------------
 
 def square_or_fail(x):
@@ -511,6 +620,19 @@ def test_a_dead_worker_s_jobs_come_back_as_none(monkeypatch, caplog):
         got = fan.results()
     assert got[0] is None and got[1][0] == 4
     assert caplog.text == "" and multiprocessing.active_children() == []
+
+
+@linux_only
+def test_run_jobs_runs_in_the_parent_what_no_worker_delivered(monkeypatch):
+    """`run_jobs` gives each job's value in job order: a worker's, or the
+    parent's own call where none came back; a job that fails raises from
+    the parent with its own message."""
+    cpus(monkeypatch, 2)
+    got = _util.run_jobs([(1, square_or_fail, (3,)), (2, die_in_a_worker, (os.getpid(),))])
+    assert got[0][0] == 9 and got[1] == "in the parent"
+    with pytest.raises(InvalidArgumentError, match="^negative: -2$"):
+        _util.run_jobs([(1, square_or_fail, (2,)), (1, square_or_fail, (-2,))])
+    assert multiprocessing.active_children() == []
 
 
 @linux_only

@@ -233,6 +233,21 @@ def _reference_segments_layer(rng, n, extent_x, extent_y, centers, urban_frac, m
                                 [f"{prefix}{i:05d}" for i in range(n)])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 12])
+@pytest.mark.parametrize("with_centers", [True, False], ids=["centers", "no-centers"])
+def test_segment_draws_match_the_scalar_uniform_loop(seed, with_centers):
+    """`_segments_layer` draws its uniforms as scaled `rng.random()` calls:
+    the same segment ends, bit for bit, and the same stream left behind as
+    the loop of scalar `rng.uniform` calls."""
+    centers = np.random.default_rng(100 + seed).uniform(0, 300_000, (6, 2)) \
+        if with_centers else None
+    args = (500, 400_000.0, 300_000.0, centers, 0.6, 2_000, 20_000)
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    layer = synth._segments_layer(mine, *args, "rd")
+    _assert_bit_equal(layer.xy.reshape(-1, 2, 2), oracles.loop_segment_ends(theirs, *args))
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
 def _reference_field_grid(fn, cell, n_cols, n_rows, base=0.0):
     return geodata.RasterGrid(0.0, 0.0, cell, n_cols, n_rows,
                               oracles.meshgrid_field(fn, cell, n_cols, n_rows, base))
