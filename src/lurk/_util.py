@@ -281,17 +281,21 @@ def one_blas_thread():
             set_threads(n)
 
 
+FORK_FLOOR_S = 0.1  # two workers' break-even, in seconds of one core (README "When it forks")
+
+
 class FanOut:
     """Runs `fn(*args)` for each job `(cost, fn, args)` in forked worker
     processes, one per usable core (`os.sched_getaffinity`) and at most one
-    per job, which start at once; none start on one core, off Linux, off
-    the main thread or beside another Python thread (a fork copies only
-    the calling thread, and a lock another thread holds stays held in the
-    child), or when the queue, a process or a pipe cannot be had. The
-    workers take the jobs from one queue, largest cost first, each the
-    next one as it comes free, so none idles while another has jobs left.
-    A worker runs all its jobs before it sends anything, so it never waits
-    on a parent busy elsewhere. Workers inherit every open file, the
+    per job, which start at once; none start when the costs, each the job's
+    estimated seconds of one core, total under FORK_FLOOR_S, on one core,
+    off Linux, off the main thread or beside another Python thread (a fork
+    copies only the calling thread, and a lock another thread holds stays
+    held in the child), or when the queue, a process or a pipe cannot be
+    had. The workers take the jobs from one queue, largest cost first, each
+    the next one as it comes free, so none idles while another has jobs
+    left. A worker runs all its jobs before it sends anything, so it never
+    waits on a parent busy elsewhere. Workers inherit every open file, the
     output-directory lock among them, so whoever makes a FanOut calls
     `close` before letting such files go."""
 
@@ -300,7 +304,8 @@ class FanOut:
         self.workers = []  # (process, receiving end of its pipe)
         n = 1
         if (sys.platform == "linux" and threading.current_thread() is threading.main_thread()
-                and threading.active_count() == 1):
+                and threading.active_count() == 1
+                and sum(cost for cost, *_ in self.jobs) >= FORK_FLOOR_S):
             n = min(len(os.sched_getaffinity(0)), len(self.jobs))
         if n < 2:
             return
@@ -362,10 +367,10 @@ class FanOut:
 
 def run_jobs(jobs) -> list:
     """`fn(*args)` of each job `(cost, fn, args)`, in job order: the value
-    a `FanOut` worker delivered, else the parent's own call. The parent
-    makes its calls in job order once every worker is reaped, so a job
-    that fails raises here with its own error, and no worker outlives the
-    call. A job whose value is None runs twice, so jobs return a value."""
+    a `FanOut` worker delivered, else the parent's own call (all of them
+    below FORK_FLOOR_S), made in job order once every worker is reaped, so
+    a job that fails raises here with its own error, and no worker outlives
+    the call. A job whose value is None runs twice, so jobs return a value."""
     jobs = list(jobs)
     with contextlib.closing(FanOut(jobs)) as fan_out:
         values = fan_out.results()  # an interrupt too leaves no worker running

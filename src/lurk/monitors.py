@@ -227,7 +227,7 @@ def _first_malformed(path) -> InvalidArgumentError:
 
 def read_sites_csv(path) -> dict:
     """Read site metadata CSV into {site_id: (x, y, province, city)}. A missing
-    column, a repeated site_id, a short row, or an x or y that is not a
+    column, a repeated site_id, a short or long row, or an x or y that is not a
     finite number raises InvalidArgumentError naming the file, line and site."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -235,14 +235,14 @@ def read_sites_csv(path) -> dict:
                    if c not in (reader.fieldnames or ())]
         if missing:
             raise InvalidArgumentError(f"{path}: missing columns {missing}")
-        meta = {}
+        meta, width = {}, len(reader.fieldnames)
         for row in reader:
             sid = row["site_id"]
             where = f"{path}: line {reader.line_num}: site {sid!r}"
             if sid in meta:
                 raise InvalidArgumentError(f"{where} repeats an earlier row")
-            if None in row.values():
-                raise InvalidArgumentError(f"{where}: the row has fewer fields than the header")
+            if None in row or None in row.values():  # a long row's rest is row[None]
+                raise InvalidArgumentError(f"{where}: the row does not have {width} fields")
             try:
                 x, y = float(row["x"]), float(row["y"])
             except ValueError:

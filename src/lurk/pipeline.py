@@ -48,6 +48,9 @@ LATTICE_KEYS = tuple(f.name for f in fields(geodata.Lattice))
 # came more than this long before the hash: a write in the same timestamp
 # tick as the recorded stat would leave the signature as it was.
 RACY_WINDOW_NS = 2_000_000_000
+# Seconds of one core per byte each geo reader parses: over the perfbench and
+# full-scale inputs, the median of its one-process time per byte (2-vCPU Xeon).
+PARSE_S = {"read_features": 6.1e-8, "read_raster": 2.55e-8, "read_categorical": 2.2e-8}
 
 
 @functools.cache
@@ -97,6 +100,9 @@ class PipelineConfig:
         for name, entry in maps["categorical_grids"].items():
             check_keys(entry, ("path", "categories"), f"config categorical_grids {name!r}")
             check_required(entry, ("path", "categories"), f"config categorical_grids {name!r}")
+            codes = entry["categories"]
+            checked(f"config categorical_grids {name!r} categories", codes,
+                    isinstance(codes, list) and all(map(is_int, codes)), "a list of integers")
         k, logo_group = cv.get("k", cls.cv_k), cv.get("logo_group", cls.logo_group)
         with_variance = d.get("with_variance", cls.with_variance)
         checked("config prediction", lattice, lattice is None or (
@@ -119,7 +125,8 @@ class PipelineConfig:
             return Path(os.path.abspath(base / p))
 
         return cls(
-            pollutant=d["pollutant"],
+            pollutant=checked("config pollutant", d["pollutant"], isinstance(d["pollutant"], str),
+                              "a string"),
             year=checked("config year", d["year"], is_int(d["year"]), "an integer"),
             daily_csv=resolve("monitors.daily", d["monitors"]["daily"]),
             sites_csv=resolve("monitors.sites", d["monitors"]["sites"]),
@@ -334,15 +341,6 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _size(path) -> int:
-    """The file's size in bytes; 0 when it cannot be stat'ed (its job then
-    fails, and the stage that loads it names the error)."""
-    try:
-        return os.path.getsize(path)
-    except OSError:
-        return 0
-
-
 def _read_geo(reader: str, path, *args) -> tuple:
     """The sha256 of a geo input's bytes and what `geodata.<reader>` makes
     of those bytes. A `FanOut` job, run only in a worker: it reads the file
@@ -357,17 +355,19 @@ class _GeoInputs:
     once per run: by the workers of one `FanOut` (`start` begins them, or
     the first `load`; `close` stops and reaps them), or by `load` itself."""
 
-    def __init__(self, cfg: PipelineConfig):
+    def __init__(self, cfg: PipelineConfig, input_stats: dict):
         self.reads = [*(("read_features", path) for path in cfg.layers.values()),
                       *(("read_raster", path) for path in cfg.grids.values()),
                       *(("read_categorical", spec["path"], spec["categories"])
                         for spec in cfg.categorical.values())]
         self.names = (cfg.layers, cfg.grids, cfg.categorical)
         self.fan_out = self.loaded = None
+        self.jobs = [(PARSE_S[read[0]] * input_stats[os.fspath(read[1])][1][2], _read_geo, read)
+                     for read in self.reads]  # sized by the stat signatures `validate` took
 
     def start(self) -> None:
         if self.fan_out is None:
-            self.fan_out = FanOut([(_size(read[1]), _read_geo, read) for read in self.reads])
+            self.fan_out = FanOut(self.jobs)
 
     def load(self, hash_of) -> tuple[dict, dict, dict]:
         """The layers, grids and land-cover grids by name, taken in config
@@ -410,7 +410,7 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     with locked_dir(config.out_dir):
         runner = _Runner(config, input_stats)
         report = runner.report
-        geo = _GeoInputs(config)
+        geo = _GeoInputs(config, input_stats)
         try:
             for name in _stages(config, runner, geo, parse_ahead=until != "annualize"):
                 if name == until:

@@ -31,6 +31,12 @@ from ._util import (checked, csv_field, dump_json, is_finite_number, is_int, one
 N_LANDCOVER_CLASSES = 8
 COVARIATE_SETS = ("mini", "full")
 FIELD_BLOCK = 1 << 17  # cells per block of a field evaluation
+# A job's cost in seconds of one core: its work times the median one-process time per
+# unit of its kind over the perfbench and full-scale scenarios (2-vCPU Xeon VM).
+FIELD_S = 2.1e-8  # per cell x wave (or x bump) of a field grid
+LANDCOVER_S = 3e-7  # per cell of the land cover, its site fractions included
+LAYER_S = 2.1e-10  # per vertex x spec x site of a layer's site covariates
+GRF_S = 3e-11  # per site^3 of the GRF
 
 
 def simulate_grf(coords, nugget: float, partial_sill: float, range_m: float,
@@ -318,15 +324,17 @@ def _field_grid(fn, cell, n_cols, n_rows, base=0.0) -> geodata.RasterGrid:
     return geodata.RasterGrid(**lattice.geometry(), values=values)
 
 
-def _landcover(fn, cell, n_cols, n_rows) -> geodata.CategoricalGrid:
+def _landcover(fn, cell, n_cols, n_rows, sites, specs) -> tuple:
     """Land cover: latent field `fn` on a grid (as `_field_grid`), cut at
     its quantiles into N_LANDCOVER_CLASSES classes of equal share, coded
-    1.. as int32. Only the codes outlive the call."""
+    1.. as int32, with the matrix of its `specs` at `sites`: only those two
+    outlive the call."""
     latent = _field_grid(fn, cell, n_cols, n_rows).values
     qs = np.quantile(latent, np.linspace(0, 1, N_LANDCOVER_CLASSES + 1)[1:-1])
     codes = 1 + np.searchsorted(qs, latent).astype(np.int32)
-    return geodata.CategoricalGrid(0.0, 0.0, cell, n_cols, n_rows, codes,
+    grid = geodata.CategoricalGrid(0.0, 0.0, cell, n_cols, n_rows, codes,
                                    categories=tuple(range(1, N_LANDCOVER_CLASSES + 1)))
+    return grid, cov.build_matrix(sites, specs, categorical={"landcover": grid})
 
 
 @one_blas_thread()
@@ -334,7 +342,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     """Build the full synthetic dataset for a scenario.
 
     The draws are made in this process and the evaluations run as
-    `_util.run_jobs` jobs, in forked workers where it can fork, so the
+    `_util.run_jobs` jobs, in forked workers when they pay, so the
     data has the same bits with workers or without."""
     sc = scenario
     rng = np.random.default_rng(stage_seed(sc.seed, "synth"))
@@ -373,25 +381,22 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
                                           3 * sc.cluster_sd_m, "pg")
 
     # Every draw of `rng` is made here, in the order it always was. The
-    # grids, the land cover, the population, the layers' site covariates
-    # and the GRF (from its own stream) are jobs of `run_jobs`, each costed
-    # by its work: cells x waves (or x bumps) of a field, vertices x specs
-    # x sites / 100 of a layer's covariates and n^3 / 1000 of the GRF, each
-    # unit 10-100 ns of one core, so the largest job (the land cover) goes first.
+    # grids, the land cover with its site fractions, the population, the
+    # layers' site covariates and the GRF (its own stream) are `run_jobs` jobs.
     cov_cell = min(ex, ey) / (200 if full else 50)
     nc, nr = int(round(ex / cov_cell)), int(round(ey / cov_cell))
     grid_jobs = {}  # name -> (cost, fn, args), in the order of the grids
     for name in _FULL_GRIDS if full else ("elevation",):
         wave_scale = ex / rng.uniform(3.0, 7.0)
         field = _smooth_field(rng, wave_scale, {"elevation": 400.0}.get(name, 1.0))
-        grid_jobs[name] = (nc * nr * 10, _field_grid,
+        grid_jobs[name] = (FIELD_S * nc * nr * 10, _field_grid,
                            (field, cov_cell, nc, nr, {"elevation": 800.0}.get(name, 0.0)))
 
     sat_cell = min(ex, ey) / 40
     snc, snr = int(round(ex / sat_cell)), int(round(ey / sat_cell))
     for name in ("satellite_pm25", "satellite_no2") if full else ("satellite",):
         field = _smooth_field(rng, ex / 2.2, 1.0, n_waves=6)
-        grid_jobs[name] = (snc * snr * 6, _field_grid, (field, sat_cell, snc, snr))
+        grid_jobs[name] = (FIELD_S * snc * snr * 6, _field_grid, (field, sat_cell, snc, snr))
 
     lc_cell = min(ex, ey) / (1000 if full else 240)
     lnc, lnr = int(round(ex / lc_cell)), int(round(ey / lc_cell))
@@ -403,7 +408,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     if full:
         # The population field replaces the smooth field drawn for this grid
         # above, unevaluated; its draws stay, so later fields keep theirs.
-        grid_jobs["population_density"] = (nc * nr * len(centers), _field_grid,
+        grid_jobs["population_density"] = (FIELD_S * nc * nr * len(centers), _field_grid,
                                            (pop_density, cov_cell, nc, nr))
 
     specs = _full_specs() if full else _mini_specs()
@@ -417,23 +422,21 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     layer_jobs = []
     for name, layer in layers.items():
         layer_specs = [s for s in specs if s.source == name]
-        layer_jobs.append((len(layer.xy) * len(layer_specs) * sc.n_sites / 100, cov.build_matrix,
-                           (sites, layer_specs, {name: layer})))
+        layer_jobs.append((LAYER_S * len(layer.xy) * len(layer_specs) * sc.n_sites,
+                           cov.build_matrix, (sites, layer_specs, {name: layer})))
     grf_args = (coords, sc.grf_nugget, sc.grf_partial_sill, sc.grf_range_m,
                 np.random.default_rng(stage_seed(sc.seed, "grf")))
-    *done, landcover, population, grf = run_jobs([
+    lc_specs = [s for s in specs if s.source == "landcover"]
+    *done, (landcover, lc_columns), population, grf = run_jobs([
         *grid_jobs.values(), *layer_jobs,
-        (lnc * lnr * 10, _landcover, (latent, lc_cell, lnc, lnr)),
-        (lattice.n_cols * lattice.n_rows * len(centers), _field_grid,
+        (LANDCOVER_S * lnc * lnr, _landcover, (latent, lc_cell, lnc, lnr, sites, lc_specs)),
+        (FIELD_S * lattice.n_cols * lattice.n_rows * len(centers), _field_grid,
          (pop_density, pred_cell, lattice.n_cols, lattice.n_rows)),
-        (sc.n_sites ** 3 / 1000, simulate_grf, grf_args),
+        (GRF_S * sc.n_sites ** 3, simulate_grf, grf_args),
     ])
     grids = dict(zip(grid_jobs, done))
-    categorical = {"landcover": landcover}
-    # The grid, land-cover and coordinate columns are extracted here.
-    rest = [s for s in specs if s.source not in layers]
-    parts = [*done[len(grids):], cov.build_matrix(sites, rest, grids=grids,
-                                                   categorical=categorical)]
+    rest = [s for s in specs if s.source not in {*layers, "landcover"}]  # extracted here
+    parts = [*done[len(grids):], lc_columns, cov.build_matrix(sites, rest, grids=grids)]
     columns = {name: col for part in parts for name, col in zip(part.columns, part.values.T)}
     matrix = cov.CovariateMatrix.from_values(
         site_ids, [s.name for s in specs], np.column_stack([columns[s.name] for s in specs]))
@@ -475,7 +478,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     }
     return SyntheticData(
         scenario=sc, sites=sites, matrix=matrix, specs=specs, layers=layers,
-        grids=grids, categorical=categorical, population=population,
+        grids=grids, categorical={"landcover": landcover}, population=population,
         prediction_lattice=lattice, truth=truth, excluded_sites=excluded,
     )
 
@@ -529,11 +532,11 @@ def write_scenario(data: SyntheticData, outdir) -> Path:
     series that would then need a value below zero raises ScenarioError.
     Excluded sites get sparse series that fail the completeness rule.
 
-    Each file under `inputs/` is one job of a `FanOut`, costed by the
-    records, vertices or cells it formats; afterwards the parent writes,
-    in job order, every file no worker wrote, so a failing write raises
-    here with its own error. A failure can leave other input files
-    written, each whole.
+    Each file under `inputs/` is one job of a `FanOut`, costed in seconds
+    of one core by the records, vertices or cells it formats; then the
+    parent writes, in job order, every file no worker wrote, so a failing
+    write raises here with its own error. A failure can leave other input
+    files written, each whole.
     """
     outdir = Path(outdir)
     inputs = outdir / "inputs"
@@ -543,16 +546,18 @@ def write_scenario(data: SyntheticData, outdir) -> Path:
 
     n_records = len(data.sites) * int(data.sites.n_calendar_days[0]) + sum(
         v[5] for v in data.excluded_sites.values())
+    # Seconds per site, record, vertex, cell and land-cover cell, measured as FIELD_S is.
     writes = [
-        (len(data.sites) + len(data.excluded_sites), _write_sites, data, inputs / "sites.csv"),
-        (n_records, _write_daily, data, inputs / "daily.csv"),
-        *((len(layer.xy), geodata.write_features, layer, inputs / "layers" / f"{name}.csv")
-          for name, layer in data.layers.items()),
-        *((grid.values.size, geodata.write_raster, grid, inputs / "grids" / f"{name}.asc")
-          for name, grid in data.grids.items()),
-        *((grid.values.size, geodata.write_categorical, grid, inputs / "grids" / f"{name}.asc")
-          for name, grid in data.categorical.items()),
-        (data.population.values.size, geodata.write_raster, data.population,
+        (5.9e-6 * (len(data.sites) + len(data.excluded_sites)), _write_sites, data,
+         inputs / "sites.csv"),
+        (4.1e-7 * n_records, _write_daily, data, inputs / "daily.csv"),
+        *((4.2e-6 * len(layer.xy), geodata.write_features, layer,
+           inputs / "layers" / f"{name}.csv") for name, layer in data.layers.items()),
+        *((1.15e-6 * grid.values.size, geodata.write_raster, grid,
+           inputs / "grids" / f"{name}.asc") for name, grid in data.grids.items()),
+        *((8.8e-8 * grid.values.size, geodata.write_categorical, grid,
+           inputs / "grids" / f"{name}.asc") for name, grid in data.categorical.items()),
+        (1.15e-6 * data.population.values.size, geodata.write_raster, data.population,
          inputs / "population.asc"),
     ]
     run_jobs((cost, _written, job) for cost, *job in writes)

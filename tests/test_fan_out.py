@@ -41,8 +41,11 @@ SKIPPED = {"manifest.json", "report.json", "run.log", ".lock"}  # timings, keys,
 
 
 def cpus(monkeypatch, n: int) -> None:
-    """Make `FanOut` see `n` usable cores, whatever the host has."""
+    """Make `FanOut` see `n` usable cores, whatever the host has, and fork
+    for work of any cost (a floor of 0 s), so that small test scenarios
+    still run their jobs in workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(_util, "FORK_FLOOR_S", 0.0)
 
 
 def record_reader_calls(monkeypatch, log: Path, fault=None) -> None:
@@ -188,6 +191,20 @@ def test_a_cached_rerun_starts_no_process(tmp_path, monkeypatch):
     run(PipelineConfig.from_json(config_path))
     assert new_log_lines(config_path.parent / "run" / "run.log", before) == dict.fromkeys(
         pipeline.STAGES, "status=cached")
+
+
+def test_work_below_the_floor_starts_no_process(tmp_path, monkeypatch):
+    """With two usable cores and the floor as it is, a mini scenario's
+    generation, its writing and a cold pipeline run on it each cost less
+    than `FORK_FLOOR_S`, so none of them forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def refuse():
+        raise AssertionError("work below the floor forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    config_path, _ = write(tmp_path, scenario(seed=4))
+    assert run(PipelineConfig.from_json(config_path)).status == "ok"
 
 
 def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monkeypatch):
@@ -471,7 +488,8 @@ def test_generated_data_is_bit_identical_with_and_without_workers(sc, tmp_path, 
     usable, and with none because another thread is alive, has the same
     arrays, bit for bit, and the same truth, specs and excluded sites. Each
     job runs once: in a worker in the first case, here in the others; the
-    grid and land-cover columns are always extracted here."""
+    land-cover job extracts its site columns with `build_matrix` where it
+    runs, and the grid columns are always extracted here."""
     log = tmp_path / "calls.log"
     record_job_calls(monkeypatch, log)
     got, calls = {}, {}
@@ -495,7 +513,7 @@ def test_generated_data_is_bit_identical_with_and_without_workers(sc, tmp_path, 
         in_parent = {name for pid, name in ran if pid == os.getpid()}
         assert in_parent == ({"build_matrix"} if way == "workers" else set(calls[way])), way
     assert calls["workers"] == calls["one core"] == calls["beside a thread"]
-    assert calls["workers"].count("build_matrix") == len(got["workers"].layers) + 1
+    assert calls["workers"].count("build_matrix") == len(got["workers"].layers) + 2
     _assert_same_data(got["workers"], got["one core"])
     _assert_same_data(got["workers"], got["beside a thread"])
 
@@ -567,6 +585,21 @@ def test_fan_out_gives_values_in_job_order_and_none_for_errors(monkeypatch):
             assert value is None
         else:
             assert value[0] == x * x and value[1] != os.getpid()
+
+
+@linux_only
+def test_work_above_the_floor_starts_workers(monkeypatch):
+    """Jobs whose costs total more than `FORK_FLOOR_S` start a worker per
+    usable core; the same jobs costed below it start none."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    floor = _util.FORK_FLOOR_S
+    assert floor > 0
+    fan = _util.FanOut([(0.6 * floor, square_or_fail, (x,)) for x in (3, 4)])
+    assert len(fan.workers) == 2
+    got = fan.results()
+    assert [v[0] for v in got] == [9, 16] and os.getpid() not in {v[1] for v in got}
+    assert _util.FanOut([(0.4 * floor, square_or_fail, (x,)) for x in (3, 4)]).workers == []
+    assert multiprocessing.active_children() == []
 
 
 def pid_after(seconds: float) -> int:
@@ -650,6 +683,7 @@ KILLED_PARENT = """
 import fcntl, os, signal, sys, time
 from lurk import _util
 os.sched_getaffinity = lambda pid: {0, 1}
+_util.FORK_FLOOR_S = 0.0
 fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT)
 fcntl.flock(fd, fcntl.LOCK_EX)
 slow = lambda: (time.sleep(1.0), bytes(1 << 20))[1]

@@ -158,6 +158,9 @@ def test_daily_and_sites_csv_readers(tmp_path):
     ("site_id,x,province,city\na,0,p,c\n", "missing columns ['y']"),
     ("site_id,x,y,province,city\na,0,0,p,c\nb,east,0,p,c\n", "line 3: site 'b'"),
     ("site_id,x,y,province,city\na,0,0,p\n", "line 2: site 'a'"),
+    # an unquoted comma once split a province and dropped the city unseen
+    ("site_id,x,y,province,city\ns1,1.0,2.0,Hebei, North,cityA\n",
+     "line 2: site 's1': the row does not have 5 fields"),
     # annualize once failed with a bare "site coordinates must be finite"
     ("site_id,x,y,province,city\na,0,0,p,c\nb,1,nan,p,c\n", "line 3: site 'b'"),
     ("site_id,x,y,province,city\na,-inf,0,p,c\n", "line 2: site 'a'"),

@@ -494,6 +494,12 @@ def test_config_values_checked(tmp_path, key, value, named):
     ("categorical_grids", {"landcover": {"path": 5, "categories": [1]}},
      "config categorical_grids 'landcover' path must be a path"),
     ("covariates", 5, "config covariates must be a path"),
+    # These once passed the config check and failed or leaked later.
+    ("categorical_grids", {"landcover": {"path": "lc.asc", "categories": 5}},
+     "config categorical_grids 'landcover' categories must be a list of integers"),
+    ("categorical_grids", {"landcover": {"path": "lc.asc", "categories": ["a"]}},
+     "config categorical_grids 'landcover' categories must be a list of integers"),
+    ("pollutant", {"name": "no2"}, "config pollutant must be a string"),
     ("population_grid", 5, "config population_grid must be a path"),
     ("out", None, "config out must be a path"),
     (None, None, "config must be an object"),  # the config itself, as a list
