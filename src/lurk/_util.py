@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, OutputLockedError
 
+log = logging.getLogger(__name__)
+
 
 def fmt_float(x) -> str:
     """Shortest decimal form that round-trips exactly through float()."""
@@ -263,7 +265,7 @@ def _openblas_thread_controls() -> tuple:
                      for lib in map(_load, _openblas_paths()) for n in names
                      if hasattr(lib, n % "get"))
     if not controls:
-        logging.getLogger(__name__).warning("no OpenBLAS found: BLAS threads are not pinned")
+        log.warning("no OpenBLAS found: BLAS threads are not pinned")
     return controls
 
 
@@ -370,10 +372,15 @@ def run_jobs(jobs) -> list:
     a `FanOut` worker delivered, else the parent's own call (all of them
     below FORK_FLOOR_S), made in job order once every worker is reaped, so
     a job that fails raises here with its own error, and no worker outlives
-    the call. A job whose value is None runs twice, so jobs return a value."""
+    the call. A job whose value is None runs twice, so jobs return a value.
+    A warning counts the jobs workers started but did not deliver."""
     jobs = list(jobs)
     with contextlib.closing(FanOut(jobs)) as fan_out:
+        forked = bool(fan_out.workers)
         values = fan_out.results()  # an interrupt too leaves no worker running
+    missing = sum(value is None for value in values)
+    if forked and missing:
+        log.warning("%d of %d jobs came from no worker; run in the parent", missing, len(values))
     return [fn(*args) if value is None else value
             for value, (_, fn, args) in zip(values, jobs)]
 

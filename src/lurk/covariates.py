@@ -24,8 +24,8 @@ import numpy as np
 
 from . import geodata
 from .errors import CovariateExtractionError, InvalidArgumentError, NoFeaturesError
-from ._util import (check_keys, checked, is_finite_number, is_int, read_table, write_atomic,
-                    write_table)
+from ._util import (check_keys, checked, is_finite_number, is_int, plain, read_table,
+                    write_atomic, write_table)
 
 KINDS = (
     "point_count",
@@ -67,14 +67,9 @@ class CovariateSpec:
             raise InvalidArgumentError(f"{self.name}: landcover_fraction requires a category")
 
     def to_dict(self) -> dict:
-        d = {"name": self.name, "kind": self.kind}
-        if self.source:
-            d["source"] = self.source
-        if self.category is not None:
-            d["category"] = int(self.category)
-        if self.buffer_m:
-            d["buffer_m"] = float(self.buffer_m)
-        return d
+        """The JSON form: `plain(self)` without the fields that hold their defaults."""
+        defaults = {f.name: f.default for f in fields(self)}  # name and kind have none
+        return {k: v for k, v in plain(self).items() if v != defaults[k]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateSpec":

@@ -84,6 +84,16 @@ def logo_plan(sites: MonitorTable, group_key: str) -> CvPlan:
 # Cross-validation
 # ---------------------------------------------------------------------------
 
+def _refit(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
+           train, at, seed: int) -> list:
+    """The one refit of CV folds and Monte Carlo iterations: `recipe` fitted
+    on the `train` rows of `sites` and `matrix`, then its mean prediction at
+    each index array of `at`, one `FittedModel.predict` per array."""
+    fitted = fit_recipe(recipe, sites.subset(train), matrix.subset_rows(train), seed=seed)
+    rows = matrix.select(fitted.required_columns)
+    return [fitted.predict(rows[idx], coords=sites.coords[idx])[0] for idx in at]
+
+
 @dataclass
 class CvResult:
     scheme: str
@@ -133,12 +143,10 @@ def run_cv(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
         if train.size < 3:
             raise FoldError(f"fold {label!r}: only {train.size} training sites")
         try:
-            fitted = fit_recipe(recipe, sites.subset(train), matrix.subset_rows(train),
-                                seed=stage_seed(seed, f"fold:{label}"))
+            predicted[test], = _refit(recipe, sites, matrix, train, [test],
+                                      stage_seed(seed, f"fold:{label}"))
         except Exception as exc:
             raise FoldError(f"fold {label!r}: {exc}") from exc
-        predicted[test], _ = fitted.predict(matrix.select(fitted.required_columns)[test],
-                                            coords=sites.coords[test])
         d = cdist(sites.coords[test], sites.coords[train])
         nn[test] = d.min(axis=1)
         obs_f = sites.annual_mean[test]
@@ -222,20 +230,14 @@ def monte_carlo_curve(recipe: ModelRecipe, sites: MonitorTable,
             rng = np.random.default_rng(stage_seed(seed, f"mc:{n}:{it}"))
             pick = np.sort(rng.choice(n_total, size=n, replace=False))
             rest = np.setdiff1d(np.arange(n_total), pick)
-            sub_sites = sites.subset(pick)
-            sub_matrix = matrix.subset_rows(pick)
             try:
-                fitted = fit_recipe(recipe, sub_sites, sub_matrix,
-                                    seed=stage_seed(seed, f"mc-fit:{n}:{it}"))
+                pred_in, pred_out = _refit(recipe, sites, matrix, pick, [pick, rest],
+                                           stage_seed(seed, f"mc-fit:{n}:{it}"))
             except Exception as exc:
                 log.warning("skipping n=%d iteration %d: %s", n, it, exc)
                 continue
-            pred_in, _ = fitted.predict(sub_matrix.select(fitted.required_columns),
-                                        coords=sub_sites.coords)
-            fitting = r2_mse(sub_sites.annual_mean, pred_in)
+            fitting = r2_mse(sites.annual_mean[pick], pred_in)
             obs_out = sites.annual_mean[rest]
-            pred_out, _ = fitted.predict(matrix.select(fitted.required_columns)[rest],
-                                         coords=sites.coords[rest])
             if len(rest) >= 2 and np.var(obs_out) > 0:
                 holdout = r2_mse(obs_out, pred_out)
                 kind = "r2"
@@ -245,6 +247,7 @@ def monte_carlo_curve(recipe: ModelRecipe, sites: MonitorTable,
             row = {"n": int(n), "iteration": it, "fitting_r2": fitting,
                    "holdout_r2": holdout, "holdout_kind": kind}
             if include_cv:
+                sub_sites, sub_matrix = sites.subset(pick), matrix.subset_rows(pick)
                 plan_k = kfold_plan(sub_sites.site_ids, k=min(10, n),
                                     seed=stage_seed(seed, f"mc-cv:{n}:{it}"))
                 row["kfold_r2"] = run_cv(recipe, sub_sites, sub_matrix, plan_k,

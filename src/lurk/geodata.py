@@ -53,6 +53,10 @@ class Lattice:
             raise InvalidArgumentError("nrows must be >= 1")
         if self.cell_size <= 0:
             raise InvalidArgumentError("cellsize must be > 0")
+        for key, value in (("xllcorner", self.origin_x), ("yllcorner", self.origin_y),
+                           ("cellsize", self.cell_size)):
+            if not np.isfinite(value):
+                raise InvalidArgumentError(f"{key} must be a finite number, got {value}")
 
     def __setstate__(self, state):
         """Unpickled (as from a worker process), a grid's arrays stay read-only."""
@@ -188,7 +192,9 @@ class CategoricalGrid(Lattice):
 
 def _read_header(f, path) -> dict:
     """Read the header lines of an open ESRI ASCII grid file, leaving `f`
-    at the first body line; blank lines before the body are skipped."""
+    at the first body line; blank lines before the body are skipped. A
+    missing key, or an ncols or nrows that is not an integer, raises
+    GridFormatError naming the file and the key."""
     header: dict[str, float] = {}
     number = 0  # of the line just read
     while True:
@@ -211,6 +217,9 @@ def _read_header(f, path) -> dict:
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise GridFormatError(f"{path}: missing header key '{key}'")
+    for key in ("ncols", "nrows"):
+        if not header[key].is_integer():  # 3.5, nan, or an inf such as 1e400
+            raise GridFormatError(f"{path}: {key} must be an integer, got {header[key]}")
     return header
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, solve_triangular
-from scipy.optimize import brentq
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import (
@@ -176,6 +175,7 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
     k = int(np.argmin(cost))
     a, j = grid[k], k + (1 if slope[k] < 0 else -1)
     if c1[k] > 0 and 0 <= j < len(grid) and slope[k] * slope[j] < 0:
+        from scipy.optimize import brentq  # 0.1 s to import, which `synth` does without
         lo, hi = sorted((grid[k], grid[j]))
         a = brentq(lambda x: profile(np.array([x]))[3][0], lo, hi, xtol=1e-14 * lo)
     (c0,), (c1,), _, _ = profile(np.array([a]))

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy import special
 from scipy.linalg import blas, qr, solve_triangular
+from scipy.spatial.distance import cdist
 
 from .covariates import CovariateMatrix
 from .errors import (
@@ -515,11 +516,7 @@ def morans_i(residuals, coords, min_distance: float = 1000.0) -> MoransI:
     denom = float(z @ z)
     if denom == 0.0:
         raise ZeroVarianceError("residuals have zero variance")
-    d = np.sqrt(
-        (coords[:, 0][:, None] - coords[:, 0][None, :]) ** 2
-        + (coords[:, 1][:, None] - coords[:, 1][None, :]) ** 2
-    )
-    w = 1.0 / np.maximum(d, min_distance)
+    w = 1.0 / np.maximum(cdist(coords, coords), min_distance)
     np.fill_diagonal(w, 0.0)
     w /= w.sum(axis=1, keepdims=True)
     s0 = w.sum()

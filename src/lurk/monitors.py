@@ -164,7 +164,7 @@ def read_daily_csv(path):
     site_id, date and value columns, in file order; a blank or
     whitespace-only value is None. The whole file is checked first: a
     missing column, or a malformed record (a short row, a date that is not
-    ISO, a value that is not a finite number, such as nan, inf or 1e400),
+    YYYY-MM-DD, a value that is not a finite number, such as nan, inf or 1e400),
     raises InvalidArgumentError naming the file and, for a record, its line.
 
     The file is parsed by columns: the csv module's rows are split into
@@ -189,11 +189,18 @@ def read_daily_csv(path):
                 days.append(shared.setdefault(day, day))
                 values.append(value)
             for day in set(days):
-                dt.date.fromisoformat(day)
+                _check_date(day)
             numbers = _numbers(values)
         except (IndexError, ValueError):
             raise _first_malformed(path) from None
     yield from zip(sites, days, numbers)
+
+
+def _check_date(text: str) -> None:
+    """ValueError unless `text` is a YYYY-MM-DD date (`fromisoformat` also
+    takes 20150102 and 2015-W01-5 on Python 3.11 and later)."""
+    if dt.date.fromisoformat(text).isoformat() != text:
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
 
 
 def _numbers(values) -> list:
@@ -217,7 +224,7 @@ def _first_malformed(path) -> InvalidArgumentError:
         for row in filter(None, reader):
             try:
                 site, day, value = row[i], row[j], row[k]
-                dt.date.fromisoformat(day)
+                _check_date(day)
                 _numbers([value])
             except (IndexError, ValueError):
                 return InvalidArgumentError(

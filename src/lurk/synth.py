@@ -24,6 +24,7 @@ import numpy as np
 from . import covariates as cov
 from . import geodata
 from .errors import ScenarioError
+from .kriging import VariogramModel
 from .monitors import MonitorTable
 from ._util import (checked, csv_field, dump_json, is_finite_number, is_int, one_blas_thread,
                     run_jobs, stage_seed, write_atomic, write_table)
@@ -54,10 +55,7 @@ def simulate_grf(coords, nugget: float, partial_sill: float, range_m: float,
     # One n x n buffer: the distances become the covariance in place, and a
     # jitter goes onto a saved copy of the diagonal.
     k = squareform(pdist(coords))
-    np.negative(k, out=k)
-    k /= range_m
-    np.exp(k, out=k)
-    k *= partial_sill
+    VariogramModel(nugget, partial_sill, range_m).covariance(k, out=k)
     diagonal = np.einsum("ii->i", k)
     diagonal += nugget
     base = diagonal.copy()

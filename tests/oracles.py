@@ -818,7 +818,7 @@ def per_line_read_daily_csv(path):
     """The daily CSV reader of earlier versions: a csv.reader loop that
     checks and converts one record at a time. A value that is not a finite
     number is malformed, as the package has it since nan and inf days were
-    rejected."""
+    rejected, and so is a date not written YYYY-MM-DD."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -827,7 +827,8 @@ def per_line_read_daily_csv(path):
         records = []
         for row in filter(None, reader):
             try:
-                dt.date.fromisoformat(row[j])
+                if dt.date.fromisoformat(row[j]).isoformat() != row[j]:
+                    raise ValueError(row[j])
                 value = float(row[k]) if row[k].strip() else None
                 if value is not None and not np.isfinite(value):
                     raise ValueError(row[k])
@@ -868,6 +869,9 @@ def splitlines_read_ascii_grid(path, nodata):
     for key in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
         if key not in header:
             raise GridFormatError(f"{path}: missing header key '{key}'")
+    for key in ("ncols", "nrows"):
+        if not header[key].is_integer():
+            raise GridFormatError(f"{path}: {key} must be an integer, got {header[key]}")
     try:
         lattice = Lattice(header["xllcorner"], header["yllcorner"], header["cellsize"],
                           int(header["ncols"]), int(header["nrows"]))

@@ -1,7 +1,8 @@
 """The artifact file codec: atomic writes, CSV tables that keep quoted text
 and every float bit, and the rule that nothing else in the package writes
 a file; the rule that only the pipeline's stage runner hashes files; the
-rule that only `_util` starts processes; and the rule that the package
+rule that only the fit stage and the CV and Monte Carlo refit fit a recipe;
+the rule that only `_util` starts processes; and the rule that the package
 defines no public name that only tests use."""
 
 import ast
@@ -163,6 +164,26 @@ def test_only_the_stage_runner_hashes_files():
              if getattr(node, "id", getattr(node, "attr", None)) == "sha256_file"]
     assert any(id(node) in inside for node in named)
     assert [f"line {node.lineno}" for node in named if id(node) not in inside] == []
+
+
+def test_only_the_fit_stage_and_the_refit_fit_recipes():
+    """A recipe is fitted in two places: the pipeline's fit stage (`do_fit`)
+    and `evaluation._refit`, which every CV fold and Monte Carlo iteration
+    calls; no other function of the package or of a script in `scripts/`
+    calls `fit_recipe`."""
+    found = []
+    for path in [*sorted(Path(lurk.__file__).parent.glob("*.py")),
+                 *sorted((TESTS.parent / "scripts").glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        enclosing = {}  # node -> the innermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((node, fn.name) for node in ast.walk(fn) if node is not fn)
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) == "fit_recipe":
+                found.append((path.name, enclosing.get(node)))
+    assert sorted(found) == [("evaluation.py", "_refit"), ("pipeline.py", "do_fit")]
 
 
 # -- one fan-out ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from lurk.evaluation import (
 from lurk.kriging import uk_fit
 from lurk.lur import StepwiseConfig, stepwise_select
 from lurk.monitors import MonitorTable
-from lurk.recipes import ModelRecipe
+from lurk.recipes import FittedModel, ModelRecipe
 from lurk.synth import SyntheticScenario, generate_synthetic
 from lurk._util import read_table, stage_seed
 
@@ -299,6 +301,42 @@ def test_monte_carlo_summary_reports_cv_scores():
     assert set(MonteCarloResult(rows=without_cv, n_grid=(20,)).summary()["20"]) == {
         "n_runs", "fitting_r2_median", "fitting_r2_iqr", "holdout_r2_median",
         "holdout_r2_iqr"}
+
+
+def fail_on_call(monkeypatch, n: int) -> None:
+    """Make the `n`-th call of `FittedModel.predict` (from 1) raise."""
+    calls, original = [], FittedModel.predict
+
+    def predict(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise RuntimeError("patched prediction fault")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FittedModel, "predict", predict)
+
+
+def test_a_failing_fold_prediction_is_a_fold_error(monkeypatch):
+    """A prediction that raises inside a fold's refit fails as that fold."""
+    data = mini_data(seed=21, n_sites=60, grf_partial_sill=0.0, noise_sd=2.0)
+    plan = kfold_plan(data.sites.site_ids, 5, seed=1)
+    fail_on_call(monkeypatch, 3)  # the folds run in label order: 0, 1, 2, ...
+    with pytest.raises(FoldError, match="fold '2': patched prediction fault"):
+        run_cv(ModelRecipe(selection="mean"), data.sites, data.matrix, plan)
+
+
+def test_a_failing_iteration_prediction_skips_that_iteration(monkeypatch, caplog):
+    """A prediction that raises inside a Monte Carlo refit skips that
+    iteration alone, with one warning."""
+    data = mini_data(seed=21, n_sites=60, grf_partial_sill=0.0, noise_sd=2.0)
+    recipe = ModelRecipe(selection="mean")
+    want = monte_carlo_curve(recipe, data.sites, data.matrix, [20], 3, seed=5).rows
+    fail_on_call(monkeypatch, 3)  # two per iteration: the sample, then the rest
+    with caplog.at_level(logging.WARNING):
+        got = monte_carlo_curve(recipe, data.sites, data.matrix, [20], 3, seed=5).rows
+    assert got == [want[0], want[2]]
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "skipping n=20 iteration 1: patched prediction fault"]
 
 
 def test_monte_carlo_seed_derivation_is_stable():

@@ -68,6 +68,11 @@ def reader_calls(log: Path) -> list[tuple[int, str]]:
     return [(int(pid), name) for pid, name in (line.split() for line in lines if line)]
 
 
+def warnings_in(caplog) -> list[str]:
+    """The messages of the warnings, and worse, that `caplog` holds."""
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+
 def artifacts(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name not in SKIPPED}
 
@@ -314,7 +319,7 @@ def test_a_worker_killed_in_a_grid_parse_costs_one_warning(tmp_path, monkeypatch
         with monkeypatch.context() as patched, caplog.at_level(logging.WARNING):
             patched.setattr(geodata, "read_raster", killing)
             assert run(PipelineConfig.from_json(config_path)).status == "ok"
-        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        warnings = warnings_in(caplog)
         if n_cpus == 2:
             assert len(warnings) == 1 and "parsed in the parent" in warnings[0], warnings
         else:
@@ -401,14 +406,18 @@ def test_scenario_files_are_byte_identical_with_and_without_workers(tmp_path, mo
 
 
 @linux_only
-def test_a_writer_killed_mid_file_leaves_its_files_to_the_parent(tmp_path, monkeypatch):
+def test_a_writer_killed_mid_file_leaves_its_files_to_the_parent(tmp_path, monkeypatch,
+                                                                caplog):
     """A worker killed halfway through writing the elevation grid, its
     temporary file half written, delivers none of its files: the parent
     writes them with the bytes of a one-core write, and leaves no
-    temporary file and no child process behind."""
+    temporary file and no child process behind. One warning is the only
+    sign, and the one-core write logs none."""
     data = generate_synthetic(NOISY)
     cpus(monkeypatch, 1)
-    write_scenario(data, tmp_path / "one_core")
+    with caplog.at_level(logging.WARNING):
+        write_scenario(data, tmp_path / "one_core")
+    assert warnings_in(caplog) == []
     parent = os.getpid()
 
     def die_in_elevation(path):
@@ -419,7 +428,10 @@ def test_a_writer_killed_mid_file_leaves_its_files_to_the_parent(tmp_path, monke
     log = tmp_path / "calls.log"
     record_writer_calls(monkeypatch, log, fault=die_in_elevation)
     cpus(monkeypatch, 2)
-    write_scenario(data, tmp_path / "workers")
+    with caplog.at_level(logging.WARNING):
+        write_scenario(data, tmp_path / "workers")
+    got = warnings_in(caplog)
+    assert len(got) == 1 and "jobs came from no worker; run in the parent" in got[0], got
     elevation = [pid for pid, name in reader_calls(log) if name == "elevation.asc"]
     assert elevation[0] != parent and elevation[-1] == parent
     assert scenario_files(tmp_path / "workers") == scenario_files(tmp_path / "one_core")
@@ -520,12 +532,16 @@ def test_generated_data_is_bit_identical_with_and_without_workers(sc, tmp_path, 
 
 @linux_only
 @pytest.mark.parametrize("fault", ["killed", "none"])
-def test_a_generation_job_no_worker_delivers_is_run_by_the_parent(fault, tmp_path, monkeypatch):
+def test_a_generation_job_no_worker_delivers_is_run_by_the_parent(fault, tmp_path, monkeypatch,
+                                                                 caplog):
     """A worker killed in the land-cover job, or a GRF job whose value
     comes back None, leaves that job to the parent, which gives the bits
-    of a one-core generation and leaves no child process behind."""
+    of a one-core generation and leaves no child process behind. One
+    warning is the only sign, and the one-core generation logs none."""
     cpus(monkeypatch, 1)
-    want = generate_synthetic(NOISY)
+    with caplog.at_level(logging.WARNING):
+        want = generate_synthetic(NOISY)
+    assert warnings_in(caplog) == []
     parent, target = os.getpid(), {"killed": "_landcover", "none": "simulate_grf"}[fault]
 
     def in_a_worker(name):
@@ -538,7 +554,10 @@ def test_a_generation_job_no_worker_delivers_is_run_by_the_parent(fault, tmp_pat
     log = tmp_path / "calls.log"
     record_job_calls(monkeypatch, log, fault=in_a_worker)
     cpus(monkeypatch, 2)
-    got = generate_synthetic(NOISY)
+    with caplog.at_level(logging.WARNING):
+        got = generate_synthetic(NOISY)
+    warned = warnings_in(caplog)
+    assert len(warned) == 1 and "jobs came from no worker; run in the parent" in warned[0], warned
     assert multiprocessing.active_children() == []
     pids = [pid for pid, name in reader_calls(log) if name == target]
     assert len(pids) == 2 and pids[0] != parent and pids[1] == parent

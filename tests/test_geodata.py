@@ -57,6 +57,22 @@ def test_read_raster_malformed_header(tmp_path):
         geodata.read_raster(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ncols", "3.5"), ("ncols", "nan"), ("ncols", "1e400"), ("nrows", "2.5"), ("nrows", "-inf"),
+])
+def test_read_raster_rejects_a_count_that_is_not_an_integer(tmp_path, key, value):
+    """3.5 is not read as 3 columns, and nan or 1e400 raises no bare
+    ValueError or OverflowError: each reader names the file and the key."""
+    header = {"ncols": "3", "nrows": "2", "xllcorner": "0", "yllcorner": "0", "cellsize": "10"}
+    path = tmp_path / "bad.asc"
+    path.write_text("".join(f"{k} {v}\n" for k, v in {**header, key: value}.items())
+                    + "1 2 3\n4 5 6\n")
+    message = f"{path}: {key} must be an integer, got {float(value)}"
+    for read in (geodata.read_raster, lambda p: geodata.read_categorical(p, range(1, 7))):
+        with pytest.raises(GridFormatError, match=re.escape(message)):
+            read(path)
+
+
 def test_raster_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     vals = rng.normal(3.7, 25.0, (9, 13))
@@ -138,6 +154,10 @@ def test_lattice_centers_and_cell_coords_invert_each_other():
     ((0.0, 0.0, 1.0, 0, 2), "ncols must be >= 1"),
     ((0.0, 0.0, 1.0, 2, 0), "nrows must be >= 1"),
     ((0.0, 0.0, -1.0, 2, 2), "cellsize must be > 0"),
+    ((0.0, 0.0, np.nan, 2, 2), "cellsize must be a finite number, got nan"),
+    ((0.0, 0.0, np.inf, 2, 2), "cellsize must be a finite number, got inf"),
+    ((np.inf, 0.0, 1.0, 2, 2), "xllcorner must be a finite number, got inf"),
+    ((0.0, -np.inf, 1.0, 2, 2), "yllcorner must be a finite number, got -inf"),
 ])
 def test_lattice_checks_hold_for_every_grid_and_the_reader(tmp_path, geometry, message):
     with pytest.raises(InvalidArgumentError, match=message):
@@ -330,6 +350,11 @@ GRID_HEADER = "ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 10\nNODATA_v
     GRID_HEADER.replace("cellsize 10", "cellsize ten") + "1 2 3\n4 5 6\n",
     GRID_HEADER.replace("cellsize 10\n", "") + "1 2 3\n4 5 6\n",
     GRID_HEADER.replace("ncols 3", "ncols 0") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("ncols 3", "ncols 3.5") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("nrows 2", "nrows nan") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("ncols 3", "ncols 1e400") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("cellsize 10", "cellsize nan") + "1 2 3\n4 5 6\n",
+    GRID_HEADER.replace("xllcorner 0", "xllcorner inf") + "1 2 3\n4 5 6\n",
 ])
 def test_grid_readers_match_the_splitlines_oracle(tmp_path, text):
     """From the file, or from its bytes read already."""

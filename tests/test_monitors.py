@@ -229,6 +229,9 @@ def test_checks_run_in_fixed_order_naming_first_record():
     ("a,2015-01-02,abc", r"daily\.csv: line 3: malformed record \['a', '2015-01-02', 'abc'\]"),
     ("a,2015-13-01,4.0", r"daily\.csv: line 3: malformed record \['a', '2015-13-01', '4\.0'\]"),
     ("a,2015-01-02", r"daily\.csv: line 3: malformed record \['a', '2015-01-02'\]"),
+    # ISO 8601 forms that are not YYYY-MM-DD (Python 3.11's fromisoformat takes them)
+    *((f"a,{d},4.0", rf"daily\.csv: line 3: malformed record \['a', '{d}', '4\.0'\]")
+      for d in ("20150102", "2015-W01-5")),
     # a value that is not a finite number is malformed too, not missing
     *((f"a,2015-01-02,{v}", rf"daily\.csv: line 3: malformed record \['a', '2015-01-02', '{v}'\]")
       for v in ("inf", "-inf", "1e400", "nan", " NaN ")),
@@ -276,6 +279,9 @@ LONG_DAILY = DAILY_HEADER + "".join(
     DAILY_HEADER + "a,2015-01-01,4.5\na,2015-01-02,abc\n",  # non-numeric value
     DAILY_HEADER + "a,2015-01-01,1e400\na,2015-01-02,-inf\nb,2015-01-03,nan\n",
     DAILY_HEADER + "a,2015-13-01,4\n",
+    DAILY_HEADER + "a,2015-01-01,4\na,20150102,4\n",  # basic format
+    DAILY_HEADER + "a,2015-01-01,4\na,2015-W01-5,4\n",  # week date
+    LONG_DAILY + "a,20150102,4\n",
     DAILY_HEADER + "a,2015-01-01\nb,2015-13-01,4\n",  # the first malformed record wins
     DAILY_HEADER + "a,2015-13-01,4\nb,2015-01-01\n",
     DAILY_HEADER + '"a\nb",2015-01-01,x\n',  # the line count includes the quoted newline
