@@ -338,12 +338,16 @@ class FanOut:
         except OSError:  # no process or pipe to be had: no worker
             self.close()
 
-    def results(self) -> list:
-        """Each job's value in job order, None where no worker delivered
-        one: the job raised, its value did not pickle, its worker died, or
-        no worker started. Every worker's values are received, on the
-        calling thread, and every worker reaped before it returns."""
-        values = [None] * len(self.jobs)
+    def results(self) -> dict:
+        """{job index: value} of every job a worker ran to a value that
+        pickled, whatever the value (None too); a job that raised is
+        absent, and so is a lost one: its worker died, or its value did not
+        pickle or unpickle. When workers ran and a job was lost, one warning
+        counts them; a job that raised logs nothing, for its caller runs it
+        again and its own error surfaces there. Every worker's values are
+        received, on the calling thread, and every worker reaped before it
+        returns."""
+        received = []  # (i, value), or (i,) for a job that raised
         for _, receiver in self.workers:
             while True:
                 try:
@@ -351,10 +355,13 @@ class FanOut:
                 except (EOFError, OSError):  # the worker is done, or gone
                     break
                 with contextlib.suppress(Exception):
-                    i, value = pickle.loads(data)
-                    values[i] = value
+                    received.append(pickle.loads(data))
+        lost = len(self.jobs) - len(received) if self.workers else 0
         self.close()
-        return values
+        if lost:
+            log.warning("%d of %d jobs were lost in workers (a worker died, or a value did "
+                        "not pickle); the parent runs them", lost, len(self.jobs))
+        return {out[0]: out[1] for out in received if len(out) == 2}
 
     def close(self) -> None:
         """Stop and reap every worker still running; idempotent."""
@@ -372,26 +379,20 @@ def run_jobs(jobs) -> list:
     a `FanOut` worker delivered, else the parent's own call (all of them
     below FORK_FLOOR_S), made in job order once every worker is reaped, so
     a job that fails raises here with its own error, and no worker outlives
-    the call. A job whose value is None runs twice, so jobs return a value.
-    A warning counts the jobs workers started but did not deliver."""
+    the call."""
     jobs = list(jobs)
     with contextlib.closing(FanOut(jobs)) as fan_out:
-        forked = bool(fan_out.workers)
-        values = fan_out.results()  # an interrupt too leaves no worker running
-    missing = sum(value is None for value in values)
-    if forked and missing:
-        log.warning("%d of %d jobs came from no worker; run in the parent", missing, len(values))
-    return [fn(*args) if value is None else value
-            for value, (_, fn, args) in zip(values, jobs)]
+        got = fan_out.results()  # an interrupt too leaves no worker running
+    return [got[i] if i in got else fn(*args) for i, (_, fn, args) in enumerate(jobs)]
 
 
 def _work(tasks, jobs, sender, inherited) -> None:
     """A FanOut worker: take job indices from the `tasks` pipe until it is
-    empty and run each job, then send each (index, value) pickled; a job
-    that raises, or whose value does not pickle, sends nothing. It first
-    closes the pipe ends it `inherited`, so that once the parent is gone
-    its send fails and it exits, rather than wait for ever holding the
-    parent's open files (the output-directory lock among them)."""
+    empty and run each job, then send each (index, value) pickled, or
+    (index,) for a job that raised; a value that does not pickle sends
+    nothing. It first closes the pipe ends it `inherited`, so that once the
+    parent is gone its send fails and it exits, rather than wait for ever
+    holding the parent's open files (the output-directory lock among them)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
     for receiver in inherited:
         receiver.close()
@@ -399,8 +400,12 @@ def _work(tasks, jobs, sender, inherited) -> None:
     while index := os.read(tasks, 4):
         i = int.from_bytes(index, "little")
         _, fn, args = jobs[i]
+        try:
+            out = (i, fn(*args))
+        except Exception:
+            out = (i,)
         with contextlib.suppress(Exception):
-            sent.append(pickle.dumps((i, fn(*args)), pickle.HIGHEST_PROTOCOL))
+            sent.append(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
     with contextlib.suppress(BrokenPipeError), sender:
         for data in sent:
             sender.send_bytes(data)

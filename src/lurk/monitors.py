@@ -69,16 +69,9 @@ class MonitorTable:
 
     def subset(self, indices) -> "MonitorTable":
         idx = np.asarray(indices)
-        return MonitorTable(
-            site_ids=tuple(self.site_ids[i] for i in idx),
-            x=self.x[idx],
-            y=self.y[idx],
-            province=tuple(self.province[i] for i in idx),
-            city=tuple(self.city[i] for i in idx),
-            annual_mean=self.annual_mean[idx],
-            n_valid_days=self.n_valid_days[idx],
-            n_calendar_days=self.n_calendar_days[idx],
-        )
+        columns = (getattr(self, f.name) for f in fields(self))
+        return MonitorTable(*(tuple(c[i] for i in idx) if isinstance(c, tuple) else c[idx]
+                              for c in columns))
 
     def to_csv(self, path) -> None:
         names = [f.name for f in fields(self)]  # the header calls site_ids site_id
@@ -109,10 +102,14 @@ def annualize(records, site_meta: dict, year: int) -> AnnualizeResult:
     n_days = 366 if calendar.isleap(year) else 365
     records = list(records)
     site_ids, site = np.unique([r[0] for r in records], return_inverse=True)
-    try:
-        day = np.array([r[1] for r in records], dtype="datetime64[D]")
-    except ValueError as e:
-        raise InvalidArgumentError(f"records hold an invalid date: {e}") from None
+    dates = [r[1] for r in records]
+    for date in dict.fromkeys(dates):  # `read_daily_csv`'s rule, each date once, in order
+        try:
+            _check_date(date.isoformat() if isinstance(date, dt.date) else date)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"record ({records[dates.index(date)][0]}, {date!r}) "
+                                       "has no valid YYYY-MM-DD date") from None
+    day = np.array(dates, dtype="datetime64[D]")
     value = np.array([r[2] for r in records], dtype=np.float64)  # None -> NaN
     # By site, then date; the sort is stable, so a repeat sorts after the
     # record it repeats.
@@ -120,7 +117,6 @@ def annualize(records, site_meta: dict, year: int) -> AnnualizeResult:
     repeat = np.zeros(len(records), dtype=bool)
     repeat[order[1:]] = (np.diff(site[order]) == 0) & (np.diff(day[order]) == np.timedelta64(0))
     for bad, message in (
-            (np.isnat(day), "record ({site}, {date!r}) has no date"),
             (day.astype("datetime64[Y]").astype(np.int64) + 1970 != year,
              "record ({site}, {day}) is outside year {year}"),
             (repeat, "duplicate record for site {site} on {day}"),
@@ -128,7 +124,7 @@ def annualize(records, site_meta: dict, year: int) -> AnnualizeResult:
         if bad.any():
             i = int(np.argmax(bad))
             raise InvalidArgumentError(message.format(
-                site=records[i][0], date=records[i][1], day=day[i], value=value[i], year=year))
+                site=records[i][0], day=day[i], value=value[i], year=year))
 
     # One np.sum per site over its non-missing values in date order, so
     # record order never changes the mean.

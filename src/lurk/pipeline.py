@@ -139,7 +139,7 @@ class PipelineConfig:
                 for k, v in maps["categorical_grids"].items()
             },
             recipe=ModelRecipe.from_dict(d.get("recipe", {})),
-            cv_k=checked("config cv.k", k, is_int(k), "an integer"),
+            cv_k=checked("config cv.k", k, is_int(k) and k >= 2, "an integer >= 2"),
             logo_group=checked("config cv.logo_group", logo_group,
                                logo_group in ("province", "city"), '"province" or "city"'),
             prediction=lattice,
@@ -374,20 +374,14 @@ class _GeoInputs:
         order. A worker's value is used only when the bytes it parsed hash
         to `hash_of(path)`, the hash in the calling stage's key; any other
         file is parsed here, after the key was taken, and nowhere else
-        outside a worker. So the stage caches nothing made from bytes its
-        key does not name, and the first failure in config order raises its
-        reader's error. A warning counts the values workers did not deliver."""
+        outside a worker, so the first failure in config order raises its
+        reader's error."""
         if self.loaded is None:
             self.start()
-            forked, values = bool(self.fan_out.workers), []
-            delivered = self.fan_out.results()
-            for (reader, path, *args), got in zip(self.reads, delivered):
-                keyed = got is not None and got[0] == hash_of(path)
-                values.append(got[1] if keyed else getattr(geodata, reader)(path, *args))
-            if forked and None in delivered:
-                log.warning("%d of %d geo inputs came from no worker; parsed in the parent",
-                            delivered.count(None), len(delivered))
-            values = iter(values)
+            got = self.fan_out.results()
+            values = iter([got[i][1] if i in got and got[i][0] == hash_of(path)
+                           else getattr(geodata, reader)(path, *args)
+                           for i, (reader, path, *args) in enumerate(self.reads)])
             self.loaded = tuple({name: next(values) for name in names} for names in self.names)
         return self.loaded
 

@@ -514,13 +514,6 @@ def _write_daily(data: SyntheticData, path) -> None:
     write_atomic(path, "\n".join(daily_rows) + "\n")
 
 
-def _written(write, *args) -> bool:
-    """A `run_jobs` job: `write(*args)`, then True, so that a file no
-    worker wrote comes back as None."""
-    write(*args)
-    return True
-
-
 def write_scenario(data: SyntheticData, outdir) -> Path:
     """Write a scenario to disk as pipeline-ready inputs plus config.json.
 
@@ -531,10 +524,10 @@ def write_scenario(data: SyntheticData, outdir) -> Path:
     Excluded sites get sparse series that fail the completeness rule.
 
     Each file under `inputs/` is one job of a `FanOut`, costed in seconds
-    of one core by the records, vertices or cells it formats; then the
-    parent writes, in job order, every file no worker wrote, so a failing
-    write raises here with its own error. A failure can leave other input
-    files written, each whole.
+    of one core by the records, vertices or cells it formats (`run_jobs`);
+    then the parent writes, in job order, every file no worker wrote, so a
+    failing write raises here with its own error. A failure can leave
+    other input files written, each whole.
     """
     outdir = Path(outdir)
     inputs = outdir / "inputs"
@@ -558,7 +551,7 @@ def write_scenario(data: SyntheticData, outdir) -> Path:
         (1.15e-6 * data.population.values.size, geodata.write_raster, data.population,
          inputs / "population.asc"),
     ]
-    run_jobs((cost, _written, job) for cost, *job in writes)
+    run_jobs((cost, write, args) for cost, write, *args in writes)
     cov.write_specs(data.specs, outdir / "covariates.json")
     dump_json(data.truth, outdir / "truth.json")
 

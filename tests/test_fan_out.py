@@ -38,6 +38,7 @@ READERS = ("read_features", "read_raster", "read_categorical")
 GEO_INPUTS = ("poi_gas.csv", "roads_major.csv", "elevation.asc", "satellite.asc",
               "landcover.asc")  # of the test scenario, in config order
 SKIPPED = {"manifest.json", "report.json", "run.log", ".lock"}  # timings, keys, the lock
+LOST = "jobs were lost in workers (a worker died, or a value did not pickle); the parent runs"
 
 
 def cpus(monkeypatch, n: int) -> None:
@@ -321,7 +322,7 @@ def test_a_worker_killed_in_a_grid_parse_costs_one_warning(tmp_path, monkeypatch
             assert run(PipelineConfig.from_json(config_path)).status == "ok"
         warnings = warnings_in(caplog)
         if n_cpus == 2:
-            assert len(warnings) == 1 and "parsed in the parent" in warnings[0], warnings
+            assert len(warnings) == 1 and LOST in warnings[0], warnings
         else:
             assert warnings == []
         assert multiprocessing.active_children() == []
@@ -431,7 +432,7 @@ def test_a_writer_killed_mid_file_leaves_its_files_to_the_parent(tmp_path, monke
     with caplog.at_level(logging.WARNING):
         write_scenario(data, tmp_path / "workers")
     got = warnings_in(caplog)
-    assert len(got) == 1 and "jobs came from no worker; run in the parent" in got[0], got
+    assert len(got) == 1 and LOST in got[0], got
     elevation = [pid for pid, name in reader_calls(log) if name == "elevation.asc"]
     assert elevation[0] != parent and elevation[-1] == parent
     assert scenario_files(tmp_path / "workers") == scenario_files(tmp_path / "one_core")
@@ -481,13 +482,13 @@ def record_job_calls(monkeypatch, log: Path, fault=None) -> None:
     """Wrap the functions the generator's jobs call so that each call
     appends "<pid> <function name>" to `log` (read back by `reader_calls`),
     from whichever process makes it; with `fault`, each call runs
-    `fault(name)` first and gives None when that is true."""
+    `fault(name)` first."""
     for module, name in GENERATION_JOBS:
         def job(*args, original=getattr(module, name), name=name, **kwargs):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()} {name}\n")
-            if fault is not None and fault(name):
-                return None
+            if fault is not None:
+                fault(name)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, job)
@@ -531,25 +532,20 @@ def test_generated_data_is_bit_identical_with_and_without_workers(sc, tmp_path, 
 
 
 @linux_only
-@pytest.mark.parametrize("fault", ["killed", "none"])
-def test_a_generation_job_no_worker_delivers_is_run_by_the_parent(fault, tmp_path, monkeypatch,
-                                                                 caplog):
-    """A worker killed in the land-cover job, or a GRF job whose value
-    comes back None, leaves that job to the parent, which gives the bits
-    of a one-core generation and leaves no child process behind. One
-    warning is the only sign, and the one-core generation logs none."""
+def test_a_generation_job_no_worker_delivers_is_run_by_the_parent(tmp_path, monkeypatch, caplog):
+    """A worker killed in the land-cover job leaves that job to the parent,
+    which gives the bits of a one-core generation and leaves no child
+    process behind. One warning is the only sign, and the one-core
+    generation logs none."""
     cpus(monkeypatch, 1)
     with caplog.at_level(logging.WARNING):
         want = generate_synthetic(NOISY)
     assert warnings_in(caplog) == []
-    parent, target = os.getpid(), {"killed": "_landcover", "none": "simulate_grf"}[fault]
+    parent, target = os.getpid(), "_landcover"
 
     def in_a_worker(name):
         if os.getpid() != parent and name == target:
-            if fault == "killed":
-                os._exit(3)
-            return True
-        return False
+            os._exit(3)
 
     log = tmp_path / "calls.log"
     record_job_calls(monkeypatch, log, fault=in_a_worker)
@@ -557,7 +553,7 @@ def test_a_generation_job_no_worker_delivers_is_run_by_the_parent(fault, tmp_pat
     with caplog.at_level(logging.WARNING):
         got = generate_synthetic(NOISY)
     warned = warnings_in(caplog)
-    assert len(warned) == 1 and "jobs came from no worker; run in the parent" in warned[0], warned
+    assert len(warned) == 1 and LOST in warned[0], warned
     assert multiprocessing.active_children() == []
     pids = [pid for pid, name in reader_calls(log) if name == target]
     assert len(pids) == 2 and pids[0] != parent and pids[1] == parent
@@ -590,20 +586,19 @@ def square_or_fail(x):
 
 
 @linux_only
-def test_fan_out_gives_values_in_job_order_and_none_for_errors(monkeypatch):
-    """Values come back in job order, None in the place of a job that
-    raised, whatever worker ran it."""
+def test_fan_out_gives_values_by_job_index_and_no_entry_for_errors(monkeypatch, caplog):
+    """Values come back by job index, whatever worker ran them; a job that
+    raised has no entry and costs no warning."""
     cpus(monkeypatch, 2)
     values = [3, -1, 5, 2, -7, 4]
     fan = _util.FanOut([(abs(x), square_or_fail, (x,)) for x in values])
     assert len(fan.workers) == 2
-    got = fan.results()
-    assert multiprocessing.active_children() == []
-    for x, value in zip(values, got):
-        if x < 0:
-            assert value is None
-        else:
-            assert value[0] == x * x and value[1] != os.getpid()
+    with caplog.at_level(logging.WARNING, logger="lurk._util"):
+        got = fan.results()
+    assert multiprocessing.active_children() == [] and caplog.text == ""
+    assert sorted(got) == [i for i, x in enumerate(values) if x >= 0]
+    for i, value in got.items():
+        assert value[0] == values[i] ** 2 and value[1] != os.getpid()
 
 
 @linux_only
@@ -616,7 +611,8 @@ def test_work_above_the_floor_starts_workers(monkeypatch):
     fan = _util.FanOut([(0.6 * floor, square_or_fail, (x,)) for x in (3, 4)])
     assert len(fan.workers) == 2
     got = fan.results()
-    assert [v[0] for v in got] == [9, 16] and os.getpid() not in {v[1] for v in got}
+    assert {i: v[0] for i, v in got.items()} == {0: 9, 1: 16}
+    assert os.getpid() not in {v[1] for v in got.values()}
     assert _util.FanOut([(0.4 * floor, square_or_fail, (x,)) for x in (3, 4)]).workers == []
     assert multiprocessing.active_children() == []
 
@@ -632,7 +628,8 @@ def test_workers_take_jobs_from_one_queue(monkeypatch):
     ran it takes slow jobs too rather than idle while the other runs them."""
     cpus(monkeypatch, 2)
     fan = _util.FanOut([(10, pid_after, (0.0,))] + [(1, pid_after, (0.5,))] * 4)
-    quick, *slow = fan.results()
+    got = fan.results()
+    quick, *slow = (got[i] for i in range(5))
     assert quick in slow and len(set(slow)) == 2 and os.getpid() not in slow
 
 
@@ -651,7 +648,7 @@ def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch, caplog
     fan = _util.FanOut([(i % 7, log_and_square, (log, i)) for i in range(300)])
     assert len(fan.workers) == 6
     with caplog.at_level(logging.WARNING, logger="lurk._util"):
-        assert fan.results() == [i * i for i in range(300)]
+        assert fan.results() == {i: i * i for i in range(300)}
     assert sorted(map(int, log.read_text().split())) == list(range(300))
     assert caplog.text == "" and multiprocessing.active_children() == []
 
@@ -663,15 +660,17 @@ def die_in_a_worker(parent: int):
 
 
 @linux_only
-def test_a_dead_worker_s_jobs_come_back_as_none(monkeypatch, caplog):
+def test_a_dead_worker_s_jobs_are_lost_with_one_warning(monkeypatch, caplog):
     """A worker that dies delivers nothing; the parent runs none of its
-    jobs, and the other worker's value comes back."""
+    jobs, the other worker's value comes back, and one warning counts the
+    lost job."""
     cpus(monkeypatch, 2)
     fan = _util.FanOut([(1, die_in_a_worker, (os.getpid(),)), (1, square_or_fail, (2,))])
     with caplog.at_level(logging.WARNING, logger="lurk._util"):
         got = fan.results()
-    assert got[0] is None and got[1][0] == 4
-    assert caplog.text == "" and multiprocessing.active_children() == []
+    assert list(got) == [1] and got[1][0] == 4
+    assert warnings_in(caplog) == ["1 of 2 " + LOST + " them"]
+    assert multiprocessing.active_children() == []
 
 
 @linux_only
@@ -687,12 +686,34 @@ def test_run_jobs_runs_in_the_parent_what_no_worker_delivered(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def append_pid(log: Path) -> None:
+    with open(log, "a") as f:
+        f.write(f"{os.getpid()}\n")
+
+
 @linux_only
-def test_a_value_that_does_not_pickle_comes_back_as_none(monkeypatch):
+def test_run_jobs_runs_a_job_that_returns_none_once(tmp_path, monkeypatch, caplog):
+    """A job whose value is None is delivered like any other: two such jobs
+    run once each, both in workers, with no warning. A job that raises
+    costs no warning either, and raises from the parent with its own
+    error."""
+    cpus(monkeypatch, 2)
+    log = tmp_path / "pids.log"
+    with caplog.at_level(logging.WARNING, logger="lurk._util"):
+        assert _util.run_jobs([(1, append_pid, (log,))] * 2) == [None, None]
+        pids = [int(pid) for pid in log.read_text().split()]
+        assert len(pids) == 2 and os.getpid() not in pids
+        with pytest.raises(InvalidArgumentError, match="^negative: -2$"):
+            _util.run_jobs([(1, append_pid, (log,)), (1, square_or_fail, (-2,))])
+    assert caplog.text == "" and multiprocessing.active_children() == []
+
+
+@linux_only
+def test_a_value_that_does_not_pickle_is_lost(monkeypatch):
     cpus(monkeypatch, 2)
     fan = _util.FanOut([(1, lambda: (lambda: None), ()), (1, square_or_fail, (3,))])
     got = fan.results()
-    assert got[0] is None and got[1][0] == 9
+    assert list(got) == [1] and got[1][0] == 9
 
 
 # Locks a file as a pipeline run locks its output directory, starts two
@@ -726,10 +747,10 @@ def test_workers_of_a_killed_parent_exit_and_free_its_lock(tmp_path):
 
 
 def test_on_one_core_no_job_runs(monkeypatch):
-    """No worker starts, and `results` runs no job in the parent: every
-    place is None."""
+    """No worker starts, and `results` runs no job in the parent: it holds
+    no value."""
     cpus(monkeypatch, 1)
     calls = []
     fan = _util.FanOut([(1, calls.append, (i,)) for i in range(3)])
     assert fan.workers == []
-    assert fan.results() == [None] * 3 and calls == []
+    assert fan.results() == {} and calls == []

@@ -114,6 +114,20 @@ def test_fit_flat_variogram_is_pure_nugget():
     assert fit.range_m == lags[-1]
 
 
+def test_zero_variogram_fits_zero_and_krigs_the_ols_drift():
+    """An all-zero variogram fits (0, 0, last lag); the kriging system
+    then takes its pure-nugget fallback, whose mean is the OLS drift."""
+    lags = np.linspace(1_000, 60_000, 8)
+    ev = EmpiricalVariogram(lag_centers=lags, semivariances=np.zeros(8), n_pairs=np.full(8, 30))
+    vg = fit_exponential(ev)
+    assert vg == VariogramModel(0.0, 0.0, lags[-1])
+    sites, matrix, drift, coords, X, y = make_problem(seed=5, noise=1.0, psill=0.0)
+    model = KrigingModel(variogram=vg, coords=coords, x_rows=X, y=y)
+    rows = np.random.default_rng(56).normal(size=(10, 3))
+    mean, _ = model.predict_many(np.random.default_rng(57).uniform(0, 100_000, (10, 2)), rows)
+    assert np.allclose(mean, drift.predict(rows), rtol=0.0, atol=1e-8)
+
+
 def test_fit_needs_three_bins():
     ev = EmpiricalVariogram(lag_centers=np.array([1.0, 2.0]),
                             semivariances=np.array([0.5, 0.6]),

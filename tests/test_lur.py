@@ -192,6 +192,13 @@ def test_stepwise_no_admissible_first_variable():
         stepwise_select(matrix_of(X), y, StepwiseConfig(p_max=1e-6))
 
 
+def test_stepwise_perfect_fit_enters_with_p_zero_and_stops_with_no_candidate_left():
+    x = np.arange(5.0)
+    model = stepwise_select(matrix_of(x[:, None]), 2.0 * x)
+    assert model.selected == ("x0",) and model.config["entry_p_values"] == [0.0]
+    assert model.coefficients == pytest.approx([2.0])
+
+
 def test_stepwise_zero_variance_response():
     X = np.random.default_rng(1).normal(size=(30, 3))
     with pytest.raises(ZeroVarianceError):

@@ -244,10 +244,15 @@ def test_read_daily_csv_names_malformed_record(tmp_path, line, message):
 
 
 def test_annualize_rejects_invalid_date():
-    with pytest.raises(InvalidArgumentError, match="invalid date: Day out of range .*2015-02-30"):
-        annualize([("a", "2015-01-01", 1.0), ("a", "2015-02-30", 1.0)], META, 2015)
-    with pytest.raises(InvalidArgumentError, match=r"record \(a, ''\) has no date"):
-        annualize([("a", "2015-01-01", 1.0), ("a", "", 1.0)], META, 2015)
+    """A date handed straight to `annualize` follows `read_daily_csv`'s
+    rule (numpy alone reads 2015-01 as 2015-01-01 and 20150102 as a year),
+    and the first record that breaks it is named."""
+    for date in ("2015-02-30", "", "2015-01", "20150102", "2015-W01-5", "2015-1-2"):
+        records = [("a", "2015-01-01", 1.0), ("a", dt.date(2015, 1, 2), 1.0), ("a", date, 1.0),
+                   ("b", date, 1.0)]
+        with pytest.raises(InvalidArgumentError, match=re.escape(
+                f"record (a, {date!r}) has no valid YYYY-MM-DD date")):
+            annualize(records, META, 2015)
 
 
 def outcome(call):

@@ -453,6 +453,8 @@ _LATTICE = {"origin_x": 0.0, "origin_y": 0.0, "cell_size": 1000.0, "n_cols": 4, 
     ("with_variance", "false", "config with_variance"),  # bool("false") is True
     ("cv", {"k": 7.9}, "config cv.k"),                   # int() would run 7 folds
     ("cv", {"k": True}, "config cv.k"),                  # ... and 1 fold here
+    ("cv", {"k": 1}, "config cv.k must be an integer >= 2"),  # once failed only at cv
+    ("cv", {"k": -3}, "config cv.k must be an integer >= 2"),
     ("thresholds", "25", "config thresholds"),           # tuple() gives ('2', '5')
     ("thresholds", [10.0, "15"], "config thresholds"),
     ("seed", 1.7, "config seed"),
@@ -935,6 +937,31 @@ def test_a_stage_entry_without_metrics_recomputes_that_stage(tmp_path):
         **dict.fromkeys(pipeline.STAGES, "status=cached"), "fit": "status=ok"}
     assert report_without_timings(cfg.out_dir) == report_before
     assert json.loads(manifest.read_text())["fit"]["metrics"] == metrics
+
+
+def test_a_deleted_output_recomputes_only_its_stage(tmp_path):
+    """A deleted `matrix.csv` is a cache miss for the covariates stage
+    alone: it is written again with the same bytes, and the stages that
+    read it stay cached."""
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    cfg = PipelineConfig.from_json(config_path)
+    run(cfg)
+    matrix = cfg.out_dir / "matrix.csv"
+    data = matrix.read_bytes()
+    matrix.unlink()
+    before = (cfg.out_dir / "run.log").read_text()
+    run(cfg)
+    assert new_log_lines(cfg.out_dir / "run.log", before) == {
+        **dict.fromkeys(pipeline.STAGES, "status=cached"), "covariates": "status=ok"}
+    assert matrix.read_bytes() == data
+
+
+def test_a_compute_that_skips_an_output_fails_its_stage(tmp_path, monkeypatch):
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    monkeypatch.setattr(MonitorTable, "to_csv", lambda self, path: None)
+    with pytest.raises(StageError, match=r"not write its outputs \['monitors.csv'\]") as failed:
+        run(PipelineConfig.from_json(config_path))
+    assert failed.value.stage == "annualize"
 
 
 def test_an_output_swapped_after_its_write_recomputes_its_stage(tmp_path, monkeypatch):
