@@ -35,9 +35,8 @@ PREDICT_BLOCK_BYTES = 16 * 2**20  # about the most right-hand side per block
 
 
 def _block_points(rhs_rows: int) -> int:
-    """Prediction points per block: PREDICT_CHUNK, or fewer so that a
-    block's right-hand side (`rhs_rows` rows: one per site, one for the
-    intercept and one per drift column) stays within PREDICT_BLOCK_BYTES."""
+    """Prediction points per block: PREDICT_CHUNK, or fewer so that its
+    `rhs_rows`-row right-hand side (`KrigingModel._block`) fits PREDICT_BLOCK_BYTES."""
     return max(1, min(PREDICT_CHUNK, PREDICT_BLOCK_BYTES // (8 * rhs_rows)))
 
 
@@ -185,11 +184,9 @@ def fit_exponential(ev: EmpiricalVariogram) -> VariogramModel:
 @dataclass(eq=False)
 class KrigingModel:
     """Residual variogram + training sites and their drift rows; the fields
-    are the JSON form (`plain`). Construction factors C = L L' by Cholesky
-    and QR-factors the whitened drift L^-1 F, or raises SingularKrigingError;
-    the factors and dual weights never change afterwards, so prediction is
-    a pure read-only operation safe for parallel fan-out over grid cells.
-    """
+    are the JSON form (`plain`). Construction factors C = L L' (Cholesky) and
+    the whitened drift L^-1 F = QR, or raises SingularKrigingError; nothing
+    changes afterwards, so prediction is read-only and safe to fan out."""
 
     variogram: VariogramModel
     coords: np.ndarray
@@ -201,9 +198,9 @@ class KrigingModel:
         for name in ("coords", "x_rows", "y"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
         n = len(self.y)
-        if self.coords.shape != (n, 2) or self.x_rows.shape[0] != n:
-            raise InvalidArgumentError("training arrays have inconsistent shapes")
-        p = self.x_rows.shape[1]
+        if (n < 1 or self.y.ndim != 1 or self.coords.shape != (n, 2)
+                or self.x_rows.ndim != 2 or len(self.x_rows) != n):
+            raise InvalidArgumentError("training arrays need >= 1 site and consistent shapes")
         # Keep the system nonsingular when the fitted variogram collapses
         # to zero (flat residuals): with a pure-nugget covariance the
         # predictor is the GLS (= OLS) drift regardless of the nugget size.
@@ -212,14 +209,12 @@ class KrigingModel:
             nugget = 1e-4 * max(1.0, float(np.var(self.y)))
         cov = self.variogram.covariance(cdist(self.coords, self.coords))
         cov[np.diag_indices(n)] += nugget
-        # Standardized drift columns keep the system balanced; [1, X] and
-        # [1, (X - m)/s] span the same constraint space, so predictions
-        # are unchanged.
-        self._x_shift = self.x_rows.mean(axis=0) if n else np.zeros(p)
-        sd = self.x_rows.std(axis=0) if n else np.ones(p)
+        # Standardized drift columns keep the system balanced; [1, X] and [1, (X - m)/s]
+        # span the same constraint space, so predictions are unchanged.
+        self._x_shift = self.x_rows.mean(axis=0)
+        sd = self.x_rows.std(axis=0)
         self._x_scale = np.where(sd > 0, sd, 1.0)
-        f = np.column_stack([np.ones(n),
-                             (self.x_rows - self._x_shift) / self._x_scale])
+        f = self._drift(self.x_rows, np.empty((n, 1 + self.x_rows.shape[1])))
         try:
             with np.errstate(all="ignore"):
                 self._chol = cho_factor(cov, lower=True, check_finite=False)[0]
@@ -258,21 +253,31 @@ class KrigingModel:
     def n_sites(self) -> int:
         return len(self.y)
 
-    def _rhs(self, coords, x_rows) -> np.ndarray:
-        b = np.empty((self.n_sites + 1 + self.x_rows.shape[1], len(coords)))
+    def _drift(self, x_rows, out: np.ndarray) -> np.ndarray:
+        """Write the drift rows [1, (x - m)/s] into `out`, one row per point."""
+        out[:, 0] = 1.0
+        np.divide(np.subtract(x_rows, self._x_shift, out=out[:, 1:]), self._x_scale, out=out[:, 1:])
+        return out
+
+    def _block(self, coords, x_rows, whiten: bool):
+        """The one solve behind every prediction. For a block of points with
+        right-hand sides b = [c; 1; f]: the mean b' dual, then v = L^-1 c and
+        u = Q'v - R^-T [1; f] if `whiten` (else None, None); variance sill - v'v + u'u."""
+        n = self.n_sites
+        b = np.empty((n + 1 + self.x_rows.shape[1], len(coords)))
         # The distances, then their covariance, in place in b's first rows.
-        self.variogram.covariance(cdist(self.coords, coords, out=b[: self.n_sites]),
-                                  out=b[: self.n_sites])
-        b[self.n_sites] = 1.0
-        x_std = (x_rows - self._x_shift) / self._x_scale
-        b[self.n_sites + 1 :] = x_std.T
-        return b
+        self.variogram.covariance(cdist(self.coords, coords, out=b[:n]), out=b[:n])
+        self._drift(x_rows, b[n:].T)
+        if not whiten:
+            return b.T @ self._dual, None, None
+        mean, v = b.T @ self._dual, solve_triangular(self._chol, b[:n], lower=True)
+        return mean, v, self._q.T @ v - solve_triangular(self._r, b[n:], trans="T")
 
     def predict_many(self, coords, x_rows, with_variance: bool = False):
         """Kriging mean and variance-or-None at many points: `coords` (m, 2)
         and their drift rows `x_rows` (m, p)."""
         coords = np.asarray(coords, dtype=np.float64)
-        x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
+        x_rows = np.asarray(x_rows, dtype=np.float64)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise InvalidArgumentError(f"coords must have shape (m, 2), not {coords.shape}")
         if x_rows.shape != (len(coords), self.x_rows.shape[1]):
@@ -280,18 +285,13 @@ class KrigingModel:
                 f"x_rows must hold one row of the drift's {self.x_rows.shape[1]} columns "
                 f"per point, not shape {x_rows.shape}")
         m = len(coords)
-        mean = np.empty(m)
-        var = np.empty(m) if with_variance else None
-        sill = self.variogram.sill
+        mean, var = np.empty(m), np.empty(m) if with_variance else None
         block = _block_points(self.n_sites + 1 + self.x_rows.shape[1])
         for s in range(0, m, block):
             e = min(s + block, m)
-            b = self._rhs(coords[s:e], x_rows[s:e])
-            mean[s:e] = b.T @ self._dual
+            mean[s:e], v, u = self._block(coords[s:e], x_rows[s:e], with_variance)
             if with_variance:
-                v = solve_triangular(self._chol, b[: self.n_sites], lower=True)
-                u = self._q.T @ v - solve_triangular(self._r, b[self.n_sites :], trans="T")
-                var[s:e] = np.maximum(sill - np.einsum("ij,ij->j", v, v)
+                var[s:e] = np.maximum(self.variogram.sill - np.einsum("ij,ij->j", v, v)
                                       + np.einsum("ij,ij->j", u, u), 0.0)
         return mean, var
 

@@ -406,7 +406,7 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
         report = runner.report
         geo = _GeoInputs(config, input_stats)
         try:
-            for name in _stages(config, runner, geo, parse_ahead=until != "annualize"):
+            for name in _stages(config, runner, geo, until):
                 if name == until:
                     break
         except StageError as exc:
@@ -421,14 +421,16 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     return report
 
 
-def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, parse_ahead: bool):
+def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
     """Run the stages in order, filling the runner's report; yields each
     stage's name once it is done. The predict and exposure stages run only
     when the config has a lattice (and, for exposure, a population grid).
+    A run whose `until` reaches cv fails that stage right after annualize
+    when `cv.k` exceeds annualize's site count.
 
     Inputs and artifacts are read on first use and kept, and only by a
-    stage that computes (with `parse_ahead`, annualize's compute first
-    starts the geo-input parse, `_GeoInputs.start`, to overlap it): a
+    stage that computes (when `until` is past annualize, annualize's compute
+    first starts the geo-input parse, `_GeoInputs.start`, to overlap it): a
     cached stage costs the hashes of its reads and outputs (memo hits for
     unchanged files), and its report metrics come from its manifest entry."""
     out, report = runner.out, runner.report
@@ -441,7 +443,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, parse_ahead: 
 
     # -- annualize ----------------------------------------------------
     def do_annualize():
-        if parse_ahead:
+        if until != "annualize":
             geo.start()
         result = annualize(read_daily_csv(cfg.daily_csv),
                            read_sites_csv(cfg.sites_csv), cfg.year)
@@ -459,6 +461,11 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, parse_ahead: 
     runner.stage("annualize", {"daily": cfg.daily_csv, "sites": cfg.sites_csv},
                  {"year": cfg.year}, ["monitors.csv", "excluded_sites.json"], do_annualize)
     sites = functools.cache(lambda: MonitorTable.from_csv(out / "monitors.csv"))
+    n_sites = report.metrics["n_sites"]  # from the manifest entry when cached
+    if STAGES.index(until) >= STAGES.index("cv") and cfg.cv_k > n_sites:
+        exc = InvalidArgumentError(f"k must be in [2, {n_sites}]")
+        runner._log_line(f"stage=cv status=failed error={exc}")
+        raise StageError("cv", exc)
     yield "annualize"
 
     # -- covariates ---------------------------------------------------

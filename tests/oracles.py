@@ -802,16 +802,21 @@ def dense_uk_drift(train_coords, train_x, train_y, nugget, psill, range_m):
     return np.linalg.solve(A, rhs)[len(train_y):]
 
 
-def copying_kriging_rhs(model, coords, x_rows):
-    """`KrigingModel`'s right-hand side block [c(s_i, x); 1; x_std] built
-    from a new distance array and a new covariance array copied into it."""
+def copying_kriging_block(model, coords, x_rows, whiten):
+    """`KrigingModel._block` with its right-hand side block [c(s_i, x); 1; x_std]
+    built from a new distance array, a new covariance array and a new
+    standardized drift array, each copied into it."""
+    n = model.n_sites
     d = cdist(model.coords, coords)
-    b = np.empty((model.n_sites + 1 + model.x_rows.shape[1], len(coords)))
-    b[: model.n_sites] = model.variogram.covariance(d)
-    b[model.n_sites] = 1.0
-    x_std = (np.atleast_2d(x_rows) - model._x_shift) / model._x_scale
-    b[model.n_sites + 1 :] = x_std.T
-    return b
+    b = np.empty((n + 1 + model.x_rows.shape[1], len(coords)))
+    b[:n] = model.variogram.covariance(d)
+    b[n] = 1.0
+    x_std = (x_rows - model._x_shift) / model._x_scale
+    b[n + 1 :] = x_std.T
+    if not whiten:
+        return b.T @ model._dual, None, None
+    v = solve_triangular(model._chol, b[:n], lower=True)
+    return b.T @ model._dual, v, model._q.T @ v - solve_triangular(model._r, b[n:], trans="T")
 
 
 def per_line_read_daily_csv(path):

@@ -3,7 +3,8 @@ and every float bit, and the rule that nothing else in the package writes
 a file; the rule that only the pipeline's stage runner hashes files; the
 rule that only the fit stage and the CV and Monte Carlo refit fit a recipe;
 the rule that only `_util` starts processes; and the rule that the package
-defines no public name that only tests use."""
+defines no public name, and no private function or method, that only tests
+use."""
 
 import ast
 import errno
@@ -265,6 +266,38 @@ def _references(node, enclosing=()):
         yield from _references(child, enclosing)
 
 
+def _private_definitions(tree):
+    """(name, node) for each private function of a module and each private
+    method of its classes: one leading underscore, so dunders are exempt."""
+    def private(node):
+        return (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not node.name.startswith("__"))
+    for node in tree.body:
+        if private(node):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m) for m in node.body if private(m))
+
+
+def _scan():
+    """The package's module paths, every parsed tree, and name -> ids of the
+    definitions enclosing each reference, in the program (the package and
+    `scripts/`) and in the benchmark (`perfbench/`)."""
+    root = TESTS.parent
+    package = sorted(Path(lurk.__file__).parent.glob("*.py"))
+    program = [*package, *sorted((root / "scripts").glob("*.py"))]
+    benchmark = sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in [*program, *benchmark]}
+
+    def used_from(paths):
+        found: dict[str, list[tuple]] = {}
+        for path in paths:
+            for name, enclosing in _references(trees[path]):
+                found.setdefault(name, []).append(enclosing)
+        return found
+    return package, trees, used_from(program), used_from(benchmark)
+
+
 def test_every_public_name_is_used_outside_tests():
     """Each public function, class, method and property in the package is
     referenced somewhere in the package or `scripts/`, outside its own
@@ -273,16 +306,7 @@ def test_every_public_name_is_used_outside_tests():
     it cannot see a member whose name another attribute or variable
     shares: `CvPlan.labels` once went unseen because `labels` is also a
     local variable in `evaluation`."""
-    root = TESTS.parent
-    package = sorted(Path(lurk.__file__).parent.glob("*.py"))
-    program = [*package, *sorted((root / "scripts").glob("*.py"))]
-    benchmark = sorted((root / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text()) for path in [*program, *benchmark]}
-    used_from: dict[str, list[tuple]] = {}
-    for path in program:
-        for name, enclosing in _references(trees[path]):
-            used_from.setdefault(name, []).append(enclosing)
-    in_benchmark = {name for path in benchmark for name, _ in _references(trees[path])}
+    package, trees, used_from, in_benchmark = _scan()
     unused = [(path.stem, name) for path in package
               for name, node in _public_definitions(trees[path])
               if all(id(node) in enclosing for enclosing in used_from.get(name, ()))]
@@ -293,5 +317,19 @@ def test_every_public_name_is_used_outside_tests():
     names = {name for _, name in unused}
     assert names >= set(UNREFERENCED_ALLOWED), \
         "an allowed name is used outside tests now; drop it from the allowlist"
-    assert names & in_benchmark >= set(BENCHMARK_ONLY), \
+    assert names & set(in_benchmark) >= set(BENCHMARK_ONLY), \
         "a BENCHMARK_ONLY name is used by the program, or not by perfbench; drop it"
+
+
+def test_every_private_function_is_used_outside_tests():
+    """Each private function and method in the package (one leading
+    underscore) is referenced in the package, `scripts/` or `perfbench/`
+    outside its own definition: a helper that only tests call is code the
+    program does not run."""
+    package, trees, used_from, in_benchmark = _scan()
+    only_tests = sorted(
+        f"{path.stem}.{name}" for path in package
+        for name, node in _private_definitions(trees[path])
+        if all(id(node) in enclosing
+               for enclosing in [*used_from.get(name, ()), *in_benchmark.get(name, ())]))
+    assert not only_tests, f"private names that only tests use: {only_tests}"

@@ -128,6 +128,11 @@ def test_zero_variogram_fits_zero_and_krigs_the_ols_drift():
     assert np.allclose(mean, drift.predict(rows), rtol=0.0, atol=1e-8)
 
 
+def test_a_max_lag_of_zero_is_an_invalid_argument_not_an_empty_variogram():
+    with pytest.raises(InvalidArgumentError, match="max_lag must be > 0"):
+        empirical_variogram([0.0, 1.0, 3.0], [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)], max_lag=0.0)
+
+
 def test_fit_needs_three_bins():
     ev = EmpiricalVariogram(lag_centers=np.array([1.0, 2.0]),
                             semivariances=np.array([0.5, 0.6]),
@@ -515,6 +520,35 @@ def test_in_place_rhs_matches_the_copying_oracle_bit_for_bit(monkeypatch, chunk)
     rows = rng.normal(size=(m, 3))
     monkeypatch.setattr(kriging, "PREDICT_CHUNK", chunk)
     got = model.predict_many(pts, rows, with_variance=True)
-    monkeypatch.setattr(KrigingModel, "_rhs", oracles.copying_kriging_rhs)
+    monkeypatch.setattr(KrigingModel, "_block", oracles.copying_kriging_block)
     want = model.predict_many(pts, rows, with_variance=True)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_the_mean_has_the_same_bits_with_and_without_the_variance():
+    sites, matrix, drift, coords, X, y = make_problem(seed=23, nugget=0.3)
+    model = KrigingModel(variogram=VariogramModel(0.3, 4.0, 30_000.0),
+                         coords=coords, x_rows=X, y=y)
+    rng = np.random.default_rng(123)
+    pts, rows = rng.uniform(0, 100_000, size=(5000, 2)), rng.normal(size=(5000, 3))
+    mean, var = model.predict_many(pts, rows)
+    assert var is None
+    assert np.array_equal(mean, model.predict_many(pts, rows, with_variance=True)[0])
+
+
+def test_a_flat_drift_row_is_rejected_by_the_shape_check():
+    sites, matrix, drift, coords, X, y = make_problem(seed=13, nugget=0.5)
+    model = KrigingModel(variogram=VariogramModel(0.5, 4.0, 30_000.0),
+                         coords=coords, x_rows=X, y=y)
+    with pytest.raises(InvalidArgumentError, match=re.escape("per point, not shape (3,)")):
+        model.predict_many(np.zeros((1, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("coords,x_rows,y", [
+    (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)),
+    (np.eye(5, 2), np.zeros(5), np.arange(5.0)),         # flat drift rows
+    (np.eye(5, 2), np.zeros((5, 0)), np.zeros((5, 1))),  # a column of y
+], ids=["zero-sites", "flat-x-rows", "column-y"])
+def test_degenerate_training_arrays_are_rejected(coords, x_rows, y):
+    with pytest.raises(InvalidArgumentError, match="need >= 1 site and consistent shapes"):
+        KrigingModel(VariogramModel(0.1, 1.0, 1000.0), coords, x_rows, y)

@@ -76,6 +76,13 @@ def test_ols_matches_normal_equations():
     assert np.allclose(fit.p_values, want["p_values"], atol=1e-10)
 
 
+def test_ols_entry_signs_are_the_signs_of_its_coefficients():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(50, 3))
+    fit = ols_fit(X, 1.0 + X @ np.array([0.5, -2.0, 0.1]) + rng.normal(0, 0.1, 50))
+    assert fit.entry_signs.tolist() == np.sign(fit.coefficients).tolist() == [1.0, -1.0, 1.0]
+
+
 def test_ols_rank_deficiency_names_columns():
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=40)
@@ -276,6 +283,18 @@ def test_mean_model():
     m = mean_model(y)
     assert m.intercept == pytest.approx(3.0)
     assert m.predict(np.empty((2, 0))).tolist() == [3.0, 3.0]
+
+
+def test_mean_model_takes_two_observations_and_no_fewer():
+    assert mean_model([1.0, 3.0]).intercept == 2.0
+    with pytest.raises(InvalidArgumentError, match="need at least 2 observations"):
+        mean_model([1.0])
+
+
+@pytest.mark.parametrize("p_max", [0.0, 1.0])
+def test_stepwise_config_rejects_a_p_max_on_either_bound(p_max):
+    with pytest.raises(InvalidArgumentError, match=r"p_max must be in \(0, 1\)"):
+        StepwiseConfig(p_max=p_max)
 
 
 def test_linear_model_json_round_trip():

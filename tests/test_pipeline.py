@@ -112,13 +112,41 @@ def test_stage_failure_reported_with_partial_artifacts(tmp_path):
     config_path, _ = write(tmp_path, sc, recipe={"selection": "mean", "kriging": True})
     cfg = PipelineConfig.from_json(config_path)
     with pytest.raises(StageError):
-        run(cfg)
+        run(cfg, until="fit")  # a run reaching cv would fail there first: cv.k > 1 site
     report = json.loads((Path(cfg.out_dir) / "report.json").read_text())
     assert report["status"] == "failed"
     assert report["failed_stage"] == "fit"
     assert report["error"]
     assert (Path(cfg.out_dir) / "monitors.csv").exists()
     assert (Path(cfg.out_dir) / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["computed", "cached"])
+def test_a_cv_k_above_the_site_count_fails_cv_before_covariates_compute(
+        tmp_path, monkeypatch, cached):
+    """`cv.k` is checked against annualize's site count, read from the
+    report metrics (so from the manifest when annualize is cached), right
+    after annualize: covariates and fit never compute."""
+    config_path, _ = write(tmp_path, scenario(seed=8))
+    config_path.write_text(json.dumps({**json.loads(config_path.read_text()),
+                                       "cv": {"k": 1000, "logo_group": "province"}}))
+    cfg = PipelineConfig.from_json(config_path)
+    out = Path(cfg.out_dir)
+    if cached:
+        run(cfg, until="annualize")
+    with monkeypatch.context() as patch:
+        for owner, name in ((covariates, "build_matrix"), (pipeline, "fit_recipe")):
+            patch.setattr(owner, name, lambda *a, **kw: pytest.fail("computed past annualize"))
+        with pytest.raises(StageError) as info:
+            run(cfg)
+    report = json.loads((out / "report.json").read_text())
+    message = f"k must be in [2, {report['metrics']['n_sites']}]"
+    assert (info.value.stage, str(info.value.cause)) == ("cv", message)
+    assert (report["status"], report["failed_stage"], report["error"]) == (
+        "failed", "cv", message)
+    assert f"stage=cv status=failed error={message}" in (out / "run.log").read_text()
+    assert not (out / "matrix.csv").exists()
+    assert run(cfg, until="fit").status == "ok"  # a run that stops before cv is unaffected
 
 
 @pytest.mark.parametrize("keep", ["header only", "January to August"])
