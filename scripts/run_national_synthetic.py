@@ -7,11 +7,13 @@ predict -> exposure, printing the time and peak RSS (the process's and
 its children's) after generation, writing and the pipeline, each stage's
 time (`elapsed_s` in the report), the times of three cached reruns, then
 the headline metrics. The first
-rerun starts right after the cold run, inside `pipeline.RACY_WINDOW_NS`
-of its writes (as perfbench's `warm_s` times it), so it hashes every file
-the cold run wrote or hashed within that window. The other two wait the
-window out: the first re-hashes the files last hashed within the window
-of their last change, the second reads no unchanged file.
+rerun starts right after the cold run (as perfbench's `warm_s` times it),
+so it hashes every file the cold run wrote or hashed within the memo's
+window of the file's last change (20 ms for a stamp finer than a
+millisecond, 2 s for a whole-millisecond one). The other two wait out the
+longest window, `pipeline.RACY_WINDOW_NS`: the first re-hashes the files
+last hashed within the window of their last change, the second reads no
+unchanged file.
 
 Usage: python scripts/run_national_synthetic.py [outdir] [--seed N]
 """
@@ -80,11 +82,11 @@ def main():
         print(f"cached rerun finished in {time.perf_counter() - t0:.3f}s ({what})")
 
     window = RACY_WINDOW_NS / 1e9
-    rerun(f"right after the cold run, inside its {window:g}s window: hashes again "
-          "what the cold run wrote or hashed in that window")
+    rerun("right after the cold run: hashes again what the cold run wrote or "
+          "hashed within a file's window")
     time.sleep(window)
-    print(f"waited {window:g}s (pipeline.RACY_WINDOW_NS)")
-    rerun("re-hashes the files last hashed within that window of their last change")
+    print(f"waited {window:g}s (pipeline.RACY_WINDOW_NS, the longest window)")
+    rerun("re-hashes the files last hashed within their window of their last change")
     rerun("reads no unchanged file")
     print(json.dumps(report.metrics, indent=2, sort_keys=True))
     print(f"artifacts: {Path(args.outdir) / 'run'}")

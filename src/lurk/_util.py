@@ -1,6 +1,6 @@
 """Shared helpers: hashing, seeds, float formatting, the artifact file codec
-(atomic writes, CSV tables, JSON), the output-directory lock, config checks,
-the one-BLAS-thread pin, and the one fan-out of jobs to forked workers."""
+(atomic writes, CSV tables, JSON), the output-directory lock, the JSON input
+reader and config checks, the one-BLAS-thread pin, and the one fan-out of jobs."""
 
 from __future__ import annotations
 
@@ -188,17 +188,22 @@ def plain(obj) -> dict:
         k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
 
 
-def check_keys(d: dict, allowed, what: str) -> None:
-    """Raise InvalidArgumentError unless `d` is a dict (a JSON object),
-    naming every key of it not in `allowed`."""
+def read_json(path):
+    """The JSON value of a hand-written input file; InvalidArgumentError naming
+    the file, and a parse error's line and column, when it does not parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:  # json.JSONDecodeError or UnicodeDecodeError
+        raise InvalidArgumentError(f"{path}: not JSON text: {e}") from None
+
+
+def check_keys(d: dict, allowed, what: str, required=()) -> None:
+    """Raise InvalidArgumentError unless `d` is a dict (a JSON object) with no
+    key outside `allowed` (named first) and every key of `required`."""
     checked(what, d, isinstance(d, dict), "an object")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise InvalidArgumentError(f"unknown {what} keys: {unknown}")
-
-
-def check_required(d: dict, required, what: str) -> None:
-    """Raise InvalidArgumentError naming every key of `required` missing from `d`."""
     missing = [k for k in required if k not in d]
     if missing:
         raise InvalidArgumentError(f"missing {what} keys: {missing}")

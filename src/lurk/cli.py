@@ -25,7 +25,7 @@ from .pipeline import (
     run,
 )
 from .synth import COVARIATE_SETS, SyntheticScenario, generate_synthetic, write_scenario
-from ._util import check_keys, dump_json, locked_dir, stage_seed
+from ._util import check_keys, dump_json, locked_dir, read_json, stage_seed
 
 
 def _load_config(ctx) -> PipelineConfig:
@@ -64,7 +64,8 @@ def _training_sizes(ctx, param, value):
 
 
 @click.group(cls=_Group)
-@click.option("--config", type=click.Path(exists=True), help="Pipeline config JSON.")
+@click.option("--config", type=click.Path(exists=True, dir_okay=False),
+              help="Pipeline config JSON.")
 @click.option("--seed", type=int, default=None, help="Master seed override.")
 @click.option("--out", type=click.Path(), default=None, help="Output directory override.")
 @click.option("-v", "--verbose", is_flag=True, help="Chatty logging.")
@@ -142,14 +143,14 @@ def exposure_cmd(ctx, window_cells):
 
 
 @main.command("synth")
-@click.option("--scenario", type=click.Path(exists=True), default=None,
+@click.option("--scenario", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Scenario JSON; defaults when omitted.")
 @click.option("--preset", type=click.Choice(COVARIATE_SETS), default="mini")
 @click.pass_context
 def synth_cmd(ctx, scenario, preset):
     """Generate a synthetic scenario directory ready for `run`."""
     if scenario:
-        d = json.loads(Path(scenario).read_text())
+        d = read_json(scenario)
         check_keys(d, [f.name for f in dataclasses.fields(SyntheticScenario)], "scenario")
         sc = SyntheticScenario(**d)
     else:
@@ -164,12 +165,11 @@ def synth_cmd(ctx, scenario, preset):
 
 
 @main.command("compare")
-@click.argument("reports", nargs=-1, type=click.Path(exists=True), required=True)
+@click.argument("reports", nargs=-1, type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--csv", "csv_out", type=click.Path(), default=None)
 def compare_cmd(reports, csv_out):
     """Compare run reports from one dataset (recipe flags + CV metrics)."""
-    loaded = [json.loads(Path(p).read_text()) for p in reports]
-    rows = compare_models(loaded)
+    rows = compare_models([read_json(p) for p in reports])
     if csv_out:
         comparison_to_csv(rows, csv_out)
         click.echo(f"wrote {csv_out}")

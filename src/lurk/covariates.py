@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import geodata
 from .errors import CovariateExtractionError, InvalidArgumentError, NoFeaturesError
-from ._util import (check_keys, checked, is_finite_number, is_int, plain, read_table,
-                    write_atomic, write_table)
+from ._util import (check_keys, checked, is_finite_number, is_int, plain, read_json,
+                    read_table, write_atomic, write_table)
 
 KINDS = (
     "point_count",
@@ -73,20 +72,22 @@ class CovariateSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovariateSpec":
-        """A spec from its JSON form; a key that is not a spec field raises
-        InvalidArgumentError naming the spec."""
-        check_keys(d, [f.name for f in fields(cls)], f"covariate spec {d.get('name')!r}")
-        return cls(**{"name": None, "kind": None, **d})  # a missing one fails its check
+        """A spec from its JSON form; a key that is not a spec field, or a
+        missing name or kind, raises InvalidArgumentError naming the spec."""
+        checked("covariate spec", d, isinstance(d, dict), "an object")
+        check_keys(d, [f.name for f in fields(cls)], f"covariate spec {d.get('name')!r}",
+                   ("name", "kind"))
+        return cls(**d)
 
 
 @dataclass(frozen=True)
 class CovariateMatrix:
-    """Dense site-by-covariate matrix with a zero-variance flag per column."""
+    """Dense site-by-covariate matrix; `zero_variance` flags each constant column."""
 
     site_ids: tuple[str, ...]
     columns: tuple[str, ...]
     values: np.ndarray  # (n_sites, n_covariates)
-    zero_variance: np.ndarray  # bool per column
+    zero_variance: np.ndarray = field(init=False)  # bool per column
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -96,19 +97,11 @@ class CovariateMatrix:
             raise InvalidArgumentError("covariate matrix must not contain NaN/inf")
         vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_values(cls, site_ids, columns, values) -> "CovariateMatrix":
-        values = np.asarray(values, dtype=np.float64)
         # Exact constancy: the std of a column of 40 x 0.1 rounds to ~4e-17, not 0.
-        constant = np.ptp(values, axis=0) == 0 if len(values) else np.ones(len(columns), bool)
-        return cls(
-            site_ids=tuple(site_ids),
-            columns=tuple(columns),
-            values=values,
-            zero_variance=constant,
-        )
+        constant = np.ptp(vals, axis=0) == 0 if len(vals) else np.ones(len(self.columns), bool)
+        for name, value in (("site_ids", tuple(self.site_ids)), ("columns", tuple(self.columns)),
+                            ("values", vals), ("zero_variance", constant)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_sites(self) -> int:
@@ -129,7 +122,7 @@ class CovariateMatrix:
 
     def subset_rows(self, indices) -> "CovariateMatrix":
         indices = np.asarray(indices)
-        return CovariateMatrix.from_values(
+        return CovariateMatrix(
             [self.site_ids[i] for i in indices], self.columns, self.values[indices]
         )
 
@@ -139,7 +132,7 @@ class CovariateMatrix:
         if unknown:
             raise InvalidArgumentError(f"cannot drop columns the matrix does not hold: {unknown}")
         keep = [i for i, c in enumerate(self.columns) if c not in drop]
-        return CovariateMatrix.from_values(
+        return CovariateMatrix(
             self.site_ids, [self.columns[i] for i in keep], self.values[:, keep]
         )
 
@@ -149,7 +142,7 @@ class CovariateMatrix:
     @classmethod
     def from_csv(cls, path) -> "CovariateMatrix":
         text, columns, values = read_table(path, ("site_id",))
-        return cls.from_values(text["site_id"], columns, values)
+        return cls(text["site_id"], columns, values)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +295,7 @@ def build_matrix(sites, specs, layers: dict | None = None, grids: dict | None = 
             f"{len(failures)} (site, covariate) cells could not be evaluated: {shown}{more}",
             failures=failures,
         )
-    return CovariateMatrix.from_values(site_ids, names, values)
+    return CovariateMatrix(site_ids, names, values)
 
 
 def _lookup(table: dict, key: str, what: str):
@@ -320,7 +313,10 @@ def write_specs(specs, path) -> None:
 
 
 def read_specs(path) -> list[CovariateSpec]:
-    specs = [CovariateSpec.from_dict(d) for d in json.loads(Path(path).read_text())]
+    specs = read_json(path)
+    if not (isinstance(specs, list) and all(isinstance(d, dict) for d in specs)):
+        raise InvalidArgumentError(f"{path}: a covariate set file must be a list of objects")
+    specs = [CovariateSpec.from_dict(d) for d in specs]
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise InvalidArgumentError("duplicate covariate names in covariate set file")

@@ -33,8 +33,8 @@ from .evaluation import kfold_plan, logo_plan, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
-from ._util import (FanOut, check_keys, check_required, checked, dump_json, is_finite_number,
-                    is_int, locked_dir, one_blas_thread, recorded_writes, sha256_bytes,
+from ._util import (FanOut, check_keys, checked, dump_json, is_finite_number, is_int,
+                    locked_dir, one_blas_thread, read_json, recorded_writes, sha256_bytes,
                     sha256_file, stage_seed, write_table)
 
 log = logging.getLogger(__name__)
@@ -45,8 +45,9 @@ CONFIG_KEYS = ("pollutant", "year", "monitors", "covariates", "layers", "grids",
                "thresholds", "seed", "out", "with_variance")
 LATTICE_KEYS = tuple(f.name for f in fields(geodata.Lattice))
 # A memoized hash is trusted only for a file whose last change (st_ctime)
-# came more than this long before the hash: a write in the same timestamp
-# tick as the recorded stat would leave the signature as it was.
+# came more than a window before the hash, so that a later write moves the
+# stamp: this long for a stamp of whole milliseconds (as filesystems of 1 or
+# 2 s ticks write), 20 ms (two or more kernel clock ticks) for a finer one.
 RACY_WINDOW_NS = 2_000_000_000
 # Seconds of one core per byte each geo reader parses: over the perfbench and
 # full-scale inputs, the median of its one-process time per byte (2-vCPU Xeon).
@@ -87,34 +88,31 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
         path = Path(path)
-        d = json.loads(path.read_text())
-        check_keys(d, CONFIG_KEYS, "config")
-        check_required(d, ("pollutant", "year", "monitors", "covariates"), "config")
-        check_keys(d["monitors"], ("daily", "sites"), "config monitors")
-        check_required(d["monitors"], ("daily", "sites"), "config monitors")
+        d = read_json(path)
+        check_keys(d, CONFIG_KEYS, "config", ("pollutant", "year", "monitors", "covariates"))
+        check_keys(d["monitors"], ("daily", "sites"), "config monitors", ("daily", "sites"))
         cv, lattice, seed = d.get("cv", {}), d.get("prediction"), d.get("seed", cls.seed)
         check_keys(cv, ("k", "logo_group"), "config cv")
         maps = {name: d.get(name, {}) for name in ("layers", "grids", "categorical_grids")}
         for name, paths in maps.items():
             checked(f"config {name}", paths, isinstance(paths, dict), "an object")
         for name, entry in maps["categorical_grids"].items():
-            check_keys(entry, ("path", "categories"), f"config categorical_grids {name!r}")
-            check_required(entry, ("path", "categories"), f"config categorical_grids {name!r}")
+            check_keys(entry, ("path", "categories"), f"config categorical_grids {name!r}",
+                       ("path", "categories"))
             codes = entry["categories"]
             checked(f"config categorical_grids {name!r} categories", codes,
                     isinstance(codes, list) and all(map(is_int, codes)), "a list of integers")
         k, logo_group = cv.get("k", cls.cv_k), cv.get("logo_group", cls.logo_group)
         with_variance = d.get("with_variance", cls.with_variance)
-        checked("config prediction", lattice, lattice is None or (
-            isinstance(lattice, dict) and sorted(lattice) == sorted(LATTICE_KEYS)
-            and all(map(is_finite_number, lattice.values()))
-            and is_int(lattice["n_cols"]) and is_int(lattice["n_rows"])),
-            f"null or a lattice of the keys {LATTICE_KEYS} with integer n_cols and n_rows")
-        try:
-            if lattice is not None:
+        if lattice is not None:
+            check_keys(lattice, LATTICE_KEYS, "config prediction", LATTICE_KEYS)
+            checked("config prediction", lattice, all(map(is_finite_number, lattice.values()))
+                    and is_int(lattice["n_cols"]) and is_int(lattice["n_rows"]),
+                    "a lattice of finite numbers with integer n_cols and n_rows")
+            try:
                 geodata.Lattice(**lattice)  # the geometry checks
-        except InvalidArgumentError as e:
-            raise InvalidArgumentError(f"config prediction: {e}") from None
+            except InvalidArgumentError as e:
+                raise InvalidArgumentError(f"config prediction: {e}") from None
         thresholds = d.get("thresholds", cls.thresholds)
         checked("config thresholds", thresholds, isinstance(thresholds, (list, tuple))
                 and all(map(is_finite_number, thresholds)), "a list of finite numbers")
@@ -152,13 +150,21 @@ class PipelineConfig:
                                   isinstance(with_variance, bool), "true or false"),
         )
 
+    def _geo_inputs(self) -> list[tuple]:
+        """(stage-key label, covariate-engine argument, name, (`geodata` reader,
+        path, *args)) of each layer, grid and land-cover grid, in config order."""
+        layers, grids, lc = self.layers.items(), self.grids.items(), self.categorical.items()
+        return [*((f"layer {k}", "layers", k, ("read_features", p)) for k, p in layers),
+                *((f"grid {k}", "grids", k, ("read_raster", p)) for k, p in grids),
+                *((f"categorical {k}", "categorical", k,
+                   ("read_categorical", v["path"], v["categories"])) for k, v in lc)]
+
     def validate(self) -> dict:
         """InvalidArgumentError naming every missing input file; otherwise
         {path string: (clock, stat signature)} of each input, the clock read
         before the stats, so the run's hash memo need not stat it again."""
         paths = [self.daily_csv, self.sites_csv, self.covariates_json,
-                 *self.layers.values(), *self.grids.values(),
-                 *(v["path"] for v in self.categorical.values())]
+                 *(read[1] for *_, read in self._geo_inputs())]
         if self.population_grid is not None:
             paths.append(self.population_grid)
         stats, missing, clock = {}, [], time.time_ns()
@@ -220,21 +226,22 @@ class _Runner:
     def _memo_hash(self, path: str) -> str:
         """The file's sha256 from the memo when its stat signature (for an
         input, the one `validate` took) is the recorded one and it last
-        changed more than RACY_WINDOW_NS before that hash; otherwise hashed. A hash that a second stat shows
-        unchanged by the read replaces the memo entry unless it only
-        confirms it: same digest and signature, taken within the window
-        too, so no later run could trust it more."""
+        changed more than its window before that hash; otherwise hashed. A
+        hash that a second stat shows unchanged by the read replaces the memo
+        entry unless it only confirms it: same digest and signature, taken
+        within the window too, so no later run could trust it more."""
         hashed_at, signature = (self.input_stats.pop(path, None)
                                 or (time.time_ns(), _signature(path)))
+        window = RACY_WINDOW_NS if signature[4] % 1_000_000 == 0 else 20_000_000
         memo = self.memo.get(path)
         same_stat = memo is not None and memo["stat"] == signature
-        if same_stat and memo["hashed_at_ns"] - signature[4] > RACY_WINDOW_NS:
+        if same_stat and memo["hashed_at_ns"] - signature[4] > window:
             return memo["sha256"]
         digest = sha256_file(path)
         if _signature(path) != signature:
             self.memo_changed |= self.memo.pop(path, None) is not None
         elif (not (same_stat and memo["sha256"] == digest)
-              or hashed_at - signature[4] > RACY_WINDOW_NS):
+              or hashed_at - signature[4] > window):
             self.memo[path] = {"sha256": digest, "stat": signature, "hashed_at_ns": hashed_at}
             self.memo_changed = True
         return digest
@@ -356,33 +363,30 @@ class _GeoInputs:
     the first `load`; `close` stops and reaps them), or by `load` itself."""
 
     def __init__(self, cfg: PipelineConfig, input_stats: dict):
-        self.reads = [*(("read_features", path) for path in cfg.layers.values()),
-                      *(("read_raster", path) for path in cfg.grids.values()),
-                      *(("read_categorical", spec["path"], spec["categories"])
-                        for spec in cfg.categorical.values())]
-        self.names = (cfg.layers, cfg.grids, cfg.categorical)
+        self.inputs = cfg._geo_inputs()
         self.fan_out = self.loaded = None
         self.jobs = [(PARSE_S[read[0]] * input_stats[os.fspath(read[1])][1][2], _read_geo, read)
-                     for read in self.reads]  # sized by the stat signatures `validate` took
+                     for *_, read in self.inputs]  # sized by the stat signatures `validate` took
 
     def start(self) -> None:
         if self.fan_out is None:
             self.fan_out = FanOut(self.jobs)
 
-    def load(self, hash_of) -> tuple[dict, dict, dict]:
-        """The layers, grids and land-cover grids by name, taken in config
-        order. A worker's value is used only when the bytes it parsed hash
-        to `hash_of(path)`, the hash in the calling stage's key; any other
-        file is parsed here, after the key was taken, and nowhere else
-        outside a worker, so the first failure in config order raises its
-        reader's error."""
+    def load(self, hash_of) -> dict:
+        """The covariate engine's `layers`, `grids` and `categorical` arguments
+        (those configured), taken in config order. A worker's value is used
+        only when the bytes it parsed hash to `hash_of(path)`, the hash in the
+        calling stage's key; any other file is parsed here, after the key was
+        taken, and nowhere else outside a worker, so the first failure in
+        config order raises its reader's error."""
         if self.loaded is None:
             self.start()
-            got = self.fan_out.results()
-            values = iter([got[i][1] if i in got and got[i][0] == hash_of(path)
-                           else getattr(geodata, reader)(path, *args)
-                           for i, (reader, path, *args) in enumerate(self.reads)])
-            self.loaded = tuple({name: next(values) for name in names} for names in self.names)
+            got, loaded = self.fan_out.results(), {}
+            for i, (_, argument, name, (reader, path, *args)) in enumerate(self.inputs):
+                loaded.setdefault(argument, {})[name] = (
+                    got[i][1] if i in got and got[i][0] == hash_of(path)
+                    else getattr(geodata, reader)(path, *args))
+            self.loaded = loaded
         return self.loaded
 
     def close(self) -> None:
@@ -434,12 +438,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
     cached stage costs the hashes of its reads and outputs (memo hits for
     unchanged files), and its report metrics come from its manifest entry."""
     out, report = runner.out, runner.report
-    geo_reads = {
-        **{f"layer {name}": path for name, path in cfg.layers.items()},
-        **{f"grid {name}": path for name, path in cfg.grids.items()},
-        **{f"categorical {name}": spec["path"] for name, spec in cfg.categorical.items()},
-    }
-    categories = {name: spec["categories"] for name, spec in cfg.categorical.items()}
+    geo_reads = {label: read[1] for label, _, _, read in geo.inputs}
+    categories = {name: read[2] for _, arg, name, read in geo.inputs if arg == "categorical"}
 
     # -- annualize ----------------------------------------------------
     def do_annualize():
@@ -472,9 +472,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
     specs = functools.cache(lambda: cov.read_specs(cfg.covariates_json))
 
     def do_covariates():
-        layers, grids, categorical = geo.load(runner.hash)
-        matrix = cov.build_matrix(sites(), specs(), layers=layers, grids=grids,
-                                  categorical=categorical)
+        matrix = cov.build_matrix(sites(), specs(), **geo.load(runner.hash))
         matrix.to_csv(out / "matrix.csv")
         return {}
 
@@ -536,9 +534,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
             # No variance grid of an earlier run outlives its manifest entry.
             (out / "prediction_variance.asc").unlink(missing_ok=True)
             model = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
-            surface = predict_grid(model, specs(),
-                                   geodata.Lattice(**cfg.prediction), *geo.load(runner.hash),
-                                   with_variance=cfg.with_variance)
+            surface = predict_grid(model, specs(), geodata.Lattice(**cfg.prediction),
+                                   **geo.load(runner.hash), with_variance=cfg.with_variance)
             geodata.write_raster(surface.concentration, out / "prediction.asc")
             if surface.variance is not None:
                 geodata.write_raster(surface.variance,
@@ -590,6 +587,8 @@ def compare_models(reports: list[dict]) -> list[dict]:
     """Cross-model comparison table from run reports on one dataset."""
     if not reports:
         raise InvalidArgumentError("no reports to compare")
+    for i, r in enumerate(reports, 1):
+        checked(f"report {i}", r, isinstance(r, dict), "an object")
     hashes = {r.get("dataset_hash", "") for r in reports}
     if len(hashes) > 1:
         raise DatasetMismatchError(

@@ -436,7 +436,7 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
     rest = [s for s in specs if s.source not in {*layers, "landcover"}]  # extracted here
     parts = [*done[len(grids):], lc_columns, cov.build_matrix(sites, rest, grids=grids)]
     columns = {name: col for part in parts for name, col in zip(part.columns, part.values.T)}
-    matrix = cov.CovariateMatrix.from_values(
+    matrix = cov.CovariateMatrix(
         site_ids, [s.name for s in specs], np.column_stack([columns[s.name] for s in specs]))
 
     trend = sc.trend or (_FULL_TREND if full else _MINI_TREND)

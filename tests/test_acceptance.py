@@ -106,7 +106,7 @@ def test_criterion_03_stepwise_oracle():
         beta[rng.choice(8, 3, replace=False)] = rng.normal(0, 2.0, 3)
         y = 5.0 + X @ beta + rng.normal(0, 1.0, 60)
         names = [f"x{j}" for j in range(8)]
-        matrix = CovariateMatrix.from_values([f"s{i}" for i in range(60)], names, X)
+        matrix = CovariateMatrix([f"s{i}" for i in range(60)], names, X)
         model = stepwise_select(matrix, y)
         want = oracles.exhaustive_stepwise(X, names, y)
         if want is None:
@@ -325,7 +325,7 @@ def test_criterion_11_pls():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(40, 5))
     y = X @ np.array([1.0, -0.5, 0.2, 0.0, 0.7]) + rng.normal(0, 0.5, 40)
-    matrix = CovariateMatrix.from_values([f"s{i}" for i in range(40)],
+    matrix = CovariateMatrix([f"s{i}" for i in range(40)],
                                          [f"x{j}" for j in range(5)], X)
     model = pls_fit(matrix, y, max_components=5)
     pred_full = oracles.pls_predict(model, X, k=model.rotations.shape[1])
@@ -339,7 +339,7 @@ def test_criterion_11_pls():
         load = rng.normal(size=(2, 10))
         Xs = latent @ load + 0.3 * rng.normal(size=(100, 10))
         ys = latent @ np.array([2.0, -1.5]) + 0.5 * rng.normal(size=100)
-        m = CovariateMatrix.from_values([f"s{i}" for i in range(100)],
+        m = CovariateMatrix([f"s{i}" for i in range(100)],
                                         [f"x{j}" for j in range(10)], Xs)
         parsimony_hits += pls_fit(m, ys, max_components=8, seed=seed).n_components <= 4
     ok = full_rank_ok and parsimony_hits >= 18

@@ -1,10 +1,10 @@
 """The artifact file codec: atomic writes, CSV tables that keep quoted text
 and every float bit, and the rule that nothing else in the package writes
-a file; the rule that only the pipeline's stage runner hashes files; the
-rule that only the fit stage and the CV and Monte Carlo refit fit a recipe;
-the rule that only `_util` starts processes; and the rule that the package
-defines no public name, and no private function or method, that only tests
-use."""
+a file; the rule that only `_util` parses a hand-written JSON file; the
+rule that only the pipeline's stage runner hashes files; the rule that
+only the fit stage and the CV and Monte Carlo refit fit a recipe; the rule
+that only `_util` starts processes; and the rule that the package defines
+no public name, and no private function or method, that only tests use."""
 
 import ast
 import errno
@@ -107,7 +107,7 @@ def test_quoted_ids_and_groups_round_trip_every_bit(tmp_path):
 
     values = rng.normal(size=(len(ids), 3)) * [1e-300, 1.0, 1e300]
     values[0] = [-0.0, 5e-324, 0.1]
-    matrix = CovariateMatrix.from_values(ids, ["x,1", 'q"2', "plain"], values)
+    matrix = CovariateMatrix(ids, ["x,1", 'q"2', "plain"], values)
     matrix.to_csv(tmp_path / "matrix.csv")
     back = CovariateMatrix.from_csv(tmp_path / "matrix.csv")
     assert (back.site_ids, back.columns) == (matrix.site_ids, matrix.columns)
@@ -185,6 +185,37 @@ def test_only_the_fit_stage_and_the_refit_fit_recipes():
             if getattr(func, "attr", getattr(func, "id", None)) == "fit_recipe":
                 found.append((path.name, enclosing.get(node)))
     assert sorted(found) == [("evaluation.py", "_refit"), ("pipeline.py", "do_fit")]
+
+
+# -- one reader of hand-written JSON ------------------------------------------------------
+
+# (module, function) of each parse of a file the package wrote itself.
+ARTIFACT_READS = [("pipeline.py", "_read_manifest"),  # manifest.json
+                  ("pipeline.py", "do_predict")]  # model.json
+
+
+def test_only_util_parses_json_files():
+    """Outside `_util`, whose `read_json` names a file that does not parse,
+    no module of the package calls `json.load`, or `json.loads` on anything
+    but a `json.dumps` round trip, except to read back one of its own
+    artifacts (ARTIFACT_READS)."""
+    found = []
+    for path in sorted(Path(lurk.__file__).parent.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        tree = ast.parse(path.read_text())
+        enclosing = {}  # node -> the innermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((node, fn.name) for node in ast.walk(fn) if node is not fn)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("json.load", "json.loads")):
+                continue
+            arg = node.args[0] if node.args else None
+            if not (isinstance(arg, ast.Call) and ast.unparse(arg.func) == "json.dumps"):
+                found.append((path.name, enclosing.get(node)))
+    assert sorted(found) == ARTIFACT_READS
 
 
 # -- one fan-out ---------------------------------------------------------------------------

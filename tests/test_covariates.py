@@ -413,7 +413,7 @@ def test_zero_variance_column_flagged():
 
 def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    m = cov.CovariateMatrix.from_values(
+    m = cov.CovariateMatrix(
         [f"s{i}" for i in range(5)], ["a", "b"], rng.normal(size=(5, 2))
     )
     path = tmp_path / "m.csv"
@@ -470,6 +470,27 @@ def test_spec_values_checked_not_coerced(tmp_path, change, message):
     assert [a.tolist() for a in evaluate(spec)] == [[[0.5]], [[True]]]
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
         evaluate({**spec, **change})
+
+
+@pytest.mark.parametrize("text", ['{"name": "a", "kind": "coordinate_x"}', '["a"]', "[5]",
+                                  "[null]", "5"])
+def test_a_covariate_file_that_is_not_a_list_of_objects_is_named(tmp_path, text):
+    # Each once failed with a bare AttributeError or TypeError.
+    path = tmp_path / "covariates.json"
+    path.write_text(text)
+    with pytest.raises(InvalidArgumentError,
+                       match=re.escape(f"{path}: a covariate set file must be a list of objects")):
+        cov.read_specs(path)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"name": "a"}, "missing covariate spec 'a' keys: ['kind']"),  # once "unknown kind None"
+    ({"kind": "coordinate_x"}, "missing covariate spec None keys: ['name']"),
+    ("a", "covariate spec must be an object, got 'a'"),  # once an AttributeError
+])
+def test_a_spec_names_its_missing_keys(d, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        cov.CovariateSpec.from_dict(d)
 
 
 # -- rasterized covariates match per-site extraction ------------------------------

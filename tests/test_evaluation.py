@@ -189,7 +189,7 @@ def test_cv_csv_and_summary(tmp_path):
 
 def _nn_distances(t, plan):
     """`nn_distance_m` of an intercept-only CV over a matrix with no columns."""
-    matrix = CovariateMatrix.from_values(t.site_ids, [], np.empty((len(t), 0)))
+    matrix = CovariateMatrix(t.site_ids, [], np.empty((len(t), 0)))
     return run_cv(ModelRecipe(selection="mean"), t, matrix, plan).nn_distance_m
 
 

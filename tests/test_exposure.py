@@ -117,7 +117,7 @@ def test_kriging_grid_matches_pointwise_predictions():
     X = rng.normal(size=(40, 1))
     grf = simulate_grf(coords, 0.1, 3.0, 15_000.0, rng)
     y = 30.0 + 2.5 * X[:, 0] + grf
-    matrix = CovariateMatrix.from_values([f"s{i}" for i in range(40)], ["g"], X)
+    matrix = CovariateMatrix([f"s{i}" for i in range(40)], ["g"], X)
     drift = ols_fit(matrix.select(["g"]), y, ["g"])
     model = KrigingModel(variogram=VariogramModel(0.1, 3.0, 15_000.0),
                          coords=coords, x_rows=X, y=y)

@@ -49,7 +49,7 @@ def make_problem(seed, n=30, p=3, nugget=0.0, psill=4.0, range_m=30_000.0,
     grf = simulate_grf(coords, nugget, psill, range_m, rng)
     y = 20.0 + X @ beta + grf + noise * rng.standard_normal(n)
     names = [f"x{j}" for j in range(p)]
-    matrix = CovariateMatrix.from_values([f"s{i}" for i in range(n)], names, X)
+    matrix = CovariateMatrix([f"s{i}" for i in range(n)], names, X)
     sites = table_from(coords, y)
     drift = ols_fit(matrix.select(names), y, names)
     return sites, matrix, drift, coords, X, y
@@ -399,7 +399,7 @@ def test_uk_fit_zero_residuals_reduces_to_drift():
     X = rng.normal(size=(25, 2))
     y = 5.0 + X @ np.array([2.0, -1.0])  # exact linear, zero residuals
     names = ["a", "b"]
-    matrix = CovariateMatrix.from_values([f"s{i}" for i in range(25)], names, X)
+    matrix = CovariateMatrix([f"s{i}" for i in range(25)], names, X)
     sites = table_from(coords, y)
     drift = ols_fit(matrix.select(names), y, names)
     model = uk_fit(drift, sites, matrix.select(drift.selected))
@@ -421,7 +421,7 @@ def test_uk_fit_residual_variogram_tracks_generated_field():
         X = rng.normal(size=(300, 1))
         grf = simulate_grf(coords, 0.0, psill, range_m, rng)
         y = 30.0 + 4.0 * X[:, 0] + grf
-        matrix = CovariateMatrix.from_values([f"s{i}" for i in range(300)], ["a"], X)
+        matrix = CovariateMatrix([f"s{i}" for i in range(300)], ["a"], X)
         sites = table_from(coords, y)
         drift = ols_fit(X, y, ["a"])
         model = uk_fit(drift, sites, matrix.select(drift.selected))
@@ -445,7 +445,7 @@ def test_uk_fit_averages_duplicate_coordinates(caplog):
     X = rng.normal(size=(20, 1))
     X[5] = X[4]
     y = 3.0 + 1.5 * X[:, 0] + rng.normal(0, 0.5, 20)
-    matrix = CovariateMatrix.from_values([f"s{i}" for i in range(20)], ["a"], X)
+    matrix = CovariateMatrix([f"s{i}" for i in range(20)], ["a"], X)
     sites = table_from(coords, y)
     drift = ols_fit(X, y, ["a"])
     import logging

@@ -16,6 +16,7 @@ from lurk.lur import (
     LinearModel,
     StepwiseConfig,
     _pls1_path,
+    _pls1_paths,
     mean_model,
     morans_i,
     ols_fit,
@@ -31,7 +32,7 @@ import oracles
 def matrix_of(X, names=None):
     X = np.asarray(X, dtype=np.float64)
     names = names or [f"x{j}" for j in range(X.shape[1])]
-    return CovariateMatrix.from_values([f"s{i}" for i in range(len(X))], names, X)
+    return CovariateMatrix([f"s{i}" for i in range(len(X))], names, X)
 
 
 # -- OLS -----------------------------------------------------------------------
@@ -90,6 +91,34 @@ def test_ols_rank_deficiency_names_columns():
     with pytest.raises(SingularDesignError) as err:
         ols_fit(X, rng.normal(size=40), names=["a", "b", "c"])
     assert err.value.dependent_columns
+
+
+def test_ols_rank_tolerance_grows_with_the_row_count():
+    # A column is dependent when its |R_jj| is at most max(n, p + 1) * eps
+    # (numpy's matrix_rank rule) or _RANK_TOL of the largest, whichever is
+    # larger. At 600,000 rows the first is 1.33e-10: a column 1.2e-10
+    # (relative) off the intercept is dependent, and one 1.5e-10 off is not.
+    n = 600_000
+    z = np.where(np.arange(n) % 2, 1.0, -1.0)  # orthogonal to the intercept
+    y = np.random.default_rng(0).normal(size=n)
+    with pytest.raises(SingularDesignError):
+        ols_fit((1.0 + 1.2e-10 * z)[:, None], y)
+    ols_fit((1.0 + 1.5e-10 * z)[:, None], y)
+
+
+@pytest.mark.parametrize("X, y", [
+    ([[0, -1], [0, 1], [2, 2], [-1, 1], [2, 2], [1, -2]], [0, 2, 3, 2, 3, -1]),  # beta 0, 1
+    ([[-1], [2], [-2]], [2, -1, 3]),  # beta -1
+])
+def test_a_perfect_fit_has_p_value_zero_for_every_coefficient(X, y):
+    """Zero residuals make every standard error 0 and every |t| infinite, so
+    every p-value is 0, a coefficient of exactly 0 or -1 too: 0/0, or an
+    infinity times a sign of 0, would be NaN."""
+    model = ols_fit(np.array(X, float), np.array(y, float))
+    assert not np.isnan(model.p_values).any()
+    if not model.residuals.any():  # exact with this LAPACK; another may leave ~1e-16
+        assert {0.0, -1.0} & set(model.coefficients.tolist())
+        assert model.p_values.tolist() == [0.0] * len(model.p_values)
 
 
 def test_ols_requires_enough_rows():
@@ -412,6 +441,42 @@ def test_pls_path_matches_deflation_oracle():
         for name, g, w in (("q", q, want_q), ("rotations", rotations, want_rotations)):
             assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w), (seed, name)
     assert {1, 3, 8} <= counts  # signal exhausted, rank reached, max_k reached
+
+
+def test_pls_path_stops_when_s_falls_to_1e_12_of_its_start():
+    # With X0'X0 = diag(1, 4) and X0'y0 = [1, d], s = X_1'y0 after the first
+    # component is about 3d of its start: 1.5e-12 of it at d = 5e-13, which
+    # leaves room for a second component, and 7.5e-13 at d = 2.5e-13.
+    xtx = np.diag([1.0, 4.0])
+    assert [len(_pls1_path(xtx, np.array([1.0, d]), 2)[0]) for d in (5e-13, 2.5e-13)] == [2, 1]
+
+
+def test_pls_folds_scale_a_column_constant_on_their_training_rows_by_zero():
+    # A column that moves at one site only is constant on the training rows
+    # of that site's fold. Its centred cross-products there are rounding
+    # residue, which grows with the spike: scaled by 1 rather than 0, at a
+    # spike of 1e10 they swamp that fold's components and the pick.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(37, 5))
+        y = X[:, 0] - X[:, 2] + rng.normal(0, 0.3, 37)
+        X[:, 4], site = np.pi, rng.integers(37)
+        picks = []
+        for spike in (1e3, 1e10):
+            X = X.copy()  # a matrix holds its values read-only
+            X[site, 4] = np.pi + spike * np.e
+            picks.append(pls_fit(matrix_of(X), y, 4, seed=seed).n_components)
+        want = oracles.data_pls_fit(matrix_of(X), y, 4, seed=seed).n_components
+        assert picks == [want, want], seed
+
+
+def test_pls_paths_leave_zeros_past_each_system_s_count():
+    xtx = np.diag([1.0, 4.0])
+    xty = np.array([[1.0, 1e-14], [1.0, 0.5]])  # the first system stops after one component
+    q, R, count = _pls1_paths(lambda V: V @ xtx, xty, np.full(2, 4e-24), 2)
+    assert count.tolist() == [1, 2]
+    assert q[0, 1] == 0.0 and not R[0, :, 1].any()
+    assert q[1].all() and R[1].any(axis=0).all()
 
 
 def test_pls_scales_a_constant_column_by_one():

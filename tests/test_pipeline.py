@@ -510,6 +510,27 @@ def test_config_values_checked(tmp_path, key, value, named):
         PipelineConfig.from_json(path)
 
 
+def _without(key):
+    return {k: v for k, v in _LATTICE.items() if k != key}
+
+
+@pytest.mark.parametrize("lattice, message", [
+    ({**_LATTICE, "crs": "EPSG:3035"}, "unknown config prediction keys: ['crs']"),
+    (_without("n_rows"), "missing config prediction keys: ['n_rows']"),
+    ({**_without("n_cols"), "n_col": 4}, "unknown config prediction keys: ['n_col']"),  # first
+])
+def test_lattice_keys_are_named(tmp_path, lattice, message):
+    """An unknown prediction-lattice key is named, then a missing one, as
+    in every other section of the config."""
+    config = {"pollutant": "no2", "year": 2015, "prediction": lattice,
+              "monitors": {"daily": "daily.csv", "sites": "sites.csv"},
+              "covariates": "covariates.json"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        PipelineConfig.from_json(path)
+
+
 @pytest.mark.parametrize("key,value,named", [
     # Each of these once failed with a bare TypeError or AttributeError.
     ("monitors", 5, "config monitors must be an object"),
@@ -717,7 +738,7 @@ def count_hashes(monkeypatch) -> list:
 
 def age_the_clock(monkeypatch) -> None:
     """Move the clock the runner reads 3 s forward: every file written so
-    far then lies outside the 2 s window of a hash taken from now on."""
+    far then lies outside the window (at most 2 s) of a hash taken from now on."""
     time_ns = time.time_ns
     monkeypatch.setattr(time, "time_ns", lambda: time_ns() + 3_000_000_000)
 
@@ -731,7 +752,7 @@ def test_each_run_hashes_each_file_once(tmp_path, monkeypatch):
     cache check and a later stage's read of it share one hash. The cold run
     records each output's hash from the bytes it wrote, so it hashes the
     inputs and only the artifacts a later stage reads. The warm run is a
-    rerun within 2 s of the writes, so it hashes every input and output
+    rerun within the window of the writes, so it hashes every input and output
     again: the clock is held where it stood before the inputs were
     written, so each hash falls inside the window however slow the host."""
     held = time.time_ns()
@@ -757,7 +778,7 @@ def file_identity(path: Path) -> tuple:
 
 
 def test_aged_rerun_hashes_nothing_and_writes_no_manifest(tmp_path, monkeypatch):
-    """Once every hash is more than 2 s younger than its file's last
+    """Once every hash is taken more than the window after its file's last
     change, a rerun reads no file to hash: it serves all six stages from
     the cache, reports what the run before it did and leaves the manifest
     and the report as they were."""
@@ -778,8 +799,38 @@ def test_aged_rerun_hashes_nothing_and_writes_no_manifest(tmp_path, monkeypatch)
     assert {name: file_identity(out / name) for name in written} == written
 
 
+@pytest.mark.parametrize("stamp", ["finer than 1 ms", "whole ms"])
+def test_the_window_follows_the_stamp_resolution(tmp_path, monkeypatch, stamp):
+    """A hash taken 0.5 s after a file's last change is trusted when the
+    file's st_ctime is finer than a whole millisecond (a 20 ms window), and
+    not when it is a whole millisecond, as filesystems with 1 s or 2 s
+    timestamps write (the 2 s window): there a rerun hashes the last
+    stage's outputs again. The real stamps are moved below the
+    millisecond, to end in 1 ns or in none."""
+    signature = pipeline._signature
+
+    def stamped(path):
+        sig = signature(path)
+        return sig[:4] + [sig[4] - sig[4] % 1_000_000 + (stamp != "whole ms")]
+
+    monkeypatch.setattr(pipeline, "_signature", stamped)
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    out = tmp_path / "scn" / "run"
+    run(PipelineConfig.from_json(config_path))
+    later = time.time_ns() + 500_000_000
+    monkeypatch.setattr(time, "time_ns", lambda: later)
+    run(PipelineConfig.from_json(config_path))  # hashes the outputs no stage read
+    calls = count_hashes(monkeypatch)
+    run(PipelineConfig.from_json(config_path))
+    manifest = json.loads((out / "manifest.json").read_text())
+    if stamp == "whole ms":
+        assert {out / o for o in manifest["exposure"]["outputs"]} <= set(calls)
+    else:
+        assert calls == []
+
+
 def test_in_window_rerun_that_confirms_the_memo_writes_no_manifest(tmp_path, monkeypatch):
-    """A rerun within 2 s of the writes hashes every file again; when each
+    """A rerun within the window of the writes hashes every file again; when each
     hash finds the memo's digest and signature, the memo stays as it was,
     so the run rewrites neither the manifest nor the report. The clock is
     held where it stood before the inputs were written, so every hash
@@ -1169,6 +1220,63 @@ def test_cli_checks_its_options_before_anything_runs(tmp_path, args, message):
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not (config_path.parent / "run").exists()
+
+
+NOT_JSON = {
+    "truncated": b'{"pollutant": ',
+    "trailing comma": b'[{"name": "a", "kind": "coordinate_x"},]',
+    "not UTF-8": b'{"pollutant": "no\xb2"}',
+}
+
+
+@pytest.mark.parametrize("role, text", [
+    ("config", "truncated"), ("config", "not UTF-8"), ("covariates", "trailing comma"),
+    ("scenario", "truncated"), ("scenario", "not UTF-8"), ("report", "trailing comma"),
+])
+def test_cli_names_a_json_file_that_does_not_parse(tmp_path, role, text):
+    """A hand-written JSON input that does not decode or parse reaches the
+    user as one line, `Error: <file>: ...`, with exit code 1; a parse error
+    gives its line and column. Each once printed a traceback, or (the
+    covariate file) a parse error that named no file."""
+    args = {"config": ["--config", "{}", "run"], "scenario": ["synth", "--scenario", "{}"],
+            "report": ["compare", "{}"]}
+    if role == "covariates":
+        config_path, _ = write(tmp_path, scenario(seed=15))
+        path = config_path.parent / "covariates.json"
+        args = ["--config", str(config_path), "run"]
+    else:
+        path = tmp_path / f"{role}.json"
+        args = [a.format(path) for a in args[role]]
+    path.write_bytes(NOT_JSON[text])
+    res = CliRunner().invoke(cli_main, ["--out", str(tmp_path / "out"), *args]
+                             if role == "scenario" else args)
+    assert res.exit_code == 1, res.output
+    assert res.output.startswith("Error: ") and res.output.count("\n") == 1, res.output
+    assert f"{path}: not JSON text: " in res.output
+    if text != "not UTF-8":
+        assert re.search(r"line 1 column \d+", res.output), res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "{}", "run"], ["synth", "--scenario", "{}"], ["compare", "{}"],
+])
+def test_cli_refuses_a_directory_for_a_json_file(tmp_path, args):
+    """Each once got past option parsing and printed an IsADirectoryError
+    traceback."""
+    res = CliRunner().invoke(cli_main, [a.format(tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "is a directory" in res.output and "Traceback" not in res.output
+
+
+def test_compare_names_a_report_that_is_not_an_object(tmp_path):
+    """A report that is not a JSON object once failed with a bare
+    AttributeError."""
+    with pytest.raises(InvalidArgumentError, match=re.escape("report 2 must be an object")):
+        compare_models([{"dataset_hash": "h"}, ["h"]])
+    report = tmp_path / "report.json"
+    report.write_text("[1]")
+    res = CliRunner().invoke(cli_main, ["compare", str(report)])
+    assert (res.exit_code, res.output) == (1, "Error: report 1 must be an object, got [1]\n")
 
 
 def test_cli_synth_names_an_unknown_scenario_key(tmp_path):
