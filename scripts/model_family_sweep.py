@@ -22,7 +22,7 @@ from lurk.pipeline import (
     format_comparison,
     run,
 )
-from lurk._util import dump_json
+from lurk._util import dump_json, plain
 from lurk.recipes import ModelRecipe
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 
@@ -57,7 +57,7 @@ def main():
     reports = []
     for i, recipe in enumerate(FAMILIES):
         cfg.recipe = ModelRecipe.from_dict(recipe)
-        report = run(cfg).to_dict()
+        report = plain(run(cfg))
         reports.append(report)
         path = outdir / f"report_{i}_{cfg.recipe.label()}.json"
         dump_json(report, path)

@@ -180,12 +180,30 @@ def locked_dir(directory):
         os.close(fd)
 
 
-def plain(obj) -> dict:
-    """A dataclass as JSON-ready data: its fields, nested dataclasses as
-    dicts and arrays as lists. A model's JSON form is `plain(model)`, and
-    `cls(**d)` rebuilds it."""
-    return dataclasses.asdict(obj, dict_factory=lambda items: {
-        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items})
+def owned_array(what: str, value, dtype, shape=None, finite: bool = False) -> np.ndarray:
+    """`value` as a read-only, C-contiguous `dtype` array (BLAS sums a strided
+    one in another order) that the record holding it owns: an array owning
+    its memory is held as given, so a later write by its maker raises; a view
+    is copied, since its owner could still write; a JSON list is converted.
+    InvalidArgumentError naming `what` for a shape other than `shape`, or
+    with `finite` for a NaN or an inf, even one a cast to int would hide."""
+    if finite and not np.all(np.isfinite(np.asarray(value, np.float64))):
+        raise InvalidArgumentError(f"{what} must be finite, without NaN or inf")
+    arr = np.ascontiguousarray(value, dtype=dtype)
+    if arr.base is not None:
+        arr = arr.copy()
+    if shape is not None and arr.shape != shape:
+        raise InvalidArgumentError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def plain(obj):
+    """A dataclass as JSON-ready data, every record's JSON form: its fields by
+    name, nested dataclasses as dicts, arrays as lists, other values shared."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
 def read_json(path):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geodata
 from .errors import CovariateExtractionError, InvalidArgumentError, NoFeaturesError
-from ._util import (check_keys, checked, is_finite_number, is_int, plain, read_json,
+from ._util import (check_keys, checked, is_finite_number, is_int, owned_array, plain, read_json,
                     read_table, write_atomic, write_table)
 
 KINDS = (
@@ -90,13 +90,8 @@ class CovariateMatrix:
     zero_variance: np.ndarray = field(init=False)  # bool per column
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (len(self.site_ids), len(self.columns)):
-            raise InvalidArgumentError("matrix shape does not match site/column counts")
-        if np.any(~np.isfinite(vals)):
-            raise InvalidArgumentError("covariate matrix must not contain NaN/inf")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
+        shape = (len(self.site_ids), len(self.columns))
+        vals = owned_array("covariate matrix values", self.values, np.float64, shape, finite=True)
         # Exact constancy: the std of a column of 40 x 0.1 rounds to ~4e-17, not 0.
         constant = np.ptp(vals, axis=0) == 0 if len(vals) else np.ones(len(self.columns), bool)
         for name, value in (("site_ids", tuple(self.site_ids)), ("columns", tuple(self.columns)),

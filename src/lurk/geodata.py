@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import GridFormatError, InvalidArgumentError
-from ._util import fmt_float, write_atomic, write_table
+from ._util import fmt_float, owned_array, write_atomic, write_table
 
 DEFAULT_NODATA = -9999.0
 
@@ -59,7 +59,7 @@ class Lattice:
                 raise InvalidArgumentError(f"{key} must be a finite number, got {value}")
 
     def __setstate__(self, state):
-        """Unpickled (as from a worker process), a grid's arrays stay read-only."""
+        """Unpickled (as from a worker process), a record's arrays stay read-only."""
         for value in state.values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -104,12 +104,8 @@ class RasterGrid(Lattice):
 
     def __post_init__(self):
         super().__post_init__()
-        vals = np.asarray(self.values, dtype=np.float64).reshape(self.n_rows, self.n_cols)
-        if not np.all(np.isfinite(vals)):
-            raise InvalidArgumentError("grid values must be finite (use the nodata sentinel)")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        vals = owned_array("grid values", self.values, np.float64, finite=True)
+        object.__setattr__(self, "values", vals.reshape(self.n_rows, self.n_cols))
 
     @classmethod
     def filled(cls, origin_x, origin_y, cell_size, n_cols, n_rows) -> "RasterGrid":
@@ -154,14 +150,12 @@ class CategoricalGrid(Lattice):
 
     def __post_init__(self):
         super().__post_init__()
-        vals = np.asarray(self.values).astype(np.int32).reshape(self.n_rows, self.n_cols)
+        vals = owned_array("grid values", self.values, np.int32).reshape(self.n_rows, self.n_cols)
         # "sort" compares few codes cell by cell; "table" copies the grid as intp
         bad = np.isin(vals, [*self.categories, self.nodata], invert=True, kind="sort")
         if bad.any():
             raise InvalidArgumentError(
                 f"grid contains undeclared category codes: {np.unique(vals[bad]).tolist()}")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "categories", tuple(int(c) for c in self.categories))
 
@@ -373,9 +367,9 @@ class FeatureLayer:
         if kind not in (POINTS, POLYLINES):
             raise InvalidArgumentError(f"unknown layer kind {kind!r}")
         self.kind = kind
-        self.xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.ids = np.asarray(ids, dtype=str)
+        self.xy = owned_array("xy", xy, np.float64).reshape(-1, 2)
+        self.offsets = owned_array("offsets", offsets, np.int64)
+        self.ids = owned_array("ids", ids, str)
         if (self.offsets.shape != (self.ids.size + 1,)
                 or self.offsets[0] != 0 or self.offsets[-1] != len(self.xy)):
             raise InvalidArgumentError("offsets and ids do not match the vertices")
@@ -396,6 +390,8 @@ class FeatureLayer:
             self.tree = cKDTree(0.5 * (self.seg_a + self.seg_b))
         half = 0.5 * np.hypot(*(self.seg_b - self.seg_a).T)
         self.max_half = float(half.max(initial=0.0))
+
+    __setstate__ = Lattice.__setstate__
 
     def _reject(self, features: np.ndarray, what: str) -> None:
         if features.size:

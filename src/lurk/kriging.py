@@ -25,7 +25,7 @@ from .errors import (
 )
 from .lur import _RANK_TOL, LinearModel, _design_rows
 from .monitors import MonitorTable
-from ._util import check_finite_fields
+from ._util import check_finite_fields, owned_array
 
 log = logging.getLogger(__name__)
 
@@ -194,9 +194,8 @@ class KrigingModel:
     y: np.ndarray
 
     def __post_init__(self):
-        # A model read back from JSON holds lists.
-        for name in ("coords", "x_rows", "y"):
-            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=np.float64))
+        for name in ("coords", "x_rows", "y"):  # read back from JSON: lists
+            setattr(self, name, owned_array(name, getattr(self, name), np.float64))
         n = len(self.y)
         if (n < 1 or self.y.ndim != 1 or self.coords.shape != (n, 2)
                 or self.x_rows.ndim != 2 or len(self.x_rows) != n):
@@ -285,12 +284,15 @@ class KrigingModel:
                 f"x_rows must hold one row of the drift's {self.x_rows.shape[1]} columns "
                 f"per point, not shape {x_rows.shape}")
         m = len(coords)
-        mean, var = np.empty(m), np.empty(m) if with_variance else None
+        mean, var = np.empty(m), np.zeros(m) if with_variance else None
+        # A zero sill: the residual variance is 0, and so is the formula's
+        # limit as the constructor's fallback nugget goes to 0.
+        whiten = with_variance and self.variogram.sill > 0
         block = _block_points(self.n_sites + 1 + self.x_rows.shape[1])
         for s in range(0, m, block):
             e = min(s + block, m)
-            mean[s:e], v, u = self._block(coords[s:e], x_rows[s:e], with_variance)
-            if with_variance:
+            mean[s:e], v, u = self._block(coords[s:e], x_rows[s:e], whiten)
+            if whiten:
                 var[s:e] = np.maximum(self.variogram.sill - np.einsum("ij,ij->j", v, v)
                                       + np.einsum("ij,ij->j", u, u), 0.0)
         return mean, var

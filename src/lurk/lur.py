@@ -29,7 +29,7 @@ from .errors import (
     SingularDesignError,
     ZeroVarianceError,
 )
-from ._util import check_finite_fields
+from ._util import check_finite_fields, owned_array
 
 _RANK_TOL = 1e-10
 # Relative residual-sum-of-squares gap within which stepwise candidates tie.
@@ -70,8 +70,7 @@ def ols_fit(X, y, names=None, config=None) -> LinearModel:
     A = np.column_stack([np.ones(n), X])
     Q, R, piv = qr(A, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    tol = max(n, p + 1) * np.finfo(float).eps * (diag[0] if diag[0] > 0 else 1.0)
-    rank = int(np.sum(diag > max(tol, _RANK_TOL * diag[0])))
+    rank = int(np.sum(diag > max(n * np.finfo(float).eps, _RANK_TOL) * diag[0]))
     if rank < p + 1:
         labels = [("intercept" if j == 0 else names[j - 1]) for j in sorted(piv[rank:].tolist())]
         raise SingularDesignError(
@@ -152,7 +151,7 @@ class LinearModel:
         # A model read back from JSON holds lists.
         object.__setattr__(self, "selected", tuple(self.selected))
         for name in ("coefficients", "entry_signs", "residuals", "p_values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, owned_array(name, getattr(self, name), np.float64))
 
     def predict(self, rows) -> np.ndarray:
         """Trend at design rows whose columns are `selected` in order."""
@@ -329,7 +328,7 @@ class PlsModel:
         # A model read back from JSON holds lists.
         object.__setattr__(self, "columns", tuple(self.columns))
         for name in ("x_mean", "x_scale", "score_coefficients", "rotations"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, owned_array(name, getattr(self, name), np.float64))
 
     def transform(self, rows) -> np.ndarray:
         """Scores on the first `n_components` components of design rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InvalidArgumentError
-from ._util import read_table, write_table
+from ._util import owned_array, read_table, write_table
 
 DEFAULT_MIN_COMPLETENESS = 0.75
 DAILY_COLUMNS = ("site_id", "date", "value")
@@ -38,20 +38,10 @@ class MonitorTable:
         n = len(self.site_ids)
         if len(set(self.site_ids)) != n:
             raise InvalidArgumentError("site_ids must be unique")
-        # Contiguous: BLAS sums a strided column (a view into a table read
-        # from CSV) in another order, which moves the last bits of a fit.
-        for name in ("x", "y", "annual_mean"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (n,):
-                raise InvalidArgumentError(f"{name} must have one entry per site")
-            if name in ("x", "y") and not np.all(np.isfinite(arr)):
-                raise InvalidArgumentError("site coordinates must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("n_valid_days", "n_calendar_days"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("x", "y", "annual_mean", "n_valid_days", "n_calendar_days"):
+            dtype = np.int64 if name.startswith("n_") else np.float64
+            object.__setattr__(self, name, owned_array(name, getattr(self, name), dtype, (n,),
+                                                       finite=True))
 
     def __len__(self) -> int:
         return len(self.site_ids)

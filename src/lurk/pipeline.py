@@ -34,7 +34,7 @@ from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
 from ._util import (FanOut, check_keys, checked, dump_json, is_finite_number, is_int,
-                    locked_dir, one_blas_thread, read_json, recorded_writes, sha256_bytes,
+                    locked_dir, one_blas_thread, plain, read_json, recorded_writes, sha256_bytes,
                     sha256_file, stage_seed, write_table)
 
 log = logging.getLogger(__name__)
@@ -191,10 +191,6 @@ class RunReport:
     stages: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        """The fields by name; nested dicts are shared, not copied."""
-        return dict(vars(self))
-
 
 class _Runner:
     def __init__(self, config: PipelineConfig, input_stats: dict):
@@ -206,7 +202,7 @@ class _Runner:
         self.log_path = self.out / "run.log"
         self.report = RunReport(
             status="ok", pollutant=config.pollutant, year=config.year, seed=config.seed,
-            recipe=config.recipe.to_dict(),
+            recipe=plain(config.recipe),
         )
         self.hashes = {}  # path string -> sha256, taken at most once per run
         self.input_stats = input_stats  # path string -> (clock, signature), from `validate`
@@ -262,7 +258,7 @@ class _Runner:
         written, then the report if its text is not the one on disk."""
         if self.memo_changed:
             self.write_manifest()
-        dump_json(self.report.to_dict(), self.out / "report.json", if_changed=True)
+        dump_json(plain(self.report), self.out / "report.json", if_changed=True)
 
     def stage(self, name: str, reads: dict, values: dict, outputs: list[str], compute):
         """Run one cached stage and record its manifest entry in the report.
@@ -486,12 +482,12 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
 
     # -- fit ------------------------------------------------------------
     trend_reads = {"monitors.csv": out / "monitors.csv", "matrix.csv": out / "matrix.csv"}
-    fit_values = {"recipe": cfg.recipe.to_dict(), "seed": cfg.seed}
+    fit_values = {"recipe": plain(cfg.recipe), "seed": cfg.seed}
 
     def do_fit():
         fitted = fit_recipe(cfg.recipe, sites(), matrix(),
                             seed=stage_seed(cfg.seed, "fit"))
-        model = fitted.to_dict()
+        model = plain(fitted)
         dump_json(model, out / "model.json")
         trend = model["trend"]
         metrics = {"selected": trend["selected"], "trend_r2": trend["r2"],

@@ -25,7 +25,7 @@ from .lur import (
     stepwise_select,
 )
 from .monitors import MonitorTable
-from ._util import check_keys, checked, is_finite_number, is_int, one_blas_thread, plain, stage_seed
+from ._util import check_keys, checked, is_finite_number, is_int, one_blas_thread, stage_seed
 
 SELECTIONS = ("stepwise", "pls", "mean")
 
@@ -61,12 +61,9 @@ class ModelRecipe:
         parts.append("uk" if self.kriging else "no-uk")
         return "_".join(parts)
 
-    def to_dict(self) -> dict:
-        return plain(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelRecipe":
-        """Inverse of to_dict; missing keys take their defaults, and unknown
+        """Inverse of `plain`; missing keys take their defaults, and unknown
         keys or mistyped values raise InvalidArgumentError naming them."""
         check_keys(d, (f.name for f in fields(cls)), "recipe")
         sw = d.get("stepwise", {})
@@ -108,9 +105,6 @@ class FittedModel:
         if coords is None:
             raise InvalidArgumentError("kriging prediction needs coordinates")
         return self.kriging.predict_many(coords, rows, with_variance=with_variance)
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":

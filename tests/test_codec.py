@@ -218,6 +218,46 @@ def test_only_util_parses_json_files():
     assert sorted(found) == ARTIFACT_READS
 
 
+# -- one ownership rule, one JSON form --------------------------------------------------------
+
+def _qualified(node, names=()):
+    """(dotted name of the innermost enclosing classes and functions, node)
+    for every node below `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = names
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (*names, child.name)
+        yield ".".join(inner), child
+        yield from _qualified(child, inner)
+
+
+def _freezes(node) -> bool:
+    """True for `x.setflags(write=False)` (or `x.setflags(False)`) and for
+    an assignment to a `.writeable` flag."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setflags":
+        args = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "write")]
+        return any(isinstance(a, ast.Constant) and a.value is False for a in args)
+    return isinstance(node, ast.Assign) and any(
+        getattr(t, "attr", None) == "writeable" for t in node.targets)
+
+
+def test_one_ownership_rule_and_one_json_form():
+    """A record's arrays are made read-only in one place, `_util.owned_array`,
+    and again after unpickling by `Lattice.__setstate__` (which
+    `FeatureLayer` shares); and every record's JSON form is `_util.plain`,
+    so only `CovariateSpec`, whose form drops the fields at their defaults
+    to keep `covariates.json`'s bytes, defines `to_dict`."""
+    freezes, codecs = [], []
+    for path in sorted(Path(lurk.__file__).parent.glob("*.py")):
+        for name, node in _qualified(ast.parse(path.read_text())):
+            if _freezes(node):
+                freezes.append((path.name, name))
+            if isinstance(node, ast.FunctionDef) and node.name == "to_dict":
+                codecs.append((path.name, name))
+    assert freezes == [("_util.py", "owned_array"), ("geodata.py", "Lattice.__setstate__")]
+    assert codecs == [("covariates.py", "CovariateSpec.to_dict")]
+
+
 # -- one fan-out ---------------------------------------------------------------------------
 
 PROCESS_MODULES = ("multiprocessing", "concurrent.futures", "subprocess")

@@ -128,9 +128,36 @@ def test_zero_variogram_fits_zero_and_krigs_the_ols_drift():
     assert np.allclose(mean, drift.predict(rows), rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("make_y", [lambda y: y, lambda y: 100.0 * y,
+                                    lambda y: np.full_like(y, 7.0)], ids=["y", "100y", "flat"])
+def test_a_zero_sill_gives_zero_variance_and_the_ols_mean(make_y):
+    """A fitted sill of 0 says the residual variance is 0. The variance is
+    that, not the pure-nugget fallback (1e-4 max(1, var(y))) times
+    f'(F'F)^-1 f, which moved with the scale of y (7.0e-5 to 6.4e-4 at these
+    points, 0.70 to 6.35 with y scaled by 100). The fallback is at least
+    1e-4, so flat data, whose var(y) is 0, still give a nonsingular system;
+    the mean is the OLS drift."""
+    sites, matrix, drift, coords, X, y = make_problem(seed=5, n=40, noise=1.0, psill=0.0)
+    y = make_y(y)
+    rng = np.random.default_rng(58)
+    pts, rows = rng.uniform(0, 100_000, (10, 2)), rng.normal(size=(10, 3))
+    model = KrigingModel(variogram=VariogramModel(0.0, 0.0, 10_000.0),
+                         coords=coords, x_rows=X, y=y)
+    mean, var = model.predict_many(pts, rows, with_variance=True)
+    assert np.array_equal(var, np.zeros(10))
+    assert np.array_equal(mean, model.predict_many(pts, rows)[0])
+    beta = np.linalg.lstsq(np.column_stack([np.ones(len(y)), X]), y, rcond=None)[0]
+    assert np.allclose(mean, beta[0] + rows @ beta[1:], rtol=1e-9, atol=0.0)
+
+
 def test_a_max_lag_of_zero_is_an_invalid_argument_not_an_empty_variogram():
     with pytest.raises(InvalidArgumentError, match="max_lag must be > 0"):
         empirical_variogram([0.0, 1.0, 3.0], [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)], max_lag=0.0)
+
+
+def test_a_max_lag_below_one_is_a_valid_distance():
+    ev = empirical_variogram([0.0, 2.0], [(0.0, 0.0), (0.3, 0.0)], n_bins=1, max_lag=0.5)
+    assert ev.n_pairs.tolist() == [1] and ev.semivariances.tolist() == [2.0]
 
 
 def test_fit_needs_three_bins():
@@ -375,6 +402,25 @@ def test_blocked_prediction_matches_one_block(monkeypatch):
     assert np.max(np.abs(b_var - var)) <= 1e-12 * np.max(np.abs(var))
 
 
+def test_prediction_blocks_are_the_largest_that_fit_the_bytes(monkeypatch):
+    """`predict_many` sizes its blocks by the right-hand side's own row
+    count, n sites + 1 + p drift columns: 64 rows here, so 100 points go in
+    blocks of 37, 37 and 26 under a cap of 37 x 64 rows of 8 bytes."""
+    sites, matrix, drift, coords, X, y = make_problem(seed=29, n=60, nugget=0.3, noise=0.2)
+    model = KrigingModel(variogram=VariogramModel(0.3, 4.0, 30_000.0),
+                         coords=coords, x_rows=X, y=y)
+    sizes, block = [], KrigingModel._block
+
+    def counted(self, coords, x_rows, whiten):
+        sizes.append(len(coords))
+        return block(self, coords, x_rows, whiten)
+    monkeypatch.setattr(KrigingModel, "_block", counted)
+    monkeypatch.setattr(kriging, "PREDICT_BLOCK_BYTES", 37 * 64 * 8)
+    rng = np.random.default_rng(5)
+    model.predict_many(rng.uniform(0, 100_000, (100, 2)), rng.normal(size=(100, 3)))
+    assert sizes == [37, 37, 26]
+
+
 def test_uk_fit_permutation_invariance():
     sites, matrix, drift, coords, X, y = make_problem(seed=17, nugget=0.2, noise=0.5)
     model = uk_fit(drift, sites, matrix.select(drift.selected))
@@ -463,7 +509,7 @@ def test_singular_system_reports_duplicates():
     X = rng.normal(size=(10, 1))
     X[3] = X[2]  # colocated twin with the same drift row: truly singular
     y = rng.normal(size=10)
-    with pytest.raises(SingularKrigingError, match="duplicate"):
+    with pytest.raises(SingularKrigingError, match=r"\(1 duplicate site pair"):
         KrigingModel(variogram=VariogramModel(0.0, 1.0, 5_000.0),
                      coords=coords, x_rows=X, y=y)
 

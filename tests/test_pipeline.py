@@ -24,7 +24,7 @@ from lurk.monitors import MonitorTable
 from lurk.pipeline import PipelineConfig, compare_models, format_comparison, run
 from lurk.recipes import ModelRecipe
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
-from lurk._util import stage_seed
+from lurk._util import plain, stage_seed
 
 
 def scenario(seed=1, **kw):
@@ -295,7 +295,7 @@ def test_compare_models_table(tmp_path):
     ]):
         config_path, _ = write(tmp_path, sc, recipe=recipe, name=f"m{i}")
         cfg = PipelineConfig.from_json(config_path)
-        reports.append(run(cfg).to_dict())
+        reports.append(plain(run(cfg)))
     rows = compare_models(reports)
     assert len(rows) == 2
     assert rows[0]["kriging"] is False and rows[1]["kriging"] is True
@@ -333,7 +333,7 @@ def test_identical_recipes_identical_metrics(tmp_path):
                                recipe={"selection": "stepwise", "kriging": False},
                                name=name)
         cfg = PipelineConfig.from_json(config_path)
-        r.append(run(cfg).to_dict())
+        r.append(plain(run(cfg)))
     rows = compare_models(r)
     assert rows[0]["kfold_r2"] == rows[1]["kfold_r2"]
     assert rows[0]["logo_rmse"] == rows[1]["logo_rmse"]

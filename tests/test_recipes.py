@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lurk.errors import InvalidArgumentError
+from lurk._util import plain
 from lurk.lur import StepwiseConfig, ols_fit
 from lurk.pipeline import PipelineConfig
 from lurk.recipes import FittedModel, ModelRecipe, fit_recipe
@@ -17,8 +18,8 @@ def test_recipe_round_trip_keeps_stepwise_thresholds():
         stepwise=StepwiseConfig(vif_max=3.0, p_max=0.01, min_adj_r2_gain=0.02),
         max_components=4, variogram_bins=12, variogram_max_lag=250_000.0,
     )
-    assert ModelRecipe.from_dict(recipe.to_dict()) == recipe
-    assert ModelRecipe.from_dict(json.loads(json.dumps(recipe.to_dict()))) == recipe
+    assert ModelRecipe.from_dict(plain(recipe)) == recipe
+    assert ModelRecipe.from_dict(json.loads(json.dumps(plain(recipe)))) == recipe
 
 
 def test_recipe_missing_keys_take_defaults():
@@ -82,8 +83,8 @@ def test_fitted_model_json_round_trip_predicts_identically(mini_data, selection,
     data = mini_data
     fitted = fit_recipe(ModelRecipe(selection=selection, kriging=kriging),
                         data.sites, data.matrix)
-    back = FittedModel.from_dict(json.loads(json.dumps(fitted.to_dict())))
-    assert back.to_dict() == fitted.to_dict()
+    back = FittedModel.from_dict(json.loads(json.dumps(plain(fitted))))
+    assert plain(back) == plain(fitted)
     assert (back.pls is None) == (selection != "pls")
     coords = data.sites.coords + 750.0  # off the training sites
     rows = data.matrix.select(fitted.required_columns)
@@ -127,7 +128,7 @@ def test_non_finite_variogram_in_model_json_rejected(mini_data, tmp_path):
     # kriging system naming neither the variogram nor the value
     fitted = fit_recipe(ModelRecipe(selection="stepwise", kriging=True),
                         mini_data.sites, mini_data.matrix)
-    d = fitted.to_dict()
+    d = plain(fitted)
     d["kriging"]["variogram"]["range_m"] = math.nan
     path = tmp_path / "model.json"
     path.write_text(json.dumps(d))
