@@ -28,6 +28,15 @@ from lurk.pipeline import RACY_WINDOW_NS, PipelineConfig, run
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
 
 
+# The acceptance-criterion-12 national scenario (seed 5 by default).
+FULL_SCALE = dict(
+    seed=5, covariate_set="full", n_sites=1500, n_clusters=45,
+    extent_x=3_200_000.0, extent_y=2_000_000.0, cluster_sd_m=15_000.0,
+    n_provinces_x=4, n_provinces_y=4, grf_partial_sill=40.0, grf_range_m=150_000.0,
+    noise_sd=2.0, prediction_cols=400, prediction_rows=250,
+)
+
+
 def peak_rss() -> str:
     """The peak resident set size so far (`ru_maxrss`, KiB on Linux) of the
     process and of its largest reaped child: the scenario's evaluations
@@ -44,22 +53,7 @@ def main():
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args()
 
-    scenario = SyntheticScenario(
-        seed=args.seed,
-        covariate_set="full",
-        n_sites=1500,
-        n_clusters=45,
-        extent_x=3_200_000.0,
-        extent_y=2_000_000.0,
-        cluster_sd_m=15_000.0,
-        n_provinces_x=4,
-        n_provinces_y=4,
-        grf_partial_sill=40.0,
-        grf_range_m=150_000.0,
-        noise_sd=2.0,
-        prediction_cols=400,
-        prediction_rows=250,
-    )
+    scenario = SyntheticScenario(**{**FULL_SCALE, "seed": args.seed})
     t0 = time.perf_counter()
     data = generate_synthetic(scenario)
     print(f"generated {len(data.sites)} sites x {len(data.matrix.columns)} covariates "

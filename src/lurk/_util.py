@@ -312,27 +312,35 @@ FORK_FLOOR_S = 0.1  # two workers' break-even, in seconds of one core (README "W
 class FanOut:
     """Runs `fn(*args)` for each job `(cost, fn, args)` in forked worker
     processes, one per usable core (`os.sched_getaffinity`) and at most one
-    per job, which start at once; none start when the costs, each the job's
-    estimated seconds of one core, total under FORK_FLOOR_S, on one core,
-    off Linux, off the main thread or beside another Python thread (a fork
-    copies only the calling thread, and a lock another thread holds stays
-    held in the child), or when the queue, a process or a pipe cannot be
-    had. The workers take the jobs from one queue, largest cost first, each
-    the next one as it comes free, so none idles while another has jobs
-    left. A worker runs all its jobs before it sends anything, so it never
-    waits on a parent busy elsewhere. Workers inherit every open file, the
-    output-directory lock among them, so whoever makes a FanOut calls
-    `close` before letting such files go."""
+    per job, which start at once. `busy_s` is the caller's own estimated
+    seconds of one core between this call and `results()`: a busy caller
+    keeps a core, so one worker fewer starts, and in `results()` it runs
+    the jobs still queued itself before it waits for the workers. None
+    start when the costs (each the job's estimated seconds of one core),
+    plus `busy_s` up to their total, come under FORK_FLOOR_S (so a caller
+    that works meanwhile forks for half the work: the workers run beside
+    its work, not beside a parent that waits; README "When it forks"),
+    with no core left to a worker, off Linux, off the main thread or beside
+    another Python thread (a fork copies only the calling thread, and a
+    lock another thread holds stays held in the child), or when the queue,
+    a process or a pipe cannot be had. The workers take the jobs from one
+    queue, largest cost first, each the next one as it comes free, so none
+    idles while another has jobs left. A worker runs all its jobs before it
+    sends anything, so it never waits on a parent busy elsewhere. Workers
+    inherit every open file, the output-directory lock among them, so
+    whoever makes a FanOut calls `close` before letting such files go."""
 
-    def __init__(self, jobs):
+    def __init__(self, jobs, busy_s: float = 0.0):
         self.jobs = list(jobs)
         self.workers = []  # (process, receiving end of its pipe)
-        n = 1
+        self.tasks = None  # the queue's reading end, which a busy caller keeps
+        n, cost = 0, sum(cost for cost, *_ in self.jobs)
+        keep = busy_s > 0
         if (sys.platform == "linux" and threading.current_thread() is threading.main_thread()
                 and threading.active_count() == 1
-                and sum(cost for cost, *_ in self.jobs) >= FORK_FLOOR_S):
-            n = min(len(os.sched_getaffinity(0)), len(self.jobs))
-        if n < 2:
+                and cost + min(cost, busy_s) >= FORK_FLOOR_S):
+            n = min(len(os.sched_getaffinity(0)) - keep, len(self.jobs))
+        if n < 2 - keep:
             return
         order = sorted(range(len(self.jobs)), key=lambda i: -self.jobs[i][0])
         queue = b"".join(i.to_bytes(4, "little") for i in order)
@@ -357,20 +365,24 @@ class FanOut:
                     finally:
                         sender.close()
             finally:
-                os.close(tasks)
+                if keep:
+                    self.tasks = tasks
+                else:
+                    os.close(tasks)
         except OSError:  # no process or pipe to be had: no worker
             self.close()
 
     def results(self) -> dict:
-        """{job index: value} of every job a worker ran to a value that
-        pickled, whatever the value (None too); a job that raised is
-        absent, and so is a lost one: its worker died, or its value did not
-        pickle or unpickle. When workers ran and a job was lost, one warning
-        counts them; a job that raised logs nothing, for its caller runs it
-        again and its own error surfaces there. Every worker's values are
-        received, on the calling thread, and every worker reaped before it
-        returns."""
-        received = []  # (i, value), or (i,) for a job that raised
+        """{job index: value} of every job run to a value, whatever the
+        value (None too): by a worker, when it pickled, or by a busy
+        caller, which first runs every job still queued; a job that raised
+        is absent, and so is a lost one: its worker died, or its value did
+        not pickle or unpickle. When workers ran and a job was lost, one
+        warning counts them; a job that raised logs nothing, for its caller
+        runs it again and its own error surfaces there. Every worker's
+        values are received, on the calling thread, and every worker reaped
+        before it returns."""
+        received = [] if self.tasks is None else list(_run_queued(self.tasks, self.jobs))
         for _, receiver in self.workers:
             while True:
                 try:
@@ -388,6 +400,9 @@ class FanOut:
 
     def close(self) -> None:
         """Stop and reap every worker still running; idempotent."""
+        if self.tasks is not None:
+            os.close(self.tasks)
+            self.tasks = None
         for process, receiver in self.workers:
             receiver.close()
             if process.pid is not None:
@@ -409,17 +424,9 @@ def run_jobs(jobs) -> list:
     return [got[i] if i in got else fn(*args) for i, (_, fn, args) in enumerate(jobs)]
 
 
-def _work(tasks, jobs, sender, inherited) -> None:
-    """A FanOut worker: take job indices from the `tasks` pipe until it is
-    empty and run each job, then send each (index, value) pickled, or
-    (index,) for a job that raised; a value that does not pickle sends
-    nothing. It first closes the pipe ends it `inherited`, so that once the
-    parent is gone its send fails and it exits, rather than wait for ever
-    holding the parent's open files (the output-directory lock among them)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
-    for receiver in inherited:
-        receiver.close()
-    sent = []
+def _run_queued(tasks, jobs):
+    """Take job indices from the `tasks` pipe until it is empty, running
+    each job; yields (index, value), or (index,) for a job that raised."""
     while index := os.read(tasks, 4):
         i = int.from_bytes(index, "little")
         _, fn, args = jobs[i]
@@ -427,6 +434,21 @@ def _work(tasks, jobs, sender, inherited) -> None:
             out = (i, fn(*args))
         except Exception:
             out = (i,)
+        yield out
+
+
+def _work(tasks, jobs, sender, inherited) -> None:
+    """A FanOut worker: run the queued jobs (`_run_queued`), then send each
+    (index, value) pickled, or (index,) for a job that raised; a value that
+    does not pickle sends nothing. It first closes the pipe ends it
+    `inherited`, so that once the parent is gone its send fails and it
+    exits, rather than wait for ever holding the parent's open files (the
+    output-directory lock among them)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+    for receiver in inherited:
+        receiver.close()
+    sent = []
+    for out in _run_queued(tasks, jobs):
         with contextlib.suppress(Exception):
             sent.append(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
     with contextlib.suppress(BrokenPipeError), sender:

@@ -95,7 +95,8 @@ class CovariateMatrix:
         # Exact constancy: the std of a column of 40 x 0.1 rounds to ~4e-17, not 0.
         constant = np.ptp(vals, axis=0) == 0 if len(vals) else np.ones(len(self.columns), bool)
         for name, value in (("site_ids", tuple(self.site_ids)), ("columns", tuple(self.columns)),
-                            ("values", vals), ("zero_variance", constant)):
+                            ("values", vals),
+                            ("zero_variance", owned_array("zero_variance", constant, bool))):
             object.__setattr__(self, name, value)
 
     @property

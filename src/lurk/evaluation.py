@@ -94,6 +94,47 @@ def _refit(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
     return [fitted.predict(rows[idx], coords=sites.coords[idx])[0] for idx in at]
 
 
+# Seconds of one core per training site x (training sites + covariate columns)
+# of one refit: the median, over the perfbench national, Monte Carlo CV
+# (n = 500) and full-scale folds, of a fold's one-process time per unit (three
+# timings of every fold, 2-vCPU Xeon, one BLAS thread).
+REFIT_S = 3.2e-8
+
+
+def refit_cost(n_train: int, n_columns: int) -> float:
+    """The estimated seconds of one core of one `_refit` on `n_train` sites."""
+    return REFIT_S * n_train * (n_train + n_columns)
+
+
+def cv_folds(sites: MonitorTable, plan: CvPlan, seed: int) -> list[tuple]:
+    """(label, train, test, seed) of each fold of `plan` over `sites`, in label
+    order: its training and test site indices and its refit seed.
+    InvalidArgumentError when the plan leaves a site out; FoldError for a
+    fold with fewer than 3 training sites."""
+    missing = [s for s in sites.site_ids if s not in plan.fold_of]
+    if missing:
+        raise InvalidArgumentError(f"plan does not cover sites: {missing[:5]}")
+    labels = np.array([plan.fold_of[s] for s in sites.site_ids])
+    folds = []
+    for label in sorted(set(labels.tolist())):
+        test = np.flatnonzero(labels == label)
+        train = np.flatnonzero(labels != label)
+        if train.size < 3:
+            raise FoldError(f"fold {label!r}: only {train.size} training sites")
+        folds.append((label, train, test, stage_seed(seed, f"fold:{label}")))
+    return folds
+
+
+def fold_jobs(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
+              folds) -> list[tuple]:
+    """One `FanOut` job (cost, fn, args) per fold of `cv_folds`: its `_refit`,
+    whose value is the fold's test predictions as a one-array list, costed
+    by `refit_cost`."""
+    return [(refit_cost(train.size, len(matrix.columns)), _refit,
+             (recipe, sites, matrix, train, [test], fold_seed))
+            for _, train, test, fold_seed in folds]
+
+
 @dataclass
 class CvResult:
     scheme: str
@@ -122,29 +163,26 @@ class CvResult:
 
 
 def run_cv(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
-           plan: CvPlan, seed: int = 0) -> CvResult:
+           plan: CvPlan, seed: int = 0, delivered: dict | None = None) -> CvResult:
     """Out-of-sample predictions under a fold plan.
 
     The recipe is refit from scratch inside each training fold; held-out
-    responses are never touched during fitting.
+    responses are never touched during fitting. `delivered` holds, by fold
+    index in `cv_folds` order, the `_refit` values of folds refit elsewhere
+    (the jobs of `fold_jobs`); every other fold is refit here, in fold
+    order, so a fold whose refit fails raises its FoldError here.
     """
     if len(sites) != matrix.n_sites:
         raise InvalidArgumentError("sites and matrix row counts differ")
-    missing = [s for s in sites.site_ids if s not in plan.fold_of]
-    if missing:
-        raise InvalidArgumentError(f"plan does not cover sites: {missing[:5]}")
-    labels = np.array([plan.fold_of[s] for s in sites.site_ids])
+    folds = cv_folds(sites, plan, seed)
+    delivered = delivered or {}
     predicted = np.empty(len(sites))
     nn = np.empty(len(sites))
     per_fold: dict = {}
-    for label in sorted(set(labels.tolist())):
-        test = np.flatnonzero(labels == label)
-        train = np.flatnonzero(labels != label)
-        if train.size < 3:
-            raise FoldError(f"fold {label!r}: only {train.size} training sites")
+    for i, (label, train, test, fold_seed) in enumerate(folds):
         try:
-            predicted[test], = _refit(recipe, sites, matrix, train, [test],
-                                      stage_seed(seed, f"fold:{label}"))
+            predicted[test], = (delivered[i] if i in delivered
+                                else _refit(recipe, sites, matrix, train, [test], fold_seed))
         except Exception as exc:
             raise FoldError(f"fold {label!r}: {exc}") from exc
         d = cdist(sites.coords[test], sites.coords[train])
@@ -161,7 +199,7 @@ def run_cv(recipe: ModelRecipe, sites: MonitorTable, matrix: CovariateMatrix,
     return CvResult(
         scheme=plan.scheme,
         site_ids=tuple(sites.site_ids),
-        fold_labels=tuple(labels.tolist()),
+        fold_labels=tuple(plan.fold_of[s] for s in sites.site_ids),
         observed=sites.annual_mean.copy(),
         predicted=predicted,
         nn_distance_m=nn,

@@ -388,6 +388,8 @@ class FeatureLayer:
                          "consecutive duplicate vertices are not allowed")
             self.seg_a, self.seg_b = self.xy[:-1][segment], self.xy[1:][segment]
             self.tree = cKDTree(0.5 * (self.seg_a + self.seg_b))
+        self.seg_a = owned_array("seg_a", self.seg_a, np.float64)
+        self.seg_b = owned_array("seg_b", self.seg_b, np.float64)
         half = 0.5 * np.hypot(*(self.seg_b - self.seg_a).T)
         self.max_half = float(half.max(initial=0.0))
 

@@ -15,6 +15,7 @@ a second one raises OutputLockedError.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import logging
@@ -28,8 +29,8 @@ import scipy
 
 from . import covariates as cov
 from . import geodata
-from .errors import DatasetMismatchError, InvalidArgumentError, StageError
-from .evaluation import kfold_plan, logo_plan, run_cv
+from .errors import DatasetMismatchError, InvalidArgumentError, LurkError, StageError
+from .evaluation import cv_folds, fold_jobs, kfold_plan, logo_plan, refit_cost, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
@@ -52,6 +53,10 @@ RACY_WINDOW_NS = 2_000_000_000
 # Seconds of one core per byte each geo reader parses: over the perfbench and
 # full-scale inputs, the median of its one-process time per byte (2-vCPU Xeon).
 PARSE_S = {"read_features": 6.1e-8, "read_raster": 2.55e-8, "read_categorical": 2.2e-8}
+# Seconds of one core per lattice cell of the predict and exposure stages:
+# over the perfbench national and Monte Carlo and the full-scale lattices, the
+# median of their one-process time per cell (2-vCPU Xeon).
+LATTICE_S = 1.16e-5
 
 
 @functools.cache
@@ -260,29 +265,38 @@ class _Runner:
             self.write_manifest()
         dump_json(plain(self.report), self.out / "report.json", if_changed=True)
 
-    def stage(self, name: str, reads: dict, values: dict, outputs: list[str], compute):
-        """Run one cached stage and record its manifest entry in the report.
-        `reads` labels each file `compute` reads (a config input by its config
+    def probe(self, name: str, reads: dict, values: dict, outputs: list[str]) -> tuple:
+        """(key, cached) of a stage, taken before its compute runs: `reads`
+        labels each file the compute reads (a config input by its config
         name, an earlier artifact by its file name) and `values` holds every
         other setting it reads; the key is the code fingerprint, each read's
-        content hash by label and the values, and holds no path. `compute`
-        writes every output and returns the metrics the report takes from
-        the stage; the entry keeps them, and each output's sha256 from the
-        bytes written. The stage is skipped when the key matches the
-        manifest, the entry has its metrics and every output on disk still
-        hashes as recorded."""
+        content hash by label and the values, and holds no path. The stage
+        is cached when the key matches the manifest, the entry has its
+        metrics and every output on disk still hashes as recorded."""
         hashes = {label: self.hash(path) for label, path in reads.items()}
         key = sha256_bytes(json.dumps([name, code_fingerprint(), hashes, values],
                                       sort_keys=True).encode())
         entry = self.manifest.get(name)
-        paths = {o: os.path.join(self.out, o) for o in outputs}
         cached = (entry is not None and entry.get("key") == key
                   and isinstance(entry.get("metrics"), dict)
-                  and all(self._output_hash(paths[o]) == entry["outputs"].get(o)
+                  and all(self._output_hash(os.path.join(self.out, o)) == entry["outputs"].get(o)
                           for o in outputs))
+        return key, cached
+
+    def stage(self, name: str, reads: dict, values: dict, outputs: list[str], compute,
+              probed: tuple | None = None):
+        """Run one cached stage and record its manifest entry in the report:
+        `probed` is the stage's `probe`, taken now when not given (one taken
+        earlier holds while nothing has rewritten the stage's reads and
+        outputs). `compute` writes every output and returns the metrics the
+        report takes from the stage; the entry keeps them, and each output's
+        sha256 from the bytes written."""
+        key, cached = probed or self.probe(name, reads, values, outputs)
         if cached:
+            entry = self.manifest[name]
             self._log_line(f"stage={name} status=cached")
         else:
+            paths = {o: os.path.join(self.out, o) for o in outputs}
             for path in paths.values():
                 self.hashes.pop(path, None)  # rewritten below
             t0 = time.perf_counter()
@@ -396,44 +410,53 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     returns (and writes) the run report. The run holds the output
     directory's lock throughout (`_util.locked_dir`): OutputLockedError,
     before anything is read or written, while another run holds it. A run
-    that goes past annualize lets the geo inputs parse ahead (see
-    `_stages`); no worker outlives the run."""
+    that goes past annualize lets the geo inputs parse ahead, and one that
+    reaches cv refits its folds ahead (see `_stages`); no worker outlives
+    the run, whether it ends, fails or is interrupted."""
     if until not in STAGES:
         raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
     input_stats = config.validate()
-    with locked_dir(config.out_dir):
+    with locked_dir(config.out_dir), contextlib.ExitStack() as workers:
         runner = _Runner(config, input_stats)
         report = runner.report
-        geo = _GeoInputs(config, input_stats)
+        geo = workers.enter_context(contextlib.closing(_GeoInputs(config, input_stats)))
         try:
-            for name in _stages(config, runner, geo, until):
-                if name == until:
-                    break
+            _stages(config, runner, geo, workers, until)
         except StageError as exc:
             report.status = "failed"
             report.failed_stage = exc.stage
             report.error = str(exc.cause)
             runner.finish()
             raise
-        finally:
-            geo.close()
         runner.finish()
     return report
 
 
-def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
-    """Run the stages in order, filling the runner's report; yields each
-    stage's name once it is done. The predict and exposure stages run only
-    when the config has a lattice (and, for exposure, a population grid).
-    A run whose `until` reaches cv fails that stage right after annualize
-    when `cv.k` exceeds annualize's site count.
+def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs,
+            workers: contextlib.ExitStack, until: str) -> None:
+    """Run every stage that `STAGES` lists up to `until`, filling the
+    runner's report, in the order annualize, covariates, fit, predict,
+    exposure, cv: the cv stage reads neither the model nor the maps, so its
+    folds refit in the workers of one `FanOut` (closed with `workers`),
+    started right after covariates when the cv stage will compute, while
+    the parent runs fit, predict and exposure; the cv stage then runs the
+    folds still queued, takes what the workers delivered and refits every
+    other fold itself (`run_cv`). A fold that fails therefore fails the run
+    after the maps and exposure are written. The predict and
+    exposure stages run only when the config has a lattice (and, for
+    exposure, a population grid). A run whose `until` reaches cv fails that
+    stage right after annualize when `cv.k` exceeds annualize's site count.
 
     Inputs and artifacts are read on first use and kept, and only by a
     stage that computes (when `until` is past annualize, annualize's compute
     first starts the geo-input parse, `_GeoInputs.start`, to overlap it): a
     cached stage costs the hashes of its reads and outputs (memo hits for
     unchanged files), and its report metrics come from its manifest entry."""
-    out, report = runner.out, runner.report
+    out, report, last = runner.out, runner.report, STAGES.index(until)
+
+    def reaches(stage: str) -> bool:
+        return STAGES.index(stage) <= last
+
     geo_reads = {label: read[1] for label, _, _, read in geo.inputs}
     categories = {name: read[2] for _, arg, name, read in geo.inputs if arg == "categorical"}
 
@@ -458,11 +481,12 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
                  {"year": cfg.year}, ["monitors.csv", "excluded_sites.json"], do_annualize)
     sites = functools.cache(lambda: MonitorTable.from_csv(out / "monitors.csv"))
     n_sites = report.metrics["n_sites"]  # from the manifest entry when cached
-    if STAGES.index(until) >= STAGES.index("cv") and cfg.cv_k > n_sites:
+    if reaches("cv") and cfg.cv_k > n_sites:
         exc = InvalidArgumentError(f"k must be in [2, {n_sites}]")
         runner._log_line(f"stage=cv status=failed error={exc}")
         raise StageError("cv", exc)
-    yield "annualize"
+    if not reaches("covariates"):
+        return
 
     # -- covariates ---------------------------------------------------
     specs = functools.cache(lambda: cov.read_specs(cfg.covariates_json))
@@ -478,12 +502,43 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
     matrix = functools.cache(lambda: cov.CovariateMatrix.from_csv(out / "matrix.csv"))
     report.dataset_hash = sha256_bytes(
         (runner.hash(out / "monitors.csv") + runner.hash(out / "matrix.csv")).encode())
-    yield "covariates"
+    if not reaches("fit"):
+        return
 
-    # -- fit ------------------------------------------------------------
+    # -- cv folds, refit in workers while fit, predict and exposure run --
     trend_reads = {"monitors.csv": out / "monitors.csv", "matrix.csv": out / "matrix.csv"}
     fit_values = {"recipe": plain(cfg.recipe), "seed": cfg.seed}
+    fit_args = (trend_reads, fit_values, ["model.json"])
+    cv_args = (trend_reads, {**fit_values, "k": cfg.cv_k, "logo_group": cfg.logo_group},
+               ["cv_kfold.csv", "cv_logo.csv", "cv_summary.json"])
+    maps = cfg.prediction is not None and reaches("predict")
 
+    @functools.cache
+    def cv_schemes() -> list[tuple]:  # (artifact stem, plan, seed, folds) of each scheme
+        plans = [("kfold", kfold_plan(sites().site_ids, cfg.cv_k,
+                                      seed=stage_seed(cfg.seed, "cv-folds")),
+                  stage_seed(cfg.seed, "cv-kfold")),
+                 ("logo", logo_plan(sites(), cfg.logo_group), stage_seed(cfg.seed, "cv-logo"))]
+        return [(stem, plan, seed, cv_folds(sites(), plan, seed)) for stem, plan, seed in plans]
+
+    fit_probe = runner.probe("fit", *fit_args)
+    cv_probe = runner.probe("cv", *cv_args) if reaches("cv") else None
+    folds = None  # the FanOut of both schemes' fold jobs, in scheme then fold order
+    if cv_probe is not None and not cv_probe[1]:
+        try:
+            jobs = [job for *_, scheme in cv_schemes()
+                    for job in fold_jobs(cfg.recipe, sites(), matrix(), scheme)]
+        except LurkError:  # a plan or a fold the cv stage fails on, in its turn
+            jobs = []
+        # The parent's own work meanwhile: a fit on every site, and the map.
+        busy = 0.0
+        if not fit_probe[1]:
+            busy = refit_cost(n_sites, len(matrix().columns))
+            if maps:
+                busy += LATTICE_S * cfg.prediction["n_cols"] * cfg.prediction["n_rows"]
+        folds = workers.enter_context(contextlib.closing(FanOut(jobs, busy)))
+
+    # -- fit ------------------------------------------------------------
     def do_fit():
         fitted = fit_recipe(cfg.recipe, sites(), matrix(),
                             seed=stage_seed(cfg.seed, "fit"))
@@ -496,32 +551,10 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
             metrics["variogram"] = model["kriging"]["variogram"]
         return metrics
 
-    runner.stage("fit", trend_reads, fit_values, ["model.json"], do_fit)
-    yield "fit"
-
-    # -- cv -------------------------------------------------------------
-    def do_cv():
-        plan_k = kfold_plan(sites().site_ids, cfg.cv_k,
-                            seed=stage_seed(cfg.seed, "cv-folds"))
-        res_k = run_cv(cfg.recipe, sites(), matrix(), plan_k,
-                       seed=stage_seed(cfg.seed, "cv-kfold"))
-        res_k.to_csv(out / "cv_kfold.csv")
-        plan_g = logo_plan(sites(), cfg.logo_group)
-        res_g = run_cv(cfg.recipe, sites(), matrix(), plan_g,
-                       seed=stage_seed(cfg.seed, "cv-logo"))
-        res_g.to_csv(out / "cv_logo.csv")
-        summary = {"kfold": res_k.summary(), "logo": res_g.summary()}
-        dump_json(summary, out / "cv_summary.json")
-        return {"kfold_r2": summary["kfold"]["r2_mse"], "kfold_rmse": summary["kfold"]["rmse"],
-                "logo_r2": summary["logo"]["r2_mse"], "logo_rmse": summary["logo"]["rmse"]}
-
-    runner.stage("cv", trend_reads,
-                 {**fit_values, "k": cfg.cv_k, "logo_group": cfg.logo_group},
-                 ["cv_kfold.csv", "cv_logo.csv", "cv_summary.json"], do_cv)
-    yield "cv"
+    runner.stage("fit", *fit_args, do_fit, fit_probe)
 
     # -- predict ----------------------------------------------------------
-    if cfg.prediction is not None:
+    if maps:
         pred_outputs = ["prediction.asc"]
         if cfg.with_variance and cfg.recipe.kriging:
             pred_outputs.append("prediction_variance.asc")
@@ -545,10 +578,9 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
                      {"categories": categories, "lattice": cfg.prediction,
                       "with_variance": cfg.with_variance},
                      pred_outputs + ["prediction_meta.json"], do_predict)
-        yield "predict"
 
     # -- exposure ----------------------------------------------------------
-    if cfg.prediction is not None and cfg.population_grid is not None:
+    if maps and reaches("exposure") and cfg.population_grid is not None:
         def do_exposure():
             concentration = geodata.read_raster(out / "prediction.asc")
             population = geodata.read_raster(cfg.population_grid)
@@ -568,7 +600,24 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs, until: str):
                                   "population": cfg.population_grid},
                      {"thresholds": list(cfg.thresholds)},
                      ["exposure.csv", "exposure_summary.json"], do_exposure)
-        yield "exposure"
+
+    # -- cv -------------------------------------------------------------
+    if not reaches("cv"):
+        return
+
+    def do_cv():
+        got = {} if folds is None else folds.results()
+        first, summary = 0, {}
+        for stem, plan, seed, scheme in cv_schemes():
+            delivered = {i - first: got[i] for i in range(first, first + len(scheme)) if i in got}
+            result = run_cv(cfg.recipe, sites(), matrix(), plan, seed, delivered)
+            result.to_csv(out / f"cv_{stem}.csv")
+            summary[stem], first = result.summary(), first + len(scheme)
+        dump_json(summary, out / "cv_summary.json")
+        return {"kfold_r2": summary["kfold"]["r2_mse"], "kfold_rmse": summary["kfold"]["rmse"],
+                "logo_r2": summary["logo"]["r2_mse"], "logo_rmse": summary["logo"]["rmse"]}
+
+    runner.stage("cv", *cv_args, do_cv, cv_probe)
 
 
 # ---------------------------------------------------------------------------

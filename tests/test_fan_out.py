@@ -1,7 +1,10 @@
 """The fan-out of the geo-input parse to forked workers (`_util.FanOut`,
 `pipeline._GeoInputs`): workers deliver values or nothing, and the parent's
-`_GeoInputs.load` parses every file they did not deliver. The same
-artifacts with workers as without, errors named as a parse in the parent
+`_GeoInputs.load` parses every file they did not deliver. The same for the
+CV folds, refit in workers while the parent fits, maps and scores exposure
+(and then refits those still queued): the cv stage refits every fold they
+did not deliver (`evaluation.run_cv`). The same artifacts with workers as
+without, errors named as a parse in the parent
 names them, one warning for a dead worker's files, no worker that outlives
 a run, none started by a cached rerun, no prefetched value used for bytes
 the stage key does not name. The same rule for the scenario writers of
@@ -26,10 +29,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lurk import _util, covariates, geodata, pipeline, synth
+from lurk import _util, covariates, evaluation, geodata, pipeline, synth
 from lurk.errors import GridFormatError, InvalidArgumentError, ScenarioError, StageError
 from lurk.pipeline import PipelineConfig, run
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
+from lurk._util import stage_seed
 from test_pipeline import new_log_lines, scenario, write
 from test_synth import _assert_same_data
 
@@ -78,20 +82,60 @@ def artifacts(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name not in SKIPPED}
 
 
+def record_refits(monkeypatch, log: Path, in_worker=None) -> None:
+    """Wrap `evaluation._refit`, which each fold job and each fold the cv
+    stage refits itself call, so that each call appends "<pid> <training
+    sites>" to `log`; in a worker process, `in_worker()` runs right after."""
+    parent, original = os.getpid(), evaluation._refit
+
+    def refit(recipe, sites, matrix, train, at, seed):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {len(train)}\n")
+        if in_worker is not None and os.getpid() != parent:
+            in_worker()
+        return original(recipe, sites, matrix, train, at, seed)
+
+    monkeypatch.setattr(evaluation, "_refit", refit)
+
+
+def refit_pids(log: Path) -> list[int]:
+    return [pid for pid, _ in reader_calls(log)]
+
+
+def fit_after_a_worker_refit(monkeypatch, log: Path) -> None:
+    """Make the parent's fit stage wait, while fold workers run, until one
+    has started a refit (`record_refits` logs it): a busy parent runs the
+    folds still queued when it reaches the cv stage, and on a small
+    scenario it could otherwise run them all before a worker takes one."""
+    fit_recipe = pipeline.fit_recipe
+
+    def fit(*args, **kwargs):
+        deadline = time.monotonic() + 60
+        while (multiprocessing.active_children() and time.monotonic() < deadline
+               and set(refit_pids(log)) <= {os.getpid()}):
+            time.sleep(0.005)
+        return fit_recipe(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_recipe", fit)
+
+
 @linux_only
 def test_artifacts_are_byte_identical_with_and_without_workers(tmp_path, monkeypatch):
     """The same scenario run with two workers, with none because one core
     is usable, and with none because it runs outside the main thread,
-    writes the same bytes; only the first run parses a geo input outside
-    this process."""
-    log = tmp_path / "calls.log"
+    writes the same bytes, the CV files among them; only the first run
+    parses a geo input, or refits a CV fold, outside this process."""
+    log, refits = tmp_path / "calls.log", tmp_path / "refits.log"
     record_reader_calls(monkeypatch, log)
+    record_refits(monkeypatch, refits)
+    fit_after_a_worker_refit(monkeypatch, refits)
     sc = scenario(seed=4)
     got = {}
     for way in ("workers", "one core", "thread"):
         config_path, _ = write(tmp_path, sc, name=way.replace(" ", "_"))
         cpus(monkeypatch, 1 if way == "one core" else 2)
         log.unlink(missing_ok=True)
+        refits.unlink(missing_ok=True)
         if way == "thread":
             reports = []
             worker = threading.Thread(target=lambda: reports.append(
@@ -104,8 +148,10 @@ def test_artifacts_are_byte_identical_with_and_without_workers(tmp_path, monkeyp
         calls = [(pid, name) for pid, name in reader_calls(log) if name in GEO_INPUTS]
         assert sorted(name for _, name in calls) == sorted(GEO_INPUTS)  # once each
         assert ({pid for pid, _ in calls} != {os.getpid()}) == (way == "workers"), way
+        assert (set(refit_pids(refits)) != {os.getpid()}) == (way == "workers"), way
         got[way] = artifacts(config_path.parent / "run")
-    assert "matrix.csv" in got["workers"] and "prediction.asc" in got["workers"]
+    assert {"matrix.csv", "prediction.asc", "cv_kfold.csv", "cv_logo.csv",
+            "cv_summary.json"} <= set(got["workers"])
     assert got["workers"] == got["one core"] == got["thread"]
 
 
@@ -185,6 +231,8 @@ def test_no_worker_outlives_a_run(tmp_path, monkeypatch):
 
 
 def test_a_cached_rerun_starts_no_process(tmp_path, monkeypatch):
+    """With workers for work of any cost, a fully cached rerun starts
+    neither the geo parse nor the folds: it forks nothing."""
     cpus(monkeypatch, 2)
     config_path, _ = write(tmp_path, scenario(seed=4))
     run(PipelineConfig.from_json(config_path))
@@ -216,8 +264,9 @@ def test_work_below_the_floor_starts_no_process(tmp_path, monkeypatch):
 def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monkeypatch):
     """A run past annualize builds its `FanOut` in the annualize stage's
     compute, before it calls `annualize`, even when the manifest holds a
-    covariates entry (stale here: the code fingerprint changed); a fully
-    cached rerun and a run through annualize only build none."""
+    covariates entry (stale here: the code fingerprint changed), and the
+    folds' `FanOut` right after covariates, the cv stage running last; a
+    fully cached rerun and a run through annualize only build none."""
     cpus(monkeypatch, 1)
     config_path, _ = write(tmp_path, scenario(seed=4))
     run(PipelineConfig.from_json(config_path))
@@ -229,12 +278,13 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
         events.append("FanOut"), fan_out(*args))[1])
     monkeypatch.setattr(pipeline, "annualize", lambda *args: (
         events.append("annualize"), annualize(*args))[1])
-    stages = [f"stage {name}" for name in pipeline.STAGES]
+    stages = [f"stage {name}" for name in
+              ("annualize", "covariates", "fit", "predict", "exposure", "cv")]
 
     monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
     assert "covariates" in json.loads((config_path.parent / "run" / "manifest.json").read_text())
     run(PipelineConfig.from_json(config_path))
-    assert events == [stages[0], "FanOut", "annualize", *stages[1:]]
+    assert events == [stages[0], "FanOut", "annualize", stages[1], "FanOut", *stages[2:]]
     events.clear()
     run(PipelineConfig.from_json(config_path))
     assert events == stages
@@ -754,3 +804,158 @@ def test_on_one_core_no_job_runs(monkeypatch):
     fan = _util.FanOut([(1, calls.append, (i,)) for i in range(3)])
     assert fan.workers == []
     assert fan.results() == {} and calls == []
+
+
+@linux_only
+def test_a_caller_that_works_meanwhile_forks_for_half_the_work(monkeypatch):
+    """The caller's own work while the jobs run (`busy_s`) counts toward
+    `FORK_FLOOR_S` up to the jobs' own total, and a busy caller keeps a
+    core: jobs of half the floor start one worker of two cores beside as
+    much work of the caller, none below half, and jobs of the floor start
+    two workers for a waiting caller, one for a busy one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    floor = _util.FORK_FLOOR_S
+    half = [(0.25 * floor, square_or_fail, (x,)) for x in (3, 4)]
+    below = [(0.2 * floor, square_or_fail, (x,)) for x in (3, 4)]
+    for jobs, busy, workers in ((half, 0.0, 0), (half, 0.4 * floor, 0), (half, 0.5 * floor, 1),
+                                (half, 10 * floor, 1), (below, 10 * floor, 0),
+                                (half + half, 0.0, 2), (half + half, 0.01 * floor, 1)):
+        fan = _util.FanOut(jobs, busy)
+        assert len(fan.workers) == workers, (len(jobs), busy)
+        if workers:
+            assert {i: v[0] for i, v in fan.results().items()} == {
+                i: x * x for i, (_, _, (x,)) in enumerate(jobs)}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _util.FanOut(half, 10 * floor).workers == []  # no core left to a worker
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_a_busy_caller_runs_the_queued_jobs_itself(monkeypatch, caplog):
+    """A busy caller's `results()` runs the jobs still queued before it
+    waits for its one worker: every value comes back, each job run by the
+    worker or by the caller, both of them run some, and a job that raises
+    in the caller is absent, with no warning."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    floor = _util.FORK_FLOOR_S
+    fan = _util.FanOut([(floor, pid_after, (0.1,)) for _ in range(6)]
+                       + [(0.0, square_or_fail, (-1,))], busy_s=floor)
+    (worker, _), = fan.workers
+    worker_pid = worker.pid
+    with caplog.at_level(logging.WARNING, logger="lurk._util"):
+        got = fan.results()
+    assert sorted(got) == list(range(6)) and caplog.text == ""
+    assert set(got.values()) == {os.getpid(), worker_pid}
+    assert fan.tasks is None and multiprocessing.active_children() == []
+
+
+# -- the CV folds as jobs ------------------------------------------------------------------
+
+@linux_only
+def test_a_worker_killed_mid_fold_costs_one_warning_and_no_byte(tmp_path, monkeypatch, caplog):
+    """Of two fold workers (three cores, one kept by the parent), the first
+    to start a fold is killed inside it: one warning counts that fold, the
+    cv stage refits it, and every artifact is the one-core run's."""
+    fit_after_a_worker_refit(monkeypatch, tmp_path / "refits.log")
+    got, refits, killed = {}, tmp_path / "refits.log", tmp_path / "killed.flag"
+
+    def die_once():
+        try:
+            os.close(os.open(killed, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    for way, n in (("killed", 3), ("one core", 1)):
+        cpus(monkeypatch, n)
+        record_refits(monkeypatch, refits, die_once)
+        config_path, _ = write(tmp_path, scenario(seed=4), name=way.replace(" ", "_"))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lurk._util"):
+            assert run(PipelineConfig.from_json(config_path)).status == "ok"
+        got[way] = artifacts(config_path.parent / "run")
+        if way == "killed":
+            summary = json.loads((config_path.parent / "run" / "cv_summary.json").read_text())
+            n_folds = len(summary["kfold"]["per_fold"]) + len(summary["logo"]["per_fold"])
+            assert warnings_in(caplog) == [f"1 of {n_folds} " + LOST + " them"]
+            assert killed.exists() and multiprocessing.active_children() == []
+    assert got["killed"] == got["one core"]
+
+
+@linux_only
+@pytest.mark.parametrize("n_cpus", [2, 1])
+def test_a_failing_fold_fails_cv_after_the_maps(tmp_path, monkeypatch, n_cpus):
+    """A fold whose fit raises, in a worker and again in the parent, fails
+    the cv stage with the parent's FoldError message, once the grid and the
+    exposure files are written; no worker is left and the lock is free."""
+    cpus(monkeypatch, n_cpus)
+    config_path, _ = write(tmp_path, scenario(seed=4))
+    cfg = PipelineConfig.from_json(config_path)
+    bad_seed = stage_seed(stage_seed(cfg.seed, "cv-kfold"), "fold:3")
+    fit_recipe = evaluation.fit_recipe
+
+    def fit(recipe, sites, matrix, seed):
+        if seed == bad_seed:
+            raise ValueError("patched fold fault")
+        return fit_recipe(recipe, sites, matrix, seed=seed)
+
+    monkeypatch.setattr(evaluation, "fit_recipe", fit)
+    with pytest.raises(StageError) as failed:
+        run(cfg)
+    assert (failed.value.stage, str(failed.value.cause)) == ("cv", "fold '3': patched fold fault")
+    out = Path(cfg.out_dir)
+    report = json.loads((out / "report.json").read_text())
+    assert (report["status"], report["failed_stage"]) == ("failed", "cv")
+    for name in ("model.json", "prediction.asc", "exposure.csv", "exposure_summary.json"):
+        assert (out / name).exists(), name
+    assert not (out / "cv_summary.json").exists()
+    assert multiprocessing.active_children() == [] and lock_is_free(out)
+
+
+@linux_only
+def test_a_predict_failure_with_folds_in_flight_leaves_no_worker(tmp_path, monkeypatch):
+    """The predict stage fails while a worker is inside a fold refit: the
+    run raises at once, no child process is left and the lock is free."""
+    cpus(monkeypatch, 2)
+    refits = tmp_path / "refits.log"
+    record_refits(monkeypatch, refits, lambda: time.sleep(20.0))
+    config_path, _ = write(tmp_path, scenario(seed=4))
+
+    def failing_predict(*args, **kwargs):
+        deadline = time.monotonic() + 60
+        while set(refit_pids(refits)) <= {os.getpid()} and time.monotonic() < deadline:
+            time.sleep(0.01)  # until a worker is inside its slow refit
+        raise InvalidArgumentError("predict fails on purpose")
+
+    monkeypatch.setattr(pipeline, "predict_grid", failing_predict)
+    t0 = time.perf_counter()
+    with pytest.raises(StageError, match="predict fails on purpose") as failed:
+        run(PipelineConfig.from_json(config_path))
+    assert time.perf_counter() - t0 < 10.0  # the workers were stopped, not waited for
+    assert failed.value.stage == "predict"
+    assert any(pid != os.getpid() for pid in refit_pids(refits))
+    assert multiprocessing.active_children() == []
+    assert lock_is_free(config_path.parent / "run")
+
+
+@linux_only
+def test_a_run_until_cv_refits_the_folds_and_maps_nothing(tmp_path, monkeypatch):
+    """`until="fit"` refits no fold; `until="cv"` starts the folds, fits,
+    collects them and writes no grid or exposure file; no worker is left
+    and the lock is free."""
+    cpus(monkeypatch, 2)
+    refits = tmp_path / "refits.log"
+    record_refits(monkeypatch, refits)
+    fit_after_a_worker_refit(monkeypatch, refits)
+    config_path, _ = write(tmp_path, scenario(seed=4))
+    assert list(run(PipelineConfig.from_json(config_path), until="fit").stages) == [
+        "annualize", "covariates", "fit"]
+    assert not refits.exists()
+    report = run(PipelineConfig.from_json(config_path), until="cv")
+    assert list(report.stages) == ["annualize", "covariates", "fit", "cv"]
+    out = config_path.parent / "run"
+    assert (out / "cv_summary.json").exists() and (out / "model.json").exists()
+    assert not any((out / name).exists() for name in
+                   ("prediction.asc", "prediction_meta.json", "exposure.csv"))
+    assert set(refit_pids(refits)) - {os.getpid()}  # the folds ran in workers
+    assert multiprocessing.active_children() == [] and lock_is_free(out)

@@ -86,6 +86,30 @@ def test_grids_and_layers_stay_read_only_through_a_pickle_round_trip(name):
     assert arrays and not any(a.flags.writeable for a in arrays)
 
 
+def polylines():
+    return geodata.FeatureLayer(geodata.POLYLINES, [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]],
+                                [0, 3], ["a"])
+
+
+# record -> an array it derives from what it is given, and the record
+DERIVED = [
+    ("zero_variance", lambda: CovariateMatrix(("a", "b", "c"), ("u", "v"),
+                                              [[1.0, 0.0], [1.0, 2.0], [1.0, 3.0]])),
+    ("seg_a", polylines),
+    ("seg_b", polylines),
+]
+
+
+@pytest.mark.parametrize("field,build", DERIVED, ids=[field for field, _ in DERIVED])
+def test_a_derived_array_is_read_only_where_it_is_built(field, build):
+    """A record's derived arrays are read-only in the process that builds
+    it, as after a pickle round trip: flipping a `zero_variance` flag would
+    change what stepwise and PLS read."""
+    arr = getattr(build(), field)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = arr[-1]
+
+
 @pytest.mark.parametrize("field,value", [
     ("annual_mean", (1.0, np.nan, 4.0)),
     ("annual_mean", (1.0, np.inf, 4.0)),
