@@ -690,13 +690,15 @@ def log_and_square(log: Path, i: int) -> int:
 
 
 @linux_only
-def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch, caplog):
-    """Six workers on this host's cores share one queue of 300 jobs: each
-    job runs once, in some worker, and every result comes back."""
+@pytest.mark.parametrize("busy_s", [0.0, 1.0])
+def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch, caplog, busy_s):
+    """Six workers on this host's cores, or five and a busy caller, share
+    one queue of 300 jobs: each job runs once, in some worker or the
+    caller, and every result comes back."""
     cpus(monkeypatch, 6)
     log = tmp_path / "ran.log"
-    fan = _util.FanOut([(i % 7, log_and_square, (log, i)) for i in range(300)])
-    assert len(fan.workers) == 6
+    fan = _util.FanOut([(i % 7, log_and_square, (log, i)) for i in range(300)], busy_s)
+    assert len(fan.workers) == (5 if busy_s else 6)
     with caplog.at_level(logging.WARNING, logger="lurk._util"):
         assert fan.results() == {i: i * i for i in range(300)}
     assert sorted(map(int, log.read_text().split())) == list(range(300))
