@@ -295,8 +295,11 @@ def _openblas_thread_controls() -> tuple:
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body (as `@one_blas_thread()`, each call) with every loaded OpenBLAS
-    build at one thread, then restore the counts: more threads sum in another order."""
-    before = [(set_threads, get()) for get, set_threads in _openblas_thread_controls()]
+    build at one thread, then restore the counts: more threads sum in another order.
+    A build already at one thread is left alone: after a fork, setting its count
+    starts a new thread pool, whose threads spin for a while in both processes."""
+    before = [(set_threads, n) for get, set_threads in _openblas_thread_controls()
+              if (n := get()) != 1]
     for set_threads, _ in before:
         set_threads(1)
     try:

@@ -115,6 +115,35 @@ print(threads())
 """
 
 
+THREADS_AFTER_A_FORK = """
+import os
+import lurk.pipeline
+from lurk._util import one_blas_thread
+tasks = lambda: len(os.listdir("/proc/self/task"))
+with one_blas_thread():
+    before = tasks()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    with one_blas_thread():
+        print(before, tasks())
+"""
+
+
+@pytest.mark.skipif(usable_cpus() < 2 or sys.platform != "linux",
+                    reason="needs an OpenBLAS thread pool and /proc")
+def test_a_pin_inside_a_pin_starts_no_thread_pool_after_a_fork():
+    """A fork shuts OpenBLAS's thread pools down, and setting a count
+    starts them again, with threads that spin for a while: a pin inside a
+    pin (`fit_recipe` inside `run`, after `FanOut` forked) sets nothing."""
+    child = subprocess.run([sys.executable, "-c", THREADS_AFTER_A_FORK],
+                           env=child_env(OPENBLAS_NUM_THREADS="2"), capture_output=True,
+                           text=True, check=True, timeout=120)
+    before, after = map(int, child.stdout.split())
+    assert before > 1 and after == 1  # the pools ran, and stay down
+
+
 @pytest.mark.skipif(usable_cpus() < 2, reason="OpenBLAS caps its thread count at the "
                     "number of CPUs, so on one CPU it never reads 2")
 def test_pin_sets_one_thread_and_restores_the_count_in_effect():
