@@ -315,35 +315,32 @@ FORK_FLOOR_S = 0.1  # two workers' break-even, in seconds of one core (README "W
 class FanOut:
     """Runs `fn(*args)` for each job `(cost, fn, args)` in forked worker
     processes, one per usable core (`os.sched_getaffinity`) and at most one
-    per job, which start at once. `busy_s` is the caller's own estimated
-    seconds of one core between this call and `results()`: a busy caller
-    keeps a core, so one worker fewer starts, and in `results()` it runs
-    the jobs still queued itself before it waits for the workers. None
-    start when the costs (each the job's estimated seconds of one core),
-    plus `busy_s` up to their total, come under FORK_FLOOR_S (so a caller
-    that works meanwhile forks for half the work: the workers run beside
-    its work, not beside a parent that waits; README "When it forks"),
-    with no core left to a worker, off Linux, off the main thread or beside
-    another Python thread (a fork copies only the calling thread, and a
-    lock another thread holds stays held in the child), or when the queue,
-    a process or a pipe cannot be had. The workers take the jobs from one
-    queue, largest cost first, each the next one as it comes free, so none
-    idles while another has jobs left. A worker runs all its jobs before it
-    sends anything, so it never waits on a parent busy elsewhere. Workers
-    inherit every open file, the output-directory lock among them, so
-    whoever makes a FanOut calls `close` before letting such files go."""
+    per job, which start at once. A `busy` caller works itself between this
+    call and `results()`: it keeps a core, so one worker fewer starts, and
+    in `results()` it runs the jobs still queued itself before it waits for
+    the workers. None start when the costs (each the job's estimated
+    seconds of one core) come under FORK_FLOOR_S, or under half of it for
+    a busy caller (the workers run beside its work, not beside a parent
+    that waits; README "When it forks"), with no core left to a worker,
+    off Linux, off the main thread or beside another Python thread (a fork
+    copies only the calling thread, and a lock another thread holds stays
+    held in the child), or when the queue, a process or a pipe cannot be
+    had. The workers take the jobs from one queue, largest cost first,
+    each the next one as it comes free, so none idles while another has
+    jobs left. A worker runs all its jobs before it sends anything, so it
+    never waits on a parent busy elsewhere. Workers inherit every open
+    file, the output-directory lock among them, so whoever makes a FanOut
+    calls `close` before letting such files go."""
 
-    def __init__(self, jobs, busy_s: float = 0.0):
+    def __init__(self, jobs, busy: bool = False):
         self.jobs = list(jobs)
         self.workers = []  # (process, receiving end of its pipe)
         self.tasks = None  # the queue's reading end, which a busy caller keeps
         n, cost = 0, sum(cost for cost, *_ in self.jobs)
-        keep = busy_s > 0
         if (sys.platform == "linux" and threading.current_thread() is threading.main_thread()
-                and threading.active_count() == 1
-                and cost + min(cost, busy_s) >= FORK_FLOOR_S):
-            n = min(len(os.sched_getaffinity(0)) - keep, len(self.jobs))
-        if n < 2 - keep:
+                and threading.active_count() == 1 and (1 + busy) * cost >= FORK_FLOOR_S):
+            n = min(len(os.sched_getaffinity(0)) - busy, len(self.jobs))
+        if n < 2 - busy:
             return
         order = sorted(range(len(self.jobs)), key=lambda i: -self.jobs[i][0])
         queue = b"".join(i.to_bytes(4, "little") for i in order)
@@ -368,7 +365,7 @@ class FanOut:
                     finally:
                         sender.close()
             finally:
-                if keep:
+                if busy:
                     self.tasks = tasks
                 else:
                     os.close(tasks)

@@ -30,7 +30,7 @@ import scipy
 from . import covariates as cov
 from . import geodata
 from .errors import DatasetMismatchError, InvalidArgumentError, LurkError, StageError
-from .evaluation import cv_folds, fold_jobs, kfold_plan, logo_plan, refit_cost, run_cv
+from .evaluation import cv_folds, fold_jobs, kfold_plan, logo_plan, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
@@ -53,10 +53,6 @@ RACY_WINDOW_NS = 2_000_000_000
 # Seconds of one core per byte each geo reader parses: over the perfbench and
 # full-scale inputs, the median of its one-process time per byte (2-vCPU Xeon).
 PARSE_S = {"read_features": 6.1e-8, "read_raster": 2.55e-8, "read_categorical": 2.2e-8}
-# Seconds of one core per lattice cell of the predict and exposure stages:
-# over the perfbench national and Monte Carlo and the full-scale lattices, the
-# median of their one-process time per cell (2-vCPU Xeon).
-LATTICE_S = 1.16e-5
 
 
 @functools.cache
@@ -367,43 +363,6 @@ def _read_geo(reader: str, path, *args) -> tuple:
     return sha256_bytes(data), getattr(geodata, reader)(path, *args, data=data)
 
 
-class _GeoInputs:
-    """The config's feature layers, grids and land-cover grids, each parsed
-    once per run: by the workers of one `FanOut` (`start` begins them, or
-    the first `load`; `close` stops and reaps them), or by `load` itself."""
-
-    def __init__(self, cfg: PipelineConfig, input_stats: dict):
-        self.inputs = cfg._geo_inputs()
-        self.fan_out = self.loaded = None
-        self.jobs = [(PARSE_S[read[0]] * input_stats[os.fspath(read[1])][1][2], _read_geo, read)
-                     for *_, read in self.inputs]  # sized by the stat signatures `validate` took
-
-    def start(self) -> None:
-        if self.fan_out is None:
-            self.fan_out = FanOut(self.jobs)
-
-    def load(self, hash_of) -> dict:
-        """The covariate engine's `layers`, `grids` and `categorical` arguments
-        (those configured), taken in config order. A worker's value is used
-        only when the bytes it parsed hash to `hash_of(path)`, the hash in the
-        calling stage's key; any other file is parsed here, after the key was
-        taken, and nowhere else outside a worker, so the first failure in
-        config order raises its reader's error."""
-        if self.loaded is None:
-            self.start()
-            got, loaded = self.fan_out.results(), {}
-            for i, (_, argument, name, (reader, path, *args)) in enumerate(self.inputs):
-                loaded.setdefault(argument, {})[name] = (
-                    got[i][1] if i in got and got[i][0] == hash_of(path)
-                    else getattr(geodata, reader)(path, *args))
-            self.loaded = loaded
-        return self.loaded
-
-    def close(self) -> None:
-        if self.fan_out is not None:
-            self.fan_out.close()
-
-
 @one_blas_thread()
 def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     """Execute the pipeline through stage `until` (every stage by default);
@@ -419,9 +378,8 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     with locked_dir(config.out_dir), contextlib.ExitStack() as workers:
         runner = _Runner(config, input_stats)
         report = runner.report
-        geo = workers.enter_context(contextlib.closing(_GeoInputs(config, input_stats)))
         try:
-            _stages(config, runner, geo, workers, until)
+            _stages(config, runner, workers, until)
         except StageError as exc:
             report.status = "failed"
             report.failed_stage = exc.stage
@@ -432,38 +390,60 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     return report
 
 
-def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs,
-            workers: contextlib.ExitStack, until: str) -> None:
+def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
+            until: str) -> None:
     """Run every stage that `STAGES` lists up to `until`, filling the
     runner's report, in the order annualize, covariates, fit, predict,
-    exposure, cv: the cv stage reads neither the model nor the maps, so its
-    folds refit in the workers of one `FanOut` (closed with `workers`),
-    started right after covariates when the cv stage will compute, while
-    the parent runs fit, predict and exposure; the cv stage then runs the
-    folds still queued, takes what the workers delivered and refits every
-    other fold itself (`run_cv`). A fold that fails therefore fails the run
-    after the maps and exposure are written. The predict and
-    exposure stages run only when the config has a lattice (and, for
-    exposure, a population grid). A run whose `until` reaches cv fails that
-    stage right after annualize when `cv.k` exceeds annualize's site count.
+    exposure, cv. Two jobs run ahead in the workers of a `FanOut` each,
+    closed with `workers`. The geo inputs parse from the start of
+    annualize's compute when `until` is past annualize, and otherwise from
+    the first stage that computes with them. The cv stage reads neither the
+    model nor the maps, so its folds refit from right after covariates,
+    when the cv stage will compute, while the parent runs fit, predict and
+    exposure; the cv stage then runs the folds still queued, takes what
+    the workers delivered and refits every other fold itself (`run_cv`). A
+    fold that fails therefore fails the run after the maps and exposure
+    are written. The predict and exposure stages run only when the config
+    has a lattice (and, for exposure, a population grid). A run whose
+    `until` reaches cv fails that stage right after annualize when `cv.k`
+    exceeds annualize's site count.
 
     Inputs and artifacts are read on first use and kept, and only by a
-    stage that computes (when `until` is past annualize, annualize's compute
-    first starts the geo-input parse, `_GeoInputs.start`, to overlap it): a
-    cached stage costs the hashes of its reads and outputs (memo hits for
-    unchanged files), and its report metrics come from its manifest entry."""
+    stage that computes: a cached stage costs the hashes of its reads and
+    outputs (memo hits for unchanged files), and its report metrics come
+    from its manifest entry."""
     out, report, last = runner.out, runner.report, STAGES.index(until)
 
     def reaches(stage: str) -> bool:
         return STAGES.index(stage) <= last
 
-    geo_reads = {label: read[1] for label, _, _, read in geo.inputs}
-    categories = {name: read[2] for _, arg, name, read in geo.inputs if arg == "categorical"}
+    geo_inputs = cfg._geo_inputs()
+    geo_reads = {label: read[1] for label, _, _, read in geo_inputs}
+    categories = {name: read[2] for _, arg, name, read in geo_inputs if arg == "categorical"}
+    geo_jobs = [(PARSE_S[read[0]] * runner.input_stats[os.fspath(read[1])][1][2], _read_geo, read)
+                for *_, read in geo_inputs]  # sized by `validate`'s stats, before a hash pops them
+    geo_parse = functools.cache(
+        lambda: workers.enter_context(contextlib.closing(FanOut(geo_jobs))))
+
+    @functools.cache
+    def geo() -> dict:
+        """The covariate engine's `layers`, `grids` and `categorical` arguments
+        (those configured), taken in config order. A worker's value is used
+        only when the bytes it parsed hash as the calling stage's key says;
+        any other file is parsed here, after the key was taken, and nowhere
+        else outside a worker, so the first failure in config order raises
+        its reader's error."""
+        got, loaded = geo_parse().results(), {}
+        for i, (_, argument, name, (reader, path, *args)) in enumerate(geo_inputs):
+            loaded.setdefault(argument, {})[name] = (
+                got[i][1] if i in got and got[i][0] == runner.hash(path)
+                else getattr(geodata, reader)(path, *args))
+        return loaded
 
     # -- annualize ----------------------------------------------------
     def do_annualize():
         if until != "annualize":
-            geo.start()
+            geo_parse()
         result = annualize(read_daily_csv(cfg.daily_csv),
                            read_sites_csv(cfg.sites_csv), cfg.year)
         if not len(result.table):
@@ -492,7 +472,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs,
     specs = functools.cache(lambda: cov.read_specs(cfg.covariates_json))
 
     def do_covariates():
-        matrix = cov.build_matrix(sites(), specs(), **geo.load(runner.hash))
+        matrix = cov.build_matrix(sites(), specs(), **geo())
         matrix.to_csv(out / "matrix.csv")
         return {}
 
@@ -530,13 +510,8 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs,
                     for job in fold_jobs(cfg.recipe, sites(), matrix(), scheme)]
         except LurkError:  # a plan or a fold the cv stage fails on, in its turn
             jobs = []
-        # The parent's own work meanwhile: a fit on every site, and the map.
-        busy = 0.0
-        if not fit_probe[1]:
-            busy = refit_cost(n_sites, len(matrix().columns))
-            if maps:
-                busy += LATTICE_S * cfg.prediction["n_cols"] * cfg.prediction["n_rows"]
-        folds = workers.enter_context(contextlib.closing(FanOut(jobs, busy)))
+        # The parent works meanwhile when the fit, and so the maps, compute.
+        folds = workers.enter_context(contextlib.closing(FanOut(jobs, busy=not fit_probe[1])))
 
     # -- fit ------------------------------------------------------------
     def do_fit():
@@ -564,7 +539,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, geo: _GeoInputs,
             (out / "prediction_variance.asc").unlink(missing_ok=True)
             model = FittedModel.from_dict(json.loads((out / "model.json").read_text()))
             surface = predict_grid(model, specs(), geodata.Lattice(**cfg.prediction),
-                                   **geo.load(runner.hash), with_variance=cfg.with_variance)
+                                   **geo(), with_variance=cfg.with_variance)
             geodata.write_raster(surface.concentration, out / "prediction.asc")
             if surface.variance is not None:
                 geodata.write_raster(surface.variance,

@@ -267,15 +267,15 @@ def _full_specs() -> list[cov.CovariateSpec]:
     return specs
 
 
-def _segments_layer(rng, n_segments, extent_x, extent_y, centers, urban_frac,
-                    min_len, max_len, prefix) -> geodata.FeatureLayer:
+def _segments_layer(rng, n_segments, extent_x, extent_y, centers, min_len, max_len,
+                    prefix) -> geodata.FeatureLayer:
     anchor, angle, length = np.empty((n_segments, 2)), np.empty(n_segments), np.empty(n_segments)
     # `low + (high - low) * rng.random()` is `rng.uniform(low, high)`, bit
     # for bit, at under half its cost per scalar call.
     uniform, turn, span = rng.random, 2 * np.pi, max_len - min_len
     spread = 0.04 * min(extent_x, extent_y)
     for i in range(n_segments):
-        if centers is not None and uniform() < urban_frac:
+        if uniform() < 0.6:  # an urban segment, anchored near a cluster centre
             c = centers[rng.integers(0, len(centers))]
             anchor[i] = c + rng.normal(0, spread, 2)
         else:
@@ -365,16 +365,15 @@ def generate_synthetic(scenario: SyntheticScenario) -> SyntheticData:
         for name in _FULL_ROAD_LAYERS:
             n_seg = int({"roads_all": 9000, "roads_major": 4000,
                          "roads_secondary": 4000, "railways": 1500}[name] * scale_pts)
-            layers[name] = _segments_layer(rng, n_seg, ex, ey, centers, 0.6,
-                                           2_000, 20_000, name[:2])
+            layers[name] = _segments_layer(rng, n_seg, ex, ey, centers, 2_000, 20_000,
+                                           name[:2])
         for name in _FULL_POI_LAYERS:
             layers[name] = _points_layer(rng, int(4000 * scale_pts), ex, ey, centers,
                                          0.7, 3 * sc.cluster_sd_m, name[4:6])
         layers["fires"] = _points_layer(rng, int(1500 * scale_pts), ex, ey, None,
                                         0.0, 0.0, "fi")
     else:
-        layers["roads_major"] = _segments_layer(rng, 150, ex, ey, centers, 0.6,
-                                                2_000, 15_000, "rd")
+        layers["roads_major"] = _segments_layer(rng, 150, ex, ey, centers, 2_000, 15_000, "rd")
         layers["poi_gas"] = _points_layer(rng, 500, ex, ey, centers, 0.7,
                                           3 * sc.cluster_sd_m, "pg")
 

@@ -171,7 +171,7 @@ def loop_segment_ends(rng, n_segments, extent_x, extent_y, centers, urban_frac,
     at a time."""
     ends = np.empty((n_segments, 2, 2))
     for i in range(n_segments):
-        if centers is not None and rng.uniform() < urban_frac:
+        if rng.uniform() < urban_frac:
             c = centers[rng.integers(0, len(centers))]
             anchor = c + rng.normal(0, 0.04 * min(extent_x, extent_y), 2)
         else:

@@ -322,7 +322,7 @@ def _public_definitions(tree):
 def _references(node, enclosing=()):
     """(name, ids of the enclosing definitions) for every name, attribute,
     import alias and string constant under `node`: a string can name a
-    function, as `_GeoInputs` names the readers it calls."""
+    function, as `PipelineConfig._geo_inputs` names the geo readers."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         enclosing = (*enclosing, id(node))
     if isinstance(node, ast.Name):

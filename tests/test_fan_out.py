@@ -1,6 +1,6 @@
 """The fan-out of the geo-input parse to forked workers (`_util.FanOut`,
-`pipeline._GeoInputs`): workers deliver values or nothing, and the parent's
-`_GeoInputs.load` parses every file they did not deliver. The same for the
+started by `pipeline._stages`): workers deliver values or nothing, and the
+parent parses every file they did not deliver. The same for the
 CV folds, refit in workers while the parent fits, maps and scores exposure
 (and then refits those still queued): the cv stage refits every fold they
 did not deliver (`evaluation.run_cv`). The same artifacts with workers as
@@ -266,16 +266,22 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     compute, before it calls `annualize`, even when the manifest holds a
     covariates entry (stale here: the code fingerprint changed), and the
     folds' `FanOut` right after covariates, the cv stage running last; a
-    fully cached rerun and a run through annualize only build none."""
+    fully cached rerun and a run through annualize only build none. The
+    geo parse is never `busy`; the folds are busy when the fit computes,
+    and not on a rerun whose `cv.k` alone changed (fit cached)."""
     cpus(monkeypatch, 1)
     config_path, _ = write(tmp_path, scenario(seed=4))
     run(PipelineConfig.from_json(config_path))
     events = []
     stage, fan_out, annualize = pipeline._Runner.stage, pipeline.FanOut, pipeline.annualize
+
+    def recorded_fan_out(jobs, busy=False):
+        events.append(f"FanOut busy={busy!r}")
+        return fan_out(jobs, busy)
+
     monkeypatch.setattr(pipeline._Runner, "stage", lambda self, name, *args: (
         events.append(f"stage {name}"), stage(self, name, *args))[1])
-    monkeypatch.setattr(pipeline, "FanOut", lambda *args: (
-        events.append("FanOut"), fan_out(*args))[1])
+    monkeypatch.setattr(pipeline, "FanOut", recorded_fan_out)
     monkeypatch.setattr(pipeline, "annualize", lambda *args: (
         events.append("annualize"), annualize(*args))[1])
     stages = [f"stage {name}" for name in
@@ -284,10 +290,16 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
     assert "covariates" in json.loads((config_path.parent / "run" / "manifest.json").read_text())
     run(PipelineConfig.from_json(config_path))
-    assert events == [stages[0], "FanOut", "annualize", stages[1], "FanOut", *stages[2:]]
+    assert events == [stages[0], "FanOut busy=False", "annualize", stages[1],
+                      "FanOut busy=True", *stages[2:]]
     events.clear()
     run(PipelineConfig.from_json(config_path))
     assert events == stages
+    events.clear()
+    config = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**config, "cv": {**config.get("cv", {}), "k": 5}}))
+    run(PipelineConfig.from_json(config_path))
+    assert events == [*stages[:2], "FanOut busy=False", *stages[2:]]
     events.clear()
     monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "third code")
     run(PipelineConfig.from_json(config_path), until="annualize")
@@ -382,7 +394,7 @@ def test_a_worker_killed_in_a_grid_parse_costs_one_warning(tmp_path, monkeypatch
 
 def test_on_one_core_no_geo_input_goes_through_a_job(tmp_path, monkeypatch):
     """With one usable core no worker starts, so a cold run parses each
-    geo input once, in `_GeoInputs.load`, and never calls the job
+    geo input once, in the parent's fallback, and never calls the job
     function `_read_geo` in this process."""
     cpus(monkeypatch, 1)
     jobs, log = [], tmp_path / "calls.log"
@@ -690,15 +702,15 @@ def log_and_square(log: Path, i: int) -> int:
 
 
 @linux_only
-@pytest.mark.parametrize("busy_s", [0.0, 1.0])
-def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch, caplog, busy_s):
-    """Six workers on this host's cores, or five and a busy caller, share
-    one queue of 300 jobs: each job runs once, in some worker or the
-    caller, and every result comes back."""
+@pytest.mark.parametrize("busy", [False, True])
+def test_more_workers_than_cores_run_each_job_once(tmp_path, monkeypatch, caplog, busy):
+    """Six workers on six cores, or five and a busy caller, share one queue
+    of 300 jobs: each job runs once, in some worker or the caller, and
+    every result comes back."""
     cpus(monkeypatch, 6)
     log = tmp_path / "ran.log"
-    fan = _util.FanOut([(i % 7, log_and_square, (log, i)) for i in range(300)], busy_s)
-    assert len(fan.workers) == (5 if busy_s else 6)
+    fan = _util.FanOut([(i % 7, log_and_square, (log, i)) for i in range(300)], busy)
+    assert len(fan.workers) == (5 if busy else 6)
     with caplog.at_level(logging.WARNING, logger="lurk._util"):
         assert fan.results() == {i: i * i for i in range(300)}
     assert sorted(map(int, log.read_text().split())) == list(range(300))
@@ -809,26 +821,21 @@ def test_on_one_core_no_job_runs(monkeypatch):
 
 
 @linux_only
-def test_a_caller_that_works_meanwhile_forks_for_half_the_work(monkeypatch):
-    """The caller's own work while the jobs run (`busy_s`) counts toward
-    `FORK_FLOOR_S` up to the jobs' own total, and a busy caller keeps a
-    core: jobs of half the floor start one worker of two cores beside as
-    much work of the caller, none below half, and jobs of the floor start
-    two workers for a waiting caller, one for a busy one."""
+@pytest.mark.parametrize("busy", [False, True])
+def test_a_caller_that_works_meanwhile_forks_for_half_the_work(monkeypatch, busy):
+    """A `busy` caller forks for jobs of half `FORK_FLOOR_S` and keeps a
+    core: on two cores, jobs totalling 0.4, 0.5 and 1 times the floor
+    start no worker, none and two for a waiting caller, and none, one and
+    one for a busy one; on one core, jobs of the floor start none."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     floor = _util.FORK_FLOOR_S
-    half = [(0.25 * floor, square_or_fail, (x,)) for x in (3, 4)]
-    below = [(0.2 * floor, square_or_fail, (x,)) for x in (3, 4)]
-    for jobs, busy, workers in ((half, 0.0, 0), (half, 0.4 * floor, 0), (half, 0.5 * floor, 1),
-                                (half, 10 * floor, 1), (below, 10 * floor, 0),
-                                (half + half, 0.0, 2), (half + half, 0.01 * floor, 1)):
-        fan = _util.FanOut(jobs, busy)
-        assert len(fan.workers) == workers, (len(jobs), busy)
-        if workers:
-            assert {i: v[0] for i, v in fan.results().items()} == {
-                i: x * x for i, (_, _, (x,)) in enumerate(jobs)}
+    for share, waiting, beside_work in ((0.4, 0, 0), (0.5, 0, 1), (1.0, 2, 1)):
+        jobs = [(share * floor / 2, square_or_fail, (x,)) for x in (3, 4)]
+        fan, workers = _util.FanOut(jobs, busy), beside_work if busy else waiting
+        assert len(fan.workers) == workers, share
+        assert {i: v[0] for i, v in fan.results().items()} == ({0: 9, 1: 16} if workers else {})
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _util.FanOut(half, 10 * floor).workers == []  # no core left to a worker
+    assert _util.FanOut(jobs, busy).workers == []
     assert multiprocessing.active_children() == []
 
 
@@ -841,7 +848,7 @@ def test_a_busy_caller_runs_the_queued_jobs_itself(monkeypatch, caplog):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     floor = _util.FORK_FLOOR_S
     fan = _util.FanOut([(floor, pid_after, (0.1,)) for _ in range(6)]
-                       + [(0.0, square_or_fail, (-1,))], busy_s=floor)
+                       + [(0.0, square_or_fail, (-1,))], busy=True)
     (worker, _), = fan.workers
     worker_pid = worker.pid
     with caplog.at_level(logging.WARNING, logger="lurk._util"):

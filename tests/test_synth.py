@@ -225,26 +225,23 @@ def test_daily_noise_that_would_break_the_annual_mean_is_rejected(tmp_path):
 
 # -- the array generator and writers against the per-value reference code --
 
-def _reference_segments_layer(rng, n, extent_x, extent_y, centers, urban_frac, min_len,
-                              max_len, prefix):
-    ends = oracles.loop_segment_ends(rng, n, extent_x, extent_y, centers, urban_frac,
-                                     min_len, max_len)
+def _reference_segments_layer(rng, n, extent_x, extent_y, centers, min_len, max_len, prefix):
+    ends = oracles.loop_segment_ends(rng, n, extent_x, extent_y, centers, 0.6, min_len, max_len)
     return geodata.FeatureLayer(geodata.POLYLINES, ends, np.arange(0, 2 * n + 1, 2),
                                 [f"{prefix}{i:05d}" for i in range(n)])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12])
-@pytest.mark.parametrize("with_centers", [True, False], ids=["centers", "no-centers"])
-def test_segment_draws_match_the_scalar_uniform_loop(seed, with_centers):
+def test_segment_draws_match_the_scalar_uniform_loop(seed):
     """`_segments_layer` draws its uniforms as scaled `rng.random()` calls:
     the same segment ends, bit for bit, and the same stream left behind as
-    the loop of scalar `rng.uniform` calls."""
-    centers = np.random.default_rng(100 + seed).uniform(0, 300_000, (6, 2)) \
-        if with_centers else None
-    args = (500, 400_000.0, 300_000.0, centers, 0.6, 2_000, 20_000)
+    the loop of scalar `rng.uniform` calls that makes 60 % of segments urban."""
+    centers = np.random.default_rng(100 + seed).uniform(0, 300_000, (6, 2))
+    args, lengths = (500, 400_000.0, 300_000.0, centers), (2_000, 20_000)
     mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    layer = synth._segments_layer(mine, *args, "rd")
-    _assert_bit_equal(layer.xy.reshape(-1, 2, 2), oracles.loop_segment_ends(theirs, *args))
+    layer = synth._segments_layer(mine, *args, *lengths, "rd")
+    _assert_bit_equal(layer.xy.reshape(-1, 2, 2),
+                      oracles.loop_segment_ends(theirs, *args, 0.6, *lengths))
     assert mine.bit_generator.state == theirs.bit_generator.state
 
 
