@@ -232,12 +232,15 @@ def _reference_segments_layer(rng, n, extent_x, extent_y, centers, min_len, max_
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 12])
-def test_segment_draws_match_the_scalar_uniform_loop(seed):
+@pytest.mark.parametrize("extent", [(400_000.0, 300_000.0), (30_000.0, 20_000.0)],
+                         ids=["wide", "clipped"])
+def test_segment_draws_match_the_scalar_uniform_loop(seed, extent):
     """`_segments_layer` draws its uniforms as scaled `rng.random()` calls:
     the same segment ends, bit for bit, and the same stream left behind as
-    the loop of scalar `rng.uniform` calls that makes 60 % of segments urban."""
-    centers = np.random.default_rng(100 + seed).uniform(0, 300_000, (6, 2))
-    args, lengths = (500, 400_000.0, 300_000.0, centers), (2_000, 20_000)
+    the loop of scalar `rng.uniform` calls that makes 60 % of segments urban,
+    also on an extent whose edges clip a third to two thirds of the segments."""
+    centers = np.random.default_rng(100 + seed).uniform(0, min(extent), (6, 2))
+    args, lengths = (500, *extent, centers), (2_000, 20_000)
     mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     layer = synth._segments_layer(mine, *args, *lengths, "rd")
     _assert_bit_equal(layer.xy.reshape(-1, 2, 2),
