@@ -268,7 +268,8 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     folds' `FanOut` right after covariates, the cv stage running last; a
     fully cached rerun and a run through annualize only build none. The
     geo parse is never `busy`; the folds are busy when the fit computes,
-    and not on a rerun whose `cv.k` alone changed (fit cached)."""
+    on a run through cv only (no maps) too, and not on a rerun whose
+    `cv.k` alone changed (fit cached)."""
     cpus(monkeypatch, 1)
     config_path, _ = write(tmp_path, scenario(seed=4))
     run(PipelineConfig.from_json(config_path))
@@ -304,6 +305,11 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "third code")
     run(PipelineConfig.from_json(config_path), until="annualize")
     assert events == [stages[0], "annualize"]
+    events.clear()
+    monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "fourth code")
+    run(PipelineConfig.from_json(config_path), until="cv")
+    assert events == [stages[0], "FanOut busy=False", "annualize", stages[1],
+                      "FanOut busy=True", stages[2], stages[5]]
 
 
 @linux_only
