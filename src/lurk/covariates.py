@@ -150,6 +150,13 @@ class CovariateMatrix:
 _BLOCK = 1024
 
 _LAYER_KIND = {"point_count": geodata.POINTS, "line_length": geodata.POLYLINES}
+_ARGUMENT = {"point_count": "layers", "line_length": "layers", "distance_to_nearest": "layers",
+             "grid_sample": "grids", "landcover_fraction": "categorical"}
+
+
+def specs_reading(specs, argument: str, name: str) -> list:
+    """The specs that read input `name` of `extract`'s argument `argument`."""
+    return [s for s in specs if s.source == name and _ARGUMENT.get(s.kind) == argument]
 
 
 def extract(specs, xs, ys, layers: dict | None = None, grids: dict | None = None,
@@ -273,15 +280,24 @@ def _nearest_distances(layer: geodata.FeatureLayer, xs, ys) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_matrix(sites, specs, layers: dict | None = None, grids: dict | None = None,
-                 categorical: dict | None = None) -> CovariateMatrix:
+                 categorical: dict | None = None, columns: dict | None = None) -> CovariateMatrix:
     """Evaluate every spec at every site and assemble the covariate matrix.
 
     `sites` is a MonitorTable (or anything exposing site_ids, x, y).
+    `columns` maps a spec's name to its (values, valid) at the sites, as
+    `extract` gave them elsewhere; every other spec is extracted here.
     Extraction failures (nodata, out of domain) are collected and raised
     together listing every (site, spec) pair.
     """
-    site_ids = list(sites.site_ids)
-    values, valid = extract(specs, sites.x, sites.y, layers, grids, categorical)
+    site_ids, columns = list(sites.site_ids), columns or {}
+    rest = [j for j, spec in enumerate(specs) if spec.name not in columns]
+    values = np.zeros((len(site_ids), len(specs)))
+    valid = np.ones(values.shape, bool)
+    values[:, rest], valid[:, rest] = extract([specs[j] for j in rest], sites.x, sites.y,
+                                              layers, grids, categorical)
+    for j, spec in enumerate(specs):
+        if spec.name in columns:
+            values[:, j], valid[:, j] = columns[spec.name]
     names = [s.name for s in specs]
     failures = sorted((site_ids[i], names[j]) for i, j in zip(*np.nonzero(~valid)))
     if failures:

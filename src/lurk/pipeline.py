@@ -354,13 +354,18 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-def _read_geo(reader: str, path, *args) -> tuple:
-    """The sha256 of a geo input's bytes and what `geodata.<reader>` makes
-    of those bytes. A `FanOut` job, run only in a worker: it reads the file
-    once, and looks the reader up where it runs, so a worker calls the
-    module's reader of the moment (a patched one too)."""
+def _read_geo(read: tuple, argument: str, name: str, at: dict) -> tuple:
+    """The sha256 of a geo input's bytes, what `geodata.<reader>` makes of
+    them and, when `at` holds "specs" and "xy", `covariates.extract` of the
+    specs reading it at those points. A `FanOut` job, run in a worker or by
+    the busy parent: it reads the file once, and looks the reader and the
+    engine up where it runs (patched ones too)."""
+    reader, path, *args = read
     data = Path(path).read_bytes()
-    return sha256_bytes(data), getattr(geodata, reader)(path, *args, data=data)
+    value = getattr(geodata, reader)(path, *args, data=data)
+    columns = (cov.extract(cov.specs_reading(at["specs"], argument, name), *at["xy"].T,
+                           **{argument: {name: value}}) if at else None)
+    return sha256_bytes(data), value, columns
 
 
 @one_blas_thread()
@@ -369,9 +374,9 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
     returns (and writes) the run report. The run holds the output
     directory's lock throughout (`_util.locked_dir`): OutputLockedError,
     before anything is read or written, while another run holds it. A run
-    that goes past annualize lets the geo inputs parse ahead, and one that
-    reaches cv refits its folds ahead (see `_stages`); no worker outlives
-    the run, whether it ends, fails or is interrupted."""
+    that goes past annualize lets the geo inputs parse and extract ahead,
+    and one that reaches cv refits its folds ahead (see `_stages`); no
+    worker outlives the run, whether it ends, fails or is interrupted."""
     if until not in STAGES:
         raise InvalidArgumentError(f"unknown stage {until!r}; stages are {STAGES}")
     input_stats = config.validate()
@@ -392,21 +397,21 @@ def run(config: PipelineConfig, until: str = STAGES[-1]) -> RunReport:
 
 def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
             until: str) -> None:
-    """Run every stage that `STAGES` lists up to `until`, filling the
-    runner's report, in the order annualize, covariates, fit, predict,
-    exposure, cv. Two jobs run ahead in the workers of a `FanOut` each,
-    closed with `workers`. The geo inputs parse from the start of
-    annualize's compute when `until` is past annualize, and otherwise from
-    the first stage that computes with them. The cv stage reads neither the
-    model nor the maps, so its folds refit from right after covariates,
-    when the cv stage will compute, while the parent runs fit, predict and
-    exposure; the cv stage then runs the folds still queued, takes what
-    the workers delivered and refits every other fold itself (`run_cv`). A
-    fold that fails therefore fails the run after the maps and exposure
-    are written. The predict and exposure stages run only when the config
-    has a lattice (and, for exposure, a population grid). A run whose
-    `until` reaches cv fails that stage right after annualize when `cv.k`
-    exceeds annualize's site count.
+    """Run every stage that `STAGES` lists up to `until`, filling the runner's
+    report, in the order annualize, covariates, fit, predict, exposure, cv.
+    Two jobs run ahead in the workers of a `FanOut` each, closed with
+    `workers`. The geo inputs parse from the start of annualize's compute when
+    `until` is past annualize, each job also extracting at the sites
+    (`site_columns`), and otherwise from the first stage that computes with
+    them. The cv stage reads neither the model nor the maps, so its folds
+    refit from right after covariates, when the cv stage will compute, while
+    the parent runs fit, predict and exposure; the cv stage then runs the
+    folds still queued, takes what the workers delivered and refits every
+    other fold itself (`run_cv`). A fold that fails therefore fails the run
+    after the maps and exposure are written. The predict and exposure stages
+    run only when the config has a lattice (and, for exposure, a population
+    grid). A run whose `until` reaches cv fails that stage right after
+    annualize when `cv.k` exceeds annualize's site count.
 
     Inputs and artifacts are read on first use and kept, and only by a
     stage that computes: a cached stage costs the hashes of its reads and
@@ -420,20 +425,23 @@ def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
     geo_inputs = cfg._geo_inputs()
     geo_reads = {label: read[1] for label, _, _, read in geo_inputs}
     categories = {name: read[2] for _, arg, name, read in geo_inputs if arg == "categorical"}
-    geo_jobs = [(PARSE_S[read[0]] * runner.input_stats[os.fspath(read[1])][1][2], _read_geo, read)
-                for *_, read in geo_inputs]  # sized by `validate`'s stats, before a hash pops them
-    geo_parse = functools.cache(
-        lambda: workers.enter_context(contextlib.closing(FanOut(geo_jobs))))
+    at = {}  # sites.csv's site "ids" and "xy", and the "specs", once annualize reads them
+    geo_jobs = [(PARSE_S[read[0]] * runner.input_stats[os.fspath(read[1])][1][2], _read_geo,
+                 (read, argument, name, at))  # sized by `validate`'s stats, before a hash pops them
+                for _, argument, name, read in geo_inputs]
+    geo_parse = functools.cache(  # busy: the parent works, then runs the jobs still queued
+        lambda: workers.enter_context(contextlib.closing(FanOut(geo_jobs, busy=True))))
+    geo_results = functools.cache(lambda: geo_parse().results())
 
     @functools.cache
     def geo() -> dict:
         """The covariate engine's `layers`, `grids` and `categorical` arguments
-        (those configured), taken in config order. A worker's value is used
+        (those configured), taken in config order. A job's value is used
         only when the bytes it parsed hash as the calling stage's key says;
         any other file is parsed here, after the key was taken, and nowhere
-        else outside a worker, so the first failure in config order raises
+        else outside a job, so the first failure in config order raises
         its reader's error."""
-        got, loaded = geo_parse().results(), {}
+        got, loaded = geo_results(), {}
         for i, (_, argument, name, (reader, path, *args)) in enumerate(geo_inputs):
             loaded.setdefault(argument, {})[name] = (
                 got[i][1] if i in got and got[i][0] == runner.hash(path)
@@ -442,10 +450,13 @@ def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
 
     # -- annualize ----------------------------------------------------
     def do_annualize():
-        if until != "annualize":
+        meta = read_sites_csv(cfg.sites_csv)
+        if until != "annualize":  # the jobs also extract, given specs that parse
+            with contextlib.suppress(LurkError, OSError):
+                at.update(specs=cov.read_specs(cfg.covariates_json), ids=list(meta),
+                          xy=numpy.array([m[:2] for m in meta.values()]).reshape(-1, 2))
             geo_parse()
-        result = annualize(read_daily_csv(cfg.daily_csv),
-                           read_sites_csv(cfg.sites_csv), cfg.year)
+        result = annualize(read_daily_csv(cfg.daily_csv), meta, cfg.year)
         if not len(result.table):
             raise InvalidArgumentError(
                 f"{cfg.daily_csv}: no site meets the completeness rule "
@@ -471,8 +482,28 @@ def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
     # -- covariates ---------------------------------------------------
     specs = functools.cache(lambda: cov.read_specs(cfg.covariates_json))
 
+    def site_columns() -> dict:
+        """{spec name: (values, valid)} of monitors.csv's sites, by site id,
+        from each geo job whose digest is the file's hash in the stage key
+        and whose specs for its input are the stage's; none unless each
+        site's x and y are, bit for bit, those the jobs extracted at."""
+        got, table = geo_results(), sites()
+        index = {site: k for k, site in enumerate(at.get("ids", ()))}
+        rows = [index.get(site) for site in table.site_ids]
+        if not at or None in rows or at["xy"][rows].tobytes() != table.coords.tobytes():
+            return {}
+        columns = {}
+        for i, (_, argument, name, (_, path, *_)) in enumerate(geo_inputs):
+            group = cov.specs_reading(specs(), argument, name)
+            if (i in got and got[i][0] == runner.hash(path)
+                    and group == cov.specs_reading(at["specs"], argument, name)):
+                values, valid = got[i][2]
+                columns.update((s.name, (values[rows, j], valid[rows, j]))
+                               for j, s in enumerate(group))
+        return columns
+
     def do_covariates():
-        matrix = cov.build_matrix(sites(), specs(), **geo())
+        matrix = cov.build_matrix(sites(), specs(), **geo(), columns=site_columns())
         matrix.to_csv(out / "matrix.csv")
         return {}
 

@@ -11,6 +11,7 @@ from lurk import covariates as cov
 from lurk import geodata
 from lurk.errors import CovariateExtractionError, InvalidArgumentError, NoFeaturesError
 from lurk.monitors import MonitorTable
+from lurk.synth import SyntheticScenario, generate_synthetic
 
 import oracles
 
@@ -391,6 +392,44 @@ def test_matrix_matches_individual_operations():
         assert m.values[i, 9] == pytest.approx(sampled[0])
         assert m.values[i, 10] == x
         assert m.values[i, 11] == y
+
+
+@pytest.fixture(scope="module")
+def mini():
+    return generate_synthetic(SyntheticScenario(seed=6))
+
+
+@pytest.mark.parametrize("kind", ["point_count", "line_length", "landcover_fraction",
+                                  "distance_to_nearest", "grid_sample"])
+def test_extract_evaluates_each_point_on_its_own(mini, kind):
+    """A point's row does not depend on the other points of the call: on a
+    mini scenario's inputs, the rows of 700 points (the sites among them)
+    are bit-identical, values and validity, when they come inside a seeded
+    superset of 2,500 points, so past `_BLOCK` with the block boundaries
+    moved, and the superset's rows are when it comes permuted. The
+    pipeline's covariates stage takes columns that geo jobs extracted at
+    every site of `sites.csv` on this property."""
+    specs = [s for s in mini.specs if s.kind == kind]
+    sources = dict(layers=mini.layers, grids=mini.grids, categorical=mini.categorical)
+    rng = np.random.default_rng(23)
+    extent = [mini.scenario.extent_x, mini.scenario.extent_y]
+    points = np.vstack([mini.sites.coords,
+                        rng.uniform(-0.05, 1.05, (700 - len(mini.sites), 2)) * extent])
+    superset = np.vstack([points, rng.uniform(-0.05, 1.05, (1_800, 2)) * extent])
+    order = rng.permutation(len(superset))
+    assert specs and len(superset) > cov._BLOCK
+    alone = cov.extract(specs, *points.T, **sources)
+    inside = cov.extract(specs, *superset.T, **sources)
+    permuted = cov.extract(specs, *superset[order].T, **sources)
+    back = np.argsort(order)  # each superset point's row in `permuted`
+
+    def rows(result, index=slice(None)):  # values and validity, as bytes
+        return result[0][index].tobytes(), result[1][index].tobytes()
+
+    assert rows(inside, slice(0, len(points))) == rows(alone)
+    assert rows(permuted, back[:len(points)]) == rows(alone)
+    assert rows(permuted, back) == rows(inside)
+    assert np.any(alone[0] != 0.0) and np.any(alone[1])
 
 
 def test_matrix_reports_failing_cells():

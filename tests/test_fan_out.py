@@ -13,6 +13,7 @@ for the evaluations of `synth.generate_synthetic` (the parent runs every
 job no worker delivered, `_util.run_jobs`), whose data has the same bits
 with workers as without."""
 
+import dataclasses
 import fcntl
 import json
 import logging
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lurk import _util, covariates, evaluation, geodata, pipeline, synth
+from lurk import _util, covariates, evaluation, geodata, monitors, pipeline, synth
 from lurk.errors import GridFormatError, InvalidArgumentError, ScenarioError, StageError
 from lurk.pipeline import PipelineConfig, run
 from lurk.synth import SyntheticScenario, generate_synthetic, write_scenario
@@ -119,23 +120,100 @@ def fit_after_a_worker_refit(monkeypatch, log: Path) -> None:
     monkeypatch.setattr(pipeline, "fit_recipe", fit)
 
 
+def wait_for_a_worker(log: Path, name=None) -> None:
+    """Wait until a process other than this one has logged a call in `log`
+    (`reader_calls`), one on `name` when given."""
+    deadline = time.monotonic() + 60
+    while not any(pid != os.getpid() and name in (None, *called.split("+"))
+                  for pid, called in reader_calls(log)):
+        assert time.monotonic() < deadline, f"no worker logged a call on {name}"
+        time.sleep(0.005)
+
+
+def annualize_after_a_worker(monkeypatch, log: Path, name=None, then=None) -> None:
+    """Make annualize wait until a geo worker has logged a call in `log`
+    (`wait_for_a_worker`): a busy parent runs the geo jobs still queued
+    once annualize is done, and on a small scenario it could otherwise run
+    them all before a worker takes one. `then(site_meta)`, when given, runs
+    next and gives the site metadata annualize is handed."""
+    annualize = pipeline.annualize
+
+    def waiting(records, site_meta, year):
+        wait_for_a_worker(log, name)
+        return annualize(records, site_meta if then is None else then(site_meta), year)
+
+    monkeypatch.setattr(pipeline, "annualize", waiting)
+
+
+def record_extract_calls(monkeypatch, log: Path, fault=None) -> None:
+    """Wrap `covariates.extract` so that each call appends "<pid>
+    <sources>" to `log` (read back by `reader_calls`; the sources its specs
+    read, joined by "+"), from whichever process makes it; with `fault`,
+    each call on specs that read a source of that name raises
+    InvalidArgumentError instead."""
+    original = covariates.extract
+
+    def extract(specs, *args, **kwargs):
+        sources = sorted({spec.source for spec in specs if spec.source})
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {'+'.join(sources) or '-'}\n")
+        if fault in sources:
+            raise InvalidArgumentError(f"{fault}: patched engine fault in process {os.getpid()}")
+        return original(specs, *args, **kwargs)
+
+    monkeypatch.setattr(covariates, "extract", extract)
+
+
+def record_given_columns(monkeypatch) -> list:
+    """Wrap `covariates.build_matrix` so that each call appends the names
+    of the columns it is given, extracted already, to the returned list."""
+    given, original = [], covariates.build_matrix
+
+    def build_matrix(*args, columns=None, **kwargs):
+        given.append(set(columns or ()))
+        return original(*args, columns=columns, **kwargs)
+
+    monkeypatch.setattr(covariates, "build_matrix", build_matrix)
+    return given
+
+
+def shuffle_sites(config_path: Path, seed: int = 0) -> None:
+    """Rewrite the scenario's sites.csv with its rows in a seeded order."""
+    path = config_path.parent / "inputs" / "sites.csv"
+    header, *rows = path.read_text().splitlines()
+    order = np.random.default_rng(seed).permutation(len(rows))
+    path.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
+
+
+def geo_specs(config_path: Path) -> set:
+    """The names of the specs that read a geo input."""
+    return {s.name for s in covariates.read_specs(config_path.parent / "covariates.json")
+            if s.source}
+
+
 @linux_only
 def test_artifacts_are_byte_identical_with_and_without_workers(tmp_path, monkeypatch):
-    """The same scenario run with two workers, with none because one core
-    is usable, and with none because it runs outside the main thread,
-    writes the same bytes, the CV files among them; only the first run
-    parses a geo input, or refits a CV fold, outside this process."""
+    """The same scenario, with excluded sites and its sites.csv shuffled,
+    run with two workers (one of them the busy parent), with none because
+    one core is usable, and with none because it runs outside the main
+    thread, writes the same bytes, the CV files among them. Only the first
+    run parses a geo input, or refits a CV fold, outside this process, and
+    only it hands `build_matrix` site columns the geo jobs extracted: one
+    for every spec that reads a geo input, picked by site id."""
     log, refits = tmp_path / "calls.log", tmp_path / "refits.log"
     record_reader_calls(monkeypatch, log)
     record_refits(monkeypatch, refits)
     fit_after_a_worker_refit(monkeypatch, refits)
-    sc = scenario(seed=4)
+    given = record_given_columns(monkeypatch)
+    sc = scenario(seed=3, n_excluded_sites=3, daily_noise_sd=2.0)
     got = {}
     for way in ("workers", "one core", "thread"):
         config_path, _ = write(tmp_path, sc, name=way.replace(" ", "_"))
+        shuffle_sites(config_path)
         cpus(monkeypatch, 1 if way == "one core" else 2)
         log.unlink(missing_ok=True)
         refits.unlink(missing_ok=True)
+        given.clear()
         if way == "thread":
             reports = []
             worker = threading.Thread(target=lambda: reports.append(
@@ -144,15 +222,99 @@ def test_artifacts_are_byte_identical_with_and_without_workers(tmp_path, monkeyp
             worker.join(timeout=300)
             assert reports and reports[0].status == "ok"
         else:
-            assert run(PipelineConfig.from_json(config_path)).status == "ok"
+            with monkeypatch.context() as patched:
+                if way == "workers":
+                    annualize_after_a_worker(patched, log)
+                assert run(PipelineConfig.from_json(config_path)).status == "ok"
         calls = [(pid, name) for pid, name in reader_calls(log) if name in GEO_INPUTS]
         assert sorted(name for _, name in calls) == sorted(GEO_INPUTS)  # once each
         assert ({pid for pid, _ in calls} != {os.getpid()}) == (way == "workers"), way
         assert (set(refit_pids(refits)) != {os.getpid()}) == (way == "workers"), way
+        assert given == [geo_specs(config_path) if way == "workers" else set()], way
         got[way] = artifacts(config_path.parent / "run")
     assert {"matrix.csv", "prediction.asc", "cv_kfold.csv", "cv_logo.csv",
             "cv_summary.json"} <= set(got["workers"])
+    assert len(json.loads(got["workers"]["excluded_sites.json"])["excluded"]) == 3
     assert got["workers"] == got["one core"] == got["thread"]
+
+
+def move_sites(config_path: Path, n: int = 5) -> None:
+    """Rewrite sites.csv with its first `n` sites 250 m further east."""
+    path = config_path.parent / "inputs" / "sites.csv"
+    header, *rows = path.read_text().splitlines()
+    x = header.split(",").index("x")
+    for i in range(n):
+        fields = rows[i].split(",")
+        fields[x] = repr(float(fields[x]) + 250.0)
+        rows[i] = ",".join(fields)
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+@linux_only
+@pytest.mark.parametrize("rewritten", ["covariates.json", "sites.csv"])
+def test_site_columns_whose_inputs_changed_are_extracted_again(tmp_path, monkeypatch,
+                                                               rewritten):
+    """After a geo worker has started with the specs and sites it extracts
+    for, annualize runs with a rewritten covariates.json (one point-count
+    buffer of `poi_gas` doubled), or is handed the coordinates of a
+    rewritten sites.csv (five sites moved). The covariates stage takes the
+    jobs' columns only for the spec groups that did not change (none once
+    a site's coordinates differ), extracts every other column itself, and
+    the artifacts match a fresh run on the new files, whose matrix differs
+    from the old files'."""
+    cpus(monkeypatch, 2)
+    config_path, _ = write(tmp_path, scenario(seed=5), name="changed")
+    log, specs_path = tmp_path / "calls.log", config_path.parent / "covariates.json"
+    record_reader_calls(monkeypatch, log)
+    given = record_given_columns(monkeypatch)
+    specs = covariates.read_specs(specs_path)
+    poi = covariates.specs_reading(specs, "layers", "poi_gas")
+    changed = next(s for s in poi if s.kind == "point_count")
+
+    def rewrite(site_meta):
+        if rewritten == "sites.csv":
+            move_sites(config_path)
+            return monitors.read_sites_csv(config_path.parent / "inputs" / "sites.csv")
+        covariates.write_specs([dataclasses.replace(s, buffer_m=2 * s.buffer_m)
+                                if s == changed else s for s in specs], specs_path)
+        return site_meta
+
+    with monkeypatch.context() as patched:
+        annualize_after_a_worker(patched, log, then=rewrite)
+        run(PipelineConfig.from_json(config_path))
+    taken = geo_specs(config_path) - {s.name for s in poi}
+    assert given == [set() if rewritten == "sites.csv" else taken]
+
+    fresh = tmp_path / "fresh"
+    shutil.copytree(config_path.parent / "inputs", fresh / "inputs")
+    for name in ("config.json", "covariates.json"):
+        shutil.copy(config_path.parent / name, fresh / name)
+    run(PipelineConfig.from_json(fresh / "config.json"))
+    got, want = artifacts(config_path.parent / "run"), artifacts(fresh / "run")
+    assert got == want
+    stale, _ = write(tmp_path, scenario(seed=5), name="stale")
+    run(PipelineConfig.from_json(stale))
+    assert artifacts(stale.parent / "run")["matrix.csv"] != got["matrix.csv"]
+
+
+@linux_only
+def test_a_fault_in_the_engine_reaches_a_worker(tmp_path, monkeypatch):
+    """A fault patched into `covariates.extract` for the elevation grid's
+    specs reaches the geo worker that extracts them, and the covariates
+    stage fails with the engine's error, raised by the parent's own
+    extraction of the columns no job delivered."""
+    cpus(monkeypatch, 2)
+    config_path, _ = write(tmp_path, scenario(seed=14))
+    log = tmp_path / "calls.log"
+    record_extract_calls(monkeypatch, log, fault="elevation")
+    annualize_after_a_worker(monkeypatch, log, name="elevation")
+    with pytest.raises(StageError) as failed:
+        run(PipelineConfig.from_json(config_path))
+    assert failed.value.stage == "covariates"
+    assert type(failed.value.cause) is InvalidArgumentError
+    assert str(failed.value.cause) == f"elevation: patched engine fault in process {os.getpid()}"
+    assert any(pid != os.getpid() and name == "elevation" for pid, name in reader_calls(log))
+    assert multiprocessing.active_children() == []
 
 
 @linux_only
@@ -267,7 +429,7 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     covariates entry (stale here: the code fingerprint changed), and the
     folds' `FanOut` right after covariates, the cv stage running last; a
     fully cached rerun and a run through annualize only build none. The
-    geo parse is never `busy`; the folds are busy when the fit computes,
+    geo parse is always `busy`; the folds are busy when the fit computes,
     on a run through cv only (no maps) too, and not on a rerun whose
     `cv.k` alone changed (fit cached)."""
     cpus(monkeypatch, 1)
@@ -291,7 +453,7 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "other code")
     assert "covariates" in json.loads((config_path.parent / "run" / "manifest.json").read_text())
     run(PipelineConfig.from_json(config_path))
-    assert events == [stages[0], "FanOut busy=False", "annualize", stages[1],
+    assert events == [stages[0], "FanOut busy=True", "annualize", stages[1],
                       "FanOut busy=True", *stages[2:]]
     events.clear()
     run(PipelineConfig.from_json(config_path))
@@ -308,7 +470,7 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     events.clear()
     monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "fourth code")
     run(PipelineConfig.from_json(config_path), until="cv")
-    assert events == [stages[0], "FanOut busy=False", "annualize", stages[1],
+    assert events == [stages[0], "FanOut busy=True", "annualize", stages[1],
                       "FanOut busy=True", stages[2], stages[5]]
 
 
@@ -361,6 +523,7 @@ def test_workers_call_the_readers_by_module_attribute(tmp_path, monkeypatch):
     config_path, _ = write(tmp_path, scenario(seed=14))
     log = tmp_path / "calls.log"
     record_reader_calls(monkeypatch, log, fault="satellite.asc")
+    annualize_after_a_worker(monkeypatch, log, name="satellite.asc")
     with pytest.raises(StageError, match="patched fault") as failed:
         run(PipelineConfig.from_json(config_path))
     assert failed.value.stage == "covariates"
@@ -372,11 +535,13 @@ def test_a_worker_killed_in_a_grid_parse_costs_one_warning(tmp_path, monkeypatch
     """A worker killed while it parses a grid delivers none of its files;
     the parent parses them, the run completes with the artifacts of a
     one-core run, and one warning is the only sign."""
-    parent = os.getpid()
+    parent, log = os.getpid(), tmp_path / "calls.log"
     original = geodata.read_raster
 
     def killing(path, *args, **kwargs):
         if os.getpid() != parent and Path(path).name == "satellite.asc":
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} satellite.asc\n")
             os.kill(os.getpid(), signal.SIGKILL)
         return original(path, *args, **kwargs)
 
@@ -387,6 +552,8 @@ def test_a_worker_killed_in_a_grid_parse_costs_one_warning(tmp_path, monkeypatch
         caplog.clear()
         with monkeypatch.context() as patched, caplog.at_level(logging.WARNING):
             patched.setattr(geodata, "read_raster", killing)
+            if n_cpus == 2:
+                annualize_after_a_worker(patched, log, name="satellite.asc")
             assert run(PipelineConfig.from_json(config_path)).status == "ok"
         warnings = warnings_in(caplog)
         if n_cpus == 2:
