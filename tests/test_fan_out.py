@@ -1,6 +1,7 @@
 """The fan-out of the geo-input parse to forked workers (`_util.FanOut`,
 started by `pipeline._stages`): workers deliver values or nothing, and the
-parent parses every file they did not deliver. The same for the
+parent parses every file they did not deliver, and extracts every site
+column the covariates stage does not take from them. The same for the
 CV folds, refit in workers while the parent fits, maps and scores exposure
 (and then refits those still queued): the cv stage refits every fold they
 did not deliver (`evaluation.run_cv`). The same artifacts with workers as
@@ -120,26 +121,20 @@ def fit_after_a_worker_refit(monkeypatch, log: Path) -> None:
     monkeypatch.setattr(pipeline, "fit_recipe", fit)
 
 
-def wait_for_a_worker(log: Path, name=None) -> None:
-    """Wait until a process other than this one has logged a call in `log`
-    (`reader_calls`), one on `name` when given."""
-    deadline = time.monotonic() + 60
-    while not any(pid != os.getpid() and name in (None, *called.split("+"))
-                  for pid, called in reader_calls(log)):
-        assert time.monotonic() < deadline, f"no worker logged a call on {name}"
-        time.sleep(0.005)
-
-
 def annualize_after_a_worker(monkeypatch, log: Path, name=None, then=None) -> None:
     """Make annualize wait until a geo worker has logged a call in `log`
-    (`wait_for_a_worker`): a busy parent runs the geo jobs still queued
-    once annualize is done, and on a small scenario it could otherwise run
-    them all before a worker takes one. `then(site_meta)`, when given, runs
-    next and gives the site metadata annualize is handed."""
-    annualize = pipeline.annualize
+    (`reader_calls`; one on `name` when given): a busy parent runs the geo
+    jobs still queued once annualize is done, and on a small scenario it
+    could otherwise run them all before a worker takes one. `then(site_meta)`,
+    when given, runs next and gives the site metadata annualize is handed."""
+    annualize, parent = pipeline.annualize, os.getpid()
 
     def waiting(records, site_meta, year):
-        wait_for_a_worker(log, name)
+        deadline = time.monotonic() + 60
+        while not any(pid != parent and name in (None, *called.split("+"))
+                      for pid, called in reader_calls(log)):
+            assert time.monotonic() < deadline, f"no worker logged a call on {name}"
+            time.sleep(0.005)
         return annualize(records, site_meta if then is None else then(site_meta), year)
 
     monkeypatch.setattr(pipeline, "annualize", waiting)
