@@ -150,8 +150,10 @@ class CovariateMatrix:
 _BLOCK = 1024
 
 _LAYER_KIND = {"point_count": geodata.POINTS, "line_length": geodata.POLYLINES}
+# The `extract` argument each kind reads its source from, and what it calls one.
 _ARGUMENT = {"point_count": "layers", "line_length": "layers", "distance_to_nearest": "layers",
              "grid_sample": "grids", "landcover_fraction": "categorical"}
+_WHAT = {"layers": "layer", "grids": "grid", "categorical": "categorical grid"}
 
 
 def specs_reading(specs, argument: str, name: str) -> list:
@@ -178,54 +180,52 @@ def extract(specs, xs, ys, layers: dict | None = None, grids: dict | None = None
     ys = np.asarray(ys, dtype=np.float64)
     values = np.zeros((xs.size, len(specs)))
     valid = np.ones((xs.size, len(specs)), dtype=bool)
+    inputs = {"layers": layers, "grids": grids, "categorical": categorical}
     groups: dict[tuple[str, str], list[int]] = {}
     for j, spec in enumerate(specs):
         groups.setdefault((spec.kind, spec.source), []).append(j)
     for (kind, source), cols in groups.items():
         group = [specs[j] for j in cols]
-        if kind == "coordinate_x":
-            values[:, cols] = xs[:, None]
-        elif kind == "coordinate_y":
-            values[:, cols] = ys[:, None]
-        elif kind == "grid_sample":
-            grid = _lookup(grids or {}, source, "grid")
-            sampled, inside, touched = geodata.bilinear_sample_many(grid, xs, ys)
+        if kind in ("coordinate_x", "coordinate_y"):
+            values[:, cols] = (xs if kind == "coordinate_x" else ys)[:, None]
+            continue
+        loaded = _lookup(inputs[_ARGUMENT[kind]] or {}, source, _WHAT[_ARGUMENT[kind]])
+        if kind == "grid_sample":
+            sampled, inside, touched = geodata.bilinear_sample_many(loaded, xs, ys)
             ok = inside & ~touched
             values[:, cols] = np.where(ok, sampled, 0.0)[:, None]
             valid[:, cols] = ok[:, None]
         elif kind == "landcover_fraction":
-            grid = _lookup(categorical or {}, source, "categorical grid")
             for spec in group:
-                if spec.category not in grid.categories:
+                if spec.category not in loaded.categories:
                     raise InvalidArgumentError(
                         f"{spec.name}: category {spec.category!r} is not among the "
-                        f"categories {list(grid.categories)} of {source!r}")
+                        f"categories {list(loaded.categories)} of {source!r}")
             # One window count per class, each building and dropping its own
             # summed-area table, so one table is alive at a time.
             windows = sorted({spec.buffer_m for spec in group})
-            n_valid = dict(zip(windows, grid.window_counts(xs, ys, windows).T))
+            n_valid = dict(zip(windows, loaded.window_counts(xs, ys, windows).T))
             for category in dict.fromkeys(spec.category for spec in group):
                 members = [(j, spec) for j, spec in zip(cols, group) if spec.category == category]
-                n_cat = grid.window_counts(xs, ys, [spec.buffer_m for _, spec in members],
-                                           category)
+                n_cat = loaded.window_counts(xs, ys, [spec.buffer_m for _, spec in members],
+                                             category)
                 for (j, spec), n_in in zip(members, n_cat.T):
                     n = n_valid[spec.buffer_m]
                     ok = valid[:, j] = n > 0
                     values[ok, j] = n_in[ok] / n[ok]
         else:
-            layer = _lookup(layers or {}, source, "layer")
-            if kind in _LAYER_KIND and layer.kind != _LAYER_KIND[kind]:
+            if kind in _LAYER_KIND and loaded.kind != _LAYER_KIND[kind]:
                 raise InvalidArgumentError(f"{kind} requires a {_LAYER_KIND[kind]} layer; "
-                                           f"{source!r} holds {layer.kind}")
+                                           f"{source!r} holds {loaded.kind}")
             if kind == "point_count":
                 centers = np.column_stack([xs, ys])
                 for j, spec in zip(cols, group):
-                    values[:, j] = layer.tree.query_ball_point(
+                    values[:, j] = loaded.tree.query_ball_point(
                         centers, spec.buffer_m, return_length=True)
             elif kind == "line_length":
-                values[:, cols] = _line_lengths(layer, xs, ys, [s.buffer_m for s in group])
+                values[:, cols] = _line_lengths(loaded, xs, ys, [s.buffer_m for s in group])
             else:
-                values[:, cols] = _nearest_distances(layer, xs, ys)[:, None]
+                values[:, cols] = _nearest_distances(loaded, xs, ys)[:, None]
     return values, valid
 
 

@@ -356,15 +356,15 @@ def _read_manifest(path: Path) -> dict:
 
 def _read_geo(read: tuple, argument: str, name: str, at: dict) -> tuple:
     """The sha256 of a geo input's bytes, what `geodata.<reader>` makes of
-    them and, when `at` holds "specs" and "xy", `covariates.extract` of the
-    specs reading it at those points. A `FanOut` job, run in a worker or by
+    them and, when `at` holds "specs", `covariates.extract` of the specs
+    reading it at the points `at["xy"]`. A `FanOut` job, run in a worker or by
     the busy parent: it reads the file once, and looks the reader and the
     engine up where it runs (patched ones too)."""
     reader, path, *args = read
     data = Path(path).read_bytes()
     value = getattr(geodata, reader)(path, *args, data=data)
     columns = (cov.extract(cov.specs_reading(at["specs"], argument, name), *at["xy"].T,
-                           **{argument: {name: value}}) if at else None)
+                           **{argument: {name: value}}) if "specs" in at else None)
     return sha256_bytes(data), value, columns
 
 
@@ -425,12 +425,12 @@ def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
     geo_inputs = cfg._geo_inputs()
     geo_reads = {label: read[1] for label, _, _, read in geo_inputs}
     categories = {name: read[2] for _, arg, name, read in geo_inputs if arg == "categorical"}
-    at = {}  # sites.csv's site "ids" and "xy", and the "specs", once annualize reads them
+    at = {}  # sites.csv's "ids" and "xy", and any "specs", once annualize's compute reads them
     geo_jobs = [(PARSE_S[read[0]] * runner.input_stats[os.fspath(read[1])][1][2], _read_geo,
                  (read, argument, name, at))  # sized by `validate`'s stats, before a hash pops them
                 for _, argument, name, read in geo_inputs]
-    geo_parse = functools.cache(  # busy: the parent works, then runs the jobs still queued
-        lambda: workers.enter_context(contextlib.closing(FanOut(geo_jobs, busy=True))))
+    geo_parse = functools.cache(  # busy when annualize, computed beside the jobs, starts them
+        lambda: workers.enter_context(contextlib.closing(FanOut(geo_jobs, busy=bool(at)))))
     geo_results = functools.cache(lambda: geo_parse().results())
 
     @functools.cache
@@ -452,9 +452,9 @@ def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
     def do_annualize():
         meta = read_sites_csv(cfg.sites_csv)
         if until != "annualize":  # the jobs also extract, given specs that parse
+            at.update(ids=list(meta), xy=numpy.array([m[:2] for m in meta.values()]).reshape(-1, 2))
             with contextlib.suppress(LurkError, OSError):
-                at.update(specs=cov.read_specs(cfg.covariates_json), ids=list(meta),
-                          xy=numpy.array([m[:2] for m in meta.values()]).reshape(-1, 2))
+                at["specs"] = cov.read_specs(cfg.covariates_json)
             geo_parse()
         result = annualize(read_daily_csv(cfg.daily_csv), meta, cfg.year)
         if not len(result.table):
@@ -490,7 +490,7 @@ def _stages(cfg: PipelineConfig, runner: _Runner, workers: contextlib.ExitStack,
         got, table = geo_results(), sites()
         index = {site: k for k, site in enumerate(at.get("ids", ()))}
         rows = [index.get(site) for site in table.site_ids]
-        if not at or None in rows or at["xy"][rows].tobytes() != table.coords.tobytes():
+        if "specs" not in at or None in rows or at["xy"][rows].tobytes() != table.coords.tobytes():
             return {}
         columns = {}
         for i, (_, argument, name, (_, path, *_)) in enumerate(geo_inputs):

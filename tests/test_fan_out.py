@@ -424,9 +424,10 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     covariates entry (stale here: the code fingerprint changed), and the
     folds' `FanOut` right after covariates, the cv stage running last; a
     fully cached rerun and a run through annualize only build none. The
-    geo parse is always `busy`; the folds are busy when the fit computes,
-    on a run through cv only (no maps) too, and not on a rerun whose
-    `cv.k` alone changed (fit cached)."""
+    geo parse is `busy` when annualize starts it, and not when the
+    covariates stage does (annualize cached, the covariate set edited);
+    the folds are busy when the fit computes, on a run through cv only (no
+    maps) too, and not on a rerun whose `cv.k` alone changed (fit cached)."""
     cpus(monkeypatch, 1)
     config_path, _ = write(tmp_path, scenario(seed=4))
     run(PipelineConfig.from_json(config_path))
@@ -458,6 +459,11 @@ def test_annualize_starts_the_geo_parse_when_the_run_goes_past_it(tmp_path, monk
     config_path.write_text(json.dumps({**config, "cv": {**config.get("cv", {}), "k": 5}}))
     run(PipelineConfig.from_json(config_path))
     assert events == [*stages[:2], "FanOut busy=False", *stages[2:]]
+    events.clear()
+    covariates_json = config_path.parent / "covariates.json"
+    covariates_json.write_text(json.dumps(json.loads(covariates_json.read_text())[:-1]))
+    run(PipelineConfig.from_json(config_path))
+    assert events == [*stages[:2], "FanOut busy=False", "FanOut busy=True", *stages[2:]]
     events.clear()
     monkeypatch.setattr(pipeline, "code_fingerprint", lambda: "third code")
     run(PipelineConfig.from_json(config_path), until="annualize")

@@ -193,6 +193,40 @@ def test_non_finite_daily_value_fails_annualize_naming_its_line(tmp_path, value)
         f"{daily}: line 101: malformed record {[site, day, value]!r}")
 
 
+@pytest.mark.parametrize("until", ["annualize", "cv"])
+def test_annualize_reads_sites_csv_before_daily_csv(tmp_path, until):
+    """With sites.csv, daily.csv and covariates.json all malformed, annualize
+    fails on sites.csv, which its compute reads first (before any geo job
+    starts); with sites.csv mended it fails on daily.csv. covariates.json,
+    which annualize also reads for the geo jobs, fails only its own stage."""
+    config_path, _ = write(tmp_path, scenario(seed=8))
+    sites, daily = (config_path.parent / "inputs" / name for name in ("sites.csv", "daily.csv"))
+    sites_text, lines = sites.read_text(), daily.read_text().splitlines()
+    site, day, _ = lines[100].split(",")
+    lines[100] = f"{site},{day},nan"
+    daily.write_text("\n".join(lines) + "\n")
+    sites.write_text(sites_text + sites_text.splitlines()[1] + "\n")  # a repeated row
+    (config_path.parent / "covariates.json").write_text("{}")
+    with pytest.raises(StageError) as info:
+        run(PipelineConfig.from_json(config_path), until=until)
+    assert info.value.stage == "annualize"
+    assert str(info.value.cause).startswith(f"{sites}: line ")
+    sites.write_text(sites_text)
+    with pytest.raises(StageError) as info:
+        run(PipelineConfig.from_json(config_path), until=until)
+    assert (info.value.stage, str(info.value.cause)) == (
+        "annualize", f"{daily}: line 101: malformed record {[site, day, 'nan']!r}")
+    lines[100] = f"{site},{day},1.0"
+    daily.write_text("\n".join(lines) + "\n")
+    if until == "annualize":
+        run(PipelineConfig.from_json(config_path), until=until)
+    else:
+        with pytest.raises(StageError) as info:
+            run(PipelineConfig.from_json(config_path), until=until)
+        assert info.value.stage == "covariates"
+        assert "a covariate set file must be a list of objects" in str(info.value.cause)
+
+
 def test_misspelled_exclude_fails_the_fit_stage_naming_the_column(tmp_path):
     config_path, _ = write(tmp_path, scenario(seed=8), recipe={"exclude": ["satelite"]})
     with pytest.raises(StageError) as info:
