@@ -1,6 +1,7 @@
 """Shared helpers: hashing, seeds, float formatting, the artifact file codec
-(atomic writes, CSV tables, JSON), the output-directory lock, the JSON input
-reader and config checks, the one-BLAS-thread pin, and the one fan-out of jobs."""
+(atomic writes, CSV tables, JSON, the log append), the output-directory
+lock, the JSON input reader and config checks, the one-BLAS-thread pin, and
+the one fan-out of jobs."""
 
 from __future__ import annotations
 
@@ -105,6 +106,13 @@ def dump_json(obj, path, if_changed: bool = False) -> str:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     write_atomic(path, text, if_changed)
     return text
+
+
+def append_line(path, text: str) -> None:
+    """Append `text` and a newline to `path`, made when missing. Not atomic:
+    a log grows by a line per event, and a rewrite would copy all of it."""
+    with open(path, "a") as f:
+        f.write(text + "\n")
 
 
 def write_table(path, header, columns) -> None:
@@ -309,7 +317,7 @@ def one_blas_thread():
             set_threads(n)
 
 
-FORK_FLOOR_S = 0.1  # two workers' break-even, in seconds of one core (README "When it forks")
+FORK_FLOOR_S = 0.1  # two workers' break-even, in seconds of one core (README "Forked workers")
 
 
 class FanOut:
@@ -318,10 +326,13 @@ class FanOut:
     per job, which start at once. A `busy` caller works itself between this
     call and `results()`: it keeps a core, so one worker fewer starts, and
     in `results()` it runs the jobs still queued itself before it waits for
-    the workers. None start when the costs (each the job's estimated
-    seconds of one core) come under FORK_FLOOR_S, or under half of it for
-    a busy caller (the workers run beside its work, not beside a parent
-    that waits; README "When it forks"), with no core left to a worker,
+    the workers. A caller that waits runs no job, though it could take a
+    worker's place: so the memory its jobs build stays out of its own
+    process, whose peak RSS is then what it holds and keeps. None start
+    when the costs (each the job's estimated seconds of one core) come
+    under FORK_FLOOR_S, or under half of it for a busy caller (the workers
+    run beside its work, not beside a parent that waits; README "Forked
+    workers"), with no core left to a worker,
     off Linux, off the main thread or beside another Python thread (a fork
     copies only the calling thread, and a lock another thread holds stays
     held in the child), or when the queue, a process or a pipe cannot be

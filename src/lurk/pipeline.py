@@ -34,9 +34,9 @@ from .evaluation import cv_folds, fold_jobs, kfold_plan, logo_plan, run_cv
 from .exposure import DEFAULT_THRESHOLDS, cumulative_exposure, predict_grid
 from .monitors import MonitorTable, annualize, read_daily_csv, read_sites_csv
 from .recipes import FittedModel, ModelRecipe, fit_recipe
-from ._util import (FanOut, check_keys, checked, dump_json, is_finite_number, is_int,
-                    locked_dir, one_blas_thread, plain, read_json, recorded_writes, sha256_bytes,
-                    sha256_file, stage_seed, write_table)
+from ._util import (FanOut, append_line, check_keys, checked, dump_json, is_finite_number,
+                    is_int, locked_dir, one_blas_thread, plain, read_json, recorded_writes,
+                    sha256_bytes, sha256_file, stage_seed, write_table)
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +52,8 @@ LATTICE_KEYS = tuple(f.name for f in fields(geodata.Lattice))
 RACY_WINDOW_NS = 2_000_000_000
 # Seconds of one core per byte each geo reader parses: over the perfbench and
 # full-scale inputs, the median of its one-process time per byte (2-vCPU Xeon).
+# It prices the parse only: a job that annualize starts also extracts its
+# input's site covariates, which this leaves out, so such a job costs more.
 PARSE_S = {"read_features": 6.1e-8, "read_raster": 2.55e-8, "read_categorical": 2.2e-8}
 
 
@@ -209,8 +211,7 @@ class _Runner:
         self.input_stats = input_stats  # path string -> (clock, signature), from `validate`
 
     def _log_line(self, text: str) -> None:
-        with open(self.log_path, "a") as f:
-            f.write(text + "\n")
+        append_line(self.log_path, text)
         log.info(text)
 
     def hash(self, path) -> str:

@@ -1112,8 +1112,7 @@ def test_an_output_swapped_after_its_write_recomputes_its_stage(tmp_path, monkey
     assert_same_artifacts(out, cfg.out_dir)
 
 
-@pytest.mark.parametrize("script", ["run_national_synthetic.py", "model_family_sweep.py",
-                                    "bench.py"])
+@pytest.mark.parametrize("script", ["model_family_sweep.py", "bench.py"])
 def test_scripts_import_against_the_api(script):
     path = Path(__file__).resolve().parents[1] / "scripts" / script
     spec = importlib.util.spec_from_file_location(path.stem, path)
