@@ -78,7 +78,7 @@ def test_measure_records_every_number_the_readme_table_renders(tmp_path, monkeyp
     median = bench.medians([result])
     for key in bench.TABLE:
         value = functools.reduce(dict.__getitem__, key.split("."), median)
-        assert isinstance(value, float) and value > 0, key
+        assert isinstance(value, float) and value >= 0, key  # a worker-less run: children 0
     path = tmp_path / "BENCH_mini.json"
     path.write_text(json.dumps({"label": "mini", "machine": {"revision": "r", "src_lurk_lines": 1},
                                 "scenarios": {"mini": {"median": median, "runs": [result]}}}))
